@@ -1,8 +1,8 @@
 //! The decoupled map/combine runtime (paper §III, Fig 2).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::tuning::{decide, AdaptationEvent, AdaptiveBounds, PoolObservation};
@@ -12,7 +12,7 @@ use mr_core::{
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer};
-use ramr_spsc::{BackoffPolicy, Consumer, Producer, SpscQueue};
+use ramr_spsc::{BackoffPolicy, Consumer, Producer, SpscQueue, BUSY_WAIT_YIELD_EVERY};
 use ramr_telemetry::{
     pool_throughput, FaultLog, FaultMetrics, LocalTelemetry, ProgressBoard, TelemetryCell,
     ThreadRole, ThreadTelemetry,
@@ -31,16 +31,32 @@ pub(crate) type PairProducer<J> = Producer<HashedPair<J>>;
 /// The read half of one mapper's pipeline queue.
 pub(crate) type PairConsumer<J> = Consumer<HashedPair<J>>;
 
-/// An idle combiner's waiting policy, derived from the configured
+/// One zero-progress combine round's wait, shared by the static combiner
+/// and every adaptive combining loop. Derived from the configured
 /// producer-side backoff so both ends of each pipeline degrade
-/// symmetrically: `(spin rounds after the last progress, sleep once
-/// exhausted)`. `BusyWait` maps to pure spinning (no sleep), matching what
-/// it asks of the producers.
-pub(crate) fn idle_policy(backoff: PushBackoff) -> (u32, Option<Duration>) {
+/// symmetrically: spin for `spins` rounds after the last progress (data may
+/// be one block away), then `park` — off the core a co-located mapper may
+/// need — until a producer rings, with `sleep` as the ceiling. `BusyWait`
+/// never parks; it yields periodically so a co-scheduled mapper can actually
+/// fill the queue, mirroring the producer-side `BUSY_WAIT_YIELD_EVERY`.
+fn idle_wait(backoff: PushBackoff, idle_rounds: u32, park: impl FnOnce(Duration)) {
     match backoff {
-        PushBackoff::BusyWait => (u32::MAX, None),
-        PushBackoff::SpinThenSleep { spins, sleep } => (spins, Some(sleep)),
+        PushBackoff::SpinThenSleep { spins, sleep } if idle_rounds > spins => park(sleep),
+        PushBackoff::BusyWait if u64::from(idle_rounds).is_multiple_of(BUSY_WAIT_YIELD_EVERY) => {
+            std::thread::yield_now();
+        }
+        _ => std::hint::spin_loop(),
     }
+}
+
+/// How much a queue must hold before it is worth waking a parked combining
+/// thread for: a batch at least, and the high-water mark (half the ring)
+/// where that is more — the mirror of the producer's low-water mark. Each
+/// wake-up is a syscall on the *mapper's* critical path, so a combiner that
+/// is mostly idle is woken once per half queue, not once per block; a queue
+/// that closes wakes it regardless.
+fn wake_at(batch: usize, config: &RuntimeConfig) -> usize {
+    batch.max(config.queue_capacity / 2)
 }
 
 /// The RAMR runtime: two thread pools, SPSC pipelines, batched combine.
@@ -786,7 +802,8 @@ const WATCHDOG_SLICE: Duration = Duration::from_millis(5);
 /// retry/skip policy, the shared fault log, the cooperative cancel flag the
 /// watchdog trips, and (when a watchdog is armed) the progress board. All
 /// fields are inert at the default configuration, so the hot paths run
-/// unchanged — no staging, no extra atomics, the plain blocking push.
+/// unchanged — no staging, no extra atomics; the blocking push reads the
+/// cancel flag only while its queue is full.
 pub(crate) struct FaultCtx<'a> {
     /// Panicked-task re-executions allowed per task.
     retries: u32,
@@ -833,13 +850,6 @@ impl<'a> FaultCtx<'a> {
             board.bump(slot);
         }
     }
-
-    /// The cancel flag to thread into blocking SPSC publishes — `Some` only
-    /// when a watchdog is armed (nothing else ever trips the flag), so the
-    /// default path keeps the unconditional blocking push.
-    fn push_cancel(&self) -> Option<&'a AtomicBool> {
-        self.board.map(|_| self.cancel)
-    }
 }
 
 /// Marks a thread live on the progress board for its whole scope. The drop
@@ -861,21 +871,6 @@ impl Drop for LiveGuard<'_> {
         if let Some(b) = self.0 {
             b.thread_done();
         }
-    }
-}
-
-/// Publishes one block with the configured backoff. When a watchdog armed
-/// the cancel flag the push aborts on cancellation instead of blocking
-/// forever on a queue nobody will ever drain again.
-fn publish_block<T: Send>(
-    tx: &mut Producer<T>,
-    buf: &mut Vec<T>,
-    backoff: &BackoffPolicy,
-    cancel: Option<&AtomicBool>,
-) -> u64 {
-    match cancel {
-        Some(flag) => tx.push_batch_with_backoff_or_cancel(buf, backoff, flag),
-        None => tx.push_batch_with_backoff(buf, backoff),
     }
 }
 
@@ -974,7 +969,6 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
     slot: usize,
 ) {
     let _live = LiveGuard::enter(ctx.board);
-    let push_cancel = ctx.push_cancel();
     let wall_start = telemetry.then(Instant::now);
     let mut local = LocalTelemetry::default();
     let mut emitted = 0u64;
@@ -998,11 +992,14 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
                 if buffer.len() >= emit_block {
                     // Pushes must always succeed: discarding or overwriting
                     // elements would violate correctness (paper §III-A). The
-                    // flush loops with the configured backoff until the whole
-                    // block is published, counting zero-progress attempts.
+                    // flush waits with the configured backoff until the whole
+                    // block is published, counting zero-progress attempts;
+                    // only the watchdog's cancel ends it early, so a queue
+                    // nobody will ever drain again cannot wedge teardown.
                     let occupied = buffer.len();
                     let flush_start = telemetry.then(Instant::now);
-                    *full_events += publish_block(tx, buffer, backoff, push_cancel);
+                    *full_events +=
+                        tx.push_batch_with_backoff_or_cancel(buffer, backoff, ctx.cancel);
                     ctx.progress(slot);
                     if let Some(t) = flush_start {
                         local.stalled += t.elapsed();
@@ -1049,7 +1046,7 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
     // session reuse; per-run callers drop it right after anyway.
     let occupied = buffer.len();
     let flush_start = telemetry.then(Instant::now);
-    full_events += publish_block(tx, &mut buffer, backoff, push_cancel);
+    full_events += tx.push_batch_with_backoff_or_cancel(&mut buffer, backoff, ctx.cancel);
     if let Some(t) = flush_start {
         local.stalled += t.elapsed();
         if occupied > 0 {
@@ -1066,6 +1063,21 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
     cell.publish(&local);
 }
 
+/// One batched read in a combine round. While the mapper is still running
+/// only full batches are taken (paper §III-A: "the buffer is divided into
+/// blocks of elements that are processed contiguously"); once its queue is
+/// `closed` — the flag must have been read *before* this call — whatever
+/// remains is consumed, partial batches included. Returns the pairs taken.
+fn pop_round<T: Send>(rx: &mut Consumer<T>, closed: bool, batch: usize, f: impl FnMut(T)) -> usize {
+    if closed {
+        rx.pop_batch(batch, f)
+    } else if rx.pop_batch_exact(batch, f) {
+        batch
+    } else {
+        0
+    }
+}
+
 /// One combiner's loop: round-robin over its assigned queues, consuming
 /// full batches while mappers run, then draining remainders after the map
 /// phase ends. Publishes its counters and (when telemetry is on)
@@ -1079,8 +1091,11 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
 ///
 /// Instrumentation cost: two timer reads per *round* over the assigned
 /// queues, never per pair. A round that consumed anything counts as
-/// `busy`; a zero-progress round (including its spin/sleep backoff) counts
-/// as `stalled` idle time.
+/// `busy`; a zero-progress round (including its spin/park wait) counts as
+/// `stalled` idle time.
+///
+/// Queues seen closed and drained are swapped behind `live`, so both the
+/// rounds and the idle wait cover only queues that still owe data.
 pub(crate) fn combiner_loop<J: MapReduceJob>(
     job: &J,
     config: &RuntimeConfig,
@@ -1097,18 +1112,16 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
     let mut first_error: Option<RuntimeError> = None;
     let mut total_consumed = 0u64;
     let batch = config.batch_size;
-    let (idle_spins, idle_sleep) = idle_policy(config.push_backoff);
     let mut idle_rounds = 0u32;
-    loop {
-        // Watchdog cancellation: abandon the drain — the run is being torn
-        // down and its partial results discarded.
-        if ctx.cancelled() {
-            break;
-        }
+    let mut live = consumers.len();
+    // Watchdog cancellation abandons the drain: the run is being torn down
+    // and its partial results discarded.
+    while live > 0 && !ctx.cancelled() {
         let round_start = telemetry.then(Instant::now);
         let mut progressed = false;
-        let mut all_done = true;
-        for rx in consumers.iter_mut() {
+        let mut next = 0;
+        while next < live {
+            let rx = &mut consumers[next];
             // Read the close flag BEFORE consuming: a queue observed closed
             // and then drained to empty can never produce again (the
             // producer's pushes all happen before its drop).
@@ -1120,31 +1133,14 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
                 // the conservation accounting exact.
                 let counted = std::cell::Cell::new(0usize);
                 let mut insert_err: Option<RuntimeError> = None;
-                let outcome = {
-                    let mut insert = |pair: HashedPair<J>| {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pop_round(rx, closed, batch, |pair: HashedPair<J>| {
                         counted.set(counted.get() + 1);
                         if insert_err.is_none() {
-                            if let Err(e) = container.insert(pair.0, pair.1) {
-                                insert_err = Some(e);
-                            }
+                            insert_err = container.insert(pair.0, pair.1).err();
                         }
-                    };
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if closed {
-                            // End of map phase for this queue: consume any
-                            // remaining data, partial batches included.
-                            rx.pop_batch(batch, &mut insert)
-                        } else if rx.pop_batch_exact(batch, &mut insert) {
-                            // Mappers still running: prefer full batches
-                            // (paper §III-A, "the buffer is divided into
-                            // blocks of elements that are processed
-                            // contiguously").
-                            batch
-                        } else {
-                            0
-                        }
-                    }))
-                };
+                    })
+                }));
                 if let Err(panic) = outcome {
                     // A panic in the job's combine function must not kill
                     // this thread: its queues would never drain and the
@@ -1157,13 +1153,7 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
                 counted.get()
             } else {
                 // Error mode: keep the pipeline moving, discarding data.
-                if closed {
-                    rx.pop_batch(batch, |_| {})
-                } else if rx.pop_batch_exact(batch, |_| {}) {
-                    batch
-                } else {
-                    0
-                }
+                pop_round(rx, closed, batch, |_| {})
             };
             if consumed > 0 {
                 total_consumed += consumed as u64;
@@ -1174,43 +1164,31 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
                     local.occupancy.record(consumed, batch);
                 }
             }
-            if !(closed && rx.is_empty()) {
-                all_done = false;
+            if closed && rx.is_empty() {
+                live -= 1;
+                consumers.swap(next, live);
+            } else {
+                next += 1;
             }
         }
-        if !all_done {
-            if progressed {
-                idle_rounds = 0;
-            } else {
-                // Nothing to do yet: spin briefly (data may be one block
-                // away), then sleep instead of burning the core a
-                // co-located mapper may need — symmetric to the producer's
-                // push backoff.
-                local.stall_events += 1;
-                idle_rounds = idle_rounds.saturating_add(1);
-                match idle_sleep {
-                    Some(sleep) if idle_rounds > idle_spins => std::thread::sleep(sleep),
-                    // Busy-wait mode: yield periodically so a co-scheduled
-                    // mapper can actually fill the queue — mirrors the
-                    // producer-side BUSY_WAIT_YIELD_EVERY escape hatch.
-                    None if idle_rounds.is_multiple_of(64) => std::thread::yield_now(),
-                    _ => std::hint::spin_loop(),
-                }
-            }
+        if progressed {
+            idle_rounds = 0;
+        } else if live > 0 {
+            local.stall_events += 1;
+            idle_rounds = idle_rounds.saturating_add(1);
+            idle_wait(config.push_backoff, idle_rounds, |ceiling| {
+                PairConsumer::<J>::wait_any(&consumers[..live], wake_at(batch, config), ceiling)
+            });
         }
         if let Some(t) = round_start {
-            // The backoff spin/sleep is inside the measured round, so idle
-            // waits land in `stalled` and busy + stalled tracks the
-            // thread's wall-clock.
+            // The wait is inside the measured round, so idle time lands in
+            // `stalled` and busy + stalled tracks the thread's wall-clock.
             let elapsed = t.elapsed();
             if progressed {
                 local.busy += elapsed;
             } else {
                 local.stalled += elapsed;
             }
-        }
-        if all_done {
-            break;
         }
     }
     local.items = total_consumed;
@@ -1250,6 +1228,15 @@ const CONTROLLER_SLICE: Duration = Duration::from_micros(500);
 /// back in. A consumer observed closed and drained is retired instead, and
 /// `live` reaching zero is the global end-of-stream signal (replacing the
 /// static path's per-combiner closed-queue detection).
+///
+/// With no fixed owner a read-end's own doorbell has nobody to wake, so idle
+/// combining threads wait on one job-wide bell instead ([`wait_idle`]),
+/// rung ([`ring`]) by everything that can give one of them work: a block
+/// published, a queue closed, a ready read-end checked back in, a
+/// retirement, a role change.
+///
+/// [`wait_idle`]: QueueRegistry::wait_idle
+/// [`ring`]: QueueRegistry::ring
 pub(crate) struct QueueRegistry<J: MapReduceJob> {
     pool: Mutex<VecDeque<PairConsumer<J>>>,
     /// Read-ends observed closed and drained: out of circulation for this
@@ -1259,6 +1246,11 @@ pub(crate) struct QueueRegistry<J: MapReduceJob> {
     /// Pipelines not yet retired. Starts at `num_workers`, strictly
     /// decreasing; zero means every pair ever emitted has been consumed.
     live: AtomicUsize,
+    /// Threads inside [`wait_idle`](Self::wait_idle); ringers skip the lock
+    /// and the notify while it is zero.
+    idle_waiters: AtomicUsize,
+    /// The bell itself, waited on under the `pool` lock.
+    idle: Condvar,
 }
 
 impl<J: MapReduceJob> QueueRegistry<J> {
@@ -1268,6 +1260,8 @@ impl<J: MapReduceJob> QueueRegistry<J> {
             pool: Mutex::new(consumers.into_iter().collect()),
             retired: Mutex::new(Vec::new()),
             live,
+            idle_waiters: AtomicUsize::new(0),
+            idle: Condvar::new(),
         }
     }
 
@@ -1281,13 +1275,58 @@ impl<J: MapReduceJob> QueueRegistry<J> {
         self.lock().pop_front()
     }
 
-    fn checkin(&self, rx: PairConsumer<J>) {
-        self.lock().push_back(rx);
+    /// Returns `rx` to the pool, ringing when it already holds `wake` pairs
+    /// (see [`wake_at`]) or is closed. Readiness is judged under the pool
+    /// lock: a block that lands after the judgement is rung by its producer,
+    /// and that ring takes the same lock, so no waiter can scan the pool in
+    /// between.
+    fn checkin(&self, rx: PairConsumer<J>, wake: usize) {
+        let mut pool = self.lock();
+        let ready = rx.len() >= wake || rx.is_closed();
+        pool.push_back(rx);
+        drop(pool);
+        if ready {
+            self.ring();
+        }
     }
 
     fn retire(&self, rx: PairConsumer<J>) {
         self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(rx);
         self.live.fetch_sub(1, Ordering::AcqRel);
+        self.ring();
+    }
+
+    /// Wakes every idle combining thread. Call *after* the store that gave
+    /// them something to do; one fence and one load when nobody waits.
+    ///
+    /// ORDERING: the same store→load hand-shake as the SPSC doorbells — the
+    /// fence here pairs with the one in [`wait_idle`](Self::wait_idle), so
+    /// either this load sees the waiter or the waiter's re-check sees the
+    /// caller's store. Passing through the pool lock before notifying
+    /// closes the gap between a waiter's re-check and its wait.
+    pub(crate) fn ring(&self) {
+        fence(Ordering::SeqCst);
+        if self.idle_waiters.load(Ordering::Relaxed) > 0 {
+            drop(self.lock());
+            self.idle.notify_all();
+        }
+    }
+
+    /// One idle combining thread's wait: until a pooled read-end holds
+    /// `wake` pairs or is closed, every pipeline is retired, `stop` turns
+    /// true (rung by whoever changed its inputs), or `ceiling` elapses —
+    /// the cancel-poll interval. Read-ends checked out by other threads are
+    /// invisible here; their check-in rings.
+    fn wait_idle(&self, wake: usize, ceiling: Duration, stop: impl Fn() -> bool) {
+        self.idle_waiters.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let pool = self.lock();
+        let work =
+            self.all_done() || stop() || pool.iter().any(|rx| rx.len() >= wake || rx.is_closed());
+        if !work {
+            drop(self.idle.wait_timeout(pool, ceiling));
+        }
+        self.idle_waiters.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub(crate) fn all_done(&self) -> bool {
@@ -1400,139 +1439,195 @@ enum Round {
     Done,
 }
 
-/// One combine round under the adaptive runtime: check a consumer out of the
-/// registry, perform one batched read into this thread's container, check
-/// the consumer back in (or retire it when closed and drained).
+/// One thread's combining half under the adaptive runtime — a dedicated
+/// combiner's whole life, a flex thread's combine help: the container it
+/// fills, its combine-pool telemetry and its idle/backoff state.
 ///
-/// Mirrors [`combiner_loop`]'s per-batch semantics exactly — close flag read
-/// *before* consuming, full batches preferred while the producer runs,
-/// per-batch `catch_unwind` with the consumed count kept exact on unwind,
-/// discard mode after a recorded error — but holds each consumer for a
-/// single batch only, so the set of combining threads can change between
-/// rounds. The batch size is re-read from [`AdaptiveCtl`] every round,
-/// which is how the controller's batch decisions take effect.
-fn adaptive_round<'j, J: MapReduceJob>(
+/// Telemetry is published both live (every [`LIVE_PUBLISH_ROUNDS`] rounds,
+/// with `wall` refreshed so the controller's windows see current totals) and
+/// once at [`finish`](Self::finish), like the static path.
+struct Combining<'a, 'j, J: MapReduceJob> {
     job: &'j J,
-    config: &RuntimeConfig,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
-    errors: &ErrorSlot,
-    container: &mut Option<HashedJobContainer<'j, J>>,
-    local: &mut LocalTelemetry,
-) -> Round {
-    if registry.all_done() {
-        return Round::Done;
+    config: &'a RuntimeConfig,
+    registry: &'a QueueRegistry<J>,
+    ctl: &'a AdaptiveCtl,
+    errors: &'a ErrorSlot,
+    ctx: &'a FaultCtx<'a>,
+    /// This thread's progress-board slot.
+    slot: usize,
+    cell: &'a TelemetryCell,
+    wall_start: Instant,
+    /// Built lazily: a flex thread that is never promoted and finds the
+    /// pipelines already drained never allocates one.
+    container: Option<HashedJobContainer<'j, J>>,
+    local: LocalTelemetry,
+    idle_rounds: u32,
+    rounds_since_publish: u32,
+}
+
+impl<'a, 'j, J: MapReduceJob> Combining<'a, 'j, J> {
+    #[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
+    fn new(
+        job: &'j J,
+        config: &'a RuntimeConfig,
+        registry: &'a QueueRegistry<J>,
+        ctl: &'a AdaptiveCtl,
+        errors: &'a ErrorSlot,
+        ctx: &'a FaultCtx<'a>,
+        slot: usize,
+        cell: &'a TelemetryCell,
+        wall_start: Instant,
+    ) -> Self {
+        Self {
+            job,
+            config,
+            registry,
+            ctl,
+            errors,
+            ctx,
+            slot,
+            cell,
+            wall_start,
+            container: None,
+            local: LocalTelemetry::default(),
+            idle_rounds: 0,
+            rounds_since_publish: 0,
+        }
     }
-    let Some(mut rx) = registry.checkout() else {
-        // Every consumer is momentarily held by other combining threads —
-        // or the last one was just retired; disambiguate so callers exit.
-        return if registry.all_done() { Round::Done } else { Round::Idle };
-    };
-    let batch = ctl.batch.load(Ordering::Relaxed).max(1);
-    let closed = rx.is_closed();
-    let consumed = if errors.tripped() {
-        // Error mode: keep the pipeline moving, discarding data.
-        if closed {
-            rx.pop_batch(batch, |_| {})
-        } else if rx.pop_batch_exact(batch, |_| {}) {
-            batch
+
+    /// One combine round: check a consumer out of the registry, perform one
+    /// batched read into this thread's container, check the consumer back in
+    /// (or retire it when closed and drained).
+    ///
+    /// Mirrors [`combiner_loop`]'s per-batch semantics exactly — close flag
+    /// read *before* consuming, full batches preferred while the producer
+    /// runs, per-batch `catch_unwind` with the consumed count kept exact on
+    /// unwind, discard mode after a recorded error — but holds each consumer
+    /// for a single batch only, so the set of combining threads can change
+    /// between rounds. The batch size is re-read from [`AdaptiveCtl`] every
+    /// round, which is how the controller's batch decisions take effect.
+    fn round(&mut self) -> Round {
+        let (registry, errors) = (self.registry, self.errors);
+        if registry.all_done() {
+            return Round::Done;
+        }
+        let Some(mut rx) = registry.checkout() else {
+            // Every consumer is momentarily held by other combining threads
+            // — or the last one was just retired; disambiguate so callers
+            // exit.
+            return if registry.all_done() { Round::Done } else { Round::Idle };
+        };
+        let batch = self.ctl.batch.load(Ordering::Relaxed).max(1);
+        let wake = wake_at(batch, self.config);
+        let closed = rx.is_closed();
+        let consumed = if errors.tripped() {
+            // Error mode: keep the pipeline moving, discarding data.
+            pop_round(&mut rx, closed, batch, |_| {})
         } else {
-            0
-        }
-    } else {
-        // Containers are built lazily: a flex thread that is never promoted
-        // and finds the pipelines already drained never allocates one.
-        if container.is_none() {
-            match HashedJobContainer::for_job(job, config.container, config.fixed_capacity) {
-                Ok(c) => *container = Some(c),
-                Err(e) => {
-                    errors.record(e);
-                    registry.checkin(rx);
-                    return Round::Idle;
-                }
-            }
-        }
-        let sink = container.as_mut().expect("container built above");
-        let counted = std::cell::Cell::new(0usize);
-        let mut insert_err: Option<RuntimeError> = None;
-        let outcome = {
-            let mut insert = |pair: HashedPair<J>| {
-                counted.set(counted.get() + 1);
-                if insert_err.is_none() {
-                    if let Err(e) = sink.insert(pair.0, pair.1) {
-                        insert_err = Some(e);
+            if self.container.is_none() {
+                let config = self.config;
+                match HashedJobContainer::for_job(self.job, config.container, config.fixed_capacity)
+                {
+                    Ok(c) => self.container = Some(c),
+                    Err(e) => {
+                        errors.record(e);
+                        registry.checkin(rx, wake);
+                        return Round::Idle;
                     }
                 }
-            };
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if closed {
-                    rx.pop_batch(batch, &mut insert)
-                } else if rx.pop_batch_exact(batch, &mut insert) {
-                    batch
-                } else {
-                    0
-                }
-            }))
+            }
+            let sink = self.container.as_mut().expect("container built above");
+            let counted = std::cell::Cell::new(0usize);
+            let mut insert_err: Option<RuntimeError> = None;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pop_round(&mut rx, closed, batch, |pair: HashedPair<J>| {
+                    counted.set(counted.get() + 1);
+                    if insert_err.is_none() {
+                        insert_err = sink.insert(pair.0, pair.1).err();
+                    }
+                })
+            }));
+            if let Err(panic) = outcome {
+                errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
+            }
+            if let Some(e) = insert_err {
+                errors.record(e);
+            }
+            counted.get()
         };
-        if let Err(panic) = outcome {
-            errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
+        if closed && rx.is_empty() {
+            // Close observed before the final drain: this pipeline can never
+            // produce again *this run*. Park the consumer on the retired
+            // list and count it out of circulation.
+            registry.retire(rx);
+        } else {
+            registry.checkin(rx, wake);
         }
-        if let Some(e) = insert_err {
-            errors.record(e);
+        if consumed == 0 {
+            return Round::Idle;
         }
-        counted.get()
-    };
-    if closed && rx.is_empty() {
-        // Close observed before the final drain: this pipeline can never
-        // produce again *this run*. Park the consumer on the retired list
-        // and count it out of circulation.
-        registry.retire(rx);
-    } else {
-        registry.checkin(rx);
-    }
-    if consumed > 0 {
-        local.items += consumed as u64;
-        local.batches += 1;
-        local.occupancy.record(consumed, batch);
+        self.local.items += consumed as u64;
+        self.local.batches += 1;
+        self.local.occupancy.record(consumed, batch);
         Round::Progress
-    } else {
-        Round::Idle
     }
-}
 
-/// One idle-round wait, shared by every adaptive combining loop: spin
-/// briefly, then sleep (or yield periodically in busy-wait mode) — the same
-/// policy as the static combiner's idle branch.
-fn idle_wait(idle_spins: u32, idle_sleep: Option<Duration>, idle_rounds: u32) {
-    match idle_sleep {
-        Some(sleep) if idle_rounds > idle_spins => std::thread::sleep(sleep),
-        None if idle_rounds.is_multiple_of(64) => std::thread::yield_now(),
-        _ => std::hint::spin_loop(),
+    /// One round with its accounting: busy time and watchdog progress when
+    /// it consumed; a stall event and the idle wait when it did not — cut
+    /// short when `stop` turns true, for a thread with something other than
+    /// combining to go back to. Returns `false` once every pipeline is
+    /// retired.
+    fn step(&mut self, stop: impl Fn() -> bool) -> bool {
+        let round_start = Instant::now();
+        match self.round() {
+            Round::Done => return false,
+            Round::Progress => {
+                self.idle_rounds = 0;
+                self.local.busy += round_start.elapsed();
+                self.ctx.progress(self.slot);
+            }
+            Round::Idle => {
+                self.local.stall_events += 1;
+                self.idle_rounds = self.idle_rounds.saturating_add(1);
+                let wake = wake_at(self.ctl.batch.load(Ordering::Relaxed).max(1), self.config);
+                idle_wait(self.config.push_backoff, self.idle_rounds, |ceiling| {
+                    self.registry.wait_idle(wake, ceiling, stop)
+                });
+                self.local.stalled += round_start.elapsed();
+            }
+        }
+        self.rounds_since_publish += 1;
+        if self.rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
+            self.rounds_since_publish = 0;
+            self.publish();
+        }
+        true
     }
-}
 
-/// Drains a lazily-built container into the pair list handed to reduce.
-fn drain_container<J: MapReduceJob>(
-    container: Option<HashedJobContainer<'_, J>>,
-) -> phases::HashedPairs<J> {
-    let mut pairs = Vec::new();
-    if let Some(mut c) = container {
-        c.drain_into(&mut pairs);
+    fn publish(&mut self) {
+        self.local.wall = self.wall_start.elapsed();
+        self.cell.publish(&self.local);
     }
-    pairs
+
+    /// Final publish; drains the container into the pair list handed to
+    /// reduce.
+    fn finish(mut self) -> phases::HashedPairs<J> {
+        self.publish();
+        let mut pairs = Vec::new();
+        if let Some(mut c) = self.container {
+            c.drain_into(&mut pairs);
+        }
+        pairs
+    }
 }
 
 /// A dedicated combiner under the adaptive runtime: combine rounds until
 /// every pipeline is retired. Role-fixed — the controller only re-rolls flex
 /// threads — and error-contained through the shared [`ErrorSlot`], so this
 /// loop itself is infallible.
-///
-/// Publishes telemetry both live (every [`LIVE_PUBLISH_ROUNDS`] rounds, with
-/// `wall` refreshed so the controller's windows see current totals) and once
-/// at exit, like the static path.
 #[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-pub(crate) fn adaptive_combiner_loop<'j, J: MapReduceJob>(
-    job: &'j J,
+pub(crate) fn adaptive_combiner_loop<J: MapReduceJob>(
+    job: &J,
     config: &RuntimeConfig,
     registry: &QueueRegistry<J>,
     ctl: &AdaptiveCtl,
@@ -1542,46 +1637,20 @@ pub(crate) fn adaptive_combiner_loop<'j, J: MapReduceJob>(
     slot: usize,
 ) -> phases::HashedPairs<J> {
     let _live = LiveGuard::enter(ctx.board);
-    let wall_start = Instant::now();
-    let mut local = LocalTelemetry::default();
-    let mut container: Option<HashedJobContainer<'j, J>> = None;
-    let (idle_spins, idle_sleep) = idle_policy(config.push_backoff);
-    let mut idle_rounds = 0u32;
-    let mut rounds_since_publish = 0u32;
-    loop {
-        if ctx.cancelled() {
-            break;
-        }
-        let round_start = Instant::now();
-        match adaptive_round(job, config, registry, ctl, errors, &mut container, &mut local) {
-            Round::Done => break,
-            Round::Progress => {
-                idle_rounds = 0;
-                local.busy += round_start.elapsed();
-                ctx.progress(slot);
-            }
-            Round::Idle => {
-                local.stall_events += 1;
-                idle_rounds = idle_rounds.saturating_add(1);
-                idle_wait(idle_spins, idle_sleep, idle_rounds);
-                local.stalled += round_start.elapsed();
-            }
-        }
-        rounds_since_publish += 1;
-        if rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
-            rounds_since_publish = 0;
-            local.wall = wall_start.elapsed();
-            cell.publish(&local);
-        }
-    }
-    local.wall = wall_start.elapsed();
-    cell.publish(&local);
-    drain_container(container)
+    let mut combining =
+        Combining::new(job, config, registry, ctl, errors, ctx, slot, cell, Instant::now());
+    while !ctx.cancelled() && combining.step(|| false) {}
+    combining.finish()
 }
 
 /// Publishes `buffer` (possibly partial) as one block and records the flush.
 /// Shared by the flex thread's role-switch flush and its end-of-map drain;
 /// an empty buffer is a no-op so repeated role checks stay free.
+///
+/// `published` is told how much the queue holds after every block that goes
+/// through, partial ones included, before this thread can park on a full
+/// queue; it rings the job-wide bell once that is worth a wake-up.
+#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
 fn flush_block<K: Send, V: Send>(
     tx: &mut Producer<(K, V)>,
     buffer: &mut Vec<(K, V)>,
@@ -1589,14 +1658,15 @@ fn flush_block<K: Send, V: Send>(
     emit_block: usize,
     full_events: &mut u64,
     local: &mut LocalTelemetry,
-    cancel: Option<&AtomicBool>,
+    cancel: &AtomicBool,
+    published: impl FnMut(usize),
 ) {
     if buffer.is_empty() {
         return;
     }
     let occupied = buffer.len();
     let flush_start = Instant::now();
-    *full_events += publish_block(tx, buffer, backoff, cancel);
+    *full_events += tx.push_batch_with_backoff_notifying(buffer, backoff, cancel, published);
     local.stalled += flush_start.elapsed();
     local.batches += 1;
     local.occupancy.record(occupied, emit_block);
@@ -1628,8 +1698,8 @@ fn flush_block<K: Send, V: Send>(
 /// `combine_cell`. A re-rolled thread therefore never pollutes the map
 /// pool's throughput estimate.
 #[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-pub(crate) fn flex_loop<'j, J: MapReduceJob>(
-    job: &'j J,
+pub(crate) fn flex_loop<J: MapReduceJob>(
+    job: &J,
     input: &[J::Input],
     config: &RuntimeConfig,
     queues: &TaskQueues,
@@ -1646,17 +1716,18 @@ pub(crate) fn flex_loop<'j, J: MapReduceJob>(
     ctx: &FaultCtx<'_>,
 ) -> phases::HashedPairs<J> {
     let _live = LiveGuard::enter(ctx.board);
-    let push_cancel = ctx.push_cancel();
+    let ring = |buffered: usize| {
+        if buffered >= wake_at(ctl.batch.load(Ordering::Relaxed).max(1), config) {
+            registry.ring();
+        }
+    };
     let wall_start = Instant::now();
     let mut map_local = LocalTelemetry::default();
-    let mut combine_local = LocalTelemetry::default();
+    let mut combining =
+        Combining::new(job, config, registry, ctl, errors, ctx, index, combine_cell, wall_start);
     let mut emitted = 0u64;
     let mut full_events = 0u64;
     let mut buffer: Vec<HashedPair<J>> = Vec::with_capacity(emit_block);
-    let mut container: Option<HashedJobContainer<'j, J>> = None;
-    let (idle_spins, idle_sleep) = idle_policy(config.push_backoff);
-    let mut idle_rounds = 0u32;
-    let mut rounds_since_publish = 0u32;
 
     // Phase A: map, or help combine while re-rolled.
     loop {
@@ -1674,39 +1745,19 @@ pub(crate) fn flex_loop<'j, J: MapReduceJob>(
                 emit_block,
                 &mut full_events,
                 &mut map_local,
-                push_cancel,
+                ctx.cancel,
+                ring,
             );
             if queues.is_exhausted() {
                 break;
             }
-            let round_start = Instant::now();
-            match adaptive_round(
-                job,
-                config,
-                registry,
-                ctl,
-                errors,
-                &mut container,
-                &mut combine_local,
-            ) {
-                Round::Done => break,
-                Round::Progress => {
-                    idle_rounds = 0;
-                    combine_local.busy += round_start.elapsed();
-                    ctx.progress(index);
-                }
-                Round::Idle => {
-                    combine_local.stall_events += 1;
-                    idle_rounds = idle_rounds.saturating_add(1);
-                    idle_wait(idle_spins, idle_sleep, idle_rounds);
-                    combine_local.stalled += round_start.elapsed();
-                }
-            }
-            rounds_since_publish += 1;
-            if rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
-                rounds_since_publish = 0;
-                combine_local.wall = wall_start.elapsed();
-                combine_cell.publish(&combine_local);
+            // An idle helper must not stay parked once it is re-rolled to
+            // mapping or the tasks run out (its own queue is then the one
+            // the others wait on): the controller rings after a role change
+            // and a finishing mapper after its close.
+            let stop = || !ctl.combining[index].load(Ordering::Relaxed) || queues.is_exhausted();
+            if !combining.step(stop) {
+                break;
             }
         } else {
             let Some(task) = queues.claim(home_group) else { break };
@@ -1722,13 +1773,17 @@ pub(crate) fn flex_loop<'j, J: MapReduceJob>(
                     // Hash once at emission, as in [`mapper_loop`].
                     buffer.push((Hashed::wrap(config.hasher, key), value));
                     if buffer.len() >= emit_block {
-                        let occupied = buffer.len();
-                        let flush_start = Instant::now();
-                        *full_events += publish_block(tx, buffer, backoff, push_cancel);
+                        flush_block(
+                            tx,
+                            buffer,
+                            backoff,
+                            emit_block,
+                            full_events,
+                            local,
+                            ctx.cancel,
+                            ring,
+                        );
                         ctx.progress(index);
-                        local.stalled += flush_start.elapsed();
-                        local.batches += 1;
-                        local.occupancy.record(occupied, emit_block);
                         // Live-publish after each flush: back-pressure
                         // stalls become visible to the controller without
                         // waiting for the whole task to finish. (`items`
@@ -1784,45 +1839,19 @@ pub(crate) fn flex_loop<'j, J: MapReduceJob>(
         emit_block,
         &mut full_events,
         &mut map_local,
-        push_cancel,
+        ctx.cancel,
+        ring,
     );
     map_local.items = emitted;
     map_local.stall_events = full_events;
     map_local.wall = wall_start.elapsed();
     map_cell.publish(&map_local);
     tx.finish();
+    registry.ring();
 
     // Phase B: help drain every remaining pipeline.
-    loop {
-        if ctx.cancelled() {
-            break;
-        }
-        let round_start = Instant::now();
-        match adaptive_round(job, config, registry, ctl, errors, &mut container, &mut combine_local)
-        {
-            Round::Done => break,
-            Round::Progress => {
-                idle_rounds = 0;
-                combine_local.busy += round_start.elapsed();
-                ctx.progress(index);
-            }
-            Round::Idle => {
-                combine_local.stall_events += 1;
-                idle_rounds = idle_rounds.saturating_add(1);
-                idle_wait(idle_spins, idle_sleep, idle_rounds);
-                combine_local.stalled += round_start.elapsed();
-            }
-        }
-        rounds_since_publish += 1;
-        if rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
-            rounds_since_publish = 0;
-            combine_local.wall = wall_start.elapsed();
-            combine_cell.publish(&combine_local);
-        }
-    }
-    combine_local.wall = wall_start.elapsed();
-    combine_cell.publish(&combine_local);
-    drain_container(container)
+    while !ctx.cancelled() && combining.step(|| false) {}
+    combining.finish()
 }
 
 /// The online controller: every `adapt_interval` it snapshots the live
@@ -1917,6 +1946,8 @@ pub(crate) fn controller_loop<J: MapReduceJob>(
                 {
                     ctl.combining[m].store(false, Ordering::Relaxed);
                     active_combiners -= 1;
+                    // The helper may be parked idle; send it back to map.
+                    registry.ring();
                 }
             }
             _ => {}

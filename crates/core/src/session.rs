@@ -887,6 +887,7 @@ fn flex_worker<J: MapReduceJob>(
             Ok(pairs) => push_partial(frame, pairs),
             Err(panic) => {
                 tx.finish();
+                registry.ring();
                 record_panic(frame, panic);
             }
         }

@@ -101,19 +101,26 @@ impl std::fmt::Display for PinningPolicyKind {
     }
 }
 
-/// What a mapper does when a push to a full SPSC queue fails.
+/// What a mapper does when a push to a full SPSC queue fails — and,
+/// mirrored, what an idle combiner does while its queues are short of a
+/// batch.
 ///
 /// The paper found that letting mappers sleep after a failed trial improves
-/// runtime over the original busy-wait loop ("Sleep on failed push").
+/// runtime over the original busy-wait loop ("Sleep on failed push"). Here
+/// the sleeper is parked off its core and woken by its peer's progress, not
+/// by a timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PushBackoff {
     /// Spin forever; burns the CPU the paired combiner may need.
     BusyWait,
-    /// Spin `spins` times, then park for `sleep` until space frees up.
+    /// Spin `spins` times, then park until the peer frees space (or
+    /// publishes a batch) and rings.
     SpinThenSleep {
-        /// Spin iterations before the first sleep.
+        /// Spin iterations before the first park.
         spins: u32,
-        /// Sleep duration between retries once spinning is exhausted.
+        /// Ceiling of one park: how often a parked thread re-polls the
+        /// watchdog's cancel flag, and the safety net should a wake-up
+        /// ever go missing. It does not pace the hand-off.
         sleep: Duration,
     },
 }
@@ -911,7 +918,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_PUSH_SPINS",
         cli: "push-spins",
         value: "N",
-        help: "spins before a mapper sleeps on a full queue",
+        help: "spins before a mapper parks on a full queue",
         apply: |mut b, raw, src| {
             let (_, sleep) = spin_sleep_halves(b.config.push_backoff);
             b.config.push_backoff = PushBackoff::SpinThenSleep { spins: knob(raw, src)?, sleep };
@@ -922,7 +929,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_PUSH_SLEEP_US",
         cli: "push-sleep-us",
         value: "US",
-        help: "sleep between full-queue retries, in microseconds",
+        help: "ceiling of one full-queue park (cancel-poll interval), in microseconds",
         apply: |mut b, raw, src| {
             let (spins, _) = spin_sleep_halves(b.config.push_backoff);
             b.config.push_backoff =

@@ -8,9 +8,13 @@
 //!
 //! * **Sleep on failed push** — pushes must always succeed eventually
 //!   (dropping or overwriting elements would violate correctness), so a
-//!   producer facing a full queue spins briefly and then sleeps instead of
+//!   producer facing a full queue spins briefly and then *parks* instead of
 //!   busy-waiting, freeing core resources for the co-located combiner
-//!   ([`Producer::push_with_backoff`]).
+//!   ([`Producer::push_with_backoff`]). The park is wake-on-progress, not a
+//!   timed nap: the consumer rings the producer's doorbell when it frees
+//!   space, and symmetrically the producer rings the consumer's when it
+//!   publishes or closes ([`Consumer::wait_any`]). The policy's `sleep` is
+//!   only the ceiling of one park.
 //! * **Batched reads** — the consumer drains runs of contiguous elements
 //!   with a single control-variable update, reducing producer/consumer
 //!   congestion on the shared indices and favouring spatial locality
@@ -49,8 +53,9 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::Thread;
 use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
@@ -69,11 +74,13 @@ pub enum BackoffPolicy {
     /// timeslice while the only thread that could free space waits for a
     /// core, turning back-pressure into minutes-long livelock.
     BusyWait,
-    /// Spin `spins` times, then sleep `sleep` between further attempts.
+    /// Spin `spins` times, then park until the consumer frees space.
     SpinThenSleep {
-        /// Spin iterations before the first sleep.
+        /// Spin iterations before the first park.
         spins: u32,
-        /// Sleep duration once spinning is exhausted.
+        /// Ceiling of one park: the interval at which a parked producer
+        /// re-polls its cancel flag, and the safety net should a wake-up
+        /// ever go missing. Progress wakes the producer, not this timer.
         sleep: Duration,
     },
 }
@@ -101,6 +108,70 @@ fn busy_wait_step(failures: u64) {
     }
 }
 
+/// One queue end's wake-on-progress doorbell. The waiter *arms* it, re-checks
+/// its condition and parks; the peer *rings* it after every index update.
+///
+/// ORDERING: this is a store→load (Dekker) hand-shake, not a publication.
+/// The waiter stores `waiting` and then loads the peer's index; the ringer
+/// stores its index and then loads `waiting`. Acquire/Release alone lets
+/// both loads pass their own earlier store, so each side can miss the
+/// other: the waiter parks on a count that already satisfies it and nobody
+/// rings. A `SeqCst` fence between the store and the load on *both* sides
+/// orders the two fences, and whichever comes second sees the other side's
+/// store — the waiter skips the park or the ringer unparks it. (SNIPPETS.md
+/// snippet 2, an atomic next to an `UnsafeCell` with the orderings commented
+/// out, is this bug class.) A ring that lands after the waiter already woke
+/// leaves a stale `unpark` token, which only makes one later park return
+/// early; every wait loop re-checks its condition.
+struct Doorbell {
+    /// On its own cache line: the ringer loads it once per block published
+    /// or batch popped, the waiter writes it on the slow path only.
+    waiting: CachePadded<AtomicBool>,
+    /// The count (free slots / buffered elements) below which a ring would
+    /// only buy a wake-up that parks again. Written before `waiting`
+    /// (Release), read after it (Acquire).
+    need: AtomicUsize,
+    /// The parked thread; touched on the slow path only.
+    thread: Mutex<Option<Thread>>,
+}
+
+impl Doorbell {
+    fn new() -> Self {
+        Self {
+            waiting: CachePadded::new(AtomicBool::new(false)),
+            need: AtomicUsize::new(0),
+            thread: Mutex::new(None),
+        }
+    }
+
+    /// Waiter, step one of `arm` → `fence(SeqCst)` → re-check → park →
+    /// `disarm`.
+    fn arm(&self, need: usize) {
+        *self.thread.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
+        self.need.store(need, Ordering::Relaxed);
+        self.waiting.store(true, Ordering::Release);
+    }
+
+    fn disarm(&self) {
+        self.waiting.store(false, Ordering::Relaxed);
+    }
+
+    /// Ringer: call right after the store that changed `count`. Costs one
+    /// fence and one load when nobody waits.
+    #[inline]
+    fn ring(&self, count: impl FnOnce() -> usize) {
+        fence(Ordering::SeqCst);
+        if self.waiting.load(Ordering::Acquire)
+            && count() >= self.need.load(Ordering::Relaxed)
+            && self.waiting.swap(false, Ordering::Relaxed)
+        {
+            if let Some(thread) = &*self.thread.lock().unwrap_or_else(PoisonError::into_inner) {
+                thread.unpark();
+            }
+        }
+    }
+}
+
 struct Inner<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
     /// Monotonic count of elements ever popped. Slot = index % capacity.
@@ -110,6 +181,32 @@ struct Inner<T> {
     /// Set when the producer is dropped; lets the consumer distinguish
     /// "empty for now" from "empty forever".
     closed: AtomicBool,
+    /// Rung by the consumer when it frees space; the producer parks on it.
+    space: Doorbell,
+    /// Rung by the producer when it publishes or closes; consumers park on it.
+    data: Doorbell,
+}
+
+impl<T> Inner<T> {
+    /// Publishes `tail` and rings a consumer waiting for that many elements.
+    #[inline]
+    fn publish_tail(&self, tail: usize) {
+        self.tail.store(tail, Ordering::Release);
+        self.data.ring(|| tail - self.head.load(Ordering::Relaxed));
+    }
+
+    /// Publishes `head` and rings a producer waiting for that much space.
+    #[inline]
+    fn publish_head(&self, head: usize) {
+        self.head.store(head, Ordering::Release);
+        self.space.ring(|| self.buf.len() - (self.tail.load(Ordering::Relaxed) - head));
+    }
+
+    /// End of stream: always worth a wake-up, whatever the consumer needs.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.data.ring(|| usize::MAX);
+    }
 }
 
 // SAFETY: `Inner` is shared between exactly one producer and one consumer
@@ -169,6 +266,8 @@ impl<T: Send> SpscQueue<T> {
                 head: CachePadded::new(AtomicUsize::new(0)),
                 tail: CachePadded::new(AtomicUsize::new(0)),
                 closed: AtomicBool::new(false),
+                space: Doorbell::new(),
+                data: Doorbell::new(),
             }),
         }
     }
@@ -217,7 +316,7 @@ impl<T: Send> Producer<T> {
         // SAFETY: slot `tail` is outside `head..tail`, so the consumer will
         // not touch it until we publish the new tail below.
         unsafe { (*slot.get()).write(value) };
-        inner.tail.store(tail + 1, Ordering::Release);
+        inner.publish_tail(tail + 1);
         Ok(())
     }
 
@@ -226,32 +325,11 @@ impl<T: Send> Producer<T> {
     /// Returns the number of failed attempts before success — the
     /// `queue_full_events` statistic reported by the RAMR runtime.
     pub fn push_with_backoff(&mut self, value: T, policy: &BackoffPolicy) -> u64 {
-        let mut value = value;
-        let mut failures = 0u64;
-        let mut spins_left = match policy {
-            BackoffPolicy::BusyWait => u32::MAX,
-            BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
-        };
-        loop {
-            match self.try_push(value) {
-                Ok(()) => return failures,
-                Err(v) => {
-                    value = v;
-                    failures += 1;
-                    match policy {
-                        BackoffPolicy::BusyWait => busy_wait_step(failures),
-                        BackoffPolicy::SpinThenSleep { sleep, .. } => {
-                            if spins_left > 0 {
-                                spins_left -= 1;
-                                std::hint::spin_loop();
-                            } else {
-                                std::thread::sleep(*sleep);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let mut pending = Some(value);
+        self.publish_blocking(policy, None, |tx| {
+            pending = pending.take().and_then(|value| tx.try_push(value).err());
+            (false, usize::from(pending.is_some()))
+        })
     }
 
     /// Pushes as many elements from `batch` as fit, with a **single** tail
@@ -279,7 +357,7 @@ impl<T: Send> Producer<T> {
             written += 1;
         }
         if written > 0 {
-            inner.tail.store(tail + written, Ordering::Release);
+            inner.publish_tail(tail + written);
         }
         written
     }
@@ -306,13 +384,26 @@ impl<T: Send> Producer<T> {
         }
         let inner = &*self.inner;
         let cap = inner.buf.len();
-        for (i, value) in buf.drain(..take).enumerate() {
-            let slot = &inner.buf[(tail + i) % cap];
-            // SAFETY: slots tail..tail+take are outside `head..tail`; the
-            // consumer will not touch them until the release store below.
-            unsafe { (*slot.get()).write(value) };
+        let start = tail % cap;
+        let first = take.min(cap - start);
+        let rest = buf.len() - take;
+        // SAFETY: slots tail..tail+take are outside `head..tail`, so the
+        // consumer will not touch them until the release store below. They
+        // are the ring segments `start..start+first` and `0..take-first`,
+        // both inside `inner.buf`, whose element type is layout-identical
+        // to `T` (`UnsafeCell` and `MaybeUninit` are transparent). The
+        // copies move `buf[..take]` out bit-wise; shifting the unwritten
+        // suffix down and shrinking `buf` to it before anything can unwind
+        // means no moved-out element is ever dropped by the `Vec`.
+        unsafe {
+            let ring = UnsafeCell::raw_get(inner.buf.as_ptr()).cast::<T>();
+            let src = buf.as_mut_ptr();
+            std::ptr::copy_nonoverlapping(src, ring.add(start), first);
+            std::ptr::copy_nonoverlapping(src.add(first), ring, take - first);
+            std::ptr::copy(src.add(take), src, rest);
+            buf.set_len(rest);
         }
-        inner.tail.store(tail + take, Ordering::Release);
+        inner.publish_tail(tail + take);
         take
     }
 
@@ -324,33 +415,9 @@ impl<T: Send> Producer<T> {
     /// Returns the number of failed (zero-progress) attempts — the
     /// `queue_full_events` statistic reported by the RAMR runtime. The spin
     /// allowance resets after every block that makes progress, so only
-    /// sustained back-pressure degrades to sleeping.
+    /// sustained back-pressure degrades to parking.
     pub fn push_batch_with_backoff(&mut self, buf: &mut Vec<T>, policy: &BackoffPolicy) -> u64 {
-        let fresh_spins = match policy {
-            BackoffPolicy::BusyWait => u32::MAX,
-            BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
-        };
-        let mut failures = 0u64;
-        let mut spins_left = fresh_spins;
-        while !buf.is_empty() {
-            if self.push_batch_drain(buf) > 0 {
-                spins_left = fresh_spins;
-                continue;
-            }
-            failures += 1;
-            match policy {
-                BackoffPolicy::BusyWait => busy_wait_step(failures),
-                BackoffPolicy::SpinThenSleep { sleep, .. } => {
-                    if spins_left > 0 {
-                        spins_left -= 1;
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::sleep(*sleep);
-                    }
-                }
-            }
-        }
-        failures
+        self.push_all(buf, policy, None, |_| {})
     }
 
     /// Cancellation-aware variant of
@@ -362,7 +429,8 @@ impl<T: Send> Producer<T> {
     /// This is what lets a supervisor (the runtime's stall watchdog)
     /// unwedge a mapper that is blocked on a queue whose combiner will
     /// never drain it: without a cancellation point, the producer would
-    /// sleep-retry forever and the run could not be torn down.
+    /// wait forever and the run could not be torn down. A parked producer
+    /// polls the flag once per `sleep` ceiling.
     ///
     /// Returns the number of failed (zero-progress) attempts, exactly like
     /// the unconditional variant.
@@ -372,36 +440,101 @@ impl<T: Send> Producer<T> {
         policy: &BackoffPolicy,
         cancel: &AtomicBool,
     ) -> u64 {
+        self.push_all(buf, policy, Some(cancel), |_| {})
+    }
+
+    /// [`push_batch_with_backoff_or_cancel`](Self::push_batch_with_backoff_or_cancel)
+    /// that also calls `published` — with the number of elements now
+    /// buffered — after every block it publishes, *before* it can park
+    /// again. A caller whose consumers wait on something other than this
+    /// queue's own doorbell (the adaptive runtime's job-wide bell) rings it
+    /// from here; ringing only after the call returned would strand a
+    /// partial block behind a parked producer.
+    pub fn push_batch_with_backoff_notifying(
+        &mut self,
+        buf: &mut Vec<T>,
+        policy: &BackoffPolicy,
+        cancel: &AtomicBool,
+        published: impl FnMut(usize),
+    ) -> u64 {
+        self.push_all(buf, policy, Some(cancel), published)
+    }
+
+    fn push_all(
+        &mut self,
+        buf: &mut Vec<T>,
+        policy: &BackoffPolicy,
+        cancel: Option<&AtomicBool>,
+        mut published: impl FnMut(usize),
+    ) -> u64 {
+        self.publish_blocking(policy, cancel, |tx| {
+            let written = tx.push_batch_drain(buf);
+            if written > 0 {
+                published(tx.len());
+            }
+            (written > 0, buf.len())
+        })
+    }
+
+    /// The one backoff state machine behind every blocking push. `attempt`
+    /// publishes what fits and reports `(made progress, elements still
+    /// pending)`; a zero-progress attempt counts as a failure and is
+    /// followed by a spin, a yield or a park on the space doorbell, per
+    /// `policy`. The spin allowance starts over whenever a block goes
+    /// through. The cancel flag is read on the failure path only, so an
+    /// uncontended push stays as cheap as an uncancellable one.
+    fn publish_blocking(
+        &mut self,
+        policy: &BackoffPolicy,
+        cancel: Option<&AtomicBool>,
+        mut attempt: impl FnMut(&mut Self) -> (bool, usize),
+    ) -> u64 {
         let fresh_spins = match policy {
             BackoffPolicy::BusyWait => u32::MAX,
             BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
         };
-        let mut failures = 0u64;
-        let mut spins_left = fresh_spins;
-        while !buf.is_empty() {
-            if self.push_batch_drain(buf) > 0 {
-                spins_left = fresh_spins;
-                continue;
-            }
-            // Checked only on the failure path: an uncontended push stays
-            // exactly as cheap as the unconditional variant.
-            if cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            failures += 1;
-            match policy {
-                BackoffPolicy::BusyWait => busy_wait_step(failures),
-                BackoffPolicy::SpinThenSleep { sleep, .. } => {
-                    if spins_left > 0 {
-                        spins_left -= 1;
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::sleep(*sleep);
+        let (mut failures, mut spins_left) = (0u64, fresh_spins);
+        loop {
+            match attempt(self) {
+                (_, 0) => return failures,
+                (true, _) => spins_left = fresh_spins,
+                (false, _) if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) => {
+                    return failures;
+                }
+                (false, pending) => {
+                    failures += 1;
+                    match *policy {
+                        BackoffPolicy::BusyWait => busy_wait_step(failures),
+                        BackoffPolicy::SpinThenSleep { sleep, .. } if spins_left == 0 => {
+                            self.park_for_space(pending, sleep);
+                        }
+                        BackoffPolicy::SpinThenSleep { .. } => {
+                            spins_left -= 1;
+                            std::hint::spin_loop();
+                        }
                     }
                 }
             }
         }
-        failures
+    }
+
+    /// Parks until `need` slots (at most the low-water mark, half the
+    /// ring) are free, `ceiling` elapses, or a stale token cuts it short;
+    /// the caller re-tries its push either way. Only ever entered from a
+    /// full queue, and this thread publishes nothing while it waits, so
+    /// occupancy only falls — and a consumer popping whole batches always
+    /// crosses the low-water mark before it runs out of full batches.
+    fn park_for_space(&mut self, need: usize, ceiling: Duration) {
+        let inner = &*self.inner;
+        let cap = inner.buf.len();
+        let need = need.min(cap - cap / 2);
+        inner.space.arm(need);
+        fence(Ordering::SeqCst);
+        self.cached_head = inner.head.load(Ordering::Acquire);
+        if cap - (inner.tail.load(Ordering::Relaxed) - self.cached_head) < need {
+            std::thread::park_timeout(ceiling);
+        }
+        inner.space.disarm();
     }
 
     /// Monotonic count of elements ever published to the queue — the
@@ -421,7 +554,7 @@ impl<T: Send> Producer<T> {
     /// Idempotent; elements must not be pushed again until the queue has
     /// been reopened.
     pub fn finish(&mut self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.close();
     }
 
     /// Whether this producer has marked the queue closed (via
@@ -466,7 +599,7 @@ impl<T: Send> Producer<T> {
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.close();
     }
 }
 
@@ -496,7 +629,7 @@ impl<T: Send> Consumer<T> {
         // SAFETY: slot `head` is inside `head..tail`, initialized by the
         // producer and published by its release store to `tail`.
         let value = unsafe { (*slot.get()).assume_init_read() };
-        inner.head.store(head + 1, Ordering::Release);
+        inner.publish_head(head + 1);
         Some(value)
     }
 
@@ -532,29 +665,21 @@ impl<T: Send> Consumer<T> {
         let available = self.cached_tail - head;
         let take = available.min(max);
 
-        /// Publishes the consumed prefix on both the normal and the unwind
-        /// path: `read` is bumped *before* each `f` call, and the single
-        /// release store happens in `Drop`.
-        struct PopGuard<'a> {
-            head: &'a AtomicUsize,
-            base: usize,
-            read: usize,
-        }
-        impl Drop for PopGuard<'_> {
-            fn drop(&mut self) {
-                self.head.store(self.base + self.read, Ordering::Release);
-            }
-        }
-
-        let mut guard = PopGuard { head: &inner.head, base: head, read: 0 };
+        let mut guard = PopGuard { inner, base: head, read: 0 };
+        let mut index = head % cap;
         for i in 0..take {
-            let slot = &inner.buf[(head + i) % cap];
+            let slot = &inner.buf[index];
             // SAFETY: slots head..head+take are all initialized (published
             // by the producer's release stores) and we consume each once:
             // the guard advances `read` past this slot before `f` can
             // unwind, so an unwinding `f` cannot cause a re-read.
             let value = unsafe { (*slot.get()).assume_init_read() };
             guard.read = i + 1;
+            // Wrap by compare: one division per batch, not per element.
+            index += 1;
+            if index == cap {
+                index = 0;
+            }
             f(value);
         }
         drop(guard);
@@ -612,6 +737,28 @@ impl<T: Send> Consumer<T> {
         self.inner.closed.store(false, Ordering::Release);
     }
 
+    /// Parks the calling thread until one of `consumers` holds `batch`
+    /// elements or is closed, or `ceiling` elapses — the consumer-side
+    /// wake-on-progress wait. The producers ring when they publish the
+    /// block that completes a batch and when they close, so the thread
+    /// resumes when there is work, not when a timer fires; `ceiling` is the
+    /// caller's cancel-poll interval. May return early; callers re-check.
+    ///
+    /// Pass only queues that still owe data: one that was already seen
+    /// closed and drained would make every call return at once.
+    pub fn wait_any(consumers: &[Self], batch: usize, ceiling: Duration) {
+        for rx in consumers {
+            rx.inner.data.arm(batch);
+        }
+        fence(Ordering::SeqCst);
+        if !consumers.iter().any(|rx| rx.len() >= batch || rx.is_closed()) {
+            std::thread::park_timeout(ceiling);
+        }
+        for rx in consumers {
+            rx.inner.data.disarm();
+        }
+    }
+
     /// Monotonic count of elements ever consumed from the queue — the
     /// consumer-side progress counter a stall watchdog samples.
     pub fn popped(&self) -> u64 {
@@ -633,6 +780,21 @@ impl<T: Send> Consumer<T> {
     /// Maximum number of buffered elements.
     pub fn capacity(&self) -> usize {
         self.inner.buf.len()
+    }
+}
+
+/// Publishes a batch's consumed prefix on both the normal and the unwind
+/// path: `read` is bumped *before* each callback, and the single release
+/// store — with the space doorbell's ring — happens in `Drop`.
+struct PopGuard<'a, T> {
+    inner: &'a Inner<T>,
+    base: usize,
+    read: usize,
+}
+
+impl<T> Drop for PopGuard<'_, T> {
+    fn drop(&mut self) {
+        self.inner.publish_head(self.base + self.read);
     }
 }
 

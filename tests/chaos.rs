@@ -10,12 +10,13 @@
 //! assertion, not a wedged CI job.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mr_apps::{WordCount, WordCountString};
-use mr_core::{ContainerKind, MapReduceJob, RuntimeConfig, RuntimeError};
+use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError};
 use ramr::{Backend, Engine, JobScheduler, SchedError};
 use ramr_containers::CompactKey;
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
@@ -196,6 +197,76 @@ fn watchdog_cancels_a_hung_task_on_both_ramr_paths() {
             }
             other => panic!("adaptive={adaptive}: expected Stalled, got {other}"),
         }
+    }
+}
+
+/// A job whose combiners stop draining: every `combine` blocks until the
+/// map side reports that the watchdog's cancel reached it. The queues
+/// behind it fill and stay full, so the only thing that can unwedge a
+/// mapper parked on one is the cancel poll of its own park.
+struct NeverDrained {
+    cancel_seen: AtomicBool,
+}
+
+impl MapReduceJob for NeverDrained {
+    type Input = u64;
+    type Key = u32;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u32, u64>) {
+        for &x in task {
+            emit.emit((x % 8) as u32, 1);
+            if emit.is_cancelled() {
+                self.cancel_seen.store(true, Ordering::Release);
+                return;
+            }
+        }
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        while !self.cancel_seen.load(Ordering::Acquire) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        *acc += v;
+    }
+}
+
+/// The parked push is wake-on-progress, and here there is no progress: the
+/// park ceiling is what bounds how long the cancel takes to land.
+#[test]
+fn watchdog_unwedges_a_mapper_parked_on_a_never_drained_queue_within_one_ceiling() {
+    const WATCHDOG: Duration = Duration::from_millis(200);
+    const CEILING: Duration = Duration::from_millis(300);
+    for adaptive in [false, true] {
+        let (err, elapsed) = with_deadline(30, move || {
+            let input: Vec<u64> = (0..20_000).collect();
+            let cfg = RuntimeConfig::builder()
+                .num_workers(2)
+                .num_combiners(1)
+                .task_size(512)
+                .queue_capacity(32)
+                .batch_size(8)
+                .container(ContainerKind::Hash)
+                .push_backoff(PushBackoff::SpinThenSleep { spins: 0, sleep: CEILING })
+                .watchdog(WATCHDOG)
+                .adaptive(adaptive)
+                .build()
+                .unwrap();
+            let job = NeverDrained { cancel_seen: AtomicBool::new(false) };
+            let started = Instant::now();
+            let err = Backend::of_ramr_config(&cfg).engine(cfg).unwrap().submit(&job, &input);
+            (err.map(|_| ()).unwrap_err(), started.elapsed())
+        });
+        assert!(
+            matches!(err, RuntimeError::Stalled { .. }),
+            "adaptive={adaptive}: expected Stalled, got {err}"
+        );
+        // Trip after one watchdog period of silence, land within one park
+        // ceiling; the rest is scheduling slack.
+        assert!(
+            elapsed < WATCHDOG + CEILING + Duration::from_secs(1),
+            "adaptive={adaptive}: cancel took {elapsed:?} to unwedge the parked mappers"
+        );
     }
 }
 

@@ -9,6 +9,7 @@
 //! and the live `METRICS` endpoint.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mr_apps::inputs::{wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, WordCount};
@@ -59,6 +60,30 @@ fn slow_one_slot_request() -> JobRequest {
     request.scale = SCALE / 40;
     request.knobs.push(("sched-queue".into(), "1".into()));
     request
+}
+
+/// Blocks until the one-slot pool's dispatcher has claimed everything
+/// accepted so far: `queue_depth == 0` in `METRICS` means the job is
+/// running, not waiting, and the slot is free for exactly one more submit.
+/// Jobs only get faster; "the first job is surely running by now" is not
+/// something a test may assume.
+fn await_slot_claimed(client: &mut ServeClient) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let metrics = client.metrics().expect("metrics snapshot");
+        let Some(Value::Arr(pools)) = metrics.get("pools") else {
+            panic!("METRICS_REPORT missing pools array: {metrics:?}");
+        };
+        let one_slot = pools
+            .iter()
+            .find(|p| p.get("knobs").and_then(|k| k.get("sched-queue")).is_some())
+            .expect("the one-slot pool is listed once its first job was accepted");
+        if metric_u64(one_slot, "queue_depth") == 0 {
+            return;
+        }
+        assert!(Instant::now() < deadline, "dispatcher never claimed the queued job");
+        std::thread::yield_now();
+    }
 }
 
 /// In-process baseline: the same job the server runs for [`wc_request`]
@@ -149,6 +174,7 @@ fn overflow_is_shed_with_typed_reason_and_retry_hint() {
     let mut client = ServeClient::connect(&addr, "burst", None).expect("connect");
     let request = slow_one_slot_request();
     let first = client.submit(&request).expect("first submit runs");
+    await_slot_claimed(&mut client);
     let second = client.submit(&request).expect("second submit queues");
     match client.submit(&request) {
         Err(ServeError::Shed { reason, retry_after_ms }) => {
@@ -237,11 +263,9 @@ fn graceful_shutdown_drains_in_flight_and_sheds_queued_with_shutdown_error() {
     let (server, addr) = boot(|_| {});
     let mut worker = ServeClient::connect(&addr, "worker", None).expect("connect");
     let request = slow_one_slot_request();
-    // One job running, one queued behind it in the one-slot queue. The
-    // nap gives the dispatcher time to dequeue the first job so the
-    // common path exercises an actually-in-flight epoch.
+    // One job running, one queued behind it in the one-slot queue.
     let running = worker.submit(&request).expect("first submit runs");
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    await_slot_claimed(&mut worker);
     let queued = worker.submit(&request).expect("second submit queues");
 
     let mut operator = ServeClient::connect(&addr, "operator", None).expect("operator connects");

@@ -1,7 +1,9 @@
 //! Stress tests: degenerate queue sizes, oversubscription, heavy emission
 //! fan-out, and sustained pressure through tiny pipelines.
 
-use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig};
+use std::time::{Duration, Instant};
+
+use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig};
 use ramr::{Backend, Engine};
 
 /// Emits FAN pairs per element to stress the queues.
@@ -282,4 +284,51 @@ fn hash_container_stress_with_many_keys() {
     let out = Backend::RamrStatic.engine(cfg).unwrap().submit(&WideKeys, &input).unwrap().output;
     assert_eq!(out.len(), 200_000, "all keys distinct");
     assert!(out.iter().all(|(_, v)| *v == 1));
+}
+
+/// A blocked thread resumes when its peer makes progress, not when a timer
+/// fires, so the `sleep` of the backoff — the park ceiling — must not set
+/// the job time: 256 k pairs through 64-slot queues are thousands of
+/// fill/drain cycles, and with `spins: 0` every one of them parks. Were the
+/// 20 ms ceiling ever waited out, a single job would take minutes.
+#[test]
+fn park_ceiling_does_not_set_the_job_time() {
+    let input: Vec<u64> = (0..8_000).collect();
+    let expected = reference(&input);
+    let best_of_three = |backend: Backend, workers, combiners, sleep| {
+        let cfg = RuntimeConfig::builder()
+            .num_workers(workers)
+            .num_combiners(combiners)
+            .task_size(256)
+            .queue_capacity(64)
+            .batch_size(16)
+            .push_backoff(PushBackoff::SpinThenSleep { spins: 0, sleep })
+            .build()
+            .unwrap();
+        let engine = backend.engine(cfg).unwrap();
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                let out = engine.submit(&FanOut, &input).unwrap().output;
+                let elapsed = started.elapsed();
+                assert_eq!(out.pairs, expected);
+                elapsed
+            })
+            .min()
+            .unwrap()
+    };
+    for (backend, workers, combiners) in [
+        (Backend::RamrStatic, 1, 1),
+        (Backend::RamrStatic, 2, 1),
+        (Backend::RamrAdaptive, 1, 1),
+        (Backend::RamrAdaptive, 2, 1),
+    ] {
+        let short = best_of_three(backend, workers, combiners, Duration::from_micros(50));
+        let long = best_of_three(backend, workers, combiners, Duration::from_millis(20));
+        assert!(
+            long <= short * 3,
+            "{backend} {workers}:{combiners}: {long:?} with a 20 ms ceiling against {short:?} \
+             with 50 µs — something waited for the timer"
+        );
+    }
 }
