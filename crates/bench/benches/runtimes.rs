@@ -59,10 +59,10 @@ fn bench_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-/// Short-job submission: one parked pool taking a stream of submits
-/// versus spawning a fresh engine per job. The session amortizes thread
-/// creation and queue allocation; the gap is the pooling win measured by
-/// `cargo run -p mr-bench --bin job_stream`.
+/// Short-job submission: one held session taking a stream of submits
+/// versus a fresh engine — a session opened and dropped — per job. The
+/// held session amortizes thread creation and queue allocation; the gap is
+/// `cold_submit_us` minus `session_epoch_us` in `ramr-benchmark`'s ledger.
 fn bench_job_stream(c: &mut Criterion) {
     // Scale divides the Table I quantity: 20 000 keeps each job around a
     // millisecond, short enough that spawn-per-run overhead is visible.

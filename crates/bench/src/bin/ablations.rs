@@ -10,7 +10,7 @@ use mr_apps::{AppKind, WordCount};
 use mr_bench::{sim_config, sim_job};
 use mr_core::RuntimeConfig;
 use mrsim::{auto_split, simulate, RuntimeKind};
-use ramr::RamrRuntime;
+use ramr::RamrSession;
 use ramr_telemetry::ThreadTelemetry;
 
 fn main() {
@@ -110,10 +110,12 @@ fn main() {
             .emit_buffer_size(emit)
             .build()
             .expect("valid ablation config");
-        let rt = RamrRuntime::new(cfg).expect("runtime");
-        rt.run(&WordCount, &lines).expect("warm-up run"); // warm caches/allocator
+        // Warm-up and measured run share one set of pools: the sweep prices
+        // the emit buffer, not thread spawn.
+        let mut session = RamrSession::new(cfg).expect("session");
+        session.submit(&WordCount, &lines).expect("warm-up run"); // warm caches/allocator
         let start = std::time::Instant::now();
-        let (_, report) = rt.run_with_report(&WordCount, &lines).expect("measured run");
+        let (_, report) = session.submit_with_report(&WordCount, &lines).expect("measured run");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         rows.push((
             emit,

@@ -213,7 +213,7 @@ fn backends_for(choice: &RuntimeChoice, config: &RuntimeConfig) -> Vec<Backend> 
 /// agreement. When `metrics_json` is set, the last run's full
 /// [`MetricsReport`] (preferring a RAMR backend when several ran) is
 /// written there as JSON.
-fn execute<J: MapReduceJob>(
+fn execute<J: MapReduceJob + 'static>(
     job: &J,
     input: &[J::Input],
     config: &RuntimeConfig,

@@ -49,7 +49,7 @@ use ramr_telemetry::{FaultMetrics, ThreadTelemetry};
 use ramr_topology::PlacementPlan;
 
 use crate::pipeline::{PipelineOutcome, StagePlan};
-use crate::runtime::{RamrRuntime, RunReport};
+use crate::runtime::RunReport;
 use crate::session::RamrSession;
 use crate::tuning::{AdaptationEvent, AdaptiveSeed};
 
@@ -92,64 +92,53 @@ impl Backend {
         }
     }
 
-    /// Builds the engine for this backend, normalizing `config` so the
-    /// backend choice always wins: `RamrStatic` clears
-    /// [`RuntimeConfig::adaptive`], `RamrAdaptive` sets it, `Phoenix`
-    /// ignores it.
+    /// `config` with [`RuntimeConfig::adaptive`] forced to what this backend
+    /// means, so the backend choice always wins over the flag.
+    fn normalize(self, mut config: RuntimeConfig) -> RuntimeConfig {
+        config.adaptive = self == Backend::RamrAdaptive;
+        config
+    }
+
+    /// Builds the engine for this backend over the normalized `config`
+    /// (`RamrStatic` clears [`RuntimeConfig::adaptive`], `RamrAdaptive` sets
+    /// it, `Phoenix` ignores it). The engine holds no threads: every
+    /// [`submit`](Engine::submit) opens a [`Backend::session`], runs one job
+    /// on it and drops it.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] when the normalized
-    /// configuration fails validation — including `RamrAdaptive` with
-    /// telemetry explicitly disabled, which is rejected ("adaptive mode
-    /// requires telemetry") exactly as the direct `RamrRuntime` path
-    /// rejects it, never silently overridden.
+    /// configuration fails validation — here, at construction, before any
+    /// submit. That includes `RamrAdaptive` with telemetry explicitly
+    /// disabled, which is rejected ("adaptive mode requires telemetry")
+    /// exactly as [`Backend::session`] rejects it, never silently
+    /// overridden.
     pub fn engine(self, mut config: RuntimeConfig) -> Result<AnyEngine, RuntimeError> {
-        match self {
-            Backend::RamrStatic => {
-                config.adaptive = false;
-                Ok(AnyEngine { backend: self, inner: Inner::Ramr(RamrRuntime::new(config)?) })
-            }
-            Backend::RamrAdaptive => {
-                config.adaptive = true;
-                Ok(AnyEngine { backend: self, inner: Inner::Ramr(RamrRuntime::new(config)?) })
-            }
-            Backend::Phoenix => {
-                config.adaptive = false;
-                Ok(AnyEngine { backend: self, inner: Inner::Phoenix(PhoenixRuntime::new(config)?) })
-            }
-        }
+        config = self.normalize(config);
+        config.validate()?;
+        Ok(AnyEngine { backend: self, config })
     }
 
-    /// Opens a pooled session for this backend (see [`EngineSession`]).
+    /// Opens a pooled session for this backend (see [`EngineSession`]) —
+    /// the one place a backend is mapped to its executor.
     ///
     /// # Errors
     ///
-    /// Same as [`Backend::engine`].
+    /// [`RuntimeError::InvalidConfig`] as for [`Backend::engine`]; the RAMR
+    /// backends additionally propagate placement failures and return
+    /// [`RuntimeError::Spawn`] when a pool thread cannot be spawned.
     pub fn session<J: MapReduceJob + 'static>(
         self,
         mut config: RuntimeConfig,
     ) -> Result<EngineSession<J>, RuntimeError> {
-        match self {
-            Backend::RamrStatic => {
-                config.adaptive = false;
-                Ok(EngineSession::Pooled {
-                    backend: self,
-                    session: Box::new(RamrSession::new(config)?),
-                })
-            }
-            Backend::RamrAdaptive => {
-                config.adaptive = true;
-                Ok(EngineSession::Pooled {
-                    backend: self,
-                    session: Box::new(RamrSession::new(config)?),
-                })
-            }
-            Backend::Phoenix => {
-                config.adaptive = false;
-                Ok(EngineSession::Fresh(Box::new(PhoenixRuntime::new(config)?)))
-            }
-        }
+        config = self.normalize(config);
+        Ok(match self {
+            Backend::RamrStatic | Backend::RamrAdaptive => EngineSession::Pooled {
+                backend: self,
+                session: Box::new(RamrSession::new(config)?),
+            },
+            Backend::Phoenix => EngineSession::Fresh(Box::new(PhoenixRuntime::new(config)?)),
+        })
     }
 }
 
@@ -234,9 +223,7 @@ impl EngineReport {
 }
 
 /// A job's output paired with the backend-independent [`EngineReport`] —
-/// the legacy tuple shape returned by the deprecated `_with_report`
-/// spellings. New code receives the same two pieces as a named
-/// [`EngineOutcome`].
+/// the tuple shape [`EngineOutcome::into_parts`] splits into.
 pub type EngineOutput<J> =
     (JobOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>, EngineReport);
 
@@ -254,7 +241,7 @@ pub struct EngineOutcome<J: MapReduceJob> {
 }
 
 impl<J: MapReduceJob> EngineOutcome<J> {
-    /// Splits the outcome into the legacy `(output, report)` tuple shape.
+    /// Splits the outcome into an `(output, report)` tuple.
     pub fn into_parts(self) -> EngineOutput<J> {
         (self.output, self.report)
     }
@@ -278,7 +265,7 @@ where
 /// Generic over the job at the *method* level (like the runtimes
 /// themselves), so one engine value can run heterogeneous jobs; the trait
 /// is therefore not object-safe — dispatch through [`AnyEngine`], which
-/// implements it by enum dispatch.
+/// implements it over [`Backend::session`].
 pub trait Engine {
     /// Which backend this engine executes on.
     fn backend(&self) -> Backend;
@@ -289,10 +276,16 @@ pub trait Engine {
     /// Executes `job` over `input`, returning the key-sorted reduced
     /// output with its report always attached ([`EngineOutcome`]).
     ///
+    /// A fresh run *is* a one-epoch session: the pools are spawned, serve
+    /// this one job and are joined before the call returns. Callers that
+    /// submit a stream of jobs and care about that per-job setup hold a
+    /// [`Backend::session`] instead. `J: 'static` because the pool threads
+    /// are typed by `J` and are ordinary (non-scoped) threads.
+    ///
     /// # Errors
     ///
     /// Propagates the backend's [`RuntimeError`].
-    fn submit<J: MapReduceJob>(
+    fn submit<J: MapReduceJob + 'static>(
         &self,
         job: &J,
         input: &[J::Input],
@@ -318,41 +311,6 @@ pub trait Engine {
     {
         crate::pipeline::run(self.backend(), self.config().clone(), plan, input)
     }
-
-    /// Executes `job` over `input`, returning the key-sorted reduced
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`RuntimeError`].
-    #[deprecated(note = "use `submit`, which always attaches the report")]
-    fn run_job<J: MapReduceJob>(
-        &self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<JobOutput<J::Key, J::Value>, RuntimeError> {
-        self.submit(job, input).map(|outcome| outcome.output)
-    }
-
-    /// Like `run_job`, additionally returning the backend-independent
-    /// [`EngineReport`] as a tuple.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`RuntimeError`].
-    #[deprecated(note = "use `submit`, which always attaches the report")]
-    fn run_job_reported<J: MapReduceJob>(
-        &self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<EngineOutput<J>, RuntimeError> {
-        self.submit(job, input).map(EngineOutcome::into_parts)
-    }
-}
-
-enum Inner {
-    Ramr(RamrRuntime),
-    Phoenix(PhoenixRuntime),
 }
 
 /// An [`Engine`] for any [`Backend`], selected at runtime — the value the
@@ -360,7 +318,8 @@ enum Inner {
 /// hand-rolled per-backend arms.
 pub struct AnyEngine {
     backend: Backend,
-    inner: Inner,
+    /// Normalized and validated by [`Backend::engine`].
+    config: RuntimeConfig,
 }
 
 impl std::fmt::Debug for AnyEngine {
@@ -375,27 +334,15 @@ impl Engine for AnyEngine {
     }
 
     fn config(&self) -> &RuntimeConfig {
-        match &self.inner {
-            Inner::Ramr(rt) => rt.config(),
-            Inner::Phoenix(rt) => rt.config(),
-        }
+        &self.config
     }
 
-    fn submit<J: MapReduceJob>(
+    fn submit<J: MapReduceJob + 'static>(
         &self,
         job: &J,
         input: &[J::Input],
     ) -> Result<EngineOutcome<J>, RuntimeError> {
-        match &self.inner {
-            Inner::Ramr(rt) => {
-                let (output, report) = rt.run_with_report(job, input)?;
-                Ok(EngineOutcome { output, report: EngineReport::from_ramr(self.backend, report) })
-            }
-            Inner::Phoenix(rt) => {
-                let (output, report) = rt.run_with_report(job, input)?;
-                Ok(EngineOutcome { output, report: EngineReport::from_phoenix(report) })
-            }
-        }
+        self.backend.session::<J>(self.config.clone())?.submit(job, input)
     }
 }
 
@@ -471,21 +418,6 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
                 Ok(EngineOutcome { output, report: EngineReport::from_phoenix(report) })
             }
         }
-    }
-
-    /// Executes one job from the stream, with its [`EngineReport`] as a
-    /// tuple.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](EngineSession::submit).
-    #[deprecated(note = "use `submit`, which always attaches the report")]
-    pub fn submit_with_report(
-        &mut self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<EngineOutput<J>, RuntimeError> {
-        self.submit(job, input).map(EngineOutcome::into_parts)
     }
 
     /// Seeds the *next* submit's adaptive controller with a previously

@@ -101,24 +101,6 @@ pub use sched::{
 pub use session::RamrSession;
 pub use tuning::{AdaptationEvent, AdaptiveBounds, AdaptiveSeed, Decision, PoolObservation};
 
-/// The direct per-run RAMR runtime, retired from the documented API.
-///
-/// Construct engines through [`Backend::engine`] (or pooled sessions
-/// through [`Backend::session`]) instead — one front door, with the
-/// backend-independent report always attached:
-///
-/// ```
-/// use ramr::{Backend, Engine, RuntimeConfig};
-/// let config = RuntimeConfig::builder().num_workers(2).num_combiners(1).build()?;
-/// // was: let output = ramr::RamrRuntime::new(config)?.run(&job, &input)?;
-/// let engine = Backend::RamrStatic.engine(config)?;
-/// // now: let outcome = engine.submit(&job, &input)?;
-/// # let _ = engine;
-/// # Ok::<(), ramr::RuntimeError>(())
-/// ```
-#[doc(hidden)]
-pub use runtime::RamrRuntime;
-
 // Re-export the configuration surface so downstream users need only this
 // crate for the common path.
 pub use mr_core::{

@@ -1,4 +1,7 @@
-//! The decoupled map/combine runtime (paper §III, Fig 2).
+//! The decoupled map/combine runtime (paper §III, Fig 2): what each pool
+//! thread does for one job — the four role loops, the adaptive controller,
+//! the watchdog — and the [`RunReport`] a job leaves behind. The threads
+//! themselves live in `session.rs`, which hosts these loops on its pools.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -7,17 +10,16 @@ use std::time::{Duration, Instant};
 
 use crate::tuning::{decide, AdaptationEvent, AdaptiveBounds, PoolObservation};
 use mr_core::{
-    task_ranges, Emitter, HasherKind, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer,
-    PushBackoff, RuntimeConfig, RuntimeError,
+    Emitter, HasherKind, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer};
-use ramr_spsc::{BackoffPolicy, Consumer, Producer, SpscQueue, BUSY_WAIT_YIELD_EVERY};
+use ramr_spsc::{BackoffPolicy, Consumer, Producer, BUSY_WAIT_YIELD_EVERY};
 use ramr_telemetry::{
     pool_throughput, FaultLog, FaultMetrics, LocalTelemetry, ProgressBoard, TelemetryCell,
     ThreadRole, ThreadTelemetry,
 };
-use ramr_topology::{pin_current_thread, CpuSlot, MachineModel, PlacementPlan};
+use ramr_topology::{pin_current_thread, CpuSlot, PlacementPlan};
 
 /// A job's output paired with the run's [`RunReport`].
 pub type ReportedOutput<J> =
@@ -57,603 +59,6 @@ fn idle_wait(backoff: PushBackoff, idle_rounds: u32, park: impl FnOnce(Duration)
 /// that closes wakes it regardless.
 fn wake_at(batch: usize, config: &RuntimeConfig) -> usize {
     batch.max(config.queue_capacity / 2)
-}
-
-/// The RAMR runtime: two thread pools, SPSC pipelines, batched combine.
-///
-/// Construct with [`RamrRuntime::new`] (places threads on a model of the
-/// host machine) or [`RamrRuntime::with_machine`] to compute placements for
-/// an explicit [`MachineModel`] — useful for inspecting the pinning policy
-/// on machines you do not have.
-///
-/// **Soft-deprecated**: new code should go through the unified front door
-/// instead — [`Backend::engine`](crate::Backend::engine) for one job
-/// (`Backend::RamrStatic.engine(cfg)?.run_job(&job, input)`) or
-/// [`Backend::session`](crate::Backend::session) /
-/// [`RamrSession`](crate::RamrSession) for a stream of jobs on persistent
-/// pools. This type remains as a thin per-run shim over the same
-/// internals (see DESIGN.md §6e for the migration table).
-///
-/// See the [crate-level documentation](crate) for an example.
-#[derive(Debug, Clone)]
-pub struct RamrRuntime {
-    config: RuntimeConfig,
-    machine: MachineModel,
-}
-
-impl RamrRuntime {
-    /// Creates a runtime placing threads on a model of the host machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for inconsistent knob
-    /// settings (see [`RuntimeConfig::validate`]).
-    pub fn new(config: RuntimeConfig) -> Result<Self, RuntimeError> {
-        Self::with_machine(config, MachineModel::host())
-    }
-
-    /// Creates a runtime computing thread placement against `machine`.
-    ///
-    /// Real pinning (when `config.pin_os_threads` is set) only succeeds for
-    /// CPU ids that exist on the actual host; others are skipped with the
-    /// thread left unpinned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for inconsistent knob
-    /// settings.
-    pub fn with_machine(
-        config: RuntimeConfig,
-        machine: MachineModel,
-    ) -> Result<Self, RuntimeError> {
-        config.validate()?;
-        Ok(Self { config, machine })
-    }
-
-    /// The runtime's configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// The machine model used for placement.
-    pub fn machine(&self) -> &MachineModel {
-        &self.machine
-    }
-
-    /// The placement plan this runtime would use (mapper/combiner CPU slots
-    /// and queue assignment), for inspection and reporting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RuntimeError::Placement`] failures.
-    pub fn placement(&self) -> Result<PlacementPlan, RuntimeError> {
-        PlacementPlan::compute(
-            &self.machine,
-            self.config.num_workers,
-            self.config.num_combiners,
-            self.config.pinning.into(),
-        )
-    }
-
-    /// Executes `job` over `input`, returning the key-sorted reduced output.
-    ///
-    /// The map-combine phase runs decoupled: `num_workers` mappers feed
-    /// `num_combiners` combiners through SPSC queues. Emissions travel in
-    /// blocks at both ends — each mapper buffers `effective_emit_buffer()`
-    /// pairs locally and publishes them with one tail update, and each
-    /// combiner consumes batched reads of `batch_size` elements — with the
-    /// configured backoff on full queues. Reduce and merge then run exactly
-    /// as in the baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates container errors and surfaces worker panics as
-    /// [`RuntimeError::WorkerPanic`].
-    pub fn run<J: MapReduceJob>(
-        &self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<JobOutput<J::Key, J::Value>, RuntimeError> {
-        self.run_with_report(job, input).map(|(output, _)| output)
-    }
-
-    /// Like [`run`], additionally returning a [`RunReport`] with per-thread
-    /// statistics and the placement plan — the observability surface a
-    /// ratio/batch tuning session needs.
-    ///
-    /// With [`RuntimeConfig::adaptive`] set, execution is delegated to the
-    /// online adaptive controller (see [`RunReport::adaptation`]); the
-    /// default static path below is untouched by that mode.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`].
-    ///
-    /// [`run`]: RamrRuntime::run
-    pub fn run_with_report<J: MapReduceJob>(
-        &self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<ReportedOutput<J>, RuntimeError> {
-        if self.config.adaptive {
-            return self.run_adaptive(job, input);
-        }
-        let config = &self.config;
-        let mut stats = PhaseStats::default();
-
-        // --- Input partition phase --------------------------------------
-        let timer = PhaseTimer::start(PhaseKind::Partition);
-        let tasks = task_ranges(input.len(), config.task_size);
-        timer.stop(&mut stats);
-        stats.tasks = tasks.len() as u64;
-
-        let plan = self.placement()?;
-
-        // --- Map-combine phase (decoupled, overlapped) -------------------
-        let timer = PhaseTimer::start(PhaseKind::MapCombine);
-        let backoff = to_backoff(config.push_backoff);
-        let emit_block = config.effective_emit_buffer();
-
-        // Fault-tolerance surfaces — all inert by default: no retries, no
-        // skipping, no watchdog, no extra atomics on the hot paths.
-        let fault_log = FaultLog::new();
-        let cancel = AtomicBool::new(false);
-        let done = AtomicBool::new(false);
-        let board =
-            config.watchdog.map(|_| ProgressBoard::new(config.num_workers + config.num_combiners));
-        let labels = thread_labels(config.num_workers, config.num_combiners);
-        let ctx = FaultCtx::new(config, job.is_retry_safe(), &fault_log, &cancel, board.as_ref());
-        let ctx = &ctx;
-
-        // One SPSC queue per mapper; consumers grouped per combiner.
-        let mut producers: Vec<Option<PairProducer<J>>> = Vec::with_capacity(config.num_workers);
-        let mut consumers_of: Vec<Vec<PairConsumer<J>>> =
-            (0..config.num_combiners).map(|_| Vec::new()).collect();
-        for mapper in 0..config.num_workers {
-            let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
-            producers.push(Some(tx));
-            consumers_of[plan.combiner_of_mapper(mapper)].push(rx);
-        }
-
-        // Per-locality-group task queues (paper SIII): a mapper prefers the
-        // queue of the socket it is placed on and steals otherwise.
-        let groups = self.machine.sockets.max(1);
-        let queues = TaskQueues::new(tasks, groups);
-        let group_of_mapper = |m: usize| match plan.mapper_slot(m) {
-            ramr_topology::CpuSlot::Pinned(cpu) => {
-                ramr_topology::physical_position_of(
-                    cpu,
-                    self.machine.sockets,
-                    self.machine.cores_per_socket,
-                    self.machine.smt,
-                )
-                .socket
-            }
-            ramr_topology::CpuSlot::Unpinned => m % groups,
-        };
-        let mapper_cells: Vec<TelemetryCell> =
-            (0..config.num_workers).map(|_| Default::default()).collect();
-        let combiner_cells: Vec<TelemetryCell> =
-            (0..config.num_combiners).map(|_| Default::default()).collect();
-
-        let (combiner_results, stalled) = std::thread::scope(|scope| {
-            // Combiner pool (the bottom pool of Fig 2).
-            let combiner_handles: Vec<_> = consumers_of
-                .into_iter()
-                .enumerate()
-                .map(|(c, mut consumers)| {
-                    let slot = plan.combiner_slot(c);
-                    let pin = config.pin_os_threads;
-                    let cell = &combiner_cells[c];
-                    let progress_slot = config.num_workers + c;
-                    scope.spawn(move || {
-                        maybe_pin(pin, slot);
-                        combiner_loop(job, config, &mut consumers, cell, ctx, progress_slot)
-                    })
-                })
-                .collect();
-
-            // General-purpose pool executing the map tasks.
-            let mapper_handles: Vec<_> = producers
-                .iter_mut()
-                .enumerate()
-                .map(|(m, tx)| {
-                    let mut tx = tx.take().expect("producer moved once");
-                    let slot = plan.mapper_slot(m);
-                    let home_group = group_of_mapper(m);
-                    let pin = config.pin_os_threads;
-                    let queues = &queues;
-                    let cell = &mapper_cells[m];
-                    let backoff = &backoff;
-                    let telemetry = config.telemetry;
-                    let hasher = config.hasher;
-                    scope.spawn(move || {
-                        maybe_pin(pin, slot);
-                        mapper_loop(
-                            job, input, queues, home_group, &mut tx, backoff, emit_block, hasher,
-                            cell, telemetry, ctx, m,
-                        );
-                    })
-                })
-                .collect();
-
-            // The watchdog (when armed) samples the progress board and
-            // trips the cooperative cancel flag if the pipeline wedges.
-            let watchdog = config.watchdog.map(|period| {
-                let board = board.as_ref().expect("board exists when watchdog armed");
-                let labels = &labels;
-                let cancel = &cancel;
-                let done = &done;
-                scope.spawn(move || watchdog_loop(period, board, labels, cancel, done))
-            });
-
-            // Join mappers first: dropping each producer closes its
-            // queue, which is the combiners' end-of-map notification.
-            let mut mapper_panic: Option<RuntimeError> = None;
-            for h in mapper_handles {
-                if let Err(panic) = h.join() {
-                    mapper_panic
-                        .get_or_insert(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
-                }
-            }
-
-            let mut results: Vec<Result<phases::HashedPairs<J>, RuntimeError>> = combiner_handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|panic| {
-                        Err(RuntimeError::WorkerPanic(phases::panic_message(&*panic)))
-                    })
-                })
-                .collect();
-            if let Some(e) = mapper_panic {
-                results.insert(0, Err(e));
-            }
-            done.store(true, Ordering::Release);
-            let stalled = watchdog.and_then(|h| h.join().unwrap_or(None));
-            (results, stalled)
-        });
-
-        let mut partials = Vec::with_capacity(combiner_results.len());
-        let mut first_error: Option<RuntimeError> = None;
-        let mut suppressed = 0u64;
-        for result in combiner_results {
-            match result {
-                Ok(pairs) => partials.push(pairs),
-                // First-error containment with the loss made visible: one
-                // error surfaces, the rest are counted onto its message.
-                Err(e) if first_error.is_none() => first_error = Some(e),
-                Err(_) => suppressed += 1,
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e.noting_suppressed(suppressed));
-        }
-        // Worker errors take priority: a stall diagnosis is only the
-        // primary failure when nothing more specific was recorded.
-        if let Some(e) = stalled {
-            return Err(e);
-        }
-        let mapper_telemetry: Vec<ThreadTelemetry> = mapper_cells
-            .iter()
-            .enumerate()
-            .map(|(m, cell)| cell.snapshot(ThreadRole::Mapper, m))
-            .collect();
-        let combiner_telemetry: Vec<ThreadTelemetry> = combiner_cells
-            .iter()
-            .enumerate()
-            .map(|(c, cell)| cell.snapshot(ThreadRole::Combiner, c))
-            .collect();
-        let emitted_per_mapper: Vec<u64> = mapper_telemetry.iter().map(|t| t.items).collect();
-        let full_events_per_mapper: Vec<u64> =
-            mapper_telemetry.iter().map(|t| t.stall_events).collect();
-        let consumed_per_combiner: Vec<u64> = combiner_telemetry.iter().map(|t| t.items).collect();
-        stats.emitted = emitted_per_mapper.iter().sum();
-        stats.queue_full_events = full_events_per_mapper.iter().sum();
-        timer.stop(&mut stats);
-
-        // --- Reduce phase (reusing the carried hashes) --------------------
-        let timer = PhaseTimer::start(PhaseKind::Reduce);
-        let buckets = phases::bucket_by_key_hashed::<J>(partials, config.num_reducers);
-        let runs = phases::reduce_parallel_hashed(job, buckets)?;
-        timer.stop(&mut stats);
-
-        // --- Merge phase ---------------------------------------------------
-        let timer = PhaseTimer::start(PhaseKind::Merge);
-        let merged = phases::merge_sorted_runs(runs);
-        timer.stop(&mut stats);
-
-        stats.output_keys = merged.len() as u64;
-        let report = RunReport {
-            plan,
-            emitted_per_mapper,
-            full_events_per_mapper,
-            consumed_per_combiner,
-            mapper_telemetry,
-            combiner_telemetry,
-            adaptation: Vec::new(),
-            faults: fault_log.snapshot(0, false),
-        };
-        Ok((JobOutput::from_sorted(merged, stats), report))
-    }
-
-    /// The adaptive variant of [`run_with_report`]: the same decoupled
-    /// pipeline shape, plus an online controller that samples live
-    /// telemetry every [`RuntimeConfig::adapt_interval`] and acts on it
-    /// mid-run — re-rolling mapper threads into combine helpers (and back)
-    /// when one pool starves the other, and re-sizing the batched read
-    /// within [`AdaptiveBounds`]. Every decision lands in
-    /// [`RunReport::adaptation`].
-    ///
-    /// Structural differences from the static path, all required by role
-    /// mobility: pipeline read-ends live in a shared [`QueueRegistry`]
-    /// instead of being statically assigned, so any combining thread can
-    /// serve any mapper's queue; end-of-stream is a registry-wide retired
-    /// count instead of per-combiner closed-queue detection; and error
-    /// containment is a global [`ErrorSlot`] rather than per-combiner.
-    ///
-    /// [`run_with_report`]: RamrRuntime::run_with_report
-    fn run_adaptive<J: MapReduceJob>(
-        &self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<ReportedOutput<J>, RuntimeError> {
-        let config = &self.config;
-        let mut stats = PhaseStats::default();
-
-        // --- Input partition phase --------------------------------------
-        let timer = PhaseTimer::start(PhaseKind::Partition);
-        let tasks = task_ranges(input.len(), config.task_size);
-        timer.stop(&mut stats);
-        stats.tasks = tasks.len() as u64;
-
-        let plan = self.placement()?;
-
-        // --- Map-combine phase (decoupled, controller-supervised) --------
-        let timer = PhaseTimer::start(PhaseKind::MapCombine);
-        let backoff = to_backoff(config.push_backoff);
-        let emit_block = config.effective_emit_buffer();
-
-        // One SPSC queue per flex (mapper-role) thread; the read ends go
-        // into the shared registry rather than a static assignment.
-        let mut producers: Vec<Option<PairProducer<J>>> = Vec::with_capacity(config.num_workers);
-        let mut consumers: Vec<PairConsumer<J>> = Vec::with_capacity(config.num_workers);
-        for _ in 0..config.num_workers {
-            let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
-            producers.push(Some(tx));
-            consumers.push(rx);
-        }
-        let registry = QueueRegistry::new(consumers);
-        let errors = ErrorSlot::default();
-        let ctl = AdaptiveCtl::new(config.num_workers, config.batch_size);
-        let bounds = AdaptiveBounds::from_config(config);
-
-        // Fault-tolerance surfaces, mirroring the static path: inert unless
-        // configured. Flex threads occupy board slots `0..num_workers`,
-        // dedicated combiners the slots after.
-        let fault_log = FaultLog::new();
-        let cancel = AtomicBool::new(false);
-        let done = AtomicBool::new(false);
-        let board =
-            config.watchdog.map(|_| ProgressBoard::new(config.num_workers + config.num_combiners));
-        let labels = thread_labels(config.num_workers, config.num_combiners);
-        let ctx = FaultCtx::new(config, job.is_retry_safe(), &fault_log, &cancel, board.as_ref());
-        let ctx = &ctx;
-
-        let groups = self.machine.sockets.max(1);
-        let queues = TaskQueues::new(tasks, groups);
-        let group_of_mapper = |m: usize| match plan.mapper_slot(m) {
-            ramr_topology::CpuSlot::Pinned(cpu) => {
-                ramr_topology::physical_position_of(
-                    cpu,
-                    self.machine.sockets,
-                    self.machine.cores_per_socket,
-                    self.machine.smt,
-                )
-                .socket
-            }
-            ramr_topology::CpuSlot::Unpinned => m % groups,
-        };
-        // Two cells per flex thread keep the pools' signals separable: a
-        // re-rolled thread's combine work must not pollute the map pool's
-        // throughput estimate (and vice versa).
-        let map_cells: Vec<TelemetryCell> =
-            (0..config.num_workers).map(|_| Default::default()).collect();
-        let flex_combine_cells: Vec<TelemetryCell> =
-            (0..config.num_workers).map(|_| Default::default()).collect();
-        let dedicated_cells: Vec<TelemetryCell> =
-            (0..config.num_combiners).map(|_| Default::default()).collect();
-
-        let (flex_pairs, dedicated_pairs, trace, join_panic, suppressed_joins, stalled) =
-            std::thread::scope(|scope| {
-                // Dedicated combiner pool: role-fixed (they own no task queue).
-                let dedicated_handles: Vec<_> = (0..config.num_combiners)
-                    .map(|c| {
-                        let slot = plan.combiner_slot(c);
-                        let pin = config.pin_os_threads;
-                        let cell = &dedicated_cells[c];
-                        let registry = &registry;
-                        let ctl = &ctl;
-                        let errors = &errors;
-                        let progress_slot = config.num_workers + c;
-                        scope.spawn(move || {
-                            maybe_pin(pin, slot);
-                            adaptive_combiner_loop(
-                                job,
-                                config,
-                                registry,
-                                ctl,
-                                errors,
-                                cell,
-                                ctx,
-                                progress_slot,
-                            )
-                        })
-                    })
-                    .collect();
-
-                // Flex pool: mappers the controller may re-roll.
-                let flex_handles: Vec<_> = producers
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(m, tx)| {
-                        let mut tx = tx.take().expect("producer moved once");
-                        let slot = plan.mapper_slot(m);
-                        let home_group = group_of_mapper(m);
-                        let pin = config.pin_os_threads;
-                        let queues = &queues;
-                        let backoff = &backoff;
-                        let registry = &registry;
-                        let ctl = &ctl;
-                        let errors = &errors;
-                        let map_cell = &map_cells[m];
-                        let combine_cell = &flex_combine_cells[m];
-                        scope.spawn(move || {
-                            maybe_pin(pin, slot);
-                            flex_loop(
-                                job,
-                                input,
-                                config,
-                                queues,
-                                home_group,
-                                m,
-                                &mut tx,
-                                backoff,
-                                emit_block,
-                                registry,
-                                ctl,
-                                errors,
-                                map_cell,
-                                combine_cell,
-                                ctx,
-                            )
-                        })
-                    })
-                    .collect();
-
-                let controller = {
-                    let registry = &registry;
-                    let ctl = &ctl;
-                    let map_cells = &map_cells;
-                    let flex_combine_cells = &flex_combine_cells;
-                    let dedicated_cells = &dedicated_cells;
-                    let cancel = &cancel;
-                    scope.spawn(move || {
-                        controller_loop(
-                            config,
-                            bounds,
-                            registry,
-                            ctl,
-                            map_cells,
-                            flex_combine_cells,
-                            dedicated_cells,
-                            cancel,
-                        )
-                    })
-                };
-
-                let watchdog = config.watchdog.map(|period| {
-                    let board = board.as_ref().expect("board exists when watchdog armed");
-                    let labels = &labels;
-                    let cancel = &cancel;
-                    let done = &done;
-                    scope.spawn(move || watchdog_loop(period, board, labels, cancel, done))
-                });
-
-                let mut join_panic: Option<RuntimeError> = None;
-                let mut suppressed_joins = 0u64;
-                let mut catch = |panic: Box<dyn std::any::Any + Send>| {
-                    if join_panic.is_none() {
-                        join_panic =
-                            Some(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
-                    } else {
-                        suppressed_joins += 1;
-                    }
-                };
-                let flex_pairs: Vec<phases::HashedPairs<J>> = flex_handles
-                    .into_iter()
-                    .map(|h| h.join().map_err(&mut catch).unwrap_or_default())
-                    .collect();
-                let dedicated_pairs: Vec<phases::HashedPairs<J>> = dedicated_handles
-                    .into_iter()
-                    .map(|h| h.join().map_err(&mut catch).unwrap_or_default())
-                    .collect();
-                let trace = controller.join().map_err(&mut catch).unwrap_or_default();
-                done.store(true, Ordering::Release);
-                let stalled = watchdog.and_then(|h| h.join().unwrap_or(None));
-                (flex_pairs, dedicated_pairs, trace, join_panic, suppressed_joins, stalled)
-            });
-
-        // A panicking mapper unwinds past its producer, which closes the
-        // queue — the pipeline drains and terminates, then the panic
-        // surfaces here exactly as on the static path. Priority: join
-        // panics, then recorded worker errors, then the watchdog's stall
-        // diagnosis; everything behind the surfaced error is counted onto
-        // its message instead of vanishing.
-        if let Some(e) = join_panic {
-            return Err(e.noting_suppressed(suppressed_joins + errors.recorded()));
-        }
-        if let Some(e) = errors.take() {
-            return Err(e.noting_suppressed(errors.suppressed()));
-        }
-        if let Some(e) = stalled {
-            return Err(e);
-        }
-
-        let mapper_telemetry: Vec<ThreadTelemetry> = map_cells
-            .iter()
-            .enumerate()
-            .map(|(m, cell)| cell.snapshot(ThreadRole::Mapper, m))
-            .collect();
-        // Dedicated combiners first, then every flex thread that actually
-        // combined, indexed after the dedicated pool. Never-promoted flex
-        // threads are omitted: an all-zero phantom combiner would turn
-        // `combiner_imbalance` infinite on perfectly healthy runs.
-        let mut combiner_telemetry: Vec<ThreadTelemetry> = dedicated_cells
-            .iter()
-            .enumerate()
-            .map(|(c, cell)| cell.snapshot(ThreadRole::Combiner, c))
-            .collect();
-        for (m, cell) in flex_combine_cells.iter().enumerate() {
-            let t = cell.snapshot(ThreadRole::Combiner, config.num_combiners + m);
-            if t.items > 0 || t.batches > 0 {
-                combiner_telemetry.push(t);
-            }
-        }
-        let emitted_per_mapper: Vec<u64> = mapper_telemetry.iter().map(|t| t.items).collect();
-        let full_events_per_mapper: Vec<u64> =
-            mapper_telemetry.iter().map(|t| t.stall_events).collect();
-        let consumed_per_combiner: Vec<u64> = combiner_telemetry.iter().map(|t| t.items).collect();
-        stats.emitted = emitted_per_mapper.iter().sum();
-        stats.queue_full_events = full_events_per_mapper.iter().sum();
-        timer.stop(&mut stats);
-
-        let mut partials = dedicated_pairs;
-        partials.extend(flex_pairs);
-
-        // --- Reduce phase (reusing the carried hashes) --------------------
-        let timer = PhaseTimer::start(PhaseKind::Reduce);
-        let buckets = phases::bucket_by_key_hashed::<J>(partials, config.num_reducers);
-        let runs = phases::reduce_parallel_hashed(job, buckets)?;
-        timer.stop(&mut stats);
-
-        // --- Merge phase ---------------------------------------------------
-        let timer = PhaseTimer::start(PhaseKind::Merge);
-        let merged = phases::merge_sorted_runs(runs);
-        timer.stop(&mut stats);
-
-        stats.output_keys = merged.len() as u64;
-        let report = RunReport {
-            plan,
-            emitted_per_mapper,
-            full_events_per_mapper,
-            consumed_per_combiner,
-            mapper_telemetry,
-            combiner_telemetry,
-            adaptation: trace,
-            faults: fault_log.snapshot(0, false),
-        };
-        Ok((JobOutput::from_sorted(merged, stats), report))
-    }
 }
 
 /// Per-thread statistics of one decoupled invocation.
@@ -1042,8 +447,8 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
     }
     // Final drain-flush: publish the partial block *before* closing the
     // queue — the combiner treats closed+empty as end-of-stream. `finish`
-    // (rather than relying on drop) keeps the producer handle alive for
-    // session reuse; per-run callers drop it right after anyway.
+    // (rather than relying on drop) keeps the producer handle alive: the
+    // session re-arms the same queue for the next job.
     let occupied = buffer.len();
     let flush_start = telemetry.then(Instant::now);
     full_events += tx.push_batch_with_backoff_or_cancel(&mut buffer, backoff, ctx.cancel);
@@ -1333,18 +738,13 @@ impl<J: MapReduceJob> QueueRegistry<J> {
         self.live.load(Ordering::Acquire) == 0
     }
 
-    /// Tears the registry down, returning every consumer it ever held —
-    /// pooled and retired alike. Only meaningful once the run is over (all
+    /// Empties the registry, returning every consumer it ever held — pooled
+    /// and retired alike. Only meaningful once the run is over (all
     /// combining threads quiescent); the session uses this to carry the
     /// read-ends into the next job.
-    pub(crate) fn into_consumers(self) -> Vec<PairConsumer<J>> {
-        let mut all: Vec<PairConsumer<J>> = self
-            .pool
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .into_iter()
-            .collect();
-        all.extend(self.retired.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner));
+    pub(crate) fn take_consumers(&self) -> Vec<PairConsumer<J>> {
+        let mut all: Vec<PairConsumer<J>> = self.lock().drain(..).collect();
+        all.append(&mut self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
         all
     }
 }
@@ -1387,13 +787,6 @@ impl ErrorSlot {
     /// Errors recorded behind the first one.
     pub(crate) fn suppressed(&self) -> u64 {
         self.suppressed.load(Ordering::Relaxed)
-    }
-
-    /// Total errors ever recorded (slot + suppressed) — what hides behind a
-    /// join panic that outranks the slot entirely.
-    fn recorded(&self) -> u64 {
-        let held = self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).is_some();
-        u64::from(held) + self.suppressed()
     }
 }
 
@@ -1970,7 +1363,18 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     use super::*;
-    use mr_core::ContainerKind;
+    use crate::session::RamrSession;
+    use mr_core::{ContainerKind, PhaseKind};
+    use ramr_topology::MachineModel;
+
+    /// A fresh run: opens a session, submits once and drops it.
+    fn run_once<J: MapReduceJob + 'static>(
+        cfg: RuntimeConfig,
+        job: &J,
+        input: &[J::Input],
+    ) -> Result<ReportedOutput<J>, RuntimeError> {
+        RamrSession::new(cfg)?.submit_with_report(job, input)
+    }
 
     struct Mod9;
 
@@ -2025,8 +1429,7 @@ mod tests {
     #[test]
     fn matches_sequential_reference() {
         let input: Vec<u64> = (1..=20_000).collect();
-        let rt = RamrRuntime::new(config(4, 2)).unwrap();
-        let out = rt.run(&Mod9, &input).unwrap();
+        let (out, _) = run_once(config(4, 2), &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
     }
 
@@ -2037,7 +1440,7 @@ mod tests {
         for kind in ContainerKind::ALL {
             let mut cfg = config(3, 3);
             cfg.container = kind;
-            let out = RamrRuntime::new(cfg).unwrap().run(&Mod9, &input).unwrap();
+            let out = run_once(cfg, &Mod9, &input).unwrap().0;
             assert_eq!(out.pairs, expected, "container {kind}");
         }
     }
@@ -2047,8 +1450,7 @@ mod tests {
         let input: Vec<u64> = (0..10_000).collect();
         let expected = reference(&input);
         for (workers, combiners) in [(1, 1), (2, 1), (3, 1), (4, 2), (6, 2), (8, 8)] {
-            let out =
-                RamrRuntime::new(config(workers, combiners)).unwrap().run(&Mod9, &input).unwrap();
+            let out = run_once(config(workers, combiners), &Mod9, &input).unwrap().0;
             assert_eq!(out.pairs, expected, "workers={workers} combiners={combiners}");
         }
     }
@@ -2060,7 +1462,7 @@ mod tests {
         for batch in [1usize, 2, 7, 16, 33, 64] {
             let mut cfg = config(4, 2);
             cfg.batch_size = batch;
-            let out = RamrRuntime::new(cfg).unwrap().run(&Mod9, &input).unwrap();
+            let out = run_once(cfg, &Mod9, &input).unwrap().0;
             assert_eq!(out.pairs, expected, "batch={batch}");
         }
     }
@@ -2073,8 +1475,7 @@ mod tests {
         for emit in [1usize, 2, 8, 64] {
             let mut cfg = config(4, 2);
             cfg.emit_buffer_size = Some(emit);
-            let rt = RamrRuntime::new(cfg).unwrap();
-            let (out, report) = rt.run_with_report(&Mod9, &input).unwrap();
+            let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
             assert_eq!(out.pairs, expected, "emit_buffer={emit}");
             let emitted: u64 = report.emitted_per_mapper.iter().sum();
             let consumed: u64 = report.consumed_per_combiner.iter().sum();
@@ -2088,8 +1489,8 @@ mod tests {
         let input: Vec<u64> = (0..12_000).map(|i| i * 13 % 5000).collect();
         let mut element_wise = config(4, 2);
         element_wise.emit_buffer_size = Some(1);
-        let a = RamrRuntime::new(element_wise).unwrap().run(&Mod9, &input).unwrap();
-        let b = RamrRuntime::new(config(4, 2)).unwrap().run(&Mod9, &input).unwrap();
+        let a = run_once(element_wise, &Mod9, &input).unwrap().0;
+        let b = run_once(config(4, 2), &Mod9, &input).unwrap().0;
         assert_eq!(a.pairs, b.pairs);
     }
 
@@ -2099,7 +1500,7 @@ mod tests {
         let mut cfg = config(4, 1);
         cfg.queue_capacity = 2;
         cfg.batch_size = 2;
-        let out = RamrRuntime::new(cfg).unwrap().run(&Mod9, &input).unwrap();
+        let out = run_once(cfg, &Mod9, &input).unwrap().0;
         assert_eq!(out.pairs, reference(&input));
         assert!(
             out.stats.queue_full_events > 0,
@@ -2114,14 +1515,13 @@ mod tests {
         cfg.queue_capacity = 4;
         cfg.batch_size = 4;
         cfg.push_backoff = PushBackoff::BusyWait;
-        let out = RamrRuntime::new(cfg).unwrap().run(&Mod9, &input).unwrap();
+        let out = run_once(cfg, &Mod9, &input).unwrap().0;
         assert_eq!(out.pairs, reference(&input));
     }
 
     #[test]
     fn empty_input_terminates_cleanly() {
-        let rt = RamrRuntime::new(config(4, 2)).unwrap();
-        let out = rt.run(&Mod9, &[]).unwrap();
+        let (out, _) = run_once(config(4, 2), &Mod9, &[]).unwrap();
         assert!(out.is_empty());
         assert_eq!(out.stats.emitted, 0);
     }
@@ -2144,7 +1544,7 @@ mod tests {
                 0
             }
         }
-        let err = RamrRuntime::new(config(2, 1)).unwrap().run(&Panics, &[1, 2, 3]).unwrap_err();
+        let err = run_once(config(2, 1), &Panics, &[1, 2, 3]).unwrap_err();
         assert!(matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("mapper exploded")));
     }
 
@@ -2154,23 +1554,24 @@ mod tests {
         cfg.container = ContainerKind::FixedHash;
         cfg.fixed_capacity = Some(2);
         let input: Vec<u64> = (0..10_000).collect(); // 9 distinct keys > 2
-        let err = RamrRuntime::new(cfg).unwrap().run(&Mod9, &input).unwrap_err();
+        let err = run_once(cfg, &Mod9, &input).unwrap_err();
         assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
     }
 
     #[test]
     fn placement_is_inspectable() {
-        let rt = RamrRuntime::with_machine(config(8, 4), MachineModel::fig3_demo()).unwrap();
-        let plan = rt.placement().unwrap();
+        let session =
+            RamrSession::<Mod9>::with_machine(config(8, 4), MachineModel::fig3_demo()).unwrap();
+        let plan = session.placement();
         assert_eq!(plan.num_mappers(), 8);
         assert_eq!(plan.num_combiners(), 4);
-        assert_eq!(rt.machine().name, "fig3-demo");
+        assert_eq!(session.machine().name, "fig3-demo");
     }
 
     #[test]
     fn stats_report_phase_times_and_counters() {
         let input: Vec<u64> = (0..50_000).collect();
-        let out = RamrRuntime::new(config(4, 2)).unwrap().run(&Mod9, &input).unwrap();
+        let out = run_once(config(4, 2), &Mod9, &input).unwrap().0;
         assert_eq!(out.stats.emitted, 50_000);
         assert_eq!(out.stats.output_keys, 9);
         assert!(out.stats.map_combine > Duration::ZERO);
@@ -2181,8 +1582,7 @@ mod tests {
     #[test]
     fn run_report_accounts_for_every_pair() {
         let input: Vec<u64> = (0..40_000).collect();
-        let rt = RamrRuntime::new(config(4, 2)).unwrap();
-        let (out, report) = rt.run_with_report(&Mod9, &input).unwrap();
+        let (out, report) = run_once(config(4, 2), &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
         assert_eq!(report.emitted_per_mapper.len(), 4);
         assert_eq!(report.consumed_per_combiner.len(), 2);
@@ -2248,8 +1648,7 @@ mod tests {
         cfg.queue_capacity = 1024;
         cfg.batch_size = 64;
         let job = Synthetic { map_work: 40, combine_work: 40 };
-        let rt = RamrRuntime::new(cfg).unwrap();
-        let (_, report) = rt.run_with_report(&job, &input).unwrap();
+        let (_, report) = run_once(cfg, &job, &input).unwrap();
         let slack = Duration::from_millis(2);
         for t in report.mapper_telemetry.iter().chain(&report.combiner_telemetry) {
             assert!(t.wall > Duration::ZERO, "telemetry on: wall must be recorded for {t:?}");
@@ -2287,8 +1686,7 @@ mod tests {
         cfg.queue_capacity = 1024;
         cfg.batch_size = 64;
         let run = |job: &Synthetic| {
-            let rt = RamrRuntime::new(cfg.clone()).unwrap();
-            let (_, report) = rt.run_with_report(job, &input).unwrap();
+            let (_, report) = run_once(cfg.clone(), job, &input).unwrap();
             report.suggested_ratio().expect("telemetry on: ratio must be derivable")
         };
         let light_combine = run(&Synthetic { map_work: 150, combine_work: 0 });
@@ -2306,7 +1704,7 @@ mod tests {
         let input: Vec<u64> = (0..20_000).collect();
         let mut cfg = config(4, 2);
         cfg.telemetry = false;
-        let (out, report) = RamrRuntime::new(cfg).unwrap().run_with_report(&Mod9, &input).unwrap();
+        let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
         let emitted: u64 = report.emitted_per_mapper.iter().sum();
         let consumed: u64 = report.consumed_per_combiner.iter().sum();
@@ -2336,9 +1734,8 @@ mod tests {
         let mut stubbed = cfg.clone();
         stubbed.telemetry = false;
         let time_one = |cfg: &RuntimeConfig| {
-            let rt = RamrRuntime::new(cfg.clone()).unwrap();
             let start = Instant::now();
-            let out = rt.run(&Mod9, &input).unwrap();
+            let out = run_once(cfg.clone(), &Mod9, &input).unwrap().0;
             let elapsed = start.elapsed();
             assert_eq!(out.stats.emitted, 1_000_000);
             elapsed
@@ -2363,10 +1760,9 @@ mod tests {
         // Regression: a starved combiner (min == 0 while max > 0) used to
         // return None — indistinguishable from "no data", hiding exactly
         // the skew the metric exists to flag.
-        let plan = RamrRuntime::with_machine(config(2, 2), MachineModel::fig3_demo())
-            .unwrap()
-            .placement()
-            .unwrap();
+        let plan =
+            PlacementPlan::compute(&MachineModel::fig3_demo(), 2, 2, config(2, 2).pinning.into())
+                .unwrap();
         let mk = |consumed: Vec<u64>| RunReport {
             plan: plan.clone(),
             emitted_per_mapper: vec![consumed.iter().sum()],
@@ -2393,7 +1789,7 @@ mod tests {
         let mut cfg = config(4, 1);
         cfg.queue_capacity = 2;
         cfg.batch_size = 2;
-        let (_, report) = RamrRuntime::new(cfg).unwrap().run_with_report(&Mod9, &input).unwrap();
+        let (_, report) = run_once(cfg, &Mod9, &input).unwrap();
         assert!(report.back_pressure() > 0.0, "2-slot queues must report back-pressure");
         if let Some(imbalance) = report.combiner_imbalance() {
             assert!(imbalance >= 1.0);
@@ -2403,7 +1799,7 @@ mod tests {
     #[test]
     fn agrees_with_phoenix_baseline() {
         let input: Vec<u64> = (0..30_000).map(|i| i * 7 % 10_000).collect();
-        let ramr_out = RamrRuntime::new(config(4, 2)).unwrap().run(&Mod9, &input).unwrap();
+        let ramr_out = run_once(config(4, 2), &Mod9, &input).unwrap().0;
         let phoenix_out =
             phoenix_mr::PhoenixRuntime::new(config(4, 4)).unwrap().run(&Mod9, &input).unwrap();
         assert_eq!(ramr_out.pairs, phoenix_out.pairs);
@@ -2423,8 +1819,8 @@ mod tests {
         let input: Vec<u64> = (1..=20_000).collect();
         let expected = reference(&input);
         for (workers, combiners) in [(1, 1), (2, 1), (4, 2), (8, 1)] {
-            let rt = RamrRuntime::new(adaptive_config(workers, combiners)).unwrap();
-            let (out, report) = rt.run_with_report(&Mod9, &input).unwrap();
+            let (out, report) =
+                run_once(adaptive_config(workers, combiners), &Mod9, &input).unwrap();
             assert_eq!(out.pairs, expected, "workers={workers} combiners={combiners}");
             let emitted: u64 = report.emitted_per_mapper.iter().sum();
             let consumed: u64 = report.consumed_per_combiner.iter().sum();
@@ -2435,15 +1831,14 @@ mod tests {
 
     #[test]
     fn adaptive_empty_input_terminates_cleanly() {
-        let out = RamrRuntime::new(adaptive_config(4, 2)).unwrap().run(&Mod9, &[]).unwrap();
+        let out = run_once(adaptive_config(4, 2), &Mod9, &[]).unwrap().0;
         assert!(out.is_empty());
     }
 
     #[test]
     fn static_run_records_no_adaptation() {
         let input: Vec<u64> = (0..5000).collect();
-        let (_, report) =
-            RamrRuntime::new(config(4, 2)).unwrap().run_with_report(&Mod9, &input).unwrap();
+        let (_, report) = run_once(config(4, 2), &Mod9, &input).unwrap();
         assert!(report.adaptation.is_empty(), "off by default: no controller, no trace");
     }
 
@@ -2465,8 +1860,7 @@ mod tests {
                 0
             }
         }
-        let err =
-            RamrRuntime::new(adaptive_config(2, 1)).unwrap().run(&Panics, &[1, 2, 3]).unwrap_err();
+        let err = run_once(adaptive_config(2, 1), &Panics, &[1, 2, 3]).unwrap_err();
         assert!(matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("exploded")));
     }
 
@@ -2493,10 +1887,7 @@ mod tests {
             }
         }
         let input: Vec<u64> = (0..5000).collect();
-        let err = RamrRuntime::new(adaptive_config(4, 2))
-            .unwrap()
-            .run(&CombinePanics, &input)
-            .unwrap_err();
+        let err = run_once(adaptive_config(4, 2), &CombinePanics, &input).unwrap_err();
         assert!(matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("exploded")));
     }
 
@@ -2506,7 +1897,7 @@ mod tests {
         cfg.container = ContainerKind::FixedHash;
         cfg.fixed_capacity = Some(2);
         let input: Vec<u64> = (0..10_000).collect(); // 9 distinct keys > 2
-        let err = RamrRuntime::new(cfg).unwrap().run(&Mod9, &input).unwrap_err();
+        let err = run_once(cfg, &Mod9, &input).unwrap_err();
         assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
     }
 
@@ -2531,8 +1922,7 @@ mod tests {
         cfg.adapt_interval = Duration::from_millis(2);
         let job = Synthetic { map_work: 150, combine_work: 150 };
         let input: Vec<u64> = (0..200_000).collect();
-        let rt = RamrRuntime::new(cfg).unwrap();
-        let (out, report) = rt.run_with_report(&job, &input).unwrap();
+        let (out, report) = run_once(cfg, &job, &input).unwrap();
         // Correctness first: every element contributes exactly 1.
         let total: u64 = out.pairs.iter().map(|&(_, v)| v).sum();
         assert_eq!(total, 200_000);
@@ -2628,8 +2018,7 @@ mod tests {
         for adaptive in [false, true] {
             let mut cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
             cfg.max_task_retries = 2;
-            let rt = RamrRuntime::new(cfg).unwrap();
-            let (out, report) = rt.run_with_report(&FlakyMod9::new(40, 2), &input).unwrap();
+            let (out, report) = run_once(cfg, &FlakyMod9::new(40, 2), &input).unwrap();
             assert_eq!(out.pairs, expected, "adaptive={adaptive}: retried pairs count once");
             assert_eq!(report.faults.retries, 2, "adaptive={adaptive}");
             assert!(report.faults.skipped.is_empty(), "adaptive={adaptive}");
@@ -2643,10 +2032,7 @@ mod tests {
         for adaptive in [false, true] {
             let mut cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
             cfg.max_task_retries = 1;
-            let err = RamrRuntime::new(cfg)
-                .unwrap()
-                .run(&FlakyMod9::new(40, u32::MAX), &input)
-                .unwrap_err();
+            let err = run_once(cfg, &FlakyMod9::new(40, u32::MAX), &input).unwrap_err();
             assert!(
                 matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("flaky task")),
                 "adaptive={adaptive}: got {err}"
@@ -2664,8 +2050,7 @@ mod tests {
             let mut cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
             cfg.max_task_retries = 1;
             cfg.skip_poison_tasks = true;
-            let rt = RamrRuntime::new(cfg).unwrap();
-            let (out, report) = rt.run_with_report(&FlakyMod9::new(40, u32::MAX), &input).unwrap();
+            let (out, report) = run_once(cfg, &FlakyMod9::new(40, u32::MAX), &input).unwrap();
             assert_eq!(out.pairs, expected, "adaptive={adaptive}: only the poison task missing");
             assert_eq!(report.faults.skipped.len(), 1, "adaptive={adaptive}");
             let skip = &report.faults.skipped[0];
@@ -2700,10 +2085,7 @@ mod tests {
         let mut cfg = config(4, 2);
         cfg.max_task_retries = 5;
         cfg.skip_poison_tasks = true;
-        let err = RamrRuntime::new(cfg)
-            .unwrap()
-            .run(&Unsafe(FlakyMod9::new(40, u32::MAX)), &input)
-            .unwrap_err();
+        let err = run_once(cfg, &Unsafe(FlakyMod9::new(40, u32::MAX)), &input).unwrap_err();
         assert!(
             matches!(err, RuntimeError::WorkerPanic(_)),
             "a non-retry-safe job must keep fail-fast semantics, got {err}"
@@ -2751,7 +2133,7 @@ mod tests {
             let mut cfg = if adaptive { adaptive_config(2, 1) } else { config(2, 1) };
             cfg.watchdog = Some(Duration::from_millis(200));
             let started = Instant::now();
-            let err = RamrRuntime::new(cfg).unwrap().run(&HangsOnPoison, &input).unwrap_err();
+            let err = run_once(cfg, &HangsOnPoison, &input).unwrap_err();
             let elapsed = started.elapsed();
             match err {
                 RuntimeError::Stalled { ref phase, idle_ms, ref diagnostics } => {
@@ -2776,8 +2158,7 @@ mod tests {
         let input: Vec<u64> = (0..5000).collect();
         for adaptive in [false, true] {
             let cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
-            let (_, report) =
-                RamrRuntime::new(cfg).unwrap().run_with_report(&Mod9, &input).unwrap();
+            let (_, report) = run_once(cfg, &Mod9, &input).unwrap();
             assert!(report.faults.is_clean(), "adaptive={adaptive}: {:?}", report.faults);
             assert_eq!(report.faults.summary(), None, "adaptive={adaptive}");
         }

@@ -1,14 +1,14 @@
-//! Persistent job sessions: the mapper/combiner pools spawned once and
-//! reused for a stream of jobs.
+//! Job sessions: the mapper/combiner pools spawned once and reused for a
+//! stream of jobs — the runtime's one execution core.
 //!
-//! [`RamrRuntime::run`] pays the full setup bill on every call: spawn and
-//! pin `num_workers + num_combiners` OS threads, allocate every SPSC queue,
-//! tear it all down again. For the ROADMAP's workload-stream regime — many
-//! short jobs back to back — that setup dominates. [`RamrSession`] keeps the
-//! pools alive instead: workers are spawned (and pinned, via the same
-//! `ramr-topology` placement plan) once at construction, park on a condvar
-//! between jobs, and the SPSC queues are *reset* (re-armed via
-//! [`Producer::finish`]/[`Consumer::reopen`]) rather than reallocated.
+//! Spawning and pinning `num_workers + num_combiners` OS threads and
+//! allocating every SPSC queue is a fixed bill; for many short jobs back to
+//! back it dominates. [`RamrSession`] pays it once: workers are spawned (and
+//! pinned, via the `ramr-topology` placement plan) at construction, park on
+//! a condvar between jobs, and the SPSC queues are *reset* (re-armed via
+//! [`Producer::finish`]/[`Consumer::reopen`]) rather than reallocated. A
+//! fresh run ([`Engine::submit`](crate::Engine::submit)) is the degenerate
+//! stream: a session opened, used for one epoch and dropped.
 //!
 //! # Epoch protocol
 //!
@@ -19,16 +19,17 @@
 //!    its own stack — task queues, per-job telemetry cells, fault log,
 //!    error slot — arms the done-counter, and publishes the frame pointer
 //!    together with the bumped epoch under the state mutex.
-//! 2. Workers wake, run exactly one job's worth of their role loop (the
-//!    *same* loop bodies the per-run paths use: [`mapper_loop`],
-//!    [`combiner_loop`], [`flex_loop`], [`adaptive_combiner_loop`]), close
-//!    their queues with `finish` (not drop), and decrement the done-counter.
-//! 3. `submit` returns only after the counter hits zero, so the frame —
-//!    and the `&J`/`&[J::Input]` borrows smuggled through it — never
-//!    outlives the epoch. Static combiners re-arm (drain + reopen) their
-//!    read-ends before signalling done; the adaptive coordinator reclaims
-//!    the read-ends from the [`QueueRegistry`] and re-arms them on the next
-//!    submit.
+//! 2. Workers wake, run exactly one job's worth of their role loop
+//!    ([`mapper_loop`], [`combiner_loop`], [`flex_loop`] or
+//!    [`adaptive_combiner_loop`], each hosted by the one [`epoch_worker`]
+//!    skeleton), close their queues with `finish` (not drop), and decrement
+//!    the done-counter.
+//! 3. `submit` returns — or unwinds, see [`with_epoch`] — only after the
+//!    counter hits zero, so the frame — and the `&J`/`&[J::Input]` borrows
+//!    smuggled through it — never outlives the epoch. Static combiners
+//!    re-arm (drain + reopen) their read-ends before signalling done; the
+//!    adaptive coordinator reclaims the read-ends from the
+//!    [`QueueRegistry`] and re-arms them on the next submit.
 //!
 //! Because every epoch gets fresh telemetry cells, a fresh fault log and a
 //! fresh error slot inside its frame, per-job state cannot bleed between
@@ -37,7 +38,6 @@
 //!
 //! [`Producer::finish`]: ramr_spsc::Producer::finish
 //! [`Consumer::reopen`]: ramr_spsc::Consumer::reopen
-//! [`RamrRuntime::run`]: crate::RamrRuntime::run
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,9 +64,10 @@ use crate::tuning::{AdaptiveBounds, AdaptiveSeed};
 /// the coordinator's stack for exactly the duration of one `submit`; workers
 /// reach it through the raw pointer published in [`SessionState`].
 struct JobFrame<J: MapReduceJob> {
-    /// The job under execution, smuggled as a raw pointer: `submit` blocks
-    /// until every worker is done with the epoch, so the borrow it was made
-    /// from strictly outlives every dereference.
+    /// The job under execution, smuggled as a raw pointer: `submit` neither
+    /// returns nor unwinds until every worker is done with the epoch (see
+    /// [`with_epoch`]), so the borrow it was made from strictly outlives
+    /// every dereference.
     job: *const J,
     /// The input slice, same contract as `job`.
     input: *const J::Input,
@@ -111,15 +112,22 @@ impl<J: MapReduceJob> JobFrame<J> {
     unsafe fn input(&self) -> &[J::Input] {
         std::slice::from_raw_parts(self.input, self.input_len)
     }
+
+    /// The adaptive-only pair: the read-end registry and the controller's
+    /// write surface.
+    fn adaptive(&self) -> (&QueueRegistry<J>, &AdaptiveCtl) {
+        let registry = self.registry.as_ref().expect("adaptive frame has a registry");
+        (registry, self.ctl.as_ref().expect("adaptive frame has a ctl"))
+    }
 }
 
 /// A copyable handle to the current epoch's frame.
 ///
 /// Send is sound because every field of [`JobFrame`] reachable through the
 /// pointer is `Sync` (`J: MapReduceJob` implies `J: Sync` and
-/// `J::Input: Sync`; the rest are the same atomics/mutex/cell types the
-/// per-run paths already share across scoped threads), and the epoch
-/// protocol guarantees the pointee outlives every dereference.
+/// `J::Input: Sync`; the rest are atomics, mutexes, telemetry cells and
+/// the SPSC read-ends behind the registry's mutex), and the epoch protocol
+/// guarantees the pointee outlives every dereference.
 struct FramePtr<J: MapReduceJob>(*const JobFrame<J>);
 
 impl<J: MapReduceJob> Clone for FramePtr<J> {
@@ -128,6 +136,7 @@ impl<J: MapReduceJob> Clone for FramePtr<J> {
     }
 }
 impl<J: MapReduceJob> Copy for FramePtr<J> {}
+// SAFETY: see the type's documentation — workers only ever share `&JobFrame`.
 unsafe impl<J: MapReduceJob> Send for FramePtr<J> {}
 
 /// Coordinator-written, worker-read epoch state.
@@ -212,21 +221,19 @@ fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
     rx.reopen();
 }
 
-/// A persistent RAMR executor: the decoupled mapper/combiner pools of
-/// [`RamrRuntime`](crate::RamrRuntime), spawned once and reused for a
-/// stream of jobs.
+/// A persistent RAMR executor: the paper's decoupled mapper/combiner pools
+/// (§III, Fig 2), spawned once and reused for a stream of jobs.
 ///
 /// Construct with [`RamrSession::new`], then call
 /// [`submit`](RamrSession::submit) any number of times. Each submit runs one
-/// job to completion with the same semantics as `RamrRuntime::run` (static
-/// or adaptive per [`RuntimeConfig::adaptive`], including retries, poison
-/// skipping and the watchdog) but without re-spawning threads or
-/// reallocating queues. Worker threads are joined on drop.
+/// job to completion (static or adaptive per [`RuntimeConfig::adaptive`],
+/// including retries, poison skipping and the watchdog) without re-spawning
+/// threads or reallocating queues. Worker threads are joined on drop.
 ///
-/// Unlike `RamrRuntime`, a session is typed by the job (`J`) it executes:
-/// the SPSC queues carry `(J::Key, J::Value)` pairs and live for the whole
-/// session. Run different job *values* freely — a session with different
-/// key/value types needs its own pools.
+/// A session is typed by the job (`J`) it executes: the SPSC queues carry
+/// `(J::Key, J::Value)` pairs and live for the whole session. Run different
+/// job *values* freely — a job with different key/value types needs its own
+/// pools ([`Engine::submit`](crate::Engine::submit) opens them per call).
 ///
 /// ```
 /// use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
@@ -314,7 +321,10 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Spawns the worker pools with thread placement computed against
-    /// `machine` (see [`RamrRuntime::with_machine`]).
+    /// `machine` — useful for inspecting the pinning policy on machines you
+    /// do not have. Real pinning (when `config.pin_os_threads` is set) only
+    /// succeeds for CPU ids that exist on the actual host; others are
+    /// skipped with the thread left unpinned.
     ///
     /// # Errors
     ///
@@ -322,8 +332,6 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     /// settings, propagates placement failures, and returns
     /// [`RuntimeError::Spawn`] when a worker thread cannot be spawned
     /// (already-spawned workers are torn down first).
-    ///
-    /// [`RamrRuntime::with_machine`]: crate::RamrRuntime::with_machine
     pub fn with_machine(
         config: RuntimeConfig,
         machine: MachineModel,
@@ -336,6 +344,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             config.pinning.into(),
         )?;
         let labels = thread_labels(config.num_workers, config.num_combiners);
+        // Per-locality-group task queues (paper §III): a mapper prefers the
+        // queue of the socket it is placed on and steals otherwise.
         let groups = machine.sockets.max(1);
         let group_of_mapper = |m: usize| match plan.mapper_slot(m) {
             CpuSlot::Pinned(cpu) => {
@@ -358,8 +368,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             done: Condvar::new(),
         });
 
-        // One SPSC queue per mapper-role thread, exactly as per-run — but
-        // allocated once for the session's lifetime.
+        // One SPSC queue per mapper-role thread, allocated once for the
+        // session's lifetime.
         let mut producers: Vec<PairProducer<J>> = Vec::with_capacity(config.num_workers);
         let mut consumers: Vec<PairConsumer<J>> = Vec::with_capacity(config.num_workers);
         for _ in 0..config.num_workers {
@@ -368,6 +378,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             consumers.push(rx);
         }
 
+        let backoff = to_backoff(config.push_backoff);
+        let emit_block = config.effective_emit_buffer();
         let mut handles = Vec::with_capacity(config.num_workers + config.num_combiners);
         // Adaptive mode: the coordinator keeps the read-ends and builds a
         // fresh registry from them each epoch. Static mode: each combiner
@@ -380,31 +392,93 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                 .map_err(|e| RuntimeError::Spawn(format!("{name}: {e}")))
         };
 
+        // Each pooled thread is the one `epoch_worker` skeleton around one
+        // of the four role loops, with the loop's arguments bound here.
         let spawned = (|| -> Result<(), RuntimeError> {
             if config.adaptive {
                 for (m, tx) in producers.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
                     let slot = plan.mapper_slot(m);
                     let home_group = group_of_mapper(m);
-                    handles.push(spawn(
-                        format!("ramr-flex-{m}"),
-                        Box::new(move || flex_worker(shared, tx, m, home_group, slot)),
-                    )?);
+                    let body = move || {
+                        let config = &shared.config;
+                        epoch_worker(
+                            &shared,
+                            slot,
+                            tx,
+                            |tx, ep| {
+                                let (registry, ctl) = ep.frame.adaptive();
+                                let pairs = flex_loop(
+                                    ep.job,
+                                    ep.input,
+                                    config,
+                                    &ep.frame.queues,
+                                    home_group,
+                                    m,
+                                    tx,
+                                    &backoff,
+                                    emit_block,
+                                    registry,
+                                    ctl,
+                                    &ep.frame.errors,
+                                    &ep.frame.map_cells[m],
+                                    &ep.frame.flex_combine_cells[m],
+                                    &ep.ctx,
+                                );
+                                Ok(Some(pairs))
+                            },
+                            // `flex_loop` closes the queue on its success
+                            // path, so close here only on unwind — the
+                            // remaining combining threads watch for the
+                            // close to retire this pipeline. (A phase-B
+                            // unwind lands here with the queue already
+                            // closed; `finish` is idempotent and the
+                            // coordinator reopens only after the epoch
+                            // fully ends, so the repeat cannot race a
+                            // reopen.)
+                            |tx, ep, unwound| {
+                                if unwound {
+                                    tx.finish();
+                                    ep.frame.adaptive().0.ring();
+                                }
+                            },
+                        )
+                    };
+                    handles.push(spawn(format!("ramr-flex-{m}"), Box::new(body))?);
                 }
                 for c in 0..config.num_combiners {
                     let shared = Arc::clone(&shared);
                     let slot = plan.combiner_slot(c);
-                    handles.push(spawn(
-                        format!("ramr-combiner-{c}"),
-                        Box::new(move || dedicated_combiner_worker(shared, c, slot)),
-                    )?);
+                    let body = move || {
+                        let config = &shared.config;
+                        epoch_worker(
+                            &shared,
+                            slot,
+                            (),
+                            |(), ep| {
+                                let (registry, ctl) = ep.frame.adaptive();
+                                let pairs = adaptive_combiner_loop(
+                                    ep.job,
+                                    config,
+                                    registry,
+                                    ctl,
+                                    &ep.frame.errors,
+                                    &ep.frame.combiner_cells[c],
+                                    &ep.ctx,
+                                    config.num_workers + c,
+                                );
+                                Ok(Some(pairs))
+                            },
+                            |(), _, _| {},
+                        )
+                    };
+                    handles.push(spawn(format!("ramr-combiner-{c}"), Box::new(body))?);
                 }
                 held_consumers = consumers;
             } else {
                 // Static assignment: group the read-ends per combiner via
-                // the placement plan, exactly as the per-run path does —
-                // each combiner worker then owns its group for the
-                // session's life.
+                // the placement plan; each combiner worker then owns its
+                // group for the session's life.
                 let mut consumers_of: Vec<Vec<PairConsumer<J>>> =
                     (0..config.num_combiners).map(|_| Vec::new()).collect();
                 for (m, rx) in consumers.into_iter().enumerate() {
@@ -414,18 +488,80 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                     let shared = Arc::clone(&shared);
                     let slot = plan.mapper_slot(m);
                     let home_group = group_of_mapper(m);
-                    handles.push(spawn(
-                        format!("ramr-mapper-{m}"),
-                        Box::new(move || static_mapper_worker(shared, tx, m, home_group, slot)),
-                    )?);
+                    let body = move || {
+                        let config = &shared.config;
+                        epoch_worker(
+                            &shared,
+                            slot,
+                            tx,
+                            |tx, ep| {
+                                mapper_loop(
+                                    ep.job,
+                                    ep.input,
+                                    &ep.frame.queues,
+                                    home_group,
+                                    tx,
+                                    &backoff,
+                                    emit_block,
+                                    config.hasher,
+                                    &ep.frame.map_cells[m],
+                                    config.telemetry,
+                                    &ep.ctx,
+                                    m,
+                                );
+                                Ok(None)
+                            },
+                            // `mapper_loop` closes the queue itself on its
+                            // success path, so finish here only when the job
+                            // unwound before reaching that close
+                            // (closed+empty is the combiner's end-of-map
+                            // signal, and a mapper that never closes would
+                            // wedge it). A redundant second finish would
+                            // race this mapper's combiner, which drains and
+                            // *reopens* the queue before signalling done —
+                            // re-closing the re-armed queue makes the next
+                            // epoch's combiner exit early on the stale flag
+                            // and silently discard pairs.
+                            |tx, _, unwound| {
+                                if unwound {
+                                    tx.finish();
+                                }
+                            },
+                        )
+                    };
+                    handles.push(spawn(format!("ramr-mapper-{m}"), Box::new(body))?);
                 }
                 for (c, group) in consumers_of.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
                     let slot = plan.combiner_slot(c);
-                    handles.push(spawn(
-                        format!("ramr-combiner-{c}"),
-                        Box::new(move || static_combiner_worker(shared, group, c, slot)),
-                    )?);
+                    let body = move || {
+                        let config = &shared.config;
+                        epoch_worker(
+                            &shared,
+                            slot,
+                            group,
+                            |group, ep| {
+                                combiner_loop(
+                                    ep.job,
+                                    config,
+                                    group,
+                                    &ep.frame.combiner_cells[c],
+                                    &ep.ctx,
+                                    config.num_workers + c,
+                                )
+                                .map(Some)
+                            },
+                            // Re-arm this combiner's read-ends before
+                            // signalling done. Safe with respect to *this*
+                            // group's producers (they have all finished:
+                            // either the loop saw every queue closed, or the
+                            // drain unblocks them and waits for the close);
+                            // independent of the other combiners, whose
+                            // queues are disjoint.
+                            |group, _, _| group.iter_mut().for_each(drain_for_reuse),
+                        )
+                    };
+                    handles.push(spawn(format!("ramr-combiner-{c}"), Box::new(body))?);
                 }
             }
             Ok(())
@@ -464,7 +600,9 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         &self.machine
     }
 
-    /// The placement plan the session's pools were pinned with.
+    /// The placement plan the session's pools were pinned with (mapper and
+    /// combiner CPU slots and queue assignment), for inspection and
+    /// reporting.
     pub fn placement(&self) -> &PlacementPlan {
         &self.plan
     }
@@ -489,9 +627,19 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Executes `job` over `input` on the parked pools, returning the
-    /// key-sorted reduced output. Semantics match
-    /// [`RamrRuntime::run`](crate::RamrRuntime::run) for this session's
-    /// configuration.
+    /// key-sorted reduced output.
+    ///
+    /// The map-combine phase runs decoupled: `num_workers` mappers feed
+    /// `num_combiners` combiners through SPSC queues. Emissions travel in
+    /// blocks at both ends — each mapper buffers `effective_emit_buffer()`
+    /// pairs locally and publishes them with one tail update, and each
+    /// combiner consumes batched reads of `batch_size` elements — with the
+    /// configured backoff on full queues. With [`RuntimeConfig::adaptive`]
+    /// set, an online controller additionally samples live telemetry every
+    /// [`RuntimeConfig::adapt_interval`] and re-rolls mapper threads into
+    /// combine helpers (and back) and re-sizes the batched read within
+    /// [`AdaptiveBounds`]. Reduce and merge then run exactly as in the
+    /// baseline.
     ///
     /// A failed job (worker panic, container overflow, watchdog stall)
     /// leaves the session usable: the queues are drained and re-armed
@@ -511,10 +659,10 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Like [`submit`](RamrSession::submit), additionally returning the
-    /// job's [`RunReport`] — the same per-thread statistics surface as
-    /// [`RamrRuntime::run_with_report`](crate::RamrRuntime::run_with_report),
-    /// isolated per job (a job's report never includes a predecessor's
-    /// telemetry, faults or adaptation trace).
+    /// job's [`RunReport`] — per-thread statistics, the placement plan and
+    /// (adaptive) every controller decision — isolated per job: a report
+    /// never includes a predecessor's telemetry, faults or adaptation
+    /// trace.
     ///
     /// # Errors
     ///
@@ -524,121 +672,58 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         job: &J,
         input: &[J::Input],
     ) -> Result<ReportedOutput<J>, RuntimeError> {
-        // One-shot: whatever happens below, a stage seed never outlives
-        // the single epoch it was set for.
-        let seed = self.seed.take();
-        let config = &self.shared.config;
         let mut stats = PhaseStats::default();
 
         // --- Input partition phase --------------------------------------
         let timer = PhaseTimer::start(PhaseKind::Partition);
-        let tasks = task_ranges(input.len(), config.task_size);
+        let tasks = task_ranges(input.len(), self.shared.config.task_size);
         timer.stop(&mut stats);
         stats.tasks = tasks.len() as u64;
 
         // --- Map-combine phase on the parked pools -----------------------
         let timer = PhaseTimer::start(PhaseKind::MapCombine);
-        let adaptive = config.adaptive;
-        let registry = if adaptive {
-            // Re-arm the read-ends reclaimed from the previous epoch. The
-            // producers are quiescent (previous submit returned), so the
-            // scrub-then-reopen is race-free; the epoch publication below
-            // is the happens-before edge to the workers.
-            let mut held = std::mem::take(&mut self.consumers);
-            debug_assert_eq!(held.len(), config.num_workers, "a read-end went missing");
-            for rx in &mut held {
-                while rx.pop_batch(1024, |_| {}) > 0 {}
-                rx.reopen();
-            }
-            Some(QueueRegistry::new(held))
-        } else {
-            None
-        };
+        let frame = self.frame_for(job, input, tasks);
+        self.jobs_run += 1;
+        let config = &self.shared.config;
 
-        let mut frame = JobFrame {
-            job: job as *const J,
-            input: input.as_ptr(),
-            input_len: input.len(),
-            retry_safe: job.is_retry_safe(),
-            queues: TaskQueues::new(tasks, self.machine.sockets.max(1)),
-            fault_log: FaultLog::new(),
-            cancel: AtomicBool::new(false),
-            watchdog_done: AtomicBool::new(false),
-            board: config
-                .watchdog
-                .map(|_| ProgressBoard::new(config.num_workers + config.num_combiners)),
-            errors: ErrorSlot::default(),
-            map_cells: (0..config.num_workers).map(|_| Default::default()).collect(),
-            combiner_cells: (0..config.num_combiners).map(|_| Default::default()).collect(),
-            flex_combine_cells: if adaptive {
-                (0..config.num_workers).map(|_| Default::default()).collect()
-            } else {
-                Vec::new()
-            },
-            registry,
-            ctl: adaptive.then(|| match seed {
-                // Ratio carry-forward: start this epoch at the seeded split.
-                Some(s) => AdaptiveCtl::seeded(config.num_workers, s.batch_size, s.extra_combiners),
-                None => AdaptiveCtl::new(config.num_workers, config.batch_size),
-            }),
-            partials: Mutex::new(Vec::new()),
-        };
-
-        // Arm the done-counter BEFORE publishing the epoch: a worker that
-        // finishes instantly must find the counter already counting it.
-        *relock(self.shared.busy.lock()) = config.num_workers + config.num_combiners;
-        {
-            let mut st = relock(self.shared.state.lock());
-            st.epoch += 1;
-            st.frame = Some(FramePtr(&frame));
-        }
-        self.shared.start.notify_all();
-
-        // The coordinator supervises the epoch in place: it runs the
-        // adaptive controller inline and hosts the watchdog (when armed) on
-        // a scoped thread, exactly mirroring the per-run supervision.
-        let mut trace = Vec::new();
-        let stalled = std::thread::scope(|scope| {
-            let watchdog = config.watchdog.map(|period| {
-                let board = frame.board.as_ref().expect("board exists when watchdog armed");
-                let labels = &self.labels;
-                let cancel = &frame.cancel;
-                let done = &frame.watchdog_done;
-                scope.spawn(move || watchdog_loop(period, board, labels, cancel, done))
+        // The coordinator supervises the epoch in place: it hosts the
+        // watchdog (when armed) on a scoped thread and runs the adaptive
+        // controller inline. `with_epoch` sits *inside* the scope so that,
+        // should supervision unwind, the epoch is over (and the watchdog
+        // told so) before the scope joins the watchdog.
+        let (trace, stalled) = std::thread::scope(|scope| {
+            let (trace, watchdog) = with_epoch(&self.shared, &mut self.consumers, &frame, || {
+                let watchdog = config.watchdog.map(|period| {
+                    let board = frame.board.as_ref().expect("board exists when watchdog armed");
+                    let labels = &self.labels;
+                    let cancel = &frame.cancel;
+                    let done = &frame.watchdog_done;
+                    scope.spawn(move || watchdog_loop(period, board, labels, cancel, done))
+                });
+                let trace = if config.adaptive {
+                    let (registry, ctl) = frame.adaptive();
+                    controller_loop(
+                        config,
+                        AdaptiveBounds::from_config(config),
+                        registry,
+                        ctl,
+                        &frame.map_cells,
+                        &frame.flex_combine_cells,
+                        &frame.combiner_cells,
+                        &frame.cancel,
+                    )
+                } else {
+                    Vec::new()
+                };
+                (trace, watchdog)
             });
-            if adaptive {
-                let bounds = AdaptiveBounds::from_config(config);
-                let registry = frame.registry.as_ref().expect("adaptive frame has a registry");
-                let ctl = frame.ctl.as_ref().expect("adaptive frame has a ctl");
-                trace = controller_loop(
-                    config,
-                    bounds,
-                    registry,
-                    ctl,
-                    &frame.map_cells,
-                    &frame.flex_combine_cells,
-                    &frame.combiner_cells,
-                    &frame.cancel,
-                );
-            }
-            self.shared.wait_all_done();
-            frame.watchdog_done.store(true, Ordering::Release);
-            watchdog.and_then(|h| h.join().unwrap_or(None))
+            (trace, watchdog.and_then(|h| h.join().unwrap_or(None)))
         });
 
-        // Epoch over: unpublish the frame pointer before touching the frame
-        // mutably again.
-        relock(self.shared.state.lock()).frame = None;
-        self.jobs_run += 1;
-
-        // Reclaim the adaptive read-ends for the next epoch *before* any
-        // error return — a failed job must leave the session usable.
-        if adaptive {
-            let registry = frame.registry.take().expect("registry taken only once");
-            self.consumers = registry.into_consumers();
-            debug_assert_eq!(self.consumers.len(), config.num_workers);
-        }
-
+        // Worker errors take priority: a stall diagnosis is only the
+        // primary failure when nothing more specific was recorded. First-
+        // error containment with the loss made visible: one error surfaces,
+        // the rest are counted onto its message.
         if let Some(e) = frame.errors.take() {
             return Err(e.noting_suppressed(frame.errors.suppressed()));
         }
@@ -646,13 +731,17 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             return Err(e);
         }
 
-        // --- Report assembly, mirroring the per-run paths ----------------
+        // --- Report assembly ----------------------------------------------
         let mapper_telemetry: Vec<ThreadTelemetry> = frame
             .map_cells
             .iter()
             .enumerate()
             .map(|(m, cell)| cell.snapshot(ThreadRole::Mapper, m))
             .collect();
+        // Dedicated combiners first, then every flex thread that actually
+        // combined, indexed after the dedicated pool. Never-promoted flex
+        // threads are omitted: an all-zero phantom combiner would turn
+        // `combiner_imbalance` infinite on perfectly healthy runs.
         let mut combiner_telemetry: Vec<ThreadTelemetry> = frame
             .combiner_cells
             .iter()
@@ -699,6 +788,64 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         };
         Ok((JobOutput::from_sorted(merged, stats), report))
     }
+
+    /// Builds the next epoch's frame: fresh per-job state (telemetry cells,
+    /// fault log, error slot, control surface) around the session's
+    /// long-lived queues. Consumes the one-shot adaptive seed — whatever
+    /// happens afterwards, a stage seed never outlives the single epoch it
+    /// was set for.
+    fn frame_for(
+        &mut self,
+        job: &J,
+        input: &[J::Input],
+        tasks: Vec<mr_core::TaskRange>,
+    ) -> JobFrame<J> {
+        let seed = self.seed.take();
+        let config = &self.shared.config;
+        let adaptive = config.adaptive;
+        let fresh_cells = |n: usize| (0..n).map(|_| TelemetryCell::default()).collect();
+        JobFrame {
+            job: job as *const J,
+            input: input.as_ptr(),
+            input_len: input.len(),
+            retry_safe: job.is_retry_safe(),
+            queues: TaskQueues::new(tasks, self.machine.sockets.max(1)),
+            // Fault-tolerance surfaces — all inert by default: no retries,
+            // no skipping, no watchdog, no extra atomics on the hot paths.
+            fault_log: FaultLog::new(),
+            cancel: AtomicBool::new(false),
+            watchdog_done: AtomicBool::new(false),
+            board: config
+                .watchdog
+                .map(|_| ProgressBoard::new(config.num_workers + config.num_combiners)),
+            errors: ErrorSlot::default(),
+            map_cells: fresh_cells(config.num_workers),
+            combiner_cells: fresh_cells(config.num_combiners),
+            // Two cells per flex thread keep the pools' signals separable:
+            // a re-rolled thread's combine work must not pollute the map
+            // pool's throughput estimate (and vice versa).
+            flex_combine_cells: fresh_cells(if adaptive { config.num_workers } else { 0 }),
+            registry: adaptive.then(|| {
+                // Re-arm the read-ends reclaimed from the previous epoch.
+                // The producers are quiescent (previous submit returned),
+                // so the scrub-then-reopen is race-free; the epoch
+                // publication is the happens-before edge to the workers.
+                let mut held = std::mem::take(&mut self.consumers);
+                debug_assert_eq!(held.len(), config.num_workers, "a read-end went missing");
+                for rx in &mut held {
+                    while rx.pop_batch(1024, |_| {}) > 0 {}
+                    rx.reopen();
+                }
+                QueueRegistry::new(held)
+            }),
+            ctl: adaptive.then(|| match seed {
+                // Ratio carry-forward: start this epoch at the seeded split.
+                Some(s) => AdaptiveCtl::seeded(config.num_workers, s.batch_size, s.extra_combiners),
+                None => AdaptiveCtl::new(config.num_workers, config.batch_size),
+            }),
+            partials: Mutex::new(Vec::new()),
+        }
+    }
 }
 
 impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
@@ -711,39 +858,102 @@ impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The persistent worker bodies. Each is a thin epoch loop around the same
-// role functions the per-run paths use; the additions are (a) catch_unwind
-// so a panicking job cannot kill a pooled thread, (b) a `finish` on the
-// write-ends when (and only when) the role loop unwound before its own
-// close, so end-of-stream is still signalled, and (c) queue re-arming for
-// the next epoch.
-// ---------------------------------------------------------------------------
+/// Runs one epoch: publishes `frame` to the parked pools, runs `supervise`
+/// on the calling thread while they work, then waits for every worker to be
+/// done with the frame, unpublishes it and reclaims the adaptive read-ends
+/// into `consumers`.
+///
+/// Everything after `supervise` is the drop of one guard, so it happens on
+/// unwind too: `supervise` spawns a thread and runs the controller, either
+/// of which can panic, and the workers hold a raw pointer to a frame on the
+/// caller's stack. The unwind must not continue past that stack frame —
+/// nor strand the read-ends in a registry about to be dropped — while any
+/// worker is still inside the epoch.
+fn with_epoch<J: MapReduceJob, R>(
+    shared: &SessionShared<J>,
+    consumers: &mut Vec<PairConsumer<J>>,
+    frame: &JobFrame<J>,
+    supervise: impl FnOnce() -> R,
+) -> R {
+    struct EpochGuard<'a, J: MapReduceJob> {
+        shared: &'a SessionShared<J>,
+        consumers: &'a mut Vec<PairConsumer<J>>,
+        frame: &'a JobFrame<J>,
+        supervised: bool,
+    }
 
-fn record_panic<J: MapReduceJob>(frame: &JobFrame<J>, panic: Box<dyn std::any::Any + Send>) {
-    frame.errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
+    impl<J: MapReduceJob> Drop for EpochGuard<'_, J> {
+        fn drop(&mut self) {
+            if !self.supervised {
+                // Nobody is left to run the job to its end: have the
+                // workers abandon it, waking those parked on the job-wide
+                // bell (every other wait polls the flag on a timeout).
+                self.frame.cancel.store(true, Ordering::Release);
+                if let Some(registry) = &self.frame.registry {
+                    registry.ring();
+                }
+            }
+            self.shared.wait_all_done();
+            self.frame.watchdog_done.store(true, Ordering::Release);
+            relock(self.shared.state.lock()).frame = None;
+            if let Some(registry) = &self.frame.registry {
+                *self.consumers = registry.take_consumers();
+            }
+        }
+    }
+
+    // Arm the done-counter BEFORE publishing the epoch: a worker that
+    // finishes instantly must find the counter already counting it.
+    *relock(shared.busy.lock()) = shared.config.num_workers + shared.config.num_combiners;
+    {
+        let mut st = relock(shared.state.lock());
+        st.epoch += 1;
+        st.frame = Some(FramePtr(frame));
+    }
+    shared.start.notify_all();
+    let mut guard = EpochGuard { shared, consumers, frame, supervised: false };
+    let out = supervise();
+    guard.supervised = true;
+    out
 }
 
-fn push_partial<J: MapReduceJob>(frame: &JobFrame<J>, pairs: phases::HashedPairs<J>) {
-    relock(frame.partials.lock()).push(pairs);
+/// One published epoch as a pooled thread sees it.
+struct Epoch<'a, J: MapReduceJob> {
+    frame: &'a JobFrame<J>,
+    job: &'a J,
+    input: &'a [J::Input],
+    ctx: FaultCtx<'a>,
 }
 
-fn static_mapper_worker<J: MapReduceJob>(
-    shared: Arc<SessionShared<J>>,
-    mut tx: PairProducer<J>,
-    m: usize,
-    home_group: usize,
+/// The one epoch loop every pooled thread runs, whatever its role: pin once,
+/// then for each published epoch run `role` for exactly one job, let
+/// `settle` restore the thread's queue ends, file the outcome in the frame
+/// and signal done.
+///
+/// `ends` are the queue ends the thread owns for the session's life. `role`
+/// is one of the four role loops of `runtime.rs` with its arguments bound;
+/// it yields the thread's combined partial (when its role combines) or the
+/// error that fails the job, and runs under `catch_unwind` so a panicking
+/// job cannot kill a pooled thread. `settle` runs after it either way and is
+/// told whether it unwound: a role loop closes its write-end only on its
+/// success path, and end-of-stream must be signalled regardless.
+fn epoch_worker<J: MapReduceJob, E>(
+    shared: &SessionShared<J>,
     slot: CpuSlot,
+    mut ends: E,
+    role: impl Fn(&mut E, &Epoch<'_, J>) -> Result<Option<phases::HashedPairs<J>>, RuntimeError>,
+    settle: impl Fn(&mut E, &Epoch<'_, J>, bool),
 ) {
     maybe_pin(shared.config.pin_os_threads, slot);
-    let backoff = to_backoff(shared.config.push_backoff);
-    let emit_block = shared.config.effective_emit_buffer();
-    let hasher = shared.config.hasher;
-    let telemetry = shared.config.telemetry;
     let mut last = 0u64;
     while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: `ptr` came from the epoch published for this iteration;
-        // the frame outlives it (see module docs).
+        // SAFETY: `ptr` came from the epoch published for this iteration.
+        // The coordinator armed `busy` to count this thread before it
+        // published, and neither returns nor unwinds past the frame (nor
+        // frees the job/input borrows smuggled through it) until `busy`
+        // is zero again — `with_epoch`'s guard. This thread decrements
+        // `busy` only at the bottom of this iteration, after its last use
+        // of `frame`, `job` and `input`.
         let frame = unsafe { &*ptr.0 };
         let (job, input) = unsafe { (frame.job(), frame.input()) };
         let ctx = FaultCtx::new(
@@ -753,185 +963,112 @@ fn static_mapper_worker<J: MapReduceJob>(
             &frame.cancel,
             frame.board.as_ref(),
         );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            mapper_loop(
-                job,
-                input,
-                &frame.queues,
-                home_group,
-                &mut tx,
-                &backoff,
-                emit_block,
-                hasher,
-                &frame.map_cells[m],
-                telemetry,
-                &ctx,
-                m,
-            );
-        }));
-        // `mapper_loop` closes the queue itself on its success path, so
-        // finish here only when the job unwound before reaching that close
-        // (closed+empty is the combiner's end-of-map signal, and a mapper
-        // that never closes would wedge it). A redundant second finish
-        // would race this mapper's combiner, which drains and *reopens*
-        // the queue before signalling done — re-closing the re-armed queue
-        // makes the next epoch's combiner exit early on the stale flag and
-        // silently discard pairs.
-        if result.is_err() {
-            tx.finish();
-        }
-        if let Err(panic) = result {
-            record_panic(frame, panic);
-        }
-        shared.worker_done();
-    }
-}
-
-fn static_combiner_worker<J: MapReduceJob>(
-    shared: Arc<SessionShared<J>>,
-    mut consumers: Vec<PairConsumer<J>>,
-    c: usize,
-    slot: CpuSlot,
-) {
-    maybe_pin(shared.config.pin_os_threads, slot);
-    let progress_slot = shared.config.num_workers + c;
-    let mut last = 0u64;
-    while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: as in `static_mapper_worker`.
-        let frame = unsafe { &*ptr.0 };
-        let job = unsafe { frame.job() };
-        let ctx = FaultCtx::new(
-            &shared.config,
-            frame.retry_safe,
-            &frame.fault_log,
-            &frame.cancel,
-            frame.board.as_ref(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            combiner_loop(
-                job,
-                &shared.config,
-                &mut consumers,
-                &frame.combiner_cells[c],
-                &ctx,
-                progress_slot,
-            )
-        }));
+        let epoch = Epoch { frame, job, input, ctx };
+        let result = catch_unwind(AssertUnwindSafe(|| role(&mut ends, &epoch)));
+        settle(&mut ends, &epoch, result.is_err());
         match result {
-            Ok(Ok(pairs)) => push_partial(frame, pairs),
+            Ok(Ok(Some(pairs))) => relock(frame.partials.lock()).push(pairs),
+            Ok(Ok(None)) => {}
             Ok(Err(e)) => frame.errors.record(e),
-            Err(panic) => record_panic(frame, panic),
-        }
-        // Re-arm this combiner's read-ends before signalling done. Safe
-        // with respect to *this* group's producers (they have all finished:
-        // either the loop above saw every queue closed, or the drain below
-        // unblocks them and waits for the close); independent of the other
-        // combiners, whose queues are disjoint.
-        for rx in &mut consumers {
-            drain_for_reuse(rx);
-        }
-        shared.worker_done();
-    }
-}
-
-fn flex_worker<J: MapReduceJob>(
-    shared: Arc<SessionShared<J>>,
-    mut tx: PairProducer<J>,
-    m: usize,
-    home_group: usize,
-    slot: CpuSlot,
-) {
-    maybe_pin(shared.config.pin_os_threads, slot);
-    let backoff = to_backoff(shared.config.push_backoff);
-    let emit_block = shared.config.effective_emit_buffer();
-    let mut last = 0u64;
-    while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: as in `static_mapper_worker`.
-        let frame = unsafe { &*ptr.0 };
-        let (job, input) = unsafe { (frame.job(), frame.input()) };
-        let registry = frame.registry.as_ref().expect("adaptive frame has a registry");
-        let ctl = frame.ctl.as_ref().expect("adaptive frame has a ctl");
-        let ctx = FaultCtx::new(
-            &shared.config,
-            frame.retry_safe,
-            &frame.fault_log,
-            &frame.cancel,
-            frame.board.as_ref(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            flex_loop(
-                job,
-                input,
-                &shared.config,
-                &frame.queues,
-                home_group,
-                m,
-                &mut tx,
-                &backoff,
-                emit_block,
-                registry,
-                ctl,
-                &frame.errors,
-                &frame.map_cells[m],
-                &frame.flex_combine_cells[m],
-                &ctx,
-            )
-        }));
-        // As on the static path: `flex_loop` closes the queue on its
-        // success path, so close here only on unwind — the remaining
-        // combining threads watch for the close to retire this pipeline.
-        // (A phase-B unwind lands here with the queue already closed;
-        // `finish` is idempotent and the coordinator reopens only after
-        // the epoch fully ends, so the repeat cannot race a reopen.)
-        match result {
-            Ok(pairs) => push_partial(frame, pairs),
             Err(panic) => {
-                tx.finish();
-                registry.ring();
-                record_panic(frame, panic);
+                frame.errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)))
             }
         }
         shared.worker_done();
     }
 }
 
-fn dedicated_combiner_worker<J: MapReduceJob>(
-    shared: Arc<SessionShared<J>>,
-    c: usize,
-    slot: CpuSlot,
-) {
-    maybe_pin(shared.config.pin_os_threads, slot);
-    let progress_slot = shared.config.num_workers + c;
-    let mut last = 0u64;
-    while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: as in `static_mapper_worker`.
-        let frame = unsafe { &*ptr.0 };
-        let job = unsafe { frame.job() };
-        let registry = frame.registry.as_ref().expect("adaptive frame has a registry");
-        let ctl = frame.ctl.as_ref().expect("adaptive frame has a ctl");
-        let ctx = FaultCtx::new(
-            &shared.config,
-            frame.retry_safe,
-            &frame.fault_log,
-            &frame.cancel,
-            frame.board.as_ref(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            adaptive_combiner_loop(
-                job,
-                &shared.config,
-                registry,
-                ctl,
-                &frame.errors,
-                &frame.combiner_cells[c],
-                &ctx,
-                progress_slot,
-            )
-        }));
-        match result {
-            Ok(pairs) => push_partial(frame, pairs),
-            Err(panic) => record_panic(frame, panic),
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicUsize;
+
+    use super::*;
+    use mr_core::Emitter;
+
+    /// Counts `x % 5`; while `hold` is set every map call instead parks
+    /// until the job is cancelled, which pins its worker inside the epoch.
+    #[derive(Default)]
+    struct Gated {
+        hold: AtomicBool,
+        entered: AtomicUsize,
+        inside: AtomicUsize,
+    }
+
+    impl MapReduceJob for Gated {
+        type Input = u64;
+        type Key = u64;
+        type Value = u64;
+
+        fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+            self.inside.fetch_add(1, Ordering::SeqCst);
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            if self.hold.load(Ordering::SeqCst) {
+                while !emit.is_cancelled() {
+                    std::thread::yield_now();
+                }
+            } else {
+                for &x in task {
+                    emit.emit(x % 5, 1);
+                }
+            }
+            self.inside.fetch_sub(1, Ordering::SeqCst);
         }
-        shared.worker_done();
+
+        fn combine(&self, acc: &mut u64, v: u64) {
+            *acc += v;
+        }
+
+        fn key_space(&self) -> Option<usize> {
+            Some(5)
+        }
+
+        fn key_index(&self, k: &u64) -> usize {
+            *k as usize
+        }
+    }
+
+    #[test]
+    fn an_unwinding_supervisor_ends_the_epoch_before_the_frame_dies() {
+        let input: Vec<u64> = (0..4000).collect();
+        for adaptive in [false, true] {
+            let mut cfg = RuntimeConfig::builder()
+                .num_workers(3)
+                .num_combiners(2)
+                .task_size(16)
+                .queue_capacity(64)
+                .batch_size(8)
+                .build()
+                .unwrap();
+            cfg.adaptive = adaptive;
+            let mut session = RamrSession::<Gated>::new(cfg).unwrap();
+            let job = Gated::default();
+
+            // The supervisor panics only once a worker is provably inside
+            // the job, so the guard has live workers to wait out.
+            job.hold.store(true, Ordering::SeqCst);
+            let tasks = task_ranges(input.len(), session.config().task_size);
+            let frame = session.frame_for(&job, &input, tasks);
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                with_epoch(&session.shared, &mut session.consumers, &frame, || {
+                    while job.entered.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("supervisor exploded");
+                })
+            }));
+            assert!(unwound.is_err(), "adaptive={adaptive}");
+            assert_eq!(job.inside.load(Ordering::SeqCst), 0, "adaptive={adaptive}");
+            assert_eq!(*relock(session.shared.busy.lock()), 0, "adaptive={adaptive}");
+            assert!(relock(session.shared.state.lock()).frame.is_none(), "adaptive={adaptive}");
+            let held = if adaptive { session.config().num_workers } else { 0 };
+            assert_eq!(session.consumers.len(), held, "adaptive={adaptive}: read-ends reclaimed");
+            drop(frame);
+
+            // The same pools serve the next job, exactly.
+            job.hold.store(false, Ordering::SeqCst);
+            let out = session.submit(&job, &input).unwrap();
+            let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 800)).collect();
+            assert_eq!(out.pairs, expected, "adaptive={adaptive}");
+        }
     }
 }

@@ -16,7 +16,7 @@
 //!   telemetry, [`decide`] turns it into at most one thread re-role and one
 //!   bounded batch-size nudge per tick, and [`AdaptationEvent`] records what
 //!   happened for the run's adaptation trace. The runtime drives this loop
-//!   when `RuntimeConfig::adaptive` is on (see `RamrRuntime`).
+//!   when `RuntimeConfig::adaptive` is on (see `RamrSession::submit`).
 //! * **After the run** — `RunReport::suggested_ratio` re-derives the paper's
 //!   criterion from whole-run telemetry, which is what the controller's
 //!   verdict is compared against in the ablation.
@@ -922,7 +922,7 @@ mod tests {
         let input = sample();
         let calibration = calibrate(&Light, &input[..5000], &base).unwrap();
         let tuned = calibration.suggest(base).unwrap();
-        let out = crate::RamrRuntime::new(tuned).unwrap().run(&Light, &input).unwrap();
+        let out = crate::RamrSession::new(tuned).unwrap().submit(&Light, &input).unwrap();
         assert_eq!(out.len(), 16);
         assert_eq!(out.iter().map(|(_, v)| v).sum::<u64>(), input.len() as u64);
     }

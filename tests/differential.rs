@@ -41,7 +41,11 @@ type BothOutputs<J> = (
     JobOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>,
 );
 
-fn run_both<J: MapReduceJob>(job: &J, input: &[J::Input], config: RuntimeConfig) -> BothOutputs<J> {
+fn run_both<J: MapReduceJob + 'static>(
+    job: &J,
+    input: &[J::Input],
+    config: RuntimeConfig,
+) -> BothOutputs<J> {
     let ramr =
         Backend::RamrStatic.engine(config.clone()).unwrap().submit(job, input).unwrap().output;
     let phoenix = Backend::Phoenix.engine(config).unwrap().submit(job, input).unwrap().output;

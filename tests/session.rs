@@ -252,24 +252,17 @@ fn scheduled_tenants_share_the_pool_without_fault_bleed() {
 }
 
 #[test]
-fn adaptive_backend_rejects_disabled_telemetry_like_the_direct_path() {
+fn adaptive_backend_rejects_disabled_telemetry_on_engine_and_session_alike() {
     // `Backend::RamrAdaptive` used to silently force `telemetry = true`,
-    // so an explicit opt-out was a no-op through the engine front door but
-    // an `InvalidConfig` through the direct `RamrRuntime` path. Both paths
-    // must now reject the contradiction with the same validation error.
+    // so an explicit opt-out was a no-op. The engine (at construction,
+    // before any submit) and the session must both reject the
+    // contradiction, with the same validation error.
     let mut cfg = config();
     cfg.telemetry = false;
 
-    let direct = {
-        let mut cfg = cfg.clone();
-        cfg.adaptive = true;
-        ramr::RamrRuntime::new(cfg).unwrap_err()
-    };
-    assert!(direct.to_string().contains("telemetry"), "direct path: {direct}");
-
     let engine = Backend::RamrAdaptive.engine(cfg.clone()).unwrap_err();
-    assert_eq!(engine.to_string(), direct.to_string(), "engine path must match direct path");
+    assert!(engine.to_string().contains("telemetry"), "engine path: {engine}");
 
     let session = Backend::RamrAdaptive.session::<WordCount>(cfg).unwrap_err();
-    assert_eq!(session.to_string(), direct.to_string(), "session path must match direct path");
+    assert_eq!(session.to_string(), engine.to_string(), "session path must match engine path");
 }
