@@ -71,7 +71,9 @@ knob cannot exist in one and be missing from the other.
 
 `run` also prints a per-thread telemetry breakdown (busy/stall shares,
 throughput, batch fullness) and, with --metrics-json FILE, dumps the full
-machine-readable report for offline tuning (see EXPERIMENTS.md).
+machine-readable report for offline tuning (see EXPERIMENTS.md). A mapper
+row indexed past --workers (mapper[W + c]) is combiner c's helper row: the
+map tasks it ran in place while it had no full batch to read.
 
 With --adaptive 1 the ramr runtime re-tunes itself mid-run — an online
 controller samples live telemetry every --adapt-interval-ms (default 5)

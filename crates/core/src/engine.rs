@@ -171,11 +171,14 @@ pub struct EngineReport {
     /// The backend that produced this report.
     pub backend: Backend,
     /// Per-thread telemetry: mappers then combiners for the RAMR backends
-    /// (flex threads that combined appear in both halves, as in
-    /// [`RunReport`]), workers for Phoenix.
+    /// (flex threads that combined, and static combiners that mapped in
+    /// place, appear in both halves, as in [`RunReport`]), workers for
+    /// Phoenix.
     pub threads: Vec<ThreadTelemetry>,
-    /// Total pairs consumed by combiner-role work. For Phoenix (inline
-    /// combine) this equals the pairs emitted.
+    /// Total pairs folded into combiner containers, by either route: read
+    /// from a queue, or emitted in place by a map task a static combiner
+    /// ran itself ([`RunReport::helped_per_combiner`]). Equals the pairs
+    /// emitted on every schedule; for Phoenix (inline combine) too.
     pub consumed: u64,
     /// The throughput-derived mapper:combiner ratio suggestion
     /// ([`RunReport::suggested_ratio`]); `None` for Phoenix, whose workers
@@ -193,7 +196,7 @@ pub struct EngineReport {
 
 impl EngineReport {
     fn from_ramr(backend: Backend, report: RunReport) -> Self {
-        let consumed = report.consumed_per_combiner.iter().sum();
+        let consumed = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner).sum();
         let suggested_ratio = report.suggested_ratio();
         let mut threads = report.mapper_telemetry;
         threads.extend(report.combiner_telemetry);

@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use crate::tuning::{decide, AdaptationEvent, AdaptiveBounds, PoolObservation};
 use mr_core::{
     Emitter, HasherKind, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError,
+    TaskRange,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer};
@@ -71,10 +72,15 @@ fn wake_at(batch: usize, config: &RuntimeConfig) -> usize {
 pub struct RunReport {
     /// The placement plan the run used.
     pub plan: PlacementPlan,
-    /// Pairs emitted by each mapper. Counted at emission time, so buffered
-    /// pairs awaiting a flush are included; conservation
-    /// (`emitted == consumed`) holds once the run returns because every
-    /// mapper drain-flushes its emit buffer before closing its queue.
+    /// Pairs emitted by each row of [`mapper_telemetry`]: the mapper pool,
+    /// then one entry per static combiner that ran map tasks in place (see
+    /// [`helped_per_combiner`]). Counted at emission time, so buffered pairs
+    /// awaiting a flush are included; conservation
+    /// (`emitted == consumed + helped`) holds once the run returns because
+    /// every mapper drain-flushes its emit buffer before closing its queue.
+    ///
+    /// [`mapper_telemetry`]: RunReport::mapper_telemetry
+    /// [`helped_per_combiner`]: RunReport::helped_per_combiner
     pub emitted_per_mapper: Vec<u64>,
     /// Queue-full events per mapper: publish attempts that made zero
     /// progress because the queue had no free slot. With an emit buffer
@@ -83,25 +89,43 @@ pub struct RunReport {
     /// values are not comparable across different `emit_buffer_size`
     /// settings — compare [`RunReport::back_pressure`] trends instead.
     pub full_events_per_mapper: Vec<u64>,
-    /// Pairs consumed by each combiner. Exact even when a combine function
-    /// panics mid-batch: the count advances with the queue's head cursor,
-    /// element by element, inside each batched read.
+    /// Pairs each combiner consumed *from its queues*. Exact even when a
+    /// combine function panics mid-batch: the count advances with the
+    /// queue's head cursor, element by element, inside each batched read.
     pub consumed_per_combiner: Vec<u64>,
+    /// Pairs each static combiner folded *in place*, from map tasks it
+    /// claimed while it had no full batch to read — they never crossed a
+    /// queue. One entry per combiner, zero for one that never helped; empty
+    /// under the adaptive runtime, whose threads change role instead.
+    pub helped_per_combiner: Vec<u64>,
     /// Per-mapper wall-clock telemetry: useful map time (`busy`), time
     /// blocked publishing blocks to a full queue (`stalled`), emit-buffer
     /// flush occupancy, and the thread's own wall-clock. Timing fields are
     /// zero when `RuntimeConfig::telemetry` is off; the counters
     /// (`items`, `stall_events`) are always exact.
+    ///
+    /// A static combiner that ran map tasks in place appends one more row,
+    /// `index = num_workers + c`: `items` are the pairs it emitted in place,
+    /// `busy` the time inside those tasks (net of the queue reads it
+    /// interleaved), `wall` the combiner thread's own — so for that thread
+    /// `busy + stalled` of its combiner row plus `busy` of this row tracks
+    /// its wall-clock. It never stalls and flushes nothing. A combiner that
+    /// never helped has no row here.
     pub mapper_telemetry: Vec<ThreadTelemetry>,
     /// Per-combiner wall-clock telemetry: time consuming batches (`busy`),
     /// idle spin/sleep time waiting for data (`stalled`), and the
     /// batched-read occupancy histogram (how full the batched reads
     /// actually were — paper §III-A). `stall_events` counts idle rounds.
+    /// Queue work only: map tasks a combiner ran in place are its
+    /// [`mapper_telemetry`](RunReport::mapper_telemetry) row, so the pool
+    /// throughputs and [`suggested_ratio`](RunReport::suggested_ratio) keep
+    /// describing the pipeline.
     ///
     /// Under the adaptive runtime this lists the dedicated combiners
     /// followed by every flex thread the controller promoted into combine
     /// help (indexed after the dedicated pool); pair conservation
-    /// (`emitted == consumed`) holds across the combined list.
+    /// (`emitted == consumed`, nothing is helped there) holds across the
+    /// combined list.
     pub combiner_telemetry: Vec<ThreadTelemetry>,
     /// The adaptation trace: one [`AdaptationEvent`] per controller tick
     /// (holds included) when the run executed with
@@ -343,6 +367,45 @@ pub(crate) fn watchdog_loop(
     }
 }
 
+/// Runs one claimed map task, handing every emission to `sink`, and returns
+/// the pairs it emitted — the one map-task body behind every thread that
+/// maps (static mapper, flex thread, helping combiner), so all of them fail
+/// alike.
+///
+/// Under [`FaultCtx::staged`] the emissions are staged per task and reach
+/// `sink` only after the map call succeeds, so a panicked (and retried)
+/// attempt publishes nothing; a task skipped as poison emits zero pairs.
+/// Otherwise the map call feeds `sink` directly and a panic unwinds into the
+/// caller. Either way the task's emitter carries the run's cancel flag.
+fn run_task<J: MapReduceJob>(
+    job: &J,
+    task: &TaskRange,
+    input: &[J::Input],
+    ctx: &FaultCtx<'_>,
+    mut sink: impl FnMut(J::Key, J::Value),
+) -> u64 {
+    if ctx.staged {
+        let staged = phases::map_task_staged(
+            job,
+            task,
+            input,
+            ctx.retries,
+            ctx.skip_poison,
+            Some(ctx.cancel),
+            ctx.faults,
+        );
+        let Some((pairs, count)) = staged else { return 0 };
+        for (key, value) in pairs {
+            sink(key, value);
+        }
+        count
+    } else {
+        let mut emitter = Emitter::with_cancel(&mut sink, ctx.cancel);
+        job.map(&input[task.start..task.end], &mut emitter);
+        emitter.emitted()
+    }
+}
+
 /// One mapper's loop: pull tasks from the locality-grouped queues, map,
 /// accumulate emissions in a thread-local block and publish each full block
 /// to this mapper's SPSC queue with a single tail update. Publishes its
@@ -390,7 +453,7 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
             let tx = &mut *tx;
             let buffer = &mut buffer;
             let full_events = &mut full_events;
-            let mut sink = |key: J::Key, value: J::Value| {
+            let sink = |key: J::Key, value: J::Value| {
                 // Hash once, here at emission: the carried hash rides the
                 // queue and is reused by combine, bucketing and reduce.
                 buffer.push((Hashed::wrap(hasher, key), value));
@@ -413,30 +476,7 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
                     }
                 }
             };
-            if ctx.staged {
-                // Fault-tolerant task execution: emissions staged per task
-                // and only published after the map call succeeds, so a
-                // panicked (and retried) attempt publishes nothing.
-                let staged = phases::map_task_staged(
-                    job,
-                    task,
-                    input,
-                    ctx.retries,
-                    ctx.skip_poison,
-                    Some(ctx.cancel),
-                    ctx.faults,
-                );
-                if let Some((pairs, count)) = staged {
-                    for (key, value) in pairs {
-                        sink(key, value);
-                    }
-                    emitted += count;
-                }
-            } else {
-                let mut emitter = Emitter::with_cancel(&mut sink, ctx.cancel);
-                job.map(&input[task.start..task.end], &mut emitter);
-                emitted += emitter.emitted();
-            }
+            emitted += run_task(job, task, input, ctx, sink);
         }
         ctx.progress(slot);
         if let Some(t) = map_start {
@@ -483,40 +523,154 @@ fn pop_round<T: Send>(rx: &mut Consumer<T>, closed: bool, batch: usize, f: impl 
     }
 }
 
+/// What a static combiner folds into, by either route — batched reads of
+/// its queues ([`read`](Self::read)) and the pairs of a map task it runs in
+/// place ([`insert`](Self::insert)) — with the queue side's accounting.
+struct Fold<'a, 'j, J: MapReduceJob> {
+    container: HashedJobContainer<'j, J>,
+    /// The first combine panic or insert error. Once set, everything that
+    /// reaches this combiner is discarded, so blocked mappers still
+    /// terminate, and it claims no further tasks.
+    first_error: Option<RuntimeError>,
+    config: &'a RuntimeConfig,
+    /// The combiner row: `items`, `busy`, `batches` and the occupancy
+    /// histogram count queue reads only.
+    local: LocalTelemetry,
+    ctx: &'a FaultCtx<'a>,
+    slot: usize,
+}
+
+impl<J: MapReduceJob> Fold<'_, '_, J> {
+    /// One batched read of `rx` into the container; `true` when it took
+    /// anything.
+    ///
+    /// Panic containment is per *batch*: one `catch_unwind` wraps each
+    /// `pop_batch`, not each element. `pop_batch` publishes its consumed
+    /// prefix on the unwind path (see [`Consumer::pop_batch`]), so a
+    /// panicking combine function loses nothing to double-reads.
+    fn read(&mut self, rx: &mut PairConsumer<J>, closed: bool) -> bool {
+        let batch = self.config.batch_size;
+        let consumed = if self.first_error.is_none() {
+            let container = &mut self.container;
+            // Count consumption in a Cell *inside* the callback, before
+            // each insert: on an unwind mid-batch this still equals the
+            // number of elements the queue's head advanced past, keeping
+            // the conservation accounting exact.
+            let counted = std::cell::Cell::new(0usize);
+            let mut insert_err: Option<RuntimeError> = None;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pop_round(rx, closed, batch, |pair: HashedPair<J>| {
+                    counted.set(counted.get() + 1);
+                    if insert_err.is_none() {
+                        insert_err = container.insert(pair.0, pair.1).err();
+                    }
+                })
+            }));
+            if let Err(panic) = outcome {
+                // A panic in the job's combine function must not kill
+                // this thread: its queues would never drain and the
+                // blocked mappers would never terminate.
+                self.first_error = Some(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
+            }
+            if let Some(e) = insert_err {
+                self.first_error.get_or_insert(e);
+            }
+            counted.get()
+        } else {
+            // Error mode: keep the pipeline moving, discarding data.
+            pop_round(rx, closed, batch, |_| {})
+        };
+        if consumed == 0 {
+            return false;
+        }
+        self.local.items += consumed as u64;
+        self.ctx.progress(self.slot);
+        if self.config.telemetry {
+            self.local.batches += 1;
+            self.local.occupancy.record(consumed, batch);
+        }
+        true
+    }
+
+    /// Folds one pair a helped task emitted in place, hashing it once as a
+    /// mapper would at emission. A combine panic unwinds into the caller,
+    /// out through the map call.
+    fn insert(&mut self, key: J::Key, value: J::Value) {
+        if self.first_error.is_none() {
+            let key = Hashed::wrap(self.config.hasher, key);
+            self.first_error = self.container.insert(key, value).err();
+        }
+    }
+
+    /// Pops every full batch that is ready on `live`, timed as combine
+    /// work: what a helping combiner owes its mappers between in-place
+    /// emissions.
+    fn service(&mut self, live: &mut [PairConsumer<J>]) {
+        let start = self.config.telemetry.then(Instant::now);
+        for rx in live {
+            while self.read(rx, false) {}
+        }
+        if let Some(t) = start {
+            self.local.busy += t.elapsed();
+        }
+    }
+}
+
 /// One combiner's loop: round-robin over its assigned queues, consuming
 /// full batches while mappers run, then draining remainders after the map
 /// phase ends. Publishes its counters and (when telemetry is on)
-/// wall-clock telemetry into `cell` once, at exit.
+/// wall-clock telemetry into `cell` once, at exit. A combine panic or insert
+/// error is recorded once and every later batch drains in discard mode (see
+/// [`Fold`]).
 ///
-/// Panic containment is per *batch*: one `catch_unwind` wraps each
-/// `pop_batch`, not each element. `pop_batch` publishes its consumed prefix
-/// on the unwind path (see [`Consumer::pop_batch`]), so a panicking combine
-/// function loses nothing to double-reads; the error is recorded and every
-/// later batch drains in discard mode so blocked mappers still terminate.
+/// **Work-conserving:** a round that found no full batch on any live queue
+/// does not wait while task hand-out is still open. The combiner claims one
+/// map task from `home_group` and runs it *in place* — each emission hashed
+/// once and folded straight into its own container, no emit buffer and no
+/// queue crossing — and goes back to its queues every `batch_size` in-place
+/// emissions, popping every full batch that is ready. Its queues keep strict
+/// priority: a mapper never waits longer than the helper needs to emit one
+/// batch. Only with neither a batch nor a task does the combiner park. The
+/// trigger is the thread's own idleness and the service interval the
+/// existing batch size, so there is nothing to tune. Helped work is
+/// published into `help_cell` as a mapper-side row (`items` = pairs emitted
+/// in place, `busy` = time inside helped tasks net of queue service), and
+/// only when the combiner helped at all.
 ///
 /// Instrumentation cost: two timer reads per *round* over the assigned
-/// queues, never per pair. A round that consumed anything counts as
-/// `busy`; a zero-progress round (including its spin/park wait) counts as
-/// `stalled` idle time.
+/// queues and per queue service inside a helped task, never per pair. A
+/// round that consumed anything counts as `busy`; a zero-progress round
+/// (including its spin/park wait) counts as `stalled` idle time.
 ///
 /// Queues seen closed and drained are swapped behind `live`, so both the
 /// rounds and the idle wait cover only queues that still owe data.
+#[allow(clippy::too_many_arguments)] // internal: mirrors the paper's knob list
 pub(crate) fn combiner_loop<J: MapReduceJob>(
     job: &J,
+    input: &[J::Input],
     config: &RuntimeConfig,
+    queues: &TaskQueues,
+    home_group: usize,
     consumers: &mut [PairConsumer<J>],
     cell: &TelemetryCell,
+    help_cell: &TelemetryCell,
     ctx: &FaultCtx<'_>,
     slot: usize,
 ) -> Result<phases::HashedPairs<J>, RuntimeError> {
     let _live = LiveGuard::enter(ctx.board);
     let telemetry = config.telemetry;
-    let mut container = HashedJobContainer::for_job(job, config.container, config.fixed_capacity)?;
-    let wall_start = telemetry.then(Instant::now);
-    let mut local = LocalTelemetry::default();
-    let mut first_error: Option<RuntimeError> = None;
-    let mut total_consumed = 0u64;
     let batch = config.batch_size;
+    let mut fold = Fold {
+        container: HashedJobContainer::for_job(job, config.container, config.fixed_capacity)?,
+        first_error: None,
+        config,
+        local: LocalTelemetry::default(),
+        ctx,
+        slot,
+    };
+    let wall_start = telemetry.then(Instant::now);
+    let mut help = LocalTelemetry::default();
+    let mut helped = false;
     let mut idle_rounds = 0u32;
     let mut live = consumers.len();
     // Watchdog cancellation abandons the drain: the run is being torn down
@@ -531,44 +685,7 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
             // and then drained to empty can never produce again (the
             // producer's pushes all happen before its drop).
             let closed = rx.is_closed();
-            let consumed = if first_error.is_none() {
-                // Count consumption in a Cell *inside* the callback, before
-                // each insert: on an unwind mid-batch this still equals the
-                // number of elements the queue's head advanced past, keeping
-                // the conservation accounting exact.
-                let counted = std::cell::Cell::new(0usize);
-                let mut insert_err: Option<RuntimeError> = None;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    pop_round(rx, closed, batch, |pair: HashedPair<J>| {
-                        counted.set(counted.get() + 1);
-                        if insert_err.is_none() {
-                            insert_err = container.insert(pair.0, pair.1).err();
-                        }
-                    })
-                }));
-                if let Err(panic) = outcome {
-                    // A panic in the job's combine function must not kill
-                    // this thread: its queues would never drain and the
-                    // blocked mappers would never terminate.
-                    first_error = Some(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
-                }
-                if let Some(e) = insert_err {
-                    first_error.get_or_insert(e);
-                }
-                counted.get()
-            } else {
-                // Error mode: keep the pipeline moving, discarding data.
-                pop_round(rx, closed, batch, |_| {})
-            };
-            if consumed > 0 {
-                total_consumed += consumed as u64;
-                progressed = true;
-                ctx.progress(slot);
-                if telemetry {
-                    local.batches += 1;
-                    local.occupancy.record(consumed, batch);
-                }
-            }
+            progressed |= fold.read(rx, closed);
             if closed && rx.is_empty() {
                 live -= 1;
                 consumers.swap(next, live);
@@ -579,7 +696,47 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
         if progressed {
             idle_rounds = 0;
         } else if live > 0 {
-            local.stall_events += 1;
+            // `is_exhausted` is loads only, so polling it every idle round
+            // after hand-out ends writes nothing the claimers share.
+            let task = if fold.first_error.is_none() && !queues.is_exhausted() {
+                queues.claim(home_group)
+            } else {
+                None
+            };
+            if let Some(task) = task {
+                helped = true;
+                let serviced_before = fold.local.busy;
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut unserviced = 0usize;
+                    run_task(job, task, input, ctx, |key, value| {
+                        fold.insert(key, value);
+                        unserviced += 1;
+                        if unserviced >= batch {
+                            unserviced = 0;
+                            fold.service(&mut consumers[..live]);
+                        }
+                    })
+                }));
+                match outcome {
+                    Ok(pairs) => help.items += pairs,
+                    // Surfaces like a panic on the queue path: recorded
+                    // once, and the queues keep draining in discard mode.
+                    Err(panic) => {
+                        fold.first_error.get_or_insert(RuntimeError::WorkerPanic(
+                            phases::panic_message(&*panic),
+                        ));
+                    }
+                }
+                ctx.progress(slot);
+                idle_rounds = 0;
+                if let Some(t) = round_start {
+                    // Help time is map time: the whole task minus the queue
+                    // service it was interrupted for, which is combine time.
+                    help.busy += t.elapsed().saturating_sub(fold.local.busy - serviced_before);
+                }
+                continue;
+            }
+            fold.local.stall_events += 1;
             idle_rounds = idle_rounds.saturating_add(1);
             idle_wait(config.push_backoff, idle_rounds, |ceiling| {
                 PairConsumer::<J>::wait_any(&consumers[..live], wake_at(batch, config), ceiling)
@@ -587,25 +744,29 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
         }
         if let Some(t) = round_start {
             // The wait is inside the measured round, so idle time lands in
-            // `stalled` and busy + stalled tracks the thread's wall-clock.
+            // `stalled` and busy + stalled (+ help) tracks the thread's
+            // wall-clock.
             let elapsed = t.elapsed();
             if progressed {
-                local.busy += elapsed;
+                fold.local.busy += elapsed;
             } else {
-                local.stalled += elapsed;
+                fold.local.stalled += elapsed;
             }
         }
     }
-    local.items = total_consumed;
     if let Some(t) = wall_start {
-        local.wall = t.elapsed();
+        fold.local.wall = t.elapsed();
+        help.wall = fold.local.wall;
     }
-    cell.publish(&local);
-    if let Some(e) = first_error {
+    cell.publish(&fold.local);
+    if helped {
+        help_cell.publish(&help);
+    }
+    if let Some(e) = fold.first_error {
         return Err(e);
     }
     let mut pairs = Vec::new();
-    container.drain_into(&mut pairs);
+    fold.container.drain_into(&mut pairs);
     Ok(pairs)
 }
 
@@ -1162,7 +1323,7 @@ pub(crate) fn flex_loop<J: MapReduceJob>(
                 let buffer = &mut buffer;
                 let full_events = &mut full_events;
                 let wall_start = &wall_start;
-                let mut sink = |key: J::Key, value: J::Value| {
+                let sink = |key: J::Key, value: J::Value| {
                     // Hash once at emission, as in [`mapper_loop`].
                     buffer.push((Hashed::wrap(config.hasher, key), value));
                     if buffer.len() >= emit_block {
@@ -1187,29 +1348,7 @@ pub(crate) fn flex_loop<J: MapReduceJob>(
                         map_cell.publish(local);
                     }
                 };
-                if ctx.staged {
-                    // Fault-tolerant task execution, as in [`mapper_loop`]:
-                    // stage per task, publish only on success.
-                    let staged = phases::map_task_staged(
-                        job,
-                        task,
-                        input,
-                        ctx.retries,
-                        ctx.skip_poison,
-                        Some(ctx.cancel),
-                        ctx.faults,
-                    );
-                    if let Some((pairs, count)) = staged {
-                        for (key, value) in pairs {
-                            sink(key, value);
-                        }
-                        emitted += count;
-                    }
-                } else {
-                    let mut emitter = Emitter::with_cancel(&mut sink, ctx.cancel);
-                    job.map(&input[task.start..task.end], &mut emitter);
-                    emitted += emitter.emitted();
-                }
+                emitted += run_task(job, task, input, ctx, sink);
             }
             ctx.progress(index);
             map_local.busy +=
@@ -1414,6 +1553,16 @@ mod tests {
         sums.into_iter().collect()
     }
 
+    /// Pairs the static combiners folded in place, from tasks they mapped.
+    fn helped(report: &RunReport) -> u64 {
+        report.helped_per_combiner.iter().sum()
+    }
+
+    /// Pairs folded into combiner containers: read from a queue, or helped.
+    fn folded(report: &RunReport) -> u64 {
+        report.consumed_per_combiner.iter().sum::<u64>() + helped(report)
+    }
+
     fn config(workers: usize, combiners: usize) -> RuntimeConfig {
         RuntimeConfig::builder()
             .num_workers(workers)
@@ -1478,9 +1627,8 @@ mod tests {
             let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
             assert_eq!(out.pairs, expected, "emit_buffer={emit}");
             let emitted: u64 = report.emitted_per_mapper.iter().sum();
-            let consumed: u64 = report.consumed_per_combiner.iter().sum();
             assert_eq!(emitted, 8000, "emit_buffer={emit}");
-            assert_eq!(consumed, emitted, "conservation with emit_buffer={emit}");
+            assert_eq!(folded(&report), emitted, "conservation with emit_buffer={emit}");
         }
     }
 
@@ -1584,12 +1732,16 @@ mod tests {
         let input: Vec<u64> = (0..40_000).collect();
         let (out, report) = run_once(config(4, 2), &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
-        assert_eq!(report.emitted_per_mapper.len(), 4);
+        // The four mappers, then one row per combiner that mapped in place.
+        let helpers = report.helped_per_combiner.iter().filter(|&&pairs| pairs > 0).count();
+        assert_eq!(report.emitted_per_mapper.len(), 4 + helpers);
+        assert_eq!(report.emitted_per_mapper[4..].iter().sum::<u64>(), helped(&report));
         assert_eq!(report.consumed_per_combiner.len(), 2);
+        assert_eq!(report.helped_per_combiner.len(), 2);
         let emitted: u64 = report.emitted_per_mapper.iter().sum();
-        let consumed: u64 = report.consumed_per_combiner.iter().sum();
         assert_eq!(emitted, 40_000, "every input element emits once");
-        assert_eq!(consumed, emitted, "conservation: all pairs consumed");
+        assert_eq!(out.stats.emitted, emitted);
+        assert_eq!(folded(&report), emitted, "conservation: all pairs folded, by either route");
         assert!(report.back_pressure() >= 0.0);
         assert_eq!(report.plan.num_mappers(), 4);
     }
@@ -1638,10 +1790,11 @@ mod tests {
 
     #[test]
     fn telemetry_accounts_for_thread_wall_clock() {
-        // Busy + stalled must track each thread's own wall-clock: the only
-        // untimed work is task claiming and loop bookkeeping. Use a job
-        // with real map and combine cost so the run is long enough for the
-        // 10% bound to be meaningful.
+        // Busy + stalled must track each thread's own wall-clock — for a
+        // combiner that mapped in place, together with the busy time of its
+        // helper row: the only untimed work is task claiming and loop
+        // bookkeeping. Use a job with real map and combine cost so the run
+        // is long enough for the 10% bound to be meaningful.
         let input: Vec<u64> = (0..60_000).collect();
         let mut cfg = config(4, 2);
         cfg.task_size = 1000;
@@ -1650,9 +1803,17 @@ mod tests {
         let job = Synthetic { map_work: 40, combine_work: 40 };
         let (_, report) = run_once(cfg, &job, &input).unwrap();
         let slack = Duration::from_millis(2);
-        for t in report.mapper_telemetry.iter().chain(&report.combiner_telemetry) {
+        let (mappers, helpers) = report.mapper_telemetry.split_at(4);
+        for t in mappers.iter().chain(&report.combiner_telemetry) {
             assert!(t.wall > Duration::ZERO, "telemetry on: wall must be recorded for {t:?}");
-            let accounted = t.busy + t.stalled;
+            let help = helpers
+                .iter()
+                .find(|h| t.role == ThreadRole::Combiner && h.index == 4 + t.index)
+                .map_or(Duration::ZERO, |h| {
+                    assert_eq!((h.wall, h.stalled), (t.wall, Duration::ZERO), "{h:?}");
+                    h.busy
+                });
+            let accounted = t.busy + t.stalled + help;
             assert!(
                 accounted <= t.wall + slack,
                 "{}[{}]: busy+stalled {accounted:?} exceeds wall {:?}",
@@ -1707,9 +1868,8 @@ mod tests {
         let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
         let emitted: u64 = report.emitted_per_mapper.iter().sum();
-        let consumed: u64 = report.consumed_per_combiner.iter().sum();
         assert_eq!(emitted, 20_000);
-        assert_eq!(consumed, emitted);
+        assert_eq!(folded(&report), emitted);
         for t in report.mapper_telemetry.iter().chain(&report.combiner_telemetry) {
             assert_eq!(t.busy, Duration::ZERO);
             assert_eq!(t.stalled, Duration::ZERO);
@@ -1768,6 +1928,7 @@ mod tests {
             emitted_per_mapper: vec![consumed.iter().sum()],
             full_events_per_mapper: vec![0],
             consumed_per_combiner: consumed,
+            helped_per_combiner: Vec::new(),
             mapper_telemetry: Vec::new(),
             combiner_telemetry: Vec::new(),
             adaptation: Vec::new(),

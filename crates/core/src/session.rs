@@ -88,6 +88,9 @@ struct JobFrame<J: MapReduceJob> {
     combiner_cells: Vec<TelemetryCell>,
     /// Adaptive only: the flex threads' combine-help halves.
     flex_combine_cells: Vec<TelemetryCell>,
+    /// Static only: the combiners' map-help halves — tasks a combiner with
+    /// nothing to read ran in place.
+    helper_cells: Vec<TelemetryCell>,
     /// Adaptive only: the shared pool of pipeline read-ends.
     registry: Option<QueueRegistry<J>>,
     /// Adaptive only: the controller's role/batch write surface — rebuilt
@@ -534,6 +537,11 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                 for (c, group) in consumers_of.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
                     let slot = plan.combiner_slot(c);
+                    // A combiner with nothing to read helps map from the
+                    // task queue of the mappers it serves.
+                    let home_group = (0..config.num_workers)
+                        .find(|&m| plan.combiner_of_mapper(m) == c)
+                        .map_or(0, group_of_mapper);
                     let body = move || {
                         let config = &shared.config;
                         epoch_worker(
@@ -543,9 +551,13 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                             |group, ep| {
                                 combiner_loop(
                                     ep.job,
+                                    ep.input,
                                     config,
+                                    &ep.frame.queues,
+                                    home_group,
                                     group,
                                     &ep.frame.combiner_cells[c],
+                                    &ep.frame.helper_cells[c],
                                     &ep.ctx,
                                     config.num_workers + c,
                                 )
@@ -732,12 +744,23 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         }
 
         // --- Report assembly ----------------------------------------------
-        let mapper_telemetry: Vec<ThreadTelemetry> = frame
+        let mut mapper_telemetry: Vec<ThreadTelemetry> = frame
             .map_cells
             .iter()
             .enumerate()
             .map(|(m, cell)| cell.snapshot(ThreadRole::Mapper, m))
             .collect();
+        // A static combiner that ran map tasks in place is also a mapper
+        // row, indexed after the mapper pool; one that never helped is
+        // omitted, by the no-phantom-row rule below.
+        let helped: Vec<ThreadTelemetry> = frame
+            .helper_cells
+            .iter()
+            .enumerate()
+            .map(|(c, cell)| cell.snapshot(ThreadRole::Mapper, config.num_workers + c))
+            .collect();
+        let helped_per_combiner: Vec<u64> = helped.iter().map(|t| t.items).collect();
+        mapper_telemetry.extend(helped.into_iter().filter(|t| t.items > 0 || !t.busy.is_zero()));
         // Dedicated combiners first, then every flex thread that actually
         // combined, indexed after the dedicated pool. Never-promoted flex
         // threads are omitted: an all-zero phantom combiner would turn
@@ -781,6 +804,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             emitted_per_mapper,
             full_events_per_mapper,
             consumed_per_combiner,
+            helped_per_combiner,
             mapper_telemetry,
             combiner_telemetry,
             adaptation: trace,
@@ -825,6 +849,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             // a re-rolled thread's combine work must not pollute the map
             // pool's throughput estimate (and vice versa).
             flex_combine_cells: fresh_cells(if adaptive { config.num_workers } else { 0 }),
+            helper_cells: fresh_cells(if adaptive { 0 } else { config.num_combiners }),
             registry: adaptive.then(|| {
                 // Re-arm the read-ends reclaimed from the previous epoch.
                 // The producers are quiescent (previous submit returned),

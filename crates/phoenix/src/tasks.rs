@@ -15,7 +15,7 @@ use mr_core::TaskRange;
 /// A set of per-locality-group task queues with stealing.
 ///
 /// Lock-free: each group is a pre-partitioned slice of the task list with
-/// an atomic cursor; claiming a task is one `fetch_add`.
+/// an atomic cursor; claiming a task is one load and one `fetch_add`.
 #[derive(Debug)]
 pub struct TaskQueues {
     /// Tasks grouped by locality group: `tasks[g]` is group `g`'s list.
@@ -64,12 +64,19 @@ impl TaskQueues {
         let home = home_group % n;
         for offset in 0..n {
             let g = (home + offset) % n;
+            // A drained group is skipped on a load alone: probing it with
+            // the `fetch_add` would keep writing the line every claimer
+            // shares, and grow the cursor without bound.
+            if self.remaining_in(g) == 0 {
+                continue;
+            }
             let idx = self.cursors[g].fetch_add(1, Ordering::Relaxed);
             if let Some(task) = self.groups[g].get(idx) {
                 return Some(task);
             }
-            // Overshot: this group is drained. (The cursor keeps growing on
-            // repeated probes; that is harmless.)
+            // Overshot: claimers that all loaded the cursor before the last
+            // task went race here, once each, so a drained group's cursor
+            // stops at most one per claimer past its length.
         }
         None
     }
@@ -160,6 +167,32 @@ mod tests {
         });
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "task {i} claim count");
+        }
+    }
+
+    #[test]
+    fn claims_after_exhaustion_do_not_grow_the_cursors() {
+        // Regression: every probe of a drained group used to `fetch_add` its
+        // cursor, so a claimer that polls (a combiner looking for a task to
+        // help with) kept writing the shared lines and grew them unboundedly.
+        let claimers = 4;
+        let q = queues(10, 3);
+        std::thread::scope(|scope| {
+            for worker in 0..claimers {
+                let q = &q;
+                scope.spawn(move || {
+                    while q.claim(worker).is_some() {}
+                    for _ in 0..1000 {
+                        assert!(q.claim(worker).is_none());
+                    }
+                });
+            }
+        });
+        assert!(q.is_exhausted());
+        for g in 0..q.num_groups() {
+            let cursor = q.cursors[g].load(Ordering::Relaxed);
+            let len = q.groups[g].len();
+            assert!(cursor <= len + claimers, "group {g}: cursor {cursor} for {len} tasks");
         }
     }
 

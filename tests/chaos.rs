@@ -10,14 +10,14 @@
 //! assertion, not a wedged CI job.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use mr_apps::{WordCount, WordCountString};
 use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError};
-use ramr::{Backend, Engine, JobScheduler, SchedError};
+use ramr::{Backend, Engine, JobScheduler, RamrSession, SchedError};
 use ramr_containers::CompactKey;
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 
@@ -413,4 +413,200 @@ fn non_retry_safe_jobs_fail_fast_regardless_of_budget() {
         });
         assert!(matches!(err, RuntimeError::WorkerPanic(_)), "{backend}: got {err}");
     }
+}
+
+// --- Faults inside a map task a combiner runs in place ---------------------
+
+/// What the victim thread's first task does.
+#[derive(Clone, Copy)]
+enum RoleFault {
+    /// Panic after emitting, on the first `n` attempts.
+    Panic(u32),
+    /// Never return until the run is cancelled.
+    Hang,
+}
+
+/// Word count in which the first task mapped by a thread of the `victim`
+/// pool (matched on the pool's thread-name prefix) is faulty, whichever
+/// task that turns out to be. When the victim is the combiner, the mapper
+/// waits inside its own first task until that task has been entered
+/// `release_at` times: an idle combiner is what claims map tasks, and the
+/// fault must have played out on it before the mapper can claim the rest.
+struct FaultOnRole {
+    victim: &'static str,
+    fault: RoleFault,
+    release_at: u32,
+    /// Ordinal of the victim's task; `u64::MAX` until it has claimed one.
+    faulty_task: AtomicU64,
+    attempts: AtomicU32,
+}
+
+impl FaultOnRole {
+    fn new(victim: &'static str, fault: RoleFault, release_at: u32) -> Self {
+        Self {
+            victim,
+            fault,
+            release_at,
+            faulty_task: AtomicU64::new(u64::MAX),
+            attempts: AtomicU32::new(0),
+        }
+    }
+
+    /// A job value that injects nothing, for the healthy submit after a
+    /// failed one.
+    fn healthy() -> Self {
+        Self::new("nobody", RoleFault::Panic(0), 0)
+    }
+}
+
+impl MapReduceJob for FaultOnRole {
+    type Input = String;
+    type Key = CompactKey;
+    type Value = u64;
+
+    fn map(&self, task: &[String], emit: &mut Emitter<'_, CompactKey, u64>) {
+        let ordinal = ordinal_of(&task[0]);
+        let thread = thread::current();
+        if thread.name().is_some_and(|name| name.starts_with(self.victim)) {
+            let claimed = self.faulty_task.compare_exchange(
+                u64::MAX,
+                ordinal,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
+            if claimed.map_or_else(|current| current == ordinal, |_| true) {
+                let attempt = self.attempts.fetch_add(1, Ordering::SeqCst) + 1;
+                match self.fault {
+                    RoleFault::Hang => {
+                        while !emit.is_cancelled() {
+                            thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    RoleFault::Panic(fail_attempts) => {
+                        WordCount.map(task, emit);
+                        if attempt <= fail_attempts {
+                            panic!("injected fault: task {ordinal} attempt {attempt}");
+                        }
+                    }
+                }
+                return;
+            }
+        } else if self.victim == "ramr-combiner" {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while self.attempts.load(Ordering::SeqCst) < self.release_at && !emit.is_cancelled() {
+                assert!(Instant::now() < deadline, "the combiner never claimed a map task");
+                thread::sleep(Duration::from_micros(200));
+            }
+        }
+        WordCount.map(task, emit);
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        *acc += v;
+    }
+
+    fn is_retry_safe(&self) -> bool {
+        true
+    }
+}
+
+fn one_to_one(retries: u32, skip: bool, watchdog_ms: Option<u64>) -> RuntimeConfig {
+    let mut cfg = config(retries, skip, watchdog_ms, false);
+    cfg.num_workers = 1;
+    cfg.num_combiners = 1;
+    cfg
+}
+
+#[test]
+fn a_poison_task_on_a_helping_combiner_is_accounted_like_one_on_a_mapper() {
+    // (retries, skip, failing attempts): a transient fault that retries
+    // recover, and a permanent one skipped with and without a retry budget.
+    for (retries, skip, fail_attempts) in [(2, false, 2), (1, true, u32::MAX), (0, true, u32::MAX)]
+    {
+        let attempts = retries.min(fail_attempts) + 1;
+        let run = move |victim: &'static str| {
+            with_deadline(60, move || {
+                let input = lines();
+                let job = FaultOnRole::new(victim, RoleFault::Panic(fail_attempts), attempts);
+                let mut session = RamrSession::new(one_to_one(retries, skip, None)).unwrap();
+                let (out, report) = session.submit_with_report(&job, &input).unwrap();
+                let helped: u64 = report.helped_per_combiner.iter().sum();
+                let ordinal = job.faulty_task.load(Ordering::SeqCst);
+                let tried = job.attempts.load(Ordering::SeqCst);
+                (to_string_pairs(out.pairs), report.faults, helped, ordinal, tried)
+            })
+        };
+        let case = format!("retries={retries} skip={skip}");
+        let (pairs, on_combiner, helped, ordinal, tried) = run("ramr-combiner");
+        let (_, on_mapper, ..) = run("ramr-mapper");
+
+        assert_eq!(tried, attempts, "{case}");
+        let dropped: Vec<u64> = if fail_attempts > retries { vec![ordinal] } else { Vec::new() };
+        assert_eq!(pairs, reference(&lines(), &dropped), "{case}");
+        // Every attempt emitted before panicking; staging kept all but the
+        // successful one out of the combiner's container.
+        if dropped.is_empty() {
+            assert!(helped > 0, "{case}: the recovered task was folded in place");
+        }
+
+        assert_eq!(on_combiner.retries, u64::from(attempts - 1), "{case}");
+        assert_eq!(on_combiner.retries, on_mapper.retries, "{case}");
+        assert_eq!(on_combiner.skipped.len(), dropped.len(), "{case}");
+        assert_eq!(on_mapper.skipped.len(), dropped.len(), "{case}");
+        for (c, m) in on_combiner.skipped.iter().zip(&on_mapper.skipped) {
+            let start = ordinal as usize * TASK;
+            assert_eq!((c.task_id, c.start, c.end), (ordinal as usize, start, start + TASK));
+            assert_eq!(c.attempts, m.attempts, "{case}");
+            assert_eq!(c.attempts, attempts, "{case}");
+            assert!(c.message.contains("injected fault"), "{case}: {}", c.message);
+        }
+    }
+}
+
+#[test]
+fn a_panicking_helped_task_fails_the_job_and_leaves_the_session_exact() {
+    with_deadline(60, || {
+        let input = lines();
+        let mut session = RamrSession::new(one_to_one(0, false, None)).unwrap();
+        for round in 0..2 {
+            let job = FaultOnRole::new("ramr-combiner", RoleFault::Panic(u32::MAX), 1);
+            let err = session.submit(&job, &input).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("injected fault")),
+                "round {round}: got {err}"
+            );
+            let out = session.submit(&FaultOnRole::healthy(), &input).unwrap();
+            assert_eq!(to_string_pairs(out.pairs), reference(&input, &[]), "round {round}");
+        }
+    });
+}
+
+#[test]
+fn the_watchdog_diagnoses_a_helper_hung_inside_a_map_task() {
+    const WATCHDOG: Duration = Duration::from_millis(200);
+    with_deadline(30, || {
+        let input = lines();
+        let cfg = one_to_one(0, false, Some(WATCHDOG.as_millis() as u64));
+        let mut session = RamrSession::new(cfg).unwrap();
+        let job = FaultOnRole::new("ramr-combiner", RoleFault::Hang, 1);
+        let started = Instant::now();
+        let err = session.submit(&job, &input).unwrap_err();
+        let elapsed = started.elapsed();
+        assert_eq!(job.attempts.load(Ordering::SeqCst), 1, "the hung task ran on the combiner");
+        match err {
+            RuntimeError::Stalled { idle_ms, ref diagnostics, .. } => {
+                assert!(u128::from(idle_ms) >= WATCHDOG.as_millis(), "idle_ms={idle_ms}");
+                assert!(diagnostics.contains("combiner[0]="), "{diagnostics}");
+            }
+            other => panic!("expected Stalled, got {other}"),
+        }
+        // The mapper finishes everything else at once; then one period of
+        // silence, and the cancel reaches the hung task through its emitter.
+        assert!(
+            elapsed < WATCHDOG + Duration::from_secs(1),
+            "the epoch took {elapsed:?} to unwind"
+        );
+        let out = session.submit(&FaultOnRole::healthy(), &input).unwrap();
+        assert_eq!(to_string_pairs(out.pairs), reference(&input, &[]));
+    });
 }

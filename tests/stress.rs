@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig};
-use ramr::{Backend, Engine};
+use ramr::{Backend, Engine, RamrSession};
 
 /// Emits FAN pairs per element to stress the queues.
 struct FanOut;
@@ -115,6 +115,39 @@ fn repeated_invocations_are_stable() {
         let out = engine.submit(&FanOut, &input).unwrap().output;
         assert_eq!(out.pairs, expected, "round {round}");
     }
+}
+
+/// A static combiner with nothing to read claims map tasks, so an epoch can
+/// end with the combiner still inside one while its mapper closes the queue
+/// — or with one task and nothing to claim at all. Either way every pair
+/// must be in a container when the epoch returns, 400 times over on the same
+/// pools.
+#[test]
+fn rapid_epochs_lose_no_pair_to_a_helping_combiner() {
+    let cfg = RuntimeConfig::builder()
+        .num_workers(2)
+        .num_combiners(1)
+        .task_size(50)
+        .queue_capacity(64)
+        .batch_size(16)
+        .build()
+        .unwrap();
+    let mut session = RamrSession::new(cfg).unwrap();
+    let one_task: Vec<u64> = (0..50).collect();
+    let many_tasks: Vec<u64> = (0..2_000).collect();
+    let mut helped = 0u64;
+    for input in [&one_task, &many_tasks] {
+        let expected = reference(input);
+        for epoch in 0..200 {
+            let (out, report) = session.submit_with_report(&FanOut, input).unwrap();
+            assert_eq!(out.pairs, expected, "{} elements, epoch {epoch}", input.len());
+            let folded: u64 =
+                report.consumed_per_combiner.iter().chain(&report.helped_per_combiner).sum();
+            assert_eq!(folded, out.stats.emitted, "{} elements, epoch {epoch}", input.len());
+            helped += report.helped_per_combiner[0];
+        }
+    }
+    assert!(helped > 0, "400 epochs and the combiner never claimed a task");
 }
 
 #[test]
