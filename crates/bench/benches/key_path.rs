@@ -1,16 +1,15 @@
 //! `key_path` ablation: the zero-alloc, hash-once key pipeline vs the seed.
 //!
 //! The seed word-count key path pays one heap allocation per emitted word
-//! (`to_ascii_lowercase` into an owned `String`) and hashes every key
-//! **three times** with byte-at-a-time FNV-1a: in the combine table's
-//! `combine_insert`, again in `bucket_by_key`, and a third time in
-//! `reduce_bucket`'s fold table — and every probe compare chases the
-//! `String`'s heap pointer. The optimized path lower-cases into
+//! (`to_ascii_lowercase` into an owned `String`), hashes it with
+//! byte-at-a-time FNV-1a in the combine table's `combine_insert`, and
+//! chases the `String`'s heap pointer on every probe compare there and on
+//! every comparison of the reduce phase's sort (bucketing and reduce order
+//! by key and hash nothing — DESIGN §6m). The optimized path lower-cases into
 //! `CompactKey`'s 22-byte inline buffer (no allocation, no pointer chase:
 //! the key bytes live inside the table entry), hashes once at emission
-//! with the word-at-a-time Fx hasher, and carries the hash so
-//! `bucket_by_key_hashed` and `reduce_bucket_hashed` never re-walk key
-//! bytes.
+//! with the word-at-a-time Fx hasher, carries the hash to the combine
+//! table, and sorts with `CompactKey`'s three-word compare.
 //!
 //! Both arms run the identical map→combine→bucket→reduce→merge phase
 //! sequence on one thread — the seed arm through the plain entry points
@@ -96,7 +95,7 @@ fn realistic_lines(lines: usize, words_per_line: usize, vocab: usize) -> Vec<Str
 }
 
 /// The seed key path: owned `String` keys, FNV-1a hashed at combine
-/// insert, again at bucketing, and a third time in the reduce fold.
+/// insert, compared through their heap pointers in the table and the sort.
 fn seed_arm(input: &[String]) -> Vec<(String, u64)> {
     let mut table: HashContainer<String, u64> = HashContainer::with_capacity(4096);
     for line in input {
@@ -113,8 +112,8 @@ fn seed_arm(input: &[String]) -> Vec<(String, u64)> {
 }
 
 /// The optimized key path: `CompactKey` lower-cased into the inline
-/// buffer, Fx-hashed once at emission, hash carried through bucketing and
-/// the reduce fold via `Passthrough`.
+/// buffer, Fx-hashed once at emission, the hash carried into the combine
+/// table via `Passthrough` and ignored by the sort-fold reduce.
 fn compact_arm(input: &[String]) -> Vec<(CompactKey, u64)> {
     let mut table: HashContainer<Hashed<CompactKey>, u64, Passthrough> =
         HashContainer::with_capacity_and_hasher(4096, Passthrough);
@@ -205,7 +204,7 @@ fn main() {
     mr_bench::print_header(&["arm", "best(ms)", "keys"]);
     println!("{:>10} {:>10.1} {:>10}", "seed", seed * 1e3, seed_out.len());
     println!("{:>10} {:>10.1} {:>10}", "compact", opt * 1e3, opt_out.len());
-    println!("\nString+FNV(thrice) -> CompactKey+Fx(once) speedup: {speedup:.2}x");
+    println!("\nString+FNV -> CompactKey+Fx(carried) speedup: {speedup:.2}x");
 
     if smoke {
         let keys = engines_agree(&input);

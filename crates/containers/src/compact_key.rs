@@ -8,7 +8,8 @@
 //! size as `String`) and spills to a `Box<str>` only beyond that.
 //!
 //! `CompactKey` is observationally identical to `String` over the same
-//! bytes: `Eq`, `Ord` and `Hash` all delegate to the underlying `str`, and
+//! bytes: `Eq`, `Ord` and `Hash` all agree with the underlying `str` (the
+//! inline fast paths compare the zero-padded buffer whole), and
 //! `Borrow<str>` holds, so it drops into `MapReduceJob::Key` (and any
 //! `HashMap`/`BTreeMap` keyed by strings) unchanged.
 
@@ -151,8 +152,31 @@ impl PartialOrd for CompactKey {
     }
 }
 impl Ord for CompactKey {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_str().cmp(other.as_str())
+        match (&self.0, &other.0) {
+            // Zero padding again: byte-lexicographic order of two inline
+            // keys is the order of their whole buffers read as big-endian
+            // words, and equal buffers (one key is the other plus trailing
+            // `\0` bytes) order by length. Three word compares instead of a
+            // variable-length memcmp — this is the reduce phase's sort
+            // comparator.
+            (Repr::Inline { len: la, buf: ba }, Repr::Inline { len: lb, buf: bb }) => {
+                // The last word overlaps the second by two bytes, which are
+                // equal by the time it is looked at.
+                for at in [0, 8, Self::INLINE_CAPACITY - 8] {
+                    let word = |buf: &[u8; Self::INLINE_CAPACITY]| {
+                        u64::from_be_bytes(buf[at..at + 8].try_into().expect("8-byte slice"))
+                    };
+                    let (wa, wb) = (word(ba), word(bb));
+                    if wa != wb {
+                        return wa.cmp(&wb);
+                    }
+                }
+                la.cmp(lb)
+            }
+            _ => self.as_str().cmp(other.as_str()),
+        }
     }
 }
 
@@ -225,7 +249,8 @@ impl fmt::Display for CompactKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fnv1a_hash, fx_hash};
+    use crate::{fnv1a_hash, fx_hash, Hashed};
+    use mr_core::HasherKind;
     use proptest::prelude::*;
 
     #[test]
@@ -269,7 +294,71 @@ mod tests {
         bytes.iter().map(|&b| if b >= 120 { 'ß' } else { char::from(b % 95 + 32) }).collect()
     }
 
+    /// Like [`string_from`] over a five-char alphabet that includes `\0` and
+    /// 2- and 3-byte chars: two such strings share long prefixes, so their
+    /// compare reaches the second and third word and the length tie-break,
+    /// with multi-byte chars straddling the word edges.
+    fn clustered_string_from(bytes: &[u8]) -> String {
+        bytes.iter().map(|&b| ['a', 'b', '\0', 'ß', '€'][b as usize % 5]).collect()
+    }
+
+    /// `a`, `b` and every pair of their prefixes must order as the strings
+    /// do, and so must the same keys wrapped in `Hashed`.
+    fn assert_orders_like_str(a: &str, b: &str) {
+        let prefixes = |s: &str| -> Vec<String> {
+            let cuts = [0, 7, 8, 9, 16, 21, 22, 23, s.len()];
+            cuts.iter().filter_map(|&cut| s.get(..cut)).map(str::to_string).collect()
+        };
+        let mut strings = prefixes(a);
+        strings.extend(prefixes(b));
+        for x in &strings {
+            for y in &strings {
+                let (kx, ky) = (CompactKey::new(x), CompactKey::new(y));
+                assert_eq!(kx.cmp(&ky), x.cmp(y), "{x:?} vs {y:?}");
+                assert_eq!(kx == ky, x == y, "{x:?} vs {y:?}");
+            }
+        }
+        let mut keys: Vec<Hashed<CompactKey>> =
+            strings.iter().map(|s| Hashed::wrap(HasherKind::Fx, CompactKey::new(s))).collect();
+        keys.sort_unstable();
+        strings.sort_unstable();
+        let sorted: Vec<&str> = keys.iter().map(|k| k.key().as_str()).collect();
+        assert_eq!(sorted, strings);
+    }
+
+    #[test]
+    fn word_compare_orders_boundary_lengths_like_str() {
+        // One key a prefix of the other, differing only in trailing NULs,
+        // at every length around a word edge and the inline↔spill edge.
+        for fill in ["a", "\0", "ß", "€"] {
+            let long = fill.repeat(24);
+            assert_orders_like_str(&long, &format!("{}b", &long[..fill.len() * (21 / fill.len())]));
+            assert_orders_like_str(
+                &long,
+                &format!("{}\0\0", &long[..fill.len() * (6 / fill.len())]),
+            );
+        }
+        assert_orders_like_str("", "\0");
+        assert_orders_like_str("abcdefgh\0", "abcdefgh");
+        assert_orders_like_str("abcdefghijklmnopqrstuv", "abcdefghijklmnopqrstuvw");
+    }
+
     proptest! {
+        /// `Ord`'s inline fast path against `str::cmp`, on strings built to
+        /// collide deep into the buffer (see [`clustered_string_from`]).
+        #[test]
+        fn word_compare_matches_str_compare(
+            a in proptest::collection::vec(any::<u8>(), 0..32),
+            b in proptest::collection::vec(any::<u8>(), 0..32),
+            shared in 0usize..32,
+        ) {
+            let a = clustered_string_from(&a);
+            // `b` repeats `a`'s first `shared` chars, then goes its own way.
+            let b: String =
+                a.chars().take(shared).chain(clustered_string_from(&b).chars()).collect();
+            assert_orders_like_str(&a, &b);
+        }
+
         /// `CompactKey` must be observationally identical to `String`:
         /// equality, ordering and hashing all agree on arbitrary strings,
         /// including ones straddling the inline↔spill boundary.

@@ -1,12 +1,12 @@
 //! Hash-once key carriage: [`Hashed`] pairs a key with its 64-bit hash so
-//! every stage downstream of emission reuses it instead of rehashing.
+//! the combiner container reuses it instead of rehashing.
 //!
-//! Without this, one emitted key is hashed three times on its way to the
-//! output: in the combiner container's `combine_insert`, in
-//! `bucket_by_key`'s reducer routing, and in `reduce_bucket`'s merge table.
-//! The runtimes instead hash each key exactly once — at the mapper's
-//! emission sink, where the key bytes are already hot in cache — wrap it in
-//! [`Hashed`], and carry the pair through the SPSC queues.
+//! The runtimes hash each key exactly once — at the mapper's emission sink,
+//! where the key bytes are already hot in cache — wrap it in [`Hashed`], and
+//! carry the pair through the SPSC queues to the combiner container's
+//! `combine_insert_hashed`, the hash's one consumer. The reduce phase
+//! range-partitions, sorts and folds by key, so a `Hashed` key rides through
+//! it unread and is unwrapped on the way out.
 //!
 //! [`Passthrough`] closes the loop on the container side: a `Hashed` key
 //! hashes itself by writing its carried `u64`, and the passthrough hasher

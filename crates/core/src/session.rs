@@ -787,10 +787,10 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
 
         let partials = frame.partials.into_inner().unwrap_or_else(PoisonError::into_inner);
 
-        // --- Reduce phase (reusing the carried hashes) --------------------
+        // --- Reduce phase (the carried hashes ride along unread) -----------
         let timer = PhaseTimer::start(PhaseKind::Reduce);
         let buckets = phases::bucket_by_key_hashed::<J>(partials, config.num_reducers);
-        let runs = phases::reduce_parallel_hashed(job, buckets)?;
+        let runs = phases::reduce_parallel(job, buckets, phases::reduce_bucket_hashed)?;
         timer.stop(&mut stats);
 
         // --- Merge phase ---------------------------------------------------

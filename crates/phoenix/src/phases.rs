@@ -4,11 +4,19 @@
 //! and merge "remain the same as in typical MR libraries" (§III). Both
 //! runtimes therefore call into this module for everything downstream of the
 //! per-thread containers.
+//!
+//! Reduce and merge *sort once and never merge*: the output must be
+//! key-sorted anyway, so [`bucket_by_key`] splits the key range (not the
+//! hash space) over the reducers, each reducer sorts its bucket and folds
+//! adjacent equal keys, and [`merge_sorted_runs`] concatenates. Nothing here
+//! hashes a key or builds a table; the hash a [`Hashed`] key carries is for
+//! the combiner containers upstream.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 
 use mr_core::{Emitter, MapReduceJob, RuntimeError, TaskRange};
-use ramr_containers::{fnv1a_hash, HashContainer, Hashed, Passthrough};
+use ramr_containers::Hashed;
 use ramr_telemetry::{FaultLog, SkippedTask};
 
 /// The intermediate pairs one worker/combiner/bucket contributes.
@@ -16,215 +24,207 @@ pub type Pairs<J> = Vec<(<J as MapReduceJob>::Key, <J as MapReduceJob>::Value)>;
 
 /// [`Pairs`] with the 64-bit key hash carried alongside each key — the
 /// hash-once pipeline's wire format. The hash is computed at map emission
-/// and reused by bucketing and the reduce tables, so no downstream phase
-/// re-walks key bytes.
+/// for the combiner containers; this module orders by key and never reads it.
 pub type HashedPairs<J> = Vec<(Hashed<<J as MapReduceJob>::Key>, <J as MapReduceJob>::Value)>;
 
-/// Rounds `num_reducers` up to a power of two so bucket selection is a
-/// mask instead of an integer division.
-fn bucket_count(num_reducers: usize) -> usize {
-    num_reducers.max(1).next_power_of_two()
-}
+/// Below this many pairs in total the reduce phase is one bucket on the
+/// calling thread: spawning a reducer costs more than sorting its share.
+const PARALLEL_THRESHOLD: usize = 16 * 1024;
+
+/// Keys sampled per bucket to place the range splitters: enough to keep a
+/// bucket's share of the pairs within a few percent of even.
+const SAMPLES_PER_BUCKET: usize = 128;
 
 /// Distributes the partial `(key, value)` vectors produced by the
-/// map-combine phase into buckets by key hash.
+/// map-combine phase into buckets by key *range*: sorted quantiles of a
+/// strided key sample become `num_reducers − 1` splitters. Every occurrence
+/// of a key lands in the same bucket, so each bucket can be reduced
+/// independently, and every key of bucket `i` sorts before every key of
+/// bucket `i + 1`, so the reduced buckets concatenate into the sorted output.
 ///
-/// Every occurrence of a key lands in the same bucket, so each bucket can be
-/// reduced independently. The bucket count is `num_reducers` rounded up to
-/// the next power of two, which turns per-pair bucket selection into a mask
-/// (`hash & (n - 1)`) instead of a `%` division; the final merged output is
-/// unaffected by how keys are spread over buckets.
+/// Returns exactly `num_reducers` buckets — or a single one under 16 Ki
+/// pairs in total, which keeps a small job's reduce on the calling thread.
 pub fn bucket_by_key<J: MapReduceJob>(
     partials: Vec<Pairs<J>>,
     num_reducers: usize,
 ) -> Vec<Pairs<J>> {
-    let num_buckets = bucket_count(num_reducers);
-    let mask = num_buckets - 1;
-    let total: usize = partials.iter().map(Vec::len).sum();
-    let mut buckets: Vec<Vec<(J::Key, J::Value)>> = Vec::with_capacity(num_buckets);
-    buckets.resize_with(num_buckets, || Vec::with_capacity(total / num_buckets + 1));
-    for partial in partials {
-        for (key, value) in partial {
-            let bucket = (fnv1a_hash(&key) as usize) & mask;
-            buckets[bucket].push((key, value));
-        }
-    }
-    buckets
+    bucket_by_range(partials, num_reducers, |pair| &pair.0)
 }
 
-/// [`bucket_by_key`] for pre-hashed pairs: reuses the hash carried from map
-/// emission instead of hashing every key a second time.
+/// [`bucket_by_key`] for pre-hashed pairs; the hashes ride along unread.
 pub fn bucket_by_key_hashed<J: MapReduceJob>(
     partials: Vec<HashedPairs<J>>,
     num_reducers: usize,
 ) -> Vec<HashedPairs<J>> {
-    let num_buckets = bucket_count(num_reducers);
-    let mask = num_buckets - 1;
+    bucket_by_range(partials, num_reducers, |pair| pair.0.key())
+}
+
+fn bucket_by_range<K: Ord + Clone, P>(
+    mut partials: Vec<Vec<P>>,
+    num_reducers: usize,
+    key: impl Fn(&P) -> &K + Copy,
+) -> Vec<Vec<P>> {
     let total: usize = partials.iter().map(Vec::len).sum();
-    let mut buckets: Vec<HashedPairs<J>> = Vec::with_capacity(num_buckets);
-    buckets.resize_with(num_buckets, || Vec::with_capacity(total / num_buckets + 1));
-    for partial in partials {
-        for (key, value) in partial {
-            let bucket = (key.hash() as usize) & mask;
-            buckets[bucket].push((key, value));
-        }
+    let mut splitters: Vec<K> = Vec::new();
+    if num_reducers > 1 && total >= PARALLEL_THRESHOLD {
+        let stride = (total / (num_reducers * SAMPLES_PER_BUCKET)).max(1);
+        let mut sample: Vec<&K> = partials.iter().flatten().step_by(stride).map(key).collect();
+        sample.sort_unstable();
+        splitters
+            .extend((1..num_reducers).map(|i| sample[i * sample.len() / num_reducers].clone()));
     }
+    // Every partial is partitioned where it lies; an upper bucket then gathers
+    // its range from each partial — last bucket first, so that a range is a
+    // tail when it is drained — and the first bucket is what is left, appended
+    // to the first partial. One partial: only the upper buckets touch new memory.
+    let cuts: Vec<Vec<usize>> =
+        partials.iter_mut().map(|p| cut_ranges(p, &splitters, key)).collect();
+    let mut buckets: Vec<Vec<P>> = (0..splitters.len())
+        .rev()
+        .map(|j| {
+            let len = partials.iter().zip(&cuts).map(|(p, cuts)| p.len() - cuts[j]).sum();
+            let mut bucket = Vec::with_capacity(len);
+            for (partial, cuts) in partials.iter_mut().zip(&cuts) {
+                bucket.extend(partial.drain(cuts[j]..));
+            }
+            bucket
+        })
+        .collect();
+    buckets.push(concat(partials));
+    buckets.reverse();
     buckets
 }
 
-/// Reduces one bucket: folds all partial values per key with the job's
-/// combine function, applies [`MapReduceJob::reduce`] once per key, and
-/// returns the bucket's pairs sorted by key (its contribution to the merge).
-pub fn reduce_bucket<J: MapReduceJob>(job: &J, bucket: Pairs<J>) -> Pairs<J> {
-    let mut table: HashContainer<J::Key, J::Value> =
-        HashContainer::with_capacity(bucket.len().max(1));
-    for (key, value) in bucket {
-        table.combine_insert(key, value, |acc, v| job.combine(acc, v));
-    }
-    let mut pairs = Vec::with_capacity(table.len());
-    table.drain_into(&mut pairs);
-    let mut reduced: Vec<(J::Key, J::Value)> = pairs
-        .into_iter()
-        .map(|(k, v)| {
-            let r = job.reduce(&k, v);
-            (k, r)
-        })
-        .collect();
-    reduced.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    reduced
+/// Appends every vector to the first, which keeps (and at most once grows)
+/// its allocation.
+fn concat<T>(vecs: Vec<Vec<T>>) -> Vec<T> {
+    let total: usize = vecs.iter().map(Vec::len).sum();
+    let mut vecs = vecs.into_iter();
+    let mut all = vecs.next().unwrap_or_default();
+    all.reserve_exact(total - all.len());
+    vecs.for_each(|vec| all.extend(vec));
+    all
 }
 
-/// [`reduce_bucket`] for pre-hashed pairs: the fold table probes with the
-/// carried hashes (via [`Passthrough`]), so the reduce phase never hashes a
-/// key. Hashes are stripped from the output — downstream merge compares by
-/// key only.
-pub fn reduce_bucket_hashed<J: MapReduceJob>(job: &J, bucket: HashedPairs<J>) -> Pairs<J> {
-    let mut table: HashContainer<Hashed<J::Key>, J::Value, Passthrough> =
-        HashContainer::with_capacity_and_hasher(bucket.len().max(1), Passthrough);
-    for (key, value) in bucket {
-        table.combine_insert_hashed(key.hash(), key, value, |acc, v| job.combine(acc, v));
-    }
-    let mut pairs = Vec::with_capacity(table.len());
-    table.drain_into(&mut pairs);
-    let mut reduced: Vec<(J::Key, J::Value)> = pairs
-        .into_iter()
-        .map(|(k, v)| {
-            let k = k.into_key();
-            let r = job.reduce(&k, v);
-            (k, r)
-        })
-        .collect();
-    reduced.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    reduced
-}
-
-/// Runs the reduce phase over all buckets in parallel (one thread per
-/// bucket), returning per-bucket key-sorted outputs.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::WorkerPanic`] if a reducer thread panics.
-pub fn reduce_parallel<J: MapReduceJob>(
-    job: &J,
-    buckets: Vec<Pairs<J>>,
-) -> Result<Vec<Pairs<J>>, RuntimeError> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| scope.spawn(move || reduce_bucket(job, bucket)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|panic| RuntimeError::WorkerPanic(panic_message(&*panic))))
-            .collect()
-    })
-}
-
-/// [`reduce_parallel`] over pre-hashed buckets (see
-/// [`reduce_bucket_hashed`]).
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::WorkerPanic`] if a reducer thread panics.
-pub fn reduce_parallel_hashed<J: MapReduceJob>(
-    job: &J,
-    buckets: Vec<HashedPairs<J>>,
-) -> Result<Vec<Pairs<J>>, RuntimeError> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| scope.spawn(move || reduce_bucket_hashed(job, bucket)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|panic| RuntimeError::WorkerPanic(panic_message(&*panic))))
-            .collect()
-    })
-}
-
-/// Merges key-sorted runs into one key-sorted vector (the merge phase).
-///
-/// Performs iterative pairwise merges — the classic Phoenix merge tree.
-/// Each tree level merges its pairs **in parallel** (one thread per pair,
-/// halving each level), so the merge phase scales like the rest of the
-/// runtime instead of serializing on one core.
-pub fn merge_sorted_runs<K: Ord + Send, V: Send>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    /// Below this many total pairs a level is merged on the calling thread:
-    /// spawning costs more than the merge itself.
-    const PARALLEL_THRESHOLD: usize = 16 * 1024;
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    while runs.len() > 1 {
-        let total: usize = runs.iter().map(Vec::len).sum();
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut pairs = Vec::new();
-        let mut iter = runs.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => pairs.push((a, b)),
-                None => next.push(a),
-            }
-        }
-        if total < PARALLEL_THRESHOLD || pairs.len() < 2 {
-            next.extend(pairs.into_iter().map(|(a, b)| merge_two(a, b)));
-        } else {
-            let merged: Vec<Vec<(K, V)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    pairs.into_iter().map(|(a, b)| scope.spawn(move || merge_two(a, b))).collect();
-                handles.into_iter().map(|h| h.join().expect("merge_two does not panic")).collect()
-            });
-            next.extend(merged);
-        }
-        runs = next;
-    }
-    runs.pop().unwrap_or_default()
-}
-
-fn merge_two<K: Ord, V>(a: Vec<(K, V)>, b: Vec<(K, V)>) -> Vec<(K, V)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ai = a.into_iter().peekable();
-    let mut bi = b.into_iter().peekable();
+/// Reorders `pairs` so that, for every splitter, the keys below it precede
+/// the keys at or above it, and returns where each splitter cuts `pairs`, in
+/// ascending order. Halving the splitters keeps it at `log2` passes.
+fn cut_ranges<K: Ord, P>(
+    pairs: &mut [P],
+    splitters: &[K],
+    key: impl Fn(&P) -> &K + Copy,
+) -> Vec<usize> {
+    let mid = splitters.len() / 2;
+    let Some(splitter) = splitters.get(mid) else { return Vec::new() };
+    let (mut low, mut high) = (0, pairs.len());
     loop {
-        match (ai.peek(), bi.peek()) {
-            (Some(x), Some(y)) => {
-                if x.0 <= y.0 {
-                    out.push(ai.next().expect("peeked"));
-                } else {
-                    out.push(bi.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => {
-                out.extend(ai);
-                break;
-            }
-            (None, _) => {
-                out.extend(bi);
-                break;
-            }
+        while low < high && key(&pairs[low]) < splitter {
+            low += 1;
         }
+        while low < high && key(&pairs[high - 1]) >= splitter {
+            high -= 1;
+        }
+        if low == high {
+            break;
+        }
+        pairs.swap(low, high - 1);
     }
-    out
+    let (below, above) = pairs.split_at_mut(low);
+    let mut cuts = cut_ranges(below, &splitters[..mid], key);
+    cuts.push(low);
+    cuts.extend(cut_ranges(above, &splitters[mid + 1..], key).iter().map(|cut| low + cut));
+    cuts
+}
+
+/// Reduces one bucket: sorts it by key, folds each run of equal keys with
+/// the job's combine function, applies [`MapReduceJob::reduce`] once per
+/// key, and returns the pairs sorted by key (its contribution to the merge).
+/// Equal keys meet in whatever order the unstable sort leaves them — the
+/// combiner is commutative and associative, as everywhere in the system.
+pub fn reduce_bucket<J: MapReduceJob>(job: &J, mut bucket: Pairs<J>) -> Pairs<J> {
+    bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut pairs = bucket.into_iter();
+    let Some(mut open) = pairs.next() else { return Vec::new() };
+    let close = |(key, folded): (J::Key, J::Value)| {
+        let value = job.reduce(&key, folded);
+        (key, value)
+    };
+    // `into_iter` → `filter_map` → `collect` of the same item type writes
+    // over the bucket's own allocation (std collects in place): the fold
+    // touches no new memory, and the first run keeps room for the others.
+    let mut reduced: Pairs<J> = pairs
+        .filter_map(|next| {
+            if next.0 == open.0 {
+                job.combine(&mut open.1, next.1);
+                None
+            } else {
+                Some(close(std::mem::replace(&mut open, next)))
+            }
+        })
+        .collect();
+    reduced.push(close(open));
+    reduced
+}
+
+/// [`reduce_bucket`] for pre-hashed pairs: sheds the hashes (in place) and
+/// reduces the plain pairs.
+pub fn reduce_bucket_hashed<J: MapReduceJob>(job: &J, bucket: HashedPairs<J>) -> Pairs<J> {
+    reduce_bucket(job, bucket.into_iter().map(|(key, value)| (key.into_key(), value)).collect())
+}
+
+/// Runs the reduce phase over all buckets in parallel with `reduce`
+/// ([`reduce_bucket`] or [`reduce_bucket_hashed`]), returning per-bucket
+/// key-sorted outputs. The calling thread reduces the first bucket itself
+/// and spawns a thread for each of the others, so the single bucket of a
+/// small job (see [`bucket_by_key`]) spawns nothing.
+///
+/// # Errors
+///
+/// Returns [`RuntimeError::WorkerPanic`] if `reduce` or `combine` panics in
+/// any bucket: the first such bucket's message, with the further ones
+/// counted onto it. The panic never unwinds into the caller.
+pub fn reduce_parallel<J: MapReduceJob, B: Send>(
+    job: &J,
+    buckets: Vec<B>,
+    reduce: fn(&J, B) -> Pairs<J>,
+) -> Result<Vec<Pairs<J>>, RuntimeError> {
+    let mut buckets = buckets.into_iter();
+    let Some(first) = buckets.next() else { return Ok(Vec::new()) };
+    // Every reducer is joined before the first error is returned: a handle
+    // dropped unjoined makes `thread::scope` re-panic past the `Result`.
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let spawned: Vec<_> =
+            buckets.map(|bucket| scope.spawn(move || reduce(job, bucket))).collect();
+        let inline = catch_unwind(AssertUnwindSafe(|| reduce(job, first)));
+        std::iter::once(inline).chain(spawned.into_iter().map(|h| h.join())).collect()
+    });
+    let panicked = outcomes.iter().filter(|outcome| outcome.is_err()).count() as u64;
+    outcomes.into_iter().collect::<Result<_, _>>().map_err(|panic| {
+        RuntimeError::WorkerPanic(panic_message(&*panic)).noting_suppressed(panicked - 1)
+    })
+}
+
+/// Concatenates range-ordered, key-sorted runs into one key-sorted vector
+/// (the merge phase). The contract is what [`bucket_by_key`] +
+/// [`reduce_parallel`] produce: every key of run `i` is strictly below every
+/// key of run `i + 1`, so there is nothing to interleave. Only the boundaries
+/// between non-empty runs are checked (O(runs) compares); order inside a run
+/// is the reducer's to keep.
+///
+/// # Panics
+///
+/// Panics if a run does not start above the previous non-empty run's last
+/// key: concatenating would hand out unsorted output silently.
+pub fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
+    runs.retain(|run| !run.is_empty());
+    assert!(
+        runs.windows(2).all(|w| w[0].last().map(|p| &p.0) < w[1].first().map(|p| &p.0)),
+        "merge_sorted_runs requires range-ordered runs (each run's keys above the previous run's)"
+    );
+    let mut merged = concat(runs);
+    // A run folded in place still holds its whole bucket's allocation.
+    merged.shrink_to_fit();
+    merged
 }
 
 /// Executes one map task under fault tolerance, shared by the baseline and
@@ -254,7 +254,7 @@ pub fn map_task_staged<J: MapReduceJob>(
     let mut attempt: u32 = 0;
     loop {
         attempt += 1;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut staged: Pairs<J> = Vec::new();
             let count = {
                 let mut sink = |key: J::Key, value: J::Value| staged.push((key, value));
@@ -344,19 +344,121 @@ mod tests {
         }
     }
 
+    /// `reduce` panics on every key.
+    struct PanickingReduce;
+
+    impl MapReduceJob for PanickingReduce {
+        type Input = u64;
+        type Key = u64;
+        type Value = u64;
+
+        fn map(&self, _task: &[u64], _emit: &mut Emitter<'_, u64, u64>) {}
+
+        fn combine(&self, acc: &mut u64, v: u64) {
+            *acc += v;
+        }
+
+        fn reduce(&self, key: &u64, _combined: u64) -> u64 {
+            panic!("reduce refuses key {key}");
+        }
+    }
+
+    /// `parts` partials of `per_part` pairs each (every third partial empty)
+    /// with keys drawn — with replacement — from `0..key_space`.
+    fn partials_from(seed: u64, parts: usize, per_part: usize, key_space: u64) -> Vec<Pairs<Sum>> {
+        let mut rng = proptest::test_runner::TestRng::for_case(&seed.to_string());
+        (0..parts)
+            .map(|p| {
+                let len = if p % 3 == 2 { 0 } else { per_part };
+                (0..len).map(|_| (rng.below(key_space), 1 + rng.below(9))).collect()
+            })
+            .collect()
+    }
+
+    fn hashed(partials: &[Pairs<Sum>]) -> Vec<HashedPairs<Sum>> {
+        partials
+            .iter()
+            .map(|p| {
+                p.iter().map(|&(k, v)| (Hashed::wrap(mr_core::HasherKind::Fx, k), v)).collect()
+            })
+            .collect()
+    }
+
+    /// Pair count and (min, max) key of every bucket.
+    fn spans<P>(buckets: &[Vec<P>], key: fn(&P) -> u64) -> Vec<(usize, Option<(u64, u64)>)> {
+        buckets
+            .iter()
+            .map(|b| (b.len(), b.iter().map(key).min().zip(b.iter().map(key).max())))
+            .collect()
+    }
+
+    /// The bucketing contract: exactly `num_reducers` buckets (one below the
+    /// threshold), no pair lost, and every bucket's keys strictly above the
+    /// previous non-empty bucket's.
+    fn assert_range_ordered(
+        spans: &[(usize, Option<(u64, u64)>)],
+        total: usize,
+        num_reducers: usize,
+    ) {
+        let expected = if total < PARALLEL_THRESHOLD { 1 } else { num_reducers };
+        assert_eq!(spans.len(), expected, "bucket count");
+        assert_eq!(spans.iter().map(|s| s.0).sum::<usize>(), total, "pairs kept");
+        let ranges: Vec<(u64, u64)> = spans.iter().filter_map(|s| s.1).collect();
+        assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "buckets overlap: {ranges:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 40, ..Default::default() })]
+
+        /// bucket → reduce → merge equals a `BTreeMap` fold for arbitrary
+        /// partials, through the plain and the hashed entry points.
+        #[test]
+        fn pipeline_equals_a_btreemap_fold(
+            seed in proptest::prelude::any::<u64>(),
+            num_reducers in 1usize..10,
+            parts in 1usize..6,
+            shape in 0usize..5,
+        ) {
+            let live = parts - parts / 3;
+            let (total, key_space) = match shape {
+                0 => (seed as usize % 200, 50),                          // tiny
+                1 => (PARALLEL_THRESHOLD + 900, 1),                      // all keys equal
+                2 => (PARALLEL_THRESHOLD + 900, 3),                      // fewer keys than reducers
+                3 => (PARALLEL_THRESHOLD - 20 + seed as usize % 40, 5_000), // straddles the threshold
+                _ => (PARALLEL_THRESHOLD * 2, 1 << 40),                  // wide key space
+            };
+            let partials = partials_from(seed, parts, total.div_ceil(live), key_space);
+            let total: usize = partials.iter().map(Vec::len).sum();
+            let mut oracle = std::collections::BTreeMap::new();
+            for &(k, v) in partials.iter().flatten() {
+                *oracle.entry(k).or_insert(0u64) += v;
+            }
+            let oracle: Vec<(u64, u64)> = oracle.into_iter().map(|(k, v)| (k, v * 10)).collect();
+
+            let buckets = bucket_by_key::<Sum>(partials.clone(), num_reducers);
+            assert_range_ordered(&spans(&buckets, |p| p.0), total, num_reducers);
+            let merged = merge_sorted_runs(reduce_parallel(&Sum, buckets, reduce_bucket).unwrap());
+            proptest::prop_assert_eq!(&merged, &oracle);
+
+            let buckets = bucket_by_key_hashed::<Sum>(hashed(&partials), num_reducers);
+            assert_range_ordered(&spans(&buckets, |p| *p.0.key()), total, num_reducers);
+            let merged = merge_sorted_runs(reduce_parallel(&Sum, buckets, reduce_bucket_hashed).unwrap());
+            proptest::prop_assert_eq!(&merged, &oracle);
+        }
+    }
+
     #[test]
-    fn buckets_route_equal_keys_together() {
-        let partials = vec![vec![(1u64, 1u64), (2, 1)], vec![(1, 1), (3, 1)], vec![(2, 1)]];
-        let buckets = bucket_by_key::<Sum>(partials, 3);
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 5);
-        for key in [1u64, 2, 3] {
-            let holders: Vec<usize> = buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.iter().any(|(k, _)| *k == key))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(holders.len(), 1, "key {key} must live in exactly one bucket");
+    fn sampled_splitters_balance_the_buckets() {
+        let partials = partials_from(7, 2, 20_000, u64::MAX);
+        for num_reducers in [2, 4, 7] {
+            let even = 40_000 / num_reducers;
+            for bucket in bucket_by_key::<Sum>(partials.clone(), num_reducers) {
+                assert!(
+                    (even * 3 / 4..even * 5 / 4).contains(&bucket.len()),
+                    "{num_reducers} reducers: a bucket of {} against an even share of {even}",
+                    bucket.len()
+                );
+            }
         }
     }
 
@@ -364,60 +466,50 @@ mod tests {
     fn reduce_bucket_folds_and_applies_reduce() {
         let out = reduce_bucket(&Sum, vec![(5, 1), (5, 1), (2, 1)]);
         assert_eq!(out, [(2, 10), (5, 20)]); // sorted, reduced (x10)
-    }
-
-    #[test]
-    fn bucket_count_is_a_power_of_two() {
-        for (reducers, expected) in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (9, 16)] {
-            let buckets = bucket_by_key::<Sum>(vec![vec![(1u64, 1u64)]], reducers);
-            assert_eq!(buckets.len(), expected, "num_reducers = {reducers}");
-        }
-    }
-
-    /// The hashed pipeline (carried hashes through bucket + reduce) must
-    /// produce the same merged output as the plain pipeline, under both
-    /// hashers — partitioning may differ, the sorted result may not.
-    #[test]
-    fn hashed_pipeline_matches_plain_pipeline() {
-        let partials: Vec<Pairs<Sum>> =
-            vec![vec![(1u64, 1u64), (2, 1), (9, 1)], vec![(1, 1), (3, 1), (9, 1)]];
-        let plain = merge_sorted_runs(
-            reduce_parallel(&Sum, bucket_by_key::<Sum>(partials.clone(), 3)).unwrap(),
-        );
-        for kind in mr_core::HasherKind::ALL {
-            let hashed: Vec<HashedPairs<Sum>> = partials
-                .iter()
-                .map(|p| p.iter().map(|&(k, v)| (Hashed::wrap(kind, k), v)).collect())
-                .collect();
-            let buckets = bucket_by_key_hashed::<Sum>(hashed, 3);
-            for key in [1u64, 2, 3, 9] {
-                let holders =
-                    buckets.iter().filter(|b| b.iter().any(|(k, _)| *k.key() == key)).count();
-                assert_eq!(holders, 1, "key {key} must live in exactly one bucket");
-            }
-            let merged = merge_sorted_runs(reduce_parallel_hashed(&Sum, buckets).unwrap());
-            assert_eq!(merged, plain, "hasher {kind}");
-        }
+        assert!(reduce_bucket(&Sum, Vec::new()).is_empty());
     }
 
     #[test]
     fn reduce_parallel_matches_sequential() {
         let buckets = vec![vec![(1u64, 1u64), (1, 1)], vec![(2, 1)], Vec::new()];
-        let runs = reduce_parallel(&Sum, buckets.clone()).unwrap();
+        let runs = reduce_parallel(&Sum, buckets.clone(), reduce_bucket).unwrap();
         let expected: Vec<Vec<(u64, u64)>> =
             buckets.into_iter().map(|b| reduce_bucket(&Sum, b)).collect();
         assert_eq!(runs, expected);
+        assert!(reduce_parallel(&Sum, Vec::new(), reduce_bucket).unwrap().is_empty());
+    }
+
+    /// A `reduce` that panics in every bucket — the inline one and each
+    /// spawned one — comes back as one `WorkerPanic` naming the first bucket
+    /// and counting the others; nothing unwinds into the caller.
+    #[test]
+    fn reduce_panics_in_every_bucket_return_one_error() {
+        for (buckets, note) in [(1u64, ""), (4, "; 3 further worker error(s) suppressed")] {
+            let input: Vec<Pairs<PanickingReduce>> = (0..buckets).map(|b| vec![(b, 1)]).collect();
+            let hashed_input = hashed(&input);
+            let expected = RuntimeError::WorkerPanic(format!("reduce refuses key 0{note}"));
+            assert_eq!(
+                reduce_parallel(&PanickingReduce, input, reduce_bucket),
+                Err(expected.clone())
+            );
+            assert_eq!(
+                reduce_parallel(&PanickingReduce, hashed_input, reduce_bucket_hashed),
+                Err(expected)
+            );
+        }
     }
 
     #[test]
-    fn merge_interleaves_sorted_runs() {
+    fn merge_concatenates_range_ordered_runs() {
         let merged = merge_sorted_runs(vec![
-            vec![(1, 'a'), (4, 'b')],
+            Vec::new(),
+            vec![(0, 'd'), (1, 'a')],
+            Vec::new(),
             vec![(2, 'c')],
-            vec![(0, 'd'), (3, 'e'), (5, 'f')],
+            vec![(3, 'e'), (4, 'b'), (5, 'f')],
         ]);
-        let keys: Vec<i32> = merged.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(merged, [(0, 'd'), (1, 'a'), (2, 'c'), (3, 'e'), (4, 'b'), (5, 'f')]);
+        assert_eq!(merged.capacity(), merged.len(), "spare bucket capacity is handed back");
     }
 
     #[test]
@@ -428,22 +520,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_matches_sequential_at_scale() {
-        // Cross the parallel threshold with many runs.
-        let runs: Vec<Vec<(u64, u64)>> =
-            (0..16).map(|r| (0..4000u64).map(|i| (i * 16 + r, i)).collect()).collect();
-        let merged = merge_sorted_runs(runs.clone());
-        let mut expected: Vec<(u64, u64)> = runs.into_iter().flatten().collect();
-        expected.sort_unstable();
-        assert_eq!(merged, expected);
+    #[should_panic(expected = "range-ordered runs")]
+    fn merge_rejects_interleaved_runs() {
+        merge_sorted_runs(vec![vec![(1, 'a'), (4, 'b')], vec![(2, 'c')]]);
     }
 
     #[test]
-    fn merge_is_stable_for_distinct_keys_across_runs() {
-        // All keys distinct across runs: result equals global sort.
-        let runs = vec![vec![(10, ()), (30, ())], vec![(20, ()), (40, ())]];
-        let merged = merge_sorted_runs(runs);
-        assert_eq!(merged.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [10, 20, 30, 40]);
+    #[should_panic(expected = "range-ordered runs")]
+    fn merge_rejects_a_key_shared_by_two_runs() {
+        merge_sorted_runs(vec![vec![(1, 'a'), (2, 'b')], Vec::new(), vec![(2, 'c')]]);
     }
 
     /// Panics the next `failures` map calls (emitting first each time),

@@ -191,7 +191,7 @@ impl PhoenixRuntime {
         // --- Reduce phase ------------------------------------------------
         let timer = PhaseTimer::start(PhaseKind::Reduce);
         let buckets = phases::bucket_by_key::<J>(partials, config.num_reducers);
-        let runs = phases::reduce_parallel(job, buckets)?;
+        let runs = phases::reduce_parallel(job, buckets, phases::reduce_bucket)?;
         timer.stop(&mut stats);
 
         // --- Merge phase ---------------------------------------------------

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mr_apps::WordCount;
-use mr_core::{ContainerKind, RuntimeConfig};
+use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{Backend, JobScheduler, RamrSession};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 use ramr_telemetry::FaultMetrics;
@@ -248,6 +248,63 @@ fn scheduled_tenants_share_the_pool_without_fault_bleed() {
         let bystander_stats = stats.iter().find(|s| s.tenant == "bystander").unwrap();
         assert_eq!(victim_stats.completed, 3, "{backend}: skip-poison runs complete");
         assert_eq!(bystander_stats.failed, 0, "{backend}");
+    }
+}
+
+/// Counts each element as its own key; `reduce` panics on every key when
+/// the flag is set, so one job type serves the failing and the healthy
+/// submit of a session.
+struct Tally {
+    reduce_panics: bool,
+}
+
+impl MapReduceJob for Tally {
+    type Input = u64;
+    type Key = u64;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+        for &x in task {
+            emit.emit(x, 1);
+        }
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        *acc += v;
+    }
+
+    fn reduce(&self, key: &u64, combined: u64) -> u64 {
+        assert!(!self.reduce_panics, "reduce refuses key {key}");
+        combined
+    }
+}
+
+#[test]
+fn a_reduce_that_panics_in_every_bucket_is_an_error_not_an_unwind() {
+    // Every bucket's reducer panics — the one the submitting thread reduces
+    // itself and each spawned one. The job must come back as `WorkerPanic`
+    // (an unjoined reducer used to re-panic out of `submit`), and the same
+    // session must then serve an exact job. 100 keys reduce inline in one
+    // bucket; 20 000 are past the 16 Ki-pair spawn threshold.
+    for backend in [Backend::RamrStatic, Backend::Phoenix] {
+        for num_reducers in [1, 4] {
+            for keys in [100u64, 20_000] {
+                let mut cfg = config();
+                cfg.num_reducers = num_reducers;
+                let mut session = backend.session::<Tally>(cfg).unwrap();
+                let input: Vec<u64> = (0..keys).chain(0..keys).collect();
+                let case = format!("{backend}, {num_reducers} reducers, {keys} keys");
+
+                let err = session.submit(&Tally { reduce_panics: true }, &input).unwrap_err();
+                assert!(
+                    matches!(&err, RuntimeError::WorkerPanic(m) if m.contains("reduce refuses key")),
+                    "{case}: got {err}"
+                );
+                let healthy = session.submit(&Tally { reduce_panics: false }, &input).unwrap();
+                let expected: Vec<(u64, u64)> = (0..keys).map(|k| (k, 2)).collect();
+                assert_eq!(healthy.output.pairs, expected, "{case}");
+            }
+        }
     }
 }
 
