@@ -1,4 +1,12 @@
-//! Growable open-addressing hash container.
+//! Growable open-addressing hash container: a tagged index over
+//! insertion-ordered entries.
+//!
+//! `index` holds one `u64` per slot — `hash >> 32` as a tag in the high
+//! half, entry number + 1 in the low half, 0 for empty — and `entries` the
+//! `(K, V)` pairs in insertion order, without holes. A probe walks index
+//! words from `hash & mask` and compares a key only on a tag hit. Growth
+//! doubles the index and re-threads its words from the entries' hashes; the
+//! pairs themselves never move.
 
 use std::hash::{BuildHasher, Hash};
 
@@ -8,20 +16,30 @@ const INITIAL_CAPACITY: usize = 16;
 /// Grow when the load factor reaches 7/8.
 const LOAD_NUM: usize = 7;
 const LOAD_DEN: usize = 8;
+/// The tag half of an index word: the high 32 bits of the key's hash.
+const TAG_MASK: u64 = !(u32::MAX as u64);
 
 /// Slots needed so `capacity` keys fit strictly under the 7/8 load factor:
 /// over-allocate by 8/7 and round up to a power of two.
-fn slots_for(capacity: usize) -> usize {
-    (capacity.max(1) * LOAD_DEN)
-        .div_ceil(LOAD_NUM)
-        .max(2)
-        .checked_next_power_of_two()
+pub(crate) fn slots_for(capacity: usize) -> usize {
+    capacity
+        .max(1)
+        .checked_mul(LOAD_DEN)
+        .map(|scaled| scaled.div_ceil(LOAD_NUM).max(2))
+        .and_then(usize::checked_next_power_of_two)
         .expect("capacity overflow")
+}
+
+/// The low half of the index word for the entry pushed onto `len` entries:
+/// its number + 1, which must fit 32 bits.
+fn entry_word(len: usize) -> u64 {
+    assert!(len < u32::MAX as usize, "hash container is limited to 2^32 - 1 entries");
+    len as u64 + 1
 }
 
 /// A growable open-addressing (linear probing) hash table specialized for
 /// the combine-insert access pattern: insert-or-fold, no deletions, one
-/// final drain.
+/// final drain — after which the table is reused as it stands.
 ///
 /// This is the "regular hash table" of the paper's stressed configuration
 /// (Figs 8b/9b): relative to the array container it adds the hash
@@ -37,9 +55,9 @@ fn slots_for(capacity: usize) -> usize {
 /// [`Passthrough`](crate::Passthrough)).
 #[derive(Debug, Clone)]
 pub struct HashContainer<K, V, S = FnvBuildHasher> {
-    slots: Vec<Option<(K, V)>>,
-    len: usize,
-    /// Mask for power-of-two capacity.
+    /// One word per slot, see the module docs; its length is a power of two.
+    index: Vec<u64>,
+    entries: Vec<(K, V)>,
     mask: usize,
     hasher: S,
 }
@@ -51,9 +69,8 @@ impl<K: Eq + Hash, V> HashContainer<K, V> {
     }
 
     /// Creates an empty container able to hold at least `capacity` keys
-    /// before the first growth (the slot array is over-allocated by the
-    /// inverse load factor, so inserting exactly `capacity` distinct keys
-    /// never grows).
+    /// before the first growth or allocation: the index is over-allocated by
+    /// the inverse load factor and the entries are reserved.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_capacity_and_hasher(capacity, FnvBuildHasher)
     }
@@ -67,12 +84,21 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     }
 
     /// Creates an empty container using `hasher`, able to hold at least
-    /// `capacity` keys before the first growth.
+    /// `capacity` keys before the first growth or allocation.
     pub fn with_capacity_and_hasher(capacity: usize, hasher: S) -> Self {
-        let cap = slots_for(capacity);
-        let mut slots = Vec::new();
-        slots.resize_with(cap, || None);
-        Self { slots, len: 0, mask: cap - 1, hasher }
+        let slots = slots_for(capacity);
+        Self {
+            index: vec![0; slots],
+            entries: Vec::with_capacity(capacity),
+            mask: slots - 1,
+            hasher,
+        }
+    }
+
+    /// Reserves room for `additional` more entries, as `with_capacity` does
+    /// up front; a drain hands the entries' allocation away.
+    pub fn reserve_entries(&mut self, additional: usize) {
+        self.entries.reserve(additional);
     }
 
     /// Folds `value` into the entry for `key`, inserting it when absent.
@@ -85,6 +111,7 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     /// by the caller. `hash` must equal `self.hasher`'s hash of `key` —
     /// growth rehashes through the container's hasher, so a foreign hash
     /// would strand the entry.
+    #[inline]
     pub fn combine_insert_hashed(
         &mut self,
         hash: u64,
@@ -93,83 +120,92 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
         combine: impl FnOnce(&mut V, V),
     ) {
         debug_assert_eq!(hash, self.hasher.hash_one(&key), "hash does not match this hasher");
-        if (self.len + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
-            self.grow();
+        match self.find(hash, &key) {
+            Ok(entry) => combine(&mut self.entries[entry].1, value),
+            Err(slot) => self.insert_new(slot, hash, key, value),
         }
-        let mut idx = (hash as usize) & self.mask;
+    }
+
+    /// Probes for `key`: its entry number, or the empty slot that ended the
+    /// probe. Only a tag hit reads an entry.
+    #[inline]
+    fn find(&self, hash: u64, key: &K) -> Result<usize, usize> {
+        let mut slot = hash as usize & self.mask;
         loop {
-            match &mut self.slots[idx] {
-                Some((k, acc)) if *k == key => {
-                    combine(acc, value);
-                    return;
-                }
-                Some(_) => idx = (idx + 1) & self.mask,
-                empty @ None => {
-                    *empty = Some((key, value));
-                    self.len += 1;
-                    return;
-                }
+            let word = self.index[slot];
+            if word == 0 {
+                return Err(slot);
             }
+            let entry = (word & !TAG_MASK) as usize - 1;
+            if word & TAG_MASK == hash & TAG_MASK && self.entries[entry].0 == *key {
+                return Ok(entry);
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
+    /// Appends a new entry threaded at `slot`, the empty slot its probe ended
+    /// on, then doubles the index if that reached the load factor.
+    #[inline(never)]
+    fn insert_new(&mut self, slot: usize, hash: u64, key: K, value: V) {
+        self.index[slot] = (hash & TAG_MASK) | entry_word(self.entries.len());
+        self.entries.push((key, value));
+        if self.entries.len() * LOAD_DEN > self.index.len() * LOAD_NUM {
+            self.rethread(self.index.len() * 2);
         }
     }
 
     /// Returns a reference to the value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let mut idx = (self.hasher.hash_one(key) as usize) & self.mask;
-        loop {
-            match &self.slots[idx] {
-                Some((k, v)) if k == key => return Some(v),
-                Some(_) => idx = (idx + 1) & self.mask,
-                None => return None,
-            }
-        }
+        self.find(self.hasher.hash_one(key), key).ok().map(|entry| &self.entries[entry].1)
     }
 
     /// Number of distinct keys stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether no key has been inserted yet.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
-    /// Current slot count (always a power of two).
+    /// Current slot count of the index (always a power of two).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.index.len()
     }
 
-    /// Iterates over the stored `(key, value)` pairs in hash order.
+    /// Iterates over the stored `(key, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.slots.iter().filter_map(|slot| slot.as_ref().map(|(k, v)| (k, v)))
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 
-    /// Moves all pairs into `out`, emptying the container (capacity is
-    /// retained for reuse).
+    /// Moves all pairs into `out` in insertion order, emptying the
+    /// container. An empty `out` takes the entries by move, anything else is
+    /// appended to. The index is zeroed and retained for reuse; room for
+    /// entries is not (see [`reserve_entries`](Self::reserve_entries)).
     pub fn drain_into(&mut self, out: &mut Vec<(K, V)>) {
-        out.reserve(self.len);
-        for slot in &mut self.slots {
-            if let Some(pair) = slot.take() {
-                out.push(pair);
-            }
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.entries);
+        } else {
+            out.append(&mut self.entries);
         }
-        self.len = 0;
+        self.index.fill(0);
     }
 
-    fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let mut old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(new_cap, || None);
-        self.mask = new_cap - 1;
-        for slot in &mut old {
-            if let Some((k, v)) = slot.take() {
-                let mut idx = (self.hasher.hash_one(&k) as usize) & self.mask;
-                while self.slots[idx].is_some() {
-                    idx = (idx + 1) & self.mask;
-                }
-                self.slots[idx] = Some((k, v));
+    /// Replaces the index by one of `slots` words threaded from the entries'
+    /// hashes. The entries stay where they are: growth costs one 8-byte
+    /// store per key, plus first touch of the new index.
+    fn rethread(&mut self, slots: usize) {
+        self.index = vec![0; slots];
+        self.mask = slots - 1;
+        for (number, (key, _)) in self.entries.iter().enumerate() {
+            let hash = self.hasher.hash_one(key);
+            let mut slot = hash as usize & self.mask;
+            while self.index[slot] != 0 {
+                slot = (slot + 1) & self.mask;
             }
+            self.index[slot] = (hash & TAG_MASK) | entry_word(number);
         }
     }
 }
@@ -217,20 +253,120 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_holds_exactly_capacity_keys_without_growth() {
+    fn with_capacity_holds_exactly_capacity_keys_without_allocating() {
         // The documented contract: `with_capacity(n)` accepts n distinct
-        // keys before the first growth. The 7/8 load factor used to break
-        // this at n of a power of two (growing at ⌈7n/8⌉ keys, e.g. 14 of
-        // 16); over-allocating by 8/7 restores it.
+        // keys before the first growth or allocation. The 7/8 load factor
+        // used to break this at n of a power of two (growing at ⌈7n/8⌉ keys,
+        // e.g. 14 of 16); over-allocating the index by 8/7 restores it, and
+        // the entries are reserved alongside. Neither buffer may move.
         for req in [1usize, 7, 14, 16, 100, 128, 1000] {
             let mut c: HashContainer<u64, u64> = HashContainer::with_capacity(req);
-            let initial = c.capacity();
+            let index = (c.index.as_ptr(), c.index.len());
+            let entries = (c.entries.as_ptr(), c.entries.capacity());
             for i in 0..req as u64 {
                 c.combine_insert(i, 1, add);
             }
             assert_eq!(c.len(), req);
-            assert_eq!(c.capacity(), initial, "with_capacity({req}) grew before {req} keys");
+            assert_eq!((c.index.as_ptr(), c.index.len()), index, "with_capacity({req}): index");
+            assert_eq!(
+                (c.entries.as_ptr(), c.entries.capacity()),
+                entries,
+                "with_capacity({req}): entries"
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity overflow")]
+    fn an_absurd_capacity_fails_loudly_instead_of_wrapping() {
+        // `capacity * 8` used to wrap in release builds and undersize.
+        slots_for(usize::MAX / 4);
+    }
+
+    #[test]
+    fn entry_numbers_stop_at_the_32_bit_half() {
+        assert_eq!(entry_word(0), 1);
+        assert_eq!(entry_word(u32::MAX as usize - 1), u64::from(u32::MAX));
+        let past = std::panic::catch_unwind(|| entry_word(u32::MAX as usize));
+        assert!(past.is_err(), "entry number 2^32 would spill into the tag half");
+    }
+
+    #[test]
+    fn colliding_tags_and_home_slots_never_merge_distinct_keys() {
+        let mut c: HashContainer<Hashed<u32>, u64, Passthrough> =
+            HashContainer::with_capacity_and_hasher(64, Passthrough);
+        // Keys whose hashes the test chooses: probing and tags see the hash,
+        // equality the key.
+        let mut expected = Vec::new();
+        // Same hash entirely (same tag, same home slot), different keys.
+        for key in 0..8 {
+            expected.push(Hashed::new(0xABCD_0123_0000_0005, key));
+        }
+        // Same tag, different home slots.
+        for key in 8..16 {
+            expected.push(Hashed::new(0xABCD_0123_0000_0000 | u64::from(key), key));
+        }
+        // Same home slot (equal low bits), different tags.
+        for key in 16..24 {
+            expected.push(Hashed::new((u64::from(key) << 32) | 5, key));
+        }
+        for round in 1..=3u64 {
+            for k in &expected {
+                c.combine_insert_hashed(k.hash(), k.clone(), 1, add);
+            }
+            assert_eq!(c.len(), expected.len(), "round {round}");
+            for k in &expected {
+                assert_eq!(c.get(k), Some(&round), "key {} in round {round}", k.key());
+            }
+        }
+        // Growth re-threads the same chains from the carried hashes.
+        for key in 100..400 {
+            let k = Hashed::new(0xABCD_0123_0000_0005, key);
+            c.combine_insert_hashed(k.hash(), k, 1, add);
+        }
+        for k in &expected {
+            assert_eq!(c.get(k), Some(&3), "key {} after growth", k.key());
+        }
+    }
+
+    #[test]
+    fn iter_and_drain_yield_insertion_order_and_drain_appends() {
+        let keys = [9u64, 2, 7, 1, 8, 3];
+        let mut c = HashContainer::with_capacity(2);
+        for &k in keys.iter().chain(&keys) {
+            c.combine_insert(k, 1u64, add);
+        }
+        let expected: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 2)).collect();
+        assert_eq!(c.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(), expected);
+        // Into an empty vector: the entries themselves.
+        let mut out = Vec::new();
+        c.drain_into(&mut out);
+        assert_eq!(out, expected);
+        assert!(c.is_empty() && c.iter().next().is_none());
+        // Into a non-empty one: appended, the earlier contents kept.
+        c.combine_insert(4, 4, add);
+        c.drain_into(&mut out);
+        assert_eq!(out.len(), expected.len() + 1);
+        assert_eq!(out[..expected.len()], expected[..]);
+        assert_eq!(out.last(), Some(&(4, 4)));
+        assert_eq!(c.get(&4), None, "a drained key must not be found through a stale index word");
+    }
+
+    #[test]
+    fn clone_is_deep() {
+        let mut a = HashContainer::new();
+        for i in 0..50u64 {
+            a.combine_insert(i, 1, add);
+        }
+        let mut b = a.clone();
+        for i in 0..100u64 {
+            b.combine_insert(i, 10, add);
+        }
+        let mut drained = Vec::new();
+        b.drain_into(&mut drained);
+        assert_eq!(a.len(), 50);
+        assert!((0..50u64).all(|i| a.get(&i) == Some(&1)), "the clone wrote through");
+        assert_eq!(drained.len(), 100);
     }
 
     #[test]
@@ -299,21 +435,69 @@ mod tests {
 
     proptest! {
         /// The container must agree with std's HashMap under arbitrary
-        /// insert sequences (fold = saturating add to also exercise repeated
-        /// combines).
+        /// insert sequences (fold = add, to also exercise repeated combines)
+        /// — and keep agreeing when the one instance is drained and refilled,
+        /// which is how a session's combiner uses it: every cycle starts from
+        /// the index the last one grew, and a later, larger cycle grows it
+        /// again.
         #[test]
-        fn agrees_with_std_hashmap(keys in proptest::collection::vec(0u16..512, 0..2000)) {
-            let mut ours = HashContainer::new();
-            let mut reference = std::collections::HashMap::new();
-            for k in keys {
-                ours.combine_insert(k, 1u64, add);
-                *reference.entry(k).or_insert(0u64) += 1;
+        fn agrees_with_std_hashmap_across_drain_cycles(
+            cycles in proptest::collection::vec(
+                proptest::collection::vec(0u32..4096, 0..1500),
+                1..5,
+            ),
+            spreads in proptest::collection::vec(1u32..40, 4..5),
+        ) {
+            let mut ours = HashContainer::with_capacity(2);
+            for (keys, spread) in cycles.into_iter().zip(spreads) {
+                let mut reference = std::collections::HashMap::new();
+                for k in keys {
+                    // `spread` varies the distinct-key count between cycles.
+                    let k = k * spread;
+                    ours.combine_insert(k, 1u64, add);
+                    *reference.entry(k).or_insert(0u64) += 1;
+                    prop_assert_eq!(ours.get(&k), reference.get(&k));
+                }
+                prop_assert_eq!(ours.len(), reference.len());
+                let mut out = Vec::new();
+                ours.drain_into(&mut out);
+                prop_assert!(ours.is_empty());
+                prop_assert_eq!(out.len(), reference.len());
+                let drained: std::collections::HashMap<u32, u64> = out.into_iter().collect();
+                prop_assert_eq!(drained, reference);
             }
-            prop_assert_eq!(ours.len(), reference.len());
+        }
+    }
+
+    #[test]
+    fn a_multi_megabyte_table_survives_reuse() {
+        // The shape of a word-count session: a big job, a drain, the same
+        // job again on the kept index, then a bigger one that grows it.
+        // Sized to be quick only with the optimiser on (CI runs this crate's
+        // tests in release mode as well).
+        let sizes: [u64; 3] = if cfg!(debug_assertions) {
+            [20_000, 20_000, 50_000]
+        } else {
+            [300_000, 300_000, 700_000]
+        };
+        let mut c: HashContainer<u64, u64> = HashContainer::new();
+        let mut grown = 0;
+        for (cycle, &n) in sizes.iter().enumerate() {
+            for pass in 0..2 {
+                for i in 0..n {
+                    c.combine_insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 1, add);
+                }
+                assert_eq!(c.len(), n as usize, "cycle {cycle} pass {pass}");
+            }
+            if cycle == 1 {
+                assert_eq!(c.capacity(), grown, "a repeat job must not grow the kept index");
+            }
+            grown = c.capacity();
             let mut out = Vec::new();
-            ours.drain_into(&mut out);
-            let drained: std::collections::HashMap<u16, u64> = out.into_iter().collect();
-            prop_assert_eq!(drained, reference);
+            c.drain_into(&mut out);
+            assert_eq!(out.len(), n as usize);
+            assert!(out.iter().all(|&(_, v)| v == 2), "cycle {cycle}");
+            assert_eq!(c.capacity(), grown, "a drain keeps the index");
         }
     }
 }

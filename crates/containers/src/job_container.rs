@@ -1,5 +1,16 @@
 //! Enum dispatch over the three containers and the job-aware adapter the
 //! runtimes allocate per worker/combiner.
+//!
+//! The dispatch is a `match` on the container kind. [`HashedJobContainer::insert`]
+//! pays it per pair; a combiner's hot loop instead hands a whole batched read
+//! to [`HashedJobContainer::insert_from`] as a [`PairFeed`], which matches
+//! once and gives the feed a closure holding only the chosen arm — the hash
+//! arm's inlined probe then cannot push the array arm out of line.
+//!
+//! A combiner that serves a stream of jobs keeps its container between them:
+//! [`HashedJobContainer::drain_to_keep`] empties and unbinds it,
+//! [`HashedJobContainer::reusing`] binds it to the next job if it is what
+//! [`HashedJobContainer::for_job`] would build for that job anyway.
 
 use mr_core::{ContainerKind, MapReduceJob, RuntimeError};
 
@@ -164,6 +175,44 @@ impl<'a, J: MapReduceJob> JobContainer<'a, J> {
         }
     }
 
+    /// Runs `emit` with a sink that folds every pair it is given as
+    /// [`insert`](Self::insert) would — a map task's emitter, say — choosing
+    /// the container kind once for the whole run instead of once per pair.
+    /// After the first error the sink drops what it is given.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`insert`](Self::insert) would have returned.
+    pub fn insert_from(
+        &mut self,
+        emit: impl FnOnce(&mut dyn FnMut(J::Key, J::Value)),
+    ) -> Result<(), RuntimeError> {
+        let job = self.job;
+        let mut first_error = None;
+        match &mut self.inner {
+            ContainerImpl::Array(c) => emit(&mut |key, value| {
+                if first_error.is_none() {
+                    let index = job.key_index(&key);
+                    let combine = |acc: &mut J::Value, v| job.combine(acc, v);
+                    if let Err(e) = c.combine_insert_at(index, key, value, combine) {
+                        first_error = Some(e);
+                    }
+                }
+            }),
+            ContainerImpl::Hash(c) => emit(&mut |key, value| {
+                c.combine_insert(key, value, |acc, v| job.combine(acc, v));
+            }),
+            ContainerImpl::FixedHash(c) => emit(&mut |key, value| {
+                if first_error.is_none() {
+                    if let Err(e) = c.combine_insert(key, value, |acc, v| job.combine(acc, v)) {
+                        first_error = Some(e);
+                    }
+                }
+            }),
+        }
+        first_error.map_or(Ok(()), Err)
+    }
+
     /// Number of distinct keys stored.
     pub fn len(&self) -> usize {
         self.inner.len()
@@ -225,6 +274,30 @@ impl<K: mr_core::MrKey, V: mr_core::MrValue> HashedContainerImpl<K, V> {
     }
 }
 
+/// A source of hash-carrying pairs that pushes each one into a sink — one
+/// batched queue read, say. Generic over the sink, so the three closures
+/// [`HashedJobContainer::insert_from`] builds each stay statically
+/// dispatched.
+pub trait PairFeed<K, V> {
+    /// Hands every pair of the feed to `sink`, in order.
+    fn feed(self, sink: impl FnMut(Hashed<K>, V));
+}
+
+/// An index a job filled to less than one part in this many is not kept: a
+/// right-sized one replaces it, so one huge job does not leave every later
+/// small job a multi-megabyte index to zero.
+const KEEP_FILL_DEN: usize = 16;
+
+/// A drained combine container between two jobs: what
+/// [`HashedJobContainer::drain_to_keep`] leaves and
+/// [`HashedJobContainer::reusing`] takes over.
+#[derive(Debug)]
+pub struct KeptContainer<K, V> {
+    inner: HashedContainerImpl<K, V>,
+    /// Keys the last job left: the entries to reserve for the next.
+    drained: usize,
+}
+
 /// The hash-once counterpart of [`JobContainer`]: a job-bound container
 /// whose keys arrive as [`Hashed`] pairs from the mapper's emission sink.
 /// Both runtimes allocate one per combiner; the carried hash makes the
@@ -257,6 +330,27 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
         kind: ContainerKind,
         fixed_capacity: Option<usize>,
     ) -> Result<Self, RuntimeError> {
+        Self::reusing(job, kind, fixed_capacity, None)
+    }
+
+    /// [`for_job`](Self::for_job), taking over `kept` instead of allocating
+    /// when it is what `for_job` would build for *this* job: the same kind
+    /// and, for the array and fixed-hash containers, the same resolved
+    /// capacity (two jobs of one type may declare different key spaces).
+    /// A kept hash table comes back with its index as grown and its entries
+    /// reserved for as many keys as it last held. Anything else is dropped
+    /// and built afresh.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`for_job`](Self::for_job).
+    pub fn reusing(
+        job: &'a J,
+        kind: ContainerKind,
+        fixed_capacity: Option<usize>,
+        kept: Option<KeptContainer<J::Key, J::Value>>,
+    ) -> Result<Self, RuntimeError> {
+        let (kept, drained) = kept.map_or((None, 0), |k| (Some(k.inner), k.drained));
         let inner = match kind {
             ContainerKind::Array => {
                 let capacity = fixed_capacity.or_else(|| job.key_space()).ok_or_else(|| {
@@ -265,21 +359,35 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
                         job.name()
                     ))
                 })?;
-                HashedContainerImpl::Array(ArrayContainer::with_capacity(capacity))
+                match kept {
+                    Some(HashedContainerImpl::Array(c)) if c.capacity() == capacity => {
+                        HashedContainerImpl::Array(c)
+                    }
+                    _ => HashedContainerImpl::Array(ArrayContainer::with_capacity(capacity)),
+                }
             }
-            ContainerKind::Hash => {
-                HashedContainerImpl::Hash(HashContainer::with_hasher(Passthrough))
-            }
+            ContainerKind::Hash => match kept {
+                Some(HashedContainerImpl::Hash(mut c)) => {
+                    c.reserve_entries(drained);
+                    HashedContainerImpl::Hash(c)
+                }
+                _ => HashedContainerImpl::Hash(HashContainer::with_hasher(Passthrough)),
+            },
             ContainerKind::FixedHash => {
                 let capacity = fixed_capacity
                     .or_else(|| job.key_space())
                     .unwrap_or(DEFAULT_FIXED_HASH_CAPACITY);
-                HashedContainerImpl::FixedHash(FixedHashContainer::with_capacity_and_hasher(
-                    capacity,
-                    Passthrough,
-                ))
+                match kept {
+                    Some(HashedContainerImpl::FixedHash(c)) if c.capacity() == capacity => {
+                        HashedContainerImpl::FixedHash(c)
+                    }
+                    _ => HashedContainerImpl::FixedHash(
+                        FixedHashContainer::with_capacity_and_hasher(capacity, Passthrough),
+                    ),
+                }
             }
         };
+        debug_assert!(inner.is_empty(), "a kept container must have been drained");
         Ok(Self { job, inner })
     }
 
@@ -309,6 +417,47 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
         }
     }
 
+    /// Folds every pair of `feed` as [`insert`](Self::insert) would, choosing
+    /// the container kind once for the whole feed instead of once per pair.
+    /// After the first error the rest of the feed is still taken, and
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`insert`](Self::insert) would have returned.
+    pub fn insert_from(
+        &mut self,
+        feed: impl PairFeed<J::Key, J::Value>,
+    ) -> Result<(), RuntimeError> {
+        let job = self.job;
+        // Written on the error path only: storing a whole `Result` per pair
+        // costs the array arm as much as the insert itself.
+        let mut first_error = None;
+        match &mut self.inner {
+            HashedContainerImpl::Array(c) => feed.feed(|key, value| {
+                if first_error.is_none() {
+                    let index = job.key_index(key.key());
+                    let combine = |acc: &mut J::Value, v| job.combine(acc, v);
+                    if let Err(e) = c.combine_insert_at(index, key, value, combine) {
+                        first_error = Some(e);
+                    }
+                }
+            }),
+            HashedContainerImpl::Hash(c) => feed.feed(|key, value| {
+                c.combine_insert_hashed(key.hash(), key, value, |acc, v| job.combine(acc, v));
+            }),
+            HashedContainerImpl::FixedHash(c) => feed.feed(|key, value| {
+                if first_error.is_none() {
+                    let combine = |acc: &mut J::Value, v| job.combine(acc, v);
+                    if let Err(e) = c.combine_insert_hashed(key.hash(), key, value, combine) {
+                        first_error = Some(e);
+                    }
+                }
+            }),
+        }
+        first_error.map_or(Ok(()), Err)
+    }
+
     /// Number of distinct keys stored.
     pub fn len(&self) -> usize {
         self.inner.len()
@@ -322,6 +471,25 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
     /// Moves all pairs into `out`, emptying the container.
     pub fn drain_into(&mut self, out: &mut Vec<(Hashed<J::Key>, J::Value)>) {
         self.inner.drain_into(out);
+    }
+
+    /// [`drain_into`](Self::drain_into), then unbinds the emptied container
+    /// from its job so a later one can take it over
+    /// ([`reusing`](Self::reusing)). A hash index this job filled to under
+    /// 1/16 is not worth its zeroing cost and is replaced by a right-sized
+    /// one.
+    pub fn drain_to_keep(
+        mut self,
+        out: &mut Vec<(Hashed<J::Key>, J::Value)>,
+    ) -> KeptContainer<J::Key, J::Value> {
+        let drained = self.inner.len();
+        self.inner.drain_into(out);
+        if let HashedContainerImpl::Hash(c) = &mut self.inner {
+            if c.capacity() > KEEP_FILL_DEN * drained.max(1) {
+                *c = HashContainer::with_capacity_and_hasher(drained, Passthrough);
+            }
+        }
+        KeptContainer { inner: self.inner, drained }
     }
 
     /// Consumes the adapter, returning the underlying container.
@@ -454,6 +622,139 @@ mod tests {
                 plain.sort_unstable();
                 assert_eq!(plain, expected, "container {kind} / hasher {hasher}");
             }
+        }
+    }
+
+    /// A vector as a feed.
+    struct Pairs(Vec<(Hashed<u64>, u64)>);
+
+    impl PairFeed<u64, u64> for Pairs {
+        fn feed(self, mut sink: impl FnMut(Hashed<u64>, u64)) {
+            for (key, value) in self.0 {
+                sink(key, value);
+            }
+        }
+    }
+
+    fn wrapped(keys: impl Iterator<Item = u64>) -> Vec<(Hashed<u64>, u64)> {
+        keys.map(|k| (Hashed::wrap(mr_core::HasherKind::Fx, k), 1)).collect()
+    }
+
+    #[test]
+    fn insert_from_agrees_with_insert_for_every_kind() {
+        let job = Mod5;
+        for kind in ContainerKind::ALL {
+            let mut single = HashedJobContainer::for_job(&job, kind, None).unwrap();
+            for (k, v) in wrapped((0..50).map(|x| x % 5)) {
+                single.insert(k, v).unwrap();
+            }
+            let mut batched = HashedJobContainer::for_job(&job, kind, None).unwrap();
+            batched.insert_from(Pairs(wrapped((0..20).map(|x| x % 5)))).unwrap();
+            batched.insert_from(Pairs(wrapped((20..50).map(|x| x % 5)))).unwrap();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            single.drain_into(&mut a);
+            batched.drain_into(&mut b);
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "hashed container {kind}");
+
+            let mut plain = JobContainer::for_job(&job, kind, None).unwrap();
+            plain.insert_from(|sink| (0..50u64).for_each(|x| sink(x % 5, 1))).unwrap();
+            let mut c = Vec::new();
+            plain.drain_into(&mut c);
+            c.sort_unstable();
+            let unwrapped: Vec<(u64, u64)> =
+                a.into_iter().map(|(k, v)| (k.into_key(), v)).collect();
+            assert_eq!(c, unwrapped, "plain container {kind}");
+        }
+    }
+
+    #[test]
+    fn insert_from_reports_the_first_error_and_still_takes_the_whole_feed() {
+        let job = Mod5;
+        let mut taken = 0;
+        let mut plain = JobContainer::for_job(&job, ContainerKind::FixedHash, Some(2)).unwrap();
+        let err = plain
+            .insert_from(|sink| {
+                for x in 0..5u64 {
+                    sink(x, 1);
+                    taken += 1;
+                }
+            })
+            .unwrap_err();
+        assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
+        assert_eq!((taken, plain.len()), (5, 2));
+
+        let mut hashed = HashedJobContainer::for_job(&job, ContainerKind::Array, Some(2)).unwrap();
+        let err = hashed.insert_from(Pairs(wrapped(0..5))).unwrap_err();
+        assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
+        assert_eq!(hashed.len(), 2);
+    }
+
+    /// Fills a container with `keys` distinct keys and hands it back kept.
+    fn keep_after<'a>(
+        mut c: HashedJobContainer<'a, NoKeySpace>,
+        keys: u64,
+    ) -> KeptContainer<u64, u64> {
+        c.insert_from(Pairs(wrapped((0..keys * 2).map(|x| x % keys.max(1))))).unwrap();
+        let mut out = Vec::new();
+        let kept = c.drain_to_keep(&mut out);
+        assert_eq!(out.len() as u64, keys);
+        assert!(
+            out.iter().all(|&(_, v)| v == 2),
+            "a kept container leaked counts into a later job"
+        );
+        kept
+    }
+
+    /// Slot count of whichever container `inner` is.
+    fn slots<K: mr_core::MrKey, V: mr_core::MrValue>(inner: &HashedContainerImpl<K, V>) -> usize {
+        match inner {
+            HashedContainerImpl::Array(c) => c.capacity(),
+            HashedContainerImpl::Hash(c) => c.capacity(),
+            HashedContainerImpl::FixedHash(c) => c.capacity(),
+        }
+    }
+
+    #[test]
+    fn a_kept_hash_table_keeps_its_index_until_a_job_fills_under_a_sixteenth() {
+        let job = NoKeySpace;
+        let reuse = |kept| HashedJobContainer::reusing(&job, ContainerKind::Hash, None, Some(kept));
+        let fresh = HashedJobContainer::for_job(&job, ContainerKind::Hash, None).unwrap();
+        let kept = keep_after(fresh, 50_000);
+        let grown = slots(&kept.inner);
+        assert!(grown >= crate::hash::slots_for(50_000));
+        // The same load again: the index neither grows nor is replaced.
+        let kept = keep_after(reuse(kept).unwrap(), 50_000);
+        assert_eq!(slots(&kept.inner), grown);
+        // A tiny job is exact on the big index, and leaves a right-sized one.
+        let kept = keep_after(reuse(kept).unwrap(), 40);
+        assert!(slots(&kept.inner) <= crate::hash::slots_for(16 * 40), "{}", slots(&kept.inner));
+        // Big again, from the small index: exact, and grown back.
+        let kept = keep_after(reuse(kept).unwrap(), 50_000);
+        assert_eq!(slots(&kept.inner), grown);
+        // A job with no keys at all shrinks it too.
+        let kept = keep_after(reuse(kept).unwrap(), 0);
+        assert!(slots(&kept.inner) <= crate::hash::slots_for(16));
+    }
+
+    #[test]
+    fn a_kept_container_is_reused_only_where_for_job_would_build_the_same() {
+        let job = Mod5;
+        for kind in [ContainerKind::Array, ContainerKind::FixedHash] {
+            let keep = |capacity| {
+                let c = HashedJobContainer::for_job(&job, kind, Some(capacity)).unwrap();
+                c.drain_to_keep(&mut Vec::new())
+            };
+            // Same kind, same resolved capacity: taken over.
+            let c = HashedJobContainer::reusing(&job, kind, Some(8), Some(keep(8))).unwrap();
+            assert_eq!(slots(&c.inner), 8);
+            // Same kind, another capacity (the job's own key space): rebuilt.
+            let c = HashedJobContainer::reusing(&job, kind, None, Some(keep(8))).unwrap();
+            assert_eq!(slots(&c.inner), 5, "{kind}: a kept capacity of 8 served a key space of 5");
+            // Another kind altogether: rebuilt as that kind.
+            let c = HashedJobContainer::reusing(&job, ContainerKind::Hash, None, Some(keep(8)));
+            assert!(matches!(c.unwrap().into_inner(), HashedContainerImpl::Hash(_)));
         }
     }
 

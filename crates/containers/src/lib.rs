@@ -61,6 +61,7 @@ pub use fx::{fx_hash, FxBuildHasher, FxHasher};
 pub use hash::HashContainer;
 pub use hashed::{hash_key, Hashed, Passthrough, PassthroughHasher};
 pub use job_container::{ContainerImpl, HashedContainerImpl, HashedJobContainer, JobContainer};
+pub use job_container::{KeptContainer, PairFeed};
 
 /// Default capacity for fixed-size hash containers when neither the job's
 /// key space nor an explicit `fixed_capacity` bounds it.

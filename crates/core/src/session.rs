@@ -43,6 +43,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use mr_core::{
     task_ranges, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer, RuntimeConfig,
@@ -202,6 +203,18 @@ impl<J: MapReduceJob> SessionShared<J> {
         while *busy > 0 {
             busy = relock(self.done.wait(busy));
         }
+    }
+
+    /// Waits up to `ceiling` for the epoch's last worker; `true` once every
+    /// worker is done. May return `false` early.
+    fn all_done_within(&self, ceiling: Duration) -> bool {
+        let busy = relock(self.busy.lock());
+        if *busy == 0 {
+            return true;
+        }
+        let (busy, _) =
+            self.done.wait_timeout(busy, ceiling).unwrap_or_else(PoisonError::into_inner);
+        *busy == 0
     }
 }
 
@@ -547,8 +560,11 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                         epoch_worker(
                             &shared,
                             slot,
-                            group,
-                            |group, ep| {
+                            // Next to its read-ends a combiner keeps the
+                            // container its last job drained: a hash table
+                            // grows once per session, not once per job.
+                            (group, None),
+                            |(group, kept), ep| {
                                 combiner_loop(
                                     ep.job,
                                     ep.input,
@@ -556,6 +572,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                                     &ep.frame.queues,
                                     home_group,
                                     group,
+                                    kept,
                                     &ep.frame.combiner_cells[c],
                                     &ep.frame.helper_cells[c],
                                     &ep.ctx,
@@ -570,7 +587,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                             // drain unblocks them and waits for the close);
                             // independent of the other combiners, whose
                             // queues are disjoint.
-                            |group, _, _| group.iter_mut().for_each(drain_for_reuse),
+                            |(group, _), _, _| group.iter_mut().for_each(drain_for_reuse),
                         )
                     };
                     handles.push(spawn(format!("ramr-combiner-{c}"), Box::new(body))?);
@@ -723,6 +740,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                         &frame.flex_combine_cells,
                         &frame.combiner_cells,
                         &frame.cancel,
+                        |ceiling| self.shared.all_done_within(ceiling),
                     )
                 } else {
                     Vec::new()

@@ -255,20 +255,12 @@ fn map_combine_worker<J: MapReduceJob>(
     let result = (|| {
         let mut container = JobContainer::for_job(job, config.container, config.fixed_capacity)?;
         let mut emitted = 0u64;
-        let mut first_error: Option<RuntimeError> = None;
         while let Some(task) = queues.claim(home_group) {
             let task_start = telemetry.then(Instant::now);
-            {
-                // Phoenix++ semantics: the combine function runs after every
-                // map emission, on the mapping thread, into its local
-                // container.
-                let mut sink = |key: J::Key, value: J::Value| {
-                    if first_error.is_none() {
-                        if let Err(e) = container.insert(key, value) {
-                            first_error = Some(e);
-                        }
-                    }
-                };
+            // Phoenix++ semantics: the combine function runs after every
+            // map emission, on the mapping thread, into its local
+            // container — which picks its kind once per task, not per pair.
+            let folded = container.insert_from(|sink| {
                 if fault_tolerant {
                     let staged = phases::map_task_staged(
                         job,
@@ -286,17 +278,17 @@ fn map_combine_worker<J: MapReduceJob>(
                         emitted += count;
                     }
                 } else {
-                    let mut emitter = Emitter::new(&mut sink);
+                    let mut emitter = Emitter::new(sink);
                     job.map(&input[task.start..task.end], &mut emitter);
                     emitted += emitter.emitted();
                 }
-            }
+            });
             if let Some(t) = task_start {
                 local.busy += t.elapsed();
             }
             local.batches += 1;
             local.occupancy.record(task.end - task.start, config.task_size);
-            if let Some(e) = first_error {
+            if let Err(e) = folded {
                 local.items = emitted;
                 return Err(e);
             }

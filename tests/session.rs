@@ -323,3 +323,225 @@ fn adaptive_backend_rejects_disabled_telemetry_on_engine_and_session_alike() {
     let session = Backend::RamrAdaptive.session::<WordCount>(cfg).unwrap_err();
     assert_eq!(session.to_string(), engine.to_string(), "session path must match engine path");
 }
+
+// ---------------------------------------------------------------------------
+// Warm combine containers: a static combiner keeps its container across the
+// epochs of a session. It must never carry pairs or shape from another job.
+// ---------------------------------------------------------------------------
+
+/// Value that `Shaped::combine` refuses to fold.
+const POISON: u64 = u64::MAX;
+
+/// How one `Shaped` job value misbehaves.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Misbehaviour {
+    None,
+    /// Pairs emitted on a thread whose name starts with this are poison:
+    /// folding one panics. `"ramr-mapper"` puts the panic on the combiner's
+    /// queue path, `"ramr-combiner"` inside a map task the combiner runs in
+    /// place.
+    PoisonFrom(&'static str),
+    /// Emits keys past the declared key space, overflowing both fixed-size
+    /// containers.
+    Overflow,
+    /// The first map call, after emitting, never returns until cancelled.
+    Hang,
+}
+
+/// Counts `x % modulus`, declaring `modulus` as its key space, every pair
+/// emitted twice so that each task's pairs meet in `combine`.
+struct Shaped {
+    modulus: u64,
+    misbehaviour: Misbehaviour,
+    /// Map calls entered on a combiner thread, and on a mapper thread.
+    helped: std::sync::atomic::AtomicU32,
+    mapped: std::sync::atomic::AtomicU32,
+    hung: std::sync::atomic::AtomicBool,
+}
+
+impl Shaped {
+    fn new(modulus: u64, misbehaviour: Misbehaviour) -> Self {
+        Self {
+            modulus,
+            misbehaviour,
+            helped: Default::default(),
+            mapped: Default::default(),
+            hung: Default::default(),
+        }
+    }
+
+    fn oracle(&self, input: &[u64]) -> Vec<(u64, u64)> {
+        let mut counts = BTreeMap::new();
+        for x in input {
+            *counts.entry(x % self.modulus).or_insert(0u64) += 2;
+        }
+        counts.into_iter().collect()
+    }
+}
+
+impl MapReduceJob for Shaped {
+    type Input = u64;
+    type Key = u64;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+        use std::sync::atomic::Ordering::SeqCst;
+        let thread = std::thread::current();
+        let on = |prefix: &str| thread.name().is_some_and(|name| name.starts_with(prefix));
+        // The poison must be emitted on the thread the test names, whichever
+        // of the two happens to run first: each side announces its first map
+        // call, and waits inside its own for the side that owes the poison.
+        let (mine, theirs) = if on("ramr-combiner") {
+            (&self.helped, &self.mapped)
+        } else {
+            (&self.mapped, &self.helped)
+        };
+        mine.fetch_add(1, SeqCst);
+        if matches!(self.misbehaviour, Misbehaviour::PoisonFrom(prefix) if !on(prefix)) {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while theirs.load(SeqCst) == 0 && !emit.is_cancelled() {
+                assert!(std::time::Instant::now() < deadline, "the poisoned side never mapped");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        let value = match self.misbehaviour {
+            Misbehaviour::PoisonFrom(prefix) if on(prefix) => POISON,
+            _ => 1,
+        };
+        let shift = if self.misbehaviour == Misbehaviour::Overflow { self.modulus } else { 0 };
+        for &x in task {
+            emit.emit(x % self.modulus + shift * (x % 3), 1);
+            emit.emit(x % self.modulus + shift * (x % 3), value);
+        }
+        if self.misbehaviour == Misbehaviour::Hang && !self.hung.swap(true, SeqCst) {
+            while !emit.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        assert!(v != POISON, "combine refuses the poisoned pair");
+        *acc += v;
+    }
+
+    fn key_space(&self) -> Option<usize> {
+        Some(self.modulus as usize)
+    }
+
+    fn key_index(&self, k: &u64) -> usize {
+        *k as usize
+    }
+}
+
+#[test]
+fn a_failed_job_never_leaves_its_pairs_in_the_kept_container() {
+    // One pooled static session per container kind, one mapper and one
+    // combiner so every pair of a job meets the one kept container. Each
+    // failure — a combine panic on the queue path, one inside a helped
+    // task, an overflow, a watchdog cancel — fills that container part-way
+    // and must be followed by a job that matches the oracle exactly: no
+    // leaked keys, no counts carried over.
+    let input: Vec<u64> = (0..6_000).collect();
+    for kind in ContainerKind::ALL {
+        let cfg = RuntimeConfig::builder()
+            .num_workers(1)
+            .num_combiners(1)
+            .task_size(TASK)
+            .queue_capacity(256)
+            .batch_size(16)
+            .container(kind)
+            .watchdog(Duration::from_millis(200))
+            .build()
+            .unwrap();
+        let mut session = Backend::RamrStatic.session::<Shaped>(cfg).unwrap();
+        let healthy = |session: &mut ramr::EngineSession<Shaped>, after: &str| {
+            for modulus in [97, 97, 31] {
+                let job = Shaped::new(modulus, Misbehaviour::None);
+                let out = session.submit(&job, &input).unwrap().output;
+                assert_eq!(out.pairs, job.oracle(&input), "{kind}, modulus {modulus}, {after}");
+            }
+        };
+        healthy(&mut session, "a fresh session");
+
+        for victim in ["ramr-mapper", "ramr-combiner"] {
+            let job = Shaped::new(97, Misbehaviour::PoisonFrom(victim));
+            let err = session.submit(&job, &input).unwrap_err();
+            assert!(
+                matches!(&err, RuntimeError::WorkerPanic(m) if m.contains("combine refuses")),
+                "{kind}, poison from {victim}: got {err}"
+            );
+            healthy(&mut session, &format!("a combine panic on pairs from {victim}"));
+        }
+
+        if kind != ContainerKind::Hash {
+            let err = session.submit(&Shaped::new(97, Misbehaviour::Overflow), &input).unwrap_err();
+            assert!(matches!(err, RuntimeError::ContainerOverflow { .. }), "{kind}: got {err}");
+            healthy(&mut session, "an overflow");
+        }
+
+        let err = session.submit(&Shaped::new(97, Misbehaviour::Hang), &input).unwrap_err();
+        assert!(matches!(err, RuntimeError::Stalled { .. }), "{kind}: got {err}");
+        healthy(&mut session, "a watchdog cancel");
+    }
+}
+
+#[test]
+fn array_jobs_of_one_type_with_different_key_spaces_share_a_session() {
+    // The kept array container has the *previous* job's key space: k-means
+    // with k = 4, then 16, then 4 again must each get a container of their
+    // own size. Integer coordinates keep the float sums order-independent.
+    use mr_apps::{KmeansJob, Point};
+    type ClusterAccum = <KmeansJob as MapReduceJob>::Value;
+    let points: Vec<Point> =
+        (0..3_000u32).map(|i| [f64::from(i % 64), f64::from(i % 7), f64::from(i % 5)]).collect();
+    let cfg = RuntimeConfig::builder()
+        .num_workers(1)
+        .num_combiners(1)
+        .task_size(TASK)
+        .queue_capacity(256)
+        .batch_size(16)
+        .container(ContainerKind::Array)
+        .build()
+        .unwrap();
+    let mut session = Backend::RamrStatic.session::<KmeansJob>(cfg).unwrap();
+    for k in [4u32, 16, 4, 16] {
+        let job = KmeansJob::new((0..k).map(|c| [f64::from(c * 64 / k), 3.0, 2.0]).collect());
+        let mut expected: BTreeMap<u32, ClusterAccum> = BTreeMap::new();
+        for p in &points {
+            let acc = expected.entry(job.nearest(p) as u32).or_default();
+            job.combine(acc, ClusterAccum { sum: *p, count: 1 });
+        }
+        let out = session.submit(&job, &points).unwrap().output;
+        assert_eq!(out.pairs, expected.into_iter().collect::<Vec<_>>(), "k = {k}");
+    }
+}
+
+#[test]
+fn big_tiny_big_word_counts_are_exact_on_one_session() {
+    // ≥ 50 k distinct words, then ≤ 50, then ≥ 50 k again: the tiny job runs
+    // on the index the big one grew, the second big one on whatever the tiny
+    // one left (a right-sized index — the container tests pin its size).
+    let big: Vec<String> = (0..5_200)
+        .map(|i| (0..10).map(|j| format!("w{}", i * 10 + j)).collect::<Vec<_>>().join(" "))
+        .collect();
+    let tiny = lines(20, 0);
+    let cfg = RuntimeConfig::builder()
+        .num_workers(1)
+        .num_combiners(1)
+        .task_size(TASK)
+        .container(ContainerKind::Hash)
+        .build()
+        .unwrap();
+    let mut session = Backend::RamrStatic.session::<WordCount>(cfg).unwrap();
+    for (round, input) in [&big, &tiny, &big, &big, &tiny, &tiny, &big].into_iter().enumerate() {
+        let expected = reference(input, &[]);
+        if input.len() == big.len() {
+            assert!(expected.len() >= 50_000);
+        } else {
+            assert!(expected.len() <= 50);
+        }
+        let out = session.submit(&WordCount, input).unwrap().output;
+        assert_eq!(out.pairs, expected, "round {round}");
+    }
+}

@@ -66,9 +66,12 @@ fn map_combine_hot_loop_is_zero_alloc_for_inline_keys() {
         .flat_map(|l| l.split_ascii_whitespace())
         .all(|w| w.len() <= CompactKey::INLINE_CAPACITY));
 
-    // Pre-size the combine table past the unique-key count, as the runtime
-    // does for repeat jobs; `with_capacity(n)` guarantees n keys fit
-    // without growth.
+    // Pre-size the combine table past the unique-key count. That is how a
+    // session's static combiner finds its table from its second job on: it
+    // keeps the table across epochs, the index as the first job grew it and
+    // the entries reserved for as many keys as it last drained.
+    // `with_capacity(n)` guarantees n keys fit without growing the index or
+    // reallocating the entries.
     let mut table: HashContainer<Hashed<CompactKey>, u64, Passthrough> =
         HashContainer::with_capacity_and_hasher(1024, Passthrough);
 
