@@ -20,7 +20,10 @@ use ramr_telemetry::{
     pool_throughput, FaultLog, FaultMetrics, LocalTelemetry, ProgressBoard, TelemetryCell,
     ThreadRole, ThreadTelemetry,
 };
-use ramr_topology::{pin_current_thread, CpuSlot, PlacementPlan};
+use ramr_topology::{
+    current_thread_affinity, pin_current_thread, set_current_thread_affinity, CpuSlot,
+    PlacementPlan,
+};
 
 /// A job's output paired with the run's [`RunReport`].
 pub type ReportedOutput<J> =
@@ -213,6 +216,33 @@ pub(crate) fn maybe_pin(enabled: bool, slot: CpuSlot) {
             // Best-effort: the plan may target a machine model larger than
             // the actual host.
             let _ = pin_current_thread(cpu);
+        }
+    }
+}
+
+/// [`maybe_pin`] for a thread that is a pool member only for a while: the
+/// thread that submits to a static session runs its mapper 0, pinned to that
+/// mapper's slot for the map-combine phase, and gets its own mask back when
+/// this guard drops — on unwind too. A pin whose mask could not be saved is
+/// not taken.
+pub(crate) struct CallerPin(Option<Vec<usize>>);
+
+impl CallerPin {
+    pub(crate) fn enter(enabled: bool, slot: CpuSlot) -> Self {
+        let saved = match slot {
+            CpuSlot::Pinned(cpu) if enabled => {
+                current_thread_affinity().ok().filter(|_| pin_current_thread(cpu).is_ok())
+            }
+            _ => None,
+        };
+        Self(saved)
+    }
+}
+
+impl Drop for CallerPin {
+    fn drop(&mut self) {
+        if let Some(saved) = &self.0 {
+            let _ = set_current_thread_affinity(saved);
         }
     }
 }
@@ -415,7 +445,10 @@ fn run_task<J: MapReduceJob>(
 /// The emit buffer is the producer-side mirror of the paper's batched read:
 /// instead of one release store (and one cross-core cache-line transfer) per
 /// pair, the consumer observes one tail update per `emit_block` pairs.
-/// `emit_block == 1` degenerates to element-wise publication.
+/// `emit_block == 1` degenerates to element-wise publication. The block is
+/// `buffer`, which the mapper keeps next to its write-end across a session's
+/// epochs; whatever a cancelled or panicked epoch left in it is discarded
+/// here, before the first claim.
 ///
 /// Instrumentation cost: timers fire once per map *task* and once per
 /// block *flush* — never per pair. `busy` is map time net of the flush
@@ -428,6 +461,7 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
     queues: &TaskQueues,
     home_group: usize,
     tx: &mut PairProducer<J>,
+    buffer: &mut Vec<HashedPair<J>>,
     backoff: &BackoffPolicy,
     emit_block: usize,
     hasher: HasherKind,
@@ -441,7 +475,8 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
     let mut local = LocalTelemetry::default();
     let mut emitted = 0u64;
     let mut full_events = 0u64;
-    let mut buffer: Vec<HashedPair<J>> = Vec::with_capacity(emit_block);
+    buffer.clear();
+    buffer.reserve(emit_block);
     while let Some(task) = queues.claim(home_group) {
         if ctx.cancelled() {
             break;
@@ -451,7 +486,6 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
         {
             let local = &mut local;
             let tx = &mut *tx;
-            let buffer = &mut buffer;
             let full_events = &mut full_events;
             let sink = |key: J::Key, value: J::Value| {
                 // Hash once, here at emission: the carried hash rides the
@@ -491,7 +525,7 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
     // session re-arms the same queue for the next job.
     let occupied = buffer.len();
     let flush_start = telemetry.then(Instant::now);
-    full_events += tx.push_batch_with_backoff_or_cancel(&mut buffer, backoff, ctx.cancel);
+    full_events += tx.push_batch_with_backoff_or_cancel(buffer, backoff, ctx.cancel);
     if let Some(t) = flush_start {
         local.stalled += t.elapsed();
         if occupied > 0 {

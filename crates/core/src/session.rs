@@ -1,14 +1,28 @@
 //! Job sessions: the mapper/combiner pools spawned once and reused for a
 //! stream of jobs — the runtime's one execution core.
 //!
-//! Spawning and pinning `num_workers + num_combiners` OS threads and
-//! allocating every SPSC queue is a fixed bill; for many short jobs back to
-//! back it dominates. [`RamrSession`] pays it once: workers are spawned (and
-//! pinned, via the `ramr-topology` placement plan) at construction, park on
-//! a condvar between jobs, and the SPSC queues are *reset* (re-armed via
+//! Spawning and pinning the pool threads and allocating every SPSC queue is
+//! a fixed bill; for many short jobs back to back it dominates.
+//! [`RamrSession`] pays it once: workers are spawned (and pinned, via the
+//! `ramr-topology` placement plan) at construction, park on a condvar
+//! between jobs, and the SPSC queues are *reset* (re-armed via
 //! [`Producer::finish`]/[`Consumer::reopen`]) rather than reallocated. A
 //! fresh run ([`Engine::submit`](crate::Engine::submit)) is the degenerate
 //! stream: a session opened, used for one epoch and dropped.
+//!
+//! # Caller-runs
+//!
+//! A static session spawns `num_workers + num_combiners − 1` threads: the
+//! thread that calls `submit` is mapper 0. It keeps that mapper's write-end,
+//! emit buffer and home task group in the session and runs [`mapper_loop`]
+//! for it on its own stack, under the same `catch_unwind` and error filing
+//! as a pooled role. An epoch therefore wakes `T − 1` parked threads while
+//! the caller keeps its own CPU busy, so the kernel places each woken thread
+//! on a CPU that is still idle instead of stacking two on the one the waker
+//! is about to leave. With `pin_os_threads` set the caller pins itself to
+//! mapper 0's slot for the map-combine phase and gets its own mask back
+//! afterwards ([`CallerPin`]). An adaptive session keeps all `T` roles
+//! pooled: its caller runs the controller.
 //!
 //! # Epoch protocol
 //!
@@ -17,13 +31,16 @@
 //!
 //! 1. The coordinator (the thread calling `submit`) builds a [`JobFrame`] on
 //!    its own stack — task queues, per-job telemetry cells, fault log,
-//!    error slot — arms the done-counter, and publishes the frame pointer
-//!    together with the bumped epoch under the state mutex.
+//!    error slot — arms the done-counter with the number of pooled threads,
+//!    and publishes the frame pointer together with the bumped epoch under
+//!    the state mutex.
 //! 2. Workers wake, run exactly one job's worth of their role loop
 //!    ([`mapper_loop`], [`combiner_loop`], [`flex_loop`] or
 //!    [`adaptive_combiner_loop`], each hosted by the one [`epoch_worker`]
 //!    skeleton), close their queues with `finish` (not drop), and decrement
-//!    the done-counter.
+//!    the done-counter. A static coordinator meanwhile runs mapper 0
+//!    through the same [`run_role`] body; an adaptive one runs the
+//!    controller.
 //! 3. `submit` returns — or unwinds, see [`with_epoch`] — only after the
 //!    counter hits zero, so the frame — and the `&J`/`&[J::Input]` borrows
 //!    smuggled through it — never outlives the epoch. Static combiners
@@ -56,8 +73,8 @@ use ramr_topology::{CpuSlot, MachineModel, PlacementPlan};
 
 use crate::runtime::{
     adaptive_combiner_loop, combiner_loop, controller_loop, flex_loop, mapper_loop, maybe_pin,
-    thread_labels, to_backoff, watchdog_loop, AdaptiveCtl, ErrorSlot, FaultCtx, PairConsumer,
-    PairProducer, QueueRegistry, ReportedOutput, RunReport,
+    thread_labels, to_backoff, watchdog_loop, AdaptiveCtl, CallerPin, ErrorSlot, FaultCtx,
+    HashedPair, PairConsumer, PairProducer, QueueRegistry, ReportedOutput, RunReport,
 };
 use crate::tuning::{AdaptiveBounds, AdaptiveSeed};
 
@@ -246,6 +263,13 @@ fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
 /// including retries, poison skipping and the watchdog) without re-spawning
 /// threads or reallocating queues. Worker threads are joined on drop.
 ///
+/// The thread that calls `submit` on a static session is one of its
+/// workers: it runs mapper 0's map calls on its own stack while the
+/// `num_workers + num_combiners − 1` pooled threads run the other roles. A
+/// map call that panics there fails the job with
+/// [`RuntimeError::WorkerPanic`] like one on a pooled thread; it never
+/// unwinds out of `submit`. An adaptive session pools all its roles.
+///
 /// A session is typed by the job (`J`) it executes: the SPSC queues carry
 /// `(J::Key, J::Value)` pairs and live for the whole session. Run different
 /// job *values* freely — a job with different key/value types needs its own
@@ -303,6 +327,10 @@ pub struct RamrSession<J: MapReduceJob + 'static> {
     /// per-epoch registry). Empty in static mode, where each combiner
     /// worker owns its read-ends for the session's lifetime.
     consumers: Vec<PairConsumer<J>>,
+    /// Static mode: mapper 0, which the thread calling `submit` runs for
+    /// each epoch while the pool runs the other roles. `None` in adaptive
+    /// mode, where the caller hosts the controller and every role is pooled.
+    caller: Option<StaticMapper<J>>,
     jobs_run: u64,
     /// One-shot adaptive starting split for the *next* submit only — the
     /// pipeline's ratio carry-forward. Consumed (cleared) by every submit,
@@ -399,8 +427,10 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         let mut handles = Vec::with_capacity(config.num_workers + config.num_combiners);
         // Adaptive mode: the coordinator keeps the read-ends and builds a
         // fresh registry from them each epoch. Static mode: each combiner
-        // worker owns its group of read-ends, so the coordinator keeps none.
+        // worker owns its group of read-ends, so the coordinator keeps none;
+        // it keeps mapper 0's write-end instead.
         let mut held_consumers: Vec<PairConsumer<J>> = Vec::new();
+        let mut caller: Option<StaticMapper<J>> = None;
         let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
             std::thread::Builder::new()
                 .name(name.clone())
@@ -501,48 +531,28 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                     consumers_of[plan.combiner_of_mapper(m)].push(rx);
                 }
                 for (m, tx) in producers.into_iter().enumerate() {
+                    let mapper = StaticMapper {
+                        m,
+                        home_group: group_of_mapper(m),
+                        tx,
+                        buffer: Vec::with_capacity(emit_block),
+                    };
+                    // Mapper 0 is the submitting thread's: `submit` runs it
+                    // in place while the pool works.
+                    if m == 0 {
+                        caller = Some(mapper);
+                        continue;
+                    }
                     let shared = Arc::clone(&shared);
                     let slot = plan.mapper_slot(m);
-                    let home_group = group_of_mapper(m);
                     let body = move || {
                         let config = &shared.config;
                         epoch_worker(
                             &shared,
                             slot,
-                            tx,
-                            |tx, ep| {
-                                mapper_loop(
-                                    ep.job,
-                                    ep.input,
-                                    &ep.frame.queues,
-                                    home_group,
-                                    tx,
-                                    &backoff,
-                                    emit_block,
-                                    config.hasher,
-                                    &ep.frame.map_cells[m],
-                                    config.telemetry,
-                                    &ep.ctx,
-                                    m,
-                                );
-                                Ok(None)
-                            },
-                            // `mapper_loop` closes the queue itself on its
-                            // success path, so finish here only when the job
-                            // unwound before reaching that close
-                            // (closed+empty is the combiner's end-of-map
-                            // signal, and a mapper that never closes would
-                            // wedge it). A redundant second finish would
-                            // race this mapper's combiner, which drains and
-                            // *reopens* the queue before signalling done —
-                            // re-closing the re-armed queue makes the next
-                            // epoch's combiner exit early on the stale flag
-                            // and silently discard pairs.
-                            |tx, _, unwound| {
-                                if unwound {
-                                    tx.finish();
-                                }
-                            },
+                            mapper,
+                            |mapper, ep| mapper.run(config, ep),
+                            |mapper, _, unwound| mapper.settle(unwound),
                         )
                     };
                     handles.push(spawn(format!("ramr-mapper-{m}"), Box::new(body))?);
@@ -614,6 +624,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             machine,
             labels,
             consumers: held_consumers,
+            caller,
             jobs_run: 0,
             seed: None,
         })
@@ -659,7 +670,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     /// key-sorted reduced output.
     ///
     /// The map-combine phase runs decoupled: `num_workers` mappers feed
-    /// `num_combiners` combiners through SPSC queues. Emissions travel in
+    /// `num_combiners` combiners through SPSC queues; on a static session
+    /// the calling thread is mapper 0 for the phase. Emissions travel in
     /// blocks at both ends — each mapper buffers `effective_emit_buffer()`
     /// pairs locally and publishes them with one tail update, and each
     /// combiner consumes batched reads of `batch_size` elements — with the
@@ -717,11 +729,18 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
 
         // The coordinator supervises the epoch in place: it hosts the
         // watchdog (when armed) on a scoped thread and runs the adaptive
-        // controller inline. `with_epoch` sits *inside* the scope so that,
-        // should supervision unwind, the epoch is over (and the watchdog
-        // told so) before the scope joins the watchdog.
+        // controller inline — or, static, maps as mapper 0, pinned to that
+        // mapper's slot when the pools are pinned. `with_epoch` sits *inside*
+        // the scope so that, should supervision unwind, the epoch is over
+        // (and the watchdog told so) before the scope joins the watchdog.
+        let pin = CallerPin::enter(
+            config.pin_os_threads && self.caller.is_some(),
+            self.plan.mapper_slot(0),
+        );
         let (trace, stalled) = std::thread::scope(|scope| {
-            let (trace, watchdog) = with_epoch(&self.shared, &mut self.consumers, &frame, || {
+            let caller = self.caller.as_mut().map(|mapper| CallerRole { mapper, job, input });
+            let consumers = &mut self.consumers;
+            let (trace, watchdog) = with_epoch(&self.shared, consumers, &frame, caller, || {
                 let watchdog = config.watchdog.map(|period| {
                     let board = frame.board.as_ref().expect("board exists when watchdog armed");
                     let labels = &self.labels;
@@ -749,6 +768,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             });
             (trace, watchdog.and_then(|h| h.join().unwrap_or(None)))
         });
+        drop(pin);
 
         // Worker errors take priority: a stall diagnosis is only the
         // primary failure when nothing more specific was recorded. First-
@@ -902,9 +922,10 @@ impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
 }
 
 /// Runs one epoch: publishes `frame` to the parked pools, runs `supervise`
-/// on the calling thread while they work, then waits for every worker to be
-/// done with the frame, unpublishes it and reclaims the adaptive read-ends
-/// into `consumers`.
+/// on the calling thread while they work — then, static, the `caller`'s
+/// mapper role — and waits for every pooled worker to be done with the
+/// frame, unpublishes it and reclaims the adaptive read-ends into
+/// `consumers`.
 ///
 /// Everything after `supervise` is the drop of one guard, so it happens on
 /// unwind too: `supervise` spawns a thread and runs the controller, either
@@ -912,16 +933,27 @@ impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
 /// caller's stack. The unwind must not continue past that stack frame —
 /// nor strand the read-ends in a registry about to be dropped — while any
 /// worker is still inside the epoch.
+///
+/// Mapper 0's queue is closed exactly once per epoch, on one of three paths:
+/// by `mapper_loop` on its success path, by its `settle` when it panicked,
+/// or by the guard when `supervise` unwound before the role ran. Its
+/// combiner drains until that close, so a missing one hangs the epoch; a
+/// second one, landing after the combiner has re-armed the queue, would end
+/// the next epoch's drain early on a stale flag. The guard therefore closes
+/// only a role it still holds, and gives the role up before running it.
 fn with_epoch<J: MapReduceJob, R>(
     shared: &SessionShared<J>,
     consumers: &mut Vec<PairConsumer<J>>,
     frame: &JobFrame<J>,
+    caller: Option<CallerRole<'_, J>>,
     supervise: impl FnOnce() -> R,
 ) -> R {
     struct EpochGuard<'a, J: MapReduceJob> {
         shared: &'a SessionShared<J>,
         consumers: &'a mut Vec<PairConsumer<J>>,
         frame: &'a JobFrame<J>,
+        /// The caller's role until it starts running.
+        caller: Option<CallerRole<'a, J>>,
         supervised: bool,
     }
 
@@ -930,10 +962,14 @@ fn with_epoch<J: MapReduceJob, R>(
             if !self.supervised {
                 // Nobody is left to run the job to its end: have the
                 // workers abandon it, waking those parked on the job-wide
-                // bell (every other wait polls the flag on a timeout).
+                // bell (every other wait polls the flag on a timeout), and
+                // end the stream of the mapper that will now never run.
                 self.frame.cancel.store(true, Ordering::Release);
                 if let Some(registry) = &self.frame.registry {
                     registry.ring();
+                }
+                if let Some(role) = self.caller.take() {
+                    role.mapper.tx.finish();
                 }
             }
             self.shared.wait_all_done();
@@ -946,21 +982,92 @@ fn with_epoch<J: MapReduceJob, R>(
     }
 
     // Arm the done-counter BEFORE publishing the epoch: a worker that
-    // finishes instantly must find the counter already counting it.
-    *relock(shared.busy.lock()) = shared.config.num_workers + shared.config.num_combiners;
+    // finishes instantly must find the counter already counting it. It
+    // counts the pooled threads only; the caller's role ends before the
+    // guard waits.
+    let roles = shared.config.num_workers + shared.config.num_combiners;
+    *relock(shared.busy.lock()) = roles - usize::from(caller.is_some());
     {
         let mut st = relock(shared.state.lock());
         st.epoch += 1;
         st.frame = Some(FramePtr(frame));
     }
     shared.start.notify_all();
-    let mut guard = EpochGuard { shared, consumers, frame, supervised: false };
+    let mut guard = EpochGuard { shared, consumers, frame, caller, supervised: false };
     let out = supervise();
+    if let Some(CallerRole { mapper, job, input }) = guard.caller.take() {
+        let config = &shared.config;
+        run_role(
+            config,
+            frame,
+            job,
+            input,
+            mapper,
+            |m, ep| m.run(config, ep),
+            |m, _, unwound| m.settle(unwound),
+        );
+    }
     guard.supervised = true;
     out
 }
 
-/// One published epoch as a pooled thread sees it.
+/// The submitting thread's share of a static epoch: mapper 0, and the job
+/// and input `submit` was handed — the borrows the frame carries as raw
+/// pointers for the pooled threads.
+struct CallerRole<'a, J: MapReduceJob> {
+    mapper: &'a mut StaticMapper<J>,
+    job: &'a J,
+    input: &'a [J::Input],
+}
+
+/// A static mapper's session-long state: its queue's write-end, the emit
+/// buffer kept next to it so that an epoch allocates neither, and the task
+/// group it claims from first. Owned by a pooled `ramr-mapper-N` thread, or,
+/// for mapper 0, by the session, whose `submit` runs it on the caller.
+struct StaticMapper<J: MapReduceJob> {
+    m: usize,
+    home_group: usize,
+    tx: PairProducer<J>,
+    buffer: Vec<HashedPair<J>>,
+}
+
+impl<J: MapReduceJob> StaticMapper<J> {
+    /// One epoch of [`mapper_loop`].
+    fn run(&mut self, config: &RuntimeConfig, ep: &Epoch<'_, J>) -> RoleOutcome<J> {
+        mapper_loop(
+            ep.job,
+            ep.input,
+            &ep.frame.queues,
+            self.home_group,
+            &mut self.tx,
+            &mut self.buffer,
+            &to_backoff(config.push_backoff),
+            config.effective_emit_buffer(),
+            config.hasher,
+            &ep.frame.map_cells[self.m],
+            config.telemetry,
+            &ep.ctx,
+            self.m,
+        );
+        Ok(None)
+    }
+
+    /// `mapper_loop` closes the queue itself on its success path, so finish
+    /// here only when the job unwound before reaching that close
+    /// (closed+empty is the combiner's end-of-map signal, and a mapper that
+    /// never closes would wedge it). A redundant second finish would race
+    /// this mapper's combiner, which drains and *reopens* the queue before
+    /// signalling done — re-closing the re-armed queue makes the next
+    /// epoch's combiner exit early on the stale flag and silently discard
+    /// pairs.
+    fn settle(&mut self, unwound: bool) {
+        if unwound {
+            self.tx.finish();
+        }
+    }
+}
+
+/// One published epoch as a role sees it.
 struct Epoch<'a, J: MapReduceJob> {
     frame: &'a JobFrame<J>,
     job: &'a J,
@@ -968,23 +1075,21 @@ struct Epoch<'a, J: MapReduceJob> {
     ctx: FaultCtx<'a>,
 }
 
+/// What one role yields for one epoch: its combined partial when it
+/// combines, or the error that fails the job.
+type RoleOutcome<J> = Result<Option<phases::HashedPairs<J>>, RuntimeError>;
+
 /// The one epoch loop every pooled thread runs, whatever its role: pin once,
-/// then for each published epoch run `role` for exactly one job, let
-/// `settle` restore the thread's queue ends, file the outcome in the frame
-/// and signal done.
+/// then for each published epoch run `role` for exactly one job (see
+/// [`run_role`]) and signal done.
 ///
 /// `ends` are the queue ends the thread owns for the session's life. `role`
-/// is one of the four role loops of `runtime.rs` with its arguments bound;
-/// it yields the thread's combined partial (when its role combines) or the
-/// error that fails the job, and runs under `catch_unwind` so a panicking
-/// job cannot kill a pooled thread. `settle` runs after it either way and is
-/// told whether it unwound: a role loop closes its write-end only on its
-/// success path, and end-of-stream must be signalled regardless.
+/// is one of the four role loops of `runtime.rs` with its arguments bound.
 fn epoch_worker<J: MapReduceJob, E>(
     shared: &SessionShared<J>,
     slot: CpuSlot,
     mut ends: E,
-    role: impl Fn(&mut E, &Epoch<'_, J>) -> Result<Option<phases::HashedPairs<J>>, RuntimeError>,
+    role: impl Fn(&mut E, &Epoch<'_, J>) -> RoleOutcome<J>,
     settle: impl Fn(&mut E, &Epoch<'_, J>, bool),
 ) {
     maybe_pin(shared.config.pin_os_threads, slot);
@@ -999,25 +1104,47 @@ fn epoch_worker<J: MapReduceJob, E>(
         // of `frame`, `job` and `input`.
         let frame = unsafe { &*ptr.0 };
         let (job, input) = unsafe { (frame.job(), frame.input()) };
-        let ctx = FaultCtx::new(
-            &shared.config,
-            frame.retry_safe,
-            &frame.fault_log,
-            &frame.cancel,
-            frame.board.as_ref(),
-        );
-        let epoch = Epoch { frame, job, input, ctx };
-        let result = catch_unwind(AssertUnwindSafe(|| role(&mut ends, &epoch)));
-        settle(&mut ends, &epoch, result.is_err());
-        match result {
-            Ok(Ok(Some(pairs))) => relock(frame.partials.lock()).push(pairs),
-            Ok(Ok(None)) => {}
-            Ok(Err(e)) => frame.errors.record(e),
-            Err(panic) => {
-                frame.errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)))
-            }
-        }
+        run_role(&shared.config, frame, job, input, &mut ends, &role, &settle);
         shared.worker_done();
+    }
+}
+
+/// Runs `role` for one epoch of `frame` (whose job and input are `job` and
+/// `input`) on the calling thread — a pooled worker, or the caller running
+/// mapper 0 — and files the outcome in the frame.
+///
+/// `role` yields the thread's combined partial (when its role combines) or
+/// the error that fails the job, and runs under `catch_unwind` so a
+/// panicking job cannot kill a pooled thread, nor unwind out of `submit`.
+/// `settle` runs after it either way and is told whether it unwound: a role
+/// loop closes its write-end only on its success path, and end-of-stream
+/// must be signalled regardless.
+fn run_role<J: MapReduceJob, E>(
+    config: &RuntimeConfig,
+    frame: &JobFrame<J>,
+    job: &J,
+    input: &[J::Input],
+    ends: &mut E,
+    role: impl Fn(&mut E, &Epoch<'_, J>) -> RoleOutcome<J>,
+    settle: impl Fn(&mut E, &Epoch<'_, J>, bool),
+) {
+    let ctx = FaultCtx::new(
+        config,
+        frame.retry_safe,
+        &frame.fault_log,
+        &frame.cancel,
+        frame.board.as_ref(),
+    );
+    let epoch = Epoch { frame, job, input, ctx };
+    let result = catch_unwind(AssertUnwindSafe(|| role(ends, &epoch)));
+    settle(ends, &epoch, result.is_err());
+    match result {
+        Ok(Ok(Some(pairs))) => relock(frame.partials.lock()).push(pairs),
+        Ok(Ok(None)) => {}
+        Ok(Err(e)) => frame.errors.record(e),
+        Err(panic) => {
+            frame.errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)))
+        }
     }
 }
 
@@ -1092,12 +1219,22 @@ mod tests {
             let tasks = task_ranges(input.len(), session.config().task_size);
             let frame = session.frame_for(&job, &input, tasks);
             let unwound = catch_unwind(AssertUnwindSafe(|| {
-                with_epoch(&session.shared, &mut session.consumers, &frame, || {
-                    while job.entered.load(Ordering::SeqCst) == 0 {
-                        std::thread::yield_now();
-                    }
-                    panic!("supervisor exploded");
-                })
+                with_epoch(
+                    &session.shared,
+                    &mut session.consumers,
+                    &frame,
+                    session.caller.as_mut().map(|mapper| CallerRole {
+                        mapper,
+                        job: &job,
+                        input: &input,
+                    }),
+                    || {
+                        while job.entered.load(Ordering::SeqCst) == 0 {
+                            std::thread::yield_now();
+                        }
+                        panic!("supervisor exploded");
+                    },
+                )
             }));
             assert!(unwound.is_err(), "adaptive={adaptive}");
             assert_eq!(job.inside.load(Ordering::SeqCst), 0, "adaptive={adaptive}");
@@ -1112,6 +1249,59 @@ mod tests {
             let out = session.submit(&job, &input).unwrap();
             let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 800)).collect();
             assert_eq!(out.pairs, expected, "adaptive={adaptive}");
+        }
+    }
+
+    #[test]
+    fn a_supervisor_that_unwinds_before_the_job_starts_still_closes_mapper_0() {
+        // Supervision fails before the caller ever ran mapper 0, so nobody
+        // but the guard can end that mapper's stream, and its combiner
+        // drains until it ends. The cases run on a thread of their own so
+        // that a lost close fails the deadline instead of hanging the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        let cases = std::thread::spawn(move || {
+            let input: Vec<u64> = (0..4000).collect();
+            for (workers, combiners, adaptive) in [(1, 1, false), (3, 2, false), (3, 2, true)] {
+                let case = format!("{workers} + {combiners}, adaptive={adaptive}");
+                let mut cfg = RuntimeConfig::builder()
+                    .num_workers(workers)
+                    .num_combiners(combiners)
+                    .task_size(16)
+                    .queue_capacity(64)
+                    .batch_size(8)
+                    .build()
+                    .unwrap();
+                cfg.adaptive = adaptive;
+                let mut session = RamrSession::<Gated>::new(cfg).unwrap();
+                let job = Gated::default();
+                let tasks = task_ranges(input.len(), session.config().task_size);
+                let frame = session.frame_for(&job, &input, tasks);
+                let caller = session.caller.as_mut().map(|mapper| CallerRole {
+                    mapper,
+                    job: &job,
+                    input: &input,
+                });
+                let unwound = catch_unwind(AssertUnwindSafe(|| {
+                    with_epoch(&session.shared, &mut session.consumers, &frame, caller, || {
+                        panic!("supervisor exploded at once")
+                    })
+                }));
+                assert!(unwound.is_err(), "{case}");
+                assert_eq!(*relock(session.shared.busy.lock()), 0, "{case}");
+                drop(frame);
+
+                let out = session.submit(&job, &input).unwrap();
+                let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 800)).collect();
+                assert_eq!(out.pairs, expected, "{case}");
+            }
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(10)) {
+            // A failed assertion drops the sender: re-raise it from here.
+            Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => cases.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("the epoch after an unwound supervisor did not end within 10 s")
+            }
         }
     }
 }

@@ -20,7 +20,9 @@
 //! * [`CommDistance`]/[`MachineModel::transfer_cost_ns`] — the communication
 //!   cost model consumed by the `mrsim` performance model;
 //! * [`pin_current_thread`] — the real `sched_setaffinity(2)` binding used
-//!   when running on actual multi-core hardware.
+//!   when running on actual multi-core hardware, with
+//!   [`current_thread_affinity`] / [`set_current_thread_affinity`] to save
+//!   and restore a mask around a temporary pin.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ mod machine;
 mod placement;
 mod remap;
 
+pub use affinity::{current_thread_affinity, set_current_thread_affinity};
 pub use affinity::{pin_current_thread, pinning_supported};
 pub use comm::CommDistance;
 pub use detect::{parse_cpuinfo, DetectedGeometry};

@@ -1,5 +1,7 @@
 //! Parametric machine descriptions and the two platform presets.
 
+use std::sync::OnceLock;
+
 use crate::comm::CommDistance;
 
 /// How cores are interconnected beyond their private caches.
@@ -137,15 +139,23 @@ impl MachineModel {
     /// A model of the host this process runs on: one socket, no SMT,
     /// `available_parallelism` cores. Used by examples so they work on any
     /// machine.
+    ///
+    /// Probed once per process: `available_parallelism` is a few syscalls
+    /// and file reads, and every fresh session and Phoenix run asks for this
+    /// model. Later calls return a copy of the first answer.
     pub fn host() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self {
-            name: "host".into(),
-            sockets: 1,
-            cores_per_socket: cores,
-            smt: 1,
-            ..Self::haswell_server()
-        }
+        static HOST: OnceLock<MachineModel> = OnceLock::new();
+        HOST.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+            Self {
+                name: "host".into(),
+                sockets: 1,
+                cores_per_socket: cores,
+                smt: 1,
+                ..Self::haswell_server()
+            }
+        })
+        .clone()
     }
 
     /// Total logical CPUs (`sockets × cores_per_socket × smt`).
@@ -278,6 +288,11 @@ mod tests {
         let m = MachineModel::host();
         assert!(m.logical_cpus() >= 1);
         assert!(m.to_string().contains("host"));
+    }
+
+    #[test]
+    fn the_host_is_probed_once_and_answers_alike() {
+        assert_eq!(MachineModel::host(), MachineModel::host());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread;
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use mr_apps::{WordCount, WordCountString};
@@ -426,14 +426,38 @@ enum RoleFault {
     Hang,
 }
 
-/// Word count in which the first task mapped by a thread of the `victim`
-/// pool (matched on the pool's thread-name prefix) is faulty, whichever
-/// task that turns out to be. When the victim is the combiner, the mapper
-/// waits inside its own first task until that task has been entered
-/// `release_at` times: an idle combiner is what claims map tasks, and the
-/// fault must have played out on it before the mapper can claim the rest.
+/// The thread a [`FaultOnRole`] job faults on.
+#[derive(Clone, Copy)]
+enum Victim {
+    /// The thread that calls `submit`: it runs a static session's mapper 0.
+    Submitter(ThreadId),
+    /// A combiner, which maps only the tasks it claims while it has nothing
+    /// to read.
+    Combiner,
+    /// No thread: a job that injects nothing.
+    Nobody,
+}
+
+impl Victim {
+    fn is_current(self) -> bool {
+        let thread = thread::current();
+        match self {
+            Victim::Submitter(id) => thread.id() == id,
+            Victim::Combiner => thread.name().is_some_and(|n| n.starts_with("ramr-combiner")),
+            Victim::Nobody => false,
+        }
+    }
+}
+
+/// Word count in which the first task mapped by the `victim` thread is
+/// faulty, whichever task that turns out to be. Every other thread waits
+/// inside its own first task until the victim's has been entered
+/// `release_at` times, so the fault plays out on the victim whichever side
+/// claims first: an idle combiner claims a task while the mapper waits, and
+/// the submitter, which maps until the task queue is empty, claims one
+/// while a helping combiner waits.
 struct FaultOnRole {
-    victim: &'static str,
+    victim: Victim,
     fault: RoleFault,
     release_at: u32,
     /// Ordinal of the victim's task; `u64::MAX` until it has claimed one.
@@ -442,7 +466,7 @@ struct FaultOnRole {
 }
 
 impl FaultOnRole {
-    fn new(victim: &'static str, fault: RoleFault, release_at: u32) -> Self {
+    fn new(victim: Victim, fault: RoleFault, release_at: u32) -> Self {
         Self {
             victim,
             fault,
@@ -455,7 +479,7 @@ impl FaultOnRole {
     /// A job value that injects nothing, for the healthy submit after a
     /// failed one.
     fn healthy() -> Self {
-        Self::new("nobody", RoleFault::Panic(0), 0)
+        Self::new(Victim::Nobody, RoleFault::Panic(0), 0)
     }
 }
 
@@ -466,8 +490,7 @@ impl MapReduceJob for FaultOnRole {
 
     fn map(&self, task: &[String], emit: &mut Emitter<'_, CompactKey, u64>) {
         let ordinal = ordinal_of(&task[0]);
-        let thread = thread::current();
-        if thread.name().is_some_and(|name| name.starts_with(self.victim)) {
+        if self.victim.is_current() {
             let claimed = self.faulty_task.compare_exchange(
                 u64::MAX,
                 ordinal,
@@ -491,10 +514,10 @@ impl MapReduceJob for FaultOnRole {
                 }
                 return;
             }
-        } else if self.victim == "ramr-combiner" {
+        } else {
             let deadline = Instant::now() + Duration::from_secs(5);
             while self.attempts.load(Ordering::SeqCst) < self.release_at && !emit.is_cancelled() {
-                assert!(Instant::now() < deadline, "the combiner never claimed a map task");
+                assert!(Instant::now() < deadline, "the victim never claimed a map task");
                 thread::sleep(Duration::from_micros(200));
             }
         }
@@ -524,9 +547,14 @@ fn a_poison_task_on_a_helping_combiner_is_accounted_like_one_on_a_mapper() {
     for (retries, skip, fail_attempts) in [(2, false, 2), (1, true, u32::MAX), (0, true, u32::MAX)]
     {
         let attempts = retries.min(fail_attempts) + 1;
-        let run = move |victim: &'static str| {
+        let run = move |on_combiner: bool| {
             with_deadline(60, move || {
                 let input = lines();
+                let victim = if on_combiner {
+                    Victim::Combiner
+                } else {
+                    Victim::Submitter(thread::current().id())
+                };
                 let job = FaultOnRole::new(victim, RoleFault::Panic(fail_attempts), attempts);
                 let mut session = RamrSession::new(one_to_one(retries, skip, None)).unwrap();
                 let (out, report) = session.submit_with_report(&job, &input).unwrap();
@@ -537,10 +565,11 @@ fn a_poison_task_on_a_helping_combiner_is_accounted_like_one_on_a_mapper() {
             })
         };
         let case = format!("retries={retries} skip={skip}");
-        let (pairs, on_combiner, helped, ordinal, tried) = run("ramr-combiner");
-        let (_, on_mapper, ..) = run("ramr-mapper");
+        let (pairs, on_combiner, helped, ordinal, tried) = run(true);
+        let (_, on_mapper, _, _, tried_on_mapper) = run(false);
 
         assert_eq!(tried, attempts, "{case}");
+        assert_eq!(tried_on_mapper, attempts, "{case}");
         let dropped: Vec<u64> = if fail_attempts > retries { vec![ordinal] } else { Vec::new() };
         assert_eq!(pairs, reference(&lines(), &dropped), "{case}");
         // Every attempt emitted before panicking; staging kept all but the
@@ -569,7 +598,7 @@ fn a_panicking_helped_task_fails_the_job_and_leaves_the_session_exact() {
         let input = lines();
         let mut session = RamrSession::new(one_to_one(0, false, None)).unwrap();
         for round in 0..2 {
-            let job = FaultOnRole::new("ramr-combiner", RoleFault::Panic(u32::MAX), 1);
+            let job = FaultOnRole::new(Victim::Combiner, RoleFault::Panic(u32::MAX), 1);
             let err = session.submit(&job, &input).unwrap_err();
             assert!(
                 matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("injected fault")),
@@ -588,7 +617,7 @@ fn the_watchdog_diagnoses_a_helper_hung_inside_a_map_task() {
         let input = lines();
         let cfg = one_to_one(0, false, Some(WATCHDOG.as_millis() as u64));
         let mut session = RamrSession::new(cfg).unwrap();
-        let job = FaultOnRole::new("ramr-combiner", RoleFault::Hang, 1);
+        let job = FaultOnRole::new(Victim::Combiner, RoleFault::Hang, 1);
         let started = Instant::now();
         let err = session.submit(&job, &input).unwrap_err();
         let elapsed = started.elapsed();

@@ -63,12 +63,19 @@ fn one_engine_serves_different_job_types_and_survives_a_failing_job() {
         &InputSpec::table1(AppKind::Histogram, Platform::Haswell, InputFlavor::Small),
         20_000,
     );
-    // Positive control: the scan does see a live session's pools.
-    let held = Backend::RamrStatic.session::<WordCount>(config()).unwrap();
-    if let Some(seen) = pool_threads_settling_to(4 + 2) {
-        assert_eq!(seen, 4 + 2, "a held session's mappers and combiners are visible");
+    // Positive control: the scan does see a live session's pools. A static
+    // session pools every role but mapper 0, which the submitting thread
+    // runs; an adaptive one pools all of them.
+    for (backend, pooled) in [(Backend::RamrStatic, 4 + 2 - 1), (Backend::RamrAdaptive, 4 + 2)] {
+        let held = backend.session::<WordCount>(config()).unwrap();
+        if let Some(seen) = pool_threads_settling_to(pooled) {
+            assert_eq!(seen, pooled, "{backend}: a held session's pool threads are visible");
+        }
+        drop(held);
+        if let Some(left) = pool_threads_settling_to(0) {
+            assert_eq!(left, 0, "{backend}: a dropped session joined its pool threads");
+        }
     }
-    drop(held);
 
     let expected_words = Backend::Phoenix.engine(config()).unwrap().submit(&WordCount, &lines);
     let expected_words = expected_words.unwrap().output.pairs;

@@ -336,11 +336,10 @@ const POISON: u64 = u64::MAX;
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Misbehaviour {
     None,
-    /// Pairs emitted on a thread whose name starts with this are poison:
-    /// folding one panics. `"ramr-mapper"` puts the panic on the combiner's
-    /// queue path, `"ramr-combiner"` inside a map task the combiner runs in
-    /// place.
-    PoisonFrom(&'static str),
+    /// Pairs emitted on this side are poison: folding one panics. The
+    /// submitter's put the panic on the combiner's queue path, the
+    /// combiner's inside a map task it runs in place.
+    PoisonFrom(Side),
     /// Emits keys past the declared key space, overflowing both fixed-size
     /// containers.
     Overflow,
@@ -348,12 +347,24 @@ enum Misbehaviour {
     Hang,
 }
 
+/// The two threads that map in a one-mapper, one-combiner static session.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Side {
+    /// The thread that calls `submit`, which runs mapper 0 in place.
+    Submitter,
+    /// The combiner, mapping the tasks it claims while it has nothing to
+    /// read.
+    Combiner,
+}
+
 /// Counts `x % modulus`, declaring `modulus` as its key space, every pair
 /// emitted twice so that each task's pairs meet in `combine`.
 struct Shaped {
     modulus: u64,
     misbehaviour: Misbehaviour,
-    /// Map calls entered on a combiner thread, and on a mapper thread.
+    /// The thread that built the job, which is the one that submits it.
+    submitter: std::thread::ThreadId,
+    /// Map calls entered on the combiner, and on the submitter.
     helped: std::sync::atomic::AtomicU32,
     mapped: std::sync::atomic::AtomicU32,
     hung: std::sync::atomic::AtomicBool,
@@ -364,6 +375,7 @@ impl Shaped {
         Self {
             modulus,
             misbehaviour,
+            submitter: std::thread::current().id(),
             helped: Default::default(),
             mapped: Default::default(),
             hung: Default::default(),
@@ -386,18 +398,20 @@ impl MapReduceJob for Shaped {
 
     fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
         use std::sync::atomic::Ordering::SeqCst;
-        let thread = std::thread::current();
-        let on = |prefix: &str| thread.name().is_some_and(|name| name.starts_with(prefix));
-        // The poison must be emitted on the thread the test names, whichever
+        let side = if std::thread::current().id() == self.submitter {
+            Side::Submitter
+        } else {
+            Side::Combiner
+        };
+        // The poison must be emitted on the side the test names, whichever
         // of the two happens to run first: each side announces its first map
         // call, and waits inside its own for the side that owes the poison.
-        let (mine, theirs) = if on("ramr-combiner") {
-            (&self.helped, &self.mapped)
-        } else {
-            (&self.mapped, &self.helped)
+        let (mine, theirs) = match side {
+            Side::Combiner => (&self.helped, &self.mapped),
+            Side::Submitter => (&self.mapped, &self.helped),
         };
         mine.fetch_add(1, SeqCst);
-        if matches!(self.misbehaviour, Misbehaviour::PoisonFrom(prefix) if !on(prefix)) {
+        if matches!(self.misbehaviour, Misbehaviour::PoisonFrom(victim) if victim != side) {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while theirs.load(SeqCst) == 0 && !emit.is_cancelled() {
                 assert!(std::time::Instant::now() < deadline, "the poisoned side never mapped");
@@ -405,7 +419,7 @@ impl MapReduceJob for Shaped {
             }
         }
         let value = match self.misbehaviour {
-            Misbehaviour::PoisonFrom(prefix) if on(prefix) => POISON,
+            Misbehaviour::PoisonFrom(victim) if victim == side => POISON,
             _ => 1,
         };
         let shift = if self.misbehaviour == Misbehaviour::Overflow { self.modulus } else { 0 };
@@ -464,14 +478,14 @@ fn a_failed_job_never_leaves_its_pairs_in_the_kept_container() {
         };
         healthy(&mut session, "a fresh session");
 
-        for victim in ["ramr-mapper", "ramr-combiner"] {
+        for victim in [Side::Submitter, Side::Combiner] {
             let job = Shaped::new(97, Misbehaviour::PoisonFrom(victim));
             let err = session.submit(&job, &input).unwrap_err();
             assert!(
                 matches!(&err, RuntimeError::WorkerPanic(m) if m.contains("combine refuses")),
-                "{kind}, poison from {victim}: got {err}"
+                "{kind}, poison from {victim:?}: got {err}"
             );
-            healthy(&mut session, &format!("a combine panic on pairs from {victim}"));
+            healthy(&mut session, &format!("a combine panic on pairs from {victim:?}"));
         }
 
         if kind != ContainerKind::Hash {
