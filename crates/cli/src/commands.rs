@@ -240,13 +240,14 @@ fn execute<J: MapReduceJob + 'static>(
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         println!(
             "{:>13}: {mean:8.2} ms over {} run(s) | {} keys | map-combine {:.0}% | \
-             emitted {} | queue-full {}",
+             emitted {} | queue-full {} | spilled {}",
             backend.as_str(),
             samples.len(),
             output.len(),
             100.0 * output.stats.fraction(PhaseKind::MapCombine),
             output.stats.emitted,
             output.stats.queue_full_events,
+            report.spilled,
         );
         if let Some(summary) = report.faults.summary() {
             println!("  faults: {summary}");
@@ -305,6 +306,7 @@ fn execute<J: MapReduceJob + 'static>(
             ],
             emitted: stats.emitted,
             consumed: report.consumed,
+            spilled: report.spilled,
             threads: report.threads.clone(),
             faults: report.faults.clone(),
         };

@@ -193,6 +193,13 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
         self.index.fill(0);
     }
 
+    /// The stored pairs in insertion order, for a container that is done:
+    /// [`drain_into`](Self::drain_into) without zeroing an index nobody
+    /// will probe again.
+    pub fn into_pairs(self) -> Vec<(K, V)> {
+        self.entries
+    }
+
     /// Replaces the index by one of `slots` words threaded from the entries'
     /// hashes. The entries stay where they are: growth costs one 8-byte
     /// store per key, plus first touch of the new index.
@@ -350,6 +357,18 @@ mod tests {
         assert_eq!(out[..expected.len()], expected[..]);
         assert_eq!(out.last(), Some(&(4, 4)));
         assert_eq!(c.get(&4), None, "a drained key must not be found through a stale index word");
+    }
+
+    #[test]
+    fn into_pairs_yields_what_drain_into_does() {
+        let mut drained = HashContainer::with_capacity(2);
+        for i in (0..300u64).chain(0..100) {
+            drained.combine_insert(i * 7, 1u64, add);
+        }
+        let consumed = drained.clone();
+        let mut out = Vec::new();
+        drained.drain_into(&mut out);
+        assert_eq!(consumed.into_pairs(), out);
     }
 
     #[test]

@@ -53,6 +53,19 @@ impl<K: mr_core::MrKey, V: mr_core::MrValue> ContainerImpl<K, V> {
             ContainerImpl::FixedHash(c) => c.drain_into(out),
         }
     }
+
+    /// The stored pairs, consuming the container: a hash table hands its
+    /// entries over without zeroing its index.
+    pub fn into_pairs(self) -> Vec<(K, V)> {
+        match self {
+            ContainerImpl::Hash(c) => c.into_pairs(),
+            mut other => {
+                let mut out = Vec::new();
+                other.drain_into(&mut out);
+                out
+            }
+        }
+    }
 }
 
 /// One worker's (or combiner's) thread-local container, bound to the job so
@@ -228,6 +241,12 @@ impl<'a, J: MapReduceJob> JobContainer<'a, J> {
         self.inner.drain_into(out);
     }
 
+    /// The stored pairs, for a container that is done; see
+    /// [`ContainerImpl::into_pairs`].
+    pub fn into_pairs(self) -> Vec<(J::Key, J::Value)> {
+        self.inner.into_pairs()
+    }
+
     /// Consumes the adapter, returning the underlying container.
     pub fn into_inner(self) -> ContainerImpl<J::Key, J::Value> {
         self.inner
@@ -272,6 +291,19 @@ impl<K: mr_core::MrKey, V: mr_core::MrValue> HashedContainerImpl<K, V> {
             HashedContainerImpl::FixedHash(c) => c.drain_into(out),
         }
     }
+
+    /// The stored pairs, consuming the container: a hash table hands its
+    /// entries over without zeroing its index.
+    pub fn into_pairs(self) -> Vec<(Hashed<K>, V)> {
+        match self {
+            HashedContainerImpl::Hash(c) => c.into_pairs(),
+            mut other => {
+                let mut out = Vec::new();
+                other.drain_into(&mut out);
+                out
+            }
+        }
+    }
 }
 
 /// A source of hash-carrying pairs that pushes each one into a sink — one
@@ -281,6 +313,16 @@ impl<K: mr_core::MrKey, V: mr_core::MrValue> HashedContainerImpl<K, V> {
 pub trait PairFeed<K, V> {
     /// Hands every pair of the feed to `sink`, in order.
     fn feed(self, sink: impl FnMut(Hashed<K>, V));
+}
+
+/// A vector is a feed that drains it: every pair is moved out, in order, and
+/// the vector is left empty with its allocation kept — an emit block, say.
+impl<K, V> PairFeed<K, V> for &mut Vec<(Hashed<K>, V)> {
+    fn feed(self, mut sink: impl FnMut(Hashed<K>, V)) {
+        for (key, value) in self.drain(..) {
+            sink(key, value);
+        }
+    }
 }
 
 /// An index a job filled to less than one part in this many is not kept: a
@@ -473,6 +515,12 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
         self.inner.drain_into(out);
     }
 
+    /// The stored pairs, for a container that is done; see
+    /// [`HashedContainerImpl::into_pairs`].
+    pub fn into_pairs(self) -> Vec<(Hashed<J::Key>, J::Value)> {
+        self.inner.into_pairs()
+    }
+
     /// [`drain_into`](Self::drain_into), then unbinds the emptied container
     /// from its job so a later one can take it over
     /// ([`reusing`](Self::reusing)). A hash index this job filled to under
@@ -625,17 +673,6 @@ mod tests {
         }
     }
 
-    /// A vector as a feed.
-    struct Pairs(Vec<(Hashed<u64>, u64)>);
-
-    impl PairFeed<u64, u64> for Pairs {
-        fn feed(self, mut sink: impl FnMut(Hashed<u64>, u64)) {
-            for (key, value) in self.0 {
-                sink(key, value);
-            }
-        }
-    }
-
     fn wrapped(keys: impl Iterator<Item = u64>) -> Vec<(Hashed<u64>, u64)> {
         keys.map(|k| (Hashed::wrap(mr_core::HasherKind::Fx, k), 1)).collect()
     }
@@ -649,8 +686,8 @@ mod tests {
                 single.insert(k, v).unwrap();
             }
             let mut batched = HashedJobContainer::for_job(&job, kind, None).unwrap();
-            batched.insert_from(Pairs(wrapped((0..20).map(|x| x % 5)))).unwrap();
-            batched.insert_from(Pairs(wrapped((20..50).map(|x| x % 5)))).unwrap();
+            batched.insert_from(&mut wrapped((0..20).map(|x| x % 5))).unwrap();
+            batched.insert_from(&mut wrapped((20..50).map(|x| x % 5))).unwrap();
             let (mut a, mut b) = (Vec::new(), Vec::new());
             single.drain_into(&mut a);
             batched.drain_into(&mut b);
@@ -666,6 +703,24 @@ mod tests {
             let unwrapped: Vec<(u64, u64)> =
                 a.into_iter().map(|(k, v)| (k.into_key(), v)).collect();
             assert_eq!(c, unwrapped, "plain container {kind}");
+        }
+    }
+
+    #[test]
+    fn into_pairs_agrees_with_drain_into_for_every_kind() {
+        let job = Mod5;
+        for kind in ContainerKind::ALL {
+            let mut plain = JobContainer::for_job(&job, kind, None).unwrap();
+            plain.insert_from(|sink| (0..50u64).for_each(|x| sink(x % 5, x))).unwrap();
+            let mut hashed = HashedJobContainer::for_job(&job, kind, None).unwrap();
+            hashed.insert_from(&mut wrapped((0..50).map(|x| x % 5))).unwrap();
+
+            let (mut drained, mut hashed_drained) = (Vec::new(), Vec::new());
+            JobContainer { job: &job, inner: plain.inner.clone() }.drain_into(&mut drained);
+            HashedJobContainer { job: &job, inner: hashed.inner.clone() }
+                .drain_into(&mut hashed_drained);
+            assert_eq!(plain.into_pairs(), drained, "plain container {kind}");
+            assert_eq!(hashed.into_pairs(), hashed_drained, "hashed container {kind}");
         }
     }
 
@@ -686,9 +741,10 @@ mod tests {
         assert_eq!((taken, plain.len()), (5, 2));
 
         let mut hashed = HashedJobContainer::for_job(&job, ContainerKind::Array, Some(2)).unwrap();
-        let err = hashed.insert_from(Pairs(wrapped(0..5))).unwrap_err();
+        let mut block = wrapped(0..5);
+        let err = hashed.insert_from(&mut block).unwrap_err();
         assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
-        assert_eq!(hashed.len(), 2);
+        assert_eq!((block.len(), hashed.len()), (0, 2));
     }
 
     /// Fills a container with `keys` distinct keys and hands it back kept.
@@ -696,7 +752,7 @@ mod tests {
         mut c: HashedJobContainer<'a, NoKeySpace>,
         keys: u64,
     ) -> KeptContainer<u64, u64> {
-        c.insert_from(Pairs(wrapped((0..keys * 2).map(|x| x % keys.max(1))))).unwrap();
+        c.insert_from(&mut wrapped((0..keys * 2).map(|x| x % keys.max(1)))).unwrap();
         let mut out = Vec::new();
         let kept = c.drain_to_keep(&mut out);
         assert_eq!(out.len() as u64, keys);

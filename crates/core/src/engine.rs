@@ -175,11 +175,16 @@ pub struct EngineReport {
     /// place, appear in both halves, as in [`RunReport`]), workers for
     /// Phoenix.
     pub threads: Vec<ThreadTelemetry>,
-    /// Total pairs folded into combiner containers, by either route: read
-    /// from a queue, or emitted in place by a map task a static combiner
-    /// ran itself ([`RunReport::helped_per_combiner`]). Equals the pairs
+    /// Total pairs folded into containers, by any route: read from a queue,
+    /// emitted in place by a map task a static combiner ran itself
+    /// ([`RunReport::helped_per_combiner`]), or folded by a static mapper
+    /// whose queue was full ([`spilled`](Self::spilled)). Equals the pairs
     /// emitted on every schedule; for Phoenix (inline combine) too.
     pub consumed: u64,
+    /// The part of [`consumed`](Self::consumed) static mappers folded
+    /// themselves ([`RunReport::spilled_per_mapper`]); zero for the adaptive
+    /// runtime and Phoenix.
+    pub spilled: u64,
     /// The throughput-derived mapper:combiner ratio suggestion
     /// ([`RunReport::suggested_ratio`]); `None` for Phoenix, whose workers
     /// have no role split to tune.
@@ -196,7 +201,9 @@ pub struct EngineReport {
 
 impl EngineReport {
     fn from_ramr(backend: Backend, report: RunReport) -> Self {
-        let consumed = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner).sum();
+        let spilled = report.spilled_per_mapper.iter().sum::<u64>();
+        let folded = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner);
+        let consumed = folded.sum::<u64>() + spilled;
         let suggested_ratio = report.suggested_ratio();
         let mut threads = report.mapper_telemetry;
         threads.extend(report.combiner_telemetry);
@@ -204,6 +211,7 @@ impl EngineReport {
             backend,
             threads,
             consumed,
+            spilled,
             suggested_ratio,
             adaptation: report.adaptation,
             faults: report.faults,
@@ -217,6 +225,7 @@ impl EngineReport {
             backend: Backend::Phoenix,
             threads: report.worker_telemetry,
             consumed,
+            spilled: 0,
             suggested_ratio: None,
             adaptation: Vec::new(),
             faults: report.faults,

@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 
 use crate::tuning::{decide, AdaptationEvent, AdaptiveBounds, PoolObservation};
 use mr_core::{
-    Emitter, HasherKind, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError,
-    TaskRange,
+    Emitter, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError, TaskRange,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer, KeptContainer, PairFeed};
@@ -79,19 +78,29 @@ pub struct RunReport {
     /// then one entry per static combiner that ran map tasks in place (see
     /// [`helped_per_combiner`]). Counted at emission time, so buffered pairs
     /// awaiting a flush are included; conservation
-    /// (`emitted == consumed + helped`) holds once the run returns because
-    /// every mapper drain-flushes its emit buffer before closing its queue.
+    /// (`emitted == consumed + helped + spilled`) holds once the run returns
+    /// because every mapper drain-flushes its emit buffer before closing its
+    /// queue.
     ///
     /// [`mapper_telemetry`]: RunReport::mapper_telemetry
     /// [`helped_per_combiner`]: RunReport::helped_per_combiner
     pub emitted_per_mapper: Vec<u64>,
-    /// Queue-full events per mapper: publish attempts that made zero
-    /// progress because the queue had no free slot. With an emit buffer
-    /// of 1 this counts failed element pushes (the historical meaning);
-    /// with larger buffers it counts stalled *block* flushes, so absolute
-    /// values are not comparable across different `emit_buffer_size`
-    /// settings — compare [`RunReport::back_pressure`] trends instead.
+    /// Queue-full events per row of `mapper_telemetry`: emit-buffer flushes
+    /// that met a full queue. A static mapper folds what did not fit into
+    /// its own container ([`spilled_per_mapper`]) and counts the flush once;
+    /// an adaptive one counts every zero-progress attempt while it waits for
+    /// room. With an emit buffer of 1 a flush is one pair, so absolute values
+    /// are not comparable across different `emit_buffer_size` settings —
+    /// compare [`RunReport::back_pressure`] trends instead.
+    ///
+    /// [`spilled_per_mapper`]: RunReport::spilled_per_mapper
     pub full_events_per_mapper: Vec<u64>,
+    /// Pairs each static mapper folded *itself*: the part of a block its
+    /// full queue had no room for, combined into the mapper's own container
+    /// instead of waiting (work-conserving mappers) — they never crossed a
+    /// queue. One entry per mapper of the pool, zero for one whose queue
+    /// always had room; empty under the adaptive runtime, whose mappers wait.
+    pub spilled_per_mapper: Vec<u64>,
     /// Pairs each combiner consumed *from its queues*. Exact even when a
     /// combine function panics mid-batch: the count advances with the
     /// queue's head cursor, element by element, inside each batched read.
@@ -101,10 +110,11 @@ pub struct RunReport {
     /// queue. One entry per combiner, zero for one that never helped; empty
     /// under the adaptive runtime, whose threads change role instead.
     pub helped_per_combiner: Vec<u64>,
-    /// Per-mapper wall-clock telemetry: useful map time (`busy`), time
-    /// blocked publishing blocks to a full queue (`stalled`), emit-buffer
-    /// flush occupancy, and the thread's own wall-clock. Timing fields are
-    /// zero when `RuntimeConfig::telemetry` is off; the counters
+    /// Per-mapper wall-clock telemetry: useful map time (`busy`, which
+    /// includes folding spilled pairs), time publishing blocks to the queue
+    /// (`stalled` — only an adaptive mapper ever waits there for room),
+    /// emit-buffer flush occupancy, and the thread's own wall-clock. Timing
+    /// fields are zero when `RuntimeConfig::telemetry` is off; the counters
     /// (`items`, `stall_events`) are always exact.
     ///
     /// A static combiner that ran map tasks in place appends one more row,
@@ -181,15 +191,22 @@ impl RunReport {
     /// many mappers one combiner keeps up with, from *measured* relative
     /// throughput (`combine_throughput / map_throughput`, ≥ 1). Raise the
     /// ratio (fewer combiners) when combine is fast relative to map; drop
-    /// toward 1:1 when combine is the bottleneck.
+    /// toward 1:1 when combine is the bottleneck. A mapper's spilled folds
+    /// ([`spilled_per_mapper`](RunReport::spilled_per_mapper)) are busy time
+    /// on its row, so a run that spilled a share `s` of its pairs reads map
+    /// throughput low by up to that share of the combine cost, and the
+    /// ratio high by up to `s`.
     pub fn suggested_ratio(&self) -> Option<usize> {
         Some(ramr_telemetry::suggested_ratio(self.map_throughput()?, self.combine_throughput()?))
     }
 
-    /// Zero-progress publish attempts per emitted pair — the queue
+    /// Flushes that met a full queue per emitted pair — the queue
     /// back-pressure indicator. Zero means no mapper ever found its queue
     /// full; rising values mean combiners cannot keep up (raise the
-    /// combiner pool, the queue capacity, or the emit buffer).
+    /// combiner pool, the queue capacity, or the emit buffer). Static
+    /// mappers absorb it by folding the overflow themselves
+    /// ([`spilled_per_mapper`](RunReport::spilled_per_mapper)), which moves
+    /// combine work onto the map side rather than removing it.
     pub fn back_pressure(&self) -> f64 {
         let emitted: u64 = self.emitted_per_mapper.iter().sum();
         let failed: u64 = self.full_events_per_mapper.iter().sum();
@@ -436,110 +453,195 @@ fn run_task<J: MapReduceJob>(
     }
 }
 
+/// Where a static mapper's emit blocks go: its queue, and — for whatever a
+/// full queue has no room for — the mapper's own combine container, folded
+/// on the spot instead of waited out (DESIGN §6p). The container is built at
+/// the epoch's first spill, taking over the one `kept` holds from an earlier
+/// epoch.
+struct Outlet<'a, 'j, J: MapReduceJob> {
+    job: &'j J,
+    config: &'a RuntimeConfig,
+    tx: &'a mut PairProducer<J>,
+    kept: &'a mut Option<KeptContainer<J::Key, J::Value>>,
+    spill: Option<HashedJobContainer<'j, J>>,
+    /// The spill's first insert error. Once set, every block is dropped and
+    /// the mapper claims no further task.
+    error: Option<RuntimeError>,
+    /// Pairs handed to the spill container.
+    spilled: u64,
+    local: LocalTelemetry,
+}
+
+impl<J: MapReduceJob> Outlet<'_, '_, J> {
+    /// Publishes what fits of `block` with one tail update and folds the
+    /// rest into the spill container, leaving `block` empty. Nothing waits
+    /// and nothing is lost: a pair reaches a container by the queue or by
+    /// the spill, and reduce merges both. A flush that met a full queue
+    /// counts one queue-full event. Only the publish is timed, as `stalled`;
+    /// the fold is map-side work and lands in the enclosing `busy`.
+    #[inline(never)]
+    fn flush(&mut self, block: &mut Vec<HashedPair<J>>) {
+        let occupied = block.len();
+        if occupied == 0 || self.error.is_some() {
+            block.clear();
+            return;
+        }
+        let publish_start = self.config.telemetry.then(Instant::now);
+        self.tx.push_batch_drain(block);
+        if let Some(t) = publish_start {
+            self.local.stalled += t.elapsed();
+            self.local.batches += 1;
+            self.local.occupancy.record(occupied, self.config.effective_emit_buffer());
+        }
+        if block.is_empty() {
+            return;
+        }
+        self.local.stall_events += 1;
+        self.spilled += block.len() as u64;
+        let config = self.config;
+        let spill = match &mut self.spill {
+            Some(spill) => spill,
+            empty @ None => {
+                let kept = self.kept.take();
+                match HashedJobContainer::reusing(
+                    self.job,
+                    config.container,
+                    config.fixed_capacity,
+                    kept,
+                ) {
+                    Ok(c) => empty.insert(c),
+                    Err(e) => {
+                        self.error = Some(e);
+                        block.clear();
+                        return;
+                    }
+                }
+            }
+        };
+        // A combine panic unwinds from here out through the map call.
+        if let Err(e) = spill.insert_from(&mut *block) {
+            self.error = Some(e);
+        }
+    }
+}
+
 /// One mapper's loop: pull tasks from the locality-grouped queues, map,
 /// accumulate emissions in a thread-local block and publish each full block
 /// to this mapper's SPSC queue with a single tail update. Publishes its
-/// counters and (when `telemetry` is on) wall-clock telemetry into `cell`
-/// once, at exit.
+/// counters and (when telemetry is on) wall-clock telemetry into `cell`, and
+/// the pairs it folded itself into `spilled`, once, at exit; returns the
+/// drained spill container as the mapper's partial.
 ///
 /// The emit buffer is the producer-side mirror of the paper's batched read:
 /// instead of one release store (and one cross-core cache-line transfer) per
-/// pair, the consumer observes one tail update per `emit_block` pairs.
-/// `emit_block == 1` degenerates to element-wise publication. The block is
-/// `buffer`, which the mapper keeps next to its write-end across a session's
-/// epochs; whatever a cancelled or panicked epoch left in it is discarded
-/// here, before the first claim.
+/// pair, the consumer observes one tail update per `effective_emit_buffer()`
+/// pairs; 1 degenerates to element-wise publication. The block is `buffer`,
+/// which the mapper keeps next to its write-end across a session's epochs;
+/// whatever a cancelled or panicked epoch left in it is discarded here,
+/// before the first claim.
+///
+/// **Work-conserving:** a block the queue has no room for is not waited out.
+/// Its overflow is folded into the mapper's own container ([`Outlet`]) — the
+/// mirror of a combiner that maps while it has nothing to read — so the
+/// mapper never stalls on a combiner that cannot keep up. Like a combiner's,
+/// the container is kept across the session's epochs in `kept` and put back
+/// only by an epoch that ends without error, panic or cancellation. An
+/// insert error (a fixed-size container overflowing) stops the spilling and
+/// the claiming, and fails the job once the queue is closed.
 ///
 /// Instrumentation cost: timers fire once per map *task* and once per
-/// block *flush* — never per pair. `busy` is map time net of the flush
-/// time accrued inside the map call; `stalled` is the flush time itself,
-/// which is dominated by waiting whenever the queue is full.
+/// block *flush* — never per pair. `busy` is map time net of the publish
+/// time accrued inside the map call, folds included; `stalled` is the
+/// publish time itself.
 #[allow(clippy::too_many_arguments)] // internal: mirrors the paper's knob list
 pub(crate) fn mapper_loop<J: MapReduceJob>(
     job: &J,
     input: &[J::Input],
+    config: &RuntimeConfig,
     queues: &TaskQueues,
     home_group: usize,
     tx: &mut PairProducer<J>,
     buffer: &mut Vec<HashedPair<J>>,
-    backoff: &BackoffPolicy,
-    emit_block: usize,
-    hasher: HasherKind,
+    kept: &mut Option<KeptContainer<J::Key, J::Value>>,
     cell: &TelemetryCell,
-    telemetry: bool,
+    spilled: &AtomicU64,
     ctx: &FaultCtx<'_>,
     slot: usize,
-) {
+) -> Result<phases::HashedPairs<J>, RuntimeError> {
     let _live = LiveGuard::enter(ctx.board);
+    let (telemetry, hasher) = (config.telemetry, config.hasher);
+    let emit_block = config.effective_emit_buffer();
     let wall_start = telemetry.then(Instant::now);
-    let mut local = LocalTelemetry::default();
+    let mut out = Outlet {
+        job,
+        config,
+        tx,
+        kept,
+        spill: None,
+        error: None,
+        spilled: 0,
+        local: LocalTelemetry::default(),
+    };
     let mut emitted = 0u64;
-    let mut full_events = 0u64;
     buffer.clear();
     buffer.reserve(emit_block);
-    while let Some(task) = queues.claim(home_group) {
+    while out.error.is_none() {
+        let Some(task) = queues.claim(home_group) else { break };
         if ctx.cancelled() {
             break;
         }
-        let stalled_before = local.stalled;
+        let stalled_before = out.local.stalled;
         let map_start = telemetry.then(Instant::now);
         {
-            let local = &mut local;
-            let tx = &mut *tx;
-            let full_events = &mut full_events;
+            let out = &mut out;
+            let buffer = &mut *buffer;
             let sink = |key: J::Key, value: J::Value| {
                 // Hash once, here at emission: the carried hash rides the
                 // queue and is reused by combine, bucketing and reduce.
                 buffer.push((Hashed::wrap(hasher, key), value));
                 if buffer.len() >= emit_block {
-                    // Pushes must always succeed: discarding or overwriting
-                    // elements would violate correctness (paper §III-A). The
-                    // flush waits with the configured backoff until the whole
-                    // block is published, counting zero-progress attempts;
-                    // only the watchdog's cancel ends it early, so a queue
-                    // nobody will ever drain again cannot wedge teardown.
-                    let occupied = buffer.len();
-                    let flush_start = telemetry.then(Instant::now);
-                    *full_events +=
-                        tx.push_batch_with_backoff_or_cancel(buffer, backoff, ctx.cancel);
+                    out.flush(buffer);
                     ctx.progress(slot);
-                    if let Some(t) = flush_start {
-                        local.stalled += t.elapsed();
-                        local.batches += 1;
-                        local.occupancy.record(occupied, emit_block);
-                    }
                 }
             };
             emitted += run_task(job, task, input, ctx, sink);
         }
         ctx.progress(slot);
         if let Some(t) = map_start {
-            // Useful map time: the whole call minus the flush/stall time
-            // its emissions accrued.
-            local.busy += t.elapsed().saturating_sub(local.stalled - stalled_before);
+            // Useful map time: the whole call minus the publish time its
+            // emissions accrued.
+            out.local.busy += t.elapsed().saturating_sub(out.local.stalled - stalled_before);
         }
     }
-    // Final drain-flush: publish the partial block *before* closing the
-    // queue — the combiner treats closed+empty as end-of-stream. `finish`
-    // (rather than relying on drop) keeps the producer handle alive: the
-    // session re-arms the same queue for the next job.
-    let occupied = buffer.len();
+    // Final drain-flush, timed like a task: the partial block goes out
+    // *before* the queue closes — the combiner treats closed+empty as
+    // end-of-stream. `finish` (rather than relying on drop) keeps the
+    // producer handle alive: the session re-arms the same queue for the next
+    // job.
+    let stalled_before = out.local.stalled;
     let flush_start = telemetry.then(Instant::now);
-    full_events += tx.push_batch_with_backoff_or_cancel(buffer, backoff, ctx.cancel);
+    out.flush(buffer);
     if let Some(t) = flush_start {
-        local.stalled += t.elapsed();
-        if occupied > 0 {
-            local.batches += 1;
-            local.occupancy.record(occupied, emit_block);
-        }
+        out.local.busy += t.elapsed().saturating_sub(out.local.stalled - stalled_before);
     }
-    tx.finish();
+    out.tx.finish();
+    let Outlet { kept, spill, error, spilled: folded, mut local, .. } = out;
+    spilled.store(folded, Ordering::Relaxed);
     local.items = emitted;
-    local.stall_events = full_events;
     if let Some(t) = wall_start {
         local.wall = t.elapsed();
     }
     cell.publish(&local);
+    if let Some(e) = error {
+        return Err(e);
+    }
+    let mut pairs = Vec::new();
+    // A cancelled run's spill is partial and nobody will read it: it is
+    // dropped with its container, as a combiner's is.
+    if let Some(spill) = spill.filter(|_| !ctx.cancelled()) {
+        *kept = Some(spill.drain_to_keep(&mut pairs));
+    }
+    Ok(pairs)
 }
 
 /// One batched read in a combine round. While the mapper is still running
@@ -1223,11 +1325,7 @@ impl<'a, 'j, J: MapReduceJob> Combining<'a, 'j, J> {
     /// reduce.
     fn finish(mut self) -> phases::HashedPairs<J> {
         self.publish();
-        let mut pairs = Vec::new();
-        if let Some(mut c) = self.container {
-            c.drain_into(&mut pairs);
-        }
-        pairs
+        self.container.map(HashedJobContainer::into_pairs).unwrap_or_default()
     }
 }
 
@@ -1623,9 +1721,14 @@ mod tests {
         report.helped_per_combiner.iter().sum()
     }
 
-    /// Pairs folded into combiner containers: read from a queue, or helped.
+    /// Pairs static mappers folded themselves on a full queue.
+    fn spilled(report: &RunReport) -> u64 {
+        report.spilled_per_mapper.iter().sum()
+    }
+
+    /// Pairs folded into containers: read from a queue, helped, or spilled.
     fn folded(report: &RunReport) -> u64 {
-        report.consumed_per_combiner.iter().sum::<u64>() + helped(report)
+        report.consumed_per_combiner.iter().sum::<u64>() + helped(report) + spilled(report)
     }
 
     fn config(workers: usize, combiners: usize) -> RuntimeConfig {
@@ -1713,12 +1816,15 @@ mod tests {
         let mut cfg = config(4, 1);
         cfg.queue_capacity = 2;
         cfg.batch_size = 2;
-        let out = run_once(cfg, &Mod9, &input).unwrap().0;
+        let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
         assert!(
             out.stats.queue_full_events > 0,
             "a 2-element queue must overflow with 5000 pushes"
         );
+        // Every flush that met a full queue folded at least one pair itself.
+        assert!(spilled(&report) >= out.stats.queue_full_events, "{report:?}");
+        assert_eq!(folded(&report), 5000, "conservation with the overflow folded by the mappers");
     }
 
     #[test]
@@ -1803,6 +1909,7 @@ mod tests {
         assert_eq!(report.emitted_per_mapper[4..].iter().sum::<u64>(), helped(&report));
         assert_eq!(report.consumed_per_combiner.len(), 2);
         assert_eq!(report.helped_per_combiner.len(), 2);
+        assert_eq!(report.spilled_per_mapper.len(), 4);
         let emitted: u64 = report.emitted_per_mapper.iter().sum();
         assert_eq!(emitted, 40_000, "every input element emits once");
         assert_eq!(out.stats.emitted, emitted);
@@ -1906,10 +2013,13 @@ mod tests {
         // The paper's criterion: a light combine lets one combiner serve
         // many mappers (high ratio); a heavy combine pulls the suggestion
         // back toward 1:1. Compare the two directions on the same shape.
+        // The queues hold the whole job, so no mapper spills: a spilling
+        // mapper's folds are busy time on its row, which pulls the measured
+        // map throughput toward the combine throughput (DESIGN §6p).
         let input: Vec<u64> = (0..40_000).collect();
         let mut cfg = config(2, 1);
         cfg.task_size = 500;
-        cfg.queue_capacity = 1024;
+        cfg.queue_capacity = input.len();
         cfg.batch_size = 64;
         let run = |job: &Synthetic| {
             let (_, report) = run_once(cfg.clone(), job, &input).unwrap();
@@ -1994,6 +2104,7 @@ mod tests {
             full_events_per_mapper: vec![0],
             consumed_per_combiner: consumed,
             helped_per_combiner: Vec::new(),
+            spilled_per_mapper: Vec::new(),
             mapper_telemetry: Vec::new(),
             combiner_telemetry: Vec::new(),
             adaptation: Vec::new(),
@@ -2052,6 +2163,7 @@ mod tests {
             let consumed: u64 = report.consumed_per_combiner.iter().sum();
             assert_eq!(emitted, 20_000, "workers={workers} combiners={combiners}");
             assert_eq!(consumed, emitted, "conservation under adaptation");
+            assert!(report.spilled_per_mapper.is_empty(), "adaptive mappers wait, never spill");
         }
     }
 

@@ -14,15 +14,15 @@
 //!
 //! A static session spawns `num_workers + num_combiners − 1` threads: the
 //! thread that calls `submit` is mapper 0. It keeps that mapper's write-end,
-//! emit buffer and home task group in the session and runs [`mapper_loop`]
-//! for it on its own stack, under the same `catch_unwind` and error filing
-//! as a pooled role. An epoch therefore wakes `T − 1` parked threads while
-//! the caller keeps its own CPU busy, so the kernel places each woken thread
-//! on a CPU that is still idle instead of stacking two on the one the waker
-//! is about to leave. With `pin_os_threads` set the caller pins itself to
-//! mapper 0's slot for the map-combine phase and gets its own mask back
-//! afterwards ([`CallerPin`]). An adaptive session keeps all `T` roles
-//! pooled: its caller runs the controller.
+//! emit buffer, spill container and home task group in the session and runs
+//! [`mapper_loop`] for it on its own stack, under the same `catch_unwind`
+//! and error filing as a pooled role. An epoch therefore wakes `T − 1`
+//! parked threads while the caller keeps its own CPU busy, so the kernel
+//! places each woken thread on a CPU that is still idle instead of stacking
+//! two on the one the waker is about to leave. With `pin_os_threads` set the
+//! caller pins itself to mapper 0's slot for the map-combine phase and gets
+//! its own mask back afterwards ([`CallerPin`]). An adaptive session keeps
+//! all `T` roles pooled: its caller runs the controller.
 //!
 //! # Epoch protocol
 //!
@@ -57,7 +57,7 @@
 //! [`Consumer::reopen`]: ramr_spsc::Consumer::reopen
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -67,6 +67,7 @@ use mr_core::{
     RuntimeError,
 };
 use phoenix_mr::{phases, TaskQueues};
+use ramr_containers::KeptContainer;
 use ramr_spsc::{Consumer, SpscQueue};
 use ramr_telemetry::{FaultLog, ProgressBoard, TelemetryCell, ThreadRole, ThreadTelemetry};
 use ramr_topology::{CpuSlot, MachineModel, PlacementPlan};
@@ -109,6 +110,9 @@ struct JobFrame<J: MapReduceJob> {
     /// Static only: the combiners' map-help halves — tasks a combiner with
     /// nothing to read ran in place.
     helper_cells: Vec<TelemetryCell>,
+    /// Static only: pairs each mapper folded itself because its queue was
+    /// full.
+    spilled: Vec<AtomicU64>,
     /// Adaptive only: the shared pool of pipeline read-ends.
     registry: Option<QueueRegistry<J>>,
     /// Adaptive only: the controller's role/batch write surface — rebuilt
@@ -536,6 +540,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                         home_group: group_of_mapper(m),
                         tx,
                         buffer: Vec::with_capacity(emit_block),
+                        kept: None,
                     };
                     // Mapper 0 is the submitting thread's: `submit` runs it
                     // in place while the pool works.
@@ -843,6 +848,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             full_events_per_mapper,
             consumed_per_combiner,
             helped_per_combiner,
+            spilled_per_mapper: frame.spilled.iter().map(|n| n.load(Ordering::Relaxed)).collect(),
             mapper_telemetry,
             combiner_telemetry,
             adaptation: trace,
@@ -888,6 +894,9 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             // pool's throughput estimate (and vice versa).
             flex_combine_cells: fresh_cells(if adaptive { config.num_workers } else { 0 }),
             helper_cells: fresh_cells(if adaptive { 0 } else { config.num_combiners }),
+            spilled: (0..if adaptive { 0 } else { config.num_workers })
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             registry: adaptive.then(|| {
                 // Re-arm the read-ends reclaimed from the previous epoch.
                 // The producers are quiescent (previous submit returned),
@@ -1021,35 +1030,38 @@ struct CallerRole<'a, J: MapReduceJob> {
 }
 
 /// A static mapper's session-long state: its queue's write-end, the emit
-/// buffer kept next to it so that an epoch allocates neither, and the task
-/// group it claims from first. Owned by a pooled `ramr-mapper-N` thread, or,
-/// for mapper 0, by the session, whose `submit` runs it on the caller.
+/// buffer and the spill container kept next to it so that an epoch allocates
+/// none of them, and the task group it claims from first. Owned by a pooled
+/// `ramr-mapper-N` thread, or, for mapper 0, by the session, whose `submit`
+/// runs it on the caller.
 struct StaticMapper<J: MapReduceJob> {
     m: usize,
     home_group: usize,
     tx: PairProducer<J>,
     buffer: Vec<HashedPair<J>>,
+    /// The container the last epoch that spilled drained — a hash table
+    /// grows once per session here too, as a combiner's does.
+    kept: Option<KeptContainer<J::Key, J::Value>>,
 }
 
 impl<J: MapReduceJob> StaticMapper<J> {
-    /// One epoch of [`mapper_loop`].
+    /// One epoch of [`mapper_loop`]; what it spilled is its partial.
     fn run(&mut self, config: &RuntimeConfig, ep: &Epoch<'_, J>) -> RoleOutcome<J> {
-        mapper_loop(
+        let spilled = mapper_loop(
             ep.job,
             ep.input,
+            config,
             &ep.frame.queues,
             self.home_group,
             &mut self.tx,
             &mut self.buffer,
-            &to_backoff(config.push_backoff),
-            config.effective_emit_buffer(),
-            config.hasher,
+            &mut self.kept,
             &ep.frame.map_cells[self.m],
-            config.telemetry,
+            &ep.frame.spilled[self.m],
             &ep.ctx,
             self.m,
-        );
-        Ok(None)
+        )?;
+        Ok((!spilled.is_empty()).then_some(spilled))
     }
 
     /// `mapper_loop` closes the queue itself on its success path, so finish

@@ -294,9 +294,7 @@ fn map_combine_worker<J: MapReduceJob>(
             }
         }
         local.items = emitted;
-        let mut pairs = Vec::new();
-        container.drain_into(&mut pairs);
-        Ok((pairs, emitted))
+        Ok((container.into_pairs(), emitted))
     })();
     if let Some(t) = wall_start {
         local.wall = t.elapsed();

@@ -153,6 +153,7 @@ fn metrics_report<J: MapReduceJob>(
         phase_ns: [ns(stats.partition), ns(stats.map_combine), ns(stats.reduce), ns(stats.merge)],
         emitted: stats.emitted,
         consumed: done.report.consumed,
+        spilled: done.report.spilled,
         threads: done.report.threads.clone(),
         faults: done.report.faults.clone(),
     }

@@ -424,32 +424,22 @@ impl<T: Send> Producer<T> {
     /// [`push_batch_with_backoff`](Self::push_batch_with_backoff): blocks
     /// per `policy` while the queue is full, but gives up and returns as
     /// soon as `cancel` is observed `true`, leaving the unpublished
-    /// elements in `buf`.
+    /// elements in `buf`. It also calls `published` — with the number of
+    /// elements now buffered — after every block it publishes, *before* it
+    /// can park again.
     ///
-    /// This is what lets a supervisor (the runtime's stall watchdog)
-    /// unwedge a mapper that is blocked on a queue whose combiner will
-    /// never drain it: without a cancellation point, the producer would
-    /// wait forever and the run could not be torn down. A parked producer
-    /// polls the flag once per `sleep` ceiling.
+    /// The cancel flag is what lets a supervisor (the runtime's stall
+    /// watchdog) unwedge a producer that is blocked on a queue nobody will
+    /// ever drain: without a cancellation point it would wait forever and
+    /// the run could not be torn down. A parked producer polls the flag once
+    /// per `sleep` ceiling. `published` serves a caller whose consumers wait
+    /// on something other than this queue's own doorbell (the adaptive
+    /// runtime's job-wide bell): it rings from there, since ringing only
+    /// after the call returned would strand a partial block behind a parked
+    /// producer.
     ///
     /// Returns the number of failed (zero-progress) attempts, exactly like
     /// the unconditional variant.
-    pub fn push_batch_with_backoff_or_cancel(
-        &mut self,
-        buf: &mut Vec<T>,
-        policy: &BackoffPolicy,
-        cancel: &AtomicBool,
-    ) -> u64 {
-        self.push_all(buf, policy, Some(cancel), |_| {})
-    }
-
-    /// [`push_batch_with_backoff_or_cancel`](Self::push_batch_with_backoff_or_cancel)
-    /// that also calls `published` — with the number of elements now
-    /// buffered — after every block it publishes, *before* it can park
-    /// again. A caller whose consumers wait on something other than this
-    /// queue's own doorbell (the adaptive runtime's job-wide bell) rings it
-    /// from here; ringing only after the call returned would strand a
-    /// partial block behind a parked producer.
     pub fn push_batch_with_backoff_notifying(
         &mut self,
         buf: &mut Vec<T>,
@@ -1127,7 +1117,8 @@ mod tests {
         let pusher = std::thread::spawn({
             let cancel = Arc::clone(&cancel);
             move || {
-                let failures = tx.push_batch_with_backoff_or_cancel(&mut buf, &policy, &cancel);
+                let failures =
+                    tx.push_batch_with_backoff_notifying(&mut buf, &policy, &cancel, |_| {});
                 (tx, buf, failures)
             }
         });
@@ -1145,8 +1136,12 @@ mod tests {
         let (mut tx, mut rx) = SpscQueue::with_capacity(16).split();
         let cancel = AtomicBool::new(false);
         let mut buf: Vec<u32> = (0..10).collect();
-        let failures =
-            tx.push_batch_with_backoff_or_cancel(&mut buf, &BackoffPolicy::default(), &cancel);
+        let failures = tx.push_batch_with_backoff_notifying(
+            &mut buf,
+            &BackoffPolicy::default(),
+            &cancel,
+            |_| {},
+        );
         assert_eq!(failures, 0);
         assert!(buf.is_empty());
         let mut got = Vec::new();

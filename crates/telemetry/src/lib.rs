@@ -163,12 +163,14 @@ impl BatchHistogram {
 /// publishes the totals once at exit via [`TelemetryCell::publish`].
 #[derive(Debug, Clone, Default)]
 pub struct LocalTelemetry {
-    /// Time spent doing useful work (map calls for mappers, consuming
-    /// batches for combiners, map+combine for baseline workers).
+    /// Time spent doing useful work (map calls for mappers — with the pairs
+    /// a mapper folds itself when its queue is full — consuming batches for
+    /// combiners, map+combine for baseline workers).
     pub busy: Duration,
-    /// Time *not* spent working: blocked in `push_batch_with_backoff` for
-    /// mappers, idle-spin/sleep rounds for combiners. Zero for baseline
-    /// workers (they never wait).
+    /// Time *not* spent working: handing blocks to the queue for mappers
+    /// (blocked there while it is full, for a mapper that waits for room),
+    /// idle-spin/sleep rounds for combiners. Zero for baseline workers (they
+    /// never wait).
     pub stalled: Duration,
     /// The thread's own wall-clock, first task claim to exit.
     pub wall: Duration,

@@ -33,8 +33,14 @@ pub struct MetricsReport {
     pub phase_ns: [u64; 4],
     /// Total pairs emitted by the mapper side.
     pub emitted: u64,
-    /// Total pairs consumed by the combiner side.
+    /// Total pairs folded into containers: consumed by the combiner side,
+    /// plus what mappers folded themselves ([`spilled`](Self::spilled)).
+    /// Equals [`emitted`](Self::emitted) on every run that returns.
     pub consumed: u64,
+    /// The part of [`consumed`](Self::consumed) mappers folded themselves
+    /// because their queue was full. Reports written before mappers could
+    /// spill parse as zero.
+    pub spilled: u64,
     /// Per-thread telemetry, mappers first, then combiners (or baseline
     /// workers).
     pub threads: Vec<ThreadTelemetry>,
@@ -84,6 +90,7 @@ impl MetricsReport {
         obj.insert("phases".into(), Value::Obj(phases));
         obj.insert("emitted".into(), num(self.emitted));
         obj.insert("consumed".into(), num(self.consumed));
+        obj.insert("spilled".into(), num(self.spilled));
         obj.insert("threads".into(), Value::Arr(self.threads.iter().map(thread_json).collect()));
         obj.insert("faults".into(), faults_json(&self.faults));
         // Derived values are included for human readers / external tools;
@@ -120,6 +127,11 @@ impl MetricsReport {
             .iter()
             .map(thread_from_json)
             .collect::<Result<Vec<_>, _>>()?;
+        // Reports predating spilling mappers have no spilled count: zero.
+        let spilled = match root.get("spilled") {
+            Some(_) => field_u64(&root, "spilled")?,
+            None => 0,
+        };
         // Reports predating fault tolerance have no faults section: clean.
         let faults = match root.get("faults") {
             Some(v) => faults_from_json(v)?,
@@ -136,6 +148,7 @@ impl MetricsReport {
             phase_ns,
             emitted: field_u64(&root, "emitted")?,
             consumed: field_u64(&root, "consumed")?,
+            spilled,
             threads,
             faults,
         })
@@ -323,6 +336,7 @@ mod tests {
             phase_ns: [1_000, 80_000_000, 7_000_000, 500_000],
             emitted: 30_000,
             consumed: 30_000,
+            spilled: 1_200,
             threads: vec![
                 thread(ThreadRole::Mapper, 0, 40, 15_000),
                 thread(ThreadRole::Mapper, 1, 40, 15_000),
@@ -398,6 +412,15 @@ mod tests {
         let back = MetricsReport::from_json(&legacy).expect("legacy dump parses");
         assert!(back.faults.is_clean());
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn reports_without_a_spilled_count_parse_as_zero() {
+        let report = MetricsReport { spilled: 0, ..sample() };
+        let text = report.to_json();
+        let legacy = text.replacen("\"spilled\":0,", "", 1);
+        assert_ne!(legacy, text, "the spilled count should have been stripped");
+        assert_eq!(MetricsReport::from_json(&legacy).expect("legacy dump parses"), report);
     }
 
     #[test]

@@ -202,8 +202,11 @@ fn watchdog_cancels_a_hung_task_on_both_ramr_paths() {
 
 /// A job whose combiners stop draining: every `combine` blocks until the
 /// map side reports that the watchdog's cancel reached it. The queues
-/// behind it fill and stay full, so the only thing that can unwedge a
-/// mapper parked on one is the cancel poll of its own park.
+/// behind it fill and stay full, so the only thing that can unwedge an
+/// adaptive mapper parked on one is the cancel poll of its own park. (A
+/// static mapper does not park on a full queue — it folds the overflow
+/// itself, DESIGN §6p — so this job would wedge it inside `combine`
+/// instead; [`DrainedLast`] is its static counterpart.)
 struct NeverDrained {
     cancel_seen: AtomicBool,
 }
@@ -231,43 +234,92 @@ impl MapReduceJob for NeverDrained {
     }
 }
 
+const NEVER_DRAINED_WATCHDOG: Duration = Duration::from_millis(200);
+const NEVER_DRAINED_CEILING: Duration = Duration::from_millis(300);
+
+/// Two mappers, one combiner, 32-slot queues and a long park ceiling.
+fn never_drained_config(adaptive: bool) -> RuntimeConfig {
+    RuntimeConfig::builder()
+        .num_workers(2)
+        .num_combiners(1)
+        .task_size(512)
+        .queue_capacity(32)
+        .batch_size(8)
+        .container(ContainerKind::Hash)
+        .push_backoff(PushBackoff::SpinThenSleep { spins: 0, sleep: NEVER_DRAINED_CEILING })
+        .watchdog(NEVER_DRAINED_WATCHDOG)
+        .adaptive(adaptive)
+        .build()
+        .unwrap()
+}
+
 /// The parked push is wake-on-progress, and here there is no progress: the
-/// park ceiling is what bounds how long the cancel takes to land.
+/// park ceiling is what bounds how long the cancel takes to land. Only the
+/// adaptive runtime's mappers park on a full queue.
 #[test]
 fn watchdog_unwedges_a_mapper_parked_on_a_never_drained_queue_within_one_ceiling() {
-    const WATCHDOG: Duration = Duration::from_millis(200);
-    const CEILING: Duration = Duration::from_millis(300);
-    for adaptive in [false, true] {
-        let (err, elapsed) = with_deadline(30, move || {
-            let input: Vec<u64> = (0..20_000).collect();
-            let cfg = RuntimeConfig::builder()
-                .num_workers(2)
-                .num_combiners(1)
-                .task_size(512)
-                .queue_capacity(32)
-                .batch_size(8)
-                .container(ContainerKind::Hash)
-                .push_backoff(PushBackoff::SpinThenSleep { spins: 0, sleep: CEILING })
-                .watchdog(WATCHDOG)
-                .adaptive(adaptive)
-                .build()
-                .unwrap();
-            let job = NeverDrained { cancel_seen: AtomicBool::new(false) };
-            let started = Instant::now();
-            let err = Backend::of_ramr_config(&cfg).engine(cfg).unwrap().submit(&job, &input);
-            (err.map(|_| ()).unwrap_err(), started.elapsed())
-        });
-        assert!(
-            matches!(err, RuntimeError::Stalled { .. }),
-            "adaptive={adaptive}: expected Stalled, got {err}"
-        );
-        // Trip after one watchdog period of silence, land within one park
-        // ceiling; the rest is scheduling slack.
-        assert!(
-            elapsed < WATCHDOG + CEILING + Duration::from_secs(1),
-            "adaptive={adaptive}: cancel took {elapsed:?} to unwedge the parked mappers"
-        );
+    let (err, elapsed) = with_deadline(30, move || {
+        let input: Vec<u64> = (0..20_000).collect();
+        let cfg = never_drained_config(true);
+        let job = NeverDrained { cancel_seen: AtomicBool::new(false) };
+        let started = Instant::now();
+        let err = Backend::of_ramr_config(&cfg).engine(cfg).unwrap().submit(&job, &input);
+        (err.map(|_| ()).unwrap_err(), started.elapsed())
+    });
+    assert!(matches!(err, RuntimeError::Stalled { .. }), "expected Stalled, got {err}");
+    // Trip after one watchdog period of silence, land within one park
+    // ceiling; the rest is scheduling slack.
+    assert!(
+        elapsed < NEVER_DRAINED_WATCHDOG + NEVER_DRAINED_CEILING + Duration::from_secs(1),
+        "cancel took {elapsed:?} to unwedge the parked mappers"
+    );
+}
+
+/// [`NeverDrained`] for the static runtime: the combiner's `combine` blocks
+/// until every task has been claimed, so its queues fill and are not read
+/// while any task is left. A mapper that parked on its full queue would
+/// never claim the rest — only the watchdog would end the job. A static
+/// mapper folds what the queue has no room for itself (DESIGN §6p) and
+/// maps on.
+struct DrainedLast {
+    tasks: usize,
+    claimed: AtomicU64,
+}
+
+impl MapReduceJob for DrainedLast {
+    type Input = u64;
+    type Key = u32;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u32, u64>) {
+        self.claimed.fetch_add(1, Ordering::SeqCst);
+        for &x in task {
+            emit.emit((x % 8) as u32, 1);
+        }
     }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        let on_combiner =
+            thread::current().name().is_some_and(|name| name.starts_with("ramr-combiner"));
+        while on_combiner && self.claimed.load(Ordering::SeqCst) < self.tasks as u64 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        *acc += v;
+    }
+}
+
+#[test]
+fn a_static_mapper_maps_on_past_a_queue_nobody_drains() {
+    // A parked mapper would end this job as a watchdog `Stalled`.
+    let (pairs, spilled) = with_deadline(30, move || {
+        let input: Vec<u64> = (0..20_000).collect();
+        let cfg = never_drained_config(false);
+        let job = DrainedLast { tasks: input.len().div_ceil(cfg.task_size), claimed: 0.into() };
+        let outcome = Backend::RamrStatic.engine(cfg).unwrap().submit(&job, &input).unwrap();
+        (outcome.output.pairs, outcome.report.spilled)
+    });
+    assert_eq!(pairs, (0..8).map(|k| (k, 2_500)).collect::<Vec<_>>());
+    assert!(spilled > 0, "the mappers never folded a pair themselves");
 }
 
 #[test]

@@ -137,13 +137,18 @@ fn a_helping_combiner_keeps_draining_its_mappers_queue() {
     let emitted: u64 = report.emitted_per_mapper.iter().sum();
     let consumed: u64 = report.consumed_per_combiner.iter().sum();
     let helped: u64 = report.helped_per_combiner.iter().sum();
+    let spilled = report.spilled_per_mapper[0];
     assert_eq!(emitted, out.stats.emitted);
-    assert_eq!(emitted, consumed + helped);
+    assert_eq!(emitted, consumed + helped + spilled);
     assert_eq!(emitted, input.len() as u64);
     assert!(helped > 0, "an idle combiner must have claimed tasks");
 
     let mapper = &report.mapper_telemetry[0];
-    assert_eq!(mapper.items, consumed, "what the mapper emitted is what crossed the queue");
+    assert_eq!(
+        mapper.items,
+        consumed + spilled,
+        "what the mapper emitted crossed the queue or was folded by the mapper itself"
+    );
     assert!(
         mapper.items >= emitted / 8,
         "the mapper was starved: it mapped {} of {emitted} pairs",

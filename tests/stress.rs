@@ -141,13 +141,99 @@ fn rapid_epochs_lose_no_pair_to_a_helping_combiner() {
         for epoch in 0..200 {
             let (out, report) = session.submit_with_report(&FanOut, input).unwrap();
             assert_eq!(out.pairs, expected, "{} elements, epoch {epoch}", input.len());
-            let folded: u64 =
-                report.consumed_per_combiner.iter().chain(&report.helped_per_combiner).sum();
-            assert_eq!(folded, out.stats.emitted, "{} elements, epoch {epoch}", input.len());
+            assert_eq!(
+                folded(&report),
+                out.stats.emitted,
+                "{} elements, epoch {epoch}",
+                input.len()
+            );
             helped += report.helped_per_combiner[0];
         }
     }
     assert!(helped > 0, "400 epochs and the combiner never claimed a task");
+}
+
+/// Pairs folded into any container: read from a queue, mapped in place by a
+/// combiner, or spilled by a mapper whose queue was full.
+fn folded(report: &ramr::RunReport) -> u64 {
+    let queued_or_helped = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner);
+    queued_or_helped.chain(&report.spilled_per_mapper).sum()
+}
+
+/// [`FanOut`] whose combine spins for a while on every thread but the one
+/// that submitted, when `slow` — a combiner that cannot keep up, so the
+/// mappers' queues fill and they fold the overflow themselves.
+struct SlowCombine {
+    submitter: std::thread::ThreadId,
+    slow: bool,
+}
+
+impl MapReduceJob for SlowCombine {
+    type Input = u64;
+    type Key = u32;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u32, u64>) {
+        FanOut.map(task, emit);
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        if self.slow && std::thread::current().id() != self.submitter {
+            let mut spin = v;
+            for _ in 0..200 {
+                spin = std::hint::black_box(spin.rotate_left(7) ^ 0xabcd_ef01);
+            }
+        }
+        FanOut.combine(acc, v);
+    }
+
+    fn key_space(&self) -> Option<usize> {
+        FanOut.key_space()
+    }
+
+    fn key_index(&self, k: &u32) -> usize {
+        FanOut.key_index(k)
+    }
+}
+
+/// Work-conserving mappers across rapid epochs on one 2 + 1 session: epochs
+/// whose combiner is slow spill, epochs too small to fill a queue cannot, and
+/// whichever ran before, every epoch is exact and accounts for every pair —
+/// a spill container kept from an earlier epoch never leaks into a later one.
+#[test]
+fn rapid_epochs_exact_whether_or_not_the_mappers_spill() {
+    let cfg = RuntimeConfig::builder()
+        .num_workers(2)
+        .num_combiners(1)
+        .task_size(40)
+        .queue_capacity(64)
+        .batch_size(16)
+        .build()
+        .unwrap();
+    let mut session = RamrSession::new(cfg).unwrap();
+    let submitter = std::thread::current().id();
+    // One element fans out to 32 pairs: two elements never fill a 64-slot
+    // queue, 1 000 through a slow combiner do.
+    let small: Vec<u64> = (0..2).collect();
+    let large: Vec<u64> = (0..1_000).collect();
+    let mut spilled = 0u64;
+    for epoch in 0..60 {
+        let spilling = epoch % 3 != 2;
+        let (job, input) = if spilling {
+            (SlowCombine { submitter, slow: true }, &large)
+        } else {
+            (SlowCombine { submitter, slow: false }, &small)
+        };
+        let (out, report) = session.submit_with_report(&job, input).unwrap();
+        assert_eq!(out.pairs, reference(input), "epoch {epoch}");
+        assert_eq!(folded(&report), out.stats.emitted, "epoch {epoch}");
+        let this_epoch: u64 = report.spilled_per_mapper.iter().sum();
+        if !spilling {
+            assert_eq!(this_epoch, 0, "epoch {epoch}: {} pairs cannot fill a queue", input.len());
+        }
+        spilled += this_epoch;
+    }
+    assert!(spilled > 0, "40 epochs through a slow combiner and no mapper ever spilled");
 }
 
 #[test]

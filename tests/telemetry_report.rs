@@ -62,6 +62,7 @@ fn report_from_run(input: &[u64]) -> MetricsReport {
         phase_ns: [ns(stats.partition), ns(stats.map_combine), ns(stats.reduce), ns(stats.merge)],
         emitted: stats.emitted,
         consumed: run.consumed,
+        spilled: run.spilled,
         threads: run.threads,
         faults: run.faults,
     }

@@ -10,16 +10,29 @@
 //! warming up. The mapper keeps its emit buffer next to its write-end the
 //! same way, so a warm submit never asks for a block of that size.
 //!
-//! The test lives alone in this binary (as in `zero_alloc.rs`): sibling
-//! tests would allocate concurrently and race the counter.
+//! A mapper whose queue is full folds the overflow into a spill table it
+//! keeps the same way, so a warm spilling submit grows no new one.
+//!
+//! The tests live alone in this binary (as in `zero_alloc.rs`) and take
+//! turns: sibling tests would allocate concurrently and race the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 use mr_apps::WordCount;
-use mr_core::{ContainerKind, RuntimeConfig};
-use ramr::Backend;
+use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig};
+use ramr::{Backend, RamrSession};
 use ramr_containers::{CompactKey, Hashed};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Allocations below this are not the table's: per-job frames, telemetry
 /// cells and the like.
@@ -34,12 +47,23 @@ static LARGE_BYTES: AtomicU64 = AtomicU64::new(0);
 static EMIT_BUFFER_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 static EMIT_BUFFERS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set while the submitting thread is inside a [`Spills`] map call.
+    static IN_MAP: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Bytes allocated on a thread while [`IN_MAP`] was set.
+static IN_MAP_BYTES: AtomicU64 = AtomicU64::new(0);
+
 fn note(size: usize) {
     if size >= LARGE {
         LARGE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     }
     if size == EMIT_BUFFER_BYTES.load(Ordering::Relaxed) {
         EMIT_BUFFERS.fetch_add(1, Ordering::Relaxed);
+    }
+    if IN_MAP.try_with(Cell::get).unwrap_or(false) {
+        IN_MAP_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     }
 }
 
@@ -82,12 +106,16 @@ fn large_bytes_during(f: impl FnOnce()) -> (u64, u64) {
 
 #[test]
 fn a_session_grows_its_combine_table_once() {
+    let _serial = serial();
     // 34 000 distinct words, each seen twice. Built by doubling, index and
     // entries ask for about 6 MB on the way to 34 000 keys; kept, the index
     // asks for nothing and the entries for 1.4 MB, once. One reducer, so
     // that the rest is the same every time: the output vector (several
     // reducers range-partition into buckets whose sizes move from run to
-    // run). The mapper's emit buffer is allocated with the session.
+    // run). The mapper's emit buffer is allocated with the session. The
+    // queue holds every pair of the job, so it never fills and the mapper
+    // never grows a spill table of its own (`a_mapper_grows_its_spill_table_once`
+    // covers that one): what is counted is the combiner's table.
     const WORDS: usize = 34_000;
     let input: Vec<String> = (0..WORDS / 5)
         .map(|i| {
@@ -98,6 +126,7 @@ fn a_session_grows_its_combine_table_once() {
         .num_workers(1)
         .num_combiners(1)
         .num_reducers(1)
+        .queue_capacity(2 * WORDS)
         .container(ContainerKind::Hash)
         .build()
         .unwrap();
@@ -133,4 +162,84 @@ fn a_session_grows_its_combine_table_once() {
         fresh.submit(&WordCount, &input).unwrap();
     });
     assert_eq!(again, first, "a fresh session's first submit pays the growth again");
+}
+
+/// Counts `(x / 4) % KEYS`: every block of 4 pairs repeats a key. Combines
+/// off the submitting thread wait until the submitter's first map call has
+/// returned, so the queue of the session's one mapper — the submitter — is
+/// full after two blocks and the rest of that call spills, every key with
+/// it.
+struct Spills {
+    submitter: ThreadId,
+    gate: AtomicBool,
+}
+
+const KEYS: u64 = 4096;
+
+impl MapReduceJob for Spills {
+    type Input = u64;
+    type Key = u64;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+        let on_submitter = thread::current().id() == self.submitter;
+        IN_MAP.set(on_submitter);
+        for &x in task {
+            emit.emit((x / 4) % KEYS, 1);
+        }
+        IN_MAP.set(false);
+        if on_submitter {
+            self.gate.store(true, Ordering::SeqCst);
+        }
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        if thread::current().id() != self.submitter {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !self.gate.load(Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "the mapper never got past a full queue");
+                thread::yield_now();
+            }
+        }
+        *acc += v;
+    }
+}
+
+#[test]
+fn a_mapper_grows_its_spill_table_once() {
+    // Four tasks of 50 000 elements, each covering every key many times.
+    // What the submitter allocates inside its map calls is the spill table
+    // and nothing else: built by doubling in submit 1; kept, its index asks
+    // for nothing and its entries for one reservation.
+    let _serial = serial();
+    let input: Vec<u64> = (0..200_000).collect();
+    let config = RuntimeConfig::builder()
+        .num_workers(1)
+        .num_combiners(1)
+        .task_size(50_000)
+        .queue_capacity(8)
+        .batch_size(4)
+        .container(ContainerKind::Hash)
+        .build()
+        .unwrap();
+    let submit = |session: &mut RamrSession<Spills>| {
+        let job = Spills { submitter: thread::current().id(), gate: AtomicBool::new(false) };
+        let before = IN_MAP_BYTES.load(Ordering::Relaxed);
+        let (out, report) = session.submit_with_report(&job, &input).unwrap();
+        assert_eq!(out.pairs.len() as u64, KEYS);
+        assert_eq!(out.pairs.iter().map(|&(_, n)| n).sum::<u64>(), input.len() as u64);
+        assert!(report.spilled_per_mapper[0] > 0, "the mapper never spilled: {report:?}");
+        IN_MAP_BYTES.load(Ordering::Relaxed) - before
+    };
+    let mut warm = RamrSession::new(config.clone()).unwrap();
+    let [first, second, third] = [(); 3].map(|()| submit(&mut warm));
+    assert!(first > 0, "submit 1 built no spill table inside its map calls");
+    assert_eq!(second, third, "submits 2 and 3 spill into the same kept table");
+    assert!(
+        third * 2 <= first,
+        "submit 3 allocated {third} bytes spilling against submit 1's {first}: the spill table \
+         was rebuilt"
+    );
+    let again = submit(&mut RamrSession::new(config).unwrap());
+    assert_eq!(again, first, "a fresh session's first spill pays the growth again");
 }
