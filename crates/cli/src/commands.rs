@@ -73,7 +73,10 @@ knob cannot exist in one and be missing from the other.
 throughput, batch fullness) and, with --metrics-json FILE, dumps the full
 machine-readable report for offline tuning (see EXPERIMENTS.md). A mapper
 row indexed past --workers (mapper[W + c]) is combiner c's helper row: the
-map tasks it ran in place while it had no full batch to read.
+map tasks it ran in place while it had no full batch to read. On the
+summary line, queue-full counts the flushes of a static mapper that found
+its combiner a full batch behind (or the queue without room) and folded
+the block itself; spilled counts the pairs it folded that way.
 
 With --adaptive 1 the ramr runtime re-tunes itself mid-run — an online
 controller samples live telemetry every --adapt-interval-ms (default 5)

@@ -178,8 +178,8 @@ pub struct EngineReport {
     /// Total pairs folded into containers, by any route: read from a queue,
     /// emitted in place by a map task a static combiner ran itself
     /// ([`RunReport::helped_per_combiner`]), or folded by a static mapper
-    /// whose queue was full ([`spilled`](Self::spilled)). Equals the pairs
-    /// emitted on every schedule; for Phoenix (inline combine) too.
+    /// that found its combiner behind ([`spilled`](Self::spilled)). Equals
+    /// the pairs emitted on every schedule; for Phoenix (inline combine) too.
     pub consumed: u64,
     /// The part of [`consumed`](Self::consumed) static mappers folded
     /// themselves ([`RunReport::spilled_per_mapper`]); zero for the adaptive

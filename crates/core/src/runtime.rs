@@ -85,21 +85,24 @@ pub struct RunReport {
     /// [`mapper_telemetry`]: RunReport::mapper_telemetry
     /// [`helped_per_combiner`]: RunReport::helped_per_combiner
     pub emitted_per_mapper: Vec<u64>,
-    /// Queue-full events per row of `mapper_telemetry`: emit-buffer flushes
-    /// that met a full queue. A static mapper folds what did not fit into
-    /// its own container ([`spilled_per_mapper`]) and counts the flush once;
-    /// an adaptive one counts every zero-progress attempt while it waits for
+    /// Queue-full events per row of `mapper_telemetry`. For a static mapper,
+    /// emit-buffer flushes that found the combiner behind — a full batch
+    /// unread and the combiner not parked — or the queue without room, and
+    /// so folded pairs into the mapper's own container
+    /// ([`spilled_per_mapper`]) instead of queueing them; each counts once.
+    /// For an adaptive mapper, every zero-progress attempt while it waits for
     /// room. With an emit buffer of 1 a flush is one pair, so absolute values
     /// are not comparable across different `emit_buffer_size` settings —
     /// compare [`RunReport::back_pressure`] trends instead.
     ///
     /// [`spilled_per_mapper`]: RunReport::spilled_per_mapper
     pub full_events_per_mapper: Vec<u64>,
-    /// Pairs each static mapper folded *itself*: the part of a block its
-    /// full queue had no room for, combined into the mapper's own container
-    /// instead of waiting (work-conserving mappers) — they never crossed a
-    /// queue. One entry per mapper of the pool, zero for one whose queue
-    /// always had room; empty under the adaptive runtime, whose mappers wait.
+    /// Pairs each static mapper folded *itself*: the blocks it did not hand
+    /// to a combiner that was behind (lag-routed hand-off), and the part of
+    /// a block the queue had no room for, combined into the mapper's own
+    /// container instead of queued or waited out — they never crossed a
+    /// queue. One entry per mapper of the pool, zero for one whose combiner
+    /// always kept up; empty under the adaptive runtime, whose mappers wait.
     pub spilled_per_mapper: Vec<u64>,
     /// Pairs each combiner consumed *from its queues*. Exact even when a
     /// combine function panics mid-batch: the count advances with the
@@ -111,11 +114,12 @@ pub struct RunReport {
     /// under the adaptive runtime, whose threads change role instead.
     pub helped_per_combiner: Vec<u64>,
     /// Per-mapper wall-clock telemetry: useful map time (`busy`, which
-    /// includes folding spilled pairs), time publishing blocks to the queue
-    /// (`stalled` — only an adaptive mapper ever waits there for room),
-    /// emit-buffer flush occupancy, and the thread's own wall-clock. Timing
-    /// fields are zero when `RuntimeConfig::telemetry` is off; the counters
-    /// (`items`, `stall_events`) are always exact.
+    /// includes folding spilled pairs; that part is also `spill`), time
+    /// publishing blocks to the queue (`stalled` — only an adaptive mapper
+    /// ever waits there for room), the occupancy of the blocks published,
+    /// and the thread's own wall-clock. Timing fields are zero when
+    /// `RuntimeConfig::telemetry` is off; the counters (`items`,
+    /// `stall_events`) are always exact.
     ///
     /// A static combiner that ran map tasks in place appends one more row,
     /// `index = num_workers + c`: `items` are the pairs it emitted in place,
@@ -175,38 +179,46 @@ impl RunReport {
     }
 
     /// Aggregate mapper-side throughput: pairs emitted per second of
-    /// *useful map time* (pairs/sec per fully-busy mapper). `None` when no
-    /// busy time was recorded (telemetry off or empty run).
+    /// *useful map time* (pairs/sec per fully-busy mapper) — busy time less
+    /// the `spill` folds, which are combine work. `None` when no busy time
+    /// was recorded (telemetry off or empty run).
     pub fn map_throughput(&self) -> Option<f64> {
         pool_throughput(&self.mapper_telemetry)
     }
 
-    /// Aggregate combiner-side throughput: pairs folded per second of
-    /// busy combine time. `None` when no busy time was recorded.
+    /// Aggregate combine throughput: pairs folded per second of busy
+    /// combine time — the combiners' queue reads, plus the pairs mappers
+    /// folded themselves ([`spilled_per_mapper`](RunReport::spilled_per_mapper))
+    /// over the `spill` time they took. `None` when no busy time was
+    /// recorded.
     pub fn combine_throughput(&self) -> Option<f64> {
-        pool_throughput(&self.combiner_telemetry)
+        let spill: Duration = self.mapper_telemetry.iter().map(|t| t.spill).sum();
+        let busy = self.combiner_telemetry.iter().map(|t| t.busy).sum::<Duration>() + spill;
+        let items = self.combiner_telemetry.iter().map(|t| t.items).sum::<u64>()
+            + self.spilled_per_mapper.iter().sum::<u64>();
+        (!busy.is_zero()).then(|| items as f64 / busy.as_secs_f64())
     }
 
     /// The paper's throughput criterion for the mapper:combiner ratio: how
     /// many mappers one combiner keeps up with, from *measured* relative
     /// throughput (`combine_throughput / map_throughput`, ≥ 1). Raise the
     /// ratio (fewer combiners) when combine is fast relative to map; drop
-    /// toward 1:1 when combine is the bottleneck. A mapper's spilled folds
-    /// ([`spilled_per_mapper`](RunReport::spilled_per_mapper)) are busy time
-    /// on its row, so a run that spilled a share `s` of its pairs reads map
-    /// throughput low by up to that share of the combine cost, and the
-    /// ratio high by up to `s`.
+    /// toward 1:1 when combine is the bottleneck. Both sides count a spill
+    /// fold as combine work, so a combiner-bound run whose mappers fold
+    /// much of the job themselves still reads as combiner-bound.
     pub fn suggested_ratio(&self) -> Option<usize> {
         Some(ramr_telemetry::suggested_ratio(self.map_throughput()?, self.combine_throughput()?))
     }
 
-    /// Flushes that met a full queue per emitted pair — the queue
-    /// back-pressure indicator. Zero means no mapper ever found its queue
-    /// full; rising values mean combiners cannot keep up (raise the
-    /// combiner pool, the queue capacity, or the emit buffer). Static
-    /// mappers absorb it by folding the overflow themselves
+    /// Queue-full events ([`full_events_per_mapper`]) per emitted pair —
+    /// the back-pressure indicator. Zero means every block went to a
+    /// combiner that had caught up; rising values mean combiners cannot
+    /// keep up (raise the combiner pool or the emit buffer). Static mappers
+    /// absorb it by folding the blocks themselves
     /// ([`spilled_per_mapper`](RunReport::spilled_per_mapper)), which moves
     /// combine work onto the map side rather than removing it.
+    ///
+    /// [`full_events_per_mapper`]: RunReport::full_events_per_mapper
     pub fn back_pressure(&self) -> f64 {
         let emitted: u64 = self.emitted_per_mapper.iter().sum();
         let failed: u64 = self.full_events_per_mapper.iter().sum();
@@ -453,11 +465,12 @@ fn run_task<J: MapReduceJob>(
     }
 }
 
-/// Where a static mapper's emit blocks go: its queue, and — for whatever a
-/// full queue has no room for — the mapper's own combine container, folded
-/// on the spot instead of waited out (DESIGN §6p). The container is built at
-/// the epoch's first spill, taking over the one `kept` holds from an earlier
-/// epoch.
+/// Where a static mapper's emit blocks go: its queue when its combiner has
+/// caught up, and otherwise — or for whatever the queue has no room for —
+/// the mapper's own combine container, folded on the spot instead of queued
+/// behind a combiner that is still busy (DESIGN §6p, §6q). The container is
+/// built at the epoch's first spill, taking over the one `kept` holds from
+/// an earlier epoch.
 struct Outlet<'a, 'j, J: MapReduceJob> {
     job: &'j J,
     config: &'a RuntimeConfig,
@@ -473,12 +486,16 @@ struct Outlet<'a, 'j, J: MapReduceJob> {
 }
 
 impl<J: MapReduceJob> Outlet<'_, '_, J> {
-    /// Publishes what fits of `block` with one tail update and folds the
-    /// rest into the spill container, leaving `block` empty. Nothing waits
-    /// and nothing is lost: a pair reaches a container by the queue or by
-    /// the spill, and reduce merges both. A flush that met a full queue
-    /// counts one queue-full event. Only the publish is timed, as `stalled`;
-    /// the fold is map-side work and lands in the enclosing `busy`.
+    /// Hands `block` on, leaving it empty. **Lag-routed:** the block is
+    /// published — what fits, with one tail update — only when the combiner
+    /// has caught up: fewer than a batch of pairs unread, or the combiner
+    /// parked on the queue with nothing to do. Otherwise, and for whatever
+    /// did not fit, the mapper folds the pairs into its spill container
+    /// itself. Nothing waits and nothing is lost: a pair reaches a container
+    /// by the queue or by the spill, and reduce merges both. A flush that
+    /// spilled counts one queue-full event. The publish is timed as
+    /// `stalled`; the fold is combine work done on the map side, timed as
+    /// `spill`, and part of the enclosing `busy`.
     #[inline(never)]
     fn flush(&mut self, block: &mut Vec<HashedPair<J>>) {
         let occupied = block.len();
@@ -486,18 +503,31 @@ impl<J: MapReduceJob> Outlet<'_, '_, J> {
             block.clear();
             return;
         }
-        let publish_start = self.config.telemetry.then(Instant::now);
-        self.tx.push_batch_drain(block);
-        if let Some(t) = publish_start {
-            self.local.stalled += t.elapsed();
-            self.local.batches += 1;
-            self.local.occupancy.record(occupied, self.config.effective_emit_buffer());
-        }
-        if block.is_empty() {
-            return;
+        let config = self.config;
+        if self.tx.len() < config.batch_size || self.tx.consumer_parked() {
+            let publish_start = config.telemetry.then(Instant::now);
+            self.tx.push_batch_drain(block);
+            if let Some(t) = publish_start {
+                self.local.stalled += t.elapsed();
+                self.local.batches += 1;
+                self.local.occupancy.record(occupied, config.effective_emit_buffer());
+            }
+            if block.is_empty() {
+                return;
+            }
         }
         self.local.stall_events += 1;
         self.spilled += block.len() as u64;
+        let fold_start = config.telemetry.then(Instant::now);
+        self.fold(block);
+        if let Some(t) = fold_start {
+            self.local.spill += t.elapsed();
+        }
+    }
+
+    /// Folds `block` into the spill container, building it first if this is
+    /// the epoch's first spill; an error is kept and `block` left empty.
+    fn fold(&mut self, block: &mut Vec<HashedPair<J>>) {
         let config = self.config;
         let spill = match &mut self.spill {
             Some(spill) => spill,
@@ -540,11 +570,14 @@ impl<J: MapReduceJob> Outlet<'_, '_, J> {
 /// whatever a cancelled or panicked epoch left in it is discarded here,
 /// before the first claim.
 ///
-/// **Work-conserving:** a block the queue has no room for is not waited out.
-/// Its overflow is folded into the mapper's own container ([`Outlet`]) — the
+/// **Work-conserving and lag-routed:** a block goes to the queue only while
+/// the combiner keeps up, and is never waited out. A block that would queue
+/// behind a full batch the combiner has not read yet, or that the queue has
+/// no room for, is folded into the mapper's own container ([`Outlet`]) — the
 /// mirror of a combiner that maps while it has nothing to read — so the
-/// mapper never stalls on a combiner that cannot keep up. Like a combiner's,
-/// the container is kept across the session's epochs in `kept` and put back
+/// mapper never stalls on a combiner that cannot keep up, and the combiner,
+/// finding less than a batch, maps in place. Like a combiner's, the
+/// container is kept across the session's epochs in `kept` and put back
 /// only by an epoch that ends without error, panic or cancellation. An
 /// insert error (a fixed-size container overflowing) stops the spilling and
 /// the claiming, and fails the job once the queue is closed.
@@ -552,7 +585,7 @@ impl<J: MapReduceJob> Outlet<'_, '_, J> {
 /// Instrumentation cost: timers fire once per map *task* and once per
 /// block *flush* — never per pair. `busy` is map time net of the publish
 /// time accrued inside the map call, folds included; `stalled` is the
-/// publish time itself.
+/// publish time itself, `spill` the folds'.
 #[allow(clippy::too_many_arguments)] // internal: mirrors the paper's knob list
 pub(crate) fn mapper_loop<J: MapReduceJob>(
     job: &J,
@@ -1721,7 +1754,7 @@ mod tests {
         report.helped_per_combiner.iter().sum()
     }
 
-    /// Pairs static mappers folded themselves on a full queue.
+    /// Pairs static mappers folded themselves, their combiner behind.
     fn spilled(report: &RunReport) -> u64 {
         report.spilled_per_mapper.iter().sum()
     }
@@ -1822,7 +1855,8 @@ mod tests {
             out.stats.queue_full_events > 0,
             "a 2-element queue must overflow with 5000 pushes"
         );
-        // Every flush that met a full queue folded at least one pair itself.
+        // Every flush that found its combiner behind folded at least one
+        // pair itself.
         assert!(spilled(&report) >= out.stats.queue_full_events, "{report:?}");
         assert_eq!(folded(&report), 5000, "conservation with the overflow folded by the mappers");
     }
@@ -2013,21 +2047,24 @@ mod tests {
         // The paper's criterion: a light combine lets one combiner serve
         // many mappers (high ratio); a heavy combine pulls the suggestion
         // back toward 1:1. Compare the two directions on the same shape.
-        // The queues hold the whole job, so no mapper spills: a spilling
-        // mapper's folds are busy time on its row, which pulls the measured
-        // map throughput toward the combine throughput (DESIGN §6p).
+        // The heavy combine leaves the combiner behind, so the mappers fold
+        // part of the job themselves; the direction must hold with those
+        // folds counted as combine work (DESIGN §6q).
         let input: Vec<u64> = (0..40_000).collect();
         let mut cfg = config(2, 1);
         cfg.task_size = 500;
-        cfg.queue_capacity = input.len();
+        cfg.queue_capacity = 1024;
         cfg.batch_size = 64;
         let run = |job: &Synthetic| {
             let (_, report) = run_once(cfg.clone(), job, &input).unwrap();
-            report.suggested_ratio().expect("telemetry on: ratio must be derivable")
+            let ratio = report.suggested_ratio().expect("telemetry on: ratio must be derivable");
+            (ratio, report)
         };
-        let light_combine = run(&Synthetic { map_work: 150, combine_work: 0 });
-        let heavy_combine = run(&Synthetic { map_work: 0, combine_work: 150 });
-        assert_eq!(heavy_combine, 1, "combine slower than map clamps to the 1:1 floor");
+        let (light_combine, _) = run(&Synthetic { map_work: 150, combine_work: 0 });
+        let (heavy_combine, heavy) = run(&Synthetic { map_work: 0, combine_work: 150 });
+        assert!(heavy.spilled_per_mapper.iter().sum::<u64>() > 0, "{heavy:?}");
+        assert!(heavy.mapper_telemetry.iter().any(|t| !t.spill.is_zero()), "{heavy:?}");
+        assert_eq!(heavy_combine, 1, "combine slower than map clamps to the 1:1 floor: {heavy:?}");
         assert!(
             light_combine > heavy_combine,
             "cheap combine must suggest a higher ratio: light={light_combine} \
@@ -2118,6 +2155,48 @@ mod tests {
         assert_eq!(mk(vec![0, 0]).combiner_imbalance(), None);
         // Healthy reports keep the finite ratio.
         assert_eq!(mk(vec![200, 100]).combiner_imbalance(), Some(2.0));
+    }
+
+    #[test]
+    fn spill_folds_count_as_combine_work_in_the_ratio() {
+        // Map runs at 100 k pairs/s, combine at 400 k: one combiner keeps
+        // up with four mappers. The mapper mapped 10 000 pairs in 100 ms and
+        // folded 6 000 of them itself in 15 ms; the combiner read the other
+        // 4 000 in 10 ms. Counting the folds as map time would read map at
+        // 87 k pairs/s and combine at 400 k, and suggest 5.
+        let thread = |role, busy_ms, spill_ms, items| ThreadTelemetry {
+            role,
+            index: 0,
+            busy: Duration::from_millis(busy_ms),
+            stalled: Duration::ZERO,
+            spill: Duration::from_millis(spill_ms),
+            wall: Duration::from_millis(busy_ms),
+            items,
+            stall_events: 0,
+            batches: 0,
+            occupancy: Default::default(),
+        };
+        let report = RunReport {
+            plan: PlacementPlan::compute(
+                &MachineModel::fig3_demo(),
+                1,
+                1,
+                config(1, 1).pinning.into(),
+            )
+            .unwrap(),
+            emitted_per_mapper: vec![10_000],
+            full_events_per_mapper: vec![6],
+            consumed_per_combiner: vec![4_000],
+            helped_per_combiner: vec![0],
+            spilled_per_mapper: vec![6_000],
+            mapper_telemetry: vec![thread(ThreadRole::Mapper, 115, 15, 10_000)],
+            combiner_telemetry: vec![thread(ThreadRole::Combiner, 10, 0, 4_000)],
+            adaptation: Vec::new(),
+            faults: FaultMetrics::default(),
+        };
+        assert!((report.map_throughput().unwrap() - 100_000.0).abs() < 1e-6);
+        assert!((report.combine_throughput().unwrap() - 400_000.0).abs() < 1e-6);
+        assert_eq!(report.suggested_ratio(), Some(4));
     }
 
     #[test]

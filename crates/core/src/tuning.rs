@@ -837,6 +837,7 @@ mod tests {
                 index: 0,
                 busy: Duration::from_millis(busy_ms),
                 stalled: Duration::from_millis(stalled_ms),
+                spill: Duration::ZERO,
                 wall: Duration::from_millis(busy_ms + stalled_ms),
                 items,
                 stall_events: 0,

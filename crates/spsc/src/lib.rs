@@ -553,6 +553,17 @@ impl<T: Send> Producer<T> {
         self.inner.closed.load(Ordering::Acquire)
     }
 
+    /// Whether the consumer is parked on this queue's data doorbell
+    /// ([`Consumer::wait_any`]) and no ring has woken it yet — a consumer
+    /// with nothing to do. One Relaxed load of the doorbell's flag: a hint
+    /// for deciding where the next block goes, not a synchronisation point.
+    /// It can be stale in either direction, and acting on it can never lose
+    /// a wake-up — that is the doorbell's own handshake.
+    #[inline]
+    pub fn consumer_parked(&self) -> bool {
+        self.inner.data.waiting.load(Ordering::Relaxed)
+    }
+
     /// Returns `(tail, free)` where `free` is the run of writable slots
     /// starting at `tail`. Refreshes the cached head cursor whenever the
     /// *apparent* free space cannot satisfy `wanted` — not only when the
@@ -1281,6 +1292,27 @@ mod tests {
             assert_eq!(tx.pushed(), round * 4, "indices must not reset across reopen");
             assert_eq!(rx.popped(), round * 4);
         }
+    }
+
+    #[test]
+    fn consumer_parked_is_set_while_the_consumer_waits_and_cleared_by_its_ring() {
+        let (mut tx, rx) = SpscQueue::<u32>::with_capacity(8).split();
+        assert!(!tx.consumer_parked(), "nobody has waited yet");
+        let consumer = std::thread::spawn(move || {
+            let rx = [rx];
+            // Needs four; only the close below can satisfy it.
+            while !rx[0].is_closed() {
+                Consumer::wait_any(&rx, 4, Duration::from_secs(10));
+            }
+        });
+        while !tx.consumer_parked() {
+            std::hint::spin_loop();
+        }
+        tx.try_push(1).unwrap(); // below the need: no ring, still parked
+        assert!(tx.consumer_parked());
+        tx.finish();
+        consumer.join().unwrap();
+        assert!(!tx.consumer_parked(), "the close rang and the consumer disarmed");
     }
 
     #[test]

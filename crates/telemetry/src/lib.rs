@@ -164,22 +164,30 @@ impl BatchHistogram {
 #[derive(Debug, Clone, Default)]
 pub struct LocalTelemetry {
     /// Time spent doing useful work (map calls for mappers — with the pairs
-    /// a mapper folds itself when its queue is full — consuming batches for
-    /// combiners, map+combine for baseline workers).
+    /// a mapper folds itself instead of queueing them, see
+    /// [`spill`](Self::spill) — consuming batches for combiners,
+    /// map+combine for baseline workers).
     pub busy: Duration,
     /// Time *not* spent working: handing blocks to the queue for mappers
     /// (blocked there while it is full, for a mapper that waits for room),
     /// idle-spin/sleep rounds for combiners. Zero for baseline workers (they
     /// never wait).
     pub stalled: Duration,
+    /// The part of `busy` a static mapper spent folding blocks into its own
+    /// container instead of queueing them — combine work done on a mapper
+    /// row. Map throughput leaves it out and combine throughput counts it
+    /// (see [`pool_throughput`]). Zero for every other thread.
+    pub spill: Duration,
     /// The thread's own wall-clock, first task claim to exit.
     pub wall: Duration,
     /// Pairs emitted (mappers/workers) or consumed (combiners).
     pub items: u64,
-    /// Zero-progress events: failed block publishes (mappers) or idle
-    /// rounds (combiners).
+    /// Zero-progress events: block flushes that found the combiner behind
+    /// and folded pairs themselves (static mappers), failed block publishes
+    /// (adaptive mappers) or idle rounds (combiners).
     pub stall_events: u64,
-    /// Batched transfers performed (emit-buffer flushes / batched reads).
+    /// Batched transfers performed (emit-buffer blocks published to a queue
+    /// / batched reads).
     pub batches: u64,
     /// Occupancy of those transfers.
     pub occupancy: BatchHistogram,
@@ -196,6 +204,8 @@ pub struct ThreadTelemetry {
     pub busy: Duration,
     /// See [`LocalTelemetry::stalled`].
     pub stalled: Duration,
+    /// See [`LocalTelemetry::spill`].
+    pub spill: Duration,
     /// See [`LocalTelemetry::wall`].
     pub wall: Duration,
     /// See [`LocalTelemetry::items`].
@@ -220,15 +230,11 @@ impl ThreadTelemetry {
         fraction(self.stalled, self.wall)
     }
 
-    /// Items per second of *busy* time — the thread's useful throughput.
-    /// `None` when no busy time was recorded.
+    /// Items per second of *busy* time net of [`spill`](Self::spill) folds
+    /// — the thread's useful throughput in its own role. `None` when no such
+    /// time was recorded.
     pub fn throughput(&self) -> Option<f64> {
-        let busy = self.busy.as_secs_f64();
-        if busy > 0.0 {
-            Some(self.items as f64 / busy)
-        } else {
-            None
-        }
+        pool_throughput(std::slice::from_ref(self))
     }
 
     /// The work done between two samples of the same live-republished cell:
@@ -249,6 +255,7 @@ impl ThreadTelemetry {
             index: self.index,
             busy: self.busy.saturating_sub(earlier.busy),
             stalled: self.stalled.saturating_sub(earlier.stalled),
+            spill: self.spill.saturating_sub(earlier.spill),
             wall: self.wall.saturating_sub(earlier.wall),
             items: self.items.saturating_sub(earlier.items),
             stall_events: self.stall_events.saturating_sub(earlier.stall_events),
@@ -268,10 +275,13 @@ fn fraction(part: Duration, whole: Duration) -> f64 {
 }
 
 /// Aggregate throughput over a pool: total items over total busy seconds
-/// (items/sec per fully-busy thread). `None` when the pool recorded no
+/// net of [`spill`](ThreadTelemetry::spill) folds (items/sec per fully-busy
+/// thread) — for a mapper pool, the rate of the map work alone. A combine
+/// rate that counts the spilled pairs too adds them and the pool's `spill`
+/// time to the combiner pool's totals. `None` when the pool recorded no
 /// busy time.
 pub fn pool_throughput(threads: &[ThreadTelemetry]) -> Option<f64> {
-    let busy: f64 = threads.iter().map(|t| t.busy.as_secs_f64()).sum();
+    let busy: f64 = threads.iter().map(|t| t.busy.saturating_sub(t.spill).as_secs_f64()).sum();
     let items: u64 = threads.iter().map(|t| t.items).sum();
     if busy > 0.0 {
         Some(items as f64 / busy)
@@ -315,6 +325,7 @@ pub fn suggested_ratio(map_throughput: f64, combine_throughput: f64) -> usize {
 pub struct TelemetryCell {
     busy_ns: AtomicU64,
     stalled_ns: AtomicU64,
+    spill_ns: AtomicU64,
     wall_ns: AtomicU64,
     items: AtomicU64,
     stall_events: AtomicU64,
@@ -329,6 +340,7 @@ impl TelemetryCell {
     pub fn publish(&self, local: &LocalTelemetry) {
         self.busy_ns.store(saturating_ns(local.busy), Ordering::Relaxed);
         self.stalled_ns.store(saturating_ns(local.stalled), Ordering::Relaxed);
+        self.spill_ns.store(saturating_ns(local.spill), Ordering::Relaxed);
         self.wall_ns.store(saturating_ns(local.wall), Ordering::Relaxed);
         self.items.store(local.items, Ordering::Relaxed);
         self.stall_events.store(local.stall_events, Ordering::Relaxed);
@@ -349,6 +361,7 @@ impl TelemetryCell {
             index,
             busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
             stalled: Duration::from_nanos(self.stalled_ns.load(Ordering::Relaxed)),
+            spill: Duration::from_nanos(self.spill_ns.load(Ordering::Relaxed)),
             wall: Duration::from_nanos(self.wall_ns.load(Ordering::Relaxed)),
             items: self.items.load(Ordering::Relaxed),
             stall_events: self.stall_events.load(Ordering::Relaxed),
@@ -392,6 +405,7 @@ mod tests {
         let mut local = LocalTelemetry {
             busy: Duration::from_millis(70),
             stalled: Duration::from_millis(30),
+            spill: Duration::from_millis(20),
             wall: Duration::from_millis(100),
             items: 12345,
             stall_events: 7,
@@ -407,6 +421,7 @@ mod tests {
         assert_eq!(snap.index, 3);
         assert_eq!(snap.busy, local.busy);
         assert_eq!(snap.stalled, local.stalled);
+        assert_eq!(snap.spill, local.spill);
         assert_eq!(snap.wall, local.wall);
         assert_eq!(snap.items, 12345);
         assert_eq!(snap.stall_events, 7);
@@ -414,7 +429,7 @@ mod tests {
         assert_eq!(snap.occupancy, local.occupancy);
         assert!((snap.busy_fraction() - 0.7).abs() < 1e-9);
         assert!((snap.stalled_fraction() - 0.3).abs() < 1e-9);
-        assert!((snap.throughput().unwrap() - 12345.0 / 0.07).abs() < 1e-3);
+        assert!((snap.throughput().unwrap() - 12345.0 / 0.05).abs() < 1e-3);
     }
 
     #[test]
@@ -428,21 +443,29 @@ mod tests {
 
     #[test]
     fn pool_throughput_aggregates_over_busy_time() {
-        let mk = |busy_ms, items| ThreadTelemetry {
+        let mk = |busy_ms, spill_ms, items| ThreadTelemetry {
             role: ThreadRole::Mapper,
             index: 0,
             busy: Duration::from_millis(busy_ms),
             stalled: Duration::ZERO,
+            spill: Duration::from_millis(spill_ms),
             wall: Duration::from_millis(busy_ms),
             items,
             stall_events: 0,
             batches: 0,
             occupancy: BatchHistogram::default(),
         };
-        let pool = [mk(100, 1000), mk(300, 1000)];
+        let pool = [mk(100, 0, 1000), mk(300, 0, 1000)];
         // 2000 items over 0.4 busy seconds.
         assert!((pool_throughput(&pool).unwrap() - 5000.0).abs() < 1e-9);
         assert_eq!(pool_throughput(&[]), None);
+        // 100 of the second thread's 300 ms were spent folding its own
+        // spilled blocks: combine work, so the map rate is over 0.3 s.
+        let spilling = [mk(100, 0, 1000), mk(300, 100, 1000)];
+        assert!((pool_throughput(&spilling).unwrap() - 2000.0 / 0.3).abs() < 1e-6);
+        assert!((spilling[1].throughput().unwrap() - 1000.0 / 0.2).abs() < 1e-6);
+        // A thread that did nothing but fold has no map rate.
+        assert_eq!(pool_throughput(&[mk(50, 50, 0)]), None);
     }
 
     #[test]
@@ -470,6 +493,7 @@ mod tests {
                 index: 2,
                 busy: Duration::from_millis(busy_ms),
                 stalled: Duration::from_millis(busy_ms / 10),
+                spill: Duration::from_millis(busy_ms / 20),
                 wall: Duration::from_millis(busy_ms * 2),
                 items,
                 stall_events: items / 100,
@@ -481,12 +505,13 @@ mod tests {
         let later = mk(300, 4000, 10);
         let delta = later.delta_since(&earlier);
         assert_eq!(delta.busy, Duration::from_millis(200));
+        assert_eq!(delta.spill, Duration::from_millis(10));
         assert_eq!(delta.items, 3000);
         assert_eq!(delta.batches, 6);
         assert_eq!(delta.occupancy.total(), 6);
         // Windowed throughput reflects the later, faster phase: 3000 items
-        // over 0.2 busy seconds, not 4000 over 0.3.
-        assert!((delta.throughput().unwrap() - 15_000.0).abs() < 1e-6);
+        // over 0.19 busy seconds net of spill folds, not 4000 over 0.285.
+        assert!((delta.throughput().unwrap() - 3000.0 / 0.19).abs() < 1e-6);
         // A stale (out-of-order) sample saturates to zero, never underflows.
         let stale = earlier.delta_since(&later);
         assert_eq!(stale.items, 0);

@@ -38,8 +38,8 @@ pub struct MetricsReport {
     /// Equals [`emitted`](Self::emitted) on every run that returns.
     pub consumed: u64,
     /// The part of [`consumed`](Self::consumed) mappers folded themselves
-    /// because their queue was full. Reports written before mappers could
-    /// spill parse as zero.
+    /// instead of queueing them for a combiner that was behind. Reports
+    /// written before mappers could spill parse as zero.
     pub spilled: u64,
     /// Per-thread telemetry, mappers first, then combiners (or baseline
     /// workers).
@@ -51,15 +51,22 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Aggregate mapper-side throughput (pairs per busy second); see
-    /// [`pool_throughput`].
+    /// Aggregate mapper-side throughput (pairs per busy second, spill folds
+    /// left out); see [`pool_throughput`].
     pub fn map_throughput(&self) -> Option<f64> {
         pool_throughput(&self.role_threads(ThreadRole::Mapper))
     }
 
-    /// Aggregate combiner-side throughput (pairs per busy second).
+    /// Aggregate combine throughput (pairs per busy second): the combiner
+    /// pool's, with the [`spilled`](Self::spilled) pairs and the mappers'
+    /// [`spill`](ThreadTelemetry::spill) time counted in — a spill fold is
+    /// combine work wherever it runs.
     pub fn combine_throughput(&self) -> Option<f64> {
-        pool_throughput(&self.role_threads(ThreadRole::Combiner))
+        let spill: Duration = self.role_threads(ThreadRole::Mapper).iter().map(|t| t.spill).sum();
+        let combiners = self.role_threads(ThreadRole::Combiner);
+        let busy = combiners.iter().map(|t| t.busy).sum::<Duration>() + spill;
+        let items = combiners.iter().map(|t| t.items).sum::<u64>() + self.spilled;
+        (!busy.is_zero()).then(|| items as f64 / busy.as_secs_f64())
     }
 
     /// The paper's throughput-driven mapper:combiner ratio suggestion;
@@ -225,6 +232,7 @@ fn thread_json(t: &ThreadTelemetry) -> Value {
     obj.insert("index".into(), num(t.index as u64));
     obj.insert("busy_ns".into(), num(ns(t.busy)));
     obj.insert("stalled_ns".into(), num(ns(t.stalled)));
+    obj.insert("spill_ns".into(), num(ns(t.spill)));
     obj.insert("wall_ns".into(), num(ns(t.wall)));
     obj.insert("items".into(), num(t.items));
     obj.insert("stall_events".into(), num(t.stall_events));
@@ -257,6 +265,11 @@ fn thread_from_json(v: &Value) -> Result<ThreadTelemetry, String> {
         index: field_u64(v, "index")? as usize,
         busy: Duration::from_nanos(field_u64(v, "busy_ns")?),
         stalled: Duration::from_nanos(field_u64(v, "stalled_ns")?),
+        // Reports predating timed spill folds have none: zero.
+        spill: Duration::from_nanos(match v.get("spill_ns") {
+            Some(_) => field_u64(v, "spill_ns")?,
+            None => 0,
+        }),
         wall: Duration::from_nanos(field_u64(v, "wall_ns")?),
         items: field_u64(v, "items")?,
         stall_events: field_u64(v, "stall_events")?,
@@ -319,6 +332,7 @@ mod tests {
             index,
             busy: Duration::from_millis(busy_ms),
             stalled: Duration::from_millis(busy_ms / 4),
+            spill: Duration::ZERO,
             wall: Duration::from_millis(busy_ms + busy_ms / 4),
             items,
             stall_events: 5,
@@ -339,8 +353,12 @@ mod tests {
             spilled: 1_200,
             threads: vec![
                 thread(ThreadRole::Mapper, 0, 40, 15_000),
-                thread(ThreadRole::Mapper, 1, 40, 15_000),
-                thread(ThreadRole::Combiner, 0, 60, 30_000),
+                // Mapper 1 folded the 1 200 spilled pairs itself, in 10 ms.
+                ThreadTelemetry {
+                    spill: Duration::from_millis(10),
+                    ..thread(ThreadRole::Mapper, 1, 40, 15_000)
+                },
+                thread(ThreadRole::Combiner, 0, 60, 28_800),
             ],
             faults: FaultMetrics::default(),
         }
@@ -361,8 +379,12 @@ mod tests {
         assert_eq!(back.map_throughput(), report.map_throughput());
         assert_eq!(back.combine_throughput(), report.combine_throughput());
         assert_eq!(back.suggested_ratio(), report.suggested_ratio());
-        // 30k pairs over 80ms mapper busy vs 30k over 60ms combiner busy:
-        // combine is 4/3 as fast, which rounds to ratio 1.
+        // Map: 30k pairs over 80 ms mapper busy less 10 ms of spill folds.
+        // Combine: 28.8k queued pairs plus 1.2k spilled over 60 ms combiner
+        // busy plus those 10 ms. Equal rates: ratio 1.
+        let rate = 30_000.0 / 0.07;
+        assert!((back.map_throughput().unwrap() - rate).abs() < 1e-6);
+        assert!((back.combine_throughput().unwrap() - rate).abs() < 1e-6);
         assert_eq!(back.suggested_ratio(), Some(1));
     }
 
@@ -421,6 +443,17 @@ mod tests {
         let legacy = text.replacen("\"spilled\":0,", "", 1);
         assert_ne!(legacy, text, "the spilled count should have been stripped");
         assert_eq!(MetricsReport::from_json(&legacy).expect("legacy dump parses"), report);
+    }
+
+    #[test]
+    fn reports_without_spill_times_parse_as_zero() {
+        let report = sample();
+        let text = report.to_json();
+        let legacy = text.replace("\"spill_ns\":0,", "").replace("\"spill_ns\":10000000,", "");
+        assert!(!legacy.contains("spill_ns"), "every spill time should have been stripped");
+        let back = MetricsReport::from_json(&legacy).expect("legacy dump parses");
+        assert!(back.threads.iter().all(|t| t.spill.is_zero()));
+        assert_eq!(back.threads[1].busy, report.threads[1].busy);
     }
 
     #[test]

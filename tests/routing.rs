@@ -1,0 +1,328 @@
+//! Lag-routed hand-off: a static mapper publishes a block only to a combiner
+//! that has caught up — fewer than a batch of pairs unread, or parked on the
+//! queue with nothing to do — and folds it itself otherwise (DESIGN §6q).
+//!
+//! Every test but the last runs a 1 + 1 session, whose one mapper is the
+//! submitting thread and whose one combiner is the pooled thread, and forces
+//! the combiner's state from inside the job: a `combine` held until the
+//! mapper has folded a pair itself, or a mapper that waits, per block, for
+//! the combiner's fold count. None waits on a timer.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
+
+use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig};
+use ramr::{RamrSession, RunReport};
+
+/// Runs `case` on a thread of its own — which is then the submitter — and
+/// fails instead of hanging when it has not finished within 20 s.
+fn within_deadline(case: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let case = thread::spawn(move || {
+        case();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(20)) {
+        // A failed assertion drops the sender: re-raise it from here.
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => case.join().unwrap(),
+        Err(RecvTimeoutError::Timeout) => panic!("the job did not end within 20 s"),
+    }
+}
+
+/// Spins until `done` holds, failing after 5 s with `what`.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        thread::yield_now();
+    }
+}
+
+/// Opaque map cost the optimiser cannot elide.
+fn work(x: u64, rounds: u32) -> u64 {
+    let mut acc = x;
+    for _ in 0..rounds {
+        acc = std::hint::black_box(acc.rotate_left(7) ^ 0xabcd_ef01);
+    }
+    acc
+}
+
+fn session(queue: usize, batch: usize, task: usize, kind: ContainerKind) -> RuntimeConfig {
+    RuntimeConfig::builder()
+        .num_workers(1)
+        .num_combiners(1)
+        .task_size(task)
+        .queue_capacity(queue)
+        .batch_size(batch)
+        .container(kind)
+        .build()
+        .unwrap()
+}
+
+/// Asserts `emitted == consumed + helped + spilled` and returns the total.
+fn conserved(report: &RunReport, case: &str) -> u64 {
+    let emitted: u64 = report.emitted_per_mapper.iter().sum();
+    let consumed: u64 = report.consumed_per_combiner.iter().sum();
+    let helped: u64 = report.helped_per_combiner.iter().sum();
+    let spilled: u64 = report.spilled_per_mapper.iter().sum();
+    assert_eq!(emitted, consumed + helped + spilled, "{case}: conservation: {report:?}");
+    emitted
+}
+
+/// Block and batch size of the 1 + 1 tests.
+const B: usize = 4;
+
+/// Sums `x` under `(x / B) % 3`, so every block repeats one key. A combine
+/// off the submitting thread is held until the submitter — the mapper — has
+/// folded a pair into its own container.
+struct Held {
+    submitter: ThreadId,
+    mapper_folds: AtomicU64,
+}
+
+impl MapReduceJob for Held {
+    type Input = u64;
+    type Key = u64;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+        for &x in task {
+            emit.emit((x / B as u64) % 3, x);
+        }
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        if thread::current().id() == self.submitter {
+            self.mapper_folds.fetch_add(1, Ordering::SeqCst);
+        } else {
+            wait_for("the mapper queued every block behind a combiner held in combine", || {
+                self.mapper_folds.load(Ordering::SeqCst) > 0
+            });
+        }
+        *acc += v;
+    }
+
+    fn key_space(&self) -> Option<usize> {
+        Some(3)
+    }
+
+    fn key_index(&self, k: &u64) -> usize {
+        *k as usize
+    }
+}
+
+#[test]
+fn a_combiner_held_inside_combine_makes_the_mapper_spill_though_the_queue_has_room() {
+    // The queue holds the whole job, so it never fills: a mapper that only
+    // spilled what a full queue could not take would queue every block, and
+    // the held combiner would fail the job at its deadline.
+    within_deadline(|| {
+        let input: Vec<u64> = (0..256).collect();
+        let mut expected = [0u64; 3];
+        for &x in &input {
+            expected[((x / B as u64) % 3) as usize] += x;
+        }
+        for kind in ContainerKind::ALL {
+            let cfg = session(input.len(), B, 64, kind);
+            let mut session = RamrSession::new(cfg).unwrap();
+            let job = Held { submitter: thread::current().id(), mapper_folds: AtomicU64::new(0) };
+            let (out, report) = session.submit_with_report(&job, &input).unwrap();
+            assert_eq!(out.pairs, (0..3).zip(expected).collect::<Vec<_>>(), "{kind}");
+            assert_eq!(conserved(&report, &kind.to_string()), input.len() as u64);
+            assert!(report.spilled_per_mapper[0] > 0, "{kind}: {report:?}");
+            assert!(report.full_events_per_mapper[0] > 0, "{kind}: {report:?}");
+        }
+    });
+}
+
+/// Counts every element under key 0. The first map call on a thread other
+/// than the submitter's — the combiner helping, the only other thread — runs
+/// before the submitter's map emits anything, so that key is in the
+/// combiner's container and every pair it then reads from the queue is one
+/// `combine` call on its thread. With `paced`, the submitter's map waits
+/// before each block until the combiner has folded every pair queued so far.
+struct HelperFirst {
+    submitter: ThreadId,
+    paced: bool,
+    /// Map cost per element on the submitter.
+    rounds: u32,
+    helper_returned: AtomicBool,
+    combiner_folds: AtomicU64,
+}
+
+impl HelperFirst {
+    fn new(paced: bool, rounds: u32) -> Self {
+        Self {
+            submitter: thread::current().id(),
+            paced,
+            rounds,
+            helper_returned: AtomicBool::new(false),
+            combiner_folds: AtomicU64::new(0),
+        }
+    }
+}
+
+impl MapReduceJob for HelperFirst {
+    type Input = u64;
+    type Key = u64;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+        if thread::current().id() != self.submitter {
+            for _ in task {
+                emit.emit(0, 1);
+            }
+            self.helper_returned.store(true, Ordering::SeqCst);
+            return;
+        }
+        wait_for("the combiner never ran a map task", || {
+            self.helper_returned.load(Ordering::SeqCst)
+        });
+        let base = self.combiner_folds.load(Ordering::SeqCst);
+        for (i, &x) in task.iter().enumerate() {
+            if self.paced && i > 0 && i % B == 0 {
+                wait_for("the combiner never read a published block", || {
+                    self.combiner_folds.load(Ordering::SeqCst) - base >= i as u64
+                });
+            }
+            std::hint::black_box(work(x, self.rounds));
+            emit.emit(0, 1);
+        }
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        if thread::current().id() != self.submitter {
+            self.combiner_folds.fetch_add(1, Ordering::SeqCst);
+        }
+        *acc += v;
+    }
+
+    fn key_space(&self) -> Option<usize> {
+        Some(1)
+    }
+
+    fn key_index(&self, _: &u64) -> usize {
+        0
+    }
+}
+
+/// Two tasks of `task` elements: one for the helping combiner, one for the
+/// submitter; returns the report after checking the output.
+fn helper_first(cfg: RuntimeConfig, job: HelperFirst) -> RunReport {
+    let input: Vec<u64> = (0..2 * cfg.task_size as u64).collect();
+    let mut session = RamrSession::new(cfg).unwrap();
+    let (out, report) = session.submit_with_report(&job, &input).unwrap();
+    assert_eq!(out.pairs, [(0, input.len() as u64)]);
+    assert_eq!(conserved(&report, "helper first"), input.len() as u64);
+    assert_eq!(report.helped_per_combiner[0] + report.emitted_per_mapper[0], input.len() as u64);
+    assert!(report.emitted_per_mapper[0] > 0, "the combiner mapped both tasks: {report:?}");
+    report
+}
+
+#[test]
+fn a_combiner_that_keeps_up_is_handed_every_block() {
+    // Each block is published only once the one before it is folded, so the
+    // combiner never has a batch unread when the mapper flushes.
+    within_deadline(|| {
+        for kind in ContainerKind::ALL {
+            let report = helper_first(session(2 * B, B, 40 * B, kind), HelperFirst::new(true, 400));
+            assert_eq!(report.spilled_per_mapper[0], 0, "{kind}: {report:?}");
+            assert_eq!(report.full_events_per_mapper[0], 0, "{kind}: {report:?}");
+            assert_eq!(
+                report.consumed_per_combiner[0], report.emitted_per_mapper[0],
+                "{kind}: every pair the mapper emitted must cross the queue: {report:?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn a_parked_combiner_with_no_task_left_is_published_to_not_bypassed() {
+    // After its helped task the combiner finds no batch and no task, and
+    // parks at once (`spins: 0`) until half the 1 024-slot ring is full —
+    // which the submitter's 160 pairs never reach, so only the close wakes
+    // it. Unread pairs pass a batch from the mapper's second block on: a
+    // mapper that routed by the unread count alone would fold everything
+    // after its first block itself.
+    within_deadline(|| {
+        for kind in ContainerKind::ALL {
+            let mut cfg = session(1024, B, 40 * B, kind);
+            cfg.push_backoff =
+                PushBackoff::SpinThenSleep { spins: 0, sleep: Duration::from_secs(10) };
+            let report = helper_first(cfg, HelperFirst::new(false, 2_000));
+            assert_eq!(report.spilled_per_mapper[0], 0, "{kind}: {report:?}");
+            assert_eq!(
+                report.consumed_per_combiner[0], report.emitted_per_mapper[0],
+                "{kind}: the parked combiner was bypassed: {report:?}"
+            );
+        }
+    });
+}
+
+/// Sums `x` under `x % 64`; a combine on a pooled combiner thread costs a
+/// short spin, so the combiners fall behind and mappers fold blocks
+/// themselves.
+struct SlowCombiners;
+
+impl MapReduceJob for SlowCombiners {
+    type Input = u64;
+    type Key = u64;
+    type Value = u64;
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+        for &x in task {
+            emit.emit(x % 64, x);
+        }
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        if thread::current().name().is_some_and(|name| name.starts_with("ramr-combiner")) {
+            std::hint::black_box(work(v, 50));
+        }
+        *acc += v;
+    }
+
+    fn key_space(&self) -> Option<usize> {
+        Some(64)
+    }
+
+    fn key_index(&self, k: &u64) -> usize {
+        *k as usize
+    }
+}
+
+#[test]
+fn every_pair_is_folded_once_by_exactly_one_route_on_wider_sessions() {
+    let input: Vec<u64> = (0..40_000).collect();
+    let mut expected = [0u64; 64];
+    for &x in &input {
+        expected[(x % 64) as usize] += x;
+    }
+    let expected: Vec<(u64, u64)> = (0..64).zip(expected).collect();
+    let mut spilled = 0u64;
+    for (workers, combiners) in [(3, 1), (4, 2)] {
+        for kind in ContainerKind::ALL {
+            let cfg = RuntimeConfig::builder()
+                .num_workers(workers)
+                .num_combiners(combiners)
+                .task_size(500)
+                .queue_capacity(256)
+                .batch_size(32)
+                .container(kind)
+                .build()
+                .unwrap();
+            let mut session = RamrSession::new(cfg).unwrap();
+            for epoch in 0..3 {
+                let case = format!("{workers} + {combiners}, {kind}, epoch {epoch}");
+                let (out, report) = session.submit_with_report(&SlowCombiners, &input).unwrap();
+                assert_eq!(out.pairs, expected, "{case}");
+                assert_eq!(conserved(&report, &case), input.len() as u64);
+                assert_eq!(report.spilled_per_mapper.len(), workers, "{case}");
+                spilled += report.spilled_per_mapper.iter().sum::<u64>();
+            }
+        }
+    }
+    assert!(spilled > 0, "18 epochs through slow combiners and no mapper ever folded a block");
+}

@@ -1,5 +1,6 @@
-//! Work-conserving mappers: a static mapper whose queue is full folds the
-//! overflow into its own container instead of waiting (DESIGN §6p).
+//! Work-conserving mappers: a static mapper whose combiner is behind folds
+//! its blocks into its own container instead of queueing them or waiting
+//! (DESIGN §6p, §6q).
 //!
 //! Every test runs a 1 + 1 session — the submitting thread is the one
 //! mapper, the pooled thread the one combiner — with a queue of 8, a batch
@@ -7,10 +8,11 @@
 //! spill is forced from inside the job: any combine off the submitting
 //! thread waits until the submitter's first map call has returned. Every
 //! batch of 4 repeats a key, so until then the combiner cannot finish one,
-//! the queue is full after the mapper's second block, and the rest of its
-//! first task must be folded by the mapper itself. On a runtime whose
-//! mappers wait for room, both sides would wait on each other until the
-//! combiner's deadline fails the job.
+//! it is a batch behind from the mapper's second block on, and the rest of
+//! the mapper's first task must be folded by the mapper itself. On a
+//! runtime whose mappers queue every block or wait for room,
+//! both sides would wait on each other until the combiner's deadline fails
+//! the job.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -149,7 +151,7 @@ impl MapReduceJob for Spilling {
         } else {
             let deadline = Instant::now() + Duration::from_secs(5);
             while !self.gate.load(Ordering::SeqCst) {
-                assert!(Instant::now() < deadline, "the mapper never got past a full queue");
+                assert!(Instant::now() < deadline, "the mapper never folded a block itself");
                 thread::yield_now();
             }
         }
@@ -184,7 +186,7 @@ fn submit_exact(session: &mut RamrSession<Spilling>, job: &Spilling, case: &str)
     assert!(spilled > 0, "{case}: the mapper never folded a pair itself: {report:?}");
     assert!(
         report.full_events_per_mapper[0] > 0,
-        "{case}: a spill is a flush that met a full queue"
+        "{case}: a spill is a flush that found the combiner behind"
     );
     report
 }
@@ -219,10 +221,11 @@ fn a_mapper_with_a_full_queue_folds_the_overflow_for_every_container() {
 
 #[test]
 fn an_overflow_in_a_spill_fails_the_job_and_ends_the_mapping() {
-    // Two slots, three keys. Blocks 1 and 2 of the mapper's first task fill
-    // the queue with keys 0 and 1, which the combiner holds without
-    // overflowing; blocks 3 and 4 spill keys 2 and 0, three combines each;
-    // block 5 brings the spill its third key. The mapper must report that,
+    // Two slots, three keys. Block 1 of the mapper's first task goes to the
+    // queue with key 0, which the combiner holds without overflowing; the
+    // combiner is then a batch behind, so blocks 2 and 3 spill keys 1 and 2,
+    // three combines each; block 4 brings the spill its third key. The
+    // mapper must report that,
     // fold nothing more, claim no other task, and still close its queue —
     // or the combiner would drain it for ever.
     within_deadline(|| {

@@ -154,7 +154,7 @@ fn rapid_epochs_lose_no_pair_to_a_helping_combiner() {
 }
 
 /// Pairs folded into any container: read from a queue, mapped in place by a
-/// combiner, or spilled by a mapper whose queue was full.
+/// combiner, or spilled by a mapper whose combiner was behind.
 fn folded(report: &ramr::RunReport) -> u64 {
     let queued_or_helped = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner);
     queued_or_helped.chain(&report.spilled_per_mapper).sum()
@@ -162,7 +162,7 @@ fn folded(report: &ramr::RunReport) -> u64 {
 
 /// [`FanOut`] whose combine spins for a while on every thread but the one
 /// that submitted, when `slow` — a combiner that cannot keep up, so the
-/// mappers' queues fill and they fold the overflow themselves.
+/// mappers find it behind and fold blocks themselves.
 struct SlowCombine {
     submitter: std::thread::ThreadId,
     slow: bool,
@@ -197,9 +197,10 @@ impl MapReduceJob for SlowCombine {
 }
 
 /// Work-conserving mappers across rapid epochs on one 2 + 1 session: epochs
-/// whose combiner is slow spill, epochs too small to fill a queue cannot, and
-/// whichever ran before, every epoch is exact and accounts for every pair —
-/// a spill container kept from an earlier epoch never leaks into a later one.
+/// whose combiner is slow spill, epochs too small to ever find it behind
+/// cannot, and whichever ran before, every epoch is exact and accounts for
+/// every pair — a spill container kept from an earlier epoch never leaks into
+/// a later one.
 #[test]
 fn rapid_epochs_exact_whether_or_not_the_mappers_spill() {
     let cfg = RuntimeConfig::builder()
@@ -207,14 +208,16 @@ fn rapid_epochs_exact_whether_or_not_the_mappers_spill() {
         .num_combiners(1)
         .task_size(40)
         .queue_capacity(64)
-        .batch_size(16)
+        .batch_size(32)
         .build()
         .unwrap();
     let mut session = RamrSession::new(cfg).unwrap();
     let submitter = std::thread::current().id();
-    // One element fans out to 32 pairs: two elements never fill a 64-slot
-    // queue, 1 000 through a slow combiner do.
-    let small: Vec<u64> = (0..2).collect();
+    // A mapper spills only a block that would queue behind a full batch of
+    // 32, or that the queue has no room for. One element fans out to 32
+    // pairs — a single block, flushed into the queue the last epoch drained,
+    // so it cannot spill; 1 000 elements through a slow combiner do.
+    let small: Vec<u64> = vec![0];
     let large: Vec<u64> = (0..1_000).collect();
     let mut spilled = 0u64;
     for epoch in 0..60 {
@@ -229,7 +232,7 @@ fn rapid_epochs_exact_whether_or_not_the_mappers_spill() {
         assert_eq!(folded(&report), out.stats.emitted, "epoch {epoch}");
         let this_epoch: u64 = report.spilled_per_mapper.iter().sum();
         if !spilling {
-            assert_eq!(this_epoch, 0, "epoch {epoch}: {} pairs cannot fill a queue", input.len());
+            assert_eq!(this_epoch, 0, "epoch {epoch}: one block into an empty queue cannot spill");
         }
         spilled += this_epoch;
     }

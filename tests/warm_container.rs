@@ -10,7 +10,7 @@
 //! warming up. The mapper keeps its emit buffer next to its write-end the
 //! same way, so a warm submit never asks for a block of that size.
 //!
-//! A mapper whose queue is full folds the overflow into a spill table it
+//! A mapper whose combiner is behind folds its blocks into a spill table it
 //! keeps the same way, so a warm spilling submit grows no new one.
 //!
 //! The tests live alone in this binary (as in `zero_alloc.rs`) and take
@@ -112,10 +112,12 @@ fn a_session_grows_its_combine_table_once() {
     // asks for nothing and the entries for 1.4 MB, once. One reducer, so
     // that the rest is the same every time: the output vector (several
     // reducers range-partition into buckets whose sizes move from run to
-    // run). The mapper's emit buffer is allocated with the session. The
-    // queue holds every pair of the job, so it never fills and the mapper
-    // never grows a spill table of its own (`a_mapper_grows_its_spill_table_once`
-    // covers that one): what is counted is the combiner's table.
+    // run). The mapper's emit buffer is allocated with the session. A
+    // mapper folds a block itself only when its combiner is a full batch
+    // behind or the queue has no room; here the queue and the batch both
+    // hold every pair of the job, so neither can happen, the mapper never
+    // grows a spill table of its own (`a_mapper_grows_its_spill_table_once`
+    // covers that one), and what is counted is the combiner's table.
     const WORDS: usize = 34_000;
     let input: Vec<String> = (0..WORDS / 5)
         .map(|i| {
@@ -127,6 +129,8 @@ fn a_session_grows_its_combine_table_once() {
         .num_combiners(1)
         .num_reducers(1)
         .queue_capacity(2 * WORDS)
+        .batch_size(2 * WORDS)
+        .emit_buffer_size(RuntimeConfig::default().effective_emit_buffer())
         .container(ContainerKind::Hash)
         .build()
         .unwrap();
@@ -141,8 +145,9 @@ fn a_session_grows_its_combine_table_once() {
     let mut submits = [(0u64, 0u64); 3];
     for bytes in &mut submits {
         *bytes = large_bytes_during(|| {
-            let out = warm.submit(&WordCount, &input).unwrap().output;
+            let (out, report) = warm.submit(&WordCount, &input).unwrap().into_parts();
             assert_eq!(out.pairs.len(), WORDS);
+            assert_eq!(report.spilled, 0, "the mapper spilled: {report:?}");
         });
     }
     let [(first, _), (second, emit_buffers_2), (third, emit_buffers_3)] = submits;
@@ -166,9 +171,9 @@ fn a_session_grows_its_combine_table_once() {
 
 /// Counts `(x / 4) % KEYS`: every block of 4 pairs repeats a key. Combines
 /// off the submitting thread wait until the submitter's first map call has
-/// returned, so the queue of the session's one mapper — the submitter — is
-/// full after two blocks and the rest of that call spills, every key with
-/// it.
+/// returned, so the combiner of the session's one mapper — the submitter —
+/// is a batch behind after one block and the rest of that call spills,
+/// every key with it.
 struct Spills {
     submitter: ThreadId,
     gate: AtomicBool,
@@ -197,7 +202,7 @@ impl MapReduceJob for Spills {
         if thread::current().id() != self.submitter {
             let deadline = Instant::now() + Duration::from_secs(5);
             while !self.gate.load(Ordering::SeqCst) {
-                assert!(Instant::now() < deadline, "the mapper never got past a full queue");
+                assert!(Instant::now() < deadline, "the mapper never folded a block itself");
                 thread::yield_now();
             }
         }
