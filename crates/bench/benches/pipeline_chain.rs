@@ -1,11 +1,9 @@
 //! `pipeline_chain` gate: warm chained k-means vs cold per-round resubmission.
 //!
 //! The paper's runtime treats every Lloyd round as a cold, single-pass job:
-//! threads are spawned, pinned, and torn down, queues reallocated, and the
-//! adaptive controller re-converges from the static default — per round.
-//! The `Pipeline::iterate` combinator runs the whole loop over ONE pooled
-//! session: workers stay parked between rounds, pools stay warm, and the
-//! learned split is carried forward. Both arms walk the identical Lloyd
+//! threads are spawned, pinned, and torn down, and queues reallocated — per
+//! round. The `Pipeline::iterate` combinator runs the whole loop over ONE
+//! pooled session: workers stay parked between rounds and pools stay warm. Both arms walk the identical Lloyd
 //! trajectory (same seeded state, same fixed round count), so the measured
 //! delta is exactly the per-round re-entry cost the pipeline removes.
 //!

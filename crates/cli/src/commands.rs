@@ -34,7 +34,6 @@ USAGE:
                 [--hasher fnv|fx]
                 [--pinning ramr|round-robin|os-default] [--pin 0|1]
                 [--push-spins N] [--push-sleep-us US] [--telemetry 0|1]
-                [--adaptive 0|1] [--adapt-interval-ms MS]
                 [--task-retries N] [--skip-poison 0|1] [--watchdog-ms MS]
                 [--sched-jobs N] [--sched-tenants N] [--sched-queue N]
                 [--sched-policy fifo|fair:T=W,...] [--sched-quota N]
@@ -74,15 +73,11 @@ throughput, batch fullness) and, with --metrics-json FILE, dumps the full
 machine-readable report for offline tuning (see EXPERIMENTS.md). A mapper
 row indexed past --workers (mapper[W + c]) is combiner c's helper row: the
 map tasks it ran in place while it had no full batch to read. On the
-summary line, queue-full counts the flushes of a static mapper that found
-its combiner a full batch behind (or the queue without room) and folded
-the block itself; spilled counts the pairs it folded that way.
-
-With --adaptive 1 the ramr runtime re-tunes itself mid-run — an online
-controller samples live telemetry every --adapt-interval-ms (default 5)
-and moves the mapper:combiner split and the batched-read size within
-bounded windows; the decisions are printed as an adaptation trace after
-the per-thread breakdown. See TUNING.md for the full knob cookbook.
+summary line, queue-full counts the flushes of a mapper that found its
+combiner a full batch behind (or the queue without room) and folded the
+block itself; spilled counts the pairs it folded that way. `ramr` and
+`ramr-adaptive` both name `ramr-static`. See TUNING.md for the full knob
+cookbook.
 
 Fault tolerance (opt-in, see DESIGN.md): --task-retries N re-executes a
 panicked map task up to N times (jobs must declare is_retry_safe);
@@ -91,9 +86,8 @@ without them; --watchdog-ms N cancels a wedged pipeline and reports a
 per-thread stall diagnosis instead of hanging forever.
 
 km runs as an iterate-until-converged *pipeline* by default: every Lloyd
-round is one stage on a shared warm worker pool, the adaptive
-controller's converged split carries from round to round, and a
-per-stage summary (round, residual, keys, time) is printed. --stages
+round is one stage on a shared warm worker pool, and a per-stage
+summary (round, residual, keys, time) is printed. --stages
 caps the rounds; --pipeline-epsilon sets the convergence threshold and
 --pipeline-max-stages the hard stage budget (both are RAMR_* knobs, see
 TUNING.md). With --metrics-json or --sched-jobs, km falls back to a
@@ -182,34 +176,16 @@ fn build_config(args: &Args, app: AppKind) -> Result<RuntimeConfig, String> {
     builder.build().map_err(|e| e.to_string())
 }
 
-/// Which runtimes a `run` invocation exercises.
-enum RuntimeChoice {
-    Ramr,
-    Both,
-    /// A backend named exactly (`ramr-static`, `ramr-adaptive`, `phoenix`).
-    Exact(Backend),
-}
-
-fn parse_runtime(args: &Args) -> Result<RuntimeChoice, String> {
-    let raw = args.get("runtime").unwrap_or("both");
-    match raw {
-        "ramr" => Ok(RuntimeChoice::Ramr),
-        "both" => Ok(RuntimeChoice::Both),
-        other => other.parse::<Backend>().map(RuntimeChoice::Exact).map_err(|_| {
+/// The backends a `run` invocation exercises: `--runtime both` runs RAMR
+/// and Phoenix, `ramr` is `ramr-static`, and a backend named in full
+/// (`ramr-static`, `ramr-adaptive`, `phoenix`) is taken literally.
+fn parse_runtime(args: &Args) -> Result<Vec<Backend>, String> {
+    match args.get("runtime").unwrap_or("both") {
+        "ramr" => Ok(vec![Backend::RamrStatic]),
+        "both" => Ok(vec![Backend::RamrStatic, Backend::Phoenix]),
+        other => other.parse::<Backend>().map(|backend| vec![backend]).map_err(|_| {
             format!("unknown --runtime {other:?} (ramr|ramr-static|ramr-adaptive|phoenix|both)")
         }),
-    }
-}
-
-/// The backends a `run` invocation exercises: `--runtime ramr` resolves to
-/// static or adaptive RAMR depending on `--adaptive`, while a backend named
-/// in full is taken literally (its `engine()` normalizes the config).
-fn backends_for(choice: &RuntimeChoice, config: &RuntimeConfig) -> Vec<Backend> {
-    let ramr = Backend::of_ramr_config(config);
-    match choice {
-        RuntimeChoice::Ramr => vec![ramr],
-        RuntimeChoice::Both => vec![ramr, Backend::Phoenix],
-        RuntimeChoice::Exact(backend) => vec![*backend],
     }
 }
 
@@ -222,13 +198,13 @@ fn execute<J: MapReduceJob + 'static>(
     job: &J,
     input: &[J::Input],
     config: &RuntimeConfig,
-    choice: &RuntimeChoice,
+    backends: &[Backend],
     runs: usize,
     app: AppKind,
     metrics_json: Option<&str>,
 ) -> Result<(), String> {
     let mut outputs: Vec<(Backend, _, EngineReport)> = Vec::new();
-    for backend in backends_for(choice, config) {
+    for &backend in backends {
         let engine = backend.engine(config.clone()).map_err(|e| e.to_string())?;
         let mut samples = Vec::new();
         let mut last = None;
@@ -259,28 +235,6 @@ fn execute<J: MapReduceJob + 'static>(
             print!("{}", breakdown_table(&report.threads));
             if let Some(ratio) = report.suggested_ratio {
                 println!("  suggested mapper:combiner ratio {ratio}:1 (throughput criterion)");
-            }
-        }
-        if !report.adaptation.is_empty() {
-            let acted: Vec<_> = report.adaptation.iter().filter(|e| e.acted()).collect();
-            println!(
-                "  adaptation trace: {} tick(s), {} acted (holds omitted below)",
-                report.adaptation.len(),
-                acted.len()
-            );
-            for event in acted {
-                println!("    {}", event.describe());
-            }
-            if let Some(last) = report.adaptation.last() {
-                println!(
-                    "  final split {}m/{}c, batch {} (started {}m/{}c, batch {})",
-                    last.active_mappers,
-                    last.active_combiners,
-                    last.batch_size,
-                    config.num_workers,
-                    config.num_combiners,
-                    config.batch_size,
-                );
             }
         }
         outputs.push((backend, output, report));
@@ -339,14 +293,14 @@ fn execute_scheduled<J: MapReduceJob + Send + 'static>(
     job: Arc<J>,
     input: Arc<Vec<J::Input>>,
     config: &RuntimeConfig,
-    choice: &RuntimeChoice,
+    backends: &[Backend],
     tenants: usize,
     jobs_per_tenant: usize,
 ) -> Result<(), String> {
     if tenants == 0 {
         return Err("--sched-tenants must be at least 1".into());
     }
-    for backend in backends_for(choice, config) {
+    for &backend in backends {
         let sched =
             Arc::new(JobScheduler::new(backend, config.clone()).map_err(|e| e.to_string())?);
         let started = Instant::now();
@@ -429,19 +383,19 @@ fn execute_scheduled<J: MapReduceJob + Send + 'static>(
 }
 
 /// km's default path: Lloyd's iterations as an iterate-until-converged
-/// [`Pipeline`], one round per stage on a shared warm pool, the adaptive
-/// seed carried round to round. Prints a per-round summary per backend.
+/// [`Pipeline`], one round per stage on a shared warm pool. Prints a
+/// per-round summary per backend.
 fn execute_kmeans(
     input: &[mr_apps::Point],
     config: &RuntimeConfig,
-    choice: &RuntimeChoice,
+    backends: &[Backend],
     stages: usize,
 ) -> Result<(), String> {
     if stages == 0 {
         return Err("--stages must be at least 1".into());
     }
     let mut final_keys = Vec::new();
-    for backend in backends_for(choice, config) {
+    for &backend in backends {
         let engine = backend.engine(config.clone()).map_err(|e| e.to_string())?;
         let mut state = KmeansState::seeded(input, 16);
         let plan = Pipeline::iterate(state.job(), move |job, out| {
@@ -461,22 +415,14 @@ fn execute_kmeans(
             outcome.output.len(),
             if report.faults_clean() { "" } else { " | FAULTS (see per-stage reports)" },
         );
-        println!(
-            "  {:>5} {:>10} {:>6} {:>12} {:>14}",
-            "round", "time(ms)", "keys", "residual", "seeded-from"
-        );
+        println!("  {:>5} {:>10} {:>6} {:>12}", "round", "time(ms)", "keys", "residual");
         for stage in &report.stages {
-            let seeded = stage.seeded.as_ref().map_or_else(
-                || "-".to_string(),
-                |s| format!("+{}c/b{}", s.extra_combiners, s.batch_size),
-            );
             println!(
-                "  {:>5} {:>10.2} {:>6} {:>12} {:>14}",
+                "  {:>5} {:>10.2} {:>6} {:>12}",
                 stage.round.unwrap_or(stage.stage),
                 stage.elapsed.as_secs_f64() * 1e3,
                 stage.output_keys,
                 stage.residual.map_or_else(|| "-".to_string(), |r| format!("{r:.3e}")),
-                seeded,
             );
         }
         final_keys.push((backend, outcome.output.len()));
@@ -505,16 +451,16 @@ fn drive<J: MapReduceJob + Send + 'static>(
     job: J,
     input: Vec<J::Input>,
     config: &RuntimeConfig,
-    choice: &RuntimeChoice,
+    backends: &[Backend],
     app: AppKind,
     mode: &RunMode<'_>,
 ) -> Result<(), String> {
     match *mode {
         RunMode::Direct { runs, metrics_json } => {
-            execute(&job, &input, config, choice, runs, app, metrics_json)
+            execute(&job, &input, config, backends, runs, app, metrics_json)
         }
         RunMode::Scheduled { tenants, jobs } => {
-            execute_scheduled(Arc::new(job), Arc::new(input), config, choice, tenants, jobs)
+            execute_scheduled(Arc::new(job), Arc::new(input), config, backends, tenants, jobs)
         }
     }
 }
@@ -528,7 +474,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let runs = args.get_or("runs", 1usize)?;
     let spec = InputSpec::table1(app, platform, flavor);
     let config = build_config(args, app)?;
-    let choice = parse_runtime(args)?;
+    let backends = parse_runtime(args)?;
     let metrics_json = args.get("metrics-json");
     let sched_jobs = args.get_or("sched-jobs", 0usize)?;
     let sched_tenants = args.get_or("sched-tenants", 2usize)?;
@@ -563,21 +509,21 @@ pub fn run(args: &Args) -> Result<(), String> {
                 Some(path) => mr_apps::io::read_text(path).map_err(io_err)?,
                 None => wc_input(&spec, scale),
             };
-            drive(WordCount, input, &config, &choice, app, &mode)
+            drive(WordCount, input, &config, &backends, app, &mode)
         }
         AppKind::Histogram => {
             let input = match &from_file {
                 Some(path) => mr_apps::io::read_pixels(path).map_err(io_err)?,
                 None => hg_input(&spec, scale),
             };
-            drive(Histogram, input, &config, &choice, app, &mode)
+            drive(Histogram, input, &config, &backends, app, &mode)
         }
         AppKind::LinearRegression => {
             let input = match &from_file {
                 Some(path) => mr_apps::io::read_lr_points(path).map_err(io_err)?,
                 None => lr_input(&spec, scale),
             };
-            drive(LinearRegression, input, &config, &choice, app, &mode)
+            drive(LinearRegression, input, &config, &backends, app, &mode)
         }
         AppKind::Kmeans => {
             let input = match &from_file {
@@ -589,10 +535,10 @@ pub fn run(args: &Args) -> Result<(), String> {
             // the one-round job.
             if let RunMode::Direct { metrics_json: None, .. } = mode {
                 let stages = args.get_or("stages", 20usize)?;
-                execute_kmeans(&input, &config, &choice, stages)
+                execute_kmeans(&input, &config, &backends, stages)
             } else {
                 let state = KmeansState::seeded(&input, 16);
-                drive(state.job(), input, &config, &choice, app, &mode)
+                drive(state.job(), input, &config, &backends, app, &mode)
             }
         }
         AppKind::Pca => {
@@ -604,15 +550,14 @@ pub fn run(args: &Args) -> Result<(), String> {
             let tasks = mean_job.tasks();
             // The mean pass is tiny; run it inline, then time the cov pass.
             let means = {
-                let engine = Backend::of_ramr_config(&config)
-                    .engine(config.clone())
-                    .map_err(|e| e.to_string())?;
+                let engine =
+                    Backend::RamrStatic.engine(config.clone()).map_err(|e| e.to_string())?;
                 let out = engine.submit(&mean_job, &tasks).map_err(|e| e.to_string())?;
                 Arc::new(mean_job.means(&out.output.pairs))
             };
             let cov_job = PcaCovJob::new(matrix, means);
             let tasks = cov_job.tasks();
-            drive(cov_job, tasks, &config, &choice, app, &mode)
+            drive(cov_job, tasks, &config, &backends, app, &mode)
         }
         AppKind::MatrixMultiply => {
             let (a, b) = match (args.get("input-a"), args.get("input-b")) {
@@ -625,7 +570,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             };
             let job = MatrixMultiply::new(Arc::new(a), Arc::new(b), 16);
             let tasks = job.tasks();
-            drive(job, tasks, &config, &choice, app, &mode)
+            drive(job, tasks, &config, &backends, app, &mode)
         }
     }
 }

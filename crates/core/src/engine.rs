@@ -1,4 +1,4 @@
-//! One front door for the three execution backends.
+//! One front door for the execution backends.
 //!
 //! The CLI, the differential tests and the benches all used to maintain
 //! parallel per-backend call paths (`if ramr { ... } else if phoenix
@@ -51,16 +51,17 @@ use ramr_topology::PlacementPlan;
 use crate::pipeline::{PipelineOutcome, StagePlan};
 use crate::runtime::RunReport;
 use crate::session::RamrSession;
-use crate::tuning::{AdaptationEvent, AdaptiveSeed};
 
-/// The three execution backends the workspace ships.
+/// The execution backends the workspace ships.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// RAMR with the static mapper/combiner split (the paper's §III
-    /// decoupled pools, roles fixed for the whole run).
+    /// RAMR: the paper's §III decoupled mapper and combiner pools, each
+    /// pool balancing load with the other one block or task at a time
+    /// (DESIGN §6l, §6q).
     RamrStatic,
-    /// RAMR with the online adaptive controller re-rolling mapper↔combiner
-    /// roles from live telemetry.
+    /// A second name for [`RamrStatic`](Backend::RamrStatic), kept only
+    /// because the benchmark ledger still submits under it: it opens the
+    /// same session, and its reports carry the name that was requested.
     RamrAdaptive,
     /// The Phoenix++-style baseline: every worker maps and combines
     /// inline, no pipeline decoupling.
@@ -68,8 +69,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Every backend, in the canonical comparison order.
-    pub const ALL: [Backend; 3] = [Backend::RamrStatic, Backend::RamrAdaptive, Backend::Phoenix];
+    /// Every distinct backend, in the canonical comparison order.
+    pub const ALL: [Backend; 2] = [Backend::RamrStatic, Backend::Phoenix];
 
     /// The canonical lowercase name (`ramr-static` / `ramr-adaptive` /
     /// `phoenix`), as accepted by [`FromStr`](std::str::FromStr).
@@ -81,40 +82,15 @@ impl Backend {
         }
     }
 
-    /// The backend a `RuntimeConfig` selects when the caller asked for
-    /// "ramr" without naming a flavor: adaptive when
-    /// [`RuntimeConfig::adaptive`] is set, static otherwise.
-    pub fn of_ramr_config(config: &RuntimeConfig) -> Backend {
-        if config.adaptive {
-            Backend::RamrAdaptive
-        } else {
-            Backend::RamrStatic
-        }
-    }
-
-    /// `config` with [`RuntimeConfig::adaptive`] forced to what this backend
-    /// means, so the backend choice always wins over the flag.
-    fn normalize(self, mut config: RuntimeConfig) -> RuntimeConfig {
-        config.adaptive = self == Backend::RamrAdaptive;
-        config
-    }
-
-    /// Builds the engine for this backend over the normalized `config`
-    /// (`RamrStatic` clears [`RuntimeConfig::adaptive`], `RamrAdaptive` sets
-    /// it, `Phoenix` ignores it). The engine holds no threads: every
-    /// [`submit`](Engine::submit) opens a [`Backend::session`], runs one job
-    /// on it and drops it.
+    /// Builds the engine for this backend over `config`. The engine holds
+    /// no threads: every [`submit`](Engine::submit) opens a
+    /// [`Backend::session`], runs one job on it and drops it.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] when the normalized
-    /// configuration fails validation — here, at construction, before any
-    /// submit. That includes `RamrAdaptive` with telemetry explicitly
-    /// disabled, which is rejected ("adaptive mode requires telemetry")
-    /// exactly as [`Backend::session`] rejects it, never silently
-    /// overridden.
-    pub fn engine(self, mut config: RuntimeConfig) -> Result<AnyEngine, RuntimeError> {
-        config = self.normalize(config);
+    /// Returns [`RuntimeError::InvalidConfig`] when `config` fails
+    /// validation — here, at construction, before any submit.
+    pub fn engine(self, config: RuntimeConfig) -> Result<AnyEngine, RuntimeError> {
         config.validate()?;
         Ok(AnyEngine { backend: self, config })
     }
@@ -124,14 +100,13 @@ impl Backend {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidConfig`] as for [`Backend::engine`]; the RAMR
-    /// backends additionally propagate placement failures and return
+    /// [`RuntimeError::InvalidConfig`] as for [`Backend::engine`]; RAMR
+    /// additionally propagates placement failures and returns
     /// [`RuntimeError::Spawn`] when a pool thread cannot be spawned.
     pub fn session<J: MapReduceJob + 'static>(
         self,
-        mut config: RuntimeConfig,
+        config: RuntimeConfig,
     ) -> Result<EngineSession<J>, RuntimeError> {
-        config = self.normalize(config);
         Ok(match self {
             Backend::RamrStatic | Backend::RamrAdaptive => EngineSession::Pooled {
                 backend: self,
@@ -170,27 +145,25 @@ impl std::str::FromStr for Backend {
 pub struct EngineReport {
     /// The backend that produced this report.
     pub backend: Backend,
-    /// Per-thread telemetry: mappers then combiners for the RAMR backends
-    /// (flex threads that combined, and static combiners that mapped in
-    /// place, appear in both halves, as in [`RunReport`]), workers for
-    /// Phoenix.
+    /// Per-thread telemetry: mappers then combiners for RAMR (combiners
+    /// that mapped in place appear in both halves, as in [`RunReport`]),
+    /// workers for Phoenix.
     pub threads: Vec<ThreadTelemetry>,
     /// Total pairs folded into containers, by any route: read from a queue,
-    /// emitted in place by a map task a static combiner ran itself
-    /// ([`RunReport::helped_per_combiner`]), or folded by a static mapper
-    /// that found its combiner behind ([`spilled`](Self::spilled)). Equals
+    /// emitted in place by a map task a combiner ran itself
+    /// ([`RunReport::helped_per_combiner`]), or folded by a mapper that
+    /// found its combiner behind ([`spilled`](Self::spilled)). Equals
     /// the pairs emitted on every schedule; for Phoenix (inline combine) too.
     pub consumed: u64,
-    /// The part of [`consumed`](Self::consumed) static mappers folded
-    /// themselves ([`RunReport::spilled_per_mapper`]); zero for the adaptive
-    /// runtime and Phoenix.
+    /// The part of [`consumed`](Self::consumed) mappers folded themselves
+    /// ([`RunReport::spilled_per_mapper`]); zero for Phoenix.
     pub spilled: u64,
     /// The throughput-derived mapper:combiner ratio suggestion
     /// ([`RunReport::suggested_ratio`]); `None` for Phoenix, whose workers
     /// have no role split to tune.
     pub suggested_ratio: Option<usize>,
-    /// The adaptive controller's decision trace; empty for static RAMR and
-    /// Phoenix.
+    /// Always empty: no run moves threads between the pools. Kept only for
+    /// the benchmark ledger, which still reads it.
     pub adaptation: Vec<AdaptationEvent>,
     /// Fault-tolerance accounting for the run.
     pub faults: FaultMetrics,
@@ -213,7 +186,7 @@ impl EngineReport {
             consumed,
             spilled,
             suggested_ratio,
-            adaptation: report.adaptation,
+            adaptation: Vec::new(),
             faults: report.faults,
             plan: Some(report.plan),
         }
@@ -231,6 +204,23 @@ impl EngineReport {
             faults: report.faults,
             plan: None,
         }
+    }
+}
+
+/// The element type of [`EngineReport::adaptation`], shrunk to what the
+/// benchmark ledger reads. No run records one; kept only for that reader.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdaptationEvent {
+    /// Threads mapping after the event.
+    pub active_mappers: usize,
+    /// Threads combining after the event.
+    pub active_combiners: usize,
+}
+
+impl AdaptationEvent {
+    /// Whether the event moved a thread between the pools: never.
+    pub fn acted(&self) -> bool {
+        false
     }
 }
 
@@ -272,7 +262,7 @@ where
     }
 }
 
-/// The unified execution interface over the three backends.
+/// The unified execution interface over the backends.
 ///
 /// Generic over the job at the *method* level (like the runtimes
 /// themselves), so one engine value can run heterogeneous jobs; the trait
@@ -282,7 +272,7 @@ pub trait Engine {
     /// Which backend this engine executes on.
     fn backend(&self) -> Backend;
 
-    /// The engine's (normalized) configuration.
+    /// The engine's configuration.
     fn config(&self) -> &RuntimeConfig;
 
     /// Executes `job` over `input`, returning the key-sorted reduced
@@ -305,8 +295,7 @@ pub trait Engine {
 
     /// Executes a multi-stage [`StagePlan`] built with
     /// [`Pipeline`](crate::pipeline::Pipeline), handing each stage's output
-    /// to the next splitter as owned in-memory pairs and carrying the
-    /// adaptive controller's converged split forward between stages.
+    /// to the next splitter as owned in-memory pairs.
     ///
     /// # Errors
     ///
@@ -330,7 +319,7 @@ pub trait Engine {
 /// hand-rolled per-backend arms.
 pub struct AnyEngine {
     backend: Backend,
-    /// Normalized and validated by [`Backend::engine`].
+    /// Validated by [`Backend::engine`].
     config: RuntimeConfig,
 }
 
@@ -358,9 +347,9 @@ impl Engine for AnyEngine {
     }
 }
 
-/// A pooled submission channel for any backend: the RAMR backends submit
-/// through a persistent [`RamrSession`] (threads and queues reused across
-/// jobs), while Phoenix — whose scoped-thread design has no job-independent
+/// A pooled submission channel for any backend: RAMR submits through a
+/// persistent [`RamrSession`] (threads and queues reused across jobs),
+/// while Phoenix — whose scoped-thread design has no job-independent
 /// state to pool — runs each submit fresh. Either way the caller sees one
 /// `submit` interface, which is what lets the differential tests compare
 /// pooled against fresh execution uniformly across backends.
@@ -400,7 +389,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         }
     }
 
-    /// The session's (normalized) configuration.
+    /// The session's configuration.
     pub fn config(&self) -> &RuntimeConfig {
         match self {
             EngineSession::Pooled { session, .. } => session.config(),
@@ -429,18 +418,6 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
                 let (output, report) = rt.run_with_report(job, input)?;
                 Ok(EngineOutcome { output, report: EngineReport::from_phoenix(report) })
             }
-        }
-    }
-
-    /// Seeds the *next* submit's adaptive controller with a previously
-    /// observed split (see [`RamrSession::set_adaptive_seed`]). One-shot:
-    /// consumed by the next submit, so per-job isolation still holds
-    /// afterwards. A no-op on non-adaptive and Phoenix sessions, whose
-    /// runs have no controller to seed.
-    pub fn set_adaptive_seed(&mut self, seed: AdaptiveSeed) {
-        match self {
-            EngineSession::Pooled { session, .. } => session.set_adaptive_seed(seed),
-            EngineSession::Fresh(_) => {}
         }
     }
 }

@@ -88,7 +88,8 @@ mod session;
 pub mod tuning;
 
 pub use engine::{
-    AnyEngine, Backend, Engine, EngineOutcome, EngineOutput, EngineReport, EngineSession,
+    AdaptationEvent, AnyEngine, Backend, Engine, EngineOutcome, EngineOutput, EngineReport,
+    EngineSession,
 };
 pub use pipeline::{
     Iterate, PairSplit, Pipeline, PipelineExec, PipelineOutcome, PipelineReport, Stage, StagePlan,
@@ -99,7 +100,6 @@ pub use sched::{
     CompletedJob, JobClient, JobScheduler, JobTicket, SchedError, ShedReason, TenantStats,
 };
 pub use session::RamrSession;
-pub use tuning::{AdaptationEvent, AdaptiveBounds, AdaptiveSeed, Decision, PoolObservation};
 
 // Re-export the configuration surface so downstream users need only this
 // crate for the common path.

@@ -7,10 +7,7 @@
 //! pairs** — no rendering to text, no re-parsing, no pool reallocation —
 //! and execution runs over the pooled [`EngineSession`] epoch protocol, so
 //! within a stage (every round of an iterate loop) the worker pools stay
-//! warm. Between stages the adaptive controller's converged
-//! mapper/combiner split and batch window are carried forward as an
-//! [`AdaptiveSeed`], so stage N+1's tuner starts from stage N's final
-//! operating point instead of re-learning it from the config defaults.
+//! warm.
 //!
 //! Entry point: [`Engine::pipeline`](crate::Engine::pipeline).
 //!
@@ -76,7 +73,6 @@ use std::time::{Duration, Instant};
 use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError};
 
 use crate::engine::{Backend, EngineReport, EngineSession};
-use crate::tuning::AdaptiveSeed;
 
 /// Builder entry points for stage plans. A pipeline is described by value
 /// — `Pipeline::stage(a).then_pairs(b)` — and executed by handing the plan
@@ -173,7 +169,7 @@ pub trait StagePlan {
     type Value;
 
     /// Runs every stage of this plan, threading the executor's stage
-    /// budget, per-stage reports and adaptive seed carry-forward.
+    /// budget and per-stage reports.
     ///
     /// # Errors
     ///
@@ -266,13 +262,11 @@ where
 }
 
 /// Pipeline execution state threaded through a plan's stages: the stage
-/// budget, the per-stage reports and the one-slot adaptive-seed relay that
-/// carries stage N's converged split into stage N+1's tuner.
+/// budget and the per-stage reports.
 #[derive(Debug)]
 pub struct PipelineExec {
     backend: Backend,
     config: RuntimeConfig,
-    seed: Option<AdaptiveSeed>,
     stages_run: usize,
     reports: Vec<StageReport>,
     converged: bool,
@@ -293,9 +287,8 @@ impl PipelineExec {
         Ok(self.stages_run)
     }
 
-    /// Runs one stage on an already-open session: seeds the tuner from the
-    /// previous stage, submits, harvests the new seed from the adaptation
-    /// trace and records the [`StageReport`].
+    /// Runs one stage on an already-open session: submits and records the
+    /// [`StageReport`].
     fn run_on<J: MapReduceJob + 'static>(
         &mut self,
         session: &mut EngineSession<J>,
@@ -304,10 +297,6 @@ impl PipelineExec {
         round: Option<usize>,
     ) -> Result<JobOutput<J::Key, J::Value>, RuntimeError> {
         let stage = self.budget()?;
-        let seeded = self.seed.take();
-        if let Some(seed) = seeded {
-            session.set_adaptive_seed(seed);
-        }
         let started = Instant::now();
         let outcome = session.submit(job, input).map_err(|source| RuntimeError::StageFailed {
             stage,
@@ -315,10 +304,6 @@ impl PipelineExec {
             source: Box::new(source),
         })?;
         let elapsed = started.elapsed();
-        // Carry the freshest converged split forward; when this stage ran
-        // without adapting (static backend, Phoenix, or an already-settled
-        // controller trace), keep relaying the previous stage's seed.
-        self.seed = AdaptiveSeed::from_trace(&self.config, &outcome.report.adaptation).or(seeded);
         self.reports.push(StageReport {
             stage,
             job: job.name().to_string(),
@@ -326,7 +311,6 @@ impl PipelineExec {
             input_items: input.len(),
             output_keys: outcome.output.pairs.len(),
             elapsed,
-            seeded,
             residual: None,
             report: outcome.report,
         });
@@ -403,14 +387,10 @@ pub struct StageReport {
     pub output_keys: usize,
     /// Wall-clock time of this stage's submit.
     pub elapsed: Duration,
-    /// The adaptive seed this stage's tuner started from, when one was
-    /// carried forward from the previous stage.
-    pub seeded: Option<AdaptiveSeed>,
     /// The convergence residual the iterate step reported after this
     /// round; `None` for plain stages.
     pub residual: Option<f64>,
-    /// The stage's full backend-independent report (telemetry, faults,
-    /// adaptation trace).
+    /// The stage's full backend-independent report (telemetry, faults).
     pub report: EngineReport,
 }
 
@@ -460,14 +440,8 @@ pub(crate) fn run<P: StagePlan>(
     input: &[P::Input],
 ) -> Result<PipelineOutcome<P::Key, P::Value>, RuntimeError> {
     let started = Instant::now();
-    let mut exec = PipelineExec {
-        backend,
-        config,
-        seed: None,
-        stages_run: 0,
-        reports: Vec::new(),
-        converged: true,
-    };
+    let mut exec =
+        PipelineExec { backend, config, stages_run: 0, reports: Vec::new(), converged: true };
     let output = plan.run_stages(&mut exec, input)?;
     Ok(PipelineOutcome {
         output,

@@ -1,23 +1,21 @@
 //! The decoupled map/combine runtime (paper §III, Fig 2): what each pool
-//! thread does for one job — the four role loops, the adaptive controller,
-//! the watchdog — and the [`RunReport`] a job leaves behind. The threads
-//! themselves live in `session.rs`, which hosts these loops on its pools.
+//! thread does for one job — the mapper and combiner loops, the watchdog —
+//! and the [`RunReport`] a job leaves behind. The threads themselves live in
+//! `session.rs`, which hosts these loops on its pools.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::tuning::{decide, AdaptationEvent, AdaptiveBounds, PoolObservation};
 use mr_core::{
     Emitter, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError, TaskRange,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer, KeptContainer, PairFeed};
-use ramr_spsc::{BackoffPolicy, Consumer, Producer, BUSY_WAIT_YIELD_EVERY};
+use ramr_spsc::{Consumer, Producer, BUSY_WAIT_YIELD_EVERY};
 use ramr_telemetry::{
     pool_throughput, FaultLog, FaultMetrics, LocalTelemetry, ProgressBoard, TelemetryCell,
-    ThreadRole, ThreadTelemetry,
+    ThreadTelemetry,
 };
 use ramr_topology::{
     current_thread_affinity, pin_current_thread, set_current_thread_affinity, CpuSlot,
@@ -36,11 +34,9 @@ pub(crate) type PairProducer<J> = Producer<HashedPair<J>>;
 /// The read half of one mapper's pipeline queue.
 pub(crate) type PairConsumer<J> = Consumer<HashedPair<J>>;
 
-/// One zero-progress combine round's wait, shared by the static combiner
-/// and every adaptive combining loop. Derived from the configured
-/// producer-side backoff so both ends of each pipeline degrade
-/// symmetrically: spin for `spins` rounds after the last progress (data may
-/// be one block away), then `park` — off the core a co-located mapper may
+/// One zero-progress combine round's wait, derived from the configured
+/// backoff: spin for `spins` rounds after the last progress (data may be
+/// one block away), then `park` — off the core a co-located mapper may
 /// need — until a producer rings, with `sleep` as the ceiling. `BusyWait`
 /// never parks; it yields periodically so a co-scheduled mapper can actually
 /// fill the queue, mirroring the producer-side `BUSY_WAIT_YIELD_EVERY`.
@@ -54,8 +50,8 @@ fn idle_wait(backoff: PushBackoff, idle_rounds: u32, park: impl FnOnce(Duration)
     }
 }
 
-/// How much a queue must hold before it is worth waking a parked combining
-/// thread for: a batch at least, and the high-water mark (half the ring)
+/// How much a queue must hold before it is worth waking a parked combiner
+/// for: a batch at least, and the high-water mark (half the ring)
 /// where that is more — the mirror of the producer's low-water mark. Each
 /// wake-up is a syscall on the *mapper's* critical path, so a combiner that
 /// is mostly idle is woken once per half queue, not once per block; a queue
@@ -75,7 +71,7 @@ pub struct RunReport {
     /// The placement plan the run used.
     pub plan: PlacementPlan,
     /// Pairs emitted by each row of [`mapper_telemetry`]: the mapper pool,
-    /// then one entry per static combiner that ran map tasks in place (see
+    /// then one entry per combiner that ran map tasks in place (see
     /// [`helped_per_combiner`]). Counted at emission time, so buffered pairs
     /// awaiting a flush are included; conservation
     /// (`emitted == consumed + helped + spilled`) holds once the run returns
@@ -85,43 +81,40 @@ pub struct RunReport {
     /// [`mapper_telemetry`]: RunReport::mapper_telemetry
     /// [`helped_per_combiner`]: RunReport::helped_per_combiner
     pub emitted_per_mapper: Vec<u64>,
-    /// Queue-full events per row of `mapper_telemetry`. For a static mapper,
-    /// emit-buffer flushes that found the combiner behind — a full batch
-    /// unread and the combiner not parked — or the queue without room, and
-    /// so folded pairs into the mapper's own container
-    /// ([`spilled_per_mapper`]) instead of queueing them; each counts once.
-    /// For an adaptive mapper, every zero-progress attempt while it waits for
-    /// room. With an emit buffer of 1 a flush is one pair, so absolute values
-    /// are not comparable across different `emit_buffer_size` settings —
-    /// compare [`RunReport::back_pressure`] trends instead.
+    /// Queue-full events per row of `mapper_telemetry`: emit-buffer flushes
+    /// that found the combiner behind — a full batch unread and the combiner
+    /// not parked — or the queue without room, and so folded pairs into the
+    /// mapper's own container ([`spilled_per_mapper`]) instead of queueing
+    /// them; each counts once. With an emit buffer of 1 a flush is one pair,
+    /// so absolute values are not comparable across different
+    /// `emit_buffer_size` settings — compare [`RunReport::back_pressure`]
+    /// trends instead.
     ///
     /// [`spilled_per_mapper`]: RunReport::spilled_per_mapper
     pub full_events_per_mapper: Vec<u64>,
-    /// Pairs each static mapper folded *itself*: the blocks it did not hand
-    /// to a combiner that was behind (lag-routed hand-off), and the part of
-    /// a block the queue had no room for, combined into the mapper's own
+    /// Pairs each mapper folded *itself*: the blocks it did not hand to a
+    /// combiner that was behind (lag-routed hand-off), and the part of a
+    /// block the queue had no room for, combined into the mapper's own
     /// container instead of queued or waited out — they never crossed a
     /// queue. One entry per mapper of the pool, zero for one whose combiner
-    /// always kept up; empty under the adaptive runtime, whose mappers wait.
+    /// always kept up.
     pub spilled_per_mapper: Vec<u64>,
     /// Pairs each combiner consumed *from its queues*. Exact even when a
     /// combine function panics mid-batch: the count advances with the
     /// queue's head cursor, element by element, inside each batched read.
     pub consumed_per_combiner: Vec<u64>,
-    /// Pairs each static combiner folded *in place*, from map tasks it
-    /// claimed while it had no full batch to read — they never crossed a
-    /// queue. One entry per combiner, zero for one that never helped; empty
-    /// under the adaptive runtime, whose threads change role instead.
+    /// Pairs each combiner folded *in place*, from map tasks it claimed
+    /// while it had no full batch to read — they never crossed a queue. One
+    /// entry per combiner, zero for one that never helped.
     pub helped_per_combiner: Vec<u64>,
     /// Per-mapper wall-clock telemetry: useful map time (`busy`, which
     /// includes folding spilled pairs; that part is also `spill`), time
-    /// publishing blocks to the queue (`stalled` — only an adaptive mapper
-    /// ever waits there for room), the occupancy of the blocks published,
-    /// and the thread's own wall-clock. Timing fields are zero when
-    /// `RuntimeConfig::telemetry` is off; the counters (`items`,
-    /// `stall_events`) are always exact.
+    /// publishing blocks to the queue (`stalled` — a publish never waits for
+    /// room), the occupancy of the blocks published, and the thread's own
+    /// wall-clock. Timing fields are zero when `RuntimeConfig::telemetry` is
+    /// off; the counters (`items`, `stall_events`) are always exact.
     ///
-    /// A static combiner that ran map tasks in place appends one more row,
+    /// A combiner that ran map tasks in place appends one more row,
     /// `index = num_workers + c`: `items` are the pairs it emitted in place,
     /// `busy` the time inside those tasks (net of the queue reads it
     /// interleaved), `wall` the combiner thread's own — so for that thread
@@ -137,18 +130,7 @@ pub struct RunReport {
     /// [`mapper_telemetry`](RunReport::mapper_telemetry) row, so the pool
     /// throughputs and [`suggested_ratio`](RunReport::suggested_ratio) keep
     /// describing the pipeline.
-    ///
-    /// Under the adaptive runtime this lists the dedicated combiners
-    /// followed by every flex thread the controller promoted into combine
-    /// help (indexed after the dedicated pool); pair conservation
-    /// (`emitted == consumed`, nothing is helped there) holds across the
-    /// combined list.
     pub combiner_telemetry: Vec<ThreadTelemetry>,
-    /// The adaptation trace: one [`AdaptationEvent`] per controller tick
-    /// (holds included) when the run executed with
-    /// [`RuntimeConfig::adaptive`]; empty on static runs. Filter with
-    /// [`AdaptationEvent::acted`] for the ticks that moved an actuator.
-    pub adaptation: Vec<AdaptationEvent>,
     /// Fault-tolerance accounting: task retries performed and poison tasks
     /// skipped under [`RuntimeConfig::max_task_retries`] /
     /// [`RuntimeConfig::skip_poison_tasks`]. All-zero (see
@@ -213,7 +195,7 @@ impl RunReport {
     /// Queue-full events ([`full_events_per_mapper`]) per emitted pair —
     /// the back-pressure indicator. Zero means every block went to a
     /// combiner that had caught up; rising values mean combiners cannot
-    /// keep up (raise the combiner pool or the emit buffer). Static mappers
+    /// keep up (raise the combiner pool or the emit buffer). Mappers
     /// absorb it by folding the blocks themselves
     /// ([`spilled_per_mapper`](RunReport::spilled_per_mapper)), which moves
     /// combine work onto the map side rather than removing it.
@@ -230,15 +212,6 @@ impl RunReport {
     }
 }
 
-pub(crate) fn to_backoff(backoff: PushBackoff) -> BackoffPolicy {
-    match backoff {
-        PushBackoff::BusyWait => BackoffPolicy::BusyWait,
-        PushBackoff::SpinThenSleep { spins, sleep } => {
-            BackoffPolicy::SpinThenSleep { spins, sleep }
-        }
-    }
-}
-
 pub(crate) fn maybe_pin(enabled: bool, slot: CpuSlot) {
     if enabled {
         if let CpuSlot::Pinned(cpu) = slot {
@@ -250,7 +223,7 @@ pub(crate) fn maybe_pin(enabled: bool, slot: CpuSlot) {
 }
 
 /// [`maybe_pin`] for a thread that is a pool member only for a while: the
-/// thread that submits to a static session runs its mapper 0, pinned to that
+/// thread that submits to a session runs its mapper 0, pinned to that
 /// mapper's slot for the map-combine phase, and gets its own mask back when
 /// this guard drops — on unwind too. A pin whose mask could not be saved is
 /// not taken.
@@ -278,20 +251,19 @@ impl Drop for CallerPin {
 
 // ---------------------------------------------------------------------------
 // Fault tolerance: per-task retries, poison skipping and the pipeline
-// watchdog, shared by the static and adaptive paths.
+// watchdog.
 // ---------------------------------------------------------------------------
 
 /// How often the watchdog wakes to sample the progress board. Sleeping in
-/// slices (like the controller) keeps teardown prompt: the watchdog notices
-/// the run's `done` signal within one slice.
+/// slices keeps teardown prompt: the watchdog notices the run's `done`
+/// signal within one slice.
 const WATCHDOG_SLICE: Duration = Duration::from_millis(5);
 
 /// Per-run fault-tolerance context shared by every worker thread: the
 /// retry/skip policy, the shared fault log, the cooperative cancel flag the
 /// watchdog trips, and (when a watchdog is armed) the progress board. All
 /// fields are inert at the default configuration, so the hot paths run
-/// unchanged — no staging, no extra atomics; the blocking push reads the
-/// cancel flag only while its queue is full.
+/// unchanged — no staging, no extra atomics.
 pub(crate) struct FaultCtx<'a> {
     /// Panicked-task re-executions allowed per task.
     retries: u32,
@@ -378,9 +350,9 @@ pub(crate) fn thread_labels(num_workers: usize, num_combiners: usize) -> Vec<Str
 ///
 /// Cancellation is *cooperative* — safe Rust cannot kill a thread — so a
 /// wedged run only unwinds if its blocking points poll the flag. The
-/// runtime's own waits all do (SPSC publishes, task claiming, combine
-/// rounds, the controller); user map code can via
-/// [`Emitter::is_cancelled`], which every task's emitter is wired to.
+/// runtime's own waits all do (task claiming, combine rounds); user map code
+/// can via [`Emitter::is_cancelled`], which every task's emitter is wired
+/// to.
 pub(crate) fn watchdog_loop(
     period: Duration,
     board: &ProgressBoard,
@@ -428,8 +400,7 @@ pub(crate) fn watchdog_loop(
 
 /// Runs one claimed map task, handing every emission to `sink`, and returns
 /// the pairs it emitted — the one map-task body behind every thread that
-/// maps (static mapper, flex thread, helping combiner), so all of them fail
-/// alike.
+/// maps (mapper, helping combiner), so all of them fail alike.
 ///
 /// Under [`FaultCtx::staged`] the emissions are staged per task and reach
 /// `sink` only after the map call succeeds, so a panicked (and retried)
@@ -465,7 +436,7 @@ fn run_task<J: MapReduceJob>(
     }
 }
 
-/// Where a static mapper's emit blocks go: its queue when its combiner has
+/// Where a mapper's emit blocks go: its queue when its combiner has
 /// caught up, and otherwise — or for whatever the queue has no room for —
 /// the mapper's own combine container, folded on the spot instead of queued
 /// behind a combiner that is still busy (DESIGN §6p, §6q). The container is
@@ -740,7 +711,7 @@ fn fold_batch<J: MapReduceJob>(
     (counted.get(), error)
 }
 
-/// What a static combiner folds into, by either route — batched reads of
+/// What a combiner folds into, by either route — batched reads of
 /// its queues ([`read`](Self::read)) and the pairs of a map task it runs in
 /// place ([`insert`](Self::insert)) — with the queue side's accounting.
 struct Fold<'a, 'j, J: MapReduceJob> {
@@ -971,157 +942,10 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
     Ok(pairs)
 }
 
-// ---------------------------------------------------------------------------
-// Adaptive execution: flex threads, a shared consumer registry and an online
-// controller acting on live telemetry (the OS4M-style mid-run rebalancing).
-// ---------------------------------------------------------------------------
-
-/// Combine rounds a combining thread performs between live telemetry
-/// publishes. Small enough that the controller's sampling windows are never
-/// starved of fresh totals, large enough that publishing (a handful of
-/// relaxed stores) stays invisible next to the batched reads themselves.
-const LIVE_PUBLISH_ROUNDS: u32 = 8;
-
-/// Longest single nap of the controller thread. The controller sleeps its
-/// interval in slices, re-checking the registry's retired count and the
-/// cancel flag, so a cancelled run never waits out a full `adapt_interval`.
-/// (The end of a healthy run does not wait for a slice to elapse: the nap
-/// itself ends when the last worker is done.)
-const CONTROLLER_SLICE: Duration = Duration::from_micros(500);
-
-/// The shared pool of pipeline read-ends under the adaptive runtime.
-///
-/// The static path assigns each consumer to one combiner for the whole run;
-/// here the assignment must survive threads switching roles, so a combining
-/// thread *checks out* a consumer, performs one batched read and checks it
-/// back in. A consumer observed closed and drained is retired instead, and
-/// `live` reaching zero is the global end-of-stream signal (replacing the
-/// static path's per-combiner closed-queue detection).
-///
-/// With no fixed owner a read-end's own doorbell has nobody to wake, so idle
-/// combining threads wait on one job-wide bell instead ([`wait_idle`]),
-/// rung ([`ring`]) by everything that can give one of them work: a block
-/// published, a queue closed, a ready read-end checked back in, a
-/// retirement, a role change.
-///
-/// [`wait_idle`]: QueueRegistry::wait_idle
-/// [`ring`]: QueueRegistry::ring
-pub(crate) struct QueueRegistry<J: MapReduceJob> {
-    pool: Mutex<VecDeque<PairConsumer<J>>>,
-    /// Read-ends observed closed and drained: out of circulation for this
-    /// run, but *kept* — a persistent session reclaims and re-arms them for
-    /// the next job instead of reallocating the queues.
-    retired: Mutex<Vec<PairConsumer<J>>>,
-    /// Pipelines not yet retired. Starts at `num_workers`, strictly
-    /// decreasing; zero means every pair ever emitted has been consumed.
-    live: AtomicUsize,
-    /// Threads inside [`wait_idle`](Self::wait_idle); ringers skip the lock
-    /// and the notify while it is zero.
-    idle_waiters: AtomicUsize,
-    /// The bell itself, waited on under the `pool` lock.
-    idle: Condvar,
-}
-
-impl<J: MapReduceJob> QueueRegistry<J> {
-    pub(crate) fn new(consumers: Vec<PairConsumer<J>>) -> Self {
-        let live = AtomicUsize::new(consumers.len());
-        Self {
-            pool: Mutex::new(consumers.into_iter().collect()),
-            retired: Mutex::new(Vec::new()),
-            live,
-            idle_waiters: AtomicUsize::new(0),
-            idle: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<PairConsumer<J>>> {
-        // The lock guards only VecDeque operations — no user code runs under
-        // it — so a poisoned mutex still holds a structurally valid pool.
-        self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn checkout(&self) -> Option<PairConsumer<J>> {
-        self.lock().pop_front()
-    }
-
-    /// Returns `rx` to the pool, ringing when it already holds `wake` pairs
-    /// (see [`wake_at`]) or is closed. Readiness is judged under the pool
-    /// lock: a block that lands after the judgement is rung by its producer,
-    /// and that ring takes the same lock, so no waiter can scan the pool in
-    /// between.
-    fn checkin(&self, rx: PairConsumer<J>, wake: usize) {
-        let mut pool = self.lock();
-        let ready = rx.len() >= wake || rx.is_closed();
-        pool.push_back(rx);
-        drop(pool);
-        if ready {
-            self.ring();
-        }
-    }
-
-    fn retire(&self, rx: PairConsumer<J>) {
-        self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(rx);
-        self.live.fetch_sub(1, Ordering::AcqRel);
-        self.ring();
-    }
-
-    /// Wakes every idle combining thread. Call *after* the store that gave
-    /// them something to do; one fence and one load when nobody waits.
-    ///
-    /// ORDERING: the same store→load hand-shake as the SPSC doorbells — the
-    /// fence here pairs with the one in [`wait_idle`](Self::wait_idle), so
-    /// either this load sees the waiter or the waiter's re-check sees the
-    /// caller's store. Passing through the pool lock before notifying
-    /// closes the gap between a waiter's re-check and its wait.
-    pub(crate) fn ring(&self) {
-        fence(Ordering::SeqCst);
-        if self.idle_waiters.load(Ordering::Relaxed) > 0 {
-            drop(self.lock());
-            self.idle.notify_all();
-        }
-    }
-
-    /// One idle combining thread's wait: until a pooled read-end holds
-    /// `wake` pairs or is closed, every pipeline is retired, `stop` turns
-    /// true (rung by whoever changed its inputs), or `ceiling` elapses —
-    /// the cancel-poll interval. Read-ends checked out by other threads are
-    /// invisible here; their check-in rings.
-    fn wait_idle(&self, wake: usize, ceiling: Duration, stop: impl Fn() -> bool) {
-        self.idle_waiters.fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let pool = self.lock();
-        let work =
-            self.all_done() || stop() || pool.iter().any(|rx| rx.len() >= wake || rx.is_closed());
-        if !work {
-            drop(self.idle.wait_timeout(pool, ceiling));
-        }
-        self.idle_waiters.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn all_done(&self) -> bool {
-        self.live.load(Ordering::Acquire) == 0
-    }
-
-    /// Empties the registry, returning every consumer it ever held — pooled
-    /// and retired alike. Only meaningful once the run is over (all
-    /// combining threads quiescent); the session uses this to carry the
-    /// read-ends into the next job.
-    pub(crate) fn take_consumers(&self) -> Vec<PairConsumer<J>> {
-        let mut all: Vec<PairConsumer<J>> = self.lock().drain(..).collect();
-        all.append(&mut self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-        all
-    }
-}
-
-/// First-error containment shared by every combining thread.
-///
-/// The static path keeps one error slot per combiner; with role mobility the
-/// slot must be global: after any thread records an error, *all* subsequent
-/// rounds drain the pipelines in discard mode so blocked mappers still
-/// terminate — the same invariant [`combiner_loop`] maintains per thread.
+/// A job's first error, shared by every thread of the epoch: the error that
+/// fails the job, with the ones recorded behind it counted.
 #[derive(Default)]
 pub(crate) struct ErrorSlot {
-    tripped: AtomicBool,
     slot: Mutex<Option<RuntimeError>>,
     /// Worker errors recorded after the slot was occupied. Kept as a count
     /// so first-error containment no longer *silently* discards them — the
@@ -1137,11 +961,6 @@ impl ErrorSlot {
         } else {
             *slot = Some(err);
         }
-        self.tripped.store(true, Ordering::Release);
-    }
-
-    fn tripped(&self) -> bool {
-        self.tripped.load(Ordering::Acquire)
     }
 
     pub(crate) fn take(&self) -> Option<RuntimeError> {
@@ -1154,545 +973,6 @@ impl ErrorSlot {
     }
 }
 
-/// The controller's write surface: one role flag per flex thread plus the
-/// shared batched-read size. All accesses are relaxed — a worker acting on a
-/// stale role or batch size for a few rounds is still correct, just briefly
-/// suboptimal, and the controller is the only writer.
-pub(crate) struct AdaptiveCtl {
-    /// `combining[m]` re-rolls flex thread `m` from mapping to combine help;
-    /// clearing it sends the thread back to the task queues.
-    combining: Vec<AtomicBool>,
-    /// Current batched-read size (elements per combine round).
-    batch: AtomicUsize,
-}
-
-impl AdaptiveCtl {
-    pub(crate) fn new(num_flex: usize, batch: usize) -> Self {
-        Self::seeded(num_flex, batch, 0)
-    }
-
-    /// A control surface whose starting split already has `extra` flex
-    /// threads combining — the pipeline's ratio carry-forward. The seeded
-    /// helpers form a *suffix* of the flex pool, exactly the shape the
-    /// controller's promote-highest / demote-lowest policy maintains, so a
-    /// seeded epoch is indistinguishable from one the controller steered to
-    /// the same split.
-    pub(crate) fn seeded(num_flex: usize, batch: usize, extra: usize) -> Self {
-        let extra = extra.min(num_flex.saturating_sub(1));
-        Self {
-            combining: (0..num_flex).map(|m| AtomicBool::new(m >= num_flex - extra)).collect(),
-            batch: AtomicUsize::new(batch),
-        }
-    }
-}
-
-/// Outcome of one adaptive combine round (one consumer checkout).
-enum Round {
-    /// Consumed a batch of pairs.
-    Progress,
-    /// No consumer available, or no full batch ready: back off.
-    Idle,
-    /// Every pipeline is retired — combining is over.
-    Done,
-}
-
-/// One thread's combining half under the adaptive runtime — a dedicated
-/// combiner's whole life, a flex thread's combine help: the container it
-/// fills, its combine-pool telemetry and its idle/backoff state.
-///
-/// Telemetry is published both live (every [`LIVE_PUBLISH_ROUNDS`] rounds,
-/// with `wall` refreshed so the controller's windows see current totals) and
-/// once at [`finish`](Self::finish), like the static path.
-struct Combining<'a, 'j, J: MapReduceJob> {
-    job: &'j J,
-    config: &'a RuntimeConfig,
-    registry: &'a QueueRegistry<J>,
-    ctl: &'a AdaptiveCtl,
-    errors: &'a ErrorSlot,
-    ctx: &'a FaultCtx<'a>,
-    /// This thread's progress-board slot.
-    slot: usize,
-    cell: &'a TelemetryCell,
-    wall_start: Instant,
-    /// Built lazily: a flex thread that is never promoted and finds the
-    /// pipelines already drained never allocates one.
-    container: Option<HashedJobContainer<'j, J>>,
-    local: LocalTelemetry,
-    idle_rounds: u32,
-    rounds_since_publish: u32,
-}
-
-impl<'a, 'j, J: MapReduceJob> Combining<'a, 'j, J> {
-    #[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-    fn new(
-        job: &'j J,
-        config: &'a RuntimeConfig,
-        registry: &'a QueueRegistry<J>,
-        ctl: &'a AdaptiveCtl,
-        errors: &'a ErrorSlot,
-        ctx: &'a FaultCtx<'a>,
-        slot: usize,
-        cell: &'a TelemetryCell,
-        wall_start: Instant,
-    ) -> Self {
-        Self {
-            job,
-            config,
-            registry,
-            ctl,
-            errors,
-            ctx,
-            slot,
-            cell,
-            wall_start,
-            container: None,
-            local: LocalTelemetry::default(),
-            idle_rounds: 0,
-            rounds_since_publish: 0,
-        }
-    }
-
-    /// One combine round: check a consumer out of the registry, perform one
-    /// batched read into this thread's container, check the consumer back in
-    /// (or retire it when closed and drained).
-    ///
-    /// Mirrors [`combiner_loop`]'s per-batch semantics exactly — close flag
-    /// read *before* consuming, full batches preferred while the producer
-    /// runs, per-batch `catch_unwind` with the consumed count kept exact on
-    /// unwind, discard mode after a recorded error — but holds each consumer
-    /// for a single batch only, so the set of combining threads can change
-    /// between rounds. The batch size is re-read from [`AdaptiveCtl`] every
-    /// round, which is how the controller's batch decisions take effect.
-    fn round(&mut self) -> Round {
-        let (registry, errors) = (self.registry, self.errors);
-        if registry.all_done() {
-            return Round::Done;
-        }
-        let Some(mut rx) = registry.checkout() else {
-            // Every consumer is momentarily held by other combining threads
-            // — or the last one was just retired; disambiguate so callers
-            // exit.
-            return if registry.all_done() { Round::Done } else { Round::Idle };
-        };
-        let batch = self.ctl.batch.load(Ordering::Relaxed).max(1);
-        let wake = wake_at(batch, self.config);
-        let closed = rx.is_closed();
-        let consumed = if errors.tripped() {
-            // Error mode: keep the pipeline moving, discarding data.
-            pop_round(&mut rx, closed, batch, |_| {})
-        } else {
-            if self.container.is_none() {
-                let config = self.config;
-                match HashedJobContainer::for_job(self.job, config.container, config.fixed_capacity)
-                {
-                    Ok(c) => self.container = Some(c),
-                    Err(e) => {
-                        errors.record(e);
-                        registry.checkin(rx, wake);
-                        return Round::Idle;
-                    }
-                }
-            }
-            let container = self.container.as_mut().expect("container built above");
-            let (consumed, error) = fold_batch(container, &mut rx, closed, batch);
-            if let Some(e) = error {
-                errors.record(e);
-            }
-            consumed
-        };
-        if closed && rx.is_empty() {
-            // Close observed before the final drain: this pipeline can never
-            // produce again *this run*. Park the consumer on the retired
-            // list and count it out of circulation.
-            registry.retire(rx);
-        } else {
-            registry.checkin(rx, wake);
-        }
-        if consumed == 0 {
-            return Round::Idle;
-        }
-        self.local.items += consumed as u64;
-        self.local.batches += 1;
-        self.local.occupancy.record(consumed, batch);
-        Round::Progress
-    }
-
-    /// One round with its accounting: busy time and watchdog progress when
-    /// it consumed; a stall event and the idle wait when it did not — cut
-    /// short when `stop` turns true, for a thread with something other than
-    /// combining to go back to. Returns `false` once every pipeline is
-    /// retired.
-    fn step(&mut self, stop: impl Fn() -> bool) -> bool {
-        let round_start = Instant::now();
-        match self.round() {
-            Round::Done => return false,
-            Round::Progress => {
-                self.idle_rounds = 0;
-                self.local.busy += round_start.elapsed();
-                self.ctx.progress(self.slot);
-            }
-            Round::Idle => {
-                self.local.stall_events += 1;
-                self.idle_rounds = self.idle_rounds.saturating_add(1);
-                let wake = wake_at(self.ctl.batch.load(Ordering::Relaxed).max(1), self.config);
-                idle_wait(self.config.push_backoff, self.idle_rounds, |ceiling| {
-                    self.registry.wait_idle(wake, ceiling, stop)
-                });
-                self.local.stalled += round_start.elapsed();
-            }
-        }
-        self.rounds_since_publish += 1;
-        if self.rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
-            self.rounds_since_publish = 0;
-            self.publish();
-        }
-        true
-    }
-
-    fn publish(&mut self) {
-        self.local.wall = self.wall_start.elapsed();
-        self.cell.publish(&self.local);
-    }
-
-    /// Final publish; drains the container into the pair list handed to
-    /// reduce.
-    fn finish(mut self) -> phases::HashedPairs<J> {
-        self.publish();
-        self.container.map(HashedJobContainer::into_pairs).unwrap_or_default()
-    }
-}
-
-/// A dedicated combiner under the adaptive runtime: combine rounds until
-/// every pipeline is retired. Role-fixed — the controller only re-rolls flex
-/// threads — and error-contained through the shared [`ErrorSlot`], so this
-/// loop itself is infallible.
-#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-pub(crate) fn adaptive_combiner_loop<J: MapReduceJob>(
-    job: &J,
-    config: &RuntimeConfig,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
-    errors: &ErrorSlot,
-    cell: &TelemetryCell,
-    ctx: &FaultCtx<'_>,
-    slot: usize,
-) -> phases::HashedPairs<J> {
-    let _live = LiveGuard::enter(ctx.board);
-    let mut combining =
-        Combining::new(job, config, registry, ctl, errors, ctx, slot, cell, Instant::now());
-    while !ctx.cancelled() && combining.step(|| false) {}
-    combining.finish()
-}
-
-/// Publishes `buffer` (possibly partial) as one block and records the flush.
-/// Shared by the flex thread's role-switch flush and its end-of-map drain;
-/// an empty buffer is a no-op so repeated role checks stay free.
-///
-/// `published` is told how much the queue holds after every block that goes
-/// through, partial ones included, before this thread can park on a full
-/// queue; it rings the job-wide bell once that is worth a wake-up.
-#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-fn flush_block<K: Send, V: Send>(
-    tx: &mut Producer<(K, V)>,
-    buffer: &mut Vec<(K, V)>,
-    backoff: &BackoffPolicy,
-    emit_block: usize,
-    full_events: &mut u64,
-    local: &mut LocalTelemetry,
-    cancel: &AtomicBool,
-    published: impl FnMut(usize),
-) {
-    if buffer.is_empty() {
-        return;
-    }
-    let occupied = buffer.len();
-    let flush_start = Instant::now();
-    *full_events += tx.push_batch_with_backoff_notifying(buffer, backoff, cancel, published);
-    local.stalled += flush_start.elapsed();
-    local.batches += 1;
-    local.occupancy.record(occupied, emit_block);
-}
-
-/// One flex thread: starts as a mapper over the locality-grouped task
-/// queues; whenever the controller sets its role flag it helps combine
-/// instead, and whenever the flag clears it goes back to mapping. Once task
-/// hand-out ends it drain-flushes its emit buffer, closes its pipeline and
-/// joins the combine pool until every pipeline is retired — the decoupled
-/// pools of Fig 2, with a controller-movable boundary between them.
-///
-/// Phase structure, which is what makes role mobility deadlock-free:
-///
-/// - **Phase A** (own queue open): map a task, or perform combine rounds
-///   while re-rolled. The emission queue must stay open because the thread
-///   may map again at any time; end-of-stream therefore cannot be reached
-///   while any thread is in phase A, and a re-rolled thread leaves the
-///   phase only when the task queues are exhausted (at least one flex
-///   thread always keeps mapping — [`AdaptiveBounds`] guarantees it — so
-///   exhaustion always arrives).
-/// - **Phase B** (own queue closed): help drain every remaining pipeline.
-///   Threads the controller never re-rolled help here too; this is the
-///   static path's "drain remainders" tail parallelised over all threads.
-///
-/// Two telemetry cells keep the pools separable: map work publishes into
-/// `map_cell` — after every task *and* every block flush, so back-pressure
-/// stalls reach the controller promptly — and combine help into
-/// `combine_cell`. A re-rolled thread therefore never pollutes the map
-/// pool's throughput estimate.
-#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-pub(crate) fn flex_loop<J: MapReduceJob>(
-    job: &J,
-    input: &[J::Input],
-    config: &RuntimeConfig,
-    queues: &TaskQueues,
-    home_group: usize,
-    index: usize,
-    tx: &mut PairProducer<J>,
-    backoff: &BackoffPolicy,
-    emit_block: usize,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
-    errors: &ErrorSlot,
-    map_cell: &TelemetryCell,
-    combine_cell: &TelemetryCell,
-    ctx: &FaultCtx<'_>,
-) -> phases::HashedPairs<J> {
-    let _live = LiveGuard::enter(ctx.board);
-    let ring = |buffered: usize| {
-        if buffered >= wake_at(ctl.batch.load(Ordering::Relaxed).max(1), config) {
-            registry.ring();
-        }
-    };
-    let wall_start = Instant::now();
-    let mut map_local = LocalTelemetry::default();
-    let mut combining =
-        Combining::new(job, config, registry, ctl, errors, ctx, index, combine_cell, wall_start);
-    let mut emitted = 0u64;
-    let mut full_events = 0u64;
-    let mut buffer: Vec<HashedPair<J>> = Vec::with_capacity(emit_block);
-
-    // Phase A: map, or help combine while re-rolled.
-    loop {
-        if ctx.cancelled() {
-            break;
-        }
-        if ctl.combining[index].load(Ordering::Relaxed) {
-            // Entering (or continuing) combine help: flush buffered
-            // emissions first so no pairs sit unpublished while this thread
-            // stops producing.
-            flush_block(
-                &mut *tx,
-                &mut buffer,
-                backoff,
-                emit_block,
-                &mut full_events,
-                &mut map_local,
-                ctx.cancel,
-                ring,
-            );
-            if queues.is_exhausted() {
-                break;
-            }
-            // An idle helper must not stay parked once it is re-rolled to
-            // mapping or the tasks run out (its own queue is then the one
-            // the others wait on): the controller rings after a role change
-            // and a finishing mapper after its close.
-            let stop = || !ctl.combining[index].load(Ordering::Relaxed) || queues.is_exhausted();
-            if !combining.step(stop) {
-                break;
-            }
-        } else {
-            let Some(task) = queues.claim(home_group) else { break };
-            let stalled_before = map_local.stalled;
-            let map_start = Instant::now();
-            {
-                let local = &mut map_local;
-                let tx = &mut *tx;
-                let buffer = &mut buffer;
-                let full_events = &mut full_events;
-                let wall_start = &wall_start;
-                let sink = |key: J::Key, value: J::Value| {
-                    // Hash once at emission, as in [`mapper_loop`].
-                    buffer.push((Hashed::wrap(config.hasher, key), value));
-                    if buffer.len() >= emit_block {
-                        flush_block(
-                            tx,
-                            buffer,
-                            backoff,
-                            emit_block,
-                            full_events,
-                            local,
-                            ctx.cancel,
-                            ring,
-                        );
-                        ctx.progress(index);
-                        // Live-publish after each flush: back-pressure
-                        // stalls become visible to the controller without
-                        // waiting for the whole task to finish. (`items`
-                        // lags until the task ends — the emitter owns the
-                        // authoritative count.)
-                        local.stall_events = *full_events;
-                        local.wall = wall_start.elapsed();
-                        map_cell.publish(local);
-                    }
-                };
-                emitted += run_task(job, task, input, ctx, sink);
-            }
-            ctx.progress(index);
-            map_local.busy +=
-                map_start.elapsed().saturating_sub(map_local.stalled - stalled_before);
-            map_local.items = emitted;
-            map_local.stall_events = full_events;
-            map_local.wall = wall_start.elapsed();
-            map_cell.publish(&map_local);
-        }
-    }
-
-    // Map phase over for this thread: publish the partial block, then close
-    // the queue with `finish` — the close is the retire signal the combine
-    // rounds watch for, and keeping the handle alive (vs dropping it) lets
-    // a persistent session re-arm the same queue for the next job.
-    flush_block(
-        &mut *tx,
-        &mut buffer,
-        backoff,
-        emit_block,
-        &mut full_events,
-        &mut map_local,
-        ctx.cancel,
-        ring,
-    );
-    map_local.items = emitted;
-    map_local.stall_events = full_events;
-    map_local.wall = wall_start.elapsed();
-    map_cell.publish(&map_local);
-    tx.finish();
-    registry.ring();
-
-    // Phase B: help drain every remaining pipeline.
-    while !ctx.cancelled() && combining.step(|| false) {}
-    combining.finish()
-}
-
-/// The online controller: every `adapt_interval` it snapshots the live
-/// telemetry cells, forms per-window deltas ([`ThreadTelemetry::delta_since`])
-/// and applies one bounded [`decide`] step — re-rolling a flex thread
-/// between the pools and/or re-sizing the batched read. Exits as soon as
-/// every pipeline is retired.
-///
-/// Between looks it sleeps through `nap`, which takes a ceiling and returns
-/// early — with `true` — once the epoch's last worker is done. The job's
-/// wall-clock therefore ends with its work, not at the controller's next
-/// poll: with a plain sleep a 5.3 ms job read 5.7 or 6.2 ms according to
-/// which 500 µs tick saw it finish.
-///
-/// One [`AdaptationEvent`] is recorded per completed interval, holds
-/// included, so the trace documents why the run stayed put as well as why
-/// it moved. The controller is the only role/batch writer, so its local
-/// `active_combiners` count cannot drift from the flags.
-#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-pub(crate) fn controller_loop<J: MapReduceJob>(
-    config: &RuntimeConfig,
-    bounds: AdaptiveBounds,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
-    map_cells: &[TelemetryCell],
-    flex_combine_cells: &[TelemetryCell],
-    dedicated_cells: &[TelemetryCell],
-    cancel: &AtomicBool,
-    nap: impl Fn(Duration) -> bool,
-) -> Vec<AdaptationEvent> {
-    let started = Instant::now();
-    let mut trace = Vec::new();
-    let snapshot_all = || {
-        let mappers: Vec<ThreadTelemetry> = map_cells
-            .iter()
-            .enumerate()
-            .map(|(m, cell)| cell.snapshot(ThreadRole::Mapper, m))
-            .collect();
-        let combiners: Vec<ThreadTelemetry> = dedicated_cells
-            .iter()
-            .chain(flex_combine_cells)
-            .enumerate()
-            .map(|(c, cell)| cell.snapshot(ThreadRole::Combiner, c))
-            .collect();
-        (mappers, combiners)
-    };
-    let (mut prev_map, mut prev_combine) = snapshot_all();
-    // Derive the starting split from the control surface rather than the
-    // static config: a pipeline-seeded epoch (see `AdaptiveCtl::seeded`)
-    // begins at the previous stage's converged split, and an unseeded one
-    // reduces to exactly `config.num_combiners` / `config.batch_size`.
-    let mut active_combiners = config.num_combiners
-        + ctl.combining.iter().filter(|flag| flag.load(Ordering::Relaxed)).count();
-    let mut batch = ctl.batch.load(Ordering::Relaxed).max(1);
-    loop {
-        let deadline = Instant::now() + config.adapt_interval;
-        loop {
-            // Watchdog cancellation ends the run without the registry ever
-            // fully retiring — the controller must not out-wait it.
-            if registry.all_done() || cancel.load(Ordering::Relaxed) {
-                return trace;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if nap(CONTROLLER_SLICE.min(deadline - now)) {
-                return trace;
-            }
-        }
-        let (map_now, combine_now) = snapshot_all();
-        let map_window: Vec<ThreadTelemetry> =
-            map_now.iter().zip(&prev_map).map(|(now, prev)| now.delta_since(prev)).collect();
-        let combine_window: Vec<ThreadTelemetry> = combine_now
-            .iter()
-            .zip(&prev_combine)
-            .map(|(now, prev)| now.delta_since(prev))
-            .collect();
-        let observation = PoolObservation::from_windows(&map_window, &combine_window);
-        let decision = decide(&observation, active_combiners, batch, &bounds);
-        if decision.batch_size != batch {
-            batch = decision.batch_size;
-            ctl.batch.store(batch, Ordering::Relaxed);
-        }
-        match decision.combiner_step {
-            step if step > 0 => {
-                // Promote the highest-indexed flex thread still mapping, so
-                // the helpers always form a suffix of the flex pool…
-                if let Some(m) = (0..ctl.combining.len())
-                    .rev()
-                    .find(|&m| !ctl.combining[m].load(Ordering::Relaxed))
-                {
-                    ctl.combining[m].store(true, Ordering::Relaxed);
-                    active_combiners += 1;
-                }
-            }
-            step if step < 0 => {
-                // …and demote the lowest-indexed helper, preserving it.
-                if let Some(m) =
-                    (0..ctl.combining.len()).find(|&m| ctl.combining[m].load(Ordering::Relaxed))
-                {
-                    ctl.combining[m].store(false, Ordering::Relaxed);
-                    active_combiners -= 1;
-                    // The helper may be parked idle; send it back to map.
-                    registry.ring();
-                }
-            }
-            _ => {}
-        }
-        trace.push(AdaptationEvent {
-            at: started.elapsed(),
-            active_mappers: bounds.total_threads() - active_combiners,
-            active_combiners,
-            batch_size: batch,
-            observation,
-            reason: decision.reason,
-        });
-        prev_map = map_now;
-        prev_combine = combine_now;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicU32;
@@ -1700,6 +980,7 @@ mod tests {
     use super::*;
     use crate::session::RamrSession;
     use mr_core::{ContainerKind, PhaseKind};
+    use ramr_telemetry::ThreadRole;
     use ramr_topology::MachineModel;
 
     /// A fresh run: opens a session, submits once and drops it.
@@ -1749,12 +1030,12 @@ mod tests {
         sums.into_iter().collect()
     }
 
-    /// Pairs the static combiners folded in place, from tasks they mapped.
+    /// Pairs the combiners folded in place, from tasks they mapped.
     fn helped(report: &RunReport) -> u64 {
         report.helped_per_combiner.iter().sum()
     }
 
-    /// Pairs static mappers folded themselves, their combiner behind.
+    /// Pairs mappers folded themselves, their combiner behind.
     fn spilled(report: &RunReport) -> u64 {
         report.spilled_per_mapper.iter().sum()
     }
@@ -2144,7 +1425,6 @@ mod tests {
             spilled_per_mapper: Vec::new(),
             mapper_telemetry: Vec::new(),
             combiner_telemetry: Vec::new(),
-            adaptation: Vec::new(),
             faults: FaultMetrics::default(),
         };
         // 1-combiner-starved placement: all pairs drained by combiner 0.
@@ -2191,7 +1471,6 @@ mod tests {
             spilled_per_mapper: vec![6_000],
             mapper_telemetry: vec![thread(ThreadRole::Mapper, 115, 15, 10_000)],
             combiner_telemetry: vec![thread(ThreadRole::Combiner, 10, 0, 4_000)],
-            adaptation: Vec::new(),
             faults: FaultMetrics::default(),
         };
         assert!((report.map_throughput().unwrap() - 100_000.0).abs() < 1e-6);
@@ -2221,160 +1500,12 @@ mod tests {
         assert_eq!(ramr_out.pairs, phoenix_out.pairs);
     }
 
-    // --- Adaptive mode -----------------------------------------------------
-
-    fn adaptive_config(workers: usize, combiners: usize) -> RuntimeConfig {
-        let mut cfg = config(workers, combiners);
-        cfg.adaptive = true;
-        cfg.adapt_interval = Duration::from_millis(2);
-        cfg
-    }
-
-    #[test]
-    fn adaptive_matches_sequential_reference_across_shapes() {
-        let input: Vec<u64> = (1..=20_000).collect();
-        let expected = reference(&input);
-        for (workers, combiners) in [(1, 1), (2, 1), (4, 2), (8, 1)] {
-            let (out, report) =
-                run_once(adaptive_config(workers, combiners), &Mod9, &input).unwrap();
-            assert_eq!(out.pairs, expected, "workers={workers} combiners={combiners}");
-            let emitted: u64 = report.emitted_per_mapper.iter().sum();
-            let consumed: u64 = report.consumed_per_combiner.iter().sum();
-            assert_eq!(emitted, 20_000, "workers={workers} combiners={combiners}");
-            assert_eq!(consumed, emitted, "conservation under adaptation");
-            assert!(report.spilled_per_mapper.is_empty(), "adaptive mappers wait, never spill");
-        }
-    }
-
-    #[test]
-    fn adaptive_empty_input_terminates_cleanly() {
-        let out = run_once(adaptive_config(4, 2), &Mod9, &[]).unwrap().0;
-        assert!(out.is_empty());
-    }
-
     #[test]
     fn static_run_records_no_adaptation() {
         let input: Vec<u64> = (0..5000).collect();
-        let (_, report) = run_once(config(4, 2), &Mod9, &input).unwrap();
-        assert!(report.adaptation.is_empty(), "off by default: no controller, no trace");
-    }
-
-    #[test]
-    fn adaptive_mapper_panic_is_surfaced_and_does_not_hang() {
-        struct Panics;
-        impl MapReduceJob for Panics {
-            type Input = u64;
-            type Key = u64;
-            type Value = u64;
-            fn map(&self, _: &[u64], _: &mut Emitter<'_, u64, u64>) {
-                panic!("adaptive mapper exploded");
-            }
-            fn combine(&self, _: &mut u64, _: u64) {}
-            fn key_space(&self) -> Option<usize> {
-                Some(1)
-            }
-            fn key_index(&self, _: &u64) -> usize {
-                0
-            }
-        }
-        let err = run_once(adaptive_config(2, 1), &Panics, &[1, 2, 3]).unwrap_err();
-        assert!(matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("exploded")));
-    }
-
-    #[test]
-    fn adaptive_combine_panic_is_surfaced_and_does_not_hang() {
-        struct CombinePanics;
-        impl MapReduceJob for CombinePanics {
-            type Input = u64;
-            type Key = u64;
-            type Value = u64;
-            fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
-                for &x in task {
-                    emit.emit(0, x);
-                }
-            }
-            fn combine(&self, _: &mut u64, _: u64) {
-                panic!("adaptive combine exploded");
-            }
-            fn key_space(&self) -> Option<usize> {
-                Some(1)
-            }
-            fn key_index(&self, _: &u64) -> usize {
-                0
-            }
-        }
-        let input: Vec<u64> = (0..5000).collect();
-        let err = run_once(adaptive_config(4, 2), &CombinePanics, &input).unwrap_err();
-        assert!(matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("exploded")));
-    }
-
-    #[test]
-    fn adaptive_container_overflow_drains_pipeline_and_reports() {
-        let mut cfg = adaptive_config(4, 2);
-        cfg.container = ContainerKind::FixedHash;
-        cfg.fixed_capacity = Some(2);
-        let input: Vec<u64> = (0..10_000).collect(); // 9 distinct keys > 2
-        let err = run_once(cfg, &Mod9, &input).unwrap_err();
-        assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
-    }
-
-    #[test]
-    fn adaptive_converges_from_bad_start_on_combine_heavy_load() {
-        // The ISSUE 3 acceptance scenario: 8 mappers / 1 dedicated combiner
-        // on a workload with equal per-pair map and combine cost. The
-        // static throughput criterion says ratio 1 (combine no faster than
-        // map), i.e. a 1:1 split of the 9 threads — round(9/2) = 5, which
-        // the ±1 dead-band brackets to 4..=6. Starting from 8m/1c the
-        // controller must re-roll mappers until the split lands there; the
-        // assertion allows one extra thread of scheduler slack either way.
-        let mut cfg = RuntimeConfig::builder()
-            .num_workers(8)
-            .num_combiners(1)
-            .task_size(200)
-            .queue_capacity(1024)
-            .batch_size(64)
-            .build()
-            .unwrap();
-        cfg.adaptive = true;
-        cfg.adapt_interval = Duration::from_millis(2);
-        let job = Synthetic { map_work: 150, combine_work: 150 };
-        let input: Vec<u64> = (0..200_000).collect();
-        let (out, report) = run_once(cfg, &job, &input).unwrap();
-        // Correctness first: every element contributes exactly 1.
-        let total: u64 = out.pairs.iter().map(|&(_, v)| v).sum();
-        assert_eq!(total, 200_000);
-        let emitted: u64 = report.emitted_per_mapper.iter().sum();
-        let consumed: u64 = report.consumed_per_combiner.iter().sum();
-        assert_eq!(consumed, emitted, "conservation while roles moved");
-        // Convergence: the controller ticked, acted, and regulated the
-        // pools near the throughput-criterion split. Judge the *steady
-        // state* — the median split over the trace's second half — not the
-        // final tick, which is dominated by end-of-run transients (the map
-        // pool draining out makes the last windows look arbitrarily
-        // lopsided).
-        assert!(!report.adaptation.is_empty(), "controller must have ticked");
-        assert!(
-            report.adaptation.iter().filter(|e| e.acted()).count() >= 2,
-            "a bad start must force repeated adaptation:\n{}",
-            trace_lines(&report)
-        );
-        let mut tail: Vec<usize> = report
-            .adaptation
-            .iter()
-            .skip(report.adaptation.len() / 2)
-            .map(|e| e.active_combiners)
-            .collect();
-        tail.sort_unstable();
-        let median = tail[tail.len() / 2];
-        assert!(
-            (3..=7).contains(&median),
-            "expected a ~9/2 steady-state combiner split, got median {median}:\n{}",
-            trace_lines(&report)
-        );
-    }
-
-    fn trace_lines(report: &RunReport) -> String {
-        report.adaptation.iter().map(AdaptationEvent::describe).collect::<Vec<_>>().join("\n")
+        let engine = crate::Backend::RamrStatic.engine(config(4, 2)).unwrap();
+        let report = crate::Engine::submit(&engine, &Mod9, &input).unwrap().report;
+        assert!(report.adaptation.is_empty(), "no controller, no trace");
     }
 
     // --- Fault tolerance ---------------------------------------------------
@@ -2431,30 +1562,25 @@ mod tests {
     #[test]
     fn retries_recover_transient_poison_task_on_both_paths() {
         let input: Vec<u64> = (0..1000).collect();
-        let expected = reference(&input);
-        for adaptive in [false, true] {
-            let mut cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
-            cfg.max_task_retries = 2;
-            let (out, report) = run_once(cfg, &FlakyMod9::new(40, 2), &input).unwrap();
-            assert_eq!(out.pairs, expected, "adaptive={adaptive}: retried pairs count once");
-            assert_eq!(report.faults.retries, 2, "adaptive={adaptive}");
-            assert!(report.faults.skipped.is_empty(), "adaptive={adaptive}");
-            assert!(report.faults.summary().unwrap().contains("retr"), "adaptive={adaptive}");
-        }
+        let mut cfg = config(4, 2);
+        cfg.max_task_retries = 2;
+        let (out, report) = run_once(cfg, &FlakyMod9::new(40, 2), &input).unwrap();
+        assert_eq!(out.pairs, reference(&input), "retried pairs count once");
+        assert_eq!(report.faults.retries, 2);
+        assert!(report.faults.skipped.is_empty());
+        assert!(report.faults.summary().unwrap().contains("retr"));
     }
 
     #[test]
     fn exhausted_retries_without_skip_fail_fast_on_both_paths() {
         let input: Vec<u64> = (0..1000).collect();
-        for adaptive in [false, true] {
-            let mut cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
-            cfg.max_task_retries = 1;
-            let err = run_once(cfg, &FlakyMod9::new(40, u32::MAX), &input).unwrap_err();
-            assert!(
-                matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("flaky task")),
-                "adaptive={adaptive}: got {err}"
-            );
-        }
+        let mut cfg = config(4, 2);
+        cfg.max_task_retries = 1;
+        let err = run_once(cfg, &FlakyMod9::new(40, u32::MAX), &input).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("flaky task")),
+            "got {err}"
+        );
     }
 
     #[test]
@@ -2462,19 +1588,16 @@ mod tests {
         let input: Vec<u64> = (0..1000).collect();
         // Element 40 sits at index 40 → task [34, 51) at task_size 17.
         let surviving: Vec<u64> = input.iter().copied().filter(|x| !(34..51).contains(x)).collect();
-        let expected = reference(&surviving);
-        for adaptive in [false, true] {
-            let mut cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
-            cfg.max_task_retries = 1;
-            cfg.skip_poison_tasks = true;
-            let (out, report) = run_once(cfg, &FlakyMod9::new(40, u32::MAX), &input).unwrap();
-            assert_eq!(out.pairs, expected, "adaptive={adaptive}: only the poison task missing");
-            assert_eq!(report.faults.skipped.len(), 1, "adaptive={adaptive}");
-            let skip = &report.faults.skipped[0];
-            assert_eq!((skip.start, skip.end), (34, 51), "adaptive={adaptive}");
-            assert_eq!(skip.attempts, 2, "adaptive={adaptive}: initial attempt + one retry");
-            assert!(skip.message.contains("flaky task"), "adaptive={adaptive}: {}", skip.message);
-        }
+        let mut cfg = config(4, 2);
+        cfg.max_task_retries = 1;
+        cfg.skip_poison_tasks = true;
+        let (out, report) = run_once(cfg, &FlakyMod9::new(40, u32::MAX), &input).unwrap();
+        assert_eq!(out.pairs, reference(&surviving), "only the poison task missing");
+        assert_eq!(report.faults.skipped.len(), 1);
+        let skip = &report.faults.skipped[0];
+        assert_eq!((skip.start, skip.end), (34, 51));
+        assert_eq!(skip.attempts, 2, "initial attempt + one retry");
+        assert!(skip.message.contains("flaky task"), "{}", skip.message);
     }
 
     #[test]
@@ -2546,38 +1669,33 @@ mod tests {
     #[test]
     fn watchdog_cancels_wedged_runs_with_a_stall_diagnosis_on_both_paths() {
         let input: Vec<u64> = (0..1000).collect();
-        for adaptive in [false, true] {
-            let mut cfg = if adaptive { adaptive_config(2, 1) } else { config(2, 1) };
-            cfg.watchdog = Some(Duration::from_millis(200));
-            let started = Instant::now();
-            let err = run_once(cfg, &HangsOnPoison, &input).unwrap_err();
-            let elapsed = started.elapsed();
-            match err {
-                RuntimeError::Stalled { ref phase, idle_ms, ref diagnostics } => {
-                    assert_eq!(phase, "map-combine", "adaptive={adaptive}");
-                    assert!(idle_ms >= 200, "adaptive={adaptive}: idle_ms={idle_ms}");
-                    assert!(
-                        diagnostics.contains("mapper[") && diagnostics.contains("live worker"),
-                        "adaptive={adaptive}: diagnostics must name threads: {diagnostics}"
-                    );
-                }
-                other => panic!("adaptive={adaptive}: expected Stalled, got {other}"),
+        let mut cfg = config(2, 1);
+        cfg.watchdog = Some(Duration::from_millis(200));
+        let started = Instant::now();
+        let err = run_once(cfg, &HangsOnPoison, &input).unwrap_err();
+        let elapsed = started.elapsed();
+        match err {
+            RuntimeError::Stalled { ref phase, idle_ms, ref diagnostics } => {
+                assert_eq!(phase, "map-combine");
+                assert!(idle_ms >= 200, "idle_ms={idle_ms}");
+                assert!(
+                    diagnostics.contains("mapper[") && diagnostics.contains("live worker"),
+                    "diagnostics must name threads: {diagnostics}"
+                );
             }
-            assert!(
-                elapsed < Duration::from_secs(5),
-                "adaptive={adaptive}: watchdog must cancel promptly, took {elapsed:?}"
-            );
+            other => panic!("expected Stalled, got {other}"),
         }
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "watchdog must cancel promptly, took {elapsed:?}"
+        );
     }
 
     #[test]
     fn default_runs_report_clean_fault_metrics() {
         let input: Vec<u64> = (0..5000).collect();
-        for adaptive in [false, true] {
-            let cfg = if adaptive { adaptive_config(4, 2) } else { config(4, 2) };
-            let (_, report) = run_once(cfg, &Mod9, &input).unwrap();
-            assert!(report.faults.is_clean(), "adaptive={adaptive}: {:?}", report.faults);
-            assert_eq!(report.faults.summary(), None, "adaptive={adaptive}");
-        }
+        let (_, report) = run_once(config(4, 2), &Mod9, &input).unwrap();
+        assert!(report.faults.is_clean(), "{:?}", report.faults);
+        assert_eq!(report.faults.summary(), None);
     }
 }

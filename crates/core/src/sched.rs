@@ -73,7 +73,6 @@ use std::time::{Duration, Instant};
 use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError, SchedPolicyKind};
 
 use crate::engine::{Backend, EngineReport, EngineSession};
-use crate::tuning::AdaptiveSeed;
 
 /// One stride unit: a tenant's pass advances by `STRIDE_ONE / weight` per
 /// dispatched job, so a weight-3 tenant accumulates pass a third as fast —
@@ -306,10 +305,9 @@ enum Work<J: MapReduceJob> {
     /// An iterative pipeline: after each round the continuation receives
     /// the 1-based round number and that round's output and returns the
     /// next round's job — or `None` when the chain is done. All rounds run
-    /// consecutively on the dispatcher's session (warm pools, adaptive
-    /// seed carried between rounds) and are charged to the tenant as
-    /// `rounds` stride steps, so fair-share stays proportional to epochs
-    /// consumed, not tickets submitted.
+    /// consecutively on the dispatcher's session (warm pools) and are
+    /// charged to the tenant as `rounds` stride steps, so fair-share stays
+    /// proportional to epochs consumed, not tickets submitted.
     Chain { job: Arc<J>, next: ChainNext<J> },
 }
 
@@ -462,11 +460,11 @@ impl<J: MapReduceJob> JobClient<J> {
     /// Enqueues an iterative pipeline as **one** schedulable unit: the
     /// dispatcher runs `job`, hands each round's output to `next` (with
     /// the 1-based round number), and keeps dispatching the jobs it
-    /// returns back-to-back on the warm session — adaptive split carried
-    /// between rounds — until `next` returns `None`. The ticket resolves
-    /// with the final round's output and report, and the tenant is charged
-    /// one fair-share stride step *per round*, so a 10-round chain costs
-    /// its tenant exactly what 10 separate submissions would.
+    /// returns back-to-back on the warm session until `next` returns
+    /// `None`. The ticket resolves with the final round's output and
+    /// report, and the tenant is charged one fair-share stride step *per
+    /// round*, so a 10-round chain costs its tenant exactly what 10
+    /// separate submissions would.
     ///
     /// Delays (blocks) exactly like [`JobClient::submit`]. The round count
     /// is capped by [`RuntimeConfig::pipeline_max_stages`]; a chain that
@@ -835,8 +833,7 @@ fn dispatch_loop<J: MapReduceJob + Send + 'static>(
         };
 
         // Phase 2: run the epoch(s) outside the scheduler lock. A chain
-        // runs all its rounds back-to-back here — same warm session, the
-        // adaptive controller's converged split relayed between rounds —
+        // runs all its rounds back-to-back here, on the same warm session,
         // so the whole pipeline is one schedulable unit.
         let Queued { work, input, ticket, enqueued, .. } = queued;
         let waited = enqueued.elapsed();
@@ -921,17 +918,7 @@ fn run_work<J: MapReduceJob + 'static>(
                                  RAMR_PIPELINE_MAX_STAGES or shorten the chain"
                             )));
                         }
-                        Some(next_job) => {
-                            // Only a continuing chain re-arms the one-shot
-                            // seed: per-job isolation for whatever the
-                            // dispatcher runs after this entry still holds.
-                            if let Some(seed) =
-                                AdaptiveSeed::from_trace(config, &outcome.report.adaptation)
-                            {
-                                session.set_adaptive_seed(seed);
-                            }
-                            job = next_job;
-                        }
+                        Some(next_job) => job = next_job,
                     },
                     Err(source) => {
                         break Err(RuntimeError::StageFailed {

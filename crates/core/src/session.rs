@@ -12,8 +12,8 @@
 //!
 //! # Caller-runs
 //!
-//! A static session spawns `num_workers + num_combiners − 1` threads: the
-//! thread that calls `submit` is mapper 0. It keeps that mapper's write-end,
+//! A session spawns `num_workers + num_combiners − 1` threads: the thread
+//! that calls `submit` is mapper 0. It keeps that mapper's write-end,
 //! emit buffer, spill container and home task group in the session and runs
 //! [`mapper_loop`] for it on its own stack, under the same `catch_unwind`
 //! and error filing as a pooled role. An epoch therefore wakes `T − 1`
@@ -21,8 +21,7 @@
 //! places each woken thread on a CPU that is still idle instead of stacking
 //! two on the one the waker is about to leave. With `pin_os_threads` set the
 //! caller pins itself to mapper 0's slot for the map-combine phase and gets
-//! its own mask back afterwards ([`CallerPin`]). An adaptive session keeps
-//! all `T` roles pooled: its caller runs the controller.
+//! its own mask back afterwards ([`CallerPin`]).
 //!
 //! # Epoch protocol
 //!
@@ -35,18 +34,14 @@
 //!    and publishes the frame pointer together with the bumped epoch under
 //!    the state mutex.
 //! 2. Workers wake, run exactly one job's worth of their role loop
-//!    ([`mapper_loop`], [`combiner_loop`], [`flex_loop`] or
-//!    [`adaptive_combiner_loop`], each hosted by the one [`epoch_worker`]
-//!    skeleton), close their queues with `finish` (not drop), and decrement
-//!    the done-counter. A static coordinator meanwhile runs mapper 0
-//!    through the same [`run_role`] body; an adaptive one runs the
-//!    controller.
+//!    ([`mapper_loop`] or [`combiner_loop`], each hosted by the one
+//!    [`epoch_worker`] skeleton), close their queues with `finish` (not
+//!    drop), and decrement the done-counter. The coordinator meanwhile runs
+//!    mapper 0 through the same [`run_role`] body.
 //! 3. `submit` returns — or unwinds, see [`with_epoch`] — only after the
 //!    counter hits zero, so the frame — and the `&J`/`&[J::Input]` borrows
-//!    smuggled through it — never outlives the epoch. Static combiners
-//!    re-arm (drain + reopen) their read-ends before signalling done; the
-//!    adaptive coordinator reclaims the read-ends from the
-//!    [`QueueRegistry`] and re-arms them on the next submit.
+//!    smuggled through it — never outlives the epoch. Combiners re-arm
+//!    (drain + reopen) their read-ends before signalling done.
 //!
 //! Because every epoch gets fresh telemetry cells, a fresh fault log and a
 //! fresh error slot inside its frame, per-job state cannot bleed between
@@ -60,7 +55,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use mr_core::{
     task_ranges, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer, RuntimeConfig,
@@ -73,11 +67,9 @@ use ramr_telemetry::{FaultLog, ProgressBoard, TelemetryCell, ThreadRole, ThreadT
 use ramr_topology::{CpuSlot, MachineModel, PlacementPlan};
 
 use crate::runtime::{
-    adaptive_combiner_loop, combiner_loop, controller_loop, flex_loop, mapper_loop, maybe_pin,
-    thread_labels, to_backoff, watchdog_loop, AdaptiveCtl, CallerPin, ErrorSlot, FaultCtx,
-    HashedPair, PairConsumer, PairProducer, QueueRegistry, ReportedOutput, RunReport,
+    combiner_loop, mapper_loop, maybe_pin, thread_labels, watchdog_loop, CallerPin, ErrorSlot,
+    FaultCtx, HashedPair, PairConsumer, PairProducer, ReportedOutput, RunReport,
 };
-use crate::tuning::{AdaptiveBounds, AdaptiveSeed};
 
 /// Everything one job (epoch) shares with the parked worker pools. Lives on
 /// the coordinator's stack for exactly the duration of one `submit`; workers
@@ -100,26 +92,15 @@ struct JobFrame<J: MapReduceJob> {
     watchdog_done: AtomicBool,
     board: Option<ProgressBoard>,
     errors: ErrorSlot,
-    /// Fresh per epoch: mapper-side telemetry (static mappers / flex map
-    /// halves) — per-job isolation falls out of the cells' lifetime.
+    /// Fresh per epoch: mapper telemetry — per-job isolation falls out of
+    /// the cells' lifetime.
     map_cells: Vec<TelemetryCell>,
-    /// Static combiners, or the adaptive path's dedicated combiners.
     combiner_cells: Vec<TelemetryCell>,
-    /// Adaptive only: the flex threads' combine-help halves.
-    flex_combine_cells: Vec<TelemetryCell>,
-    /// Static only: the combiners' map-help halves — tasks a combiner with
-    /// nothing to read ran in place.
+    /// The combiners' map-help halves — tasks a combiner with nothing to
+    /// read ran in place.
     helper_cells: Vec<TelemetryCell>,
-    /// Static only: pairs each mapper folded itself because its queue was
-    /// full.
+    /// Pairs each mapper folded itself because its combiner was behind.
     spilled: Vec<AtomicU64>,
-    /// Adaptive only: the shared pool of pipeline read-ends.
-    registry: Option<QueueRegistry<J>>,
-    /// Adaptive only: the controller's role/batch write surface — rebuilt
-    /// each epoch, so job N's role changes never leak into job N+1's
-    /// starting split unless the caller explicitly carried them forward
-    /// with a one-shot [`RamrSession::set_adaptive_seed`].
-    ctl: Option<AdaptiveCtl>,
     /// Combined partial results (hashes still attached), pushed by
     /// whichever worker produced them.
     partials: Mutex<Vec<phases::HashedPairs<J>>>,
@@ -137,22 +118,15 @@ impl<J: MapReduceJob> JobFrame<J> {
     unsafe fn input(&self) -> &[J::Input] {
         std::slice::from_raw_parts(self.input, self.input_len)
     }
-
-    /// The adaptive-only pair: the read-end registry and the controller's
-    /// write surface.
-    fn adaptive(&self) -> (&QueueRegistry<J>, &AdaptiveCtl) {
-        let registry = self.registry.as_ref().expect("adaptive frame has a registry");
-        (registry, self.ctl.as_ref().expect("adaptive frame has a ctl"))
-    }
 }
 
 /// A copyable handle to the current epoch's frame.
 ///
 /// Send is sound because every field of [`JobFrame`] reachable through the
 /// pointer is `Sync` (`J: MapReduceJob` implies `J: Sync` and
-/// `J::Input: Sync`; the rest are atomics, mutexes, telemetry cells and
-/// the SPSC read-ends behind the registry's mutex), and the epoch protocol
-/// guarantees the pointee outlives every dereference.
+/// `J::Input: Sync`; the rest are atomics, mutexes and telemetry cells),
+/// and the epoch protocol guarantees the pointee outlives every
+/// dereference.
 struct FramePtr<J: MapReduceJob>(*const JobFrame<J>);
 
 impl<J: MapReduceJob> Clone for FramePtr<J> {
@@ -225,25 +199,13 @@ impl<J: MapReduceJob> SessionShared<J> {
             busy = relock(self.done.wait(busy));
         }
     }
-
-    /// Waits up to `ceiling` for the epoch's last worker; `true` once every
-    /// worker is done. May return `false` early.
-    fn all_done_within(&self, ceiling: Duration) -> bool {
-        let busy = relock(self.busy.lock());
-        if *busy == 0 {
-            return true;
-        }
-        let (busy, _) =
-            self.done.wait_timeout(busy, ceiling).unwrap_or_else(PoisonError::into_inner);
-        *busy == 0
-    }
 }
 
 /// Drains any residue a cancelled or errored epoch left in a read-end and
-/// re-arms it for the next job. Popping keeps a producer that is still
-/// blocked on a full queue moving; the loop exits once the producer has
-/// closed (every session worker closes its queue each epoch, even on
-/// panic) and the queue is empty.
+/// re-arms it for the next job. Popping takes whatever a producer that is
+/// still running publishes; the loop exits once the producer has closed
+/// (every mapper closes its queue each epoch, even on panic) and the queue
+/// is empty.
 fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
     loop {
         let closed = rx.is_closed();
@@ -263,16 +225,16 @@ fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
 ///
 /// Construct with [`RamrSession::new`], then call
 /// [`submit`](RamrSession::submit) any number of times. Each submit runs one
-/// job to completion (static or adaptive per [`RuntimeConfig::adaptive`],
-/// including retries, poison skipping and the watchdog) without re-spawning
-/// threads or reallocating queues. Worker threads are joined on drop.
+/// job to completion (including retries, poison skipping and the watchdog)
+/// without re-spawning threads or reallocating queues. Worker threads are
+/// joined on drop.
 ///
-/// The thread that calls `submit` on a static session is one of its
-/// workers: it runs mapper 0's map calls on its own stack while the
+/// The thread that calls `submit` is one of the session's workers: it runs
+/// mapper 0's map calls on its own stack while the
 /// `num_workers + num_combiners − 1` pooled threads run the other roles. A
 /// map call that panics there fails the job with
 /// [`RuntimeError::WorkerPanic`] like one on a pooled thread; it never
-/// unwinds out of `submit`. An adaptive session pools all its roles.
+/// unwinds out of `submit`.
 ///
 /// A session is typed by the job (`J`) it executes: the SPSC queues carry
 /// `(J::Key, J::Value)` pairs and live for the whole session. Run different
@@ -326,22 +288,10 @@ pub struct RamrSession<J: MapReduceJob + 'static> {
     plan: PlacementPlan,
     machine: MachineModel,
     labels: Vec<String>,
-    /// Adaptive mode: the pipeline read-ends, held by the coordinator
-    /// between epochs (workers hold them only transiently, through the
-    /// per-epoch registry). Empty in static mode, where each combiner
-    /// worker owns its read-ends for the session's lifetime.
-    consumers: Vec<PairConsumer<J>>,
-    /// Static mode: mapper 0, which the thread calling `submit` runs for
-    /// each epoch while the pool runs the other roles. `None` in adaptive
-    /// mode, where the caller hosts the controller and every role is pooled.
-    caller: Option<StaticMapper<J>>,
+    /// Mapper 0, which the thread calling `submit` runs for each epoch
+    /// while the pool runs the other roles.
+    caller: MapperState<J>,
     jobs_run: u64,
-    /// One-shot adaptive starting split for the *next* submit only — the
-    /// pipeline's ratio carry-forward. Consumed (cleared) by every submit,
-    /// so ordinary jobs and scheduler dispatches keep per-job isolation:
-    /// a stage's learned split reaches exactly the stage that follows it,
-    /// never an unrelated job that happens to share the session.
-    seed: Option<AdaptiveSeed>,
 }
 
 impl<J: MapReduceJob + 'static> std::fmt::Debug for RamrSession<J> {
@@ -416,25 +366,31 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             done: Condvar::new(),
         });
 
-        // One SPSC queue per mapper-role thread, allocated once for the
-        // session's lifetime.
-        let mut producers: Vec<PairProducer<J>> = Vec::with_capacity(config.num_workers);
-        let mut consumers: Vec<PairConsumer<J>> = Vec::with_capacity(config.num_workers);
-        for _ in 0..config.num_workers {
-            let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
-            producers.push(tx);
-            consumers.push(rx);
-        }
-
-        let backoff = to_backoff(config.push_backoff);
+        // One SPSC queue per mapper, allocated once for the session's
+        // lifetime. The read-ends are grouped per combiner via the
+        // placement plan; each combiner worker then owns its group for the
+        // session's life.
         let emit_block = config.effective_emit_buffer();
-        let mut handles = Vec::with_capacity(config.num_workers + config.num_combiners);
-        // Adaptive mode: the coordinator keeps the read-ends and builds a
-        // fresh registry from them each epoch. Static mode: each combiner
-        // worker owns its group of read-ends, so the coordinator keeps none;
-        // it keeps mapper 0's write-end instead.
-        let mut held_consumers: Vec<PairConsumer<J>> = Vec::new();
-        let mut caller: Option<StaticMapper<J>> = None;
+        let mut mappers = Vec::with_capacity(config.num_workers);
+        let mut consumers_of: Vec<Vec<PairConsumer<J>>> =
+            (0..config.num_combiners).map(|_| Vec::new()).collect();
+        for m in 0..config.num_workers {
+            let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
+            consumers_of[plan.combiner_of_mapper(m)].push(rx);
+            mappers.push(MapperState {
+                m,
+                home_group: group_of_mapper(m),
+                tx,
+                buffer: Vec::with_capacity(emit_block),
+                kept: None,
+            });
+        }
+        // Mapper 0 is the submitting thread's: `submit` runs it in place
+        // while the pool works.
+        let mut mappers = mappers.into_iter();
+        let caller = mappers.next().expect("validated: num_workers >= 1");
+
+        let mut handles = Vec::with_capacity(config.num_workers + config.num_combiners - 1);
         let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
             std::thread::Builder::new()
                 .name(name.clone())
@@ -443,170 +399,67 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         };
 
         // Each pooled thread is the one `epoch_worker` skeleton around one
-        // of the four role loops, with the loop's arguments bound here.
+        // of the two role loops, with the loop's arguments bound here.
         let spawned = (|| -> Result<(), RuntimeError> {
-            if config.adaptive {
-                for (m, tx) in producers.into_iter().enumerate() {
-                    let shared = Arc::clone(&shared);
-                    let slot = plan.mapper_slot(m);
-                    let home_group = group_of_mapper(m);
-                    let body = move || {
-                        let config = &shared.config;
-                        epoch_worker(
-                            &shared,
-                            slot,
-                            tx,
-                            |tx, ep| {
-                                let (registry, ctl) = ep.frame.adaptive();
-                                let pairs = flex_loop(
-                                    ep.job,
-                                    ep.input,
-                                    config,
-                                    &ep.frame.queues,
-                                    home_group,
-                                    m,
-                                    tx,
-                                    &backoff,
-                                    emit_block,
-                                    registry,
-                                    ctl,
-                                    &ep.frame.errors,
-                                    &ep.frame.map_cells[m],
-                                    &ep.frame.flex_combine_cells[m],
-                                    &ep.ctx,
-                                );
-                                Ok(Some(pairs))
-                            },
-                            // `flex_loop` closes the queue on its success
-                            // path, so close here only on unwind — the
-                            // remaining combining threads watch for the
-                            // close to retire this pipeline. (A phase-B
-                            // unwind lands here with the queue already
-                            // closed; `finish` is idempotent and the
-                            // coordinator reopens only after the epoch
-                            // fully ends, so the repeat cannot race a
-                            // reopen.)
-                            |tx, ep, unwound| {
-                                if unwound {
-                                    tx.finish();
-                                    ep.frame.adaptive().0.ring();
-                                }
-                            },
-                        )
-                    };
-                    handles.push(spawn(format!("ramr-flex-{m}"), Box::new(body))?);
-                }
-                for c in 0..config.num_combiners {
-                    let shared = Arc::clone(&shared);
-                    let slot = plan.combiner_slot(c);
-                    let body = move || {
-                        let config = &shared.config;
-                        epoch_worker(
-                            &shared,
-                            slot,
-                            (),
-                            |(), ep| {
-                                let (registry, ctl) = ep.frame.adaptive();
-                                let pairs = adaptive_combiner_loop(
-                                    ep.job,
-                                    config,
-                                    registry,
-                                    ctl,
-                                    &ep.frame.errors,
-                                    &ep.frame.combiner_cells[c],
-                                    &ep.ctx,
-                                    config.num_workers + c,
-                                );
-                                Ok(Some(pairs))
-                            },
-                            |(), _, _| {},
-                        )
-                    };
-                    handles.push(spawn(format!("ramr-combiner-{c}"), Box::new(body))?);
-                }
-                held_consumers = consumers;
-            } else {
-                // Static assignment: group the read-ends per combiner via
-                // the placement plan; each combiner worker then owns its
-                // group for the session's life.
-                let mut consumers_of: Vec<Vec<PairConsumer<J>>> =
-                    (0..config.num_combiners).map(|_| Vec::new()).collect();
-                for (m, rx) in consumers.into_iter().enumerate() {
-                    consumers_of[plan.combiner_of_mapper(m)].push(rx);
-                }
-                for (m, tx) in producers.into_iter().enumerate() {
-                    let mapper = StaticMapper {
-                        m,
-                        home_group: group_of_mapper(m),
-                        tx,
-                        buffer: Vec::with_capacity(emit_block),
-                        kept: None,
-                    };
-                    // Mapper 0 is the submitting thread's: `submit` runs it
-                    // in place while the pool works.
-                    if m == 0 {
-                        caller = Some(mapper);
-                        continue;
-                    }
-                    let shared = Arc::clone(&shared);
-                    let slot = plan.mapper_slot(m);
-                    let body = move || {
-                        let config = &shared.config;
-                        epoch_worker(
-                            &shared,
-                            slot,
-                            mapper,
-                            |mapper, ep| mapper.run(config, ep),
-                            |mapper, _, unwound| mapper.settle(unwound),
-                        )
-                    };
-                    handles.push(spawn(format!("ramr-mapper-{m}"), Box::new(body))?);
-                }
-                for (c, group) in consumers_of.into_iter().enumerate() {
-                    let shared = Arc::clone(&shared);
-                    let slot = plan.combiner_slot(c);
-                    // A combiner with nothing to read helps map from the
-                    // task queue of the mappers it serves.
-                    let home_group = (0..config.num_workers)
-                        .find(|&m| plan.combiner_of_mapper(m) == c)
-                        .map_or(0, group_of_mapper);
-                    let body = move || {
-                        let config = &shared.config;
-                        epoch_worker(
-                            &shared,
-                            slot,
-                            // Next to its read-ends a combiner keeps the
-                            // container its last job drained: a hash table
-                            // grows once per session, not once per job.
-                            (group, None),
-                            |(group, kept), ep| {
-                                combiner_loop(
-                                    ep.job,
-                                    ep.input,
-                                    config,
-                                    &ep.frame.queues,
-                                    home_group,
-                                    group,
-                                    kept,
-                                    &ep.frame.combiner_cells[c],
-                                    &ep.frame.helper_cells[c],
-                                    &ep.ctx,
-                                    config.num_workers + c,
-                                )
-                                .map(Some)
-                            },
-                            // Re-arm this combiner's read-ends before
-                            // signalling done. Safe with respect to *this*
-                            // group's producers (they have all finished:
-                            // either the loop saw every queue closed, or the
-                            // drain unblocks them and waits for the close);
-                            // independent of the other combiners, whose
-                            // queues are disjoint.
-                            |(group, _), _, _| group.iter_mut().for_each(drain_for_reuse),
-                        )
-                    };
-                    handles.push(spawn(format!("ramr-combiner-{c}"), Box::new(body))?);
-                }
+            for mapper in mappers {
+                let shared = Arc::clone(&shared);
+                let slot = plan.mapper_slot(mapper.m);
+                let name = format!("ramr-mapper-{}", mapper.m);
+                let body = move || {
+                    let config = &shared.config;
+                    epoch_worker(
+                        &shared,
+                        slot,
+                        mapper,
+                        |mapper, ep| mapper.run(config, ep),
+                        |mapper, _, unwound| mapper.settle(unwound),
+                    )
+                };
+                handles.push(spawn(name, Box::new(body))?);
+            }
+            for (c, group) in consumers_of.into_iter().enumerate() {
+                let shared = Arc::clone(&shared);
+                let slot = plan.combiner_slot(c);
+                // A combiner with nothing to read helps map from the task
+                // queue of the mappers it serves.
+                let home_group = (0..config.num_workers)
+                    .find(|&m| plan.combiner_of_mapper(m) == c)
+                    .map_or(0, group_of_mapper);
+                let body = move || {
+                    let config = &shared.config;
+                    epoch_worker(
+                        &shared,
+                        slot,
+                        // Next to its read-ends a combiner keeps the
+                        // container its last job drained: a hash table
+                        // grows once per session, not once per job.
+                        (group, None),
+                        |(group, kept), ep| {
+                            combiner_loop(
+                                ep.job,
+                                ep.input,
+                                config,
+                                &ep.frame.queues,
+                                home_group,
+                                group,
+                                kept,
+                                &ep.frame.combiner_cells[c],
+                                &ep.frame.helper_cells[c],
+                                &ep.ctx,
+                                config.num_workers + c,
+                            )
+                            .map(Some)
+                        },
+                        // Re-arm this combiner's read-ends before
+                        // signalling done. Safe with respect to *this*
+                        // group's producers (they have all finished: either
+                        // the loop saw every queue closed, or the drain
+                        // waits for the close); independent of the other
+                        // combiners, whose queues are disjoint.
+                        |(group, _), _, _| group.iter_mut().for_each(drain_for_reuse),
+                    )
+                };
+                handles.push(spawn(format!("ramr-combiner-{c}"), Box::new(body))?);
             }
             Ok(())
         })();
@@ -622,17 +475,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             }
             return Err(e);
         }
-        Ok(Self {
-            shared,
-            handles,
-            plan,
-            machine,
-            labels,
-            consumers: held_consumers,
-            caller,
-            jobs_run: 0,
-            seed: None,
-        })
+        Ok(Self { shared, handles, plan, machine, labels, caller, jobs_run: 0 })
     }
 
     /// The session's configuration.
@@ -658,34 +501,18 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         self.jobs_run
     }
 
-    /// Seeds the **next submit's** adaptive controller with a learned
-    /// split, instead of letting it re-converge from the configured
-    /// `num_combiners` / `batch_size` default. One-shot: the seed applies
-    /// to exactly one epoch and is cleared whether or not that epoch runs
-    /// adaptively, preserving per-job isolation for everything after it.
-    ///
-    /// This is the pipeline's ratio carry-forward hook (see
-    /// [`AdaptiveSeed::from_trace`]); it has no effect on a session whose
-    /// configuration is not adaptive.
-    pub fn set_adaptive_seed(&mut self, seed: AdaptiveSeed) {
-        self.seed = Some(seed);
-    }
-
     /// Executes `job` over `input` on the parked pools, returning the
     /// key-sorted reduced output.
     ///
     /// The map-combine phase runs decoupled: `num_workers` mappers feed
-    /// `num_combiners` combiners through SPSC queues; on a static session
-    /// the calling thread is mapper 0 for the phase. Emissions travel in
-    /// blocks at both ends — each mapper buffers `effective_emit_buffer()`
-    /// pairs locally and publishes them with one tail update, and each
-    /// combiner consumes batched reads of `batch_size` elements — with the
-    /// configured backoff on full queues. With [`RuntimeConfig::adaptive`]
-    /// set, an online controller additionally samples live telemetry every
-    /// [`RuntimeConfig::adapt_interval`] and re-rolls mapper threads into
-    /// combine helpers (and back) and re-sizes the batched read within
-    /// [`AdaptiveBounds`]. Reduce and merge then run exactly as in the
-    /// baseline.
+    /// `num_combiners` combiners through SPSC queues, and the calling thread
+    /// is mapper 0 for the phase. Emissions travel in blocks at both ends —
+    /// each mapper buffers `effective_emit_buffer()` pairs locally and
+    /// publishes them with one tail update, and each combiner consumes
+    /// batched reads of `batch_size` elements. Load moves between the pools
+    /// one block or task at a time: a mapper whose combiner is behind folds
+    /// the block itself, and a combiner with nothing to read maps. Reduce and
+    /// merge then run exactly as in the baseline.
     ///
     /// A failed job (worker panic, container overflow, watchdog stall)
     /// leaves the session usable: the queues are drained and re-armed
@@ -705,10 +532,9 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Like [`submit`](RamrSession::submit), additionally returning the
-    /// job's [`RunReport`] — per-thread statistics, the placement plan and
-    /// (adaptive) every controller decision — isolated per job: a report
-    /// never includes a predecessor's telemetry, faults or adaptation
-    /// trace.
+    /// job's [`RunReport`] — per-thread statistics and the placement plan —
+    /// isolated per job: a report never includes a predecessor's telemetry
+    /// or faults.
     ///
     /// # Errors
     ///
@@ -733,45 +559,24 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         let config = &self.shared.config;
 
         // The coordinator supervises the epoch in place: it hosts the
-        // watchdog (when armed) on a scoped thread and runs the adaptive
-        // controller inline — or, static, maps as mapper 0, pinned to that
-        // mapper's slot when the pools are pinned. `with_epoch` sits *inside*
-        // the scope so that, should supervision unwind, the epoch is over
-        // (and the watchdog told so) before the scope joins the watchdog.
-        let pin = CallerPin::enter(
-            config.pin_os_threads && self.caller.is_some(),
-            self.plan.mapper_slot(0),
-        );
-        let (trace, stalled) = std::thread::scope(|scope| {
-            let caller = self.caller.as_mut().map(|mapper| CallerRole { mapper, job, input });
-            let consumers = &mut self.consumers;
-            let (trace, watchdog) = with_epoch(&self.shared, consumers, &frame, caller, || {
-                let watchdog = config.watchdog.map(|period| {
+        // watchdog (when armed) on a scoped thread, then maps as mapper 0,
+        // pinned to that mapper's slot when the pools are pinned.
+        // `with_epoch` sits *inside* the scope so that, should supervision
+        // unwind, the epoch is over (and the watchdog told so) before the
+        // scope joins the watchdog.
+        let pin = CallerPin::enter(config.pin_os_threads, self.plan.mapper_slot(0));
+        let stalled = std::thread::scope(|scope| {
+            let caller = CallerRole { mapper: &mut self.caller, job, input };
+            let watchdog = with_epoch(&self.shared, &frame, caller, || {
+                config.watchdog.map(|period| {
                     let board = frame.board.as_ref().expect("board exists when watchdog armed");
                     let labels = &self.labels;
                     let cancel = &frame.cancel;
                     let done = &frame.watchdog_done;
                     scope.spawn(move || watchdog_loop(period, board, labels, cancel, done))
-                });
-                let trace = if config.adaptive {
-                    let (registry, ctl) = frame.adaptive();
-                    controller_loop(
-                        config,
-                        AdaptiveBounds::from_config(config),
-                        registry,
-                        ctl,
-                        &frame.map_cells,
-                        &frame.flex_combine_cells,
-                        &frame.combiner_cells,
-                        &frame.cancel,
-                        |ceiling| self.shared.all_done_within(ceiling),
-                    )
-                } else {
-                    Vec::new()
-                };
-                (trace, watchdog)
+                })
             });
-            (trace, watchdog.and_then(|h| h.join().unwrap_or(None)))
+            watchdog.and_then(|h| h.join().unwrap_or(None))
         });
         drop(pin);
 
@@ -793,9 +598,9 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             .enumerate()
             .map(|(m, cell)| cell.snapshot(ThreadRole::Mapper, m))
             .collect();
-        // A static combiner that ran map tasks in place is also a mapper
-        // row, indexed after the mapper pool; one that never helped is
-        // omitted, by the no-phantom-row rule below.
+        // A combiner that ran map tasks in place is also a mapper row,
+        // indexed after the mapper pool; one that never helped is omitted:
+        // an all-zero phantom row would skew the per-thread tables.
         let helped: Vec<ThreadTelemetry> = frame
             .helper_cells
             .iter()
@@ -804,22 +609,12 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             .collect();
         let helped_per_combiner: Vec<u64> = helped.iter().map(|t| t.items).collect();
         mapper_telemetry.extend(helped.into_iter().filter(|t| t.items > 0 || !t.busy.is_zero()));
-        // Dedicated combiners first, then every flex thread that actually
-        // combined, indexed after the dedicated pool. Never-promoted flex
-        // threads are omitted: an all-zero phantom combiner would turn
-        // `combiner_imbalance` infinite on perfectly healthy runs.
-        let mut combiner_telemetry: Vec<ThreadTelemetry> = frame
+        let combiner_telemetry: Vec<ThreadTelemetry> = frame
             .combiner_cells
             .iter()
             .enumerate()
             .map(|(c, cell)| cell.snapshot(ThreadRole::Combiner, c))
             .collect();
-        for (m, cell) in frame.flex_combine_cells.iter().enumerate() {
-            let t = cell.snapshot(ThreadRole::Combiner, config.num_combiners + m);
-            if t.items > 0 || t.batches > 0 {
-                combiner_telemetry.push(t);
-            }
-        }
         let emitted_per_mapper: Vec<u64> = mapper_telemetry.iter().map(|t| t.items).collect();
         let full_events_per_mapper: Vec<u64> =
             mapper_telemetry.iter().map(|t| t.stall_events).collect();
@@ -851,26 +646,20 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             spilled_per_mapper: frame.spilled.iter().map(|n| n.load(Ordering::Relaxed)).collect(),
             mapper_telemetry,
             combiner_telemetry,
-            adaptation: trace,
             faults: frame.fault_log.snapshot(0, false),
         };
         Ok((JobOutput::from_sorted(merged, stats), report))
     }
 
     /// Builds the next epoch's frame: fresh per-job state (telemetry cells,
-    /// fault log, error slot, control surface) around the session's
-    /// long-lived queues. Consumes the one-shot adaptive seed — whatever
-    /// happens afterwards, a stage seed never outlives the single epoch it
-    /// was set for.
+    /// fault log, error slot) around the session's long-lived queues.
     fn frame_for(
-        &mut self,
+        &self,
         job: &J,
         input: &[J::Input],
         tasks: Vec<mr_core::TaskRange>,
     ) -> JobFrame<J> {
-        let seed = self.seed.take();
         let config = &self.shared.config;
-        let adaptive = config.adaptive;
         let fresh_cells = |n: usize| (0..n).map(|_| TelemetryCell::default()).collect();
         JobFrame {
             job: job as *const J,
@@ -889,32 +678,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             errors: ErrorSlot::default(),
             map_cells: fresh_cells(config.num_workers),
             combiner_cells: fresh_cells(config.num_combiners),
-            // Two cells per flex thread keep the pools' signals separable:
-            // a re-rolled thread's combine work must not pollute the map
-            // pool's throughput estimate (and vice versa).
-            flex_combine_cells: fresh_cells(if adaptive { config.num_workers } else { 0 }),
-            helper_cells: fresh_cells(if adaptive { 0 } else { config.num_combiners }),
-            spilled: (0..if adaptive { 0 } else { config.num_workers })
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            registry: adaptive.then(|| {
-                // Re-arm the read-ends reclaimed from the previous epoch.
-                // The producers are quiescent (previous submit returned),
-                // so the scrub-then-reopen is race-free; the epoch
-                // publication is the happens-before edge to the workers.
-                let mut held = std::mem::take(&mut self.consumers);
-                debug_assert_eq!(held.len(), config.num_workers, "a read-end went missing");
-                for rx in &mut held {
-                    while rx.pop_batch(1024, |_| {}) > 0 {}
-                    rx.reopen();
-                }
-                QueueRegistry::new(held)
-            }),
-            ctl: adaptive.then(|| match seed {
-                // Ratio carry-forward: start this epoch at the seeded split.
-                Some(s) => AdaptiveCtl::seeded(config.num_workers, s.batch_size, s.extra_combiners),
-                None => AdaptiveCtl::new(config.num_workers, config.batch_size),
-            }),
+            helper_cells: fresh_cells(config.num_combiners),
+            spilled: (0..config.num_workers).map(|_| AtomicU64::new(0)).collect(),
             partials: Mutex::new(Vec::new()),
         }
     }
@@ -931,17 +696,15 @@ impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
 }
 
 /// Runs one epoch: publishes `frame` to the parked pools, runs `supervise`
-/// on the calling thread while they work — then, static, the `caller`'s
-/// mapper role — and waits for every pooled worker to be done with the
-/// frame, unpublishes it and reclaims the adaptive read-ends into
-/// `consumers`.
+/// on the calling thread while they work — then the `caller`'s mapper role
+/// — and waits for every pooled worker to be done with the frame and
+/// unpublishes it.
 ///
 /// Everything after `supervise` is the drop of one guard, so it happens on
-/// unwind too: `supervise` spawns a thread and runs the controller, either
-/// of which can panic, and the workers hold a raw pointer to a frame on the
-/// caller's stack. The unwind must not continue past that stack frame —
-/// nor strand the read-ends in a registry about to be dropped — while any
-/// worker is still inside the epoch.
+/// unwind too: `supervise` spawns a thread, which can panic, and the
+/// workers hold a raw pointer to a frame on the caller's stack. The unwind
+/// must not continue past that stack frame while any worker is still inside
+/// the epoch.
 ///
 /// Mapper 0's queue is closed exactly once per epoch, on one of three paths:
 /// by `mapper_loop` on its success path, by its `settle` when it panicked,
@@ -952,14 +715,12 @@ impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
 /// only a role it still holds, and gives the role up before running it.
 fn with_epoch<J: MapReduceJob, R>(
     shared: &SessionShared<J>,
-    consumers: &mut Vec<PairConsumer<J>>,
     frame: &JobFrame<J>,
-    caller: Option<CallerRole<'_, J>>,
+    caller: CallerRole<'_, J>,
     supervise: impl FnOnce() -> R,
 ) -> R {
     struct EpochGuard<'a, J: MapReduceJob> {
         shared: &'a SessionShared<J>,
-        consumers: &'a mut Vec<PairConsumer<J>>,
         frame: &'a JobFrame<J>,
         /// The caller's role until it starts running.
         caller: Option<CallerRole<'a, J>>,
@@ -970,13 +731,10 @@ fn with_epoch<J: MapReduceJob, R>(
         fn drop(&mut self) {
             if !self.supervised {
                 // Nobody is left to run the job to its end: have the
-                // workers abandon it, waking those parked on the job-wide
-                // bell (every other wait polls the flag on a timeout), and
-                // end the stream of the mapper that will now never run.
+                // workers abandon it (every wait polls the flag on a
+                // timeout), and end the stream of the mapper that will now
+                // never run.
                 self.frame.cancel.store(true, Ordering::Release);
-                if let Some(registry) = &self.frame.registry {
-                    registry.ring();
-                }
                 if let Some(role) = self.caller.take() {
                     role.mapper.tx.finish();
                 }
@@ -984,9 +742,6 @@ fn with_epoch<J: MapReduceJob, R>(
             self.shared.wait_all_done();
             self.frame.watchdog_done.store(true, Ordering::Release);
             relock(self.shared.state.lock()).frame = None;
-            if let Some(registry) = &self.frame.registry {
-                *self.consumers = registry.take_consumers();
-            }
         }
     }
 
@@ -994,15 +749,14 @@ fn with_epoch<J: MapReduceJob, R>(
     // finishes instantly must find the counter already counting it. It
     // counts the pooled threads only; the caller's role ends before the
     // guard waits.
-    let roles = shared.config.num_workers + shared.config.num_combiners;
-    *relock(shared.busy.lock()) = roles - usize::from(caller.is_some());
+    *relock(shared.busy.lock()) = shared.config.num_workers + shared.config.num_combiners - 1;
     {
         let mut st = relock(shared.state.lock());
         st.epoch += 1;
         st.frame = Some(FramePtr(frame));
     }
     shared.start.notify_all();
-    let mut guard = EpochGuard { shared, consumers, frame, caller, supervised: false };
+    let mut guard = EpochGuard { shared, frame, caller: Some(caller), supervised: false };
     let out = supervise();
     if let Some(CallerRole { mapper, job, input }) = guard.caller.take() {
         let config = &shared.config;
@@ -1020,21 +774,21 @@ fn with_epoch<J: MapReduceJob, R>(
     out
 }
 
-/// The submitting thread's share of a static epoch: mapper 0, and the job
+/// The submitting thread's share of an epoch: mapper 0, and the job
 /// and input `submit` was handed — the borrows the frame carries as raw
 /// pointers for the pooled threads.
 struct CallerRole<'a, J: MapReduceJob> {
-    mapper: &'a mut StaticMapper<J>,
+    mapper: &'a mut MapperState<J>,
     job: &'a J,
     input: &'a [J::Input],
 }
 
-/// A static mapper's session-long state: its queue's write-end, the emit
+/// A mapper's session-long state: its queue's write-end, the emit
 /// buffer and the spill container kept next to it so that an epoch allocates
 /// none of them, and the task group it claims from first. Owned by a pooled
 /// `ramr-mapper-N` thread, or, for mapper 0, by the session, whose `submit`
 /// runs it on the caller.
-struct StaticMapper<J: MapReduceJob> {
+struct MapperState<J: MapReduceJob> {
     m: usize,
     home_group: usize,
     tx: PairProducer<J>,
@@ -1044,7 +798,7 @@ struct StaticMapper<J: MapReduceJob> {
     kept: Option<KeptContainer<J::Key, J::Value>>,
 }
 
-impl<J: MapReduceJob> StaticMapper<J> {
+impl<J: MapReduceJob> MapperState<J> {
     /// One epoch of [`mapper_loop`]; what it spilled is its partial.
     fn run(&mut self, config: &RuntimeConfig, ep: &Epoch<'_, J>) -> RoleOutcome<J> {
         let spilled = mapper_loop(
@@ -1096,7 +850,7 @@ type RoleOutcome<J> = Result<Option<phases::HashedPairs<J>>, RuntimeError>;
 /// [`run_role`]) and signal done.
 ///
 /// `ends` are the queue ends the thread owns for the session's life. `role`
-/// is one of the four role loops of `runtime.rs` with its arguments bound.
+/// is one of the two role loops of `runtime.rs` with its arguments bound.
 fn epoch_worker<J: MapReduceJob, E>(
     shared: &SessionShared<J>,
     slot: CpuSlot,
@@ -1212,56 +966,42 @@ mod tests {
     #[test]
     fn an_unwinding_supervisor_ends_the_epoch_before_the_frame_dies() {
         let input: Vec<u64> = (0..4000).collect();
-        for adaptive in [false, true] {
-            let mut cfg = RuntimeConfig::builder()
-                .num_workers(3)
-                .num_combiners(2)
-                .task_size(16)
-                .queue_capacity(64)
-                .batch_size(8)
-                .build()
-                .unwrap();
-            cfg.adaptive = adaptive;
-            let mut session = RamrSession::<Gated>::new(cfg).unwrap();
-            let job = Gated::default();
+        let cfg = RuntimeConfig::builder()
+            .num_workers(3)
+            .num_combiners(2)
+            .task_size(16)
+            .queue_capacity(64)
+            .batch_size(8)
+            .build()
+            .unwrap();
+        let mut session = RamrSession::<Gated>::new(cfg).unwrap();
+        let job = Gated::default();
 
-            // The supervisor panics only once a worker is provably inside
-            // the job, so the guard has live workers to wait out.
-            job.hold.store(true, Ordering::SeqCst);
-            let tasks = task_ranges(input.len(), session.config().task_size);
-            let frame = session.frame_for(&job, &input, tasks);
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                with_epoch(
-                    &session.shared,
-                    &mut session.consumers,
-                    &frame,
-                    session.caller.as_mut().map(|mapper| CallerRole {
-                        mapper,
-                        job: &job,
-                        input: &input,
-                    }),
-                    || {
-                        while job.entered.load(Ordering::SeqCst) == 0 {
-                            std::thread::yield_now();
-                        }
-                        panic!("supervisor exploded");
-                    },
-                )
-            }));
-            assert!(unwound.is_err(), "adaptive={adaptive}");
-            assert_eq!(job.inside.load(Ordering::SeqCst), 0, "adaptive={adaptive}");
-            assert_eq!(*relock(session.shared.busy.lock()), 0, "adaptive={adaptive}");
-            assert!(relock(session.shared.state.lock()).frame.is_none(), "adaptive={adaptive}");
-            let held = if adaptive { session.config().num_workers } else { 0 };
-            assert_eq!(session.consumers.len(), held, "adaptive={adaptive}: read-ends reclaimed");
-            drop(frame);
+        // The supervisor panics only once a worker is provably inside the
+        // job, so the guard has live workers to wait out.
+        job.hold.store(true, Ordering::SeqCst);
+        let tasks = task_ranges(input.len(), session.config().task_size);
+        let frame = session.frame_for(&job, &input, tasks);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let caller = CallerRole { mapper: &mut session.caller, job: &job, input: &input };
+            with_epoch(&session.shared, &frame, caller, || {
+                while job.entered.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                panic!("supervisor exploded");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(job.inside.load(Ordering::SeqCst), 0);
+        assert_eq!(*relock(session.shared.busy.lock()), 0);
+        assert!(relock(session.shared.state.lock()).frame.is_none());
+        drop(frame);
 
-            // The same pools serve the next job, exactly.
-            job.hold.store(false, Ordering::SeqCst);
-            let out = session.submit(&job, &input).unwrap();
-            let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 800)).collect();
-            assert_eq!(out.pairs, expected, "adaptive={adaptive}");
-        }
+        // The same pools serve the next job, exactly.
+        job.hold.store(false, Ordering::SeqCst);
+        let out = session.submit(&job, &input).unwrap();
+        let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 800)).collect();
+        assert_eq!(out.pairs, expected);
     }
 
     #[test]
@@ -1273,9 +1013,9 @@ mod tests {
         let (done, finished) = std::sync::mpsc::channel();
         let cases = std::thread::spawn(move || {
             let input: Vec<u64> = (0..4000).collect();
-            for (workers, combiners, adaptive) in [(1, 1, false), (3, 2, false), (3, 2, true)] {
-                let case = format!("{workers} + {combiners}, adaptive={adaptive}");
-                let mut cfg = RuntimeConfig::builder()
+            for (workers, combiners) in [(1, 1), (3, 2)] {
+                let case = format!("{workers} + {combiners}");
+                let cfg = RuntimeConfig::builder()
                     .num_workers(workers)
                     .num_combiners(combiners)
                     .task_size(16)
@@ -1283,18 +1023,13 @@ mod tests {
                     .batch_size(8)
                     .build()
                     .unwrap();
-                cfg.adaptive = adaptive;
                 let mut session = RamrSession::<Gated>::new(cfg).unwrap();
                 let job = Gated::default();
                 let tasks = task_ranges(input.len(), session.config().task_size);
                 let frame = session.frame_for(&job, &input, tasks);
-                let caller = session.caller.as_mut().map(|mapper| CallerRole {
-                    mapper,
-                    job: &job,
-                    input: &input,
-                });
+                let caller = CallerRole { mapper: &mut session.caller, job: &job, input: &input };
                 let unwound = catch_unwind(AssertUnwindSafe(|| {
-                    with_epoch(&session.shared, &mut session.consumers, &frame, caller, || {
+                    with_epoch(&session.shared, &frame, caller, || {
                         panic!("supervisor exploded at once")
                     })
                 }));
@@ -1308,7 +1043,7 @@ mod tests {
             }
             let _ = done.send(());
         });
-        match finished.recv_timeout(Duration::from_secs(10)) {
+        match finished.recv_timeout(std::time::Duration::from_secs(10)) {
             // A failed assertion drops the sender: re-raise it from here.
             Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => cases.join().unwrap(),
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {

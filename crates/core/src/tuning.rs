@@ -3,7 +3,7 @@
 //! The paper fixes the ratio per application: "this ratio is application
 //! dependent and is driven by the throughput (in processed elements/second)
 //! of the map and combine functions" (§III-B), and tunes batch size per
-//! machine (§IV-C). This module automates both, at three points in a job's
+//! machine (§IV-C). This module automates both, at two points in a job's
 //! lifecycle:
 //!
 //! * **Before the run** — [`calibrate`] measures the two throughputs on a
@@ -11,15 +11,13 @@
 //!   pairs into a real container) and [`Calibration::suggest`] converts them
 //!   into pool sizes (with combiner head-room) plus an L1-share-derived
 //!   batch size.
-//! * **During the run** — the *online controller* half of this module:
-//!   [`PoolObservation`] condenses a sampling window of live per-thread
-//!   telemetry, [`decide`] turns it into at most one thread re-role and one
-//!   bounded batch-size nudge per tick, and [`AdaptationEvent`] records what
-//!   happened for the run's adaptation trace. The runtime drives this loop
-//!   when `RuntimeConfig::adaptive` is on (see `RamrSession::submit`).
 //! * **After the run** — `RunReport::suggested_ratio` re-derives the paper's
-//!   criterion from whole-run telemetry, which is what the controller's
-//!   verdict is compared against in the ablation.
+//!   criterion from whole-run telemetry.
+//!
+//! During the run nothing is re-tuned: a mapper whose combiner is behind
+//! folds its blocks itself, and a combiner with nothing to read maps, so
+//! load moves between the pools one block or task at a time whatever split
+//! was configured.
 //!
 //! # Example
 //!
@@ -58,11 +56,10 @@
 //! # Ok::<(), mr_core::RuntimeError>(())
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mr_core::{Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr_containers::JobContainer;
-use ramr_telemetry::{pool_throughput, ThreadTelemetry};
 use ramr_topology::MachineModel;
 
 /// Measured per-element costs of a job's two sides.
@@ -177,336 +174,6 @@ pub fn calibrate<J: MapReduceJob>(
         emits_per_elem: emitted / sample.len() as f64,
         pair_bytes: std::mem::size_of::<(J::Key, J::Value)>(),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Online adaptive controller (the in-flight half of the tuning story).
-// ---------------------------------------------------------------------------
-
-/// Minimum batched reads a sampling window must contain before the batch
-/// occupancy signal is trusted. Below this the full/empty fractions are
-/// dominated by a handful of boundary batches.
-const MIN_BATCHES_FOR_SIGNAL: u64 = 8;
-
-/// Mapper stall fraction above which the combiner pool is declared starving
-/// the mappers (blocks pile up behind full queues), regardless of what the
-/// throughput estimate says.
-const MAPPER_STALL_THRESHOLD: f64 = 0.25;
-
-/// Combiner idle fraction above which — with mappers running freely — the
-/// combiner pool is declared oversized.
-const COMBINER_IDLE_THRESHOLD: f64 = 0.6;
-
-/// Gate on the mapper-stall override: adding a combiner only helps when the
-/// existing combiners are actually busy. Above this combiner idle fraction,
-/// mapper stalls cannot be a combine-capacity problem — an extra combiner
-/// would idle like the others — so the override stands down and the
-/// throughput criterion keeps control.
-const COMBINER_STALL_GATE: f64 = 0.5;
-
-/// Batched reads fuller than this fraction of the window mean the combiners
-/// always find a full block waiting (a backlog): grow the batch to amortize
-/// more synchronization per read.
-const READS_FULL_THRESHOLD: f64 = 0.9;
-
-/// Batched reads fuller than the configured size less often than this mean
-/// the block rarely fills before the combiner arrives: shrink the batch so
-/// reads stop waiting for stragglers.
-const READS_SPARSE_THRESHOLD: f64 = 0.25;
-
-/// Bounds the online controller must keep its two actuators inside.
-///
-/// Derived from the starting configuration by [`AdaptiveBounds::from_config`]
-/// so a run can never adapt itself outside what the operator provisioned:
-/// dedicated combiners are never re-rolled as mappers (they own no task
-/// queue), at least one mapper always survives, and the batch size moves
-/// within a 4x window of the configured value, capped by the queue capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveBounds {
-    /// Fewest active combiners (the dedicated pool size).
-    pub min_combiners: usize,
-    /// Most active combiners (everything but one mapper re-rolled).
-    pub max_combiners: usize,
-    /// Smallest batch size the controller may set.
-    pub min_batch: usize,
-    /// Largest batch size the controller may set.
-    pub max_batch: usize,
-}
-
-impl AdaptiveBounds {
-    /// Derives the controller's actuator bounds from a starting config.
-    pub fn from_config(config: &RuntimeConfig) -> Self {
-        Self {
-            min_combiners: config.num_combiners,
-            max_combiners: config.num_combiners + config.num_workers.saturating_sub(1),
-            min_batch: (config.batch_size / 4).max(1),
-            max_batch: (config.batch_size.saturating_mul(4)).min(config.queue_capacity),
-        }
-    }
-
-    /// Total threads the adaptive pool owns (mappers + combiners).
-    pub fn total_threads(&self) -> usize {
-        // max_combiners = dedicated + flex - 1, so total = max + 1.
-        self.max_combiners + 1
-    }
-}
-
-/// One sampling window of live pool telemetry, condensed to the signals the
-/// controller acts on.
-///
-/// Built from *deltas* between successive snapshots of the worker cells
-/// ([`ThreadTelemetry::delta_since`]), so every field describes only the
-/// elapsed window — the workload's current phase — never the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PoolObservation {
-    /// Pairs emitted per busy-second across mapping threads (`None` when
-    /// the window recorded no mapper busy time).
-    pub map_throughput: Option<f64>,
-    /// Pairs folded per busy-second across combining threads.
-    pub combine_throughput: Option<f64>,
-    /// Fraction of mapper accounted time spent blocked publishing blocks to
-    /// full queues, in `[0, 1]`.
-    pub mapper_stall_fraction: f64,
-    /// Fraction of combiner accounted time spent idle waiting for data.
-    pub combiner_stall_fraction: f64,
-    /// Fraction of the window's batched reads that were completely full.
-    pub read_full_fraction: f64,
-    /// Batched reads performed in the window (gates the occupancy signal).
-    pub combine_batches: u64,
-    /// Pairs emitted by mappers in the window.
-    pub pairs_emitted: u64,
-    /// Pairs consumed by combiners in the window.
-    pub pairs_consumed: u64,
-}
-
-impl PoolObservation {
-    /// Condenses per-thread window deltas into one observation.
-    ///
-    /// `mappers` are the deltas of the map-side accumulators, `combiners`
-    /// the deltas of every combining participant (dedicated combiners and
-    /// re-rolled mappers alike).
-    pub fn from_windows(mappers: &[ThreadTelemetry], combiners: &[ThreadTelemetry]) -> Self {
-        fn stall_fraction(threads: &[ThreadTelemetry]) -> f64 {
-            let busy: f64 = threads.iter().map(|t| t.busy.as_secs_f64()).sum();
-            let stalled: f64 = threads.iter().map(|t| t.stalled.as_secs_f64()).sum();
-            let accounted = busy + stalled;
-            if accounted > 0.0 {
-                stalled / accounted
-            } else {
-                0.0
-            }
-        }
-        let mut occupancy = ramr_telemetry::BatchHistogram::default();
-        for t in combiners {
-            occupancy.merge(&t.occupancy);
-        }
-        Self {
-            map_throughput: pool_throughput(mappers),
-            combine_throughput: pool_throughput(combiners),
-            mapper_stall_fraction: stall_fraction(mappers),
-            combiner_stall_fraction: stall_fraction(combiners),
-            read_full_fraction: occupancy.full_fraction(),
-            combine_batches: occupancy.total(),
-            pairs_emitted: mappers.iter().map(|t| t.items).sum(),
-            pairs_consumed: combiners.iter().map(|t| t.items).sum(),
-        }
-    }
-
-    /// The paper's throughput criterion evaluated on this window, when both
-    /// throughputs were observable.
-    pub fn suggested_ratio(&self) -> Option<usize> {
-        Some(ramr_telemetry::suggested_ratio(self.map_throughput?, self.combine_throughput?))
-    }
-}
-
-/// What the controller chose to do after one sampling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// Change to the active combiner count: `+1` re-rolls one mapper as a
-    /// combiner, `-1` sends one re-rolled combiner back to mapping, `0`
-    /// holds. Never moves more than one thread per tick (hysteresis).
-    pub combiner_step: isize,
-    /// Batch size combiners should use from now on (possibly unchanged).
-    pub batch_size: usize,
-    /// Human-readable cause, for the adaptation trace.
-    pub reason: &'static str,
-}
-
-/// The controller policy: one observation window in, at most one thread
-/// re-role and one batch nudge out.
-///
-/// Ratio control follows the paper's throughput criterion — the window's
-/// relative combine/map throughput implies how many mappers one combiner
-/// sustains, hence a target combiner count for the fixed thread budget —
-/// stepped one thread at a time with a ±1 dead-band so adjacent-target
-/// rounding cannot oscillate the pools. Two *starvation overrides* outrank
-/// the estimate, because they observe the failure directly rather than
-/// inferring it: mappers blocked on full queues force a combiner to be
-/// added; combiners idling while mappers run freely force one to be
-/// removed. Batch control follows the read-occupancy histogram within
-/// [`AdaptiveBounds`]' window: always-full reads double the batch (backlog
-/// — amortize synchronization), rarely-full reads halve it (stop waiting
-/// for blocks that never fill).
-pub fn decide(
-    obs: &PoolObservation,
-    active_combiners: usize,
-    batch_size: usize,
-    bounds: &AdaptiveBounds,
-) -> Decision {
-    // Batch nudge (independent of the ratio decision).
-    let mut batch = batch_size;
-    if obs.combine_batches >= MIN_BATCHES_FOR_SIGNAL {
-        if obs.read_full_fraction > READS_FULL_THRESHOLD {
-            batch = batch_size.saturating_mul(2).min(bounds.max_batch);
-        } else if obs.read_full_fraction < READS_SPARSE_THRESHOLD {
-            batch = (batch_size / 2).max(bounds.min_batch);
-        }
-    }
-
-    // Throughput-criterion target for the combiner pool.
-    let mut step: isize = 0;
-    let mut reason = "hold";
-    if let Some(ratio) = obs.suggested_ratio() {
-        // `ratio` mappers per combiner over `total` threads puts the
-        // combiner share at total / (ratio + 1).
-        let total = bounds.total_threads() as f64;
-        let target = ((total / (ratio as f64 + 1.0)).round() as usize)
-            .clamp(bounds.min_combiners, bounds.max_combiners);
-        // ±1 dead-band: a target one away is within rounding noise of the
-        // current split; acting on it would oscillate between neighbours.
-        if target > active_combiners + 1 {
-            step = 1;
-            reason = "throughput criterion wants more combiners";
-        } else if target + 1 < active_combiners {
-            step = -1;
-            reason = "throughput criterion wants fewer combiners";
-        }
-    }
-
-    // Starvation overrides: direct evidence of one pool starving the other.
-    // The mapper-stall override is gated on the combiners being busy — if
-    // they are mostly idle, the stall is batch-fill latency or scheduling,
-    // and another idle combiner cannot fix it.
-    if obs.mapper_stall_fraction > MAPPER_STALL_THRESHOLD
-        && obs.combiner_stall_fraction < COMBINER_STALL_GATE
-        && step <= 0
-    {
-        step = 1;
-        reason = "mappers stalling on full queues";
-    } else if obs.combiner_stall_fraction > COMBINER_IDLE_THRESHOLD
-        && obs.mapper_stall_fraction < 0.05
-        && step >= 0
-    {
-        step = -1;
-        reason = "combiners idle while mappers run freely";
-    }
-
-    // Clamp to the actuator bounds.
-    if (step > 0 && active_combiners >= bounds.max_combiners)
-        || (step < 0 && active_combiners <= bounds.min_combiners)
-    {
-        step = 0;
-        if batch == batch_size {
-            reason = "hold (at bounds)";
-        }
-    }
-    if step == 0 && batch != batch_size {
-        reason = if batch > batch_size {
-            "reads always full: growing batch"
-        } else {
-            "reads rarely full: shrinking batch"
-        };
-    }
-    Decision { combiner_step: step, batch_size: batch, reason }
-}
-
-/// One tick of the adaptation trace: what the controller saw and did.
-///
-/// A run in adaptive mode records one event per sampling interval (holds
-/// included), so the trace is a complete account of the controller's view —
-/// `RunReport::adaptation` hands it back and the CLI prints the acting
-/// subset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptationEvent {
-    /// Offset from the start of the map-combine phase.
-    pub at: Duration,
-    /// Threads mapping after this tick's action.
-    pub active_mappers: usize,
-    /// Threads combining after this tick's action.
-    pub active_combiners: usize,
-    /// Combiner batch size after this tick's action.
-    pub batch_size: usize,
-    /// The window signals the decision was based on.
-    pub observation: PoolObservation,
-    /// The cause recorded by [`decide`].
-    pub reason: &'static str,
-}
-
-impl AdaptationEvent {
-    /// `true` when this tick changed a pool or the batch size.
-    pub fn acted(&self) -> bool {
-        !self.reason.starts_with("hold")
-    }
-
-    /// One trace line: `t+12.3ms 6m/3c batch 500 — <reason> [map 1.2M/s combine 0.9M/s]`.
-    pub fn describe(&self) -> String {
-        let tp = |t: Option<f64>| match t {
-            Some(v) => format!("{:.2}M/s", v / 1e6),
-            None => "?".to_string(),
-        };
-        format!(
-            "t+{:<8.1?} {}m/{}c batch {:<5} — {} [map {} combine {} | stall m {:.0}% c {:.0}% \
-             | reads full {:.0}%]",
-            self.at,
-            self.active_mappers,
-            self.active_combiners,
-            self.batch_size,
-            self.reason,
-            tp(self.observation.map_throughput),
-            tp(self.observation.combine_throughput),
-            100.0 * self.observation.mapper_stall_fraction,
-            100.0 * self.observation.combiner_stall_fraction,
-            100.0 * self.observation.read_full_fraction,
-        )
-    }
-}
-
-/// The split a finished stage hands to the next one: how a pipeline's
-/// adaptive controller avoids re-converging from the static default at
-/// every stage boundary.
-///
-/// Derived from the previous stage's adaptation trace by
-/// [`AdaptiveSeed::from_trace`] and applied (one-shot) through
-/// `EngineSession::set_adaptive_seed`; the next epoch's controller then
-/// starts at this split instead of `num_combiners` / `batch_size` and
-/// keeps adapting from there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveSeed {
-    /// Flex threads that start the next epoch already re-rolled as
-    /// combiners, on top of the dedicated pool.
-    pub extra_combiners: usize,
-    /// Batched-read size the next epoch starts with.
-    pub batch_size: usize,
-}
-
-impl AdaptiveSeed {
-    /// Derives the next stage's seed from the previous stage's adaptation
-    /// trace: its final split and batch window, clamped into the
-    /// [`AdaptiveBounds`] the next epoch will run under. `None` when the
-    /// trace is empty — the controller never ticked, so nothing was
-    /// learned and the next stage starts from the configured default.
-    pub fn from_trace(config: &RuntimeConfig, trace: &[AdaptationEvent]) -> Option<Self> {
-        let last = trace.last()?;
-        let bounds = AdaptiveBounds::from_config(config);
-        let extra = last
-            .active_combiners
-            .saturating_sub(bounds.min_combiners)
-            .min(bounds.max_combiners - bounds.min_combiners);
-        Some(AdaptiveSeed {
-            extra_combiners: extra,
-            batch_size: last.batch_size.clamp(bounds.min_batch, bounds.max_batch),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -675,241 +342,6 @@ mod tests {
         let cfg = RuntimeConfig::builder().container(ContainerKind::Hash).build().unwrap();
         let err = calibrate(&Silent, &[1, 2, 3], &cfg).unwrap_err();
         assert!(err.to_string().contains("no pairs"));
-    }
-
-    fn bounds_for(workers: usize, combiners: usize, batch: usize, queue: usize) -> AdaptiveBounds {
-        AdaptiveBounds::from_config(
-            &RuntimeConfig::builder()
-                .num_workers(workers)
-                .num_combiners(combiners)
-                .batch_size(batch)
-                .queue_capacity(queue)
-                .build()
-                .unwrap(),
-        )
-    }
-
-    fn obs() -> PoolObservation {
-        PoolObservation {
-            map_throughput: Some(1000.0),
-            combine_throughput: Some(1000.0),
-            combine_batches: 100,
-            pairs_emitted: 10_000,
-            pairs_consumed: 10_000,
-            read_full_fraction: 0.5,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn bounds_keep_one_mapper_and_all_dedicated_combiners() {
-        let b = bounds_for(8, 1, 100, 1000);
-        assert_eq!(b.min_combiners, 1);
-        assert_eq!(b.max_combiners, 8, "8 flex threads: at most 7 re-rolled, 1 keeps mapping");
-        assert_eq!(b.total_threads(), 9);
-        assert_eq!(b.min_batch, 25);
-        assert_eq!(b.max_batch, 400);
-        // Batch window is capped by the queue capacity.
-        assert_eq!(bounds_for(4, 2, 800, 1000).max_batch, 1000);
-    }
-
-    #[test]
-    fn equal_throughput_from_bad_start_adds_combiners() {
-        // 9 threads, 1 combiner, equal map/combine speed: the criterion
-        // wants a 1:1 split (target 5 of 9), far above 1 -> step up.
-        let b = bounds_for(8, 1, 100, 1000);
-        let d = decide(&obs(), 1, 100, &b);
-        assert_eq!(d.combiner_step, 1, "{}", d.reason);
-        // ... and keeps stepping until the dead-band around the target.
-        assert_eq!(decide(&obs(), 3, 100, &b).combiner_step, 1);
-        assert_eq!(decide(&obs(), 4, 100, &b).combiner_step, 0, "inside the dead-band");
-        assert_eq!(decide(&obs(), 5, 100, &b).combiner_step, 0, "inside the dead-band");
-        assert_eq!(decide(&obs(), 7, 100, &b).combiner_step, -1, "overshoot steps back");
-    }
-
-    #[test]
-    fn fast_combine_sheds_combiners() {
-        // Combine 8x faster than map: one combiner serves 8 mappers, the
-        // target collapses to 1 of 9.
-        let o = PoolObservation { combine_throughput: Some(8000.0), ..obs() };
-        let b = bounds_for(8, 1, 100, 1000);
-        assert_eq!(decide(&o, 5, 100, &b).combiner_step, -1);
-        // Already at the dedicated floor: clamped.
-        assert_eq!(decide(&o, 1, 100, &b).combiner_step, 0);
-    }
-
-    #[test]
-    fn mapper_stall_overrides_throughput_estimate() {
-        // Throughput says shed combiners, but mappers are visibly blocked
-        // on full queues: direct evidence wins.
-        let o = PoolObservation {
-            combine_throughput: Some(8000.0),
-            mapper_stall_fraction: 0.4,
-            ..obs()
-        };
-        let b = bounds_for(8, 1, 100, 1000);
-        let d = decide(&o, 5, 100, &b);
-        assert_eq!(d.combiner_step, 1);
-        assert!(d.reason.contains("stalling"), "{}", d.reason);
-        // At the ceiling the override still cannot exceed the bounds.
-        assert_eq!(decide(&o, 8, 100, &b).combiner_step, 0);
-    }
-
-    #[test]
-    fn mapper_stall_with_idle_combiners_does_not_add_more() {
-        // Mappers blocked while the existing combiners are mostly idle:
-        // another combiner would idle like the rest, so the override is
-        // gated out and the throughput criterion keeps control.
-        let o = PoolObservation {
-            combine_throughput: Some(8000.0),
-            mapper_stall_fraction: 0.4,
-            combiner_stall_fraction: 0.9,
-            ..obs()
-        };
-        let b = bounds_for(8, 1, 100, 1000);
-        assert_eq!(decide(&o, 5, 100, &b).combiner_step, -1, "criterion resumes control");
-    }
-
-    #[test]
-    fn idle_combiners_step_back_only_when_mappers_run_freely() {
-        let idle = PoolObservation { combiner_stall_fraction: 0.8, ..obs() };
-        let b = bounds_for(8, 2, 100, 1000);
-        // Dead-band target (5) vs active 5: throughput holds; idleness acts.
-        let d = decide(&idle, 5, 100, &b);
-        assert_eq!(d.combiner_step, -1, "{}", d.reason);
-        // Same idleness but mappers also stalling: conflicting signals —
-        // neither override fires (idle combiners gate the mapper-stall
-        // override; stalled mappers gate the idle-combiner one) and the
-        // dead-banded throughput criterion holds.
-        let both = PoolObservation { mapper_stall_fraction: 0.3, ..idle };
-        assert_eq!(decide(&both, 5, 100, &b).combiner_step, 0);
-        // Never below the dedicated pool.
-        assert_eq!(decide(&idle, 2, 100, &b).combiner_step, 0);
-    }
-
-    #[test]
-    fn batch_adapts_within_bounds_on_occupancy_extremes() {
-        let b = bounds_for(4, 2, 100, 1000);
-        let full = PoolObservation { read_full_fraction: 0.95, ..obs() };
-        assert_eq!(decide(&full, 3, 100, &b).batch_size, 200);
-        assert_eq!(decide(&full, 3, 400, &b).batch_size, 400, "capped at max_batch");
-        let sparse = PoolObservation { read_full_fraction: 0.1, ..obs() };
-        assert_eq!(decide(&sparse, 3, 100, &b).batch_size, 50);
-        assert_eq!(decide(&sparse, 3, 25, &b).batch_size, 25, "floored at min_batch");
-        // Mid-range occupancy holds the batch.
-        assert_eq!(decide(&obs(), 3, 100, &b).batch_size, 100);
-        // Too few reads in the window: the signal is ignored.
-        let thin = PoolObservation { read_full_fraction: 1.0, combine_batches: 2, ..obs() };
-        assert_eq!(decide(&thin, 3, 100, &b).batch_size, 100);
-    }
-
-    #[test]
-    fn no_throughput_signal_holds_the_pools() {
-        let blind = PoolObservation::default();
-        let b = bounds_for(8, 1, 100, 1000);
-        let d = decide(&blind, 3, 100, &b);
-        assert_eq!(d.combiner_step, 0);
-        assert_eq!(d.batch_size, 100);
-        assert!(!AdaptationEvent {
-            at: Duration::ZERO,
-            active_mappers: 6,
-            active_combiners: 3,
-            batch_size: 100,
-            observation: blind,
-            reason: d.reason,
-        }
-        .acted());
-    }
-
-    #[test]
-    fn observation_from_windows_aggregates_pools() {
-        use ramr_telemetry::{BatchHistogram, ThreadRole};
-        let mk = |role, busy_ms: u64, stalled_ms: u64, items, full: u64, partial: u64| {
-            let mut occupancy = BatchHistogram::default();
-            for _ in 0..full {
-                occupancy.record(8, 8);
-            }
-            for _ in 0..partial {
-                occupancy.record(2, 8);
-            }
-            ThreadTelemetry {
-                role,
-                index: 0,
-                busy: Duration::from_millis(busy_ms),
-                stalled: Duration::from_millis(stalled_ms),
-                spill: Duration::ZERO,
-                wall: Duration::from_millis(busy_ms + stalled_ms),
-                items,
-                stall_events: 0,
-                batches: full + partial,
-                occupancy,
-            }
-        };
-        let mappers = [
-            mk(ThreadRole::Mapper, 90, 10, 9000, 0, 0),
-            mk(ThreadRole::Mapper, 60, 40, 6000, 0, 0),
-        ];
-        let combiners = [mk(ThreadRole::Combiner, 100, 100, 12_000, 6, 2)];
-        let o = PoolObservation::from_windows(&mappers, &combiners);
-        // 15000 items over 0.15 busy seconds.
-        assert!((o.map_throughput.unwrap() - 100_000.0).abs() < 1e-6);
-        assert!((o.combine_throughput.unwrap() - 120_000.0).abs() < 1e-6);
-        assert!((o.mapper_stall_fraction - 0.25).abs() < 1e-9);
-        assert!((o.combiner_stall_fraction - 0.5).abs() < 1e-9);
-        assert_eq!(o.combine_batches, 8);
-        assert!((o.read_full_fraction - 0.75).abs() < 1e-9);
-        assert_eq!(o.pairs_emitted, 15_000);
-        assert_eq!(o.pairs_consumed, 12_000);
-        assert_eq!(o.suggested_ratio(), Some(1));
-        // Empty windows observe nothing rather than fabricating zeros.
-        let empty = PoolObservation::from_windows(&[], &[]);
-        assert_eq!(empty.map_throughput, None);
-        assert_eq!(empty.suggested_ratio(), None);
-    }
-
-    #[test]
-    fn adaptation_event_describe_is_scannable() {
-        let e = AdaptationEvent {
-            at: Duration::from_millis(12),
-            active_mappers: 6,
-            active_combiners: 3,
-            batch_size: 500,
-            observation: obs(),
-            reason: "mappers stalling on full queues",
-        };
-        assert!(e.acted());
-        let line = e.describe();
-        assert!(line.contains("6m/3c"), "{line}");
-        assert!(line.contains("batch 500"), "{line}");
-        assert!(line.contains("stalling"), "{line}");
-    }
-
-    #[test]
-    fn adaptive_seed_derives_from_the_final_trace_event() {
-        let config = RuntimeConfig::builder()
-            .num_workers(8)
-            .num_combiners(2)
-            .batch_size(100)
-            .queue_capacity(1000)
-            .build()
-            .unwrap();
-        let event = |combiners: usize, batch| AdaptationEvent {
-            at: Duration::ZERO,
-            active_mappers: 10usize.saturating_sub(combiners),
-            active_combiners: combiners,
-            batch_size: batch,
-            observation: PoolObservation::default(),
-            reason: "hold",
-        };
-        // Empty trace: nothing learned, no seed.
-        assert_eq!(AdaptiveSeed::from_trace(&config, &[]), None);
-        // The last event wins; extra = final split minus the dedicated pool.
-        let seed = AdaptiveSeed::from_trace(&config, &[event(2, 100), event(5, 200)]).unwrap();
-        assert_eq!(seed, AdaptiveSeed { extra_combiners: 3, batch_size: 200 });
-        // Out-of-range values clamp into the next epoch's bounds.
-        let seed = AdaptiveSeed::from_trace(&config, &[event(40, 100_000)]).unwrap();
-        assert_eq!(seed.extra_combiners, 7, "at most num_workers - 1 flex re-rolled");
-        assert_eq!(seed.batch_size, 400, "batch capped at 4x the configured size");
     }
 
     #[test]

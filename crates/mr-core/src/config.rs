@@ -101,20 +101,19 @@ impl std::fmt::Display for PinningPolicyKind {
     }
 }
 
-/// What a mapper does when a push to a full SPSC queue fails — and,
-/// mirrored, what an idle combiner does while its queues are short of a
-/// batch.
+/// What an idle combiner does while its queues are short of a batch.
 ///
-/// The paper found that letting mappers sleep after a failed trial improves
-/// runtime over the original busy-wait loop ("Sleep on failed push"). Here
-/// the sleeper is parked off its core and woken by its peer's progress, not
-/// by a timer.
+/// The paper found that letting mappers sleep after a failed push improves
+/// runtime over the original busy-wait loop ("Sleep on failed push"). A
+/// mapper here never waits on a full queue — it folds the block itself — so
+/// the policy paces the other end: the idle combiner is parked off its core
+/// and woken by its mappers' progress, not by a timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PushBackoff {
     /// Spin forever; burns the CPU the paired combiner may need.
     BusyWait,
-    /// Spin `spins` times, then park until the peer frees space (or
-    /// publishes a batch) and rings.
+    /// Spin `spins` times, then park until a mapper publishes a batch and
+    /// rings.
     SpinThenSleep {
         /// Spin iterations before the first park.
         spins: u32,
@@ -284,7 +283,7 @@ pub struct RuntimeConfig {
     pub hasher: HasherKind,
     /// Thread placement policy.
     pub pinning: PinningPolicyKind,
-    /// Behaviour of mappers on a full queue.
+    /// Behaviour of an idle combiner (see [`PushBackoff`]).
     pub push_backoff: PushBackoff,
     /// Whether to actually invoke `sched_setaffinity`. Disabled by default
     /// so tests behave identically on constrained CI machines; the placement
@@ -300,23 +299,6 @@ pub struct RuntimeConfig {
     /// (the default); disable to get the counter-stubbed baseline the
     /// telemetry overhead bound is measured against.
     pub telemetry: bool,
-    /// Whether the runtime adapts itself *during* the run: an online
-    /// controller samples live per-thread telemetry every
-    /// [`adapt_interval`](Self::adapt_interval) and (a) rebalances the
-    /// effective mapper:combiner ratio by re-rolling mapper threads as
-    /// combiners (and back), and (b) nudges the combiner batch size within
-    /// a bounded window. Off by default: the static path is untouched and
-    /// byte-identical to previous releases, so all recorded figures stay
-    /// reproducible. Requires `telemetry` (validated).
-    pub adaptive: bool,
-    /// Sampling period of the online controller when [`adaptive`] is on.
-    /// Shorter intervals react faster but each tick costs one pass over the
-    /// telemetry cells plus at most one thread re-role; the default (5 ms)
-    /// is two orders of magnitude above the sampling cost on commodity
-    /// hosts.
-    ///
-    /// [`adaptive`]: Self::adaptive
-    pub adapt_interval: Duration,
     /// How many times a panicked map task is re-executed before the run
     /// gives up on it. The default (0) preserves fail-fast: the first
     /// panic aborts the run with [`RuntimeError::WorkerPanic`]. Retries
@@ -387,8 +369,6 @@ impl Default for RuntimeConfig {
             num_reducers: workers,
             fixed_capacity: None,
             telemetry: true,
-            adaptive: false,
-            adapt_interval: Duration::from_millis(5),
             max_task_retries: 0,
             skip_poison_tasks: false,
             watchdog: None,
@@ -441,11 +421,10 @@ impl RuntimeConfig {
     /// policy; setting either selects [`PushBackoff::SpinThenSleep`] with
     /// the paper's defaults for the other), `RAMR_CONTAINER`
     /// (`array|hash|fixed-hash`), `RAMR_HASHER` (`fnv|fx`), `RAMR_PINNING`
-    /// (`ramr|round-robin|os-default`), `RAMR_PIN_THREADS`, `RAMR_TELEMETRY`
-    /// and `RAMR_ADAPTIVE` (`0|1|true|false|yes|no`, case-insensitive),
-    /// `RAMR_ADAPT_INTERVAL_MS` (controller sampling period in
-    /// milliseconds), `RAMR_TASK_RETRIES` (re-executions of a panicked map
-    /// task before giving up), `RAMR_SKIP_POISON_TASKS` (boolean: complete
+    /// (`ramr|round-robin|os-default`), `RAMR_PIN_THREADS` and
+    /// `RAMR_TELEMETRY` (`0|1|true|false|yes|no`, case-insensitive),
+    /// `RAMR_TASK_RETRIES` (re-executions of a panicked map task before
+    /// giving up), `RAMR_SKIP_POISON_TASKS` (boolean: complete
     /// the run without tasks whose retries are exhausted, recording them in
     /// the fault report), `RAMR_WATCHDOG_MS` (stall-detector period in
     /// milliseconds; must be nonzero), the concurrent-scheduler knobs
@@ -502,20 +481,6 @@ impl RuntimeConfig {
                 "batch_size ({}) exceeds queue_capacity ({}); a batch could never fill",
                 self.batch_size, self.queue_capacity
             )));
-        }
-        if self.adaptive {
-            if !self.telemetry {
-                return Err(RuntimeError::InvalidConfig(
-                    "adaptive mode requires telemetry: the controller's only input is the \
-                     live per-thread telemetry feed"
-                        .into(),
-                ));
-            }
-            if self.adapt_interval.is_zero() {
-                return Err(RuntimeError::InvalidConfig(
-                    "adapt_interval must be nonzero in adaptive mode".into(),
-                ));
-            }
         }
         if self.watchdog == Some(Duration::ZERO) {
             return Err(RuntimeError::InvalidConfig(
@@ -661,18 +626,6 @@ impl RuntimeConfigBuilder {
     /// Enables or disables per-thread wall-clock telemetry.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.config.telemetry = on;
-        self
-    }
-
-    /// Enables or disables the online adaptive controller.
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.config.adaptive = on;
-        self
-    }
-
-    /// Sets the adaptive controller's sampling period.
-    pub fn adapt_interval(mut self, interval: Duration) -> Self {
-        self.config.adapt_interval = interval;
         self
     }
 
@@ -918,7 +871,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_PUSH_SPINS",
         cli: "push-spins",
         value: "N",
-        help: "spins before a mapper parks on a full queue",
+        help: "spins before an idle combiner parks",
         apply: |mut b, raw, src| {
             let (_, sleep) = spin_sleep_halves(b.config.push_backoff);
             b.config.push_backoff = PushBackoff::SpinThenSleep { spins: knob(raw, src)?, sleep };
@@ -929,7 +882,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_PUSH_SLEEP_US",
         cli: "push-sleep-us",
         value: "US",
-        help: "ceiling of one full-queue park (cancel-poll interval), in microseconds",
+        help: "ceiling of one idle-combiner park (cancel-poll interval), in microseconds",
         apply: |mut b, raw, src| {
             let (spins, _) = spin_sleep_halves(b.config.push_backoff);
             b.config.push_backoff =
@@ -950,20 +903,6 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         value: "0|1",
         help: "per-thread wall-clock telemetry (on by default)",
         apply: |b, raw, src| Ok(b.telemetry(knob_bool(raw, src)?)),
-    },
-    EnvKnob {
-        env: "RAMR_ADAPTIVE",
-        cli: "adaptive",
-        value: "0|1",
-        help: "online adaptive controller (requires telemetry)",
-        apply: |b, raw, src| Ok(b.adaptive(knob_bool(raw, src)?)),
-    },
-    EnvKnob {
-        env: "RAMR_ADAPT_INTERVAL_MS",
-        cli: "adapt-interval-ms",
-        value: "MS",
-        help: "adaptive controller sampling period, in milliseconds",
-        apply: |b, raw, src| Ok(b.adapt_interval(Duration::from_millis(knob(raw, src)?))),
     },
     EnvKnob {
         env: "RAMR_TASK_RETRIES",
@@ -1222,52 +1161,6 @@ mod tests {
         let c = RuntimeConfig::from_env().unwrap();
         std::env::remove_var("RAMR_TELEMETRY");
         assert!(!c.telemetry);
-    }
-
-    #[test]
-    fn adaptive_defaults_off_and_validates() {
-        let c = RuntimeConfig::default();
-        assert!(!c.adaptive, "adaptive mode must be opt-in");
-        assert_eq!(c.adapt_interval, Duration::from_millis(5));
-        let c = RuntimeConfig::builder()
-            .adaptive(true)
-            .adapt_interval(Duration::from_millis(2))
-            .build()
-            .unwrap();
-        assert!(c.adaptive);
-        assert_eq!(c.adapt_interval, Duration::from_millis(2));
-    }
-
-    #[test]
-    fn adaptive_requires_telemetry_and_nonzero_interval() {
-        let err = RuntimeConfig::builder().adaptive(true).telemetry(false).build().unwrap_err();
-        assert!(err.to_string().contains("telemetry"));
-        let err = RuntimeConfig::builder()
-            .adaptive(true)
-            .adapt_interval(Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("adapt_interval"));
-        // Off-mode does not care about the interval: the controller never
-        // runs, so a zero period must not invalidate existing configs.
-        RuntimeConfig::builder().adapt_interval(Duration::ZERO).build().unwrap();
-    }
-
-    #[test]
-    fn from_env_reads_adaptive_knobs() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAMR_ADAPTIVE", "on");
-        std::env::set_var("RAMR_ADAPT_INTERVAL_MS", "12");
-        let c = RuntimeConfig::from_env().unwrap();
-        std::env::remove_var("RAMR_ADAPTIVE");
-        std::env::remove_var("RAMR_ADAPT_INTERVAL_MS");
-        assert!(c.adaptive);
-        assert_eq!(c.adapt_interval, Duration::from_millis(12));
-
-        std::env::set_var("RAMR_ADAPT_INTERVAL_MS", "soon");
-        let err = RuntimeConfig::from_env().unwrap_err();
-        std::env::remove_var("RAMR_ADAPT_INTERVAL_MS");
-        assert!(err.to_string().contains("RAMR_ADAPT_INTERVAL_MS"));
     }
 
     #[test]

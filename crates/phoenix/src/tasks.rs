@@ -90,9 +90,8 @@ impl TaskQueues {
     /// `true` once every group's queue has been fully claimed, i.e. `claim`
     /// can only return `None` from now on. Claimed tasks may still be
     /// executing — this signals the end of task *hand-out*, not of map
-    /// work. A worker that stopped claiming (e.g. an adaptive runtime's
-    /// re-rolled mapper) polls this to learn when it may retire its
-    /// emission queue.
+    /// work. A combiner with nothing to read polls this to learn whether a
+    /// task is left to run in place.
     pub fn is_exhausted(&self) -> bool {
         (0..self.groups.len()).all(|g| self.remaining_in(g) == 0)
     }

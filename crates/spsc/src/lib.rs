@@ -63,8 +63,7 @@ use crossbeam::utils::CachePadded;
 /// What a producer does between failed push attempts.
 ///
 /// Mirrors `mr_core::PushBackoff` without depending on that crate (this
-/// queue is a standalone substrate); the RAMR runtime converts between the
-/// two.
+/// queue is a standalone substrate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackoffPolicy {
     /// Spin until space frees up, never sleeping — the paper's original
@@ -78,9 +77,8 @@ pub enum BackoffPolicy {
     SpinThenSleep {
         /// Spin iterations before the first park.
         spins: u32,
-        /// Ceiling of one park: the interval at which a parked producer
-        /// re-polls its cancel flag, and the safety net should a wake-up
-        /// ever go missing. Progress wakes the producer, not this timer.
+        /// Ceiling of one park: the safety net should a wake-up ever go
+        /// missing. Progress wakes the producer, not this timer.
         sleep: Duration,
     },
 }
@@ -326,7 +324,7 @@ impl<T: Send> Producer<T> {
     /// `queue_full_events` statistic reported by the RAMR runtime.
     pub fn push_with_backoff(&mut self, value: T, policy: &BackoffPolicy) -> u64 {
         let mut pending = Some(value);
-        self.publish_blocking(policy, None, |tx| {
+        self.publish_blocking(policy, |tx| {
             pending = pending.take().and_then(|value| tx.try_push(value).err());
             (false, usize::from(pending.is_some()))
         })
@@ -417,53 +415,7 @@ impl<T: Send> Producer<T> {
     /// allowance resets after every block that makes progress, so only
     /// sustained back-pressure degrades to parking.
     pub fn push_batch_with_backoff(&mut self, buf: &mut Vec<T>, policy: &BackoffPolicy) -> u64 {
-        self.push_all(buf, policy, None, |_| {})
-    }
-
-    /// Cancellation-aware variant of
-    /// [`push_batch_with_backoff`](Self::push_batch_with_backoff): blocks
-    /// per `policy` while the queue is full, but gives up and returns as
-    /// soon as `cancel` is observed `true`, leaving the unpublished
-    /// elements in `buf`. It also calls `published` — with the number of
-    /// elements now buffered — after every block it publishes, *before* it
-    /// can park again.
-    ///
-    /// The cancel flag is what lets a supervisor (the runtime's stall
-    /// watchdog) unwedge a producer that is blocked on a queue nobody will
-    /// ever drain: without a cancellation point it would wait forever and
-    /// the run could not be torn down. A parked producer polls the flag once
-    /// per `sleep` ceiling. `published` serves a caller whose consumers wait
-    /// on something other than this queue's own doorbell (the adaptive
-    /// runtime's job-wide bell): it rings from there, since ringing only
-    /// after the call returned would strand a partial block behind a parked
-    /// producer.
-    ///
-    /// Returns the number of failed (zero-progress) attempts, exactly like
-    /// the unconditional variant.
-    pub fn push_batch_with_backoff_notifying(
-        &mut self,
-        buf: &mut Vec<T>,
-        policy: &BackoffPolicy,
-        cancel: &AtomicBool,
-        published: impl FnMut(usize),
-    ) -> u64 {
-        self.push_all(buf, policy, Some(cancel), published)
-    }
-
-    fn push_all(
-        &mut self,
-        buf: &mut Vec<T>,
-        policy: &BackoffPolicy,
-        cancel: Option<&AtomicBool>,
-        mut published: impl FnMut(usize),
-    ) -> u64 {
-        self.publish_blocking(policy, cancel, |tx| {
-            let written = tx.push_batch_drain(buf);
-            if written > 0 {
-                published(tx.len());
-            }
-            (written > 0, buf.len())
-        })
+        self.publish_blocking(policy, |tx| (tx.push_batch_drain(buf) > 0, buf.len()))
     }
 
     /// The one backoff state machine behind every blocking push. `attempt`
@@ -471,12 +423,10 @@ impl<T: Send> Producer<T> {
     /// pending)`; a zero-progress attempt counts as a failure and is
     /// followed by a spin, a yield or a park on the space doorbell, per
     /// `policy`. The spin allowance starts over whenever a block goes
-    /// through. The cancel flag is read on the failure path only, so an
-    /// uncontended push stays as cheap as an uncancellable one.
+    /// through.
     fn publish_blocking(
         &mut self,
         policy: &BackoffPolicy,
-        cancel: Option<&AtomicBool>,
         mut attempt: impl FnMut(&mut Self) -> (bool, usize),
     ) -> u64 {
         let fresh_spins = match policy {
@@ -488,9 +438,6 @@ impl<T: Send> Producer<T> {
             match attempt(self) {
                 (_, 0) => return failures,
                 (true, _) => spins_left = fresh_spins,
-                (false, _) if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) => {
-                    return failures;
-                }
                 (false, pending) => {
                     failures += 1;
                     match *policy {
@@ -1119,40 +1066,41 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_push_aborts_on_a_full_queue_and_keeps_the_rest() {
-        let (mut tx, rx) = SpscQueue::with_capacity(4).split();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let policy = BackoffPolicy::SpinThenSleep { spins: 2, sleep: Duration::from_micros(10) };
-        let mut buf: Vec<u32> = (0..10).collect();
-        // Nobody drains rx, so without cancellation this would block forever.
+    fn backoff_push_parks_on_a_full_queue_until_space_frees() {
+        let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
+        let policy = BackoffPolicy::SpinThenSleep { spins: 2, sleep: Duration::from_secs(5) };
+        let done = Arc::new(AtomicBool::new(false));
+        // Nobody drains rx yet: the pusher publishes what fits and parks.
         let pusher = std::thread::spawn({
-            let cancel = Arc::clone(&cancel);
+            let done = Arc::clone(&done);
             move || {
-                let failures =
-                    tx.push_batch_with_backoff_notifying(&mut buf, &policy, &cancel, |_| {});
-                (tx, buf, failures)
+                let mut buf: Vec<u32> = (0..10).collect();
+                let failures = tx.push_batch_with_backoff(&mut buf, &policy);
+                done.store(true, Ordering::Release);
+                (buf, failures)
             }
         });
+        while rx.len() < 4 {
+            std::thread::yield_now();
+        }
         std::thread::sleep(Duration::from_millis(20));
-        cancel.store(true, Ordering::Relaxed);
-        let (tx, buf, failures) = pusher.join().unwrap();
-        assert_eq!(tx.len(), 4, "the free capacity must have been published");
-        assert_eq!(buf, vec![4, 5, 6, 7, 8, 9], "unpublished elements stay in the buffer");
+        assert!(!done.load(Ordering::Acquire), "a full queue must hold the pusher back");
+        // Draining rings the space doorbell well inside the 5 s ceiling.
+        let mut got = Vec::new();
+        while got.len() < 10 {
+            rx.pop_batch(4, |v| got.push(v));
+        }
+        let (buf, failures) = pusher.join().unwrap();
+        assert!(buf.is_empty());
         assert!(failures > 0);
-        drop((tx, rx));
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn cancellable_push_with_room_behaves_like_the_unconditional_variant() {
+    fn backoff_push_with_room_publishes_without_failures() {
         let (mut tx, mut rx) = SpscQueue::with_capacity(16).split();
-        let cancel = AtomicBool::new(false);
         let mut buf: Vec<u32> = (0..10).collect();
-        let failures = tx.push_batch_with_backoff_notifying(
-            &mut buf,
-            &BackoffPolicy::default(),
-            &cancel,
-            |_| {},
-        );
+        let failures = tx.push_batch_with_backoff(&mut buf, &BackoffPolicy::default());
         assert_eq!(failures, 0);
         assert!(buf.is_empty());
         let mut got = Vec::new();

@@ -12,15 +12,8 @@
 //!   shared while a worker runs.
 //! * [`TelemetryCell`] — a bank of atomic counters a thread publishes its
 //!   accumulator into (the same pattern the runtime already uses for its
-//!   emitted/consumed counters). No locks, no hot-path atomics. The classic
-//!   protocol publishes **once, at exit**; the adaptive runtime additionally
-//!   republishes **periodically mid-run** (each store overwrites the cell
-//!   with the latest running totals), which is what lets a controller
-//!   observe a run while it executes.
-//! * [`ThreadTelemetry::delta_since`] — the windowed view an online
-//!   controller needs: the work done *between two samples* of the same
-//!   cell, so throughput and stall fractions reflect the current phase of
-//!   the workload rather than the whole run so far.
+//!   emitted/consumed counters). No locks, no hot-path atomics: a thread
+//!   publishes **once, at exit**.
 //! * [`ThreadTelemetry`] — the snapshot the runtime hands back per thread,
 //!   with derived fractions and per-thread throughput.
 //! * [`suggested_ratio`] — the paper's throughput criterion: how many
@@ -137,18 +130,6 @@ impl BatchHistogram {
         }
     }
 
-    /// Bucket-wise difference `self - earlier`, saturating at zero.
-    ///
-    /// With the live-republish protocol every bucket grows monotonically,
-    /// so the delta is the batches recorded between the two samples.
-    pub fn delta_since(&self, earlier: &BatchHistogram) -> BatchHistogram {
-        let mut out = BatchHistogram::default();
-        for (i, slot) in out.buckets.iter_mut().enumerate() {
-            *slot = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        out
-    }
-
     /// Merges another histogram's counts into this one, bucket-wise.
     pub fn merge(&mut self, other: &BatchHistogram) {
         for (slot, &count) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -168,8 +149,7 @@ pub struct LocalTelemetry {
     /// [`spill`](Self::spill) — consuming batches for combiners,
     /// map+combine for baseline workers).
     pub busy: Duration,
-    /// Time *not* spent working: handing blocks to the queue for mappers
-    /// (blocked there while it is full, for a mapper that waits for room),
+    /// Time *not* spent working: handing blocks to the queue for mappers,
     /// idle-spin/sleep rounds for combiners. Zero for baseline workers (they
     /// never wait).
     pub stalled: Duration,
@@ -183,8 +163,7 @@ pub struct LocalTelemetry {
     /// Pairs emitted (mappers/workers) or consumed (combiners).
     pub items: u64,
     /// Zero-progress events: block flushes that found the combiner behind
-    /// and folded pairs themselves (static mappers), failed block publishes
-    /// (adaptive mappers) or idle rounds (combiners).
+    /// and folded pairs themselves (mappers) or idle rounds (combiners).
     pub stall_events: u64,
     /// Batched transfers performed (emit-buffer blocks published to a queue
     /// / batched reads).
@@ -236,33 +215,6 @@ impl ThreadTelemetry {
     pub fn throughput(&self) -> Option<f64> {
         pool_throughput(std::slice::from_ref(self))
     }
-
-    /// The work done between two samples of the same live-republished cell:
-    /// field-wise `self - earlier`, saturating at zero.
-    ///
-    /// Every accumulator a worker publishes grows monotonically, so two
-    /// successive [`TelemetryCell::snapshot`]s of a running thread bracket a
-    /// *window*; the delta's derived quantities ([`throughput`],
-    /// [`stalled_fraction`], occupancy) then describe that window only —
-    /// exactly what an online controller wants, since a run's early phase
-    /// must not dilute the signal from its current one.
-    ///
-    /// [`throughput`]: ThreadTelemetry::throughput
-    /// [`stalled_fraction`]: ThreadTelemetry::stalled_fraction
-    pub fn delta_since(&self, earlier: &ThreadTelemetry) -> ThreadTelemetry {
-        ThreadTelemetry {
-            role: self.role,
-            index: self.index,
-            busy: self.busy.saturating_sub(earlier.busy),
-            stalled: self.stalled.saturating_sub(earlier.stalled),
-            spill: self.spill.saturating_sub(earlier.spill),
-            wall: self.wall.saturating_sub(earlier.wall),
-            items: self.items.saturating_sub(earlier.items),
-            stall_events: self.stall_events.saturating_sub(earlier.stall_events),
-            batches: self.batches.saturating_sub(earlier.batches),
-            occupancy: self.occupancy.delta_since(&earlier.occupancy),
-        }
-    }
 }
 
 fn fraction(part: Duration, whole: Duration) -> f64 {
@@ -306,21 +258,11 @@ pub fn suggested_ratio(map_throughput: f64, combine_throughput: f64) -> usize {
 /// A bank of atomic counters one thread publishes into.
 ///
 /// The cell is shared (`&TelemetryCell`) between the spawning scope and the
-/// worker. Two protocols are supported:
-///
-/// * **Publish at exit** (the classic runtime path): the worker calls
-///   [`publish`](Self::publish) exactly once, after its last unit of work,
-///   and the scope reads it back with [`snapshot`](Self::snapshot) after
-///   joining. Relaxed ordering suffices: the thread join is the
-///   synchronization point.
-/// * **Live republish** (the adaptive path): the worker *also* calls
-///   `publish` periodically mid-run with its running totals; each call
-///   overwrites the cell. A controller thread may then `snapshot` at any
-///   time. Because every field is an independent relaxed atomic, a
-///   concurrent snapshot can mix totals from two publishes (fields are not
-///   read as one unit) — each counter is still individually monotonic,
-///   which is all the windowed [`ThreadTelemetry::delta_since`] arithmetic
-///   needs from an observability feed.
+/// worker. The worker calls [`publish`](Self::publish) exactly once, after
+/// its last unit of work, and the scope reads it back with
+/// [`snapshot`](Self::snapshot) once the worker is done. Relaxed ordering
+/// suffices: the join (or the session's done-counter) is the
+/// synchronization point.
 #[derive(Debug, Default)]
 pub struct TelemetryCell {
     busy_ns: AtomicU64,
@@ -334,9 +276,7 @@ pub struct TelemetryCell {
 }
 
 impl TelemetryCell {
-    /// Publishes a thread's accumulated totals. Call at least once at
-    /// thread exit; periodic mid-run calls (live republish) are allowed and
-    /// simply overwrite the cell with the newer, larger totals.
+    /// Publishes a thread's accumulated totals, once, at thread exit.
     pub fn publish(&self, local: &LocalTelemetry) {
         self.busy_ns.store(saturating_ns(local.busy), Ordering::Relaxed);
         self.stalled_ns.store(saturating_ns(local.stalled), Ordering::Relaxed);
@@ -479,58 +419,6 @@ mod tests {
         // Degenerate inputs.
         assert_eq!(suggested_ratio(0.0, 1000.0), 1);
         assert_eq!(suggested_ratio(1000.0, 0.0), 1);
-    }
-
-    #[test]
-    fn delta_since_isolates_the_window() {
-        let mk = |busy_ms: u64, items, full_batches| {
-            let mut occupancy = BatchHistogram::default();
-            for _ in 0..full_batches {
-                occupancy.record(8, 8);
-            }
-            ThreadTelemetry {
-                role: ThreadRole::Mapper,
-                index: 2,
-                busy: Duration::from_millis(busy_ms),
-                stalled: Duration::from_millis(busy_ms / 10),
-                spill: Duration::from_millis(busy_ms / 20),
-                wall: Duration::from_millis(busy_ms * 2),
-                items,
-                stall_events: items / 100,
-                batches: full_batches,
-                occupancy,
-            }
-        };
-        let earlier = mk(100, 1000, 4);
-        let later = mk(300, 4000, 10);
-        let delta = later.delta_since(&earlier);
-        assert_eq!(delta.busy, Duration::from_millis(200));
-        assert_eq!(delta.spill, Duration::from_millis(10));
-        assert_eq!(delta.items, 3000);
-        assert_eq!(delta.batches, 6);
-        assert_eq!(delta.occupancy.total(), 6);
-        // Windowed throughput reflects the later, faster phase: 3000 items
-        // over 0.19 busy seconds net of spill folds, not 4000 over 0.285.
-        assert!((delta.throughput().unwrap() - 3000.0 / 0.19).abs() < 1e-6);
-        // A stale (out-of-order) sample saturates to zero, never underflows.
-        let stale = earlier.delta_since(&later);
-        assert_eq!(stale.items, 0);
-        assert_eq!(stale.busy, Duration::ZERO);
-    }
-
-    #[test]
-    fn live_republish_overwrites_with_newer_totals() {
-        let cell = TelemetryCell::default();
-        let mut local = LocalTelemetry { items: 10, ..Default::default() };
-        cell.publish(&local);
-        let first = cell.snapshot(ThreadRole::Combiner, 1);
-        local.items = 25;
-        local.busy = Duration::from_millis(5);
-        cell.publish(&local);
-        let second = cell.snapshot(ThreadRole::Combiner, 1);
-        assert_eq!(first.items, 10);
-        assert_eq!(second.items, 25);
-        assert_eq!(second.delta_since(&first).items, 15);
     }
 
     #[test]

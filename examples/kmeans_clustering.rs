@@ -1,6 +1,6 @@
 //! Iterative KMeans as an iterate-until-converged pipeline: one Lloyd
-//! iteration per stage, all rounds on one warm worker pool, the adaptive
-//! seed carried round to round — the paper's best-case workload
+//! iteration per stage, all rounds on one warm worker pool — the paper's
+//! best-case workload
 //! (compute-heavy map, streaming combine).
 //!
 //! ```sh

@@ -1,5 +1,5 @@
-//! Caller-runs epochs: the thread that calls `submit` on a static session
-//! runs the session's mapper 0 itself, so the session pools `T − 1` threads
+//! Caller-runs epochs: the thread that calls `submit` on a session runs
+//! the session's mapper 0 itself, so the session pools `T − 1` threads
 //! and an epoch wakes only those.
 //!
 //! Covered here: where map calls run and how many pool threads a session
@@ -137,14 +137,13 @@ impl MapReduceJob for Probe {
     }
 }
 
-fn config(adaptive: bool) -> RuntimeConfig {
+fn config() -> RuntimeConfig {
     RuntimeConfig::builder()
         .num_workers(1)
         .num_combiners(1)
         .task_size(TASK)
         .queue_capacity(256)
         .batch_size(16)
-        .adaptive(adaptive)
         .build()
         .unwrap()
 }
@@ -180,31 +179,23 @@ fn a_static_session_maps_on_the_submitter_and_pools_one_thread_fewer() {
     let _serial = serial();
     let input = input();
     assert!(input.len().div_ceil(TASK) >= 8);
-    for adaptive in [false, true] {
-        let mut session = RamrSession::<Probe>::new(config(adaptive)).unwrap();
-        // Static: mapper 0 is the submitter's, only the combiner is pooled.
-        // Adaptive: the submitter hosts the controller; both roles pooled.
-        let pooled = if adaptive { 2 } else { 1 };
-        if let Some(seen) = pool_threads_settling_to(pooled) {
-            assert_eq!(seen, pooled, "adaptive={adaptive}: pool threads of a 1 + 1 session");
-        }
-        for _ in 0..3 {
-            let job = Probe::new(Fault::None, !adaptive);
-            let out = session.submit(&job, &input).unwrap();
-            assert_eq!(out.pairs, oracle(&input), "adaptive={adaptive}");
-            let on_submitter = job.on_submitter.load(Ordering::SeqCst);
-            let calls = on_submitter + job.elsewhere.load(Ordering::SeqCst);
-            assert_eq!(calls, input.len().div_ceil(TASK), "adaptive={adaptive}: one call a task");
-            if adaptive {
-                assert_eq!(on_submitter, 0, "the adaptive submitter only supervises");
-            } else {
-                assert!(on_submitter > 0, "the static submitter ran map calls");
-            }
-        }
-        drop(session);
-        if let Some(left) = pool_threads_settling_to(0) {
-            assert_eq!(left, 0, "adaptive={adaptive}: the dropped session joined its pool");
-        }
+    let mut session = RamrSession::<Probe>::new(config()).unwrap();
+    // Mapper 0 is the submitter's: only the combiner is pooled.
+    if let Some(seen) = pool_threads_settling_to(1) {
+        assert_eq!(seen, 1, "pool threads of a 1 + 1 session");
+    }
+    for _ in 0..3 {
+        let job = Probe::new(Fault::None, true);
+        let out = session.submit(&job, &input).unwrap();
+        assert_eq!(out.pairs, oracle(&input));
+        let on_submitter = job.on_submitter.load(Ordering::SeqCst);
+        let calls = on_submitter + job.elsewhere.load(Ordering::SeqCst);
+        assert_eq!(calls, input.len().div_ceil(TASK), "one call a task");
+        assert!(on_submitter > 0, "the submitter ran map calls");
+    }
+    drop(session);
+    if let Some(left) = pool_threads_settling_to(0) {
+        assert_eq!(left, 0, "the dropped session joined its pool");
     }
 }
 
@@ -213,7 +204,7 @@ fn the_submitter_as_the_failing_side_leaves_the_session_exact() {
     let _serial = serial();
     let input = input();
     for kind in ContainerKind::ALL {
-        let mut cfg = config(false);
+        let mut cfg = config();
         cfg.container = kind;
         cfg.watchdog = Some(Duration::from_millis(200));
         let mut session = RamrSession::<Probe>::new(cfg).unwrap();
@@ -245,7 +236,7 @@ fn a_pinned_submitter_maps_on_mapper_0s_cpu_and_gets_its_mask_back() {
         eprintln!("skipped: no /proc/thread-self/status");
         return;
     };
-    let mut cfg = config(false);
+    let mut cfg = config();
     cfg.pin_os_threads = true;
     let mut session = RamrSession::<Probe>::new(cfg).unwrap();
     let CpuSlot::Pinned(cpu) = session.placement().mapper_slot(0) else {

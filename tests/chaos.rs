@@ -10,13 +10,13 @@
 //! assertion, not a wedged CI job.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use mr_apps::{WordCount, WordCountString};
-use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError};
+use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{Backend, Engine, JobScheduler, RamrSession, SchedError};
 use ramr_containers::CompactKey;
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
@@ -60,7 +60,7 @@ fn to_string_pairs(pairs: Vec<(CompactKey, u64)>) -> Vec<(String, u64)> {
     pairs.into_iter().map(|(k, v)| (k.as_str().to_owned(), v)).collect()
 }
 
-fn config(retries: u32, skip: bool, watchdog_ms: Option<u64>, adaptive: bool) -> RuntimeConfig {
+fn config(retries: u32, skip: bool, watchdog_ms: Option<u64>) -> RuntimeConfig {
     let mut builder = RuntimeConfig::builder()
         .num_workers(4)
         .num_combiners(2)
@@ -72,9 +72,6 @@ fn config(retries: u32, skip: bool, watchdog_ms: Option<u64>, adaptive: bool) ->
         .skip_poison_tasks(skip);
     if let Some(ms) = watchdog_ms {
         builder = builder.watchdog(Duration::from_millis(ms));
-    }
-    if adaptive {
-        builder = builder.adaptive(true).adapt_interval(Duration::from_millis(2));
     }
     builder.build().unwrap()
 }
@@ -99,11 +96,6 @@ fn with_deadline<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 's
     }
 }
 
-/// Whether `config` should arm the fast controller interval for a backend.
-fn is_adaptive(backend: Backend) -> bool {
-    backend == Backend::RamrAdaptive
-}
-
 fn run_engine(
     backend: Backend,
     cfg: &RuntimeConfig,
@@ -117,13 +109,12 @@ fn run_engine(
 #[test]
 fn transient_faults_recover_with_exact_output_across_engines() {
     for backend in Backend::ALL {
-        let adaptive = is_adaptive(backend);
         let (pairs, faults, attempts) = with_deadline(60, move || {
             let input = lines();
             let plan =
                 FaultPlan::with_faults(vec![FaultKind::PanicOnTask { key: 3, fail_attempts: 2 }]);
             let job = faulty(plan);
-            let cfg = config(2, false, None, adaptive);
+            let cfg = config(2, false, None);
             let (pairs, faults) = run_engine(backend, &cfg, &job, &input).unwrap();
             (pairs, faults, job.attempts_for(3))
         });
@@ -137,14 +128,13 @@ fn transient_faults_recover_with_exact_output_across_engines() {
 #[test]
 fn exhausted_retries_abort_with_the_injected_panic_across_engines() {
     for backend in Backend::ALL {
-        let adaptive = is_adaptive(backend);
         let err = with_deadline(60, move || {
             let input = lines();
             let plan = FaultPlan::with_faults(vec![FaultKind::PanicOnTask {
                 key: 3,
                 fail_attempts: u32::MAX,
             }]);
-            let cfg = config(1, false, None, adaptive);
+            let cfg = config(1, false, None);
             run_engine(backend, &cfg, &faulty(plan), &input).unwrap_err()
         });
         assert!(
@@ -157,14 +147,13 @@ fn exhausted_retries_abort_with_the_injected_panic_across_engines() {
 #[test]
 fn skip_poison_completes_with_the_poison_task_recorded_across_engines() {
     for backend in Backend::ALL {
-        let adaptive = is_adaptive(backend);
         let (pairs, faults) = with_deadline(60, move || {
             let input = lines();
             let plan = FaultPlan::with_faults(vec![FaultKind::PanicOnTask {
                 key: 3,
                 fail_attempts: u32::MAX,
             }]);
-            let cfg = config(1, true, None, adaptive);
+            let cfg = config(1, true, None);
             run_engine(backend, &cfg, &faulty(plan), &input).unwrap()
         });
         assert_eq!(pairs, reference(&lines(), &[3]), "{backend}: exactly one task dropped");
@@ -179,108 +168,26 @@ fn skip_poison_completes_with_the_poison_task_recorded_across_engines() {
 
 #[test]
 fn watchdog_cancels_a_hung_task_on_both_ramr_paths() {
-    for adaptive in [false, true] {
-        let err = with_deadline(30, move || {
-            let input = lines();
-            let plan = FaultPlan::with_faults(vec![FaultKind::HangOnTask { key: 5 }]);
-            let cfg = config(0, false, Some(200), adaptive);
-            Backend::of_ramr_config(&cfg)
-                .engine(cfg)
-                .unwrap()
-                .submit(&faulty(plan), &input)
-                .unwrap_err()
-        });
-        match err {
-            RuntimeError::Stalled { idle_ms, ref diagnostics, .. } => {
-                assert!(idle_ms >= 200, "adaptive={adaptive}: idle_ms={idle_ms}");
-                assert!(!diagnostics.is_empty(), "adaptive={adaptive}");
-            }
-            other => panic!("adaptive={adaptive}: expected Stalled, got {other}"),
-        }
-    }
-}
-
-/// A job whose combiners stop draining: every `combine` blocks until the
-/// map side reports that the watchdog's cancel reached it. The queues
-/// behind it fill and stay full, so the only thing that can unwedge an
-/// adaptive mapper parked on one is the cancel poll of its own park. (A
-/// static mapper does not park on a full queue — it folds the overflow
-/// itself, DESIGN §6p — so this job would wedge it inside `combine`
-/// instead; [`DrainedLast`] is its static counterpart.)
-struct NeverDrained {
-    cancel_seen: AtomicBool,
-}
-
-impl MapReduceJob for NeverDrained {
-    type Input = u64;
-    type Key = u32;
-    type Value = u64;
-
-    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u32, u64>) {
-        for &x in task {
-            emit.emit((x % 8) as u32, 1);
-            if emit.is_cancelled() {
-                self.cancel_seen.store(true, Ordering::Release);
-                return;
-            }
-        }
-    }
-
-    fn combine(&self, acc: &mut u64, v: u64) {
-        while !self.cancel_seen.load(Ordering::Acquire) {
-            thread::sleep(Duration::from_millis(1));
-        }
-        *acc += v;
-    }
-}
-
-const NEVER_DRAINED_WATCHDOG: Duration = Duration::from_millis(200);
-const NEVER_DRAINED_CEILING: Duration = Duration::from_millis(300);
-
-/// Two mappers, one combiner, 32-slot queues and a long park ceiling.
-fn never_drained_config(adaptive: bool) -> RuntimeConfig {
-    RuntimeConfig::builder()
-        .num_workers(2)
-        .num_combiners(1)
-        .task_size(512)
-        .queue_capacity(32)
-        .batch_size(8)
-        .container(ContainerKind::Hash)
-        .push_backoff(PushBackoff::SpinThenSleep { spins: 0, sleep: NEVER_DRAINED_CEILING })
-        .watchdog(NEVER_DRAINED_WATCHDOG)
-        .adaptive(adaptive)
-        .build()
-        .unwrap()
-}
-
-/// The parked push is wake-on-progress, and here there is no progress: the
-/// park ceiling is what bounds how long the cancel takes to land. Only the
-/// adaptive runtime's mappers park on a full queue.
-#[test]
-fn watchdog_unwedges_a_mapper_parked_on_a_never_drained_queue_within_one_ceiling() {
-    let (err, elapsed) = with_deadline(30, move || {
-        let input: Vec<u64> = (0..20_000).collect();
-        let cfg = never_drained_config(true);
-        let job = NeverDrained { cancel_seen: AtomicBool::new(false) };
-        let started = Instant::now();
-        let err = Backend::of_ramr_config(&cfg).engine(cfg).unwrap().submit(&job, &input);
-        (err.map(|_| ()).unwrap_err(), started.elapsed())
+    let err = with_deadline(30, move || {
+        let input = lines();
+        let plan = FaultPlan::with_faults(vec![FaultKind::HangOnTask { key: 5 }]);
+        let cfg = config(0, false, Some(200));
+        Backend::RamrStatic.engine(cfg).unwrap().submit(&faulty(plan), &input).unwrap_err()
     });
-    assert!(matches!(err, RuntimeError::Stalled { .. }), "expected Stalled, got {err}");
-    // Trip after one watchdog period of silence, land within one park
-    // ceiling; the rest is scheduling slack.
-    assert!(
-        elapsed < NEVER_DRAINED_WATCHDOG + NEVER_DRAINED_CEILING + Duration::from_secs(1),
-        "cancel took {elapsed:?} to unwedge the parked mappers"
-    );
+    match err {
+        RuntimeError::Stalled { idle_ms, ref diagnostics, .. } => {
+            assert!(idle_ms >= 200, "idle_ms={idle_ms}");
+            assert!(!diagnostics.is_empty());
+        }
+        other => panic!("expected Stalled, got {other}"),
+    }
 }
 
-/// [`NeverDrained`] for the static runtime: the combiner's `combine` blocks
-/// until every task has been claimed, so its queues fill and are not read
-/// while any task is left. A mapper that parked on its full queue would
-/// never claim the rest — only the watchdog would end the job. A static
-/// mapper folds what the queue has no room for itself (DESIGN §6p) and
-/// maps on.
+/// A job whose combiner stops draining: its `combine` blocks until every
+/// task has been claimed, so its queues fill and are not read while any
+/// task is left. A mapper that parked on its full queue would never claim
+/// the rest — only the watchdog would end the job. A mapper folds what the
+/// queue has no room for itself (DESIGN §6p) and maps on.
 struct DrainedLast {
     tasks: usize,
     claimed: AtomicU64,
@@ -313,7 +220,17 @@ fn a_static_mapper_maps_on_past_a_queue_nobody_drains() {
     // A parked mapper would end this job as a watchdog `Stalled`.
     let (pairs, spilled) = with_deadline(30, move || {
         let input: Vec<u64> = (0..20_000).collect();
-        let cfg = never_drained_config(false);
+        // Two mappers, one combiner, 32-slot queues.
+        let cfg = RuntimeConfig::builder()
+            .num_workers(2)
+            .num_combiners(1)
+            .task_size(512)
+            .queue_capacity(32)
+            .batch_size(8)
+            .container(ContainerKind::Hash)
+            .watchdog(Duration::from_millis(200))
+            .build()
+            .unwrap();
         let job = DrainedLast { tasks: input.len().div_ceil(cfg.task_size), claimed: 0.into() };
         let outcome = Backend::RamrStatic.engine(cfg).unwrap().submit(&job, &input).unwrap();
         (outcome.output.pairs, outcome.report.spilled)
@@ -324,23 +241,18 @@ fn a_static_mapper_maps_on_past_a_queue_nobody_drains() {
 
 #[test]
 fn slow_but_progressing_tasks_do_not_trip_the_watchdog() {
-    for adaptive in [false, true] {
-        let pairs = with_deadline(60, move || {
-            let input = lines();
-            let plan = FaultPlan::with_faults(vec![
-                FaultKind::DelayTask { key: 2, micros: 20_000 },
-                FaultKind::DelayTask { key: 7, micros: 20_000 },
-            ]);
-            let cfg = config(0, false, Some(500), adaptive);
-            let outcome = Backend::of_ramr_config(&cfg)
-                .engine(cfg)
-                .unwrap()
-                .submit(&faulty(plan), &input)
-                .unwrap();
-            to_string_pairs(outcome.output.pairs)
-        });
-        assert_eq!(pairs, reference(&lines(), &[]), "adaptive={adaptive}");
-    }
+    let pairs = with_deadline(60, move || {
+        let input = lines();
+        let plan = FaultPlan::with_faults(vec![
+            FaultKind::DelayTask { key: 2, micros: 20_000 },
+            FaultKind::DelayTask { key: 7, micros: 20_000 },
+        ]);
+        let cfg = config(0, false, Some(500));
+        let outcome =
+            Backend::RamrStatic.engine(cfg).unwrap().submit(&faulty(plan), &input).unwrap();
+        to_string_pairs(outcome.output.pairs)
+    });
+    assert_eq!(pairs, reference(&lines(), &[]));
 }
 
 #[test]
@@ -353,11 +265,10 @@ fn seeded_chaos_plans_replay_to_the_exact_output_across_engines() {
         let plan = FaultPlan::seeded_panics(seed, tasks, 4);
         assert_eq!(plan.faults(), FaultPlan::seeded_panics(seed, tasks, 4).faults());
         for backend in Backend::ALL {
-            let adaptive = is_adaptive(backend);
             let plan = plan.clone();
             let (pairs, faults) = with_deadline(120, move || {
                 let input = lines();
-                let cfg = config(3, false, Some(5_000), adaptive);
+                let cfg = config(3, false, Some(5_000));
                 run_engine(backend, &cfg, &faulty(plan), &input).unwrap()
             });
             assert_eq!(pairs, reference(&lines(), &[]), "{backend} seed={seed}");
@@ -375,9 +286,8 @@ fn a_poison_tenant_through_the_scheduler_fails_alone_across_engines() {
     // job; the bystanders' outputs must be byte-identical to the serial
     // reference throughout — no wedge, no bleed, on every engine.
     for backend in Backend::ALL {
-        let adaptive = is_adaptive(backend);
         with_deadline(120, move || {
-            let cfg = config(1, false, None, adaptive);
+            let cfg = config(1, false, None);
             let sched = Arc::new(JobScheduler::<FaultyJob<WordCount>>::new(backend, cfg).unwrap());
             let input = Arc::new(lines());
             let expected = reference(&input, &[]);
@@ -454,13 +364,12 @@ fn non_retry_safe_jobs_fail_fast_regardless_of_budget() {
     }
 
     for backend in Backend::ALL {
-        let adaptive = is_adaptive(backend);
         let err = with_deadline(60, move || {
             let input = lines();
             let plan =
                 FaultPlan::with_faults(vec![FaultKind::PanicOnTask { key: 3, fail_attempts: 1 }]);
             let job = FaultyJob::new(Undeclared, plan, ordinal_of);
-            let cfg = config(5, true, None, adaptive);
+            let cfg = config(5, true, None);
             backend.engine(cfg).unwrap().submit(&job, &input).unwrap_err()
         });
         assert!(matches!(err, RuntimeError::WorkerPanic(_)), "{backend}: got {err}");
@@ -481,7 +390,7 @@ enum RoleFault {
 /// The thread a [`FaultOnRole`] job faults on.
 #[derive(Clone, Copy)]
 enum Victim {
-    /// The thread that calls `submit`: it runs a static session's mapper 0.
+    /// The thread that calls `submit`: it runs the session's mapper 0.
     Submitter(ThreadId),
     /// A combiner, which maps only the tasks it claims while it has nothing
     /// to read.
@@ -586,7 +495,7 @@ impl MapReduceJob for FaultOnRole {
 }
 
 fn one_to_one(retries: u32, skip: bool, watchdog_ms: Option<u64>) -> RuntimeConfig {
-    let mut cfg = config(retries, skip, watchdog_ms, false);
+    let mut cfg = config(retries, skip, watchdog_ms);
     cfg.num_workers = 1;
     cfg.num_combiners = 1;
     cfg

@@ -28,8 +28,8 @@ fn config() -> RuntimeConfig {
 }
 
 /// Live threads of this process named like a session's pool threads
-/// (`ramr-mapper-N`, `ramr-flex-N`, `ramr-combiner-N`), or `None` where
-/// `/proc` is not available.
+/// (`ramr-mapper-N`, `ramr-combiner-N`), or `None` where `/proc` is not
+/// available.
 fn pool_threads() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
@@ -63,18 +63,15 @@ fn one_engine_serves_different_job_types_and_survives_a_failing_job() {
         &InputSpec::table1(AppKind::Histogram, Platform::Haswell, InputFlavor::Small),
         20_000,
     );
-    // Positive control: the scan does see a live session's pools. A static
-    // session pools every role but mapper 0, which the submitting thread
-    // runs; an adaptive one pools all of them.
-    for (backend, pooled) in [(Backend::RamrStatic, 4 + 2 - 1), (Backend::RamrAdaptive, 4 + 2)] {
-        let held = backend.session::<WordCount>(config()).unwrap();
-        if let Some(seen) = pool_threads_settling_to(pooled) {
-            assert_eq!(seen, pooled, "{backend}: a held session's pool threads are visible");
-        }
-        drop(held);
-        if let Some(left) = pool_threads_settling_to(0) {
-            assert_eq!(left, 0, "{backend}: a dropped session joined its pool threads");
-        }
+    // Positive control: the scan does see a live session's pools. A session
+    // pools every role but mapper 0, which the submitting thread runs.
+    let held = Backend::RamrStatic.session::<WordCount>(config()).unwrap();
+    if let Some(seen) = pool_threads_settling_to(4 + 2 - 1) {
+        assert_eq!(seen, 4 + 2 - 1, "a held session's pool threads are visible");
+    }
+    drop(held);
+    if let Some(left) = pool_threads_settling_to(0) {
+        assert_eq!(left, 0, "a dropped session joined its pool threads");
     }
 
     let expected_words = Backend::Phoenix.engine(config()).unwrap().submit(&WordCount, &lines);

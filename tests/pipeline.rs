@@ -1,16 +1,14 @@
 //! Pipeline suite: multi-stage chains must be nothing more than the serial
 //! job sequence — byte-identical output on every backend — with exact
-//! stage attribution on failure, a hard stage budget, and the adaptive
-//! seed actually carried across stage boundaries.
+//! stage attribution on failure and a hard stage budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use mr_apps::inputs::{km_input, wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, InvertedIndex, KmeansState, TopKDf, WordCount};
 use mr_core::{ContainerKind, RuntimeConfig, RuntimeError};
-use ramr::{AdaptiveSeed, Backend, Engine, JobScheduler, Pipeline, StagePlan};
+use ramr::{Backend, Engine, JobScheduler, Pipeline, StagePlan};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 
 fn config() -> RuntimeConfig {
@@ -196,38 +194,6 @@ fn a_poisoned_second_stage_fails_once_with_stage_attribution() {
             other => panic!("{backend}: expected StageFailed, got {other}"),
         }
     }
-}
-
-#[test]
-fn the_adaptive_seed_carries_across_stage_boundaries() {
-    // On the adaptive backend, stage 2's tuner must start from stage 1's
-    // final split instead of the configured default: its StageReport
-    // records the applied seed, and that seed equals the one derived from
-    // stage 1's trace. Large stage-1 input and a fast controller interval
-    // guarantee the trace is non-empty.
-    let input = docs(60_000);
-    let mut cfg = config();
-    cfg.adaptive = true;
-    cfg.telemetry = true;
-    cfg.adapt_interval = Duration::from_micros(200);
-    let engine = Backend::RamrAdaptive.engine(cfg.clone()).unwrap();
-    let outcome = engine
-        .pipeline(Pipeline::stage(InvertedIndex).then_pairs(TopKDf { k: 8 }), &input)
-        .unwrap();
-    let stages = &outcome.report.stages;
-    assert_eq!(stages.len(), 2);
-    assert!(stages[0].seeded.is_none(), "stage 1 has nothing to inherit");
-    assert!(
-        !stages[0].report.adaptation.is_empty(),
-        "stage 1 must have ticked; shrink adapt_interval if this fires"
-    );
-    let expected = AdaptiveSeed::from_trace(&cfg, &stages[0].report.adaptation)
-        .expect("non-empty trace derives a seed");
-    assert_eq!(
-        stages[1].seeded,
-        Some(expected),
-        "stage 2 must start from stage 1's final operating point"
-    );
 }
 
 #[test]

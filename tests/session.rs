@@ -2,7 +2,7 @@
 //! job, exactly like freshly spawned ones.
 //!
 //! The hazards specific to pooling are state bleed (telemetry, fault
-//! records, adaptive role assignments surviving into the next job) and
+//! records or kept containers surviving into the next job) and
 //! wedged pools (a failed job leaving a worker parked in a bad state).
 //! Each test drives a `RamrSession` through a stream of jobs and checks
 //! one of those hazards with exact assertions.
@@ -104,28 +104,22 @@ fn fault_records_do_not_bleed_into_the_next_job() {
 fn a_failed_job_leaves_the_session_usable() {
     // Without skip-poison the poisoned job aborts with the worker panic;
     // the pools must come back parked and healthy, and the next submit
-    // must produce the exact output. Exercised on both RAMR backends.
-    for backend in [Backend::RamrStatic, Backend::RamrAdaptive] {
-        let mut cfg = config();
-        cfg.max_task_retries = 1;
-        cfg.skip_poison_tasks = false;
-        if backend == Backend::RamrAdaptive {
-            cfg.adaptive = true;
-            cfg.adapt_interval = Duration::from_millis(2);
-        }
-        let mut session = RamrSession::<FaultyJob<WordCount>>::new(cfg).unwrap();
-        let input = lines(400, 1);
-        for round in 0..2 {
-            let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
-            let err = session.submit(&faulty, &input).unwrap_err();
-            assert!(
-                err.to_string().contains("panic"),
-                "{backend} round {round}: expected the injected panic, got {err}"
-            );
-            let healthy = FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of);
-            let output = session.submit(&healthy, &input).unwrap();
-            assert_eq!(output.pairs, reference(&input, &[]), "{backend} round {round}");
-        }
+    // must produce the exact output.
+    let mut cfg = config();
+    cfg.max_task_retries = 1;
+    cfg.skip_poison_tasks = false;
+    let mut session = RamrSession::<FaultyJob<WordCount>>::new(cfg).unwrap();
+    let input = lines(400, 1);
+    for round in 0..2 {
+        let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
+        let err = session.submit(&faulty, &input).unwrap_err();
+        assert!(
+            err.to_string().contains("panic"),
+            "round {round}: expected the injected panic, got {err}"
+        );
+        let healthy = FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of);
+        let output = session.submit(&healthy, &input).unwrap();
+        assert_eq!(output.pairs, reference(&input, &[]), "round {round}");
     }
 }
 
@@ -147,36 +141,6 @@ fn a_skipped_poison_job_leaves_the_session_usable() {
         let output = session.submit(&healthy, &input).unwrap();
         assert_eq!(output.pairs, reference(&input, &[]), "round {round}");
     }
-}
-
-#[test]
-fn adaptive_role_changes_do_not_leak_into_the_next_job() {
-    // The controller may flip flex threads between mapping and combining
-    // mid-job. Every job must nevertheless *start* from the configured
-    // split: if a job records adaptation events, the first one must be a
-    // single step away from `num_combiners`, not wherever the previous
-    // job ended up.
-    let mut cfg = config();
-    cfg.adaptive = true;
-    cfg.adapt_interval = Duration::from_micros(200);
-    let configured = cfg.num_combiners;
-    let mut session = RamrSession::<WordCount>::new(cfg).unwrap();
-    let input = lines(4_000, 3);
-    let expected = reference(&input, &[]);
-    for round in 0..6 {
-        let (output, report) = session.submit_with_report(&WordCount, &input).unwrap();
-        assert_eq!(output.pairs, expected, "round {round}");
-        if let Some(first) = report.adaptation.first() {
-            let step = (first.active_combiners as i64 - configured as i64).unsigned_abs();
-            assert!(
-                step <= 1,
-                "round {round}: first adaptation moved to {} combiners; a fresh job \
-                 must start from the configured {configured}",
-                first.active_combiners
-            );
-        }
-    }
-    assert_eq!(session.jobs_run(), 6);
 }
 
 #[test]
@@ -213,42 +177,36 @@ fn scheduled_tenants_share_the_pool_without_fault_bleed() {
     // scheduler by two tenants: the victim's skipped poison task must show
     // up in *its* reports alone — the bystander's jobs run on the very
     // same worker pool and must report empty fault metrics and exact
-    // output, job after job. Exercised on both RAMR backends.
-    for backend in [Backend::RamrStatic, Backend::RamrAdaptive] {
-        let mut cfg = config();
-        cfg.max_task_retries = 1;
-        cfg.skip_poison_tasks = true;
-        if backend == Backend::RamrAdaptive {
-            cfg.adaptive = true;
-            cfg.adapt_interval = Duration::from_millis(2);
-        }
-        let sched = JobScheduler::<FaultyJob<WordCount>>::new(backend, cfg).unwrap();
-        let victim = sched.client("victim");
-        let bystander = sched.client("bystander");
-        let input = Arc::new(lines(400, 4));
-        for round in 0..3 {
-            let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
-            let done = victim.submit(Arc::new(faulty), Arc::clone(&input)).unwrap();
-            let done = done.wait().unwrap();
-            assert_eq!(done.output.pairs, reference(&input, &[3]), "{backend} round {round}");
-            assert_eq!(done.report.faults.skipped.len(), 1, "{backend} round {round}");
+    // output, job after job.
+    let mut cfg = config();
+    cfg.max_task_retries = 1;
+    cfg.skip_poison_tasks = true;
+    let sched = JobScheduler::<FaultyJob<WordCount>>::new(Backend::RamrStatic, cfg).unwrap();
+    let victim = sched.client("victim");
+    let bystander = sched.client("bystander");
+    let input = Arc::new(lines(400, 4));
+    for round in 0..3 {
+        let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
+        let done = victim.submit(Arc::new(faulty), Arc::clone(&input)).unwrap();
+        let done = done.wait().unwrap();
+        assert_eq!(done.output.pairs, reference(&input, &[3]), "round {round}");
+        assert_eq!(done.report.faults.skipped.len(), 1, "round {round}");
 
-            let healthy = FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of);
-            let done = bystander.submit(Arc::new(healthy), Arc::clone(&input)).unwrap();
-            let done = done.wait().unwrap();
-            assert_eq!(done.output.pairs, reference(&input, &[]), "{backend} round {round}");
-            assert_eq!(
-                done.report.faults,
-                FaultMetrics::default(),
-                "{backend} round {round}: the victim's faults bled into the bystander"
-            );
-        }
-        let stats = sched.tenant_stats();
-        let victim_stats = stats.iter().find(|s| s.tenant == "victim").unwrap();
-        let bystander_stats = stats.iter().find(|s| s.tenant == "bystander").unwrap();
-        assert_eq!(victim_stats.completed, 3, "{backend}: skip-poison runs complete");
-        assert_eq!(bystander_stats.failed, 0, "{backend}");
+        let healthy = FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of);
+        let done = bystander.submit(Arc::new(healthy), Arc::clone(&input)).unwrap();
+        let done = done.wait().unwrap();
+        assert_eq!(done.output.pairs, reference(&input, &[]), "round {round}");
+        assert_eq!(
+            done.report.faults,
+            FaultMetrics::default(),
+            "round {round}: the victim's faults bled into the bystander"
+        );
     }
+    let stats = sched.tenant_stats();
+    let victim_stats = stats.iter().find(|s| s.tenant == "victim").unwrap();
+    let bystander_stats = stats.iter().find(|s| s.tenant == "bystander").unwrap();
+    assert_eq!(victim_stats.completed, 3, "skip-poison runs complete");
+    assert_eq!(bystander_stats.failed, 0);
 }
 
 /// Counts each element as its own key; `reduce` panics on every key when
@@ -308,24 +266,8 @@ fn a_reduce_that_panics_in_every_bucket_is_an_error_not_an_unwind() {
     }
 }
 
-#[test]
-fn adaptive_backend_rejects_disabled_telemetry_on_engine_and_session_alike() {
-    // `Backend::RamrAdaptive` used to silently force `telemetry = true`,
-    // so an explicit opt-out was a no-op. The engine (at construction,
-    // before any submit) and the session must both reject the
-    // contradiction, with the same validation error.
-    let mut cfg = config();
-    cfg.telemetry = false;
-
-    let engine = Backend::RamrAdaptive.engine(cfg.clone()).unwrap_err();
-    assert!(engine.to_string().contains("telemetry"), "engine path: {engine}");
-
-    let session = Backend::RamrAdaptive.session::<WordCount>(cfg).unwrap_err();
-    assert_eq!(session.to_string(), engine.to_string(), "session path must match engine path");
-}
-
 // ---------------------------------------------------------------------------
-// Warm combine containers: a static combiner keeps its container across the
+// Warm combine containers: a combiner keeps its container across the
 // epochs of a session. It must never carry pairs or shape from another job.
 // ---------------------------------------------------------------------------
 
