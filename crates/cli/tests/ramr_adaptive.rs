@@ -2,7 +2,7 @@
 //! benchmark ledger still submits under it. Whichever surface the name
 //! arrives through — `Backend::from_str`, a wire `SUBMIT`, or
 //! `ramr run --runtime` — it must open the caller-runs session (`T − 1`
-//! pool threads, one spill counter per mapper, no adaptation trace) and
+//! pool threads, a mapper/combiner placement plan, no adaptation trace) and
 //! produce exactly what `ramr-static` produces.
 //!
 //! This binary counts its own process's pool threads by name, so it holds
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use mr_apps::inputs::{wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, WordCount};
 use mr_core::{ContainerKind, RuntimeConfig};
-use ramr::{Backend, EngineSession};
+use ramr::Backend;
 use ramr_serve::{JobRequest, ServeClient, ServeConfig, Server};
 use ramr_telemetry::json::Value;
 use ramr_telemetry::report::MetricsReport;
@@ -107,12 +107,10 @@ fn ramr_adaptive_names_the_caller_runs_static_session_on_every_surface() {
     assert_eq!(outcome.report.backend, Backend::RamrAdaptive, "reports carry the requested name");
     assert!(outcome.report.adaptation.is_empty());
     assert_eq!(outcome.output.pairs, expected, "in process");
-    let EngineSession::Pooled { session: ramr, .. } = &mut session else {
-        panic!("ramr-adaptive opened a Phoenix runtime")
-    };
-    let (output, report) = ramr.submit_with_report(&WordCount, &input).unwrap();
-    assert_eq!(report.spilled_per_mapper.len(), WORKERS);
-    assert_eq!(output.pairs, expected, "in process, second epoch");
+    let second = session.submit(&WordCount, &input).unwrap();
+    let plan = second.report.plan.expect("a decoupled session reports its placement plan");
+    assert_eq!((plan.num_mappers(), plan.num_combiners()), (WORKERS, COMBINERS));
+    assert_eq!(second.output.pairs, expected, "in process, second epoch");
     drop(session);
     assert_pooled(0, "in process, dropped");
 

@@ -1,13 +1,15 @@
-//! Enum dispatch over the three containers and the job-aware adapter the
-//! runtimes allocate per worker/combiner.
+//! Enum dispatch over the three containers and the job-aware adapter every
+//! thread that combines folds into: a combiner, a mapper that spills, and a
+//! Phoenix worker.
 //!
 //! The dispatch is a `match` on the container kind. [`HashedJobContainer::insert`]
 //! pays it per pair; a combiner's hot loop instead hands a whole batched read
 //! to [`HashedJobContainer::insert_from`] as a [`PairFeed`], which matches
 //! once and gives the feed a closure holding only the chosen arm — the hash
-//! arm's inlined probe then cannot push the array arm out of line.
+//! arm's inlined probe then cannot push the array arm out of line. A Phoenix
+//! worker's feed is one map task.
 //!
-//! A combiner that serves a stream of jobs keeps its container between them:
+//! A thread that serves a stream of jobs keeps its container between them:
 //! [`HashedJobContainer::drain_to_keep`] empties and unbinds it,
 //! [`HashedJobContainer::reusing`] binds it to the next job if it is what
 //! [`HashedJobContainer::for_job`] would build for that job anyway.
@@ -17,244 +19,9 @@ use mr_core::{ContainerKind, MapReduceJob, RuntimeError};
 use crate::hashed::{Hashed, Passthrough};
 use crate::{ArrayContainer, FixedHashContainer, HashContainer, DEFAULT_FIXED_HASH_CAPACITY};
 
-/// A container of any [`ContainerKind`], dispatching by enum rather than
-/// trait object so the combine closure stays statically dispatched in the
-/// hot loop.
-#[derive(Debug, Clone)]
-pub enum ContainerImpl<K, V> {
-    /// Dense array over the job's declared key space.
-    Array(ArrayContainer<K, V>),
-    /// Growable open-addressing hash table.
-    Hash(HashContainer<K, V>),
-    /// Fixed-capacity open-addressing hash table.
-    FixedHash(FixedHashContainer<K, V>),
-}
-
-impl<K: mr_core::MrKey, V: mr_core::MrValue> ContainerImpl<K, V> {
-    /// Number of distinct keys stored.
-    pub fn len(&self) -> usize {
-        match self {
-            ContainerImpl::Array(c) => c.len(),
-            ContainerImpl::Hash(c) => c.len(),
-            ContainerImpl::FixedHash(c) => c.len(),
-        }
-    }
-
-    /// Whether no key has been inserted yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Moves all pairs into `out`, emptying the container.
-    pub fn drain_into(&mut self, out: &mut Vec<(K, V)>) {
-        match self {
-            ContainerImpl::Array(c) => c.drain_into(out),
-            ContainerImpl::Hash(c) => c.drain_into(out),
-            ContainerImpl::FixedHash(c) => c.drain_into(out),
-        }
-    }
-
-    /// The stored pairs, consuming the container: a hash table hands its
-    /// entries over without zeroing its index.
-    pub fn into_pairs(self) -> Vec<(K, V)> {
-        match self {
-            ContainerImpl::Hash(c) => c.into_pairs(),
-            mut other => {
-                let mut out = Vec::new();
-                other.drain_into(&mut out);
-                out
-            }
-        }
-    }
-}
-
-/// One worker's (or combiner's) thread-local container, bound to the job so
-/// inserts can resolve array indices via [`MapReduceJob::key_index`] and
-/// fold with [`MapReduceJob::combine`].
-///
-/// # Example
-///
-/// ```
-/// use mr_core::{ContainerKind, Emitter, MapReduceJob};
-/// use ramr_containers::JobContainer;
-///
-/// struct Mod3;
-/// impl MapReduceJob for Mod3 {
-///     type Input = u64;
-///     type Key = u64;
-///     type Value = u64;
-///     fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
-///         for &x in task {
-///             emit.emit(x % 3, 1);
-///         }
-///     }
-///     fn combine(&self, acc: &mut u64, v: u64) {
-///         *acc += v;
-///     }
-///     fn key_space(&self) -> Option<usize> {
-///         Some(3)
-///     }
-///     fn key_index(&self, k: &u64) -> usize {
-///         *k as usize
-///     }
-/// }
-///
-/// let job = Mod3;
-/// let mut c = JobContainer::for_job(&job, ContainerKind::Array, None)?;
-/// c.insert(2, 1)?;
-/// c.insert(2, 1)?;
-/// let mut out = Vec::new();
-/// c.drain_into(&mut out);
-/// assert_eq!(out, [(2, 2)]);
-/// # Ok::<(), mr_core::RuntimeError>(())
-/// ```
-pub struct JobContainer<'a, J: MapReduceJob> {
-    job: &'a J,
-    inner: ContainerImpl<J::Key, J::Value>,
-}
-
-impl<J: MapReduceJob> std::fmt::Debug for JobContainer<'_, J> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobContainer")
-            .field("job", &self.job.name())
-            .field("len", &self.inner.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, J: MapReduceJob> JobContainer<'a, J> {
-    /// Allocates a container of `kind` suited to `job`.
-    ///
-    /// `fixed_capacity` overrides the capacity of array / fixed-hash
-    /// containers; when `None`, the job's [`key_space`] is used, and for
-    /// [`ContainerKind::FixedHash`] without either bound the
-    /// [`DEFAULT_FIXED_HASH_CAPACITY`] applies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnsupportedContainer`] when
-    /// [`ContainerKind::Array`] is requested for a job with no declared key
-    /// space and no explicit capacity.
-    ///
-    /// [`key_space`]: MapReduceJob::key_space
-    pub fn for_job(
-        job: &'a J,
-        kind: ContainerKind,
-        fixed_capacity: Option<usize>,
-    ) -> Result<Self, RuntimeError> {
-        let inner = match kind {
-            ContainerKind::Array => {
-                let capacity = fixed_capacity.or_else(|| job.key_space()).ok_or_else(|| {
-                    RuntimeError::UnsupportedContainer(format!(
-                        "job {:?} declares no key space; the array container needs one",
-                        job.name()
-                    ))
-                })?;
-                ContainerImpl::Array(ArrayContainer::with_capacity(capacity))
-            }
-            ContainerKind::Hash => ContainerImpl::Hash(HashContainer::new()),
-            ContainerKind::FixedHash => {
-                let capacity = fixed_capacity
-                    .or_else(|| job.key_space())
-                    .unwrap_or(DEFAULT_FIXED_HASH_CAPACITY);
-                ContainerImpl::FixedHash(FixedHashContainer::with_capacity(capacity))
-            }
-        };
-        Ok(Self { job, inner })
-    }
-
-    /// Folds one intermediate pair into the container using the job's
-    /// combine function.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RuntimeError::ContainerOverflow`] from the fixed-size
-    /// containers.
-    #[inline]
-    pub fn insert(&mut self, key: J::Key, value: J::Value) -> Result<(), RuntimeError> {
-        let job = self.job;
-        match &mut self.inner {
-            ContainerImpl::Array(c) => {
-                let index = job.key_index(&key);
-                c.combine_insert_at(index, key, value, |acc, v| job.combine(acc, v))
-            }
-            ContainerImpl::Hash(c) => {
-                c.combine_insert(key, value, |acc, v| job.combine(acc, v));
-                Ok(())
-            }
-            ContainerImpl::FixedHash(c) => {
-                c.combine_insert(key, value, |acc, v| job.combine(acc, v))
-            }
-        }
-    }
-
-    /// Runs `emit` with a sink that folds every pair it is given as
-    /// [`insert`](Self::insert) would — a map task's emitter, say — choosing
-    /// the container kind once for the whole run instead of once per pair.
-    /// After the first error the sink drops what it is given.
-    ///
-    /// # Errors
-    ///
-    /// The first error [`insert`](Self::insert) would have returned.
-    pub fn insert_from(
-        &mut self,
-        emit: impl FnOnce(&mut dyn FnMut(J::Key, J::Value)),
-    ) -> Result<(), RuntimeError> {
-        let job = self.job;
-        let mut first_error = None;
-        match &mut self.inner {
-            ContainerImpl::Array(c) => emit(&mut |key, value| {
-                if first_error.is_none() {
-                    let index = job.key_index(&key);
-                    let combine = |acc: &mut J::Value, v| job.combine(acc, v);
-                    if let Err(e) = c.combine_insert_at(index, key, value, combine) {
-                        first_error = Some(e);
-                    }
-                }
-            }),
-            ContainerImpl::Hash(c) => emit(&mut |key, value| {
-                c.combine_insert(key, value, |acc, v| job.combine(acc, v));
-            }),
-            ContainerImpl::FixedHash(c) => emit(&mut |key, value| {
-                if first_error.is_none() {
-                    if let Err(e) = c.combine_insert(key, value, |acc, v| job.combine(acc, v)) {
-                        first_error = Some(e);
-                    }
-                }
-            }),
-        }
-        first_error.map_or(Ok(()), Err)
-    }
-
-    /// Number of distinct keys stored.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no key has been inserted yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Moves all pairs into `out`, emptying the container.
-    pub fn drain_into(&mut self, out: &mut Vec<(J::Key, J::Value)>) {
-        self.inner.drain_into(out);
-    }
-
-    /// The stored pairs, for a container that is done; see
-    /// [`ContainerImpl::into_pairs`].
-    pub fn into_pairs(self) -> Vec<(J::Key, J::Value)> {
-        self.inner.into_pairs()
-    }
-
-    /// Consumes the adapter, returning the underlying container.
-    pub fn into_inner(self) -> ContainerImpl<J::Key, J::Value> {
-        self.inner
-    }
-}
-
-/// A container of any [`ContainerKind`] over hash-carrying keys: the
-/// hash-once counterpart of [`ContainerImpl`]. Hash-based variants probe
+/// A container of any [`ContainerKind`] over hash-carrying keys, dispatching
+/// by enum rather than trait object so the combine closure stays statically
+/// dispatched in the hot loop. Hash-based variants probe
 /// through [`Passthrough`], so the hash computed at emission is reused for
 /// every insert and growth-rehash; the array variant indexes by
 /// [`MapReduceJob::key_index`] and ignores the hash.
@@ -307,7 +74,7 @@ impl<K: mr_core::MrKey, V: mr_core::MrValue> HashedContainerImpl<K, V> {
 }
 
 /// A source of hash-carrying pairs that pushes each one into a sink — one
-/// batched queue read, say. Generic over the sink, so the three closures
+/// batched queue read or one map task, say. Generic over the sink, so the three closures
 /// [`HashedJobContainer::insert_from`] builds each stay statically
 /// dispatched.
 pub trait PairFeed<K, V> {
@@ -340,10 +107,47 @@ pub struct KeptContainer<K, V> {
     drained: usize,
 }
 
-/// The hash-once counterpart of [`JobContainer`]: a job-bound container
-/// whose keys arrive as [`Hashed`] pairs from the mapper's emission sink.
-/// Both runtimes allocate one per combiner; the carried hash makes the
-/// combine-phase insert hash-free.
+/// One thread's combine container, bound to the job so inserts can resolve
+/// array indices via [`MapReduceJob::key_index`] and fold with
+/// [`MapReduceJob::combine`]. Keys arrive as [`Hashed`] pairs, hashed once
+/// at emission, so the insert itself never hashes.
+///
+/// # Example
+///
+/// ```
+/// use mr_core::{ContainerKind, Emitter, HasherKind, MapReduceJob};
+/// use ramr_containers::{Hashed, HashedJobContainer};
+///
+/// struct Mod3;
+/// impl MapReduceJob for Mod3 {
+///     type Input = u64;
+///     type Key = u64;
+///     type Value = u64;
+///     fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+///         for &x in task {
+///             emit.emit(x % 3, 1);
+///         }
+///     }
+///     fn combine(&self, acc: &mut u64, v: u64) {
+///         *acc += v;
+///     }
+///     fn key_space(&self) -> Option<usize> {
+///         Some(3)
+///     }
+///     fn key_index(&self, k: &u64) -> usize {
+///         *k as usize
+///     }
+/// }
+///
+/// let job = Mod3;
+/// let mut c = HashedJobContainer::for_job(&job, ContainerKind::Array, None)?;
+/// c.insert(Hashed::wrap(HasherKind::Fx, 2), 1)?;
+/// c.insert(Hashed::wrap(HasherKind::Fx, 2), 1)?;
+/// let mut out = Vec::new();
+/// c.drain_into(&mut out);
+/// assert_eq!(out, [(Hashed::wrap(HasherKind::Fx, 2), 2)]);
+/// # Ok::<(), mr_core::RuntimeError>(())
+/// ```
 pub struct HashedJobContainer<'a, J: MapReduceJob> {
     job: &'a J,
     inner: HashedContainerImpl<J::Key, J::Value>,
@@ -359,14 +163,20 @@ impl<J: MapReduceJob> std::fmt::Debug for HashedJobContainer<'_, J> {
 }
 
 impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
-    /// Allocates a container of `kind` suited to `job`; capacity resolution
-    /// matches [`JobContainer::for_job`].
+    /// Allocates a container of `kind` suited to `job`.
+    ///
+    /// `fixed_capacity` overrides the capacity of array / fixed-hash
+    /// containers; when `None`, the job's [`key_space`] is used, and for
+    /// [`ContainerKind::FixedHash`] without either bound the
+    /// [`DEFAULT_FIXED_HASH_CAPACITY`] applies.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::UnsupportedContainer`] when
     /// [`ContainerKind::Array`] is requested for a job with no declared key
     /// space and no explicit capacity.
+    ///
+    /// [`key_space`]: MapReduceJob::key_space
     pub fn for_job(
         job: &'a J,
         kind: ContainerKind,
@@ -595,12 +405,17 @@ mod tests {
         }
     }
 
-    fn fill_and_drain(c: &mut JobContainer<'_, Mod5>) -> Vec<(u64, u64)> {
+    fn key(k: u64) -> Hashed<u64> {
+        Hashed::wrap(mr_core::HasherKind::Fx, k)
+    }
+
+    fn fill_and_drain(c: &mut HashedJobContainer<'_, Mod5>) -> Vec<(u64, u64)> {
         for x in 0..50u64 {
-            c.insert(x % 5, 1).unwrap();
+            c.insert(key(x % 5), 1).unwrap();
         }
         let mut out = Vec::new();
         c.drain_into(&mut out);
+        let mut out: Vec<(u64, u64)> = out.into_iter().map(|(k, v)| (k.into_key(), v)).collect();
         out.sort_unstable();
         out
     }
@@ -610,7 +425,7 @@ mod tests {
         let job = Mod5;
         let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 10)).collect();
         for kind in ContainerKind::ALL {
-            let mut c = JobContainer::for_job(&job, kind, None).unwrap();
+            let mut c = HashedJobContainer::for_job(&job, kind, None).unwrap();
             assert!(c.is_empty());
             assert_eq!(fill_and_drain(&mut c), expected, "container kind {kind}");
         }
@@ -619,37 +434,37 @@ mod tests {
     #[test]
     fn array_requires_key_space() {
         let job = NoKeySpace;
-        let err = JobContainer::for_job(&job, ContainerKind::Array, None).unwrap_err();
+        let err = HashedJobContainer::for_job(&job, ContainerKind::Array, None).unwrap_err();
         assert!(matches!(err, RuntimeError::UnsupportedContainer(_)));
         // ... unless an explicit capacity is supplied.
-        assert!(JobContainer::for_job(&job, ContainerKind::Array, Some(16)).is_ok());
+        assert!(HashedJobContainer::for_job(&job, ContainerKind::Array, Some(16)).is_ok());
     }
 
     #[test]
     fn fixed_hash_defaults_without_key_space() {
         let job = NoKeySpace;
-        let mut c = JobContainer::for_job(&job, ContainerKind::FixedHash, None).unwrap();
-        c.insert(1, 1).unwrap();
+        let mut c = HashedJobContainer::for_job(&job, ContainerKind::FixedHash, None).unwrap();
+        c.insert(key(1), 1).unwrap();
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn explicit_capacity_overrides_key_space() {
         let job = Mod5;
-        let mut c = JobContainer::for_job(&job, ContainerKind::FixedHash, Some(2)).unwrap();
-        c.insert(0, 1).unwrap();
-        c.insert(1, 1).unwrap();
-        assert!(c.insert(2, 1).is_err(), "capacity 2 must overflow on the third key");
+        let mut c = HashedJobContainer::for_job(&job, ContainerKind::FixedHash, Some(2)).unwrap();
+        c.insert(key(0), 1).unwrap();
+        c.insert(key(1), 1).unwrap();
+        assert!(c.insert(key(2), 1).is_err(), "capacity 2 must overflow on the third key");
     }
 
     #[test]
     fn into_inner_exposes_the_container() {
         let job = Mod5;
-        let mut c = JobContainer::for_job(&job, ContainerKind::Hash, None).unwrap();
-        c.insert(3, 7).unwrap();
+        let mut c = HashedJobContainer::for_job(&job, ContainerKind::Hash, None).unwrap();
+        c.insert(key(3), 7).unwrap();
         let inner = c.into_inner();
         assert_eq!(inner.len(), 1);
-        assert!(matches!(inner, ContainerImpl::Hash(_)));
+        assert!(matches!(inner, HashedContainerImpl::Hash(_)));
     }
 
     #[test]
@@ -694,15 +509,6 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "hashed container {kind}");
-
-            let mut plain = JobContainer::for_job(&job, kind, None).unwrap();
-            plain.insert_from(|sink| (0..50u64).for_each(|x| sink(x % 5, 1))).unwrap();
-            let mut c = Vec::new();
-            plain.drain_into(&mut c);
-            c.sort_unstable();
-            let unwrapped: Vec<(u64, u64)> =
-                a.into_iter().map(|(k, v)| (k.into_key(), v)).collect();
-            assert_eq!(c, unwrapped, "plain container {kind}");
         }
     }
 
@@ -710,41 +516,25 @@ mod tests {
     fn into_pairs_agrees_with_drain_into_for_every_kind() {
         let job = Mod5;
         for kind in ContainerKind::ALL {
-            let mut plain = JobContainer::for_job(&job, kind, None).unwrap();
-            plain.insert_from(|sink| (0..50u64).for_each(|x| sink(x % 5, x))).unwrap();
             let mut hashed = HashedJobContainer::for_job(&job, kind, None).unwrap();
             hashed.insert_from(&mut wrapped((0..50).map(|x| x % 5))).unwrap();
 
-            let (mut drained, mut hashed_drained) = (Vec::new(), Vec::new());
-            JobContainer { job: &job, inner: plain.inner.clone() }.drain_into(&mut drained);
-            HashedJobContainer { job: &job, inner: hashed.inner.clone() }
-                .drain_into(&mut hashed_drained);
-            assert_eq!(plain.into_pairs(), drained, "plain container {kind}");
-            assert_eq!(hashed.into_pairs(), hashed_drained, "hashed container {kind}");
+            let mut drained = Vec::new();
+            HashedJobContainer { job: &job, inner: hashed.inner.clone() }.drain_into(&mut drained);
+            assert_eq!(hashed.into_pairs(), drained, "container {kind}");
         }
     }
 
     #[test]
     fn insert_from_reports_the_first_error_and_still_takes_the_whole_feed() {
         let job = Mod5;
-        let mut taken = 0;
-        let mut plain = JobContainer::for_job(&job, ContainerKind::FixedHash, Some(2)).unwrap();
-        let err = plain
-            .insert_from(|sink| {
-                for x in 0..5u64 {
-                    sink(x, 1);
-                    taken += 1;
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
-        assert_eq!((taken, plain.len()), (5, 2));
-
-        let mut hashed = HashedJobContainer::for_job(&job, ContainerKind::Array, Some(2)).unwrap();
-        let mut block = wrapped(0..5);
-        let err = hashed.insert_from(&mut block).unwrap_err();
-        assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
-        assert_eq!((block.len(), hashed.len()), (0, 2));
+        for kind in [ContainerKind::Array, ContainerKind::FixedHash] {
+            let mut hashed = HashedJobContainer::for_job(&job, kind, Some(2)).unwrap();
+            let mut block = wrapped(0..5);
+            let err = hashed.insert_from(&mut block).unwrap_err();
+            assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }), "{kind}");
+            assert_eq!((block.len(), hashed.len()), (0, 2), "{kind}");
+        }
     }
 
     /// Fills a container with `keys` distinct keys and hands it back kept.

@@ -9,9 +9,10 @@
 //! the memory intensity of the combine phase (Figs 8b/9b/10b): hashing adds
 //! computation, and the hash layout forces a non-regular access pattern.
 //!
-//! Three containers are provided, unified behind [`ContainerImpl`] (enum
-//! dispatch keeps the combine call generic without trait objects) and the
-//! job-aware [`JobContainer`] adapter used by both runtimes:
+//! Three containers are provided, unified behind [`HashedContainerImpl`]
+//! (enum dispatch keeps the combine call generic without trait objects) and
+//! the job-aware [`HashedJobContainer`] adapter every thread that combines
+//! folds into:
 //!
 //! * [`ArrayContainer`] — dense slots over `0..key_space`;
 //! * [`HashContainer`] — growable open-addressing (linear probing) table;
@@ -60,8 +61,7 @@ pub use fnv::{fnv1a_hash, FnvBuildHasher, FnvHasher};
 pub use fx::{fx_hash, FxBuildHasher, FxHasher};
 pub use hash::HashContainer;
 pub use hashed::{hash_key, Hashed, Passthrough, PassthroughHasher};
-pub use job_container::{ContainerImpl, HashedContainerImpl, HashedJobContainer, JobContainer};
-pub use job_container::{KeptContainer, PairFeed};
+pub use job_container::{HashedContainerImpl, HashedJobContainer, KeptContainer, PairFeed};
 
 /// Default capacity for fixed-size hash containers when neither the job's
 /// key space nor an explicit `fixed_capacity` bounds it.

@@ -5,7 +5,8 @@
 //! { ... }`), each re-deriving the same telemetry summary from a different
 //! report type. This module collapses that: pick a [`Backend`], obtain an
 //! [`AnyEngine`] (or a pooled [`EngineSession`]), and consume the
-//! backend-independent [`EngineReport`].
+//! backend-independent [`EngineReport`]. Every backend runs on the one
+//! executor, [`RamrSession`]: Phoenix is a session with no combiners.
 //!
 //! ```
 //! use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
@@ -44,7 +45,6 @@
 //! ```
 
 use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError};
-use phoenix_mr::{PhoenixReport, PhoenixRuntime};
 use ramr_telemetry::{FaultMetrics, ThreadTelemetry};
 use ramr_topology::PlacementPlan;
 
@@ -64,7 +64,8 @@ pub enum Backend {
     /// same session, and its reports carry the name that was requested.
     RamrAdaptive,
     /// The Phoenix++-style baseline: every worker maps and combines
-    /// inline, no pipeline decoupling.
+    /// inline, no pipeline decoupling — a session with no combiners
+    /// (DESIGN §6r).
     Phoenix,
 }
 
@@ -96,24 +97,24 @@ impl Backend {
     }
 
     /// Opens a pooled session for this backend (see [`EngineSession`]) —
-    /// the one place a backend is mapped to its executor.
+    /// the one place a backend is mapped to its shape of [`RamrSession`]:
+    /// decoupled mappers and combiners, or Phoenix workers that fold what
+    /// they map.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidConfig`] as for [`Backend::engine`]; RAMR
+    /// [`RuntimeError::InvalidConfig`] as for [`Backend::engine`];
     /// additionally propagates placement failures and returns
     /// [`RuntimeError::Spawn`] when a pool thread cannot be spawned.
     pub fn session<J: MapReduceJob + 'static>(
         self,
         config: RuntimeConfig,
     ) -> Result<EngineSession<J>, RuntimeError> {
-        Ok(match self {
-            Backend::RamrStatic | Backend::RamrAdaptive => EngineSession::Pooled {
-                backend: self,
-                session: Box::new(RamrSession::new(config)?),
-            },
-            Backend::Phoenix => EngineSession::Fresh(Box::new(PhoenixRuntime::new(config)?)),
-        })
+        let session = match self {
+            Backend::RamrStatic | Backend::RamrAdaptive => RamrSession::new(config)?,
+            Backend::Phoenix => RamrSession::phoenix(config)?,
+        };
+        Ok(EngineSession { backend: self, session })
     }
 }
 
@@ -147,7 +148,8 @@ pub struct EngineReport {
     pub backend: Backend,
     /// Per-thread telemetry: mappers then combiners for RAMR (combiners
     /// that mapped in place appear in both halves, as in [`RunReport`]),
-    /// workers for Phoenix.
+    /// workers for Phoenix: `items` counts emissions, `batches` tasks, the
+    /// occupancy histogram task fill, and `stalled` is zero.
     pub threads: Vec<ThreadTelemetry>,
     /// Total pairs folded into containers, by any route: read from a queue,
     /// emitted in place by a map task a combiner ran itself
@@ -160,23 +162,29 @@ pub struct EngineReport {
     pub spilled: u64,
     /// The throughput-derived mapper:combiner ratio suggestion
     /// ([`RunReport::suggested_ratio`]); `None` for Phoenix, whose workers
-    /// have no role split to tune.
+    /// have no role split to tune (no combine time is measured apart).
     pub suggested_ratio: Option<usize>,
     /// Always empty: no run moves threads between the pools. Kept only for
     /// the benchmark ledger, which still reads it.
     pub adaptation: Vec<AdaptationEvent>,
     /// Fault-tolerance accounting for the run.
     pub faults: FaultMetrics,
-    /// The thread placement plan; `None` for Phoenix, which delegates
-    /// pinning to the OS scheduler.
+    /// The thread placement plan; `None` for Phoenix, whose workers pin by
+    /// their own policy semantics, not a mapper/combiner plan.
     pub plan: Option<PlacementPlan>,
 }
 
 impl EngineReport {
-    fn from_ramr(backend: Backend, report: RunReport) -> Self {
+    fn from_run(backend: Backend, report: RunReport) -> Self {
         let spilled = report.spilled_per_mapper.iter().sum::<u64>();
         let folded = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner);
-        let consumed = folded.sum::<u64>() + spilled;
+        // A Phoenix worker folds every pair it emits, on the spot.
+        let inline = report.combiner_telemetry.is_empty();
+        let consumed = if inline {
+            report.emitted_per_mapper.iter().sum()
+        } else {
+            folded.sum::<u64>() + spilled
+        };
         let suggested_ratio = report.suggested_ratio();
         let mut threads = report.mapper_telemetry;
         threads.extend(report.combiner_telemetry);
@@ -188,21 +196,7 @@ impl EngineReport {
             suggested_ratio,
             adaptation: Vec::new(),
             faults: report.faults,
-            plan: Some(report.plan),
-        }
-    }
-
-    fn from_phoenix(report: PhoenixReport) -> Self {
-        let consumed = report.worker_telemetry.iter().map(|t| t.items).sum();
-        EngineReport {
-            backend: Backend::Phoenix,
-            threads: report.worker_telemetry,
-            consumed,
-            spilled: 0,
-            suggested_ratio: None,
-            adaptation: Vec::new(),
-            faults: report.faults,
-            plan: None,
+            plan: (!inline).then_some(report.plan),
         }
     }
 }
@@ -347,54 +341,35 @@ impl Engine for AnyEngine {
     }
 }
 
-/// A pooled submission channel for any backend: RAMR submits through a
-/// persistent [`RamrSession`] (threads and queues reused across jobs),
-/// while Phoenix — whose scoped-thread design has no job-independent
-/// state to pool — runs each submit fresh. Either way the caller sees one
-/// `submit` interface, which is what lets the differential tests compare
-/// pooled against fresh execution uniformly across backends.
-pub enum EngineSession<J: MapReduceJob + 'static> {
-    /// A persistent RAMR worker-pool session.
-    Pooled {
-        /// The backend resolved once at construction — the report tag can
-        /// never drift from the session that produced it.
-        backend: Backend,
-        /// The persistent worker-pool session.
-        session: Box<RamrSession<J>>,
-    },
-    /// A per-submit Phoenix runtime (boxed: it carries a full
-    /// `RuntimeConfig`, and sessions are few and long-lived).
-    Fresh(Box<PhoenixRuntime>),
+/// A pooled submission channel for any backend: a persistent
+/// [`RamrSession`] — threads, queues and containers reused across jobs —
+/// opened in the shape [`Backend::session`] picked, with the backend it was
+/// opened for.
+pub struct EngineSession<J: MapReduceJob + 'static> {
+    /// Resolved once at construction: the report tag can never drift from
+    /// the session that produced it.
+    backend: Backend,
+    session: RamrSession<J>,
 }
 
 impl<J: MapReduceJob + 'static> std::fmt::Debug for EngineSession<J> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineSession::Pooled { backend, session } => f
-                .debug_struct("Pooled")
-                .field("backend", backend)
-                .field("session", session)
-                .finish(),
-            EngineSession::Fresh(_) => f.debug_tuple("Fresh").finish(),
-        }
+        f.debug_struct("EngineSession")
+            .field("backend", &self.backend)
+            .field("session", &self.session)
+            .finish()
     }
 }
 
 impl<J: MapReduceJob + 'static> EngineSession<J> {
     /// Which backend this session executes on.
     pub fn backend(&self) -> Backend {
-        match self {
-            EngineSession::Pooled { backend, .. } => *backend,
-            EngineSession::Fresh(_) => Backend::Phoenix,
-        }
+        self.backend
     }
 
     /// The session's configuration.
     pub fn config(&self) -> &RuntimeConfig {
-        match self {
-            EngineSession::Pooled { session, .. } => session.config(),
-            EngineSession::Fresh(rt) => rt.config(),
-        }
+        self.session.config()
     }
 
     /// Executes one job from the stream, returning its output with the
@@ -409,15 +384,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         job: &J,
         input: &[J::Input],
     ) -> Result<EngineOutcome<J>, RuntimeError> {
-        match self {
-            EngineSession::Pooled { backend, session } => {
-                let (output, report) = session.submit_with_report(job, input)?;
-                Ok(EngineOutcome { output, report: EngineReport::from_ramr(*backend, report) })
-            }
-            EngineSession::Fresh(rt) => {
-                let (output, report) = rt.run_with_report(job, input)?;
-                Ok(EngineOutcome { output, report: EngineReport::from_phoenix(report) })
-            }
-        }
+        let (output, report) = self.session.submit_with_report(job, input)?;
+        Ok(EngineOutcome { output, report: EngineReport::from_run(self.backend, report) })
     }
 }

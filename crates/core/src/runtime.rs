@@ -1,14 +1,16 @@
 //! The decoupled map/combine runtime (paper §III, Fig 2): what each pool
-//! thread does for one job — the mapper and combiner loops, the watchdog —
-//! and the [`RunReport`] a job leaves behind. The threads themselves live in
-//! `session.rs`, which hosts these loops on its pools.
+//! thread does for one job — the mapper and combiner loops, the Phoenix
+//! worker loop, the watchdog — and the [`RunReport`] a job leaves behind.
+//! The threads themselves live in `session.rs`, which hosts these loops on
+//! its pools.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mr_core::{
-    Emitter, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError, TaskRange,
+    ContainerKind, Emitter, HasherKind, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig,
+    RuntimeError, TaskRange,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer, KeptContainer, PairFeed};
@@ -335,10 +337,12 @@ impl Drop for LiveGuard<'_> {
 }
 
 /// Display labels for the watchdog's per-thread diagnostics, matching the
-/// progress-board slot layout (mappers first, then combiners).
+/// progress-board slot layout (mappers first, then combiners). Without
+/// combiners the mappers are Phoenix workers, labelled `worker[i]`.
 pub(crate) fn thread_labels(num_workers: usize, num_combiners: usize) -> Vec<String> {
+    let mapper = if num_combiners == 0 { "worker" } else { "mapper" };
     (0..num_workers)
-        .map(|m| format!("mapper[{m}]"))
+        .map(|m| format!("{mapper}[{m}]"))
         .chain((0..num_combiners).map(|c| format!("combiner[{c}]")))
         .collect()
 }
@@ -400,7 +404,8 @@ pub(crate) fn watchdog_loop(
 
 /// Runs one claimed map task, handing every emission to `sink`, and returns
 /// the pairs it emitted — the one map-task body behind every thread that
-/// maps (mapper, helping combiner), so all of them fail alike.
+/// maps (mapper, helping combiner, Phoenix worker), so all of them fail
+/// alike.
 ///
 /// Under [`FaultCtx::staged`] the emissions are staged per task and reach
 /// `sink` only after the map call succeeds, so a panicked (and retried)
@@ -421,7 +426,7 @@ fn run_task<J: MapReduceJob>(
             input,
             ctx.retries,
             ctx.skip_poison,
-            Some(ctx.cancel),
+            ctx.cancel,
             ctx.faults,
         );
         let Some((pairs, count)) = staged else { return 0 };
@@ -646,6 +651,103 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
         *kept = Some(spill.drain_to_keep(&mut pairs));
     }
     Ok(pairs)
+}
+
+/// One claimed map task as a [`PairFeed`]: every emission is hashed once and
+/// handed straight to the container arm [`HashedJobContainer::insert_from`]
+/// picked for the task, one indirect call per pair through the task's
+/// emitter. Counts the task's emissions into `emitted`.
+struct TaskFeed<'a, 'c, J: MapReduceJob> {
+    job: &'a J,
+    task: &'a TaskRange,
+    input: &'a [J::Input],
+    ctx: &'a FaultCtx<'c>,
+    /// `None` when the container is an array, which indexes by
+    /// [`MapReduceJob::key_index`] and never reads a hash: the job's keys
+    /// then all carry 0 instead, which is as consistent as a real hash for
+    /// everything downstream (reduce orders by key alone). Hashing a
+    /// `hg-dense` pair costs the worker about a tenth of its time.
+    hasher: Option<HasherKind>,
+    emitted: &'a mut u64,
+}
+
+impl<J: MapReduceJob> PairFeed<J::Key, J::Value> for TaskFeed<'_, '_, J> {
+    fn feed(self, mut sink: impl FnMut(Hashed<J::Key>, J::Value)) {
+        let (job, task, input, ctx) = (self.job, self.task, self.input, self.ctx);
+        *self.emitted += match self.hasher {
+            Some(hasher) => {
+                run_task(job, task, input, ctx, |key, value| sink(Hashed::wrap(hasher, key), value))
+            }
+            None => run_task(job, task, input, ctx, |key, value| sink(Hashed::new(0, key), value)),
+        };
+    }
+}
+
+/// One Phoenix worker's loop — a mapper with no queue (DESIGN §6r): pull
+/// tasks from the locality-grouped queues, map, and fold every emission on
+/// this thread into the worker's own container, one
+/// [`insert_from`](HashedJobContainer::insert_from) per task, so the
+/// container picks its kind once per task, not per pair. There is no emit
+/// buffer, no queue and nothing to spill. Returns the drained container as
+/// the worker's partial.
+///
+/// The container is kept across the session's epochs in `kept`, like a
+/// combiner's, and put back only by an epoch that ends without error, panic
+/// or cancellation. An insert error (a fixed-size container overflowing)
+/// stops the claiming and fails the job.
+///
+/// Publishes its telemetry into `cell` once, at exit, also on the error
+/// path: all task time is `busy` — an inline fold has nothing to stall on —
+/// `items` counts emissions, `batches` tasks, and the occupancy histogram
+/// records each task's fill relative to `task_size`.
+#[allow(clippy::too_many_arguments)] // internal: mirrors `mapper_loop`
+pub(crate) fn worker_loop<J: MapReduceJob>(
+    job: &J,
+    input: &[J::Input],
+    config: &RuntimeConfig,
+    queues: &TaskQueues,
+    home_group: usize,
+    kept: &mut Option<KeptContainer<J::Key, J::Value>>,
+    cell: &TelemetryCell,
+    ctx: &FaultCtx<'_>,
+    slot: usize,
+) -> Result<phases::HashedPairs<J>, RuntimeError> {
+    let _live = LiveGuard::enter(ctx.board);
+    let telemetry = config.telemetry;
+    let wall_start = telemetry.then(Instant::now);
+    let mut local = LocalTelemetry::default();
+    let result = (|| {
+        // `kept` is empty from here until this job has drained well.
+        let mut container =
+            HashedJobContainer::reusing(job, config.container, config.fixed_capacity, kept.take())?;
+        let hasher = (config.container != ContainerKind::Array).then_some(config.hasher);
+        while let Some(task) = queues.claim(home_group) {
+            if ctx.cancelled() {
+                break;
+            }
+            let task_start = telemetry.then(Instant::now);
+            let emitted = &mut local.items;
+            let folded = container.insert_from(TaskFeed { job, task, input, ctx, hasher, emitted });
+            ctx.progress(slot);
+            if let Some(t) = task_start {
+                local.busy += t.elapsed();
+            }
+            local.batches += 1;
+            local.occupancy.record(task.end - task.start, config.task_size);
+            folded?;
+        }
+        let mut pairs = Vec::new();
+        // A cancelled run's container is partial and nobody will read it.
+        if !ctx.cancelled() {
+            *kept = Some(container.drain_to_keep(&mut pairs));
+        }
+        Ok(pairs)
+    })();
+    if let Some(t) = wall_start {
+        local.wall = t.elapsed();
+    }
+    cell.publish(&local);
+    result
 }
 
 /// One batched read in a combine round. While the mapper is still running
@@ -979,7 +1081,7 @@ mod tests {
 
     use super::*;
     use crate::session::RamrSession;
-    use mr_core::{ContainerKind, PhaseKind};
+    use mr_core::PhaseKind;
     use ramr_telemetry::ThreadRole;
     use ramr_topology::MachineModel;
 
@@ -1495,9 +1597,9 @@ mod tests {
     fn agrees_with_phoenix_baseline() {
         let input: Vec<u64> = (0..30_000).map(|i| i * 7 % 10_000).collect();
         let ramr_out = run_once(config(4, 2), &Mod9, &input).unwrap().0;
-        let phoenix_out =
-            phoenix_mr::PhoenixRuntime::new(config(4, 4)).unwrap().run(&Mod9, &input).unwrap();
-        assert_eq!(ramr_out.pairs, phoenix_out.pairs);
+        let phoenix = RamrSession::phoenix(config(4, 4)).unwrap().submit(&Mod9, &input).unwrap();
+        assert_eq!(ramr_out.pairs, reference(&input));
+        assert_eq!(phoenix.pairs, reference(&input));
     }
 
     #[test]
@@ -1697,5 +1799,302 @@ mod tests {
         let (_, report) = run_once(config(4, 2), &Mod9, &input).unwrap();
         assert!(report.faults.is_clean(), "{:?}", report.faults);
         assert_eq!(report.faults.summary(), None);
+    }
+
+    // --- Phoenix sessions: `worker_loop` ------------------------------------
+
+    struct Mod7;
+
+    impl MapReduceJob for Mod7 {
+        type Input = u64;
+        type Key = u64;
+        type Value = u64;
+
+        fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+            for &x in task {
+                emit.emit(x % 7, x);
+            }
+        }
+
+        fn combine(&self, acc: &mut u64, v: u64) {
+            *acc += v;
+        }
+
+        fn key_space(&self) -> Option<usize> {
+            Some(7)
+        }
+
+        fn key_index(&self, k: &u64) -> usize {
+            *k as usize
+        }
+
+        fn name(&self) -> &str {
+            "mod7"
+        }
+    }
+
+    fn mod7_reference(input: &[u64]) -> Vec<(u64, u64)> {
+        let mut sums = [0u64; 7];
+        for &x in input {
+            sums[(x % 7) as usize] += x;
+        }
+        (0..7).filter(|&k| sums[k as usize] != 0).map(|k| (k, sums[k as usize])).collect()
+    }
+
+    fn phoenix_config(workers: usize, kind: ContainerKind) -> RuntimeConfig {
+        RuntimeConfig::builder()
+            .num_workers(workers)
+            .num_combiners(workers)
+            .task_size(13)
+            .container(kind)
+            .num_reducers(3)
+            .build()
+            .unwrap()
+    }
+
+    /// One job on a Phoenix session opened for it and dropped after.
+    fn run_phoenix<J: MapReduceJob + 'static>(
+        cfg: RuntimeConfig,
+        job: &J,
+        input: &[J::Input],
+    ) -> Result<crate::EngineOutcome<J>, RuntimeError> {
+        crate::Backend::Phoenix.session::<J>(cfg)?.submit(job, input)
+    }
+
+    #[test]
+    fn matches_sequential_reference_all_containers() {
+        let input: Vec<u64> = (1..=10_000).collect();
+        for kind in ContainerKind::ALL {
+            let out = run_phoenix(phoenix_config(4, kind), &Mod7, &input).unwrap().output;
+            assert_eq!(out.pairs, mod7_reference(&input), "container {kind}");
+        }
+    }
+
+    #[test]
+    fn empty_input_produces_empty_output() {
+        let out = run_phoenix(phoenix_config(2, ContainerKind::Array), &Mod7, &[]).unwrap().output;
+        assert!(out.is_empty());
+        assert_eq!(out.stats.tasks, 0);
+    }
+
+    #[test]
+    fn single_worker_equals_many_workers() {
+        let input: Vec<u64> = (0..5000).map(|i| i * 37 % 1013).collect();
+        let one = run_phoenix(phoenix_config(1, ContainerKind::Hash), &Mod7, &input).unwrap();
+        let many = run_phoenix(phoenix_config(8, ContainerKind::Hash), &Mod7, &input).unwrap();
+        assert_eq!(one.output.pairs, many.output.pairs);
+    }
+
+    #[test]
+    fn stats_count_tasks_and_emissions() {
+        let input: Vec<u64> = (0..100).collect();
+        let out =
+            run_phoenix(phoenix_config(2, ContainerKind::Array), &Mod7, &input).unwrap().output;
+        assert_eq!(out.stats.tasks, 100u64.div_ceil(13));
+        assert_eq!(out.stats.emitted, 100);
+        assert_eq!(out.stats.output_keys, 7);
+        assert!(out.stats.total() > Duration::ZERO);
+    }
+
+    #[test]
+    fn worker_panic_is_reported() {
+        struct Panics;
+        impl MapReduceJob for Panics {
+            type Input = u64;
+            type Key = u64;
+            type Value = u64;
+            fn map(&self, _: &[u64], _: &mut Emitter<'_, u64, u64>) {
+                panic!("map exploded");
+            }
+            fn combine(&self, _: &mut u64, _: u64) {}
+        }
+        let err = run_phoenix(phoenix_config(2, ContainerKind::Hash), &Panics, &[1, 2, 3]);
+        let err = err.unwrap_err();
+        assert!(matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("map exploded")));
+    }
+
+    #[test]
+    fn fixed_hash_overflow_surfaces() {
+        let cfg = RuntimeConfig::builder()
+            .num_workers(2)
+            .num_combiners(2)
+            .container(ContainerKind::FixedHash)
+            .fixed_capacity(3)
+            .build()
+            .unwrap();
+        let input: Vec<u64> = (0..100).collect(); // 7 distinct keys > capacity 3
+        let err = run_phoenix(cfg, &Mod7, &input).unwrap_err();
+        assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 3, .. }));
+    }
+
+    #[test]
+    fn report_accounts_emissions_and_wall_clock() {
+        let input: Vec<u64> = (1..=10_000).collect();
+        let outcome = run_phoenix(phoenix_config(4, ContainerKind::Hash), &Mod7, &input).unwrap();
+        let (out, report) = outcome.into_parts();
+        assert_eq!(out.pairs, mod7_reference(&input));
+        assert_eq!(report.threads.len(), 4);
+        let items: u64 = report.threads.iter().map(|t| t.items).sum();
+        let tasks: u64 = report.threads.iter().map(|t| t.batches).sum();
+        assert_eq!(items, 10_000);
+        assert_eq!(tasks, 10_000u64.div_ceil(13));
+        for t in &report.threads {
+            assert_eq!(t.role, ThreadRole::Worker);
+            // Inline map+combine never stalls; busy stays within wall.
+            assert_eq!(t.stalled, Duration::ZERO);
+            assert!(t.busy <= t.wall + Duration::from_millis(1));
+            assert_eq!(t.occupancy.total(), t.batches);
+        }
+        assert!(ramr_telemetry::pool_throughput(&report.threads).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn telemetry_toggle_zeroes_timing_but_keeps_counters() {
+        let input: Vec<u64> = (1..=2_000).collect();
+        let mut cfg = phoenix_config(2, ContainerKind::Hash);
+        cfg.telemetry = false;
+        let report = run_phoenix(cfg, &Mod7, &input).unwrap().report;
+        let items: u64 = report.threads.iter().map(|t| t.items).sum();
+        assert_eq!(items, 2_000);
+        for t in &report.threads {
+            assert_eq!(t.busy, Duration::ZERO);
+            assert_eq!(t.wall, Duration::ZERO);
+        }
+        assert_eq!(ramr_telemetry::pool_throughput(&report.threads), None);
+    }
+
+    /// Mod7 with one poison task: the task containing `poison` panics on
+    /// its first `fail_attempts` executions — *after* emitting, so a broken
+    /// retry path would double-count. Keyed by task content, which makes
+    /// the fault deterministic regardless of which worker claims the task.
+    struct FlakyMod7 {
+        poison: u64,
+        fail_attempts: u32,
+        attempts: AtomicU32,
+        retry_safe: bool,
+    }
+
+    impl FlakyMod7 {
+        fn new(poison: u64, fail_attempts: u32) -> Self {
+            Self { poison, fail_attempts, attempts: AtomicU32::new(0), retry_safe: true }
+        }
+    }
+
+    impl MapReduceJob for FlakyMod7 {
+        type Input = u64;
+        type Key = u64;
+        type Value = u64;
+
+        fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+            for &x in task {
+                emit.emit(x % 7, x);
+            }
+            if task.contains(&self.poison) {
+                let attempt = 1 + self.attempts.fetch_add(1, Ordering::SeqCst);
+                if attempt <= self.fail_attempts {
+                    panic!("poison task hit {poison}", poison = self.poison);
+                }
+            }
+        }
+
+        fn combine(&self, acc: &mut u64, v: u64) {
+            *acc += v;
+        }
+
+        fn key_space(&self) -> Option<usize> {
+            Some(7)
+        }
+
+        fn key_index(&self, k: &u64) -> usize {
+            *k as usize
+        }
+
+        fn is_retry_safe(&self) -> bool {
+            self.retry_safe
+        }
+    }
+
+    #[test]
+    fn retries_recover_transient_poison_task_with_exact_output() {
+        let input: Vec<u64> = (1..=100).collect();
+        let mut cfg = phoenix_config(2, ContainerKind::Hash);
+        cfg.max_task_retries = 2;
+        let (out, report) = run_phoenix(cfg, &FlakyMod7::new(20, 2), &input).unwrap().into_parts();
+        assert_eq!(out.pairs, mod7_reference(&input), "retried emissions must count exactly once");
+        assert_eq!(report.faults.retries, 2);
+        assert!(report.faults.skipped.is_empty());
+    }
+
+    #[test]
+    fn exhausted_retries_without_skip_fail_fast() {
+        let input: Vec<u64> = (1..=100).collect();
+        let mut cfg = phoenix_config(2, ContainerKind::Hash);
+        cfg.max_task_retries = 1;
+        let err = run_phoenix(cfg, &FlakyMod7::new(20, u32::MAX), &input).unwrap_err();
+        assert!(matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("poison task")));
+    }
+
+    #[test]
+    fn skip_poison_tasks_completes_and_records_the_skip() {
+        let input: Vec<u64> = (1..=100).collect();
+        let mut cfg = phoenix_config(2, ContainerKind::Hash);
+        cfg.max_task_retries = 1;
+        cfg.skip_poison_tasks = true;
+        let (out, report) =
+            run_phoenix(cfg, &FlakyMod7::new(20, u32::MAX), &input).unwrap().into_parts();
+        // Element 20 sits at index 19, i.e. in task [13, 26) at task_size
+        // 13 — exactly that slice's contribution is missing.
+        let surviving: Vec<u64> = input
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !(13..26).contains(i))
+            .map(|(_, &x)| x)
+            .collect();
+        assert_eq!(out.pairs, mod7_reference(&surviving));
+        assert_eq!(report.faults.skipped.len(), 1);
+        let skip = &report.faults.skipped[0];
+        assert_eq!((skip.start, skip.end), (13, 26));
+        assert_eq!(skip.attempts, 2, "initial attempt + one retry");
+        assert!(skip.message.contains("poison task hit 20"), "{}", skip.message);
+        assert!(report.faults.summary().unwrap().contains("poison task"));
+    }
+
+    #[test]
+    fn non_retry_safe_jobs_keep_fail_fast_even_with_retries_configured() {
+        let input: Vec<u64> = (1..=100).collect();
+        let mut cfg = phoenix_config(2, ContainerKind::Hash);
+        cfg.max_task_retries = 3;
+        cfg.skip_poison_tasks = true;
+        let mut job = FlakyMod7::new(20, u32::MAX);
+        job.retry_safe = false;
+        let err = run_phoenix(cfg, &job, &input).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::WorkerPanic(_)),
+            "retries must never re-execute a job that does not opt in"
+        );
+    }
+
+    #[test]
+    fn reduce_hook_is_applied_once_per_key() {
+        struct Doubler;
+        impl MapReduceJob for Doubler {
+            type Input = u64;
+            type Key = u64;
+            type Value = u64;
+            fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+                for &x in task {
+                    emit.emit(x % 3, 1);
+                }
+            }
+            fn combine(&self, acc: &mut u64, v: u64) {
+                *acc += v;
+            }
+            fn reduce(&self, _: &u64, combined: u64) -> u64 {
+                combined * 2
+            }
+        }
+        let input: Vec<u64> = (0..9).collect();
+        let out = run_phoenix(phoenix_config(3, ContainerKind::Hash), &Doubler, &input);
+        assert_eq!(out.unwrap().output.pairs, vec![(0, 6), (1, 6), (2, 6)]);
     }
 }

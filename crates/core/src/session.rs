@@ -23,6 +23,15 @@
 //! caller pins itself to mapper 0's slot for the map-combine phase and gets
 //! its own mask back afterwards ([`CallerPin`]).
 //!
+//! # Phoenix sessions
+//!
+//! The Phoenix++ baseline is this session with no combiners
+//! ([`RamrSession::phoenix`], DESIGN §6r): `num_workers` mappers without a
+//! queue, each folding what it maps into its own kept container
+//! ([`worker_loop`]), `num_workers − 1` of them pooled as
+//! `ramr-worker-N`. Epochs, caller-runs, fault handling, error precedence,
+//! reports, reduce and merge are the ones described here.
+//!
 //! # Epoch protocol
 //!
 //! Each [`submit`](RamrSession::submit) is one *epoch*, identified by a
@@ -57,18 +66,18 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use mr_core::{
-    task_ranges, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer, RuntimeConfig,
-    RuntimeError,
+    task_ranges, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer, PinningPolicyKind,
+    RuntimeConfig, RuntimeError,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::KeptContainer;
 use ramr_spsc::{Consumer, SpscQueue};
 use ramr_telemetry::{FaultLog, ProgressBoard, TelemetryCell, ThreadRole, ThreadTelemetry};
-use ramr_topology::{CpuSlot, MachineModel, PlacementPlan};
+use ramr_topology::{thrid_to_cpu, CpuSlot, MachineModel, PlacementPlan};
 
 use crate::runtime::{
-    combiner_loop, mapper_loop, maybe_pin, thread_labels, watchdog_loop, CallerPin, ErrorSlot,
-    FaultCtx, HashedPair, PairConsumer, PairProducer, ReportedOutput, RunReport,
+    combiner_loop, mapper_loop, maybe_pin, thread_labels, watchdog_loop, worker_loop, CallerPin,
+    ErrorSlot, FaultCtx, HashedPair, PairConsumer, PairProducer, ReportedOutput, RunReport,
 };
 
 /// Everything one job (epoch) shares with the parked worker pools. Lives on
@@ -150,6 +159,9 @@ struct SessionState<J: MapReduceJob> {
 /// State shared between the coordinator and the persistent workers.
 struct SessionShared<J: MapReduceJob> {
     config: RuntimeConfig,
+    /// The combiner pool's size: `config.num_combiners`, or 0 for a Phoenix
+    /// session, whose mappers fold what they map.
+    combiners: usize,
     state: Mutex<SessionState<J>>,
     /// Signalled when a new epoch is published or shutdown is requested.
     start: Condvar,
@@ -199,6 +211,21 @@ impl<J: MapReduceJob> SessionShared<J> {
             busy = relock(self.done.wait(busy));
         }
     }
+}
+
+/// Where Phoenix worker `w` runs under `pinning`: Phoenix's own policy
+/// semantics, not the decoupled placement plan's. `OsDefault` leaves it to
+/// the OS, `RoundRobin` pins worker `i` to CPU `i`, and `Ramr` follows the
+/// `thrid_to_cpu` order, so consecutive workers are SMT siblings first.
+fn worker_slot(machine: &MachineModel, pinning: PinningPolicyKind, w: usize) -> CpuSlot {
+    let cpus = match pinning {
+        PinningPolicyKind::OsDefault => return CpuSlot::Unpinned,
+        PinningPolicyKind::RoundRobin => (0..machine.logical_cpus()).collect(),
+        PinningPolicyKind::Ramr => {
+            thrid_to_cpu(machine.sockets, machine.cores_per_socket, machine.smt)
+        }
+    };
+    CpuSlot::Pinned(cpus[w % cpus.len()])
 }
 
 /// Drains any residue a cancelled or errored epoch left in a read-end and
@@ -334,6 +361,26 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         config: RuntimeConfig,
         machine: MachineModel,
     ) -> Result<Self, RuntimeError> {
+        Self::open(config, machine, true)
+    }
+
+    /// Opens a Phoenix++ session (DESIGN §6r): `num_workers` workers that
+    /// each fold what they map into their own container, and no combiner
+    /// pool, so no queue either. `num_combiners` is validated and ignored.
+    /// Everything else — caller-runs, fault handling, kept containers,
+    /// reduce and merge — is this session's. Only
+    /// [`Backend::Phoenix`](crate::Backend::Phoenix) opens one.
+    pub(crate) fn phoenix(config: RuntimeConfig) -> Result<Self, RuntimeError> {
+        Self::open(config, MachineModel::host(), false)
+    }
+
+    /// Spawns the pools: decoupled mappers and combiners, or, without
+    /// `combiners`, Phoenix workers.
+    fn open(
+        config: RuntimeConfig,
+        machine: MachineModel,
+        decoupled: bool,
+    ) -> Result<Self, RuntimeError> {
         config.validate()?;
         let plan = PlacementPlan::compute(
             &machine,
@@ -341,11 +388,19 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             config.num_combiners,
             config.pinning.into(),
         )?;
-        let labels = thread_labels(config.num_workers, config.num_combiners);
+        let combiners = if decoupled { config.num_combiners } else { 0 };
+        let labels = thread_labels(config.num_workers, combiners);
+        let slot_of_mapper = |m: usize| {
+            if decoupled {
+                plan.mapper_slot(m)
+            } else {
+                worker_slot(&machine, config.pinning, m)
+            }
+        };
         // Per-locality-group task queues (paper §III): a mapper prefers the
         // queue of the socket it is placed on and steals otherwise.
         let groups = machine.sockets.max(1);
-        let group_of_mapper = |m: usize| match plan.mapper_slot(m) {
+        let group_of_mapper = |m: usize| match slot_of_mapper(m) {
             CpuSlot::Pinned(cpu) => {
                 ramr_topology::physical_position_of(
                     cpu,
@@ -360,25 +415,31 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
 
         let shared = Arc::new(SessionShared {
             config: config.clone(),
+            combiners,
             state: Mutex::new(SessionState { epoch: 0, shutdown: false, frame: None }),
             start: Condvar::new(),
             busy: Mutex::new(0),
             done: Condvar::new(),
         });
 
-        // One SPSC queue per mapper, allocated once for the session's
-        // lifetime. The read-ends are grouped per combiner via the
-        // placement plan; each combiner worker then owns its group for the
-        // session's life.
-        let emit_block = config.effective_emit_buffer();
+        // One SPSC queue per mapper of a decoupled session, allocated once
+        // for the session's lifetime. The read-ends are grouped per combiner
+        // via the placement plan; each combiner worker then owns its group
+        // for the session's life. A Phoenix worker has neither a queue nor
+        // an emit buffer.
+        let emit_block = if decoupled { config.effective_emit_buffer() } else { 0 };
         let mut mappers = Vec::with_capacity(config.num_workers);
         let mut consumers_of: Vec<Vec<PairConsumer<J>>> =
-            (0..config.num_combiners).map(|_| Vec::new()).collect();
+            (0..combiners).map(|_| Vec::new()).collect();
         for m in 0..config.num_workers {
-            let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
-            consumers_of[plan.combiner_of_mapper(m)].push(rx);
+            let tx = decoupled.then(|| {
+                let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
+                consumers_of[plan.combiner_of_mapper(m)].push(rx);
+                tx
+            });
             mappers.push(MapperState {
                 m,
+                slot: slot_of_mapper(m),
                 home_group: group_of_mapper(m),
                 tx,
                 buffer: Vec::with_capacity(emit_block),
@@ -390,7 +451,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         let mut mappers = mappers.into_iter();
         let caller = mappers.next().expect("validated: num_workers >= 1");
 
-        let mut handles = Vec::with_capacity(config.num_workers + config.num_combiners - 1);
+        let mut handles = Vec::with_capacity(config.num_workers + combiners - 1);
         let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
             std::thread::Builder::new()
                 .name(name.clone())
@@ -401,10 +462,11 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         // Each pooled thread is the one `epoch_worker` skeleton around one
         // of the two role loops, with the loop's arguments bound here.
         let spawned = (|| -> Result<(), RuntimeError> {
+            let role = if decoupled { "mapper" } else { "worker" };
             for mapper in mappers {
                 let shared = Arc::clone(&shared);
-                let slot = plan.mapper_slot(mapper.m);
-                let name = format!("ramr-mapper-{}", mapper.m);
+                let slot = mapper.slot;
+                let name = format!("ramr-{role}-{}", mapper.m);
                 let body = move || {
                     let config = &shared.config;
                     epoch_worker(
@@ -564,7 +626,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         // `with_epoch` sits *inside* the scope so that, should supervision
         // unwind, the epoch is over (and the watchdog told so) before the
         // scope joins the watchdog.
-        let pin = CallerPin::enter(config.pin_os_threads, self.plan.mapper_slot(0));
+        let pin = CallerPin::enter(config.pin_os_threads, self.caller.slot);
         let stalled = std::thread::scope(|scope| {
             let caller = CallerRole { mapper: &mut self.caller, job, input };
             let watchdog = with_epoch(&self.shared, &frame, caller, || {
@@ -592,12 +654,9 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         }
 
         // --- Report assembly ----------------------------------------------
-        let mut mapper_telemetry: Vec<ThreadTelemetry> = frame
-            .map_cells
-            .iter()
-            .enumerate()
-            .map(|(m, cell)| cell.snapshot(ThreadRole::Mapper, m))
-            .collect();
+        let role = if self.shared.combiners == 0 { ThreadRole::Worker } else { ThreadRole::Mapper };
+        let mut mapper_telemetry: Vec<ThreadTelemetry> =
+            frame.map_cells.iter().enumerate().map(|(m, cell)| cell.snapshot(role, m)).collect();
         // A combiner that ran map tasks in place is also a mapper row,
         // indexed after the mapper pool; one that never helped is omitted:
         // an all-zero phantom row would skew the per-thread tables.
@@ -659,7 +718,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         input: &[J::Input],
         tasks: Vec<mr_core::TaskRange>,
     ) -> JobFrame<J> {
-        let config = &self.shared.config;
+        let (config, combiners) = (&self.shared.config, self.shared.combiners);
         let fresh_cells = |n: usize| (0..n).map(|_| TelemetryCell::default()).collect();
         JobFrame {
             job: job as *const J,
@@ -672,13 +731,11 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             fault_log: FaultLog::new(),
             cancel: AtomicBool::new(false),
             watchdog_done: AtomicBool::new(false),
-            board: config
-                .watchdog
-                .map(|_| ProgressBoard::new(config.num_workers + config.num_combiners)),
+            board: config.watchdog.map(|_| ProgressBoard::new(config.num_workers + combiners)),
             errors: ErrorSlot::default(),
             map_cells: fresh_cells(config.num_workers),
-            combiner_cells: fresh_cells(config.num_combiners),
-            helper_cells: fresh_cells(config.num_combiners),
+            combiner_cells: fresh_cells(combiners),
+            helper_cells: fresh_cells(combiners),
             spilled: (0..config.num_workers).map(|_| AtomicU64::new(0)).collect(),
             partials: Mutex::new(Vec::new()),
         }
@@ -735,8 +792,8 @@ fn with_epoch<J: MapReduceJob, R>(
                 // timeout), and end the stream of the mapper that will now
                 // never run.
                 self.frame.cancel.store(true, Ordering::Release);
-                if let Some(role) = self.caller.take() {
-                    role.mapper.tx.finish();
+                if let Some(tx) = self.caller.take().and_then(|role| role.mapper.tx.as_mut()) {
+                    tx.finish();
                 }
             }
             self.shared.wait_all_done();
@@ -749,7 +806,7 @@ fn with_epoch<J: MapReduceJob, R>(
     // finishes instantly must find the counter already counting it. It
     // counts the pooled threads only; the caller's role ends before the
     // guard waits.
-    *relock(shared.busy.lock()) = shared.config.num_workers + shared.config.num_combiners - 1;
+    *relock(shared.busy.lock()) = shared.config.num_workers + shared.combiners - 1;
     {
         let mut st = relock(shared.state.lock());
         st.epoch += 1;
@@ -785,37 +842,46 @@ struct CallerRole<'a, J: MapReduceJob> {
 
 /// A mapper's session-long state: its queue's write-end, the emit
 /// buffer and the spill container kept next to it so that an epoch allocates
-/// none of them, and the task group it claims from first. Owned by a pooled
-/// `ramr-mapper-N` thread, or, for mapper 0, by the session, whose `submit`
-/// runs it on the caller.
+/// none of them, where it runs and the task group it claims from first.
+/// Owned by a pooled `ramr-mapper-N` thread, or, for mapper 0, by the
+/// session, whose `submit` runs it on the caller. A Phoenix worker is a
+/// mapper with no queue.
 struct MapperState<J: MapReduceJob> {
     m: usize,
+    slot: CpuSlot,
     home_group: usize,
-    tx: PairProducer<J>,
+    /// `None` for a Phoenix worker, which folds what it maps.
+    tx: Option<PairProducer<J>>,
     buffer: Vec<HashedPair<J>>,
-    /// The container the last epoch that spilled drained — a hash table
-    /// grows once per session here too, as a combiner's does.
+    /// The container the last epoch that spilled (or folded) drained — a
+    /// hash table grows once per session here too, as a combiner's does.
     kept: Option<KeptContainer<J::Key, J::Value>>,
 }
 
 impl<J: MapReduceJob> MapperState<J> {
-    /// One epoch of [`mapper_loop`]; what it spilled is its partial.
+    /// One epoch of [`mapper_loop`], or of [`worker_loop`] without a queue;
+    /// what it spilled or folded is its partial.
     fn run(&mut self, config: &RuntimeConfig, ep: &Epoch<'_, J>) -> RoleOutcome<J> {
-        let spilled = mapper_loop(
-            ep.job,
-            ep.input,
-            config,
-            &ep.frame.queues,
-            self.home_group,
-            &mut self.tx,
-            &mut self.buffer,
-            &mut self.kept,
-            &ep.frame.map_cells[self.m],
-            &ep.frame.spilled[self.m],
-            &ep.ctx,
-            self.m,
-        )?;
-        Ok((!spilled.is_empty()).then_some(spilled))
+        let (queues, cell) = (&ep.frame.queues, &ep.frame.map_cells[self.m]);
+        let (job, input, group, kept) = (ep.job, ep.input, self.home_group, &mut self.kept);
+        let pairs = match &mut self.tx {
+            Some(tx) => mapper_loop(
+                job,
+                input,
+                config,
+                queues,
+                group,
+                tx,
+                &mut self.buffer,
+                kept,
+                cell,
+                &ep.frame.spilled[self.m],
+                &ep.ctx,
+                self.m,
+            )?,
+            None => worker_loop(job, input, config, queues, group, kept, cell, &ep.ctx, self.m)?,
+        };
+        Ok((!pairs.is_empty()).then_some(pairs))
     }
 
     /// `mapper_loop` closes the queue itself on its success path, so finish
@@ -827,8 +893,8 @@ impl<J: MapReduceJob> MapperState<J> {
     /// epoch's combiner exit early on the stale flag and silently discard
     /// pairs.
     fn settle(&mut self, unwound: bool) {
-        if unwound {
-            self.tx.finish();
+        if let (true, Some(tx)) = (unwound, &mut self.tx) {
+            tx.finish();
         }
     }
 }

@@ -59,7 +59,7 @@
 use std::time::Instant;
 
 use mr_core::{Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
-use ramr_containers::JobContainer;
+use ramr_containers::{Hashed, HashedJobContainer};
 use ramr_topology::MachineModel;
 
 /// Measured per-element costs of a job's two sides.
@@ -143,12 +143,12 @@ pub fn calibrate<J: MapReduceJob>(
         return Err(RuntimeError::InvalidConfig("calibration sample is empty".into()));
     }
 
-    // Map side: collect emissions (their cost is measured, the buffer push
-    // approximates the queue write).
-    let mut pairs: Vec<(J::Key, J::Value)> = Vec::new();
+    // Map side: collect emissions, hashed once as a mapper's sink does (their
+    // cost is measured, the buffer push approximates the queue write).
+    let mut pairs = Vec::new();
     let started = Instant::now();
     {
-        let mut sink = |k: J::Key, v: J::Value| pairs.push((k, v));
+        let mut sink = |k: J::Key, v: J::Value| pairs.push((Hashed::wrap(config.hasher, k), v));
         let mut emitter = Emitter::new(&mut sink);
         job.map(sample, &mut emitter);
     }
@@ -161,11 +161,9 @@ pub fn calibrate<J: MapReduceJob>(
 
     // Combine side: fold the sampled pairs into a real container.
     let emitted = pairs.len() as f64;
-    let mut container = JobContainer::for_job(job, config.container, config.fixed_capacity)?;
+    let mut container = HashedJobContainer::for_job(job, config.container, config.fixed_capacity)?;
     let started = Instant::now();
-    for (k, v) in pairs {
-        container.insert(k, v)?;
-    }
+    container.insert_from(&mut pairs)?;
     let combine_ns = started.elapsed().as_nanos() as f64;
 
     Ok(Calibration {

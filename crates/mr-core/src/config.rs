@@ -11,7 +11,7 @@ use crate::RuntimeError;
 /// known a priori, and a **hash table** for Word Count; the "stressed" runs
 /// of Figs 8b/9b/10b switch to fixed-size hash tables (HG, KM, LR, WC) and
 /// regular hash tables (MM, PCA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerKind {
     /// Dense array over a key space known a priori; the fastest option.
     Array,
@@ -47,7 +47,7 @@ impl std::fmt::Display for ContainerKind {
 /// seed), so the differential suite can pin byte-identical output under
 /// either. The default is the word-at-a-time `Fx` hasher; `Fnv` preserves
 /// the seed's byte-at-a-time FNV-1a.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HasherKind {
     /// Byte-at-a-time FNV-1a: one xor+multiply per input byte.
     Fnv,
@@ -71,7 +71,7 @@ impl std::fmt::Display for HasherKind {
 }
 
 /// Thread-to-CPU placement policy (paper §III-B and §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PinningPolicyKind {
     /// RAMR's contention-aware policy: each combiner is placed on logical
     /// cores contiguous (in remapped physical order) with its assigned
@@ -108,7 +108,7 @@ impl std::fmt::Display for PinningPolicyKind {
 /// mapper here never waits on a full queue — it folds the block itself — so
 /// the policy paces the other end: the idle combiner is parked off its core
 /// and woken by its mappers' progress, not by a timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushBackoff {
     /// Spin forever; burns the CPU the paired combiner may need.
     BusyWait,
@@ -139,7 +139,7 @@ impl Default for PushBackoff {
 
 /// Dispatch order of the concurrent job scheduler (`ramr::sched`) across
 /// tenants with queued jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedPolicyKind {
     /// Strict arrival order, tenant-oblivious: the oldest queued job in the
     /// whole scheduler runs next. A flooding tenant can starve light ones.
@@ -167,7 +167,7 @@ impl std::fmt::Display for SchedPolicyKind {
 /// Parses from the `RAMR_SCHED_POLICY` / `--sched-policy` syntax:
 /// `fifo`, `fair` (all tenants weight 1), or `fair:alice=3,bob=1`
 /// (named tenants weighted; unnamed tenants default to weight 1).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedPolicy {
     /// Dispatch order across tenants.
     pub kind: SchedPolicyKind,
@@ -252,7 +252,7 @@ impl std::str::FromStr for SchedPolicy {
 /// [`RuntimeConfig::builder`] for validated construction and
 /// [`RuntimeConfig::from_env`] for the environment-variable tuning interface
 /// the paper mentions.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Size of the general-purpose pool executing map, reduce and merge
     /// tasks (the paper's "top pool").

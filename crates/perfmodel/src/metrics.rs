@@ -90,7 +90,7 @@ pub fn phase_time_ns(phase: &PhaseProfile, machine: &MachineModel) -> f64 {
 /// *compute* portion contends for its SMT sibling's issue slots, while its
 /// *stall* portions are exactly the slots a complementary co-resident
 /// thread can soak up.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseCost {
     /// Pure compute time, ns.
     pub compute_ns: f64,
@@ -158,7 +158,7 @@ pub fn phase_cost(phase: &PhaseProfile, machine: &MachineModel) -> PhaseCost {
 }
 
 /// The paper's three suitability metrics for one workload on one machine.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuitabilityMetrics {
     /// Instructions per input byte.
     pub ipb: f64,

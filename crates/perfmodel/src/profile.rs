@@ -3,7 +3,7 @@
 use ramr_topology::MachineModel;
 
 /// How a phase touches memory, which determines its stall behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// The phase's working set stays resident in the private caches; memory
     /// references almost never stall (LR's five accumulators, HG's bins).
@@ -28,7 +28,7 @@ pub enum AccessPattern {
 /// Cost descriptor for one side (map or combine) of a job, per processed
 /// element. For the map side an "element" is one input element; for the
 /// combine side it is one intermediate pair.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseProfile {
     /// Dynamic instructions per element.
     pub instructions: f64,
@@ -55,7 +55,7 @@ impl PhaseProfile {
 
 /// Complete workload description of one application under one container
 /// choice.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Human-readable name ("KM/array", "WC/hash", ...).
     pub name: String,

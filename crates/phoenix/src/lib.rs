@@ -1,22 +1,28 @@
-//! A Phoenix++-style shared-memory MapReduce runtime (the paper's baseline).
+//! The parts of a Phoenix++-style shared-memory MapReduce runtime that every
+//! backend shares: the locality-grouped task queues and the phases
+//! downstream of the per-thread containers.
 //!
 //! Phoenix++ [Talbot et al., MapReduce'11] executes the classic scale-up MR
-//! workflow: a pool of worker threads pulls map tasks from a shared queue,
-//! and — crucially — applies the **combine function inline after every map
-//! emission**, folding each intermediate pair straight into the worker's
-//! thread-local container. Map and combine are therefore *serialized on the
-//! same thread*, which is precisely the structural property RAMR attacks by
-//! decoupling them (see the `ramr` crate).
+//! workflow: a pool of worker threads pulls map tasks from per-locality-group
+//! queues ([`TaskQueues`]), and applies the **combine function inline after
+//! every map emission**, folding each intermediate pair straight into the
+//! worker's thread-local container. The paper's baseline and RAMR differ in
+//! that one structural way, so both run on the one executor of the `ramr`
+//! crate: a Phoenix session is a session with no combiners, whose workers
+//! fold what they map (DESIGN §6r).
 //!
-//! The reduce and merge phases implemented here ([`phases`]) are shared with
-//! the RAMR runtime, because the paper leaves them unchanged: "the rest MR
-//! execution remains unchanged" (§III).
+//! The reduce and merge phases ([`phases`]) are the same for both, because
+//! the paper leaves them unchanged: "the rest MR execution remains
+//! unchanged" (§III).
 //!
 //! # Example
 //!
+//! Two workers claim tasks, each folding what it maps into its own partial,
+//! and the shared tail buckets, reduces and merges the partials:
+//!
 //! ```
-//! use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
-//! use phoenix_mr::PhoenixRuntime;
+//! use mr_core::{task_ranges, Emitter, MapReduceJob};
+//! use phoenix_mr::{phases, TaskQueues};
 //!
 //! struct CharCount;
 //! impl MapReduceJob for CharCount {
@@ -33,15 +39,19 @@
 //!     }
 //! }
 //!
-//! let config = RuntimeConfig::builder()
-//!     .num_workers(2)
-//!     .num_combiners(2)
-//!     .task_size(8)
-//!     .container(mr_core::ContainerKind::Hash)
-//!     .build()?;
 //! let input: Vec<char> = "abracadabra".chars().collect();
-//! let output = PhoenixRuntime::new(config)?.run(&CharCount, &input)?;
-//! assert_eq!(output.get(&'a'), Some(&5));
+//! let queues = TaskQueues::new(task_ranges(input.len(), 4), 2);
+//! let mut partials = vec![Vec::new(), Vec::new()];
+//! for (worker, partial) in partials.iter_mut().enumerate() {
+//!     while let Some(task) = queues.claim(worker) {
+//!         let mut sink = |key, value| partial.push((key, value));
+//!         CharCount.map(&input[task.start..task.end], &mut Emitter::new(&mut sink));
+//!     }
+//! }
+//! let buckets = phases::bucket_by_key::<CharCount>(partials, 2);
+//! let runs = phases::reduce_parallel(&CharCount, buckets, phases::reduce_bucket)?;
+//! let output = phases::merge_sorted_runs(runs);
+//! assert_eq!(output.first(), Some(&('a', 5)));
 //! # Ok::<(), mr_core::RuntimeError>(())
 //! ```
 
@@ -49,8 +59,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod phases;
-mod runtime;
 pub mod tasks;
 
-pub use runtime::{PhoenixReport, PhoenixRuntime, ReportedOutput};
 pub use tasks::TaskQueues;

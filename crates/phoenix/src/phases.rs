@@ -1,8 +1,8 @@
-//! The MR phases shared between the baseline and the RAMR runtime.
+//! The MR phases shared between the baseline and RAMR.
 //!
 //! RAMR restructures only the map-combine phase; input partitioning, reduce
-//! and merge "remain the same as in typical MR libraries" (§III). Both
-//! runtimes therefore call into this module for everything downstream of the
+//! and merge "remain the same as in typical MR libraries" (§III). Every
+//! backend therefore calls into this module for everything downstream of the
 //! per-thread containers.
 //!
 //! Reduce and merge *sort once and never merge*: the output must be
@@ -227,8 +227,7 @@ pub fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
     merged
 }
 
-/// Executes one map task under fault tolerance, shared by the baseline and
-/// the RAMR runtime.
+/// Executes one map task under fault tolerance, for every thread that maps.
 ///
 /// The task's emissions are staged in a task-local buffer inside
 /// `catch_unwind` and returned only after the map call completes, so a
@@ -237,18 +236,18 @@ pub fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
 /// attempt is re-executed up to `max_retries` times (each retry recorded in
 /// `faults`); once retries are exhausted the task is either skipped (when
 /// `skip_poison` is set: the skip lands in the fault log and `None` is
-/// returned) or the original panic is resumed, surfacing through the
-/// caller's existing join-based [`RuntimeError::WorkerPanic`] path.
+/// returned) or the original panic is resumed, for the caller to file as a
+/// [`RuntimeError::WorkerPanic`].
 ///
-/// `cancel`, when present, is threaded into the task's [`Emitter`] so
-/// cooperative jobs can observe a watchdog cancellation mid-task.
+/// `cancel` is threaded into the task's [`Emitter`] so cooperative jobs can
+/// observe a watchdog cancellation mid-task.
 pub fn map_task_staged<J: MapReduceJob>(
     job: &J,
     task: &TaskRange,
     input: &[J::Input],
     max_retries: u32,
     skip_poison: bool,
-    cancel: Option<&AtomicBool>,
+    cancel: &AtomicBool,
     faults: &FaultLog,
 ) -> Option<(Pairs<J>, u64)> {
     let mut attempt: u32 = 0;
@@ -258,10 +257,7 @@ pub fn map_task_staged<J: MapReduceJob>(
             let mut staged: Pairs<J> = Vec::new();
             let count = {
                 let mut sink = |key: J::Key, value: J::Value| staged.push((key, value));
-                let mut emitter = match cancel {
-                    Some(flag) => Emitter::with_cancel(&mut sink, flag),
-                    None => Emitter::new(&mut sink),
-                };
+                let mut emitter = Emitter::with_cancel(&mut sink, cancel);
                 job.map(&input[task.start..task.end], &mut emitter);
                 emitter.emitted()
             };
@@ -573,9 +569,9 @@ mod tests {
     #[test]
     fn staged_retry_publishes_exactly_once_after_transient_panics() {
         let task = mr_core::task_ranges(3, 10).pop().unwrap();
-        let faults = FaultLog::new();
+        let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
         let (staged, emitted) =
-            map_task_staged(&Flaky::failing(2), &task, &[7, 8, 9], 2, false, None, &faults)
+            map_task_staged(&Flaky::failing(2), &task, &[7, 8, 9], 2, false, &cancel, &faults)
                 .expect("two retries cover two failures");
         // Three map calls ran, but only the successful attempt's emissions
         // survive: staging is what makes retries exactly-once.
@@ -587,9 +583,16 @@ mod tests {
     #[test]
     fn staged_retry_skips_poison_tasks_and_records_them() {
         let task = mr_core::task_ranges(3, 10).pop().unwrap();
-        let faults = FaultLog::new();
-        let out =
-            map_task_staged(&Flaky::failing(u32::MAX), &task, &[1, 2, 3], 1, true, None, &faults);
+        let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
+        let out = map_task_staged(
+            &Flaky::failing(u32::MAX),
+            &task,
+            &[1, 2, 3],
+            1,
+            true,
+            &cancel,
+            &faults,
+        );
         assert!(out.is_none(), "a poison task must be skipped, not retried forever");
         let metrics = faults.snapshot(0, false);
         assert_eq!(metrics.retries, 1);
@@ -603,9 +606,9 @@ mod tests {
     #[test]
     fn staged_retry_without_skip_resumes_the_original_panic() {
         let task = mr_core::task_ranges(1, 10).pop().unwrap();
-        let faults = FaultLog::new();
+        let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map_task_staged(&Flaky::failing(u32::MAX), &task, &[5], 0, false, None, &faults)
+            map_task_staged(&Flaky::failing(u32::MAX), &task, &[5], 0, false, &cancel, &faults)
         }));
         let panic = outcome.expect_err("exhausted retries without skip must resume the panic");
         assert_eq!(panic_message(&*panic), "transient fault");

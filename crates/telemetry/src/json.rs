@@ -1,8 +1,7 @@
 //! A minimal JSON tree, writer, and parser.
 //!
-//! The workspace builds hermetically: the vendored `serde` is a no-op
-//! stand-in (see `vendor/README.md`), so there is no `serde_json` to lean
-//! on. Telemetry dumps still need a real, round-trippable interchange
+//! The workspace builds hermetically, with no `serde` or `serde_json` to
+//! lean on. Telemetry dumps still need a real, round-trippable interchange
 //! format, so this module implements the small JSON subset the
 //! [`MetricsReport`](crate::MetricsReport) schema uses: objects, arrays,
 //! strings (with `\uXXXX` escapes), finite numbers, booleans, and null.

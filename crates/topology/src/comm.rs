@@ -5,9 +5,7 @@
 /// The RAMR pinning policy minimizes this distance for every
 /// mapper↔combiner pair; the performance model prices each queue element
 /// transfer by it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommDistance {
     /// SMT siblings on one physical core: traffic stays in the private
     /// L1/L2 and the two threads can overlap complementary (compute vs

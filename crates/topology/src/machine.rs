@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use crate::comm::CommDistance;
 
 /// How cores are interconnected beyond their private caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interconnect {
     /// Socket-local last-level cache; sockets form NUMA nodes bridged by an
     /// inter-socket link (the Haswell server).
@@ -21,7 +21,7 @@ pub enum Interconnect {
 ///
 /// Values are nanoseconds per cache-line-sized transfer; only their ratios
 /// matter for the reproduced figures (the paper's metrics are comparative).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheLatencies {
     /// Hit in a cache shared by SMT siblings of one physical core (L1/L2).
     pub shared_core_ns: f64,
@@ -39,7 +39,7 @@ pub struct CacheLatencies {
 /// The geometry (`sockets × cores_per_socket × smt`) fixes the logical CPU
 /// id space; the cache and bandwidth parameters feed the `mrsim` performance
 /// model and the `ramr-perfmodel` stall estimator.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineModel {
     /// Human-readable name used in reports ("haswell-server", "xeon-phi").
     pub name: String,

@@ -167,19 +167,26 @@ fn skip_poison_completes_with_the_poison_task_recorded_across_engines() {
 }
 
 #[test]
-fn watchdog_cancels_a_hung_task_on_both_ramr_paths() {
-    let err = with_deadline(30, move || {
-        let input = lines();
-        let plan = FaultPlan::with_faults(vec![FaultKind::HangOnTask { key: 5 }]);
-        let cfg = config(0, false, Some(200));
-        Backend::RamrStatic.engine(cfg).unwrap().submit(&faulty(plan), &input).unwrap_err()
-    });
-    match err {
-        RuntimeError::Stalled { idle_ms, ref diagnostics, .. } => {
-            assert!(idle_ms >= 200, "idle_ms={idle_ms}");
-            assert!(!diagnostics.is_empty());
+fn watchdog_cancels_a_hung_task_across_engines() {
+    for backend in Backend::ALL {
+        let err = with_deadline(30, move || {
+            let input = lines();
+            let plan = FaultPlan::with_faults(vec![FaultKind::HangOnTask { key: 5 }]);
+            let cfg = config(0, false, Some(200));
+            backend.engine(cfg).unwrap().submit(&faulty(plan), &input).unwrap_err()
+        });
+        // The diagnostics name the threads as the backend calls them.
+        let thread = if backend == Backend::Phoenix { "worker[" } else { "mapper[" };
+        match err {
+            RuntimeError::Stalled { idle_ms, ref diagnostics, .. } => {
+                assert!(idle_ms >= 200, "{backend}: idle_ms={idle_ms}");
+                assert!(
+                    diagnostics.contains(thread) && diagnostics.contains("live worker"),
+                    "{backend}: diagnostics must name the threads: {diagnostics}"
+                );
+            }
+            other => panic!("{backend}: expected Stalled, got {other}"),
         }
-        other => panic!("expected Stalled, got {other}"),
     }
 }
 

@@ -1,10 +1,13 @@
-//! Differential tests: every paper application must produce the same output
-//! on the Phoenix++-style baseline and the decoupled RAMR runtime.
+//! Differential tests: every paper application must produce the output of
+//! an independent sequential fold on both backends, the Phoenix++-style
+//! baseline and the decoupled RAMR runtime. The two share one executor, so
+//! neither is the other's oracle.
 //!
 //! Integer-valued jobs (WC, HG, LR, MM) are compared exactly; float-valued
-//! jobs (KM, PCA) within a relative tolerance, since the two runtimes fold
+//! jobs (KM, PCA) within a relative tolerance, since the runtimes fold
 //! combine operations in different orders.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use mr_apps::inputs::{
@@ -15,7 +18,7 @@ use mr_apps::{
     AppKind, Histogram, KmeansState, LinearRegression, MatrixMultiply, PcaCovJob, PcaMeanJob,
     WordCount,
 };
-use mr_core::{JobOutput, MapReduceJob, MrKey, RuntimeConfig};
+use mr_core::{task_ranges, Emitter, JobOutput, MapReduceJob, MrKey, RuntimeConfig};
 use ramr::{Backend, Engine};
 
 const SCALE: u64 = 20_000;
@@ -52,6 +55,48 @@ fn run_both<J: MapReduceJob + 'static>(
     (ramr, phoenix)
 }
 
+type Pairs<J> = Vec<(<J as MapReduceJob>::Key, <J as MapReduceJob>::Value)>;
+
+/// The oracle: every task mapped in order into a `BTreeMap`, each emission
+/// folded with `combine`, then `reduce` applied once per key.
+fn sequential_fold<J: MapReduceJob>(job: &J, input: &[J::Input], task_size: usize) -> Pairs<J> {
+    let mut folded = BTreeMap::new();
+    for task in task_ranges(input.len(), task_size) {
+        let mut sink = |key, value| match folded.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+            }
+            Entry::Occupied(mut slot) => job.combine(slot.get_mut(), value),
+        };
+        job.map(&input[task.start..task.end], &mut Emitter::new(&mut sink));
+    }
+    folded
+        .into_iter()
+        .map(|(key, value)| {
+            let value = job.reduce(&key, value);
+            (key, value)
+        })
+        .collect()
+}
+
+/// Runs both backends and checks each against the sequential fold exactly;
+/// returns RAMR's output for further checks.
+fn agree_exactly<J>(
+    job: &J,
+    input: &[J::Input],
+    config: RuntimeConfig,
+) -> JobOutput<J::Key, J::Value>
+where
+    J: MapReduceJob + 'static,
+    J::Value: PartialEq + std::fmt::Debug,
+{
+    let expected = sequential_fold(job, input, config.task_size);
+    let (ramr, phoenix) = run_both(job, input, config);
+    assert_eq!(ramr.pairs, expected, "ramr-static vs the sequential fold");
+    assert_eq!(phoenix.pairs, expected, "phoenix vs the sequential fold");
+    ramr
+}
+
 fn assert_float_close<K: MrKey>(a: &[(K, f64)], b: &[(K, f64)]) {
     assert_eq!(a.len(), b.len(), "key sets differ");
     for ((ka, va), (kb, vb)) in a.iter().zip(b) {
@@ -64,16 +109,14 @@ fn assert_float_close<K: MrKey>(a: &[(K, f64)], b: &[(K, f64)]) {
 #[test]
 fn word_count_agrees() {
     let input = wc_input(&spec(AppKind::WordCount), SCALE);
-    let (ramr, phoenix) = run_both(&WordCount, &input, config(AppKind::WordCount));
-    assert_eq!(ramr.pairs, phoenix.pairs);
+    let ramr = agree_exactly(&WordCount, &input, config(AppKind::WordCount));
     assert!(!ramr.is_empty());
 }
 
 #[test]
 fn histogram_agrees_and_conserves_pixels() {
     let input = hg_input(&spec(AppKind::Histogram), SCALE);
-    let (ramr, phoenix) = run_both(&Histogram, &input, config(AppKind::Histogram));
-    assert_eq!(ramr.pairs, phoenix.pairs);
+    let ramr = agree_exactly(&Histogram, &input, config(AppKind::Histogram));
     // Conservation: each channel's bins sum to the pixel count.
     let red: u64 = ramr.iter().filter(|(k, _)| *k < 256).map(|(_, v)| v).sum();
     assert_eq!(red, input.len() as u64);
@@ -82,8 +125,7 @@ fn histogram_agrees_and_conserves_pixels() {
 #[test]
 fn linear_regression_agrees_exactly() {
     let input = lr_input(&spec(AppKind::LinearRegression), SCALE);
-    let (ramr, phoenix) = run_both(&LinearRegression, &input, config(AppKind::LinearRegression));
-    assert_eq!(ramr.pairs, phoenix.pairs);
+    let ramr = agree_exactly(&LinearRegression, &input, config(AppKind::LinearRegression));
     assert_eq!(ramr.len(), 5, "exactly the five LR statistics");
 }
 
@@ -92,14 +134,18 @@ fn kmeans_iteration_agrees_within_tolerance() {
     let input = km_input(&spec(AppKind::Kmeans), SCALE);
     let state = KmeansState::seeded(&input, 8);
     let job = state.job();
-    let (ramr, phoenix) = run_both(&job, &input, config(AppKind::Kmeans));
-    assert_eq!(ramr.len(), phoenix.len());
-    for ((ka, va), (kb, vb)) in ramr.iter().zip(phoenix.iter()) {
-        assert_eq!(ka, kb);
-        assert_eq!(va.count, vb.count, "cluster {ka} population differs");
-        for d in 0..mr_apps::DIM {
-            let scale = va.sum[d].abs().max(1.0);
-            assert!((va.sum[d] - vb.sum[d]).abs() / scale < 1e-9);
+    let cfg = config(AppKind::Kmeans);
+    let expected = sequential_fold(&job, &input, cfg.task_size);
+    let (ramr, phoenix) = run_both(&job, &input, cfg);
+    for output in [ramr, phoenix] {
+        assert_eq!(output.len(), expected.len());
+        for ((ka, va), (kb, vb)) in output.iter().zip(&expected) {
+            assert_eq!(ka, kb);
+            assert_eq!(va.count, vb.count, "cluster {ka} population differs");
+            for d in 0..mr_apps::DIM {
+                let scale = va.sum[d].abs().max(1.0);
+                assert!((va.sum[d] - vb.sum[d]).abs() / scale < 1e-9);
+            }
         }
     }
 }
@@ -110,8 +156,7 @@ fn matrix_multiply_agrees_and_matches_reference() {
     let (a, b) = (Arc::new(a), Arc::new(b));
     let job = MatrixMultiply::new(Arc::clone(&a), Arc::clone(&b), 8);
     let tasks = job.tasks();
-    let (ramr, phoenix) = run_both(&job, &tasks, config(AppKind::MatrixMultiply));
-    assert_eq!(ramr.pairs, phoenix.pairs);
+    let ramr = agree_exactly(&job, &tasks, config(AppKind::MatrixMultiply));
     // Cross-check against the sequential reference product.
     let reference = a.multiply_reference(&b);
     let n = job.n();
@@ -126,14 +171,17 @@ fn pca_two_stage_agrees_within_tolerance() {
     let matrix = Arc::new(pca_matrix(&spec(AppKind::Pca), 200_000));
     let mean_job = PcaMeanJob::new(Arc::clone(&matrix));
     let tasks = mean_job.tasks();
-    let (ramr_means, phoenix_means) = run_both(&mean_job, &tasks, config(AppKind::Pca));
-    assert_eq!(ramr_means.pairs, phoenix_means.pairs, "means are exact integer sums");
+    // The means are exact integer sums.
+    let ramr_means = agree_exactly(&mean_job, &tasks, config(AppKind::Pca));
 
     let means = Arc::new(mean_job.means(&ramr_means.pairs));
     let cov_job = PcaCovJob::new(Arc::clone(&matrix), means);
     let tasks = cov_job.tasks();
-    let (ramr_cov, phoenix_cov) = run_both(&cov_job, &tasks, config(AppKind::Pca));
-    assert_float_close(&ramr_cov.pairs, &phoenix_cov.pairs);
+    let cfg = config(AppKind::Pca);
+    let expected = sequential_fold(&cov_job, &tasks, cfg.task_size);
+    let (ramr_cov, phoenix_cov) = run_both(&cov_job, &tasks, cfg);
+    assert_float_close(&ramr_cov.pairs, &expected);
+    assert_float_close(&phoenix_cov.pairs, &expected);
     // Diagonal entries are variances: non-negative.
     let n = matrix.n();
     for (key, value) in ramr_cov.iter() {
@@ -150,8 +198,8 @@ fn pca_two_stage_agrees_within_tolerance() {
 fn emit_buffer_sweep_agrees_with_baseline_and_element_wise() {
     // Producer-side emission batching must be invisible in the output:
     // every block size — element-wise (1), tiny (2), the default
-    // (= batch_size), and a whole queue's worth — matches both the Phoenix
-    // baseline and the element-wise RAMR run.
+    // (= batch_size), and a whole queue's worth — matches the sequential
+    // fold on both backends, and the element-wise RAMR run.
     let input = wc_input(&spec(AppKind::WordCount), SCALE);
     let base = config(AppKind::WordCount);
     let mut element_wise_cfg = base.clone();
@@ -165,8 +213,7 @@ fn emit_buffer_sweep_agrees_with_baseline_and_element_wise() {
     for emit in [1, 2, base.batch_size, base.queue_capacity] {
         let mut cfg = base.clone();
         cfg.emit_buffer_size = Some(emit);
-        let (ramr, phoenix) = run_both(&WordCount, &input, cfg);
-        assert_eq!(ramr.pairs, phoenix.pairs, "emit_buffer_size={emit} vs phoenix");
+        let ramr = agree_exactly(&WordCount, &input, cfg);
         assert_eq!(ramr.pairs, element_wise.pairs, "emit_buffer_size={emit} vs element-wise");
     }
 }
@@ -176,7 +223,7 @@ fn pooled_sessions_match_fresh_runs_on_every_backend() {
     // The acceptance bar for persistent sessions: a stream of submits
     // through one pooled session produces results identical to fresh
     // per-job engines — same output pairs, same conservation counts, same
-    // (clean) fault metrics — for all three backends, on every job of the
+    // (clean) fault metrics — for every backend, on every job of the
     // stream. Raw telemetry timings are scheduler-dependent and excluded.
     let input = wc_input(&spec(AppKind::WordCount), SCALE);
     for backend in Backend::ALL {
@@ -289,6 +336,5 @@ fn stressed_containers_agree_too() {
     let mut cfg = config(AppKind::Histogram);
     cfg.container = AppKind::Histogram.stressed_container();
     cfg.fixed_capacity = Some(768);
-    let (ramr, phoenix) = run_both(&Histogram, &input, cfg);
-    assert_eq!(ramr.pairs, phoenix.pairs);
+    agree_exactly(&Histogram, &input, cfg);
 }

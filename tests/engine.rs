@@ -7,11 +7,12 @@
 //! `one_engine_...` may spawn them: keep session- or engine-submitting
 //! tests in the other suites.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::{Duration, Instant};
 
 use mr_apps::inputs::{hg_input, wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, Histogram, WordCount};
-use mr_core::{ContainerKind, RuntimeConfig, RuntimeError};
+use mr_core::{task_ranges, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{Backend, Engine};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 
@@ -25,6 +26,28 @@ fn config() -> RuntimeConfig {
         .container(ContainerKind::Hash) // serves keyed and key-space jobs alike
         .build()
         .expect("valid test config")
+}
+
+/// The oracle: every task mapped in order into a `BTreeMap`, each emission
+/// folded with `combine`, then `reduce` applied once per key.
+fn sequential_fold<J: MapReduceJob>(job: &J, input: &[J::Input]) -> Vec<(J::Key, J::Value)> {
+    let mut folded = BTreeMap::new();
+    for task in task_ranges(input.len(), config().task_size) {
+        let mut sink = |key, value| match folded.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+            }
+            Entry::Occupied(mut slot) => job.combine(slot.get_mut(), value),
+        };
+        job.map(&input[task.start..task.end], &mut Emitter::new(&mut sink));
+    }
+    folded
+        .into_iter()
+        .map(|(key, value)| {
+            let value = job.reduce(&key, value);
+            (key, value)
+        })
+        .collect()
 }
 
 /// Live threads of this process named like a session's pool threads
@@ -74,8 +97,7 @@ fn one_engine_serves_different_job_types_and_survives_a_failing_job() {
         assert_eq!(left, 0, "a dropped session joined its pool threads");
     }
 
-    let expected_words = Backend::Phoenix.engine(config()).unwrap().submit(&WordCount, &lines);
-    let expected_words = expected_words.unwrap().output.pairs;
+    let expected_words = sequential_fold(&WordCount, &lines);
     for backend in Backend::ALL {
         let engine = backend.engine(config()).unwrap();
 
