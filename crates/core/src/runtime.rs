@@ -1,8 +1,8 @@
 //! The decoupled map/combine runtime (paper §III, Fig 2): what each pool
-//! thread does for one job — the mapper and combiner loops, the Phoenix
-//! worker loop, the watchdog — and the [`RunReport`] a job leaves behind.
-//! The threads themselves live in `session.rs`, which hosts these loops on
-//! its pools.
+//! thread does for one job — the mapper loop, the one fold loop that both a
+//! combiner and a Phoenix worker run, the watchdog — and the [`RunReport`]
+//! a job leaves behind. The threads themselves live in `session.rs`, which
+//! hosts these loops on its pools.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -101,9 +101,7 @@ pub struct RunReport {
     /// queue. One entry per mapper of the pool, zero for one whose combiner
     /// always kept up.
     pub spilled_per_mapper: Vec<u64>,
-    /// Pairs each combiner consumed *from its queues*. Exact even when a
-    /// combine function panics mid-batch: the count advances with the
-    /// queue's head cursor, element by element, inside each batched read.
+    /// Pairs each combiner consumed *from its queues*.
     pub consumed_per_combiner: Vec<u64>,
     /// Pairs each combiner folded *in place*, from map tasks it claimed
     /// while it had no full batch to read — they never crossed a queue. One
@@ -112,22 +110,27 @@ pub struct RunReport {
     /// Per-mapper wall-clock telemetry: useful map time (`busy`, which
     /// includes folding spilled pairs; that part is also `spill`), time
     /// publishing blocks to the queue (`stalled` — a publish never waits for
-    /// room), the occupancy of the blocks published, and the thread's own
-    /// wall-clock. Timing fields are zero when `RuntimeConfig::telemetry` is
-    /// off; the counters (`items`, `stall_events`) are always exact.
+    /// room), the blocks published (`batches`) and their occupancy, and the
+    /// thread's own wall-clock.
     ///
     /// A combiner that ran map tasks in place appends one more row,
-    /// `index = num_workers + c`: `items` are the pairs it emitted in place,
-    /// `busy` the time inside those tasks (net of the queue reads it
-    /// interleaved), `wall` the combiner thread's own — so for that thread
-    /// `busy + stalled` of its combiner row plus `busy` of this row tracks
-    /// its wall-clock. It never stalls and flushes nothing. A combiner that
-    /// never helped has no row here.
+    /// `index = num_workers + c`, shaped like a Phoenix worker's: `items`
+    /// are the pairs it emitted in place, `busy` the whole time of those
+    /// tasks, `batches` the tasks and the occupancy histogram their fill,
+    /// `wall` the combiner thread's own — so for that thread `busy + stalled`
+    /// of its combiner row plus `busy` of this row tracks its wall-clock. It
+    /// never stalls and spills nothing. A combiner that never helped has no
+    /// row here.
+    ///
+    /// In every row of either table, the timing fields, `batches` and the
+    /// occupancy histogram are recorded only when `RuntimeConfig::telemetry`
+    /// is on, and are zero otherwise; the counters `items` and
+    /// `stall_events` are always exact.
     pub mapper_telemetry: Vec<ThreadTelemetry>,
     /// Per-combiner wall-clock telemetry: time consuming batches (`busy`),
-    /// idle spin/sleep time waiting for data (`stalled`), and the
-    /// batched-read occupancy histogram (how full the batched reads
-    /// actually were — paper §III-A). `stall_events` counts idle rounds.
+    /// idle spin/sleep time waiting for data (`stalled`), the batched reads
+    /// (`batches`) and their occupancy histogram (how full they actually
+    /// were — paper §III-A). `stall_events` counts idle rounds.
     /// Queue work only: map tasks a combiner ran in place are its
     /// [`mapper_telemetry`](RunReport::mapper_telemetry) row, so the pool
     /// throughputs and [`suggested_ratio`](RunReport::suggested_ratio) keep
@@ -663,10 +666,11 @@ struct TaskFeed<'a, 'c, J: MapReduceJob> {
     input: &'a [J::Input],
     ctx: &'a FaultCtx<'c>,
     /// `None` when the container is an array, which indexes by
-    /// [`MapReduceJob::key_index`] and never reads a hash: the job's keys
-    /// then all carry 0 instead, which is as consistent as a real hash for
-    /// everything downstream (reduce orders by key alone). Hashing a
-    /// `hg-dense` pair costs the worker about a tenth of its time.
+    /// [`MapReduceJob::key_index`] and never reads a hash: the task's keys
+    /// then carry 0 instead, also next to a combiner's queued pairs, which
+    /// carry real ones. Nothing downstream reads it (buckets and reduce
+    /// order by key alone). Hashing a `hg-dense` pair costs the worker about
+    /// a tenth of its time.
     hasher: Option<HasherKind>,
     emitted: &'a mut u64,
 }
@@ -681,73 +685,6 @@ impl<J: MapReduceJob> PairFeed<J::Key, J::Value> for TaskFeed<'_, '_, J> {
             None => run_task(job, task, input, ctx, |key, value| sink(Hashed::new(0, key), value)),
         };
     }
-}
-
-/// One Phoenix worker's loop — a mapper with no queue (DESIGN §6r): pull
-/// tasks from the locality-grouped queues, map, and fold every emission on
-/// this thread into the worker's own container, one
-/// [`insert_from`](HashedJobContainer::insert_from) per task, so the
-/// container picks its kind once per task, not per pair. There is no emit
-/// buffer, no queue and nothing to spill. Returns the drained container as
-/// the worker's partial.
-///
-/// The container is kept across the session's epochs in `kept`, like a
-/// combiner's, and put back only by an epoch that ends without error, panic
-/// or cancellation. An insert error (a fixed-size container overflowing)
-/// stops the claiming and fails the job.
-///
-/// Publishes its telemetry into `cell` once, at exit, also on the error
-/// path: all task time is `busy` — an inline fold has nothing to stall on —
-/// `items` counts emissions, `batches` tasks, and the occupancy histogram
-/// records each task's fill relative to `task_size`.
-#[allow(clippy::too_many_arguments)] // internal: mirrors `mapper_loop`
-pub(crate) fn worker_loop<J: MapReduceJob>(
-    job: &J,
-    input: &[J::Input],
-    config: &RuntimeConfig,
-    queues: &TaskQueues,
-    home_group: usize,
-    kept: &mut Option<KeptContainer<J::Key, J::Value>>,
-    cell: &TelemetryCell,
-    ctx: &FaultCtx<'_>,
-    slot: usize,
-) -> Result<phases::HashedPairs<J>, RuntimeError> {
-    let _live = LiveGuard::enter(ctx.board);
-    let telemetry = config.telemetry;
-    let wall_start = telemetry.then(Instant::now);
-    let mut local = LocalTelemetry::default();
-    let result = (|| {
-        // `kept` is empty from here until this job has drained well.
-        let mut container =
-            HashedJobContainer::reusing(job, config.container, config.fixed_capacity, kept.take())?;
-        let hasher = (config.container != ContainerKind::Array).then_some(config.hasher);
-        while let Some(task) = queues.claim(home_group) {
-            if ctx.cancelled() {
-                break;
-            }
-            let task_start = telemetry.then(Instant::now);
-            let emitted = &mut local.items;
-            let folded = container.insert_from(TaskFeed { job, task, input, ctx, hasher, emitted });
-            ctx.progress(slot);
-            if let Some(t) = task_start {
-                local.busy += t.elapsed();
-            }
-            local.batches += 1;
-            local.occupancy.record(task.end - task.start, config.task_size);
-            folded?;
-        }
-        let mut pairs = Vec::new();
-        // A cancelled run's container is partial and nobody will read it.
-        if !ctx.cancelled() {
-            *kept = Some(container.drain_to_keep(&mut pairs));
-        }
-        Ok(pairs)
-    })();
-    if let Some(t) = wall_start {
-        local.wall = t.elapsed();
-    }
-    cell.publish(&local);
-    result
 }
 
 /// One batched read in a combine round. While the mapper is still running
@@ -766,146 +703,47 @@ fn pop_round<T: Send>(rx: &mut Consumer<T>, closed: bool, batch: usize, f: impl 
 }
 
 /// One [`pop_round`] as a [`PairFeed`]: the container picks its arm once and
-/// the pop callback is that arm alone.
+/// the pop callback is that arm alone. The pairs taken land in `taken`.
 struct BatchedRead<'a, T: Send> {
     rx: &'a mut Consumer<T>,
     closed: bool,
     batch: usize,
-    /// Pairs handed to the sink so far, bumped *before* each one: on an
-    /// unwind mid-batch this still equals the number of elements the queue's
-    /// head advanced past, keeping the conservation accounting exact.
-    counted: &'a std::cell::Cell<usize>,
+    taken: &'a mut usize,
 }
 
 impl<K: Send, V: Send> PairFeed<K, V> for BatchedRead<'_, (Hashed<K>, V)> {
     #[inline]
     fn feed(self, mut sink: impl FnMut(Hashed<K>, V)) {
-        let counted = self.counted;
-        pop_round(self.rx, self.closed, self.batch, |(key, value)| {
-            counted.set(counted.get() + 1);
-            sink(key, value);
-        });
+        *self.taken = pop_round(self.rx, self.closed, self.batch, |(key, value)| sink(key, value));
     }
 }
 
-/// One batched read of `rx` folded into `container`: the pairs consumed and
-/// the insert error or combine panic that interrupted the folding, if any.
+/// The one fold loop (DESIGN §6l, §6r): a combiner runs it over its
+/// read-ends, a Phoenix worker over none. Each round takes one batched read
+/// from every live queue ([`pop_round`]). A round that took nothing claims a
+/// map task from `home_group` and folds it *in place* with one
+/// [`insert_from`](HashedJobContainer::insert_from) — every emission hashed
+/// once ([`TaskFeed`]) and handed straight to the container, no emit buffer
+/// and no queue crossing, as a Phoenix++ worker folds. With neither a batch
+/// nor a task the loop parks on its live queues, and with no live queue
+/// either it ends. So a worker claims tasks until there are none, and a
+/// combiner maps exactly while it has nothing to read; its mapper, finding
+/// it a batch behind meanwhile, folds its blocks itself (DESIGN §6q). The
+/// trigger is the thread's own idleness, so there is nothing to tune.
 ///
-/// Panic containment is per *batch*: one `catch_unwind` wraps each
-/// `pop_batch`, not each element. `pop_batch` publishes its consumed prefix
-/// on the unwind path (see [`Consumer::pop_batch`]), so a panicking combine
-/// function loses nothing to double-reads — and must not kill the thread,
-/// whose queues would then never drain and block their mappers for good.
-fn fold_batch<J: MapReduceJob>(
-    container: &mut HashedJobContainer<'_, J>,
-    rx: &mut PairConsumer<J>,
-    closed: bool,
-    batch: usize,
-) -> (usize, Option<RuntimeError>) {
-    let counted = std::cell::Cell::new(0usize);
-    let feed = BatchedRead { rx, closed, batch, counted: &counted };
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| container.insert_from(feed)));
-    let error = match outcome {
-        Ok(inserted) => inserted.err(),
-        Err(panic) => Some(RuntimeError::WorkerPanic(phases::panic_message(&*panic))),
-    };
-    (counted.get(), error)
-}
-
-/// What a combiner folds into, by either route — batched reads of
-/// its queues ([`read`](Self::read)) and the pairs of a map task it runs in
-/// place ([`insert`](Self::insert)) — with the queue side's accounting.
-struct Fold<'a, 'j, J: MapReduceJob> {
-    container: HashedJobContainer<'j, J>,
-    /// The first combine panic or insert error. Once set, everything that
-    /// reaches this combiner is discarded, so blocked mappers still
-    /// terminate, and it claims no further tasks.
-    first_error: Option<RuntimeError>,
-    config: &'a RuntimeConfig,
-    /// The combiner row: `items`, `busy`, `batches` and the occupancy
-    /// histogram count queue reads only.
-    local: LocalTelemetry,
-    ctx: &'a FaultCtx<'a>,
-    slot: usize,
-}
-
-impl<J: MapReduceJob> Fold<'_, '_, J> {
-    /// One batched read of `rx` into the container ([`fold_batch`]); `true`
-    /// when it took anything.
-    fn read(&mut self, rx: &mut PairConsumer<J>, closed: bool) -> bool {
-        let batch = self.config.batch_size;
-        let consumed = if self.first_error.is_none() {
-            let (consumed, error) = fold_batch(&mut self.container, rx, closed, batch);
-            self.first_error = error;
-            consumed
-        } else {
-            // Error mode: keep the pipeline moving, discarding data.
-            pop_round(rx, closed, batch, |_| {})
-        };
-        if consumed == 0 {
-            return false;
-        }
-        self.local.items += consumed as u64;
-        self.ctx.progress(self.slot);
-        if self.config.telemetry {
-            self.local.batches += 1;
-            self.local.occupancy.record(consumed, batch);
-        }
-        true
-    }
-
-    /// Folds one pair a helped task emitted in place, hashing it once as a
-    /// mapper would at emission. A combine panic unwinds into the caller,
-    /// out through the map call.
-    fn insert(&mut self, key: J::Key, value: J::Value) {
-        if self.first_error.is_none() {
-            let key = Hashed::wrap(self.config.hasher, key);
-            if let Err(e) = self.container.insert(key, value) {
-                self.first_error = Some(e);
-            }
-        }
-    }
-
-    /// Pops every full batch that is ready on `live`, timed as combine
-    /// work: what a helping combiner owes its mappers between in-place
-    /// emissions.
-    fn service(&mut self, live: &mut [PairConsumer<J>]) {
-        let start = self.config.telemetry.then(Instant::now);
-        for rx in live {
-            while self.read(rx, false) {}
-        }
-        if let Some(t) = start {
-            self.local.busy += t.elapsed();
-        }
-    }
-}
-
-/// One combiner's loop: round-robin over its assigned queues, consuming
-/// full batches while mappers run, then draining remainders after the map
-/// phase ends. Publishes its counters and (when telemetry is on)
-/// wall-clock telemetry into `cell` once, at exit. A combine panic or insert
-/// error is recorded once and every later batch drains in discard mode (see
-/// [`Fold`]).
+/// A combine or map panic, or an insert error, leaves the loop — by
+/// unwinding or by `?` — and fails the job: the session files the error and
+/// drains the queues left unread. No mapper waits on this loop, so leaving
+/// it early cannot wedge the epoch.
 ///
-/// **Work-conserving:** a round that found no full batch on any live queue
-/// does not wait while task hand-out is still open. The combiner claims one
-/// map task from `home_group` and runs it *in place* — each emission hashed
-/// once and folded straight into its own container, no emit buffer and no
-/// queue crossing — and goes back to its queues every `batch_size` in-place
-/// emissions, popping every full batch that is ready. Its queues keep strict
-/// priority: a mapper never waits longer than the helper needs to emit one
-/// batch. Only with neither a batch nor a task does the combiner park. The
-/// trigger is the thread's own idleness and the service interval the
-/// existing batch size, so there is nothing to tune. Helped work is
-/// published into `help_cell` as a mapper-side row (`items` = pairs emitted
-/// in place, `busy` = time inside helped tasks net of queue service), and
-/// only when the combiner helped at all.
-///
-/// Instrumentation cost: two timer reads per *round* over the assigned
-/// queues and per queue service inside a helped task, never per pair. A
-/// round that consumed anything counts as `busy`; a zero-progress round
-/// (including its spin/park wait) counts as `stalled` idle time.
+/// Publishes two telemetry rows once, at exit, also on the error path.
+/// `reads_cell` (a combiner's row) gets the queue reads: `items` consumed,
+/// `busy` the rounds that read, `stalled` the idle rounds with their waits
+/// and `stall_events` their count, `batches` and occupancy the batched
+/// reads. `tasks_cell` (a worker's row, or a combiner's helper row) gets
+/// the map tasks: `items` emitted, `busy` the whole task time, `batches` the
+/// tasks and occupancy their fill relative to `task_size`; it never stalls.
+/// Timers fire twice per round, never per pair.
 ///
 /// Queues seen closed and drained are swapped behind `live`, so both the
 /// rounds and the idle wait cover only queues that still owe data.
@@ -916,7 +754,7 @@ impl<J: MapReduceJob> Fold<'_, '_, J> {
 /// starts at the size the last job grew it to — and put back only by a job
 /// that ends without error, panic or cancellation.
 #[allow(clippy::too_many_arguments)] // internal: mirrors the paper's knob list
-pub(crate) fn combiner_loop<J: MapReduceJob>(
+pub(crate) fn fold_loop<J: MapReduceJob>(
     job: &J,
     input: &[J::Input],
     config: &RuntimeConfig,
@@ -924,124 +762,111 @@ pub(crate) fn combiner_loop<J: MapReduceJob>(
     home_group: usize,
     consumers: &mut [PairConsumer<J>],
     kept: &mut Option<KeptContainer<J::Key, J::Value>>,
-    cell: &TelemetryCell,
-    help_cell: &TelemetryCell,
+    reads_cell: Option<&TelemetryCell>,
+    tasks_cell: &TelemetryCell,
     ctx: &FaultCtx<'_>,
     slot: usize,
 ) -> Result<phases::HashedPairs<J>, RuntimeError> {
     let _live = LiveGuard::enter(ctx.board);
     let telemetry = config.telemetry;
     let batch = config.batch_size;
-    // `kept` is empty from here until this job has drained well: every
-    // error return, and an unwind, drops the container with the job's pairs.
-    let container =
-        HashedJobContainer::reusing(job, config.container, config.fixed_capacity, kept.take())?;
-    let mut fold =
-        Fold { container, first_error: None, config, local: LocalTelemetry::default(), ctx, slot };
     let wall_start = telemetry.then(Instant::now);
-    let mut help = LocalTelemetry::default();
-    let mut helped = false;
-    let mut idle_rounds = 0u32;
-    let mut live = consumers.len();
-    // Watchdog cancellation abandons the drain: the run is being torn down
-    // and its partial results discarded.
-    while live > 0 && !ctx.cancelled() {
-        let round_start = telemetry.then(Instant::now);
-        let mut progressed = false;
-        let mut next = 0;
-        while next < live {
-            let rx = &mut consumers[next];
-            // Read the close flag BEFORE consuming: a queue observed closed
-            // and then drained to empty can never produce again (the
-            // producer's pushes all happen before its drop).
-            let closed = rx.is_closed();
-            progressed |= fold.read(rx, closed);
-            if closed && rx.is_empty() {
-                live -= 1;
-                consumers.swap(next, live);
-            } else {
-                next += 1;
-            }
-        }
-        if progressed {
-            idle_rounds = 0;
-        } else if live > 0 {
-            // `is_exhausted` is loads only, so polling it every idle round
-            // after hand-out ends writes nothing the claimers share.
-            let task = if fold.first_error.is_none() && !queues.is_exhausted() {
-                queues.claim(home_group)
-            } else {
-                None
-            };
-            if let Some(task) = task {
-                helped = true;
-                let serviced_before = fold.local.busy;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut unserviced = 0usize;
-                    run_task(job, task, input, ctx, |key, value| {
-                        fold.insert(key, value);
-                        unserviced += 1;
-                        if unserviced >= batch {
-                            unserviced = 0;
-                            fold.service(&mut consumers[..live]);
-                        }
-                    })
-                }));
-                match outcome {
-                    Ok(pairs) => help.items += pairs,
-                    // Surfaces like a panic on the queue path: recorded
-                    // once, and the queues keep draining in discard mode.
-                    Err(panic) => {
-                        fold.first_error.get_or_insert(RuntimeError::WorkerPanic(
-                            phases::panic_message(&*panic),
-                        ));
+    let mut reads = LocalTelemetry::default();
+    let mut tasks = LocalTelemetry::default();
+    let result = (|| {
+        // `kept` is empty from here until this job has drained well: every
+        // error return, and an unwind, drops the container with the job's
+        // pairs.
+        let mut container =
+            HashedJobContainer::reusing(job, config.container, config.fixed_capacity, kept.take())?;
+        let hasher = (config.container != ContainerKind::Array).then_some(config.hasher);
+        let mut idle_rounds = 0u32;
+        let mut live = consumers.len();
+        // Watchdog cancellation abandons the job: the run is being torn down
+        // and its partial results discarded.
+        while !ctx.cancelled() {
+            let round_start = telemetry.then(Instant::now);
+            let mut progressed = false;
+            let mut next = 0;
+            while next < live {
+                let rx = &mut consumers[next];
+                // Read the close flag BEFORE consuming: a queue observed
+                // closed and then drained to empty can never produce again
+                // (the producer's pushes all happen before its close).
+                let closed = rx.is_closed();
+                let mut taken = 0;
+                container.insert_from(BatchedRead { rx, closed, batch, taken: &mut taken })?;
+                if taken > 0 {
+                    progressed = true;
+                    reads.items += taken as u64;
+                    ctx.progress(slot);
+                    if telemetry {
+                        reads.batches += 1;
+                        reads.occupancy.record(taken, batch);
                     }
                 }
-                ctx.progress(slot);
+                if closed && rx.is_empty() {
+                    live -= 1;
+                    consumers.swap(next, live);
+                } else {
+                    next += 1;
+                }
+            }
+            if progressed {
                 idle_rounds = 0;
                 if let Some(t) = round_start {
-                    // Help time is map time: the whole task minus the queue
-                    // service it was interrupted for, which is combine time.
-                    help.busy += t.elapsed().saturating_sub(fold.local.busy - serviced_before);
+                    reads.busy += t.elapsed();
                 }
                 continue;
             }
-            fold.local.stall_events += 1;
+            // `is_exhausted` is loads only, so polling it every idle round
+            // after hand-out ends writes nothing the claimers share.
+            let task = if queues.is_exhausted() { None } else { queues.claim(home_group) };
+            if let Some(task) = task {
+                let emitted = &mut tasks.items;
+                container.insert_from(TaskFeed { job, task, input, ctx, hasher, emitted })?;
+                ctx.progress(slot);
+                idle_rounds = 0;
+                if let Some(t) = round_start {
+                    tasks.busy += t.elapsed();
+                    tasks.batches += 1;
+                    tasks.occupancy.record(task.end - task.start, config.task_size);
+                }
+                continue;
+            }
+            if live == 0 {
+                break;
+            }
+            reads.stall_events += 1;
             idle_rounds = idle_rounds.saturating_add(1);
             idle_wait(config.push_backoff, idle_rounds, |ceiling| {
                 PairConsumer::<J>::wait_any(&consumers[..live], wake_at(batch, config), ceiling)
             });
-        }
-        if let Some(t) = round_start {
-            // The wait is inside the measured round, so idle time lands in
-            // `stalled` and busy + stalled (+ help) tracks the thread's
-            // wall-clock.
-            let elapsed = t.elapsed();
-            if progressed {
-                fold.local.busy += elapsed;
-            } else {
-                fold.local.stalled += elapsed;
+            if let Some(t) = round_start {
+                // The wait is inside the measured round, so idle time lands
+                // in `stalled`, and the thread's rows' busy + stalled track
+                // its wall-clock.
+                reads.stalled += t.elapsed();
             }
         }
-    }
+        let mut pairs = Vec::new();
+        // A cancelled run abandoned its queues and tasks above: what the
+        // container holds is partial, nobody will read it, and it is dropped
+        // with the container.
+        if !ctx.cancelled() {
+            *kept = Some(container.drain_to_keep(&mut pairs));
+        }
+        Ok(pairs)
+    })();
     if let Some(t) = wall_start {
-        fold.local.wall = t.elapsed();
-        help.wall = fold.local.wall;
+        reads.wall = t.elapsed();
+        tasks.wall = reads.wall;
     }
-    cell.publish(&fold.local);
-    if helped {
-        help_cell.publish(&help);
+    if let Some(cell) = reads_cell {
+        cell.publish(&reads);
     }
-    if let Some(e) = fold.first_error {
-        return Err(e);
-    }
-    let mut pairs = Vec::new();
-    // A cancelled run abandoned its queues above: what the container holds
-    // is partial, nobody will read it, and it is dropped with the container.
-    if !ctx.cancelled() {
-        *kept = Some(fold.container.drain_to_keep(&mut pairs));
-    }
-    Ok(pairs)
+    tasks_cell.publish(&tasks);
+    result
 }
 
 /// A job's first error, shared by every thread of the epoch: the error that
@@ -1801,7 +1626,7 @@ mod tests {
         assert_eq!(report.faults.summary(), None);
     }
 
-    // --- Phoenix sessions: `worker_loop` ------------------------------------
+    // --- Phoenix sessions: `fold_loop` over no queues -----------------------
 
     struct Mod7;
 

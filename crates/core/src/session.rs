@@ -27,10 +27,10 @@
 //!
 //! The Phoenix++ baseline is this session with no combiners
 //! ([`RamrSession::phoenix`], DESIGN §6r): `num_workers` mappers without a
-//! queue, each folding what it maps into its own kept container
-//! ([`worker_loop`]), `num_workers − 1` of them pooled as
-//! `ramr-worker-N`. Epochs, caller-runs, fault handling, error precedence,
-//! reports, reduce and merge are the ones described here.
+//! queue, each running the combiners' [`fold_loop`] over no read-ends, so
+//! it folds what it maps into its own kept container; `num_workers − 1` of
+//! them are pooled as `ramr-worker-N`. Epochs, caller-runs, fault handling,
+//! error precedence, reports, reduce and merge are the ones described here.
 //!
 //! # Epoch protocol
 //!
@@ -43,7 +43,7 @@
 //!    and publishes the frame pointer together with the bumped epoch under
 //!    the state mutex.
 //! 2. Workers wake, run exactly one job's worth of their role loop
-//!    ([`mapper_loop`] or [`combiner_loop`], each hosted by the one
+//!    ([`mapper_loop`] or [`fold_loop`], each hosted by the one
 //!    [`epoch_worker`] skeleton), close their queues with `finish` (not
 //!    drop), and decrement the done-counter. The coordinator meanwhile runs
 //!    mapper 0 through the same [`run_role`] body.
@@ -76,8 +76,8 @@ use ramr_telemetry::{FaultLog, ProgressBoard, TelemetryCell, ThreadRole, ThreadT
 use ramr_topology::{thrid_to_cpu, CpuSlot, MachineModel, PlacementPlan};
 
 use crate::runtime::{
-    combiner_loop, mapper_loop, maybe_pin, thread_labels, watchdog_loop, worker_loop, CallerPin,
-    ErrorSlot, FaultCtx, HashedPair, PairConsumer, PairProducer, ReportedOutput, RunReport,
+    fold_loop, mapper_loop, maybe_pin, thread_labels, watchdog_loop, CallerPin, ErrorSlot,
+    FaultCtx, HashedPair, PairConsumer, PairProducer, ReportedOutput, RunReport,
 };
 
 /// Everything one job (epoch) shares with the parked worker pools. Lives on
@@ -497,7 +497,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                         // grows once per session, not once per job.
                         (group, None),
                         |(group, kept), ep| {
-                            combiner_loop(
+                            fold_loop(
                                 ep.job,
                                 ep.input,
                                 config,
@@ -505,7 +505,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                                 home_group,
                                 group,
                                 kept,
-                                &ep.frame.combiner_cells[c],
+                                Some(&ep.frame.combiner_cells[c]),
                                 &ep.frame.helper_cells[c],
                                 &ep.ctx,
                                 config.num_workers + c,
@@ -859,10 +859,11 @@ struct MapperState<J: MapReduceJob> {
 }
 
 impl<J: MapReduceJob> MapperState<J> {
-    /// One epoch of [`mapper_loop`], or of [`worker_loop`] without a queue;
-    /// what it spilled or folded is its partial.
+    /// One epoch of [`mapper_loop`], or without a queue of [`fold_loop`]
+    /// over no read-ends; what it spilled or folded is its partial.
     fn run(&mut self, config: &RuntimeConfig, ep: &Epoch<'_, J>) -> RoleOutcome<J> {
-        let (queues, cell) = (&ep.frame.queues, &ep.frame.map_cells[self.m]);
+        let (queues, cell, ctx, m) =
+            (&ep.frame.queues, &ep.frame.map_cells[self.m], &ep.ctx, self.m);
         let (job, input, group, kept) = (ep.job, ep.input, self.home_group, &mut self.kept);
         let pairs = match &mut self.tx {
             Some(tx) => mapper_loop(
@@ -875,11 +876,13 @@ impl<J: MapReduceJob> MapperState<J> {
                 &mut self.buffer,
                 kept,
                 cell,
-                &ep.frame.spilled[self.m],
-                &ep.ctx,
-                self.m,
+                &ep.frame.spilled[m],
+                ctx,
+                m,
             )?,
-            None => worker_loop(job, input, config, queues, group, kept, cell, &ep.ctx, self.m)?,
+            None => {
+                fold_loop(job, input, config, queues, group, &mut [], kept, None, cell, ctx, m)?
+            }
         };
         Ok((!pairs.is_empty()).then_some(pairs))
     }

@@ -1,12 +1,15 @@
 //! Work-conserving combiners: a static combiner with no full batch to read
-//! claims a map task and folds it in place (DESIGN §6l).
+//! claims a map task and folds it in place, as a Phoenix worker folds its
+//! tasks (DESIGN §6l).
 //!
 //! Every test forces the interleaving it checks from inside the job — a
 //! rendezvous, a map cost that keeps the combiner idle, a mapper that waits
 //! for the combiner's map call — rather than hoping the scheduler produces
 //! it, and none can pass on a runtime whose combiners only ever wait.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
@@ -122,11 +125,12 @@ impl MapReduceJob for SlowMap {
 }
 
 #[test]
-fn a_helping_combiner_keeps_draining_its_mappers_queue() {
-    // A 64-slot queue holds a fraction of one 2 000-pair task. A helper that
-    // only went back to its queue between tasks would leave the mapper
-    // blocked for the whole of every helped task, and end up mapping nearly
-    // everything itself.
+fn a_mapper_spills_instead_of_starving_while_its_combiner_helps() {
+    // A 64-slot queue holds a fraction of one 2 000-pair task, and the
+    // helper reads its queue only between tasks. The mapper is not blocked
+    // behind it meanwhile: finding the combiner a batch behind, it folds its
+    // blocks itself (DESIGN §6q), so it keeps mapping its share of the job
+    // instead of leaving nearly everything to the helper.
     let input: Vec<u64> = (0..80_000).collect();
     let mut session = RamrSession::new(config(64, 16, 2000)).unwrap();
     let started = Instant::now();
@@ -200,9 +204,9 @@ impl MapReduceJob for HelperFirst {
 fn an_overflow_in_a_helped_task_fails_the_job_and_ends_the_helping() {
     // Two slots, 800 distinct keys: the combiner's own first task overflows
     // its container before anything has crossed the queue. The error must
-    // come back as the queue path's would, the combiner must keep draining
-    // (discarding) so the mapper behind its 64-slot queue can finish, and
-    // it must not claim another task.
+    // come back as the queue path's would, and the combiner must leave its
+    // loop at once, claiming no other task. Its mapper, which never waits
+    // on a queue, still finishes, and the session drains what it queued.
     let input: Vec<u64> = (0..800).collect();
     let mut cfg = config(64, 16, 100);
     cfg.container = ContainerKind::FixedHash;
@@ -212,4 +216,144 @@ fn an_overflow_in_a_helped_task_fails_the_job_and_ends_the_helping() {
     let err = session.submit(&job, &input).unwrap_err();
     assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }), "got {err}");
     assert_eq!(job.helper_calls.load(Ordering::SeqCst), 1);
+}
+
+thread_local! {
+    /// Whether this thread is inside a `map` call.
+    static IN_MAP: Cell<bool> = const { Cell::new(false) };
+    /// The tag this thread's emissions carry; 0 until its first one.
+    static TAG: Cell<u64> = const { Cell::new(0) };
+}
+
+static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
+
+fn thread_tag() -> u64 {
+    TAG.with(|tag| {
+        if tag.get() == 0 {
+            tag.set(NEXT_TAG.fetch_add(1, Ordering::Relaxed));
+        }
+        tag.get()
+    })
+}
+
+/// Counts every `x` under `x % 8`, each value tagged with the thread that
+/// emitted it, and checks in `combine` that a thread inside a `map` call
+/// folds only pairs it emitted itself. The mapper's map calls wait until
+/// the helper has entered one; the helper's first waits until the mapper
+/// has emitted two batches more, so a full block sits in the helper's queue
+/// while the helper emits its own task of two batches.
+struct Tagged {
+    mapper: ThreadId,
+    batch: usize,
+    mapper_emitted: AtomicUsize,
+    helper_entered: AtomicBool,
+    helper_calls: AtomicU64,
+}
+
+impl Tagged {
+    fn new(batch: usize) -> Self {
+        Self {
+            mapper: std::thread::current().id(),
+            batch,
+            mapper_emitted: AtomicUsize::new(0),
+            helper_entered: AtomicBool::new(false),
+            helper_calls: AtomicU64::new(0),
+        }
+    }
+}
+
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::yield_now();
+    }
+}
+
+impl MapReduceJob for Tagged {
+    type Input = u64;
+    type Key = u64;
+    /// (tag of the emitting thread, count)
+    type Value = (u64, u64);
+
+    fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, (u64, u64)>) {
+        struct InMap;
+        impl Drop for InMap {
+            fn drop(&mut self) {
+                IN_MAP.with(|f| f.set(false));
+            }
+        }
+        IN_MAP.with(|f| f.set(true));
+        let _in_map = InMap;
+        let on_mapper = std::thread::current().id() == self.mapper;
+        if on_mapper {
+            wait_for("the combiner never ran a map task", || {
+                self.helper_entered.load(Ordering::SeqCst)
+            });
+        } else if self.helper_calls.fetch_add(1, Ordering::SeqCst) == 0 {
+            let start = self.mapper_emitted.load(Ordering::SeqCst);
+            self.helper_entered.store(true, Ordering::SeqCst);
+            wait_for("the mapper never emitted two batches", || {
+                self.mapper_emitted.load(Ordering::SeqCst) >= start + 2 * self.batch
+            });
+        }
+        let tag = thread_tag();
+        for &x in task {
+            emit.emit(x % 8, (tag, 1));
+            if on_mapper {
+                self.mapper_emitted.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    fn combine(&self, acc: &mut (u64, u64), v: (u64, u64)) {
+        if IN_MAP.with(Cell::get) {
+            assert_eq!(v.0, thread_tag(), "a thread inside `map` folded another thread's pair");
+        }
+        acc.1 += v.1;
+    }
+
+    fn key_space(&self) -> Option<usize> {
+        Some(8)
+    }
+
+    fn key_index(&self, k: &u64) -> usize {
+        *k as usize
+    }
+}
+
+/// One mapper and one combiner, tasks of two batches, run with [`Tagged`].
+fn run_tagged() -> (Tagged, ramr::RunReport) {
+    let (batch, input): (usize, Vec<u64>) = (16, (0..512).collect());
+    let job = Tagged::new(batch);
+    let mut session = RamrSession::new(config(64, batch, 2 * batch)).unwrap();
+    let (out, report) = session.submit_with_report(&job, &input).unwrap();
+    let counts: Vec<(u64, u64)> = out.pairs.iter().map(|&(k, (_, n))| (k, n)).collect();
+    assert_eq!(counts, (0..8).map(|k| (k, 64)).collect::<Vec<_>>());
+    (job, report)
+}
+
+#[test]
+fn a_helped_task_is_folded_like_a_phoenix_task() {
+    // The helper's queue holds a full block of the mapper's pairs while it
+    // emits its own task: a helper that read its queue between in-place
+    // emissions would fold the mapper's pairs inside its `map` call.
+    let (job, report) = run_tagged();
+    assert!(job.helper_calls.load(Ordering::SeqCst) > 0);
+    let emitted: u64 = report.emitted_per_mapper.iter().sum();
+    let consumed: u64 = report.consumed_per_combiner.iter().sum();
+    let helped: u64 = report.helped_per_combiner.iter().sum();
+    assert_eq!(emitted, consumed + helped + report.spilled_per_mapper[0]);
+}
+
+#[test]
+fn a_helper_row_is_shaped_like_a_worker_row() {
+    // Tasks counted as batches, their fill as occupancy, and no stall.
+    let (job, report) = run_tagged();
+    let helper = report.mapper_telemetry.last().unwrap();
+    assert_eq!((helper.index, helper.items), (1, report.helped_per_combiner[0]));
+    assert_eq!(helper.batches, job.helper_calls.load(Ordering::SeqCst));
+    assert_eq!(helper.occupancy.total(), helper.batches);
+    assert_eq!(helper.stalled, Duration::ZERO);
+    assert_eq!(helper.stall_events, 0);
 }

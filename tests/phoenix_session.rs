@@ -2,7 +2,7 @@
 //! workers fold what they map on the mapping thread, into containers the
 //! session keeps, and it shares caller-runs, fault handling, reduce and
 //! merge with RAMR's session. What a single job reports is checked next to
-//! `worker_loop`, in the `ramr` crate's unit tests.
+//! `fold_loop`, in the `ramr` crate's unit tests.
 //!
 //! This binary scans its own process for pool threads by name, so every test
 //! holds [`serial`] for its whole body: no other test's pool can show up in

@@ -306,12 +306,13 @@ fn combine_panic_does_not_hang_the_pipeline() {
     );
 }
 
-/// Regression guard for the combiner's discard-drain error path: a mapper
-/// panic AND a combine panic in the same run, while 2-slot busy-wait queues
-/// are saturated. The run must terminate (mappers keep draining against
-/// dead combiners, combiners keep consuming after their first error) and
-/// surface *a* worker panic — which pool loses the race is scheduling-
-/// dependent, so either message is acceptable.
+/// Regression guard for the error path under load: a mapper panic AND a
+/// combine panic in the same run, while 2-slot busy-wait queues are
+/// saturated. The run must terminate — a combiner leaves its loop at its
+/// first error, the mappers, which never wait on a queue, fold what the
+/// dead combiners do not read, and the session drains every queue before
+/// the epoch ends — and surface *a* worker panic. Which pool loses the race
+/// is scheduling-dependent, so either message is acceptable.
 #[test]
 fn dual_panic_with_full_busywait_queues_terminates() {
     struct DualFailure;
@@ -344,7 +345,7 @@ fn dual_panic_with_full_busywait_queues_terminates() {
         }
     }
     // Both panic triggers (77 and 999) fire early, so most of the input is
-    // pumped through the combiner's discard-drain path. Termination on a
+    // pumped past combiners that have already failed. Termination on a
     // 1-core host hinges on BusyWait's periodic yield; before that escape
     // hatch this run took minutes (every 2-slot handoff cost a scheduler
     // round trip).
