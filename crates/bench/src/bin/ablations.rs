@@ -10,8 +10,8 @@ use mr_apps::{AppKind, WordCount};
 use mr_bench::{sim_config, sim_job};
 use mr_core::RuntimeConfig;
 use mrsim::{auto_split, simulate, RuntimeKind};
-use ramr::RamrSession;
-use ramr_telemetry::ThreadTelemetry;
+use ramr::Backend;
+use ramr_telemetry::{ThreadRole, ThreadTelemetry};
 
 fn main() {
     let platform = Platform::Haswell;
@@ -76,7 +76,7 @@ fn main() {
         "emit-buf",
         "time(ms)",
         "vs-best",
-        "back-pres",
+        "spilled",
         "map-stall%",
         "cmb-busy%",
         "ratio",
@@ -85,13 +85,13 @@ fn main() {
     let lines = wc_input(&spec, 2_000);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let buffers = [1usize, 2, 8, 64, 256, 1000];
-    // Pool-wide share of wall-clock the threads spent in `stalled` / `busy`.
-    let share = |threads: &[ThreadTelemetry], stalled: bool| -> f64 {
-        let wall: f64 = threads.iter().map(|t| t.wall.as_secs_f64()).sum();
-        let part: f64 = threads
-            .iter()
-            .map(|t| if stalled { t.stalled.as_secs_f64() } else { t.busy.as_secs_f64() })
-            .sum();
+    // Pool-wide share of wall-clock the mapper rows spent `stalled`, or the
+    // combiner rows `busy`.
+    let share = |threads: &[ThreadTelemetry], combiners: bool| -> f64 {
+        let pool = threads.iter().filter(|t| (t.role == ThreadRole::Combiner) == combiners);
+        let wall: f64 = pool.clone().map(|t| t.wall.as_secs_f64()).sum();
+        let part: f64 =
+            pool.map(|t| if combiners { t.busy } else { t.stalled }.as_secs_f64()).sum();
         if wall > 0.0 {
             100.0 * part / wall
         } else {
@@ -112,18 +112,21 @@ fn main() {
             .expect("valid ablation config");
         // Warm-up and measured run share one set of pools: the sweep prices
         // the emit buffer, not thread spawn.
-        let mut session = RamrSession::new(cfg).expect("session");
+        let mut session = Backend::RamrStatic.session(cfg).expect("session");
         session.submit(&WordCount, &lines).expect("warm-up run"); // warm caches/allocator
         let start = std::time::Instant::now();
-        let (_, report) = session.submit_with_report(&WordCount, &lines).expect("measured run");
+        let (out, report) = session.submit(&WordCount, &lines).expect("measured run").into_parts();
         let ms = start.elapsed().as_secs_f64() * 1e3;
+        // The share of emitted pairs mappers folded themselves, their
+        // combiner behind: the pipeline's back-pressure.
+        let spilled = report.spilled as f64 / out.stats.emitted.max(1) as f64;
         rows.push((
             emit,
             ms,
-            report.back_pressure(),
-            share(&report.mapper_telemetry, true),
-            share(&report.combiner_telemetry, false),
-            report.suggested_ratio(),
+            spilled,
+            share(&report.threads, false),
+            share(&report.threads, true),
+            report.suggested_ratio,
         ));
     }
     let best = rows.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);

@@ -13,7 +13,7 @@ use mr_apps::{
 };
 use mr_core::{ContainerKind, MapReduceJob, PhaseKind, RuntimeConfig};
 use ramr::{Backend, Engine, EngineReport, JobScheduler, Pipeline};
-use ramr_telemetry::report::{breakdown_table, MetricsReport};
+use ramr_telemetry::report::breakdown_table;
 use ramr_topology::{thrid_to_cpu, MachineModel};
 
 use crate::args::Args;
@@ -189,11 +189,13 @@ fn parse_runtime(args: &Args) -> Result<Vec<Backend>, String> {
     }
 }
 
-/// Executes a job on the selected backend(s) through the unified [`Engine`]
-/// interface, printing timing, a per-thread telemetry breakdown, and
-/// agreement. When `metrics_json` is set, the last run's full
-/// [`MetricsReport`] (preferring a RAMR backend when several ran) is
-/// written there as JSON.
+/// Executes a job on the selected backend(s), printing timing, a
+/// per-thread telemetry breakdown, and agreement. Each backend opens one
+/// [`Backend::session`] and runs all `runs` jobs on it, so the first (cold)
+/// job — the one that grows the kept containers — is timed apart from the
+/// warm ones after it. When `metrics_json` is set, the last run's full
+/// [`MetricsReport`](ramr_telemetry::report::MetricsReport) (preferring a
+/// RAMR backend when several ran) is written there as JSON.
 fn execute<J: MapReduceJob + 'static>(
     job: &J,
     input: &[J::Input],
@@ -205,33 +207,37 @@ fn execute<J: MapReduceJob + 'static>(
 ) -> Result<(), String> {
     let mut outputs: Vec<(Backend, _, EngineReport)> = Vec::new();
     for &backend in backends {
-        let engine = backend.engine(config.clone()).map_err(|e| e.to_string())?;
-        let mut samples = Vec::new();
+        let mut session = backend.session::<J>(config.clone()).map_err(|e| e.to_string())?;
+        let mut samples = Vec::with_capacity(runs.max(1));
         let mut last = None;
         for _ in 0..runs.max(1) {
             let started = Instant::now();
-            let outcome = engine.submit(job, input).map_err(|e| e.to_string())?;
+            let outcome = session.submit(job, input).map_err(|e| e.to_string())?;
             samples.push(started.elapsed().as_secs_f64() * 1e3);
             last = Some(outcome);
         }
         let outcome = last.expect("at least one run");
         let (output, report) = (outcome.output, outcome.report);
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let (cold, warm) = samples.split_first().expect("at least one run");
+        let warm = match warm.len() {
+            0 => "-".to_string(),
+            n => format!("{:.2} ms mean of {n}", warm.iter().sum::<f64>() / n as f64),
+        };
         println!(
-            "{:>13}: {mean:8.2} ms over {} run(s) | {} keys | map-combine {:.0}% | \
-             emitted {} | queue-full {} | spilled {}",
+            "{:>13}: cold {cold:.2} ms | warm {warm} | {} keys | map-combine {:.0}% | \
+             emitted {} | queue-full {} | spilled {} | helped {}",
             backend.as_str(),
-            samples.len(),
             output.len(),
             100.0 * output.stats.fraction(PhaseKind::MapCombine),
             output.stats.emitted,
             output.stats.queue_full_events,
             report.spilled,
+            report.helped,
         );
         if let Some(summary) = report.faults.summary() {
             println!("  faults: {summary}");
         }
-        if engine.config().telemetry {
+        if config.telemetry {
             print!("{}", breakdown_table(&report.threads));
             if let Some(ratio) = report.suggested_ratio {
                 println!("  suggested mapper:combiner ratio {ratio}:1 (throughput criterion)");
@@ -240,33 +246,12 @@ fn execute<J: MapReduceJob + 'static>(
         outputs.push((backend, output, report));
     }
     if let Some(path) = metrics_json {
-        let (backend, output, report) = outputs
+        let (_, output, report) = outputs
             .iter()
             .find(|(b, ..)| *b != Backend::Phoenix)
             .or(outputs.first())
             .ok_or("--metrics-json requires at least one runtime to run")?;
-        let stats = &output.stats;
-        let ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        let metrics = MetricsReport {
-            app: app.abbrev().to_string(),
-            runtime: backend.as_str().to_string(),
-            workers: config.num_workers as u64,
-            combiners: config.num_combiners as u64,
-            batch_size: config.batch_size as u64,
-            emit_buffer: config.effective_emit_buffer() as u64,
-            queue_capacity: config.queue_capacity as u64,
-            phase_ns: [
-                ns(stats.partition),
-                ns(stats.map_combine),
-                ns(stats.reduce),
-                ns(stats.merge),
-            ],
-            emitted: stats.emitted,
-            consumed: report.consumed,
-            spilled: report.spilled,
-            threads: report.threads.clone(),
-            faults: report.faults.clone(),
-        };
+        let metrics = report.metrics(app.abbrev(), config, &output.stats);
         std::fs::write(path, metrics.to_json()).map_err(|e| format!("write {path}: {e}"))?;
         println!("  metrics written to {path}");
     }

@@ -6,7 +6,7 @@
 //! report type. This module collapses that: pick a [`Backend`], obtain an
 //! [`AnyEngine`] (or a pooled [`EngineSession`]), and consume the
 //! backend-independent [`EngineReport`]. Every backend runs on the one
-//! executor, [`RamrSession`]: Phoenix is a session with no combiners.
+//! executor, [`EngineSession`]: Phoenix is a session with no combiners.
 //!
 //! ```
 //! use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
@@ -44,13 +44,15 @@
 //! # Ok::<(), mr_core::RuntimeError>(())
 //! ```
 
-use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError};
+use std::time::Duration;
+
+use mr_core::{JobOutput, MapReduceJob, PhaseStats, RuntimeConfig, RuntimeError};
+use ramr_telemetry::report::MetricsReport;
 use ramr_telemetry::{FaultMetrics, ThreadTelemetry};
-use ramr_topology::PlacementPlan;
+use ramr_topology::{MachineModel, PlacementPlan};
 
 use crate::pipeline::{PipelineOutcome, StagePlan};
-use crate::runtime::RunReport;
-use crate::session::RamrSession;
+use crate::session::EngineSession;
 
 /// The execution backends the workspace ships.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,8 +98,7 @@ impl Backend {
         Ok(AnyEngine { backend: self, config })
     }
 
-    /// Opens a pooled session for this backend (see [`EngineSession`]) —
-    /// the one place a backend is mapped to its shape of [`RamrSession`]:
+    /// Opens a pooled session for this backend (see [`EngineSession`]):
     /// decoupled mappers and combiners, or Phoenix workers that fold what
     /// they map.
     ///
@@ -110,11 +111,7 @@ impl Backend {
         self,
         config: RuntimeConfig,
     ) -> Result<EngineSession<J>, RuntimeError> {
-        let session = match self {
-            Backend::RamrStatic | Backend::RamrAdaptive => RamrSession::new(config)?,
-            Backend::Phoenix => RamrSession::phoenix(config)?,
-        };
-        Ok(EngineSession { backend: self, session })
+        EngineSession::open(self, config, MachineModel::host())
     }
 }
 
@@ -139,35 +136,89 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// A backend-independent summary of one run's report — the fields every
-/// consumer (CLI tables, metrics JSON, benches, differential tests) needs,
-/// derived identically no matter which backend produced them.
+/// Everything one job leaves behind besides its output, the same shape
+/// whichever backend produced it: the per-thread rows, the pairs each route
+/// folded, the ratio suggestion, faults and placement.
+///
+/// In a decoupled session every pair emitted is folded into a container
+/// by one of three routes: read from a queue by a combiner, emitted in
+/// place by a map task a combiner ran itself ([`helped`](Self::helped)), or
+/// folded by a mapper that found its combiner behind
+/// ([`spilled`](Self::spilled)). So on every run that returns,
+/// `consumed == emitted == queued + helped + spilled`, where `queued` is
+/// the `items` of the combiner rows. A Phoenix worker folds what it emits inline: there
+/// `consumed == emitted` and the other routes are zero.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// The backend that produced this report.
     pub backend: Backend,
-    /// Per-thread telemetry: mappers then combiners for RAMR (combiners
-    /// that mapped in place appear in both halves, as in [`RunReport`]),
-    /// workers for Phoenix: `items` counts emissions, `batches` tasks, the
-    /// occupancy histogram task fill, and `stalled` is zero.
+    /// Per-thread telemetry, mapper rows then combiner rows.
+    ///
+    /// A mapper row (`index` `m < num_workers`) counts the pairs it emitted
+    /// (`items`), useful map time (`busy`, which includes folding spilled
+    /// pairs; that part is also `spill`), time publishing blocks to the
+    /// queue (`stalled` — a publish never waits for room), the blocks
+    /// published (`batches`) and their occupancy, and the thread's own
+    /// wall-clock. Its `stall_events` counts the emit-buffer flushes that
+    /// found the combiner behind and so folded pairs instead of queueing
+    /// them (their sum is `PhaseStats::queue_full_events`).
+    ///
+    /// A combiner that ran map tasks in place appends one more mapper row,
+    /// `index = num_workers + c`, shaped like a Phoenix worker's: `items`
+    /// are the pairs it emitted in place, `busy` the whole time of those
+    /// tasks, `batches` the tasks and the occupancy histogram their fill,
+    /// `wall` the combiner thread's own — so for that thread `busy + stalled`
+    /// of its combiner row plus `busy` of this row tracks its wall-clock. It
+    /// never stalls and spills nothing. A combiner that never helped has no
+    /// such row.
+    ///
+    /// A combiner row counts the pairs it read from its queues (`items`),
+    /// time consuming batches (`busy`), idle spin/sleep time waiting for data
+    /// (`stalled`), the batched reads (`batches`) and their occupancy
+    /// histogram (paper §III-A); `stall_events` counts idle rounds. A
+    /// Phoenix session has worker rows only: `items` counts emissions,
+    /// `batches` tasks, the occupancy histogram task fill, and `stalled` is
+    /// zero.
+    ///
+    /// In every row the timing fields, `batches` and the occupancy histogram
+    /// are recorded only when `RuntimeConfig::telemetry` is on, and are zero
+    /// otherwise; the counters `items` and `stall_events` are always exact.
     pub threads: Vec<ThreadTelemetry>,
-    /// Total pairs folded into containers, by any route: read from a queue,
-    /// emitted in place by a map task a combiner ran itself
-    /// ([`RunReport::helped_per_combiner`]), or folded by a mapper that
-    /// found its combiner behind ([`spilled`](Self::spilled)). Equals
-    /// the pairs emitted on every schedule; for Phoenix (inline combine) too.
+    /// Total pairs folded into containers, by any route. Equals the pairs
+    /// emitted on every schedule; for Phoenix (inline combine) too.
     pub consumed: u64,
-    /// The part of [`consumed`](Self::consumed) mappers folded themselves
-    /// ([`RunReport::spilled_per_mapper`]); zero for Phoenix.
+    /// The part of [`consumed`](Self::consumed) mappers folded themselves:
+    /// the sum of [`spilled_per_mapper`](Self::spilled_per_mapper). Zero for
+    /// Phoenix.
     pub spilled: u64,
-    /// The throughput-derived mapper:combiner ratio suggestion
-    /// ([`RunReport::suggested_ratio`]); `None` for Phoenix, whose workers
-    /// have no role split to tune (no combine time is measured apart).
+    /// The part of [`consumed`](Self::consumed) combiners emitted in place,
+    /// from map tasks they claimed while they had no full batch to read: the
+    /// sum of `items` over the helper rows of [`threads`](Self::threads).
+    /// Zero for Phoenix.
+    pub helped: u64,
+    /// Pairs each mapper folded *itself*: the blocks it did not hand to a
+    /// combiner that was behind, and the part of a block the queue had no
+    /// room for — they never crossed a queue. One entry per mapper of the
+    /// pool, zero for one whose combiner always kept up.
+    pub spilled_per_mapper: Vec<u64>,
+    /// The paper's throughput criterion for the mapper:combiner ratio: how
+    /// many mappers one combiner keeps up with, from *measured* relative
+    /// throughput (`ramr_telemetry::combine_throughput` over the mapper rows'
+    /// `ramr_telemetry::pool_throughput`, ≥ 1). Both sides count a spill
+    /// fold as combine work, so a combiner-bound run whose mappers fold much
+    /// of the job themselves still reads as combiner-bound. `None` with
+    /// telemetry off, and for Phoenix, whose workers have no role split to
+    /// tune (no combine time is measured apart).
     pub suggested_ratio: Option<usize>,
     /// Always empty: no run moves threads between the pools. Kept only for
     /// the benchmark ledger, which still reads it.
     pub adaptation: Vec<AdaptationEvent>,
-    /// Fault-tolerance accounting for the run.
+    /// Fault-tolerance accounting: task retries performed and poison tasks
+    /// skipped under [`RuntimeConfig::max_task_retries`] /
+    /// [`RuntimeConfig::skip_poison_tasks`]. All-zero (see
+    /// [`FaultMetrics::is_clean`]) when fault tolerance is off or nothing
+    /// failed; runs that *fail* report their faults through the returned
+    /// [`RuntimeError`] instead.
     pub faults: FaultMetrics,
     /// The thread placement plan; `None` for Phoenix, whose workers pin by
     /// their own policy semantics, not a mapper/combiner plan.
@@ -175,28 +226,33 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    fn from_run(backend: Backend, report: RunReport) -> Self {
-        let spilled = report.spilled_per_mapper.iter().sum::<u64>();
-        let folded = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner);
-        // A Phoenix worker folds every pair it emits, on the spot.
-        let inline = report.combiner_telemetry.is_empty();
-        let consumed = if inline {
-            report.emitted_per_mapper.iter().sum()
-        } else {
-            folded.sum::<u64>() + spilled
-        };
-        let suggested_ratio = report.suggested_ratio();
-        let mut threads = report.mapper_telemetry;
-        threads.extend(report.combiner_telemetry);
-        EngineReport {
-            backend,
-            threads,
-            consumed,
-            spilled,
-            suggested_ratio,
-            adaptation: Vec::new(),
-            faults: report.faults,
-            plan: (!inline).then_some(report.plan),
+    /// The whole-run [`MetricsReport`] of the job this report came from —
+    /// the `--metrics-json` dump and a wire outcome's metrics: `app` and
+    /// the knobs of `config` that shaped the run, the phase times and
+    /// emission count of the job's `stats`, and this report's routes, rows
+    /// and faults.
+    pub fn metrics(&self, app: &str, config: &RuntimeConfig, stats: &PhaseStats) -> MetricsReport {
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        MetricsReport {
+            app: app.to_string(),
+            runtime: self.backend.as_str().to_string(),
+            workers: config.num_workers as u64,
+            combiners: config.num_combiners as u64,
+            batch_size: config.batch_size as u64,
+            emit_buffer: config.effective_emit_buffer() as u64,
+            queue_capacity: config.queue_capacity as u64,
+            phase_ns: [
+                ns(stats.partition),
+                ns(stats.map_combine),
+                ns(stats.reduce),
+                ns(stats.merge),
+            ],
+            emitted: stats.emitted,
+            consumed: self.consumed,
+            spilled: self.spilled,
+            helped: self.helped,
+            threads: self.threads.clone(),
+            faults: self.faults.clone(),
         }
     }
 }
@@ -338,53 +394,5 @@ impl Engine for AnyEngine {
         input: &[J::Input],
     ) -> Result<EngineOutcome<J>, RuntimeError> {
         self.backend.session::<J>(self.config.clone())?.submit(job, input)
-    }
-}
-
-/// A pooled submission channel for any backend: a persistent
-/// [`RamrSession`] — threads, queues and containers reused across jobs —
-/// opened in the shape [`Backend::session`] picked, with the backend it was
-/// opened for.
-pub struct EngineSession<J: MapReduceJob + 'static> {
-    /// Resolved once at construction: the report tag can never drift from
-    /// the session that produced it.
-    backend: Backend,
-    session: RamrSession<J>,
-}
-
-impl<J: MapReduceJob + 'static> std::fmt::Debug for EngineSession<J> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineSession")
-            .field("backend", &self.backend)
-            .field("session", &self.session)
-            .finish()
-    }
-}
-
-impl<J: MapReduceJob + 'static> EngineSession<J> {
-    /// Which backend this session executes on.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The session's configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        self.session.config()
-    }
-
-    /// Executes one job from the stream, returning its output with the
-    /// report always attached ([`EngineOutcome`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`RuntimeError`]; a failed submit leaves
-    /// the session usable for the next one.
-    pub fn submit(
-        &mut self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<EngineOutcome<J>, RuntimeError> {
-        let (output, report) = self.session.submit_with_report(job, input)?;
-        Ok(EngineOutcome { output, report: EngineReport::from_run(self.backend, report) })
     }
 }

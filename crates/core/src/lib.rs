@@ -89,17 +89,15 @@ pub mod tuning;
 
 pub use engine::{
     AdaptationEvent, AnyEngine, Backend, Engine, EngineOutcome, EngineOutput, EngineReport,
-    EngineSession,
 };
 pub use pipeline::{
     Iterate, PairSplit, Pipeline, PipelineExec, PipelineOutcome, PipelineReport, Stage, StagePlan,
     StageReport, Then,
 };
-pub use runtime::{ReportedOutput, RunReport};
 pub use sched::{
     CompletedJob, JobClient, JobScheduler, JobTicket, SchedError, ShedReason, TenantStats,
 };
-pub use session::RamrSession;
+pub use session::EngineSession;
 
 // Re-export the configuration surface so downstream users need only this
 // crate for the common path.

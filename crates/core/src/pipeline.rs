@@ -72,7 +72,8 @@ use std::time::{Duration, Instant};
 
 use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError};
 
-use crate::engine::{Backend, EngineReport, EngineSession};
+use crate::engine::{Backend, EngineReport};
+use crate::session::EngineSession;
 
 /// Builder entry points for stage plans. A pipeline is described by value
 /// — `Pipeline::stage(a).then_pairs(b)` — and executed by handing the plan

@@ -1,32 +1,25 @@
 //! The decoupled map/combine runtime (paper §III, Fig 2): what each pool
 //! thread does for one job — the mapper loop, the one fold loop that both a
-//! combiner and a Phoenix worker run, the watchdog — and the [`RunReport`]
-//! a job leaves behind. The threads themselves live in `session.rs`, which
-//! hosts these loops on its pools.
+//! combiner and a Phoenix worker run, the watchdog. The threads themselves
+//! live in `session.rs`, which hosts these loops on its pools and assembles
+//! the [`EngineReport`](crate::EngineReport) a job leaves behind from their
+//! telemetry cells.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mr_core::{
-    ContainerKind, Emitter, HasherKind, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig,
-    RuntimeError, TaskRange,
+    ContainerKind, Emitter, HasherKind, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError,
+    TaskRange,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer, KeptContainer, PairFeed};
 use ramr_spsc::{Consumer, Producer, BUSY_WAIT_YIELD_EVERY};
-use ramr_telemetry::{
-    pool_throughput, FaultLog, FaultMetrics, LocalTelemetry, ProgressBoard, TelemetryCell,
-    ThreadTelemetry,
-};
+use ramr_telemetry::{FaultLog, LocalTelemetry, ProgressBoard, TelemetryCell};
 use ramr_topology::{
     current_thread_affinity, pin_current_thread, set_current_thread_affinity, CpuSlot,
-    PlacementPlan,
 };
-
-/// A job's output paired with the run's [`RunReport`].
-pub type ReportedOutput<J> =
-    (JobOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>, RunReport);
 
 /// One element of a mapper's pipeline queue: the key with its hash computed
 /// once at emission (the hash-once pipeline), plus the value.
@@ -60,161 +53,6 @@ fn idle_wait(backoff: PushBackoff, idle_rounds: u32, park: impl FnOnce(Duration)
 /// that closes wakes it regardless.
 fn wake_at(batch: usize, config: &RuntimeConfig) -> usize {
     batch.max(config.queue_capacity / 2)
-}
-
-/// Per-thread statistics of one decoupled invocation.
-///
-/// The quantities a tuning session needs: whether any mapper's queue kept
-/// filling up (raise the combiner pool or the queue capacity), whether one
-/// combiner consumed far more than its peers (skewed queue assignment), and
-/// the placement the run actually used.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The placement plan the run used.
-    pub plan: PlacementPlan,
-    /// Pairs emitted by each row of [`mapper_telemetry`]: the mapper pool,
-    /// then one entry per combiner that ran map tasks in place (see
-    /// [`helped_per_combiner`]). Counted at emission time, so buffered pairs
-    /// awaiting a flush are included; conservation
-    /// (`emitted == consumed + helped + spilled`) holds once the run returns
-    /// because every mapper drain-flushes its emit buffer before closing its
-    /// queue.
-    ///
-    /// [`mapper_telemetry`]: RunReport::mapper_telemetry
-    /// [`helped_per_combiner`]: RunReport::helped_per_combiner
-    pub emitted_per_mapper: Vec<u64>,
-    /// Queue-full events per row of `mapper_telemetry`: emit-buffer flushes
-    /// that found the combiner behind — a full batch unread and the combiner
-    /// not parked — or the queue without room, and so folded pairs into the
-    /// mapper's own container ([`spilled_per_mapper`]) instead of queueing
-    /// them; each counts once. With an emit buffer of 1 a flush is one pair,
-    /// so absolute values are not comparable across different
-    /// `emit_buffer_size` settings — compare [`RunReport::back_pressure`]
-    /// trends instead.
-    ///
-    /// [`spilled_per_mapper`]: RunReport::spilled_per_mapper
-    pub full_events_per_mapper: Vec<u64>,
-    /// Pairs each mapper folded *itself*: the blocks it did not hand to a
-    /// combiner that was behind (lag-routed hand-off), and the part of a
-    /// block the queue had no room for, combined into the mapper's own
-    /// container instead of queued or waited out — they never crossed a
-    /// queue. One entry per mapper of the pool, zero for one whose combiner
-    /// always kept up.
-    pub spilled_per_mapper: Vec<u64>,
-    /// Pairs each combiner consumed *from its queues*.
-    pub consumed_per_combiner: Vec<u64>,
-    /// Pairs each combiner folded *in place*, from map tasks it claimed
-    /// while it had no full batch to read — they never crossed a queue. One
-    /// entry per combiner, zero for one that never helped.
-    pub helped_per_combiner: Vec<u64>,
-    /// Per-mapper wall-clock telemetry: useful map time (`busy`, which
-    /// includes folding spilled pairs; that part is also `spill`), time
-    /// publishing blocks to the queue (`stalled` — a publish never waits for
-    /// room), the blocks published (`batches`) and their occupancy, and the
-    /// thread's own wall-clock.
-    ///
-    /// A combiner that ran map tasks in place appends one more row,
-    /// `index = num_workers + c`, shaped like a Phoenix worker's: `items`
-    /// are the pairs it emitted in place, `busy` the whole time of those
-    /// tasks, `batches` the tasks and the occupancy histogram their fill,
-    /// `wall` the combiner thread's own — so for that thread `busy + stalled`
-    /// of its combiner row plus `busy` of this row tracks its wall-clock. It
-    /// never stalls and spills nothing. A combiner that never helped has no
-    /// row here.
-    ///
-    /// In every row of either table, the timing fields, `batches` and the
-    /// occupancy histogram are recorded only when `RuntimeConfig::telemetry`
-    /// is on, and are zero otherwise; the counters `items` and
-    /// `stall_events` are always exact.
-    pub mapper_telemetry: Vec<ThreadTelemetry>,
-    /// Per-combiner wall-clock telemetry: time consuming batches (`busy`),
-    /// idle spin/sleep time waiting for data (`stalled`), the batched reads
-    /// (`batches`) and their occupancy histogram (how full they actually
-    /// were — paper §III-A). `stall_events` counts idle rounds.
-    /// Queue work only: map tasks a combiner ran in place are its
-    /// [`mapper_telemetry`](RunReport::mapper_telemetry) row, so the pool
-    /// throughputs and [`suggested_ratio`](RunReport::suggested_ratio) keep
-    /// describing the pipeline.
-    pub combiner_telemetry: Vec<ThreadTelemetry>,
-    /// Fault-tolerance accounting: task retries performed and poison tasks
-    /// skipped under [`RuntimeConfig::max_task_retries`] /
-    /// [`RuntimeConfig::skip_poison_tasks`]. All-zero (see
-    /// [`FaultMetrics::is_clean`]) when fault tolerance is off or nothing
-    /// failed; runs that *fail* report their faults through the returned
-    /// [`RuntimeError`] instead.
-    pub faults: FaultMetrics,
-}
-
-impl RunReport {
-    /// Ratio of the most- to least-loaded combiner (1.0 = perfectly even).
-    ///
-    /// Returns `Some(f64::INFINITY)` when at least one combiner consumed
-    /// pairs while another consumed none — a fully starved combiner is the
-    /// *worst* skew, not missing data, and must not be silently hidden.
-    /// Returns `None` only when there is nothing to compare: no combiners,
-    /// or an all-zero report (e.g. empty input).
-    pub fn combiner_imbalance(&self) -> Option<f64> {
-        let max = *self.consumed_per_combiner.iter().max()?;
-        let min = *self.consumed_per_combiner.iter().min()?;
-        if max == 0 {
-            None
-        } else if min == 0 {
-            Some(f64::INFINITY)
-        } else {
-            Some(max as f64 / min as f64)
-        }
-    }
-
-    /// Aggregate mapper-side throughput: pairs emitted per second of
-    /// *useful map time* (pairs/sec per fully-busy mapper) — busy time less
-    /// the `spill` folds, which are combine work. `None` when no busy time
-    /// was recorded (telemetry off or empty run).
-    pub fn map_throughput(&self) -> Option<f64> {
-        pool_throughput(&self.mapper_telemetry)
-    }
-
-    /// Aggregate combine throughput: pairs folded per second of busy
-    /// combine time — the combiners' queue reads, plus the pairs mappers
-    /// folded themselves ([`spilled_per_mapper`](RunReport::spilled_per_mapper))
-    /// over the `spill` time they took. `None` when no busy time was
-    /// recorded.
-    pub fn combine_throughput(&self) -> Option<f64> {
-        let spill: Duration = self.mapper_telemetry.iter().map(|t| t.spill).sum();
-        let busy = self.combiner_telemetry.iter().map(|t| t.busy).sum::<Duration>() + spill;
-        let items = self.combiner_telemetry.iter().map(|t| t.items).sum::<u64>()
-            + self.spilled_per_mapper.iter().sum::<u64>();
-        (!busy.is_zero()).then(|| items as f64 / busy.as_secs_f64())
-    }
-
-    /// The paper's throughput criterion for the mapper:combiner ratio: how
-    /// many mappers one combiner keeps up with, from *measured* relative
-    /// throughput (`combine_throughput / map_throughput`, ≥ 1). Raise the
-    /// ratio (fewer combiners) when combine is fast relative to map; drop
-    /// toward 1:1 when combine is the bottleneck. Both sides count a spill
-    /// fold as combine work, so a combiner-bound run whose mappers fold
-    /// much of the job themselves still reads as combiner-bound.
-    pub fn suggested_ratio(&self) -> Option<usize> {
-        Some(ramr_telemetry::suggested_ratio(self.map_throughput()?, self.combine_throughput()?))
-    }
-
-    /// Queue-full events ([`full_events_per_mapper`]) per emitted pair —
-    /// the back-pressure indicator. Zero means every block went to a
-    /// combiner that had caught up; rising values mean combiners cannot
-    /// keep up (raise the combiner pool or the emit buffer). Mappers
-    /// absorb it by folding the blocks themselves
-    /// ([`spilled_per_mapper`](RunReport::spilled_per_mapper)), which moves
-    /// combine work onto the map side rather than removing it.
-    ///
-    /// [`full_events_per_mapper`]: RunReport::full_events_per_mapper
-    pub fn back_pressure(&self) -> f64 {
-        let emitted: u64 = self.emitted_per_mapper.iter().sum();
-        let failed: u64 = self.full_events_per_mapper.iter().sum();
-        if emitted == 0 {
-            0.0
-        } else {
-            failed as f64 / emitted as f64
-        }
-    }
 }
 
 pub(crate) fn maybe_pin(enabled: bool, slot: CpuSlot) {
@@ -905,9 +743,9 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     use super::*;
-    use crate::session::RamrSession;
+    use crate::{Backend, EngineOutput, EngineReport, EngineSession};
     use mr_core::PhaseKind;
-    use ramr_telemetry::ThreadRole;
+    use ramr_telemetry::{combine_throughput, pool_throughput, ThreadRole, ThreadTelemetry};
     use ramr_topology::MachineModel;
 
     /// A fresh run: opens a session, submits once and drops it.
@@ -915,8 +753,8 @@ mod tests {
         cfg: RuntimeConfig,
         job: &J,
         input: &[J::Input],
-    ) -> Result<ReportedOutput<J>, RuntimeError> {
-        RamrSession::new(cfg)?.submit_with_report(job, input)
+    ) -> Result<EngineOutput<J>, RuntimeError> {
+        Ok(Backend::RamrStatic.session(cfg)?.submit(job, input)?.into_parts())
     }
 
     struct Mod9;
@@ -957,19 +795,24 @@ mod tests {
         sums.into_iter().collect()
     }
 
-    /// Pairs the combiners folded in place, from tasks they mapped.
-    fn helped(report: &RunReport) -> u64 {
-        report.helped_per_combiner.iter().sum()
+    /// The mapper rows: the mapper pool, then the combiners' helper rows.
+    fn mapper_rows(report: &EngineReport) -> impl Iterator<Item = &ThreadTelemetry> {
+        report.threads.iter().filter(|t| t.role != ThreadRole::Combiner)
     }
 
-    /// Pairs mappers folded themselves, their combiner behind.
-    fn spilled(report: &RunReport) -> u64 {
-        report.spilled_per_mapper.iter().sum()
+    /// The combiner rows: pairs each combiner read from its queues.
+    fn combiner_rows(report: &EngineReport) -> impl Iterator<Item = &ThreadTelemetry> {
+        report.threads.iter().filter(|t| t.role == ThreadRole::Combiner)
+    }
+
+    /// Pairs emitted, by the mappers and by combiners mapping in place.
+    fn emitted(report: &EngineReport) -> u64 {
+        mapper_rows(report).map(|t| t.items).sum()
     }
 
     /// Pairs folded into containers: read from a queue, helped, or spilled.
-    fn folded(report: &RunReport) -> u64 {
-        report.consumed_per_combiner.iter().sum::<u64>() + helped(report) + spilled(report)
+    fn folded(report: &EngineReport) -> u64 {
+        combiner_rows(report).map(|t| t.items).sum::<u64>() + report.helped + report.spilled
     }
 
     fn config(workers: usize, combiners: usize) -> RuntimeConfig {
@@ -1035,7 +878,7 @@ mod tests {
             cfg.emit_buffer_size = Some(emit);
             let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
             assert_eq!(out.pairs, expected, "emit_buffer={emit}");
-            let emitted: u64 = report.emitted_per_mapper.iter().sum();
+            let emitted = emitted(&report);
             assert_eq!(emitted, 8000, "emit_buffer={emit}");
             assert_eq!(folded(&report), emitted, "conservation with emit_buffer={emit}");
         }
@@ -1065,7 +908,7 @@ mod tests {
         );
         // Every flush that found its combiner behind folded at least one
         // pair itself.
-        assert!(spilled(&report) >= out.stats.queue_full_events, "{report:?}");
+        assert!(report.spilled >= out.stats.queue_full_events, "{report:?}");
         assert_eq!(folded(&report), 5000, "conservation with the overflow folded by the mappers");
     }
 
@@ -1121,8 +964,12 @@ mod tests {
 
     #[test]
     fn placement_is_inspectable() {
-        let session =
-            RamrSession::<Mod9>::with_machine(config(8, 4), MachineModel::fig3_demo()).unwrap();
+        let session = EngineSession::<Mod9>::open(
+            Backend::RamrStatic,
+            config(8, 4),
+            MachineModel::fig3_demo(),
+        )
+        .unwrap();
         let plan = session.placement();
         assert_eq!(plan.num_mappers(), 8);
         assert_eq!(plan.num_combiners(), 4);
@@ -1146,18 +993,21 @@ mod tests {
         let (out, report) = run_once(config(4, 2), &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
         // The four mappers, then one row per combiner that mapped in place.
-        let helpers = report.helped_per_combiner.iter().filter(|&&pairs| pairs > 0).count();
-        assert_eq!(report.emitted_per_mapper.len(), 4 + helpers);
-        assert_eq!(report.emitted_per_mapper[4..].iter().sum::<u64>(), helped(&report));
-        assert_eq!(report.consumed_per_combiner.len(), 2);
-        assert_eq!(report.helped_per_combiner.len(), 2);
+        let rows: Vec<&ThreadTelemetry> = mapper_rows(&report).collect();
+        let indexes: Vec<usize> = rows.iter().map(|t| t.index).collect();
+        assert_eq!(indexes[..4], [0, 1, 2, 3]);
+        assert!(indexes[4..].iter().all(|&i| i == 4 || i == 5), "{indexes:?}");
+        assert!(rows.len() <= 4 + 2);
+        assert_eq!(rows[4..].iter().map(|t| t.items).sum::<u64>(), report.helped);
+        assert_eq!(combiner_rows(&report).count(), 2);
         assert_eq!(report.spilled_per_mapper.len(), 4);
-        let emitted: u64 = report.emitted_per_mapper.iter().sum();
+        assert_eq!(report.spilled_per_mapper.iter().sum::<u64>(), report.spilled);
+        let emitted = emitted(&report);
         assert_eq!(emitted, 40_000, "every input element emits once");
         assert_eq!(out.stats.emitted, emitted);
         assert_eq!(folded(&report), emitted, "conservation: all pairs folded, by either route");
-        assert!(report.back_pressure() >= 0.0);
-        assert_eq!(report.plan.num_mappers(), 4);
+        assert_eq!(report.consumed, emitted);
+        assert_eq!(report.plan.expect("a decoupled run has a plan").num_mappers(), 4);
     }
 
     /// Opaque busy-work whose loop the optimizer cannot elide; used to give
@@ -1217,8 +1067,10 @@ mod tests {
         let job = Synthetic { map_work: 40, combine_work: 40 };
         let (_, report) = run_once(cfg, &job, &input).unwrap();
         let slack = Duration::from_millis(2);
-        let (mappers, helpers) = report.mapper_telemetry.split_at(4);
-        for t in mappers.iter().chain(&report.combiner_telemetry) {
+        let (mappers, rest) = report.threads.split_at(4);
+        let helpers: Vec<&ThreadTelemetry> =
+            rest.iter().filter(|t| t.role == ThreadRole::Mapper).collect();
+        for t in mappers.iter().chain(combiner_rows(&report)) {
             assert!(t.wall > Duration::ZERO, "telemetry on: wall must be recorded for {t:?}");
             let help = helpers
                 .iter()
@@ -1244,8 +1096,8 @@ mod tests {
             );
         }
         // Every combiner batch lands in the occupancy histogram.
-        let batches: u64 = report.combiner_telemetry.iter().map(|t| t.batches).sum();
-        let recorded: u64 = report.combiner_telemetry.iter().map(|t| t.occupancy.total()).sum();
+        let batches: u64 = combiner_rows(&report).map(|t| t.batches).sum();
+        let recorded: u64 = combiner_rows(&report).map(|t| t.occupancy.total()).sum();
         assert!(batches > 0, "combiners must have consumed batched reads");
         assert_eq!(recorded, batches);
     }
@@ -1265,13 +1117,13 @@ mod tests {
         cfg.batch_size = 64;
         let run = |job: &Synthetic| {
             let (_, report) = run_once(cfg.clone(), job, &input).unwrap();
-            let ratio = report.suggested_ratio().expect("telemetry on: ratio must be derivable");
+            let ratio = report.suggested_ratio.expect("telemetry on: ratio must be derivable");
             (ratio, report)
         };
         let (light_combine, _) = run(&Synthetic { map_work: 150, combine_work: 0 });
         let (heavy_combine, heavy) = run(&Synthetic { map_work: 0, combine_work: 150 });
         assert!(heavy.spilled_per_mapper.iter().sum::<u64>() > 0, "{heavy:?}");
-        assert!(heavy.mapper_telemetry.iter().any(|t| !t.spill.is_zero()), "{heavy:?}");
+        assert!(mapper_rows(&heavy).any(|t| !t.spill.is_zero()), "{heavy:?}");
         assert_eq!(heavy_combine, 1, "combine slower than map clamps to the 1:1 floor: {heavy:?}");
         assert!(
             light_combine > heavy_combine,
@@ -1287,16 +1139,17 @@ mod tests {
         cfg.telemetry = false;
         let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
-        let emitted: u64 = report.emitted_per_mapper.iter().sum();
+        let emitted = emitted(&report);
         assert_eq!(emitted, 20_000);
         assert_eq!(folded(&report), emitted);
-        for t in report.mapper_telemetry.iter().chain(&report.combiner_telemetry) {
+        for t in &report.threads {
             assert_eq!(t.busy, Duration::ZERO);
             assert_eq!(t.stalled, Duration::ZERO);
             assert_eq!(t.wall, Duration::ZERO);
         }
-        assert_eq!(report.map_throughput(), None);
-        assert_eq!(report.suggested_ratio(), None);
+        let mappers: Vec<ThreadTelemetry> = mapper_rows(&report).cloned().collect();
+        assert_eq!(pool_throughput(&mappers), None);
+        assert_eq!(report.suggested_ratio, None);
     }
 
     #[test]
@@ -1336,35 +1189,6 @@ mod tests {
     }
 
     #[test]
-    fn combiner_imbalance_flags_starved_combiner_as_infinite() {
-        // Regression: a starved combiner (min == 0 while max > 0) used to
-        // return None — indistinguishable from "no data", hiding exactly
-        // the skew the metric exists to flag.
-        let plan =
-            PlacementPlan::compute(&MachineModel::fig3_demo(), 2, 2, config(2, 2).pinning.into())
-                .unwrap();
-        let mk = |consumed: Vec<u64>| RunReport {
-            plan: plan.clone(),
-            emitted_per_mapper: vec![consumed.iter().sum()],
-            full_events_per_mapper: vec![0],
-            consumed_per_combiner: consumed,
-            helped_per_combiner: Vec::new(),
-            spilled_per_mapper: Vec::new(),
-            mapper_telemetry: Vec::new(),
-            combiner_telemetry: Vec::new(),
-            faults: FaultMetrics::default(),
-        };
-        // 1-combiner-starved placement: all pairs drained by combiner 0.
-        assert_eq!(mk(vec![5000, 0]).combiner_imbalance(), Some(f64::INFINITY));
-        assert_eq!(mk(vec![0, 5000, 400]).combiner_imbalance(), Some(f64::INFINITY));
-        // `None` is reserved for nothing-to-compare reports.
-        assert_eq!(mk(vec![]).combiner_imbalance(), None);
-        assert_eq!(mk(vec![0, 0]).combiner_imbalance(), None);
-        // Healthy reports keep the finite ratio.
-        assert_eq!(mk(vec![200, 100]).combiner_imbalance(), Some(2.0));
-    }
-
-    #[test]
     fn spill_folds_count_as_combine_work_in_the_ratio() {
         // Map runs at 100 k pairs/s, combine at 400 k: one combiner keeps
         // up with four mappers. The mapper mapped 10 000 pairs in 100 ms and
@@ -1383,26 +1207,15 @@ mod tests {
             batches: 0,
             occupancy: Default::default(),
         };
-        let report = RunReport {
-            plan: PlacementPlan::compute(
-                &MachineModel::fig3_demo(),
-                1,
-                1,
-                config(1, 1).pinning.into(),
-            )
-            .unwrap(),
-            emitted_per_mapper: vec![10_000],
-            full_events_per_mapper: vec![6],
-            consumed_per_combiner: vec![4_000],
-            helped_per_combiner: vec![0],
-            spilled_per_mapper: vec![6_000],
-            mapper_telemetry: vec![thread(ThreadRole::Mapper, 115, 15, 10_000)],
-            combiner_telemetry: vec![thread(ThreadRole::Combiner, 10, 0, 4_000)],
-            faults: FaultMetrics::default(),
-        };
-        assert!((report.map_throughput().unwrap() - 100_000.0).abs() < 1e-6);
-        assert!((report.combine_throughput().unwrap() - 400_000.0).abs() < 1e-6);
-        assert_eq!(report.suggested_ratio(), Some(4));
+        let threads = [
+            thread(ThreadRole::Mapper, 115, 15, 10_000),
+            thread(ThreadRole::Combiner, 10, 0, 4_000),
+        ];
+        let map = pool_throughput(&threads[..1]).unwrap();
+        let combine = combine_throughput(&threads, 6_000).unwrap();
+        assert!((map - 100_000.0).abs() < 1e-6);
+        assert!((combine - 400_000.0).abs() < 1e-6);
+        assert_eq!(ramr_telemetry::suggested_ratio(map, combine), 4);
     }
 
     #[test]
@@ -1412,17 +1225,17 @@ mod tests {
         cfg.queue_capacity = 2;
         cfg.batch_size = 2;
         let (_, report) = run_once(cfg, &Mod9, &input).unwrap();
-        assert!(report.back_pressure() > 0.0, "2-slot queues must report back-pressure");
-        if let Some(imbalance) = report.combiner_imbalance() {
-            assert!(imbalance >= 1.0);
-        }
+        // Each mapper row counts the flushes that found its combiner behind.
+        let full_events: u64 = mapper_rows(&report).map(|t| t.stall_events).sum();
+        assert!(full_events > 0, "2-slot queues must report back-pressure");
     }
 
     #[test]
     fn agrees_with_phoenix_baseline() {
         let input: Vec<u64> = (0..30_000).map(|i| i * 7 % 10_000).collect();
         let ramr_out = run_once(config(4, 2), &Mod9, &input).unwrap().0;
-        let phoenix = RamrSession::phoenix(config(4, 4)).unwrap().submit(&Mod9, &input).unwrap();
+        let phoenix = Backend::Phoenix.session(config(4, 4)).unwrap().submit(&Mod9, &input);
+        let phoenix = phoenix.unwrap().output;
         assert_eq!(ramr_out.pairs, reference(&input));
         assert_eq!(phoenix.pairs, reference(&input));
     }
@@ -1430,7 +1243,7 @@ mod tests {
     #[test]
     fn static_run_records_no_adaptation() {
         let input: Vec<u64> = (0..5000).collect();
-        let engine = crate::Backend::RamrStatic.engine(config(4, 2)).unwrap();
+        let engine = Backend::RamrStatic.engine(config(4, 2)).unwrap();
         let report = crate::Engine::submit(&engine, &Mod9, &input).unwrap().report;
         assert!(report.adaptation.is_empty(), "no controller, no trace");
     }
@@ -1683,7 +1496,7 @@ mod tests {
         job: &J,
         input: &[J::Input],
     ) -> Result<crate::EngineOutcome<J>, RuntimeError> {
-        crate::Backend::Phoenix.session::<J>(cfg)?.submit(job, input)
+        Backend::Phoenix.session::<J>(cfg)?.submit(job, input)
     }
 
     #[test]

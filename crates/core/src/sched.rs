@@ -72,7 +72,8 @@ use std::time::{Duration, Instant};
 
 use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError, SchedPolicyKind};
 
-use crate::engine::{Backend, EngineReport, EngineSession};
+use crate::engine::{Backend, EngineReport};
+use crate::session::EngineSession;
 
 /// One stride unit: a tenant's pass advances by `STRIDE_ONE / weight` per
 /// dispatched job, so a weight-3 tenant accumulates pass a third as fast —

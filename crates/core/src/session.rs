@@ -3,7 +3,7 @@
 //!
 //! Spawning and pinning the pool threads and allocating every SPSC queue is
 //! a fixed bill; for many short jobs back to back it dominates.
-//! [`RamrSession`] pays it once: workers are spawned (and pinned, via the
+//! [`EngineSession`] pays it once: workers are spawned (and pinned, via the
 //! `ramr-topology` placement plan) at construction, park on a condvar
 //! between jobs, and the SPSC queues are *reset* (re-armed via
 //! [`Producer::finish`]/[`Consumer::reopen`]) rather than reallocated. A
@@ -26,15 +26,21 @@
 //! # Phoenix sessions
 //!
 //! The Phoenix++ baseline is this session with no combiners
-//! ([`RamrSession::phoenix`], DESIGN §6r): `num_workers` mappers without a
+//! ([`Backend::Phoenix`], DESIGN §6r): `num_workers` mappers without a
 //! queue, each running the combiners' [`fold_loop`] over no read-ends, so
 //! it folds what it maps into its own kept container; `num_workers − 1` of
 //! them are pooled as `ramr-worker-N`. Epochs, caller-runs, fault handling,
 //! error precedence, reports, reduce and merge are the ones described here.
 //!
+//! # Reports
+//!
+//! `submit` assembles the job's [`EngineReport`] from the epoch's telemetry
+//! cells — the per-thread rows, the pairs each route folded — and returns
+//! it with the output: a job leaves nothing else behind.
+//!
 //! # Epoch protocol
 //!
-//! Each [`submit`](RamrSession::submit) is one *epoch*, identified by a
+//! Each [`submit`](EngineSession::submit) is one *epoch*, identified by a
 //! monotonically increasing generation counter:
 //!
 //! 1. The coordinator (the thread calling `submit`) builds a [`JobFrame`] on
@@ -72,12 +78,15 @@ use mr_core::{
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::KeptContainer;
 use ramr_spsc::{Consumer, SpscQueue};
-use ramr_telemetry::{FaultLog, ProgressBoard, TelemetryCell, ThreadRole, ThreadTelemetry};
+use ramr_telemetry::{
+    combine_throughput, pool_throughput, FaultLog, ProgressBoard, TelemetryCell, ThreadRole,
+};
 use ramr_topology::{thrid_to_cpu, CpuSlot, MachineModel, PlacementPlan};
 
+use crate::engine::{Backend, EngineOutcome, EngineReport};
 use crate::runtime::{
     fold_loop, mapper_loop, maybe_pin, thread_labels, watchdog_loop, CallerPin, ErrorSlot,
-    FaultCtx, HashedPair, PairConsumer, PairProducer, ReportedOutput, RunReport,
+    FaultCtx, HashedPair, PairConsumer, PairProducer,
 };
 
 /// Everything one job (epoch) shares with the parked worker pools. Lives on
@@ -247,11 +256,12 @@ fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
     rx.reopen();
 }
 
-/// A persistent RAMR executor: the paper's decoupled mapper/combiner pools
-/// (§III, Fig 2), spawned once and reused for a stream of jobs.
+/// A persistent executor for any [`Backend`]: the paper's decoupled
+/// mapper/combiner pools (§III, Fig 2), or Phoenix workers that fold what
+/// they map, spawned once and reused for a stream of jobs.
 ///
-/// Construct with [`RamrSession::new`], then call
-/// [`submit`](RamrSession::submit) any number of times. Each submit runs one
+/// Open one with [`Backend::session`], then call
+/// [`submit`](EngineSession::submit) any number of times. Each submit runs one
 /// job to completion (including retries, poison skipping and the watchdog)
 /// without re-spawning threads or reallocating queues. Worker threads are
 /// joined on drop.
@@ -270,7 +280,7 @@ fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
 ///
 /// ```
 /// use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
-/// use ramr::RamrSession;
+/// use ramr::Backend;
 ///
 /// struct Count;
 /// impl MapReduceJob for Count {
@@ -300,16 +310,20 @@ fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
 ///     .queue_capacity(64)
 ///     .batch_size(8)
 ///     .build()?;
-/// let mut session = RamrSession::new(config)?;
+/// let mut session = Backend::RamrStatic.session(config)?;
 /// for scale in [30u64, 60, 90] {
 ///     let input: Vec<u64> = (0..scale).collect();
-///     let out = session.submit(&Count, &input)?;
-///     assert_eq!(out.pairs.iter().map(|&(_, v)| v).sum::<u64>(), scale);
+///     let outcome = session.submit(&Count, &input)?;
+///     assert_eq!(outcome.output.pairs.iter().map(|&(_, v)| v).sum::<u64>(), scale);
+///     assert_eq!(outcome.report.consumed, scale);
 /// }
 /// assert_eq!(session.jobs_run(), 3);
 /// # Ok::<(), mr_core::RuntimeError>(())
 /// ```
-pub struct RamrSession<J: MapReduceJob + 'static> {
+pub struct EngineSession<J: MapReduceJob + 'static> {
+    /// Resolved once at construction: the report tag can never drift from
+    /// the session that produced it.
+    backend: Backend,
     shared: Arc<SessionShared<J>>,
     handles: Vec<JoinHandle<()>>,
     plan: PlacementPlan,
@@ -321,9 +335,10 @@ pub struct RamrSession<J: MapReduceJob + 'static> {
     jobs_run: u64,
 }
 
-impl<J: MapReduceJob + 'static> std::fmt::Debug for RamrSession<J> {
+impl<J: MapReduceJob + 'static> std::fmt::Debug for EngineSession<J> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RamrSession")
+        f.debug_struct("EngineSession")
+            .field("backend", &self.backend)
             .field("config", &self.shared.config)
             .field("machine", &self.machine.name)
             .field("workers", &self.handles.len())
@@ -332,8 +347,15 @@ impl<J: MapReduceJob + 'static> std::fmt::Debug for RamrSession<J> {
     }
 }
 
-impl<J: MapReduceJob + 'static> RamrSession<J> {
-    /// Spawns the worker pools against a model of the host machine.
+impl<J: MapReduceJob + 'static> EngineSession<J> {
+    /// Spawns the pools for `backend`, with thread placement computed
+    /// against `machine`: decoupled mappers and combiners, or, for
+    /// [`Backend::Phoenix`], `num_workers` workers that each fold what they
+    /// map into their own container and no combiner pool, so no queue
+    /// either (`num_combiners` is validated and ignored; DESIGN §6r). Real
+    /// pinning (when `config.pin_os_threads` is set) only succeeds for CPU
+    /// ids that exist on the actual host; others are skipped with the thread
+    /// left unpinned.
     ///
     /// # Errors
     ///
@@ -341,47 +363,13 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     /// settings, propagates placement failures, and returns
     /// [`RuntimeError::Spawn`] when a worker thread cannot be spawned
     /// (already-spawned workers are torn down first).
-    pub fn new(config: RuntimeConfig) -> Result<Self, RuntimeError> {
-        Self::with_machine(config, MachineModel::host())
-    }
-
-    /// Spawns the worker pools with thread placement computed against
-    /// `machine` — useful for inspecting the pinning policy on machines you
-    /// do not have. Real pinning (when `config.pin_os_threads` is set) only
-    /// succeeds for CPU ids that exist on the actual host; others are
-    /// skipped with the thread left unpinned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for inconsistent knob
-    /// settings, propagates placement failures, and returns
-    /// [`RuntimeError::Spawn`] when a worker thread cannot be spawned
-    /// (already-spawned workers are torn down first).
-    pub fn with_machine(
+    pub(crate) fn open(
+        backend: Backend,
         config: RuntimeConfig,
         machine: MachineModel,
-    ) -> Result<Self, RuntimeError> {
-        Self::open(config, machine, true)
-    }
-
-    /// Opens a Phoenix++ session (DESIGN §6r): `num_workers` workers that
-    /// each fold what they map into their own container, and no combiner
-    /// pool, so no queue either. `num_combiners` is validated and ignored.
-    /// Everything else — caller-runs, fault handling, kept containers,
-    /// reduce and merge — is this session's. Only
-    /// [`Backend::Phoenix`](crate::Backend::Phoenix) opens one.
-    pub(crate) fn phoenix(config: RuntimeConfig) -> Result<Self, RuntimeError> {
-        Self::open(config, MachineModel::host(), false)
-    }
-
-    /// Spawns the pools: decoupled mappers and combiners, or, without
-    /// `combiners`, Phoenix workers.
-    fn open(
-        config: RuntimeConfig,
-        machine: MachineModel,
-        decoupled: bool,
     ) -> Result<Self, RuntimeError> {
         config.validate()?;
+        let decoupled = backend != Backend::Phoenix;
         let plan = PlacementPlan::compute(
             &machine,
             config.num_workers,
@@ -537,7 +525,12 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             }
             return Err(e);
         }
-        Ok(Self { shared, handles, plan, machine, labels, caller, jobs_run: 0 })
+        Ok(Self { backend, shared, handles, plan, machine, labels, caller, jobs_run: 0 })
+    }
+
+    /// Which backend this session executes on.
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
     /// The session's configuration.
@@ -546,7 +539,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// The machine model used for placement.
-    pub fn machine(&self) -> &MachineModel {
+    #[cfg(test)]
+    pub(crate) fn machine(&self) -> &MachineModel {
         &self.machine
     }
 
@@ -564,21 +558,24 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Executes `job` over `input` on the parked pools, returning the
-    /// key-sorted reduced output.
+    /// key-sorted reduced output with the job's [`EngineReport`] attached.
     ///
-    /// The map-combine phase runs decoupled: `num_workers` mappers feed
-    /// `num_combiners` combiners through SPSC queues, and the calling thread
-    /// is mapper 0 for the phase. Emissions travel in blocks at both ends —
-    /// each mapper buffers `effective_emit_buffer()` pairs locally and
-    /// publishes them with one tail update, and each combiner consumes
-    /// batched reads of `batch_size` elements. Load moves between the pools
-    /// one block or task at a time: a mapper whose combiner is behind folds
-    /// the block itself, and a combiner with nothing to read maps. Reduce and
-    /// merge then run exactly as in the baseline.
+    /// In a decoupled session the map-combine phase runs as the paper's
+    /// pipeline: `num_workers` mappers feed `num_combiners` combiners through
+    /// SPSC queues, and the calling thread is mapper 0 for the phase.
+    /// Emissions travel in blocks at both ends — each mapper buffers
+    /// `effective_emit_buffer()` pairs locally and publishes them with one
+    /// tail update, and each combiner consumes batched reads of `batch_size`
+    /// elements. Load moves between the pools one block or task at a time: a
+    /// mapper whose combiner is behind folds the block itself, and a combiner
+    /// with nothing to read maps. Reduce and merge then run exactly as in the
+    /// baseline.
     ///
-    /// A failed job (worker panic, container overflow, watchdog stall)
-    /// leaves the session usable: the queues are drained and re-armed
-    /// before this returns, and the next submit starts from a fresh frame.
+    /// The report is isolated per job: it never includes a predecessor's
+    /// telemetry or faults. A failed job (worker panic, container overflow,
+    /// watchdog stall) leaves the session usable: the queues are drained and
+    /// re-armed before this returns, and the next submit starts from a fresh
+    /// frame.
     ///
     /// # Errors
     ///
@@ -589,23 +586,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         &mut self,
         job: &J,
         input: &[J::Input],
-    ) -> Result<JobOutput<J::Key, J::Value>, RuntimeError> {
-        self.submit_with_report(job, input).map(|(output, _)| output)
-    }
-
-    /// Like [`submit`](RamrSession::submit), additionally returning the
-    /// job's [`RunReport`] — per-thread statistics and the placement plan —
-    /// isolated per job: a report never includes a predecessor's telemetry
-    /// or faults.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](RamrSession::submit).
-    pub fn submit_with_report(
-        &mut self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<ReportedOutput<J>, RuntimeError> {
+    ) -> Result<EngineOutcome<J>, RuntimeError> {
         let mut stats = PhaseStats::default();
 
         // --- Input partition phase --------------------------------------
@@ -654,33 +635,45 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         }
 
         // --- Report assembly ----------------------------------------------
-        let role = if self.shared.combiners == 0 { ThreadRole::Worker } else { ThreadRole::Mapper };
-        let mut mapper_telemetry: Vec<ThreadTelemetry> =
-            frame.map_cells.iter().enumerate().map(|(m, cell)| cell.snapshot(role, m)).collect();
+        let (workers, combiners) = (config.num_workers, self.shared.combiners);
+        let role = if combiners == 0 { ThreadRole::Worker } else { ThreadRole::Mapper };
+        let mut threads = Vec::with_capacity(workers + 2 * combiners);
+        threads.extend(frame.map_cells.iter().enumerate().map(|(m, cell)| cell.snapshot(role, m)));
         // A combiner that ran map tasks in place is also a mapper row,
         // indexed after the mapper pool; one that never helped is omitted:
         // an all-zero phantom row would skew the per-thread tables.
-        let helped: Vec<ThreadTelemetry> = frame
-            .helper_cells
-            .iter()
-            .enumerate()
-            .map(|(c, cell)| cell.snapshot(ThreadRole::Mapper, config.num_workers + c))
-            .collect();
-        let helped_per_combiner: Vec<u64> = helped.iter().map(|t| t.items).collect();
-        mapper_telemetry.extend(helped.into_iter().filter(|t| t.items > 0 || !t.busy.is_zero()));
-        let combiner_telemetry: Vec<ThreadTelemetry> = frame
-            .combiner_cells
-            .iter()
-            .enumerate()
-            .map(|(c, cell)| cell.snapshot(ThreadRole::Combiner, c))
-            .collect();
-        let emitted_per_mapper: Vec<u64> = mapper_telemetry.iter().map(|t| t.items).collect();
-        let full_events_per_mapper: Vec<u64> =
-            mapper_telemetry.iter().map(|t| t.stall_events).collect();
-        let consumed_per_combiner: Vec<u64> = combiner_telemetry.iter().map(|t| t.items).collect();
-        stats.emitted = emitted_per_mapper.iter().sum();
-        stats.queue_full_events = full_events_per_mapper.iter().sum();
+        let mut helped = 0;
+        for (c, cell) in frame.helper_cells.iter().enumerate() {
+            let row = cell.snapshot(ThreadRole::Mapper, workers + c);
+            helped += row.items;
+            if row.items > 0 || !row.busy.is_zero() {
+                threads.push(row);
+            }
+        }
+        let mapper_rows = threads.len();
+        threads.extend(
+            frame
+                .combiner_cells
+                .iter()
+                .enumerate()
+                .map(|(c, cell)| cell.snapshot(ThreadRole::Combiner, c)),
+        );
+        let (mappers, combiner_rows) = threads.split_at(mapper_rows);
+        stats.emitted = mappers.iter().map(|t| t.items).sum();
+        stats.queue_full_events = mappers.iter().map(|t| t.stall_events).sum();
         timer.stop(&mut stats);
+        let spilled_per_mapper: Vec<u64> =
+            frame.spilled.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+        let spilled = spilled_per_mapper.iter().sum();
+        // A Phoenix worker folds every pair it emits, on the spot.
+        let consumed = if combiners == 0 {
+            stats.emitted
+        } else {
+            combiner_rows.iter().map(|t| t.items).sum::<u64>() + helped + spilled
+        };
+        let suggested_ratio = pool_throughput(mappers)
+            .zip(combine_throughput(&threads, spilled))
+            .map(|(map, combine)| ramr_telemetry::suggested_ratio(map, combine));
 
         let partials = frame.partials.into_inner().unwrap_or_else(PoisonError::into_inner);
 
@@ -696,18 +689,19 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         timer.stop(&mut stats);
 
         stats.output_keys = merged.len() as u64;
-        let report = RunReport {
-            plan: self.plan.clone(),
-            emitted_per_mapper,
-            full_events_per_mapper,
-            consumed_per_combiner,
-            helped_per_combiner,
-            spilled_per_mapper: frame.spilled.iter().map(|n| n.load(Ordering::Relaxed)).collect(),
-            mapper_telemetry,
-            combiner_telemetry,
+        let report = EngineReport {
+            backend: self.backend,
+            threads,
+            consumed,
+            spilled,
+            helped,
+            spilled_per_mapper,
+            suggested_ratio,
+            adaptation: Vec::new(),
             faults: frame.fault_log.snapshot(0, false),
+            plan: (combiners > 0).then(|| self.plan.clone()),
         };
-        Ok((JobOutput::from_sorted(merged, stats), report))
+        Ok(EngineOutcome { output: JobOutput::from_sorted(merged, stats), report })
     }
 
     /// Builds the next epoch's frame: fresh per-job state (telemetry cells,
@@ -742,7 +736,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 }
 
-impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
+impl<J: MapReduceJob + 'static> Drop for EngineSession<J> {
     fn drop(&mut self) {
         relock(self.shared.state.lock()).shutdown = true;
         self.shared.start.notify_all();
@@ -1043,7 +1037,7 @@ mod tests {
             .batch_size(8)
             .build()
             .unwrap();
-        let mut session = RamrSession::<Gated>::new(cfg).unwrap();
+        let mut session = Backend::RamrStatic.session::<Gated>(cfg).unwrap();
         let job = Gated::default();
 
         // The supervisor panics only once a worker is provably inside the
@@ -1068,7 +1062,7 @@ mod tests {
 
         // The same pools serve the next job, exactly.
         job.hold.store(false, Ordering::SeqCst);
-        let out = session.submit(&job, &input).unwrap();
+        let out = session.submit(&job, &input).unwrap().output;
         let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 800)).collect();
         assert_eq!(out.pairs, expected);
     }
@@ -1092,7 +1086,7 @@ mod tests {
                     .batch_size(8)
                     .build()
                     .unwrap();
-                let mut session = RamrSession::<Gated>::new(cfg).unwrap();
+                let mut session = Backend::RamrStatic.session::<Gated>(cfg).unwrap();
                 let job = Gated::default();
                 let tasks = task_ranges(input.len(), session.config().task_size);
                 let frame = session.frame_for(&job, &input, tasks);
@@ -1106,7 +1100,7 @@ mod tests {
                 assert_eq!(*relock(session.shared.busy.lock()), 0, "{case}");
                 drop(frame);
 
-                let out = session.submit(&job, &input).unwrap();
+                let out = session.submit(&job, &input).unwrap().output;
                 let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 800)).collect();
                 assert_eq!(out.pairs, expected, "{case}");
             }

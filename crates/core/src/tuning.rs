@@ -11,8 +11,10 @@
 //!   pairs into a real container) and [`Calibration::suggest`] converts them
 //!   into pool sizes (with combiner head-room) plus an L1-share-derived
 //!   batch size.
-//! * **After the run** — `RunReport::suggested_ratio` re-derives the paper's
-//!   criterion from whole-run telemetry.
+//! * **After the run** — [`EngineReport::suggested_ratio`] re-derives the
+//!   paper's criterion from whole-run telemetry.
+//!
+//! [`EngineReport::suggested_ratio`]: crate::EngineReport::suggested_ratio
 //!
 //! During the run nothing is re-tuned: a mapper whose combiner is behind
 //! folds its blocks itself, and a combiner with nothing to read maps, so
@@ -353,7 +355,8 @@ mod tests {
         let input = sample();
         let calibration = calibrate(&Light, &input[..5000], &base).unwrap();
         let tuned = calibration.suggest(base).unwrap();
-        let out = crate::RamrSession::new(tuned).unwrap().submit(&Light, &input).unwrap();
+        let mut session = crate::Backend::RamrStatic.session(tuned).unwrap();
+        let out = session.submit(&Light, &input).unwrap().output;
         assert_eq!(out.len(), 16);
         assert_eq!(out.iter().map(|(_, v)| v).sum::<u64>(), input.len() as u64);
     }

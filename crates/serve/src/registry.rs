@@ -22,7 +22,6 @@ use mr_apps::{AppKind, Histogram, KmeansState, LinearRegression, WordCount};
 use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
 use ramr::{Backend, JobScheduler, SchedError, ShedReason, TenantStats};
 use ramr_telemetry::json::{self, Value};
-use ramr_telemetry::report::MetricsReport;
 
 /// Apps a server will run, in wire-name order: the four single-pass
 /// Table I applications (PCA and MM need multi-pass/matrix-task
@@ -132,35 +131,11 @@ pub fn digest64(text: &str) -> String {
     format!("{hash:016x}")
 }
 
-/// Builds the same [`MetricsReport`] the CLI writes for `--metrics-json`,
-/// from a completed scheduled job.
-fn metrics_report<J: MapReduceJob>(
-    app: &str,
-    backend: Backend,
-    config: &RuntimeConfig,
-    done: &ramr::CompletedJob<J>,
-) -> MetricsReport {
-    let stats = &done.output.stats;
-    let ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    MetricsReport {
-        app: app.to_string(),
-        runtime: backend.as_str().to_string(),
-        workers: config.num_workers as u64,
-        combiners: config.num_combiners as u64,
-        batch_size: config.batch_size as u64,
-        emit_buffer: config.effective_emit_buffer() as u64,
-        queue_capacity: config.queue_capacity as u64,
-        phase_ns: [ns(stats.partition), ns(stats.map_combine), ns(stats.reduce), ns(stats.merge)],
-        emitted: stats.emitted,
-        consumed: done.report.consumed,
-        spilled: done.report.spilled,
-        threads: done.report.threads.clone(),
-        faults: done.report.faults.clone(),
-    }
-}
-
 /// Renders a completed job into its wire outcome; shared by the server's
-/// waiter threads and the differential tests' in-process baseline.
+/// waiter threads and the differential tests' in-process baseline. The
+/// metrics are [`EngineReport::metrics`](ramr::EngineReport::metrics), the
+/// same report `ramr run --metrics-json` writes; `backend` is the one `done`
+/// ran on, which its report already names.
 pub fn outcome_of<J: MapReduceJob>(
     app: &str,
     backend: Backend,
@@ -168,8 +143,9 @@ pub fn outcome_of<J: MapReduceJob>(
     done: &ramr::CompletedJob<J>,
     echo: bool,
 ) -> JobOutcome {
+    debug_assert_eq!(backend, done.report.backend, "a report names the backend it ran on");
     let rendered = render_pairs(&done.output.pairs);
-    let metrics = json::parse(&metrics_report(app, backend, config, done).to_json())
+    let metrics = json::parse(&done.report.metrics(app, config, &done.output.stats).to_json())
         .expect("MetricsReport::to_json emits valid JSON");
     JobOutcome {
         keys: done.output.pairs.len() as u64,

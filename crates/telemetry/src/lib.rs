@@ -17,7 +17,8 @@
 //! * [`ThreadTelemetry`] — the snapshot the runtime hands back per thread,
 //!   with derived fractions and per-thread throughput.
 //! * [`suggested_ratio`] — the paper's throughput criterion: how many
-//!   mappers one combiner can keep up with.
+//!   mappers one combiner can keep up with, from the mapper rows'
+//!   [`pool_throughput`] and the run's [`combine_throughput`].
 //! * [`MetricsReport`] (in [`report`]) — a serializable whole-run dump with
 //!   a JSON round-trip (see [`json`] for why the JSON layer is in-tree).
 //!
@@ -240,6 +241,19 @@ pub fn pool_throughput(threads: &[ThreadTelemetry]) -> Option<f64> {
     } else {
         None
     }
+}
+
+/// Aggregate combine throughput over one run's rows: the pairs the
+/// combiner rows read plus the `spilled` pairs mappers folded themselves,
+/// over the combiner rows' busy time plus every row's
+/// [`spill`](ThreadTelemetry::spill) time — a spill fold is combine work
+/// wherever it runs. `None` when no such time was recorded.
+pub fn combine_throughput(threads: &[ThreadTelemetry], spilled: u64) -> Option<f64> {
+    let combiners = threads.iter().filter(|t| t.role == ThreadRole::Combiner);
+    let spill: Duration = threads.iter().map(|t| t.spill).sum();
+    let busy = combiners.clone().map(|t| t.busy).sum::<Duration>() + spill;
+    let items = combiners.map(|t| t.items).sum::<u64>() + spilled;
+    (!busy.is_zero()).then(|| items as f64 / busy.as_secs_f64())
 }
 
 /// The paper's throughput criterion for the mapper:combiner ratio: one

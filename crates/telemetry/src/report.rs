@@ -5,7 +5,10 @@ use std::time::Duration;
 
 use crate::faults::{FaultMetrics, SkippedTask};
 use crate::json::{self, Value};
-use crate::{pool_throughput, BatchHistogram, ThreadRole, ThreadTelemetry, OCCUPANCY_BUCKETS};
+use crate::{
+    combine_throughput, pool_throughput, BatchHistogram, ThreadRole, ThreadTelemetry,
+    OCCUPANCY_BUCKETS,
+};
 
 /// Everything a tuning session needs from one run, in one flat structure:
 /// the configuration knobs that shaped it, the phase wall-clocks, the
@@ -33,14 +36,19 @@ pub struct MetricsReport {
     pub phase_ns: [u64; 4],
     /// Total pairs emitted by the mapper side.
     pub emitted: u64,
-    /// Total pairs folded into containers: consumed by the combiner side,
-    /// plus what mappers folded themselves ([`spilled`](Self::spilled)).
+    /// Total pairs folded into containers: read from a queue by the combiner
+    /// side, plus what combiners mapped in place ([`helped`](Self::helped))
+    /// and what mappers folded themselves ([`spilled`](Self::spilled)).
     /// Equals [`emitted`](Self::emitted) on every run that returns.
     pub consumed: u64,
     /// The part of [`consumed`](Self::consumed) mappers folded themselves
     /// instead of queueing them for a combiner that was behind. Reports
     /// written before mappers could spill parse as zero.
     pub spilled: u64,
+    /// The part of [`consumed`](Self::consumed) combiners emitted in place,
+    /// from map tasks they ran while they had nothing to read. Reports
+    /// written before this count was recorded parse as zero.
+    pub helped: u64,
     /// Per-thread telemetry, mappers first, then combiners (or baseline
     /// workers).
     pub threads: Vec<ThreadTelemetry>,
@@ -57,16 +65,11 @@ impl MetricsReport {
         pool_throughput(&self.role_threads(ThreadRole::Mapper))
     }
 
-    /// Aggregate combine throughput (pairs per busy second): the combiner
-    /// pool's, with the [`spilled`](Self::spilled) pairs and the mappers'
-    /// [`spill`](ThreadTelemetry::spill) time counted in — a spill fold is
-    /// combine work wherever it runs.
+    /// Aggregate combine throughput (pairs per busy second), the
+    /// [`spilled`](Self::spilled) pairs counted in; see
+    /// [`combine_throughput`].
     pub fn combine_throughput(&self) -> Option<f64> {
-        let spill: Duration = self.role_threads(ThreadRole::Mapper).iter().map(|t| t.spill).sum();
-        let combiners = self.role_threads(ThreadRole::Combiner);
-        let busy = combiners.iter().map(|t| t.busy).sum::<Duration>() + spill;
-        let items = combiners.iter().map(|t| t.items).sum::<u64>() + self.spilled;
-        (!busy.is_zero()).then(|| items as f64 / busy.as_secs_f64())
+        combine_throughput(&self.threads, self.spilled)
     }
 
     /// The paper's throughput-driven mapper:combiner ratio suggestion;
@@ -98,6 +101,7 @@ impl MetricsReport {
         obj.insert("emitted".into(), num(self.emitted));
         obj.insert("consumed".into(), num(self.consumed));
         obj.insert("spilled".into(), num(self.spilled));
+        obj.insert("helped".into(), num(self.helped));
         obj.insert("threads".into(), Value::Arr(self.threads.iter().map(thread_json).collect()));
         obj.insert("faults".into(), faults_json(&self.faults));
         // Derived values are included for human readers / external tools;
@@ -134,10 +138,11 @@ impl MetricsReport {
             .iter()
             .map(thread_from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        // Reports predating spilling mappers have no spilled count: zero.
-        let spilled = match root.get("spilled") {
-            Some(_) => field_u64(&root, "spilled")?,
-            None => 0,
+        // Reports predating spilling mappers or helping combiners have no
+        // count of those routes: zero.
+        let optional = |key| match root.get(key) {
+            Some(_) => field_u64(&root, key),
+            None => Ok(0),
         };
         // Reports predating fault tolerance have no faults section: clean.
         let faults = match root.get("faults") {
@@ -155,7 +160,8 @@ impl MetricsReport {
             phase_ns,
             emitted: field_u64(&root, "emitted")?,
             consumed: field_u64(&root, "consumed")?,
-            spilled,
+            spilled: optional("spilled")?,
+            helped: optional("helped")?,
             threads,
             faults,
         })
@@ -351,6 +357,7 @@ mod tests {
             emitted: 30_000,
             consumed: 30_000,
             spilled: 1_200,
+            helped: 0,
             threads: vec![
                 thread(ThreadRole::Mapper, 0, 40, 15_000),
                 // Mapper 1 folded the 1 200 spilled pairs itself, in 10 ms.
@@ -370,6 +377,11 @@ mod tests {
         let text = report.to_json();
         let back = MetricsReport::from_json(&text).expect("round trip");
         assert_eq!(back, report);
+        // Every route count survives, the in-place one too.
+        let helping = MetricsReport { helped: 700, ..sample() };
+        let text = helping.to_json();
+        assert!(text.contains("\"helped\":700"), "{text}");
+        assert_eq!(MetricsReport::from_json(&text).expect("round trip"), helping);
     }
 
     #[test]
@@ -442,6 +454,15 @@ mod tests {
         let text = report.to_json();
         let legacy = text.replacen("\"spilled\":0,", "", 1);
         assert_ne!(legacy, text, "the spilled count should have been stripped");
+        assert_eq!(MetricsReport::from_json(&legacy).expect("legacy dump parses"), report);
+    }
+
+    #[test]
+    fn reports_without_a_helped_count_parse_as_zero() {
+        let report = sample();
+        let text = report.to_json();
+        let legacy = text.replacen("\"helped\":0,", "", 1);
+        assert_ne!(legacy, text, "the helped count should have been stripped");
         assert_eq!(MetricsReport::from_json(&legacy).expect("legacy dump parses"), report);
     }
 

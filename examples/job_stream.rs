@@ -1,20 +1,21 @@
 //! Job streams: run many jobs on one persistent session instead of
 //! opening a fresh one per job.
 //!
-//! `RamrSession` spawns and pins the mapper/combiner pools once; each
+//! `EngineSession` spawns and pins the mapper/combiner pools once; each
 //! `submit` wakes the parked workers, runs one job over the reused SPSC
 //! queues, and parks them again. For streams of short jobs this removes
 //! the per-job thread-spawn and allocation cost (`cold_submit_us` vs
-//! `session_epoch_us` in `ramr-benchmark` is the measured gap). The
-//! same stream also runs unchanged on any backend through the unified
-//! [`Backend`]/[`Engine`] front door.
+//! `session_epoch_us` in `ramr-benchmark` is the measured gap). Every
+//! submit returns the job's output with its `EngineReport` attached — per
+//! thread rows, and the pairs each route folded — and the same stream runs
+//! unchanged on every backend.
 //!
 //! ```sh
 //! cargo run -p ramr --example job_stream
 //! ```
 
 use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
-use ramr::{Backend, RamrSession};
+use ramr::Backend;
 
 /// Counts how often each digit appears as the last digit of the inputs.
 struct LastDigit;
@@ -59,25 +60,26 @@ fn main() -> Result<(), mr_core::RuntimeError> {
     // One session, many jobs: the pools spawn here and park between
     // submits. Each batch below is a separate job with its own output,
     // telemetry and fault records.
-    let mut session = RamrSession::<LastDigit>::new(config.clone())?;
+    let mut session = Backend::RamrStatic.session::<LastDigit>(config.clone())?;
     println!("streaming 8 jobs through one persistent session:");
     for batch in 0..8u64 {
         let input: Vec<u64> =
             (batch * 100_000..(batch + 1) * 100_000).map(|i| i * 2654435761 % 1_000_003).collect();
-        let output = session.submit(&LastDigit, &input)?;
+        let (output, report) = session.submit(&LastDigit, &input)?.into_parts();
         let busiest = output.iter().max_by_key(|(_, count)| *count);
         println!(
-            "  job {batch}: {} keys, {} pairs emitted, busiest digit {:?}",
+            "  job {batch}: {} keys, {} pairs emitted ({} helped, {} spilled), busiest digit {:?}",
             output.len(),
             output.stats.emitted,
+            report.helped,
+            report.spilled,
             busiest.map(|(digit, count)| (*digit, *count)),
         );
     }
     println!("jobs run on the pooled workers: {}", session.jobs_run());
 
-    // The same submission loop works on every backend: `session()` gives
-    // the pooled RAMR executor where the backend supports it, and a
-    // spawn-per-job shim otherwise — output is identical either way.
+    // The same submission loop works on every backend: a Phoenix session
+    // is the same executor with no combiners — output is identical.
     let input: Vec<u64> = (0..100_000).map(|i| i * 2654435761 % 1_000_003).collect();
     for backend in Backend::ALL {
         let mut session = backend.session::<LastDigit>(config.clone())?;

@@ -20,7 +20,7 @@ use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
-use ramr::RamrSession;
+use ramr::Backend;
 use ramr_topology::CpuSlot;
 
 const KEYS: u64 = 16;
@@ -179,14 +179,14 @@ fn a_static_session_maps_on_the_submitter_and_pools_one_thread_fewer() {
     let _serial = serial();
     let input = input();
     assert!(input.len().div_ceil(TASK) >= 8);
-    let mut session = RamrSession::<Probe>::new(config()).unwrap();
+    let mut session = Backend::RamrStatic.session::<Probe>(config()).unwrap();
     // Mapper 0 is the submitter's: only the combiner is pooled.
     if let Some(seen) = pool_threads_settling_to(1) {
         assert_eq!(seen, 1, "pool threads of a 1 + 1 session");
     }
     for _ in 0..3 {
         let job = Probe::new(Fault::None, true);
-        let out = session.submit(&job, &input).unwrap();
+        let out = session.submit(&job, &input).unwrap().output;
         assert_eq!(out.pairs, oracle(&input));
         let on_submitter = job.on_submitter.load(Ordering::SeqCst);
         let calls = on_submitter + job.elsewhere.load(Ordering::SeqCst);
@@ -207,7 +207,7 @@ fn the_submitter_as_the_failing_side_leaves_the_session_exact() {
         let mut cfg = config();
         cfg.container = kind;
         cfg.watchdog = Some(Duration::from_millis(200));
-        let mut session = RamrSession::<Probe>::new(cfg).unwrap();
+        let mut session = Backend::RamrStatic.session::<Probe>(cfg).unwrap();
         for fault in [Fault::Panic, Fault::Hang, Fault::Panic] {
             let job = Probe::new(fault, true);
             let err = session.submit(&job, &input).unwrap_err();
@@ -223,7 +223,7 @@ fn the_submitter_as_the_failing_side_leaves_the_session_exact() {
             assert!(job.on_submitter.load(Ordering::SeqCst) > 0, "{kind}: the fault ran");
 
             let healthy = Probe::new(Fault::None, true);
-            let out = session.submit(&healthy, &input).unwrap();
+            let out = session.submit(&healthy, &input).unwrap().output;
             assert_eq!(out.pairs, oracle(&input), "{kind}, after {fault:?} on the submitter");
         }
     }
@@ -238,7 +238,7 @@ fn a_pinned_submitter_maps_on_mapper_0s_cpu_and_gets_its_mask_back() {
     };
     let mut cfg = config();
     cfg.pin_os_threads = true;
-    let mut session = RamrSession::<Probe>::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session::<Probe>(cfg).unwrap();
     let CpuSlot::Pinned(cpu) = session.placement().mapper_slot(0) else {
         eprintln!("skipped: the placement leaves mapper 0 unpinned");
         return;
@@ -262,7 +262,7 @@ fn a_pinned_submitter_maps_on_mapper_0s_cpu_and_gets_its_mask_back() {
         let job = Probe::new(fault, true);
         let result = session.submit(&job, &input);
         match fault {
-            Fault::None => assert_eq!(result.unwrap().pairs, oracle(&input)),
+            Fault::None => assert_eq!(result.unwrap().output.pairs, oracle(&input)),
             _ => assert!(matches!(result, Err(RuntimeError::WorkerPanic(_))), "{fault:?}"),
         }
         let seen = job.submitter_cpus.lock().unwrap().clone();

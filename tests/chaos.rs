@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use mr_apps::{WordCount, WordCountString};
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
-use ramr::{Backend, Engine, JobScheduler, RamrSession, SchedError};
+use ramr::{Backend, Engine, JobScheduler, SchedError};
 use ramr_containers::CompactKey;
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 
@@ -524,9 +524,10 @@ fn a_poison_task_on_a_helping_combiner_is_accounted_like_one_on_a_mapper() {
                     Victim::Submitter(thread::current().id())
                 };
                 let job = FaultOnRole::new(victim, RoleFault::Panic(fail_attempts), attempts);
-                let mut session = RamrSession::new(one_to_one(retries, skip, None)).unwrap();
-                let (out, report) = session.submit_with_report(&job, &input).unwrap();
-                let helped: u64 = report.helped_per_combiner.iter().sum();
+                let cfg = one_to_one(retries, skip, None);
+                let mut session = Backend::RamrStatic.session(cfg).unwrap();
+                let (out, report) = session.submit(&job, &input).unwrap().into_parts();
+                let helped = report.helped;
                 let ordinal = job.faulty_task.load(Ordering::SeqCst);
                 let tried = job.attempts.load(Ordering::SeqCst);
                 (to_string_pairs(out.pairs), report.faults, helped, ordinal, tried)
@@ -564,7 +565,7 @@ fn a_poison_task_on_a_helping_combiner_is_accounted_like_one_on_a_mapper() {
 fn a_panicking_helped_task_fails_the_job_and_leaves_the_session_exact() {
     with_deadline(60, || {
         let input = lines();
-        let mut session = RamrSession::new(one_to_one(0, false, None)).unwrap();
+        let mut session = Backend::RamrStatic.session(one_to_one(0, false, None)).unwrap();
         for round in 0..2 {
             let job = FaultOnRole::new(Victim::Combiner, RoleFault::Panic(u32::MAX), 1);
             let err = session.submit(&job, &input).unwrap_err();
@@ -572,7 +573,7 @@ fn a_panicking_helped_task_fails_the_job_and_leaves_the_session_exact() {
                 matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("injected fault")),
                 "round {round}: got {err}"
             );
-            let out = session.submit(&FaultOnRole::healthy(), &input).unwrap();
+            let out = session.submit(&FaultOnRole::healthy(), &input).unwrap().output;
             assert_eq!(to_string_pairs(out.pairs), reference(&input, &[]), "round {round}");
         }
     });
@@ -584,7 +585,7 @@ fn the_watchdog_diagnoses_a_helper_hung_inside_a_map_task() {
     with_deadline(30, || {
         let input = lines();
         let cfg = one_to_one(0, false, Some(WATCHDOG.as_millis() as u64));
-        let mut session = RamrSession::new(cfg).unwrap();
+        let mut session = Backend::RamrStatic.session(cfg).unwrap();
         let job = FaultOnRole::new(Victim::Combiner, RoleFault::Hang, 1);
         let started = Instant::now();
         let err = session.submit(&job, &input).unwrap_err();
@@ -603,7 +604,7 @@ fn the_watchdog_diagnoses_a_helper_hung_inside_a_map_task() {
             elapsed < WATCHDOG + Duration::from_secs(1),
             "the epoch took {elapsed:?} to unwind"
         );
-        let out = session.submit(&FaultOnRole::healthy(), &input).unwrap();
+        let out = session.submit(&FaultOnRole::healthy(), &input).unwrap().output;
         assert_eq!(to_string_pairs(out.pairs), reference(&input, &[]));
     });
 }

@@ -3,11 +3,12 @@
 //! failing job, reject a bad configuration before any submit, and leave no
 //! pool thread behind.
 //!
-//! This binary scans its own process for pool threads by name, so only
-//! `one_engine_...` may spawn them: keep session- or engine-submitting
-//! tests in the other suites.
+//! This binary scans its own process for pool threads by name, so every
+//! test that spawns them holds [`POOLS`] while it does: the scan must see
+//! its own pools only.
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mr_apps::inputs::{hg_input, wc_input, InputFlavor, InputSpec, Platform};
@@ -15,6 +16,15 @@ use mr_apps::{AppKind, Histogram, WordCount};
 use mr_core::{task_ranges, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{Backend, Engine};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
+use ramr_telemetry::ThreadRole;
+
+/// Held by each test while it has pool threads alive.
+static POOLS: Mutex<()> = Mutex::new(());
+
+fn pools() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next one still runs alone.
+    POOLS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn config() -> RuntimeConfig {
     RuntimeConfig::builder()
@@ -78,6 +88,7 @@ fn pool_threads_settling_to(want: usize) -> Option<usize> {
 
 #[test]
 fn one_engine_serves_different_job_types_and_survives_a_failing_job() {
+    let _pools = pools();
     let lines = wc_input(
         &InputSpec::table1(AppKind::WordCount, Platform::Haswell, InputFlavor::Small),
         20_000,
@@ -132,5 +143,52 @@ fn a_bad_config_fails_at_engine_construction_on_every_backend() {
             matches!(err, RuntimeError::InvalidConfig(ref m) if m.contains("batch_size")),
             "{backend}: got {err}"
         );
+    }
+}
+
+#[test]
+fn every_route_is_accounted_for_on_both_backends_and_every_container() {
+    // Small queues and blocks, and more tasks than mappers, so that pairs
+    // can take any route: queued, mapped in place by a combiner, or
+    // spilled by a mapper whose combiner was behind.
+    let _pools = pools();
+    let pixels = hg_input(
+        &InputSpec::table1(AppKind::Histogram, Platform::Haswell, InputFlavor::Small),
+        20_000,
+    );
+    for backend in Backend::ALL {
+        for container in ContainerKind::ALL {
+            let mut cfg = config();
+            cfg.container = container;
+            cfg.queue_capacity = 16;
+            cfg.batch_size = 8;
+            // Helper rows are indexed after the mapper pool.
+            let workers = cfg.num_workers;
+            let mut session = backend.session::<Histogram>(cfg).unwrap();
+            for epoch in 0..3 {
+                let case = format!("{backend}, {container}, epoch {epoch}");
+                let (out, report) = session.submit(&Histogram, &pixels).unwrap().into_parts();
+                assert_eq!(out.stats.emitted, 3 * pixels.len() as u64, "{case}");
+                assert_eq!(report.consumed, out.stats.emitted, "{case}: {report:?}");
+                assert!(report.helped + report.spilled <= report.consumed, "{case}: {report:?}");
+                assert_eq!(
+                    report.spilled,
+                    report.spilled_per_mapper.iter().sum::<u64>(),
+                    "{case}: {report:?}"
+                );
+                let helper_rows = report
+                    .threads
+                    .iter()
+                    .filter(|t| t.role == ThreadRole::Mapper && t.index >= workers);
+                assert_eq!(
+                    report.helped,
+                    helper_rows.map(|t| t.items).sum::<u64>(),
+                    "{case}: {report:?}"
+                );
+                if backend == Backend::Phoenix {
+                    assert_eq!((report.helped, report.spilled), (0, 0), "{case}: {report:?}");
+                }
+            }
+        }
     }
 }

@@ -13,7 +13,8 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
-use ramr::RamrSession;
+use ramr::{Backend, EngineReport};
+use ramr_telemetry::{ThreadRole, ThreadTelemetry};
 
 fn config(queue: usize, batch: usize, task: usize) -> RuntimeConfig {
     RuntimeConfig::builder()
@@ -24,6 +25,17 @@ fn config(queue: usize, batch: usize, task: usize) -> RuntimeConfig {
         .batch_size(batch)
         .build()
         .unwrap()
+}
+
+/// The `items` of the report's rows in `role`, summed: pairs emitted for
+/// mapper rows, pairs read from the queues for combiner rows.
+fn items(report: &EngineReport, role: ThreadRole) -> u64 {
+    report.threads.iter().filter(|t| t.role == role).map(|t| t.items).sum()
+}
+
+/// The last mapper row: the combiner's helper row once it has helped.
+fn last_mapper_row(report: &EngineReport) -> &ThreadTelemetry {
+    report.threads.iter().rfind(|t| t.role == ThreadRole::Mapper).unwrap()
 }
 
 fn sums_mod(input: &[u64], keys: u64) -> Vec<(u64, u64)> {
@@ -82,13 +94,13 @@ fn a_combiner_with_nothing_to_read_maps_alongside_its_mapper() {
     // the combiner.
     let input: Vec<u64> = (0..800).collect();
     let job = Rendezvous::default();
-    let mut session = RamrSession::new(config(64, 16, 100)).unwrap();
-    let (out, report) = session.submit_with_report(&job, &input).unwrap();
+    let mut session = Backend::RamrStatic.session(config(64, 16, 100)).unwrap();
+    let (out, report) = session.submit(&job, &input).unwrap().into_parts();
     assert_eq!(out.pairs, sums_mod(&input, 7));
     assert!(job.met.load(Ordering::SeqCst));
-    assert!(report.helped_per_combiner[0] > 0, "{:?}", report.helped_per_combiner);
-    let helper = report.mapper_telemetry.last().unwrap();
-    assert_eq!((helper.index, helper.items), (1, report.helped_per_combiner[0]));
+    assert!(report.helped > 0, "{:?}", report.threads);
+    let helper = last_mapper_row(&report);
+    assert_eq!((helper.index, helper.items), (1, report.helped));
 }
 
 /// Sums `x` under `x % 64` after a short spin per element, so mapping costs
@@ -132,22 +144,22 @@ fn a_mapper_spills_instead_of_starving_while_its_combiner_helps() {
     // blocks itself (DESIGN §6q), so it keeps mapping its share of the job
     // instead of leaving nearly everything to the helper.
     let input: Vec<u64> = (0..80_000).collect();
-    let mut session = RamrSession::new(config(64, 16, 2000)).unwrap();
+    let mut session = Backend::RamrStatic.session(config(64, 16, 2000)).unwrap();
     let started = Instant::now();
-    let (out, report) = session.submit_with_report(&SlowMap, &input).unwrap();
+    let (out, report) = session.submit(&SlowMap, &input).unwrap().into_parts();
     let wall = started.elapsed();
     assert_eq!(out.pairs, sums_mod(&input, 64));
 
-    let emitted: u64 = report.emitted_per_mapper.iter().sum();
-    let consumed: u64 = report.consumed_per_combiner.iter().sum();
-    let helped: u64 = report.helped_per_combiner.iter().sum();
+    let emitted = items(&report, ThreadRole::Mapper);
+    let consumed = items(&report, ThreadRole::Combiner);
+    let helped = report.helped;
     let spilled = report.spilled_per_mapper[0];
     assert_eq!(emitted, out.stats.emitted);
     assert_eq!(emitted, consumed + helped + spilled);
     assert_eq!(emitted, input.len() as u64);
     assert!(helped > 0, "an idle combiner must have claimed tasks");
 
-    let mapper = &report.mapper_telemetry[0];
+    let mapper = &report.threads[0];
     assert_eq!(
         mapper.items,
         consumed + spilled,
@@ -212,7 +224,7 @@ fn an_overflow_in_a_helped_task_fails_the_job_and_ends_the_helping() {
     cfg.container = ContainerKind::FixedHash;
     cfg.fixed_capacity = Some(2);
     let job = HelperFirst::default();
-    let mut session = RamrSession::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session(cfg).unwrap();
     let err = session.submit(&job, &input).unwrap_err();
     assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }), "got {err}");
     assert_eq!(job.helper_calls.load(Ordering::SeqCst), 1);
@@ -323,11 +335,11 @@ impl MapReduceJob for Tagged {
 }
 
 /// One mapper and one combiner, tasks of two batches, run with [`Tagged`].
-fn run_tagged() -> (Tagged, ramr::RunReport) {
+fn run_tagged() -> (Tagged, EngineReport) {
     let (batch, input): (usize, Vec<u64>) = (16, (0..512).collect());
     let job = Tagged::new(batch);
-    let mut session = RamrSession::new(config(64, batch, 2 * batch)).unwrap();
-    let (out, report) = session.submit_with_report(&job, &input).unwrap();
+    let mut session = Backend::RamrStatic.session(config(64, batch, 2 * batch)).unwrap();
+    let (out, report) = session.submit(&job, &input).unwrap().into_parts();
     let counts: Vec<(u64, u64)> = out.pairs.iter().map(|&(k, (_, n))| (k, n)).collect();
     assert_eq!(counts, (0..8).map(|k| (k, 64)).collect::<Vec<_>>());
     (job, report)
@@ -340,9 +352,9 @@ fn a_helped_task_is_folded_like_a_phoenix_task() {
     // emissions would fold the mapper's pairs inside its `map` call.
     let (job, report) = run_tagged();
     assert!(job.helper_calls.load(Ordering::SeqCst) > 0);
-    let emitted: u64 = report.emitted_per_mapper.iter().sum();
-    let consumed: u64 = report.consumed_per_combiner.iter().sum();
-    let helped: u64 = report.helped_per_combiner.iter().sum();
+    let emitted = items(&report, ThreadRole::Mapper);
+    let consumed = items(&report, ThreadRole::Combiner);
+    let helped = report.helped;
     assert_eq!(emitted, consumed + helped + report.spilled_per_mapper[0]);
 }
 
@@ -350,8 +362,8 @@ fn a_helped_task_is_folded_like_a_phoenix_task() {
 fn a_helper_row_is_shaped_like_a_worker_row() {
     // Tasks counted as batches, their fill as occupancy, and no stall.
     let (job, report) = run_tagged();
-    let helper = report.mapper_telemetry.last().unwrap();
-    assert_eq!((helper.index, helper.items), (1, report.helped_per_combiner[0]));
+    let helper = last_mapper_row(&report);
+    assert_eq!((helper.index, helper.items), (1, report.helped));
     assert_eq!(helper.batches, job.helper_calls.load(Ordering::SeqCst));
     assert_eq!(helper.occupancy.total(), helper.batches);
     assert_eq!(helper.stalled, Duration::ZERO);

@@ -14,7 +14,8 @@ use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig};
-use ramr::{RamrSession, RunReport};
+use ramr::{Backend, EngineReport};
+use ramr_telemetry::ThreadRole;
 
 /// Runs `case` on a thread of its own — which is then the submitter — and
 /// fails instead of hanging when it has not finished within 20 s.
@@ -61,14 +62,28 @@ fn session(queue: usize, batch: usize, task: usize, kind: ContainerKind) -> Runt
         .unwrap()
 }
 
+/// Pairs the combiners read from their queues: the combiner rows' items.
+fn queued(report: &EngineReport) -> u64 {
+    report.threads.iter().filter(|t| t.role == ThreadRole::Combiner).map(|t| t.items).sum()
+}
+
 /// Asserts `emitted == consumed + helped + spilled` and returns the total.
-fn conserved(report: &RunReport, case: &str) -> u64 {
-    let emitted: u64 = report.emitted_per_mapper.iter().sum();
-    let consumed: u64 = report.consumed_per_combiner.iter().sum();
-    let helped: u64 = report.helped_per_combiner.iter().sum();
+fn conserved(report: &EngineReport, case: &str) -> u64 {
+    let mappers = report.threads.iter().filter(|t| t.role == ThreadRole::Mapper);
+    let emitted: u64 = mappers.map(|t| t.items).sum();
+    let consumed = queued(report);
+    let helped = report.helped;
     let spilled: u64 = report.spilled_per_mapper.iter().sum();
     assert_eq!(emitted, consumed + helped + spilled, "{case}: conservation: {report:?}");
     emitted
+}
+
+/// Pairs the one mapper (the submitter) emitted, and its flushes that found
+/// the combiner behind: the first row of the report.
+fn mapper_0(report: &EngineReport) -> (u64, u64) {
+    let row = &report.threads[0];
+    assert_eq!((row.role, row.index), (ThreadRole::Mapper, 0));
+    (row.items, row.stall_events)
 }
 
 /// Block and batch size of the 1 + 1 tests.
@@ -126,13 +141,13 @@ fn a_combiner_held_inside_combine_makes_the_mapper_spill_though_the_queue_has_ro
         }
         for kind in ContainerKind::ALL {
             let cfg = session(input.len(), B, 64, kind);
-            let mut session = RamrSession::new(cfg).unwrap();
+            let mut session = Backend::RamrStatic.session(cfg).unwrap();
             let job = Held { submitter: thread::current().id(), mapper_folds: AtomicU64::new(0) };
-            let (out, report) = session.submit_with_report(&job, &input).unwrap();
+            let (out, report) = session.submit(&job, &input).unwrap().into_parts();
             assert_eq!(out.pairs, (0..3).zip(expected).collect::<Vec<_>>(), "{kind}");
             assert_eq!(conserved(&report, &kind.to_string()), input.len() as u64);
             assert!(report.spilled_per_mapper[0] > 0, "{kind}: {report:?}");
-            assert!(report.full_events_per_mapper[0] > 0, "{kind}: {report:?}");
+            assert!(mapper_0(&report).1 > 0, "{kind}: {report:?}");
         }
     });
 }
@@ -210,14 +225,14 @@ impl MapReduceJob for HelperFirst {
 
 /// Two tasks of `task` elements: one for the helping combiner, one for the
 /// submitter; returns the report after checking the output.
-fn helper_first(cfg: RuntimeConfig, job: HelperFirst) -> RunReport {
+fn helper_first(cfg: RuntimeConfig, job: HelperFirst) -> EngineReport {
     let input: Vec<u64> = (0..2 * cfg.task_size as u64).collect();
-    let mut session = RamrSession::new(cfg).unwrap();
-    let (out, report) = session.submit_with_report(&job, &input).unwrap();
+    let mut session = Backend::RamrStatic.session(cfg).unwrap();
+    let (out, report) = session.submit(&job, &input).unwrap().into_parts();
     assert_eq!(out.pairs, [(0, input.len() as u64)]);
     assert_eq!(conserved(&report, "helper first"), input.len() as u64);
-    assert_eq!(report.helped_per_combiner[0] + report.emitted_per_mapper[0], input.len() as u64);
-    assert!(report.emitted_per_mapper[0] > 0, "the combiner mapped both tasks: {report:?}");
+    assert_eq!(report.helped + mapper_0(&report).0, input.len() as u64);
+    assert!(mapper_0(&report).0 > 0, "the combiner mapped both tasks: {report:?}");
     report
 }
 
@@ -229,9 +244,10 @@ fn a_combiner_that_keeps_up_is_handed_every_block() {
         for kind in ContainerKind::ALL {
             let report = helper_first(session(2 * B, B, 40 * B, kind), HelperFirst::new(true, 400));
             assert_eq!(report.spilled_per_mapper[0], 0, "{kind}: {report:?}");
-            assert_eq!(report.full_events_per_mapper[0], 0, "{kind}: {report:?}");
+            assert_eq!(mapper_0(&report).1, 0, "{kind}: {report:?}");
             assert_eq!(
-                report.consumed_per_combiner[0], report.emitted_per_mapper[0],
+                queued(&report),
+                mapper_0(&report).0,
                 "{kind}: every pair the mapper emitted must cross the queue: {report:?}"
             );
         }
@@ -254,7 +270,8 @@ fn a_parked_combiner_with_no_task_left_is_published_to_not_bypassed() {
             let report = helper_first(cfg, HelperFirst::new(false, 2_000));
             assert_eq!(report.spilled_per_mapper[0], 0, "{kind}: {report:?}");
             assert_eq!(
-                report.consumed_per_combiner[0], report.emitted_per_mapper[0],
+                queued(&report),
+                mapper_0(&report).0,
                 "{kind}: the parked combiner was bypassed: {report:?}"
             );
         }
@@ -313,10 +330,10 @@ fn every_pair_is_folded_once_by_exactly_one_route_on_wider_sessions() {
                 .container(kind)
                 .build()
                 .unwrap();
-            let mut session = RamrSession::new(cfg).unwrap();
+            let mut session = Backend::RamrStatic.session(cfg).unwrap();
             for epoch in 0..3 {
                 let case = format!("{workers} + {combiners}, {kind}, epoch {epoch}");
-                let (out, report) = session.submit_with_report(&SlowCombiners, &input).unwrap();
+                let (out, report) = session.submit(&SlowCombiners, &input).unwrap().into_parts();
                 assert_eq!(out.pairs, expected, "{case}");
                 assert_eq!(conserved(&report, &case), input.len() as u64);
                 assert_eq!(report.spilled_per_mapper.len(), workers, "{case}");

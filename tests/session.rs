@@ -4,7 +4,7 @@
 //! The hazards specific to pooling are state bleed (telemetry, fault
 //! records or kept containers surviving into the next job) and
 //! wedged pools (a failed job leaving a worker parked in a bad state).
-//! Each test drives a `RamrSession` through a stream of jobs and checks
+//! Each test drives an `EngineSession` through a stream of jobs and checks
 //! one of those hazards with exact assertions.
 
 use std::collections::BTreeMap;
@@ -13,9 +13,9 @@ use std::time::Duration;
 
 use mr_apps::WordCount;
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
-use ramr::{Backend, JobScheduler, RamrSession};
+use ramr::{Backend, JobScheduler};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
-use ramr_telemetry::FaultMetrics;
+use ramr_telemetry::{FaultMetrics, ThreadRole};
 
 /// Lines per task; the fault fingerprint divides by this.
 const TASK: usize = 32;
@@ -66,10 +66,10 @@ fn poison(key: u64) -> FaultPlan {
 
 #[test]
 fn twenty_job_stream_is_exact_on_static_pools() {
-    let mut session = RamrSession::<WordCount>::new(config()).unwrap();
+    let mut session = Backend::RamrStatic.session::<WordCount>(config()).unwrap();
     for round in 0..20 {
         let input = lines(200 + round * 8, round);
-        let output = session.submit(&WordCount, &input).unwrap();
+        let output = session.submit(&WordCount, &input).unwrap().output;
         assert_eq!(output.pairs, reference(&input, &[]), "round {round}");
     }
     assert_eq!(session.jobs_run(), 20);
@@ -83,20 +83,21 @@ fn fault_records_do_not_bleed_into_the_next_job() {
     let mut cfg = config();
     cfg.max_task_retries = 1;
     cfg.skip_poison_tasks = true;
-    let mut session = RamrSession::<FaultyJob<WordCount>>::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session::<FaultyJob<WordCount>>(cfg).unwrap();
 
     let input = lines(400, 0);
     let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
-    let (out, report) = session.submit_with_report(&faulty, &input).unwrap();
+    let (out, report) = session.submit(&faulty, &input).unwrap().into_parts();
     assert_eq!(out.pairs, reference(&input, &[3]));
     assert_eq!(report.faults.skipped.len(), 1, "job 1 must record its poison task");
     assert!(report.faults.retries > 0, "job 1 must record its retries");
 
     let healthy = FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of);
-    let (out, report) = session.submit_with_report(&healthy, &input).unwrap();
+    let (out, report) = session.submit(&healthy, &input).unwrap().into_parts();
     assert_eq!(out.pairs, reference(&input, &[]));
     assert_eq!(report.faults, FaultMetrics::default(), "job 1 faults leaked into job 2");
-    let mapped: u64 = report.mapper_telemetry.iter().map(|t| t.items).sum();
+    let mappers = report.threads.iter().filter(|t| t.role != ThreadRole::Combiner);
+    let mapped: u64 = mappers.map(|t| t.items).sum();
     assert_eq!(mapped, out.stats.emitted, "job 2 telemetry must count job 2's items alone");
 }
 
@@ -108,7 +109,7 @@ fn a_failed_job_leaves_the_session_usable() {
     let mut cfg = config();
     cfg.max_task_retries = 1;
     cfg.skip_poison_tasks = false;
-    let mut session = RamrSession::<FaultyJob<WordCount>>::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session::<FaultyJob<WordCount>>(cfg).unwrap();
     let input = lines(400, 1);
     for round in 0..2 {
         let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
@@ -118,7 +119,7 @@ fn a_failed_job_leaves_the_session_usable() {
             "round {round}: expected the injected panic, got {err}"
         );
         let healthy = FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of);
-        let output = session.submit(&healthy, &input).unwrap();
+        let output = session.submit(&healthy, &input).unwrap().output;
         assert_eq!(output.pairs, reference(&input, &[]), "round {round}");
     }
 }
@@ -131,14 +132,14 @@ fn a_skipped_poison_job_leaves_the_session_usable() {
     let mut cfg = config();
     cfg.max_task_retries = 1;
     cfg.skip_poison_tasks = true;
-    let mut session = RamrSession::<FaultyJob<WordCount>>::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session::<FaultyJob<WordCount>>(cfg).unwrap();
     let input = lines(400, 2);
     for round in 0..3 {
         let faulty = FaultyJob::new(WordCount, poison(round as u64 % 4), ordinal_of);
-        let output = session.submit(&faulty, &input).unwrap();
+        let output = session.submit(&faulty, &input).unwrap().output;
         assert_eq!(output.pairs, reference(&input, &[round as u64 % 4]), "round {round}");
         let healthy = FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of);
-        let output = session.submit(&healthy, &input).unwrap();
+        let output = session.submit(&healthy, &input).unwrap().output;
         assert_eq!(output.pairs, reference(&input, &[]), "round {round}");
     }
 }
@@ -161,11 +162,11 @@ fn rapid_static_epochs_never_lose_pairs_to_stale_queue_state() {
         .container(ContainerKind::Hash)
         .build()
         .unwrap();
-    let mut session = RamrSession::<WordCount>::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session::<WordCount>(cfg).unwrap();
     for round in 0..40 {
         let input = lines(96, round);
         let expected = reference(&input, &[]);
-        let output = session.submit(&WordCount, &input).unwrap();
+        let output = session.submit(&WordCount, &input).unwrap().output;
         assert_eq!(output.pairs, expected, "round {round}: pairs lost or duplicated");
     }
     assert_eq!(session.jobs_run(), 40);

@@ -20,7 +20,8 @@ use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
-use ramr::{RamrSession, RunReport};
+use ramr::{Backend, EngineReport, EngineSession};
+use ramr_telemetry::ThreadRole;
 
 /// Elements per task: six blocks of 4, two turns of a three-key cycle.
 const TASK: usize = 24;
@@ -173,19 +174,21 @@ impl MapReduceJob for Spilling {
 
 /// Asserts the output is exact, every pair is accounted for once, and the
 /// mapper folded part of it itself; returns the report.
-fn submit_exact(session: &mut RamrSession<Spilling>, job: &Spilling, case: &str) -> RunReport {
+fn submit_exact(session: &mut EngineSession<Spilling>, job: &Spilling, case: &str) -> EngineReport {
     let input = input();
-    let (out, report) = session.submit_with_report(job, &input).unwrap();
+    let (out, report) = session.submit(job, &input).unwrap().into_parts();
     assert_eq!(out.pairs, job.expected(&input), "{case}");
-    let emitted: u64 = report.emitted_per_mapper.iter().sum();
-    let consumed: u64 = report.consumed_per_combiner.iter().sum();
-    let helped: u64 = report.helped_per_combiner.iter().sum();
+    let (combiners, mappers): (Vec<_>, Vec<_>) =
+        report.threads.iter().partition(|t| t.role == ThreadRole::Combiner);
+    let emitted: u64 = mappers.iter().map(|t| t.items).sum();
+    let consumed: u64 = combiners.iter().map(|t| t.items).sum();
+    let helped = report.helped;
     let spilled = report.spilled_per_mapper[0];
     assert_eq!(emitted, input.len() as u64, "{case}");
     assert_eq!(emitted, consumed + helped + spilled, "{case}: conservation");
     assert!(spilled > 0, "{case}: the mapper never folded a pair itself: {report:?}");
     assert!(
-        report.full_events_per_mapper[0] > 0,
+        mappers[0].stall_events > 0,
         "{case}: a spill is a flush that found the combiner behind"
     );
     report
@@ -210,7 +213,7 @@ fn within_deadline(case: impl FnOnce() + Send + 'static) {
 #[test]
 fn a_mapper_with_a_full_queue_folds_the_overflow_for_every_container() {
     for kind in ContainerKind::ALL {
-        let mut session = RamrSession::new(config(kind)).unwrap();
+        let mut session = Backend::RamrStatic.session(config(kind)).unwrap();
         // Three epochs: the second and third take over the spill container
         // the one before drained.
         for epoch in 0..3 {
@@ -231,7 +234,7 @@ fn an_overflow_in_a_spill_fails_the_job_and_ends_the_mapping() {
     within_deadline(|| {
         let mut cfg = config(ContainerKind::FixedHash);
         cfg.fixed_capacity = Some(2);
-        let mut session = RamrSession::new(cfg).unwrap();
+        let mut session = Backend::RamrStatic.session(cfg).unwrap();
         let job = Spilling::new(3, Fault::None);
         let err = session.submit(&job, &input()).unwrap_err();
         assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }), "got {err}");
@@ -246,7 +249,7 @@ fn an_overflow_in_a_spill_fails_the_job_and_ends_the_mapping() {
 #[test]
 fn a_combine_panic_in_a_spill_on_the_submitter_fails_the_job_alone() {
     within_deadline(|| {
-        let mut session = RamrSession::new(config(ContainerKind::Hash)).unwrap();
+        let mut session = Backend::RamrStatic.session(config(ContainerKind::Hash)).unwrap();
         let err = session.submit(&Spilling::new(3, Fault::PanicInSpill), &input()).unwrap_err();
         assert!(
             matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("spill exploded")),
@@ -263,7 +266,7 @@ fn a_stall_with_pairs_in_the_spill_container_leaves_the_next_job_exact() {
     // pairs, and none of them may reach the next job.
     let mut cfg = config(ContainerKind::Hash);
     cfg.watchdog = Some(Duration::from_millis(200));
-    let mut session = RamrSession::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session(cfg).unwrap();
     let job = Spilling::new(3, Fault::HangAfterSpill);
     let err = session.submit(&job, &input()).unwrap_err();
     assert!(matches!(err, RuntimeError::Stalled { .. }), "got {err}");
@@ -277,7 +280,7 @@ fn a_stall_with_pairs_in_the_spill_container_leaves_the_next_job_exact() {
 fn a_retried_poison_task_on_a_spilling_mapper_counts_each_pair_once() {
     let mut cfg = config(ContainerKind::Hash);
     cfg.max_task_retries = 2;
-    let mut session = RamrSession::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session(cfg).unwrap();
     let report = submit_exact(&mut session, &Spilling::new(3, Fault::FlakyTask), "retried");
     assert_eq!(report.faults.retries, 2);
     assert!(report.faults.skipped.is_empty());

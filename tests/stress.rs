@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig};
-use ramr::{Backend, Engine, RamrSession};
+use ramr::{Backend, Engine};
 
 /// Emits FAN pairs per element to stress the queues.
 struct FanOut;
@@ -132,14 +132,14 @@ fn rapid_epochs_lose_no_pair_to_a_helping_combiner() {
         .batch_size(16)
         .build()
         .unwrap();
-    let mut session = RamrSession::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session(cfg).unwrap();
     let one_task: Vec<u64> = (0..50).collect();
     let many_tasks: Vec<u64> = (0..2_000).collect();
     let mut helped = 0u64;
     for input in [&one_task, &many_tasks] {
         let expected = reference(input);
         for epoch in 0..200 {
-            let (out, report) = session.submit_with_report(&FanOut, input).unwrap();
+            let (out, report) = session.submit(&FanOut, input).unwrap().into_parts();
             assert_eq!(out.pairs, expected, "{} elements, epoch {epoch}", input.len());
             assert_eq!(
                 folded(&report),
@@ -147,7 +147,7 @@ fn rapid_epochs_lose_no_pair_to_a_helping_combiner() {
                 "{} elements, epoch {epoch}",
                 input.len()
             );
-            helped += report.helped_per_combiner[0];
+            helped += report.helped;
         }
     }
     assert!(helped > 0, "400 epochs and the combiner never claimed a task");
@@ -155,9 +155,10 @@ fn rapid_epochs_lose_no_pair_to_a_helping_combiner() {
 
 /// Pairs folded into any container: read from a queue, mapped in place by a
 /// combiner, or spilled by a mapper whose combiner was behind.
-fn folded(report: &ramr::RunReport) -> u64 {
-    let queued_or_helped = report.consumed_per_combiner.iter().chain(&report.helped_per_combiner);
-    queued_or_helped.chain(&report.spilled_per_mapper).sum()
+fn folded(report: &ramr::EngineReport) -> u64 {
+    let combiners =
+        report.threads.iter().filter(|t| t.role == ramr_telemetry::ThreadRole::Combiner);
+    combiners.map(|t| t.items).sum::<u64>() + report.helped + report.spilled
 }
 
 /// [`FanOut`] whose combine spins for a while on every thread but the one
@@ -211,7 +212,7 @@ fn rapid_epochs_exact_whether_or_not_the_mappers_spill() {
         .batch_size(32)
         .build()
         .unwrap();
-    let mut session = RamrSession::new(cfg).unwrap();
+    let mut session = Backend::RamrStatic.session(cfg).unwrap();
     let submitter = std::thread::current().id();
     // A mapper spills only a block that would queue behind a full batch of
     // 32, or that the queue has no room for. One element fans out to 32
@@ -227,7 +228,7 @@ fn rapid_epochs_exact_whether_or_not_the_mappers_spill() {
         } else {
             (SlowCombine { submitter, slow: false }, &small)
         };
-        let (out, report) = session.submit_with_report(&job, input).unwrap();
+        let (out, report) = session.submit(&job, input).unwrap().into_parts();
         assert_eq!(out.pairs, reference(input), "epoch {epoch}");
         assert_eq!(folded(&report), out.stats.emitted, "epoch {epoch}");
         let this_epoch: u64 = report.spilled_per_mapper.iter().sum();

@@ -47,25 +47,8 @@ fn config() -> RuntimeConfig {
 /// Builds the report exactly the way the CLI's `--metrics-json` path does.
 fn report_from_run(input: &[u64]) -> MetricsReport {
     let engine = Backend::RamrStatic.engine(config()).unwrap();
-    let outcome = engine.submit(&Mod13, input).unwrap();
-    let (out, run) = (outcome.output, outcome.report);
-    let ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    let stats = &out.stats;
-    MetricsReport {
-        app: "mod13".into(),
-        runtime: "ramr".into(),
-        workers: 4,
-        combiners: 2,
-        batch_size: 32,
-        emit_buffer: 32,
-        queue_capacity: 256,
-        phase_ns: [ns(stats.partition), ns(stats.map_combine), ns(stats.reduce), ns(stats.merge)],
-        emitted: stats.emitted,
-        consumed: run.consumed,
-        spilled: run.spilled,
-        threads: run.threads,
-        faults: run.faults,
-    }
+    let (out, run) = engine.submit(&Mod13, input).unwrap().into_parts();
+    run.metrics("mod13", &config(), &out.stats)
 }
 
 #[test]

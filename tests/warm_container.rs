@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use mr_apps::WordCount;
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig};
-use ramr::{Backend, RamrSession};
+use ramr::{Backend, EngineSession};
 use ramr_containers::{CompactKey, Hashed};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -227,16 +227,16 @@ fn a_mapper_grows_its_spill_table_once() {
         .container(ContainerKind::Hash)
         .build()
         .unwrap();
-    let submit = |session: &mut RamrSession<Spills>| {
+    let submit = |session: &mut EngineSession<Spills>| {
         let job = Spills { submitter: thread::current().id(), gate: AtomicBool::new(false) };
         let before = IN_MAP_BYTES.load(Ordering::Relaxed);
-        let (out, report) = session.submit_with_report(&job, &input).unwrap();
+        let (out, report) = session.submit(&job, &input).unwrap().into_parts();
         assert_eq!(out.pairs.len() as u64, KEYS);
         assert_eq!(out.pairs.iter().map(|&(_, n)| n).sum::<u64>(), input.len() as u64);
         assert!(report.spilled_per_mapper[0] > 0, "the mapper never spilled: {report:?}");
         IN_MAP_BYTES.load(Ordering::Relaxed) - before
     };
-    let mut warm = RamrSession::new(config.clone()).unwrap();
+    let mut warm = Backend::RamrStatic.session(config.clone()).unwrap();
     let [first, second, third] = [(); 3].map(|()| submit(&mut warm));
     assert!(first > 0, "submit 1 built no spill table inside its map calls");
     assert_eq!(second, third, "submits 2 and 3 spill into the same kept table");
@@ -245,6 +245,6 @@ fn a_mapper_grows_its_spill_table_once() {
         "submit 3 allocated {third} bytes spilling against submit 1's {first}: the spill table \
          was rebuilt"
     );
-    let again = submit(&mut RamrSession::new(config).unwrap());
+    let again = submit(&mut Backend::RamrStatic.session(config).unwrap());
     assert_eq!(again, first, "a fresh session's first spill pays the growth again");
 }
