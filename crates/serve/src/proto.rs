@@ -144,6 +144,17 @@ impl ResponseKind {
 /// `InvalidData` when the serialized frame exceeds `max_frame` bytes;
 /// otherwise the underlying write error.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Value, max_frame: usize) -> io::Result<()> {
+    w.write_all(&encode_frame(frame, max_frame)?)?;
+    w.flush()
+}
+
+/// Serializes `frame` into the exact bytes [`write_frame`] puts on the
+/// wire: `LEN SP JSON NL`.
+///
+/// # Errors
+///
+/// `InvalidData` when the serialized frame exceeds `max_frame` bytes.
+pub(crate) fn encode_frame(frame: &Value, max_frame: usize) -> io::Result<Vec<u8>> {
     let text = frame.to_json();
     if text.len() > max_frame {
         return Err(io::Error::new(
@@ -155,8 +166,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Value, max_frame: usize) -> io::
     bytes.extend_from_slice(format!("{} ", text.len()).as_bytes());
     bytes.extend_from_slice(text.as_bytes());
     bytes.push(b'\n');
-    w.write_all(&bytes)?;
-    w.flush()
+    Ok(bytes)
 }
 
 /// Reads one frame. Returns `Ok(None)` on clean end-of-stream (the peer

@@ -14,14 +14,15 @@
 //! names its input instead of shipping it — the differential tests compare
 //! a socket run against an in-process run of the *same* generated input.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
 use mr_apps::inputs::{hg_input, km_input, lr_input, wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, Histogram, KmeansState, LinearRegression, WordCount};
 use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
 use ramr::{Backend, JobScheduler, SchedError, ShedReason, TenantStats};
-use ramr_telemetry::json::{self, Value};
+use ramr_telemetry::json::Value;
 
 /// Apps a server will run, in wire-name order: the four single-pass
 /// Table I applications (PCA and MM need multi-pass/matrix-task
@@ -58,7 +59,8 @@ pub struct JobOutcome {
     pub queued_ms: f64,
     /// Milliseconds the epoch ran.
     pub ran_ms: f64,
-    /// The full `--metrics-json` report, as a parsed JSON tree.
+    /// The full `--metrics-json` report, as a JSON tree
+    /// ([`MetricsReport::to_value`](ramr_telemetry::MetricsReport::to_value)).
     pub metrics: Value,
 }
 
@@ -111,31 +113,66 @@ pub(crate) trait AppPool: Send + Sync {
 /// test render through this exact function, so "byte-identical" is
 /// well-defined across the socket.
 pub fn render_pairs<K: std::fmt::Debug, V: std::fmt::Debug>(pairs: &[(K, V)]) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
+    write_pairs(pairs, &mut out);
+    out
+}
+
+/// The canonical rendering, written into any text sink.
+fn write_pairs<K: fmt::Debug, V: fmt::Debug>(pairs: &[(K, V)], out: &mut impl fmt::Write) {
     for (k, v) in pairs {
         let _ = writeln!(out, "{k:?}\t{v:?}");
     }
-    out
 }
 
 /// FNV-1a 64 over `text`, rendered as 16 hex digits. Stable across
 /// platforms and builds, so a client can compare digests from different
 /// servers.
 pub fn digest64(text: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    let _ = hash.write_str(text);
+    hash.hex()
+}
+
+/// [`digest64`] of [`render_pairs`], without building the rendering.
+fn digest_pairs<K: fmt::Debug, V: fmt::Debug>(pairs: &[(K, V)]) -> String {
+    let mut hash = Fnv1a::default();
+    write_pairs(pairs, &mut hash);
+    hash.hex()
+}
+
+/// FNV-1a 64 as a text sink: every byte written is folded into the hash.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    format!("{hash:016x}")
+}
+
+impl Fnv1a {
+    fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// Renders a completed job into its wire outcome; shared by the server's
 /// waiter threads and the differential tests' in-process baseline. The
 /// metrics are [`EngineReport::metrics`](ramr::EngineReport::metrics), the
 /// same report `ramr run --metrics-json` writes; `backend` is the one `done`
-/// ran on, which its report already names.
+/// ran on, which its report already names. The rendering is built only when
+/// `echo` asks for it; otherwise the digest streams the same lines through
+/// the hash.
 pub fn outcome_of<J: MapReduceJob>(
     app: &str,
     backend: Backend,
@@ -144,16 +181,19 @@ pub fn outcome_of<J: MapReduceJob>(
     echo: bool,
 ) -> JobOutcome {
     debug_assert_eq!(backend, done.report.backend, "a report names the backend it ran on");
-    let rendered = render_pairs(&done.output.pairs);
-    let metrics = json::parse(&done.report.metrics(app, config, &done.output.stats).to_json())
-        .expect("MetricsReport::to_json emits valid JSON");
+    let pairs = &done.output.pairs;
+    let rendered = echo.then(|| render_pairs(pairs));
+    let digest = match &rendered {
+        Some(text) => digest64(text),
+        None => digest_pairs(pairs),
+    };
     JobOutcome {
-        keys: done.output.pairs.len() as u64,
-        digest: digest64(&rendered),
-        rendered: echo.then_some(rendered),
+        keys: pairs.len() as u64,
+        digest,
+        rendered,
         queued_ms: done.queued.as_secs_f64() * 1e3,
         ran_ms: done.ran.as_secs_f64() * 1e3,
-        metrics,
+        metrics: done.report.metrics(app, config, &done.output.stats).to_value(),
     }
 }
 
@@ -171,22 +211,10 @@ struct TypedPool<J: MapReduceJob + Send + 'static> {
     app: &'static str,
     backend: Backend,
     sched: JobScheduler<J>,
+    /// The scheduler's config, shared with every job's waiter.
+    config: Arc<RuntimeConfig>,
     make: MakeJob<J>,
-    cache: Mutex<BTreeMap<WireSpec, CachedInput<J>>>,
-}
-
-// WireSpec needs Ord for the BTreeMap cache key.
-impl PartialOrd for WireSpec {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WireSpec {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let key = |s: &WireSpec| (format!("{:?}", s.platform), format!("{:?}", s.flavor), s.scale);
-        key(self).cmp(&key(other))
-    }
+    cache: Mutex<HashMap<WireSpec, CachedInput<J>>>,
 }
 
 impl<J: MapReduceJob + Send + 'static> TypedPool<J> {
@@ -213,7 +241,7 @@ impl<J: MapReduceJob + Send + 'static> AppPool for TypedPool<J> {
         };
         let app = self.app;
         let backend = self.backend;
-        let config = self.sched.config().clone();
+        let config = Arc::clone(&self.config);
         Ok(Box::new(move || {
             ticket.wait().map(|done| outcome_of(app, backend, &config, &done, echo))
         }))
@@ -289,7 +317,9 @@ pub(crate) fn make_pool(
     ) -> Result<Arc<dyn AppPool>, String> {
         let sched = JobScheduler::<J>::new(backend, config)
             .map_err(|e| format!("cannot open a {app} pool: {e}"))?;
-        Ok(Arc::new(TypedPool { app, backend, sched, make, cache: Mutex::new(BTreeMap::new()) }))
+        let config = Arc::new(sched.config().clone());
+        let cache = Mutex::new(HashMap::new());
+        Ok(Arc::new(TypedPool { app, backend, sched, config, make, cache }))
     }
 
     let table1 = |app: AppKind, spec: &WireSpec| InputSpec::table1(app, spec.platform, spec.flavor);

@@ -6,14 +6,26 @@
 //! ```text
 //! accept loop ──spawns──▶ connection driver ──spawns──▶ job waiter
 //!   (1 per server)          (1 per client)              (1 per accepted job)
+//!                                 │ spawns
+//!                                 ▼
+//!                           backlog writer
+//!                           (1 per client)
+//!
+//! a reply:  Value ──encode once──▶ LEN SP JSON NL bytes
+//!             ├─ nothing queued, no write in flight ─▶ written by the sender
+//!             └─ otherwise ─▶ bounded backlog ─▶ written by the backlog writer
 //! ```
 //!
-//! The connection driver owns the read side of its socket; the write side
-//! is a **bounded outbound queue** drained by a per-connection writer
-//! thread, so waiter threads interleave `RESULT` frames with the driver's
-//! own replies without tearing frames — and a slow client that lets the
-//! queue sit full past the write deadline is kicked rather than allowed
-//! to wedge a waiter. Every blocking read carries a short timeout, which
+//! The connection driver owns the read side of its socket. Replies are
+//! encoded once, by the thread that produced them, and in the common case
+//! written to the socket by that same thread: the driver writes its own
+//! `ACCEPTED` / `METRICS_REPORT` / `PONG`, a job waiter writes its
+//! `RESULT`. Only a frame sent while another write is in flight joins a
+//! **bounded backlog**, which the per-connection writer thread drains in
+//! order, so frames never tear or overtake each other. Every frame write
+//! and every wait for backlog space is bounded by the write deadline; a
+//! slow client that exceeds it is kicked rather than allowed to wedge a
+//! waiter or the driver. Every blocking read carries a short timeout, which
 //! doubles as the shutdown poll: when the stop flag rises, drivers finish
 //! their waiters, say `BYE`, and exit; the accept loop joins them all
 //! before [`Server::wait`] returns.
@@ -21,9 +33,9 @@
 //! Wire-level resilience is a per-tenant **dedup ledger**: a `SUBMIT`
 //! carrying a `request_id` is recorded before admission, so the same id
 //! re-sent after a reconnect re-attaches to the in-flight job (or replays
-//! its parked terminal frame) instead of executing twice. Terminal frames
-//! whose connection died park in the ledger until the tenant claims them
-//! or the park TTL expires. The same ledger holds each tenant's
+//! its parked terminal frame, kept as the bytes first encoded) instead of
+//! executing twice. Terminal frames whose connection died park in the
+//! ledger until the tenant claims them or the park TTL expires. The same ledger holds each tenant's
 //! token-bucket rate limiter.
 //!
 //! Shutdown itself is one atomic take of the pool map: dropping a
@@ -32,7 +44,7 @@
 //! resolve to a `RESULT` or a `JOB_ERROR` — never silence.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -54,11 +66,11 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(100);
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_NAP: Duration = Duration::from_millis(20);
 
-/// Frames a connection's outbound queue holds before senders must wait.
+/// Frames a connection's outbound backlog holds before senders must wait.
 const OUTBOUND_QUEUE: usize = 64;
 
-/// How long a sender waits for outbound-queue space (and the writer
-/// thread waits on one socket write) before the client is declared too
+/// How long a sender waits for backlog space, and how long any thread
+/// spends on one frame's socket write, before the client is declared too
 /// slow and its connection is kicked. Kicked connections' terminal
 /// frames park in the dedup ledger for reconnect pickup.
 const WRITE_DEADLINE: Duration = Duration::from_secs(5);
@@ -81,9 +93,11 @@ enum JobState {
     /// frame should go to — rebound every time the tenant re-sends this
     /// `request_id` from a new connection.
     InFlight { writer: FrameWriter },
-    /// Terminal frame produced. Kept (claimed or not) until the park TTL
-    /// expires so a reconnecting client can always re-claim its result.
-    Done { frame: Value, at: Instant, claimed: bool },
+    /// Terminal frame produced, kept as its wire bytes (claimed or not)
+    /// until the park TTL expires so a reconnecting client can always
+    /// re-claim its result. `None` when the frame exceeded the frame
+    /// bound: it could never be sent, so a replay sends nothing.
+    Done { frame: Option<Encoded>, at: Instant, claimed: bool },
 }
 
 /// Per-tenant wire-resilience state: the dedup ledger, the rate bucket,
@@ -216,14 +230,15 @@ impl Inner {
     /// connection currently bound to the id when possible, and retained
     /// in the ledger either way (claimed on success, parked on failure)
     /// so a reconnecting tenant can re-claim it until the TTL expires.
-    fn deliver(&self, tenant: &str, rid: &str, reply: Value) {
+    fn deliver(&self, tenant: &str, rid: &str, reply: &Value) {
+        let frame = proto::encode_frame(reply, self.config.max_frame).ok().map(Arc::new);
         // The entry flips to Done *before* the send: the client may react
         // to the terminal frame instantly (query METRICS, re-submit), and
         // must never observe its own completed job as still in flight.
         let writer = self.with_ledger(tenant, |ledger| match ledger.jobs.get_mut(rid) {
             Some(state @ JobState::InFlight { .. }) => {
                 let done =
-                    JobState::Done { frame: reply.clone(), at: Instant::now(), claimed: true };
+                    JobState::Done { frame: frame.clone(), at: Instant::now(), claimed: true };
                 match std::mem::replace(state, done) {
                     JobState::InFlight { writer } => Some(writer),
                     JobState::Done { .. } => None,
@@ -233,7 +248,7 @@ impl Inner {
         });
         // The send happens outside the ledger lock: a stalled client must
         // not block other tenants' submits for the write deadline.
-        let sent = writer.is_some_and(|w| w.send(&reply).is_ok());
+        let sent = writer.zip(frame).is_some_and(|(w, frame)| w.send_encoded(frame).is_ok());
         if !sent {
             self.with_ledger(tenant, |ledger| {
                 if let Some(JobState::Done { claimed, .. }) = ledger.jobs.get_mut(rid) {
@@ -353,7 +368,7 @@ impl Inner {
         }
         frame(
             ResponseKind::MetricsReport,
-            &[
+            [
                 ("shutting_down", Value::Bool(shutting_down)),
                 ("pools", Value::Arr(pools)),
                 ("tenants", Value::Arr(tenants)),
@@ -401,39 +416,75 @@ fn tenant_json(s: &TenantStats) -> Value {
 }
 
 /// Builds a response frame: the kind's wire name plus the given members.
-fn frame(kind: ResponseKind, members: &[(&str, Value)]) -> Value {
+fn frame<'a>(kind: ResponseKind, members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
     let mut obj: BTreeMap<String, Value> =
-        members.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect();
+        members.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
     obj.insert("type".into(), Value::Str(kind.as_str().into()));
     Value::Obj(obj)
 }
 
-/// The shared state behind one connection's outbound queue.
+/// One frame's wire bytes (`LEN SP JSON NL`), encoded once and shared by
+/// the outbound backlog and the dedup ledger without copying.
+type Encoded = Arc<Vec<u8>>;
+
+/// The shared state behind one connection's write side.
 struct OutboundState {
-    frames: VecDeque<Value>,
+    /// Frames waiting their turn, oldest first. Empty unless a write was
+    /// in flight when they were sent.
+    frames: VecDeque<Encoded>,
+    /// Some thread — a sender writing in place or the writer thread — is
+    /// writing a frame to the socket right now.
+    writing: bool,
     /// Graceful close: no new sends, the writer drains what is queued.
     closing: bool,
     /// Broken socket or kicked slow client: sends fail, frames drop.
     dead: bool,
 }
 
-/// One connection's write side: a bounded frame queue drained by a
-/// dedicated writer thread. Senders wait up to [`WRITE_DEADLINE`] for
-/// space; a client that cannot drain the queue that long is kicked (its
-/// socket is shut down, which also frees the reader), so one stalled
-/// consumer can never wedge a waiter thread indefinitely.
+/// One connection's write side. A sender that finds nothing queued and
+/// no write in flight writes its frame to the socket itself; otherwise it
+/// appends to a bounded backlog that a dedicated writer thread drains in
+/// order. Senders wait up to [`WRITE_DEADLINE`] for backlog space, and
+/// every frame write is bounded by the same deadline; a client that
+/// cannot keep up that long is kicked (its socket is shut down, which
+/// also frees the reader), so one stalled consumer can never wedge a
+/// thread indefinitely.
 struct Outbound {
     state: Mutex<OutboundState>,
-    /// Senders park here for queue space.
+    /// Senders park here for backlog space.
     space: Condvar,
-    /// The writer thread parks here for frames.
+    /// The writer thread parks here for a backlog to drain.
     work: Condvar,
-    /// A handle kept solely to shut the socket down on kick/death.
+    /// The socket every frame is written to (carrying the write
+    /// timeout), also shut down on kick/death.
     sock: TcpStream,
     max_frame: usize,
 }
 
 impl Outbound {
+    /// The write side of `stream`. The socket's write timeout is set here,
+    /// once, so every frame write on it is bounded by [`WRITE_DEADLINE`]
+    /// whichever thread makes it.
+    fn open(stream: &TcpStream, max_frame: usize) -> io::Result<Arc<Outbound>> {
+        stream.set_write_timeout(Some(WRITE_DEADLINE))?;
+        Ok(Arc::new(Outbound {
+            state: Mutex::new(OutboundState {
+                frames: VecDeque::new(),
+                writing: false,
+                closing: false,
+                dead: false,
+            }),
+            space: Condvar::new(),
+            work: Condvar::new(),
+            sock: stream.try_clone()?,
+            max_frame,
+        }))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, OutboundState> {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn kick(&self, state: &mut OutboundState) {
         state.dead = true;
         state.frames.clear();
@@ -441,34 +492,79 @@ impl Outbound {
         self.space.notify_all();
         self.work.notify_all();
     }
+
+    /// Writes one frame with `state.writing` held by the caller, then
+    /// releases it. A failed write kicks the connection.
+    fn write(&self, frame: &[u8]) -> io::Result<()> {
+        let written = write_by_deadline(&self.sock, frame);
+        let mut state = self.lock();
+        state.writing = false;
+        match written {
+            Ok(()) => {
+                // Frames queued behind this one (or a pending close) are
+                // the writer thread's to handle now.
+                if !state.frames.is_empty() || state.closing {
+                    self.work.notify_one();
+                }
+                Ok(())
+            }
+            Err(e) => {
+                self.kick(&mut state);
+                Err(e)
+            }
+        }
+    }
 }
 
-/// A cloneable handle on a connection's outbound queue; waiter threads
-/// and the connection driver interleave whole frames through it.
+/// Writes all of `bytes`, giving up once [`WRITE_DEADLINE`] has passed
+/// with part of the frame still unsent. Each blocking `write` is bounded
+/// by the socket's write timeout (the same deadline, set at connection
+/// setup), so a peer that stops reading costs at most one deadline.
+fn write_by_deadline(mut sock: &TcpStream, mut bytes: &[u8]) -> io::Result<()> {
+    let deadline = Instant::now() + WRITE_DEADLINE;
+    while !bytes.is_empty() {
+        match sock.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !bytes.is_empty() && Instant::now() >= deadline {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "client too slow"));
+        }
+    }
+    Ok(())
+}
+
+/// A cloneable handle on a connection's write side; waiter threads and
+/// the connection driver interleave whole frames through it.
 #[derive(Clone)]
 struct FrameWriter {
     out: Arc<Outbound>,
 }
 
 impl FrameWriter {
-    /// Enqueues one frame; delivery failures are returned (the driver
-    /// closes on them, the ledger parks terminal frames on them) — a
-    /// vanished or too-slow client cannot be told anything.
+    /// Encodes and sends one frame; delivery failures are returned (the
+    /// driver closes on them, the ledger parks terminal frames on them) —
+    /// a vanished or too-slow client cannot be told anything.
     fn send(&self, value: &Value) -> io::Result<()> {
-        if value.to_json().len() > self.out.max_frame {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds bound"));
-        }
+        self.send_encoded(Arc::new(proto::encode_frame(value, self.out.max_frame)?))
+    }
+
+    /// Sends one encoded frame: written in place when nothing is ahead of
+    /// it, else queued for the writer thread.
+    fn send_encoded(&self, frame: Encoded) -> io::Result<()> {
+        let out = &*self.out;
         let deadline = Instant::now() + WRITE_DEADLINE;
-        let mut state = self.out.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = out.lock();
         while !state.dead && !state.closing && state.frames.len() >= OUTBOUND_QUEUE {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                // Slow client: the queue sat full for the whole deadline.
-                self.out.kick(&mut state);
+                // Slow client: the backlog sat full for the whole deadline.
+                out.kick(&mut state);
                 return Err(io::Error::new(io::ErrorKind::TimedOut, "client too slow"));
             }
-            let (guard, _) = self
-                .out
+            let (guard, _) = out
                 .space
                 .wait_timeout(state, left)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -477,56 +573,59 @@ impl FrameWriter {
         if state.dead || state.closing {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection closed"));
         }
-        state.frames.push_back(value.clone());
-        self.out.work.notify_one();
-        Ok(())
+        if state.writing || !state.frames.is_empty() {
+            state.frames.push_back(frame);
+            out.work.notify_one();
+            return Ok(());
+        }
+        state.writing = true;
+        drop(state);
+        out.write(&frame)
     }
 
-    /// Hard close for a vanished peer: marks the queue dead right away so
-    /// waiter threads see their sends fail — and park terminal frames in
-    /// the ledger — instead of writing into a closed socket's kernel
-    /// buffer, where the frame would be silently discarded.
+    /// Hard close for a vanished peer: marks the connection dead right
+    /// away so waiter threads see their sends fail — and park terminal
+    /// frames in the ledger — instead of writing into a closed socket's
+    /// kernel buffer, where the frame would be silently discarded.
     fn abandon(&self) {
-        let mut state = self.out.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.out.lock();
         self.out.kick(&mut state);
     }
 
-    /// Graceful close: lets the writer thread drain the queue and exit.
+    /// Graceful close: lets the writer thread drain the backlog and exit.
     fn finish(&self) {
-        let mut state = self.out.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.out.lock();
         state.closing = true;
         self.out.work.notify_all();
         self.out.space.notify_all();
     }
 }
 
-/// The writer thread: drains the outbound queue onto the socket. A write
-/// error (or write-deadline overrun, via the socket write timeout) marks
-/// the connection dead and shuts the socket down, waking the reader.
-fn writer_loop(out: &Arc<Outbound>, mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
+/// The writer thread: drains the backlog that builds up while another
+/// thread's write is in flight, in order, then exits once the connection
+/// is closing with nothing queued or in flight (or at once when dead).
+fn writer_loop(out: &Outbound) {
+    let mut state = out.lock();
     loop {
-        let frame = {
-            let mut state = out.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            loop {
-                if state.dead {
-                    return;
-                }
-                if let Some(frame) = state.frames.pop_front() {
-                    out.space.notify_all();
-                    break frame;
-                }
-                if state.closing {
-                    return;
-                }
-                state = out.work.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        if proto::write_frame(&mut stream, &frame, out.max_frame).is_err() {
-            let mut state = out.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            out.kick(&mut state);
+        if state.dead {
             return;
         }
+        if !state.writing {
+            if let Some(frame) = state.frames.pop_front() {
+                state.writing = true;
+                out.space.notify_all();
+                drop(state);
+                if out.write(&frame).is_err() {
+                    return;
+                }
+                state = out.lock();
+                continue;
+            }
+            if state.closing {
+                return;
+            }
+        }
+        state = out.work.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
     }
 }
 
@@ -655,21 +754,11 @@ struct Conn<'a> {
 fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_TIMEOUT));
-    let Ok(write_half) = stream.try_clone() else { return };
-    let Ok(shutdown_half) = stream.try_clone() else { return };
-    let out = Arc::new(Outbound {
-        state: Mutex::new(OutboundState { frames: VecDeque::new(), closing: false, dead: false }),
-        space: Condvar::new(),
-        work: Condvar::new(),
-        sock: shutdown_half,
-        max_frame: inner.config.max_frame,
-    });
+    let Ok(out) = Outbound::open(&stream, inner.config.max_frame) else { return };
     let writer = FrameWriter { out: Arc::clone(&out) };
     let writer_thread = {
         let out = Arc::clone(&out);
-        thread::Builder::new()
-            .name("ramr-serve-write".into())
-            .spawn(move || writer_loop(&out, write_half))
+        thread::Builder::new().name("ramr-serve-write".into()).spawn(move || writer_loop(&out))
     };
     let Ok(writer_thread) = writer_thread else { return };
     let mut reader = BufReader::new(stream);
@@ -692,7 +781,7 @@ fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
                         .collect();
                     let welcome = frame(
                         ResponseKind::Welcome,
-                        &[
+                        [
                             ("tenant", Value::Str(tenant.clone())),
                             ("version", Value::Num(PROTOCOL_VERSION as f64)),
                             ("apps", Value::Arr(apps)),
@@ -706,21 +795,21 @@ fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
                 }
                 Err(message) => {
                     let _ =
-                        writer.send(&frame(ResponseKind::Error, &[("error", Value::Str(message))]));
+                        writer.send(&frame(ResponseKind::Error, [("error", Value::Str(message))]));
                     break None;
                 }
             },
             Ok(None) => break None,
             Err(e) if timed_out(&e) => {
                 if inner.stopping() {
-                    let _ = writer.send(&frame(ResponseKind::Bye, &[]));
+                    let _ = writer.send(&frame(ResponseKind::Bye, []));
                     break None;
                 }
             }
             Err(_) => {
                 let _ = writer.send(&frame(
                     ResponseKind::Error,
-                    &[("error", Value::Str("malformed frame before HELLO".into()))],
+                    [("error", Value::Str("malformed frame before HELLO".into()))],
                 ));
                 break None;
             }
@@ -764,7 +853,7 @@ fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let _ = conn.writer.send(&frame(
                     ResponseKind::Error,
-                    &[("error", Value::Str(format!("protocol error: {e}")))],
+                    [("error", Value::Str(format!("protocol error: {e}")))],
                 ));
                 break;
             }
@@ -788,7 +877,7 @@ fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
         let _ = waiter.join();
     }
     if !peer_gone {
-        let _ = conn.writer.send(&frame(ResponseKind::Bye, &[]));
+        let _ = conn.writer.send(&frame(ResponseKind::Bye, []));
     }
     conn.writer.finish();
     let _ = writer_thread.join();
@@ -829,8 +918,7 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
     let kind = match proto::frame_type(request) {
         Ok(kind) => kind,
         Err(message) => {
-            let _ =
-                conn.writer.send(&frame(ResponseKind::Error, &[("error", Value::Str(message))]));
+            let _ = conn.writer.send(&frame(ResponseKind::Error, [("error", Value::Str(message))]));
             return false;
         }
     };
@@ -846,7 +934,7 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
                 Some(nonce) => vec![("nonce", nonce.clone())],
                 None => Vec::new(),
             };
-            conn.writer.send(&frame(ResponseKind::Pong, &members)).is_ok()
+            conn.writer.send(&frame(ResponseKind::Pong, members)).is_ok()
         }
         Some(RequestKind::Shutdown) => {
             match check_token(conn.inner, request, "SHUTDOWN") {
@@ -859,7 +947,7 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
                 Err(message) => {
                     let _ = conn
                         .writer
-                        .send(&frame(ResponseKind::Error, &[("error", Value::Str(message))]));
+                        .send(&frame(ResponseKind::Error, [("error", Value::Str(message))]));
                     true
                 }
             }
@@ -867,14 +955,14 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
         Some(RequestKind::Hello) => {
             let _ = conn.writer.send(&frame(
                 ResponseKind::Error,
-                &[("error", Value::Str("already authenticated".into()))],
+                [("error", Value::Str("already authenticated".into()))],
             ));
             false
         }
         None => {
             let _ = conn.writer.send(&frame(
                 ResponseKind::Error,
-                &[("error", Value::Str(format!("unknown request type {kind:?}")))],
+                [("error", Value::Str(format!("unknown request type {kind:?}")))],
             ));
             false
         }
@@ -902,16 +990,16 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
     let job_error_frame = |message: String| {
         frame(
             ResponseKind::JobError,
-            &[("id", Value::Num(id as f64)), ("error", Value::Str(message))],
+            [("id", Value::Num(id as f64)), ("error", Value::Str(message))],
         )
     };
-    let accepted_frame = frame(ResponseKind::Accepted, &[("id", Value::Num(id as f64))]);
+    let accepted_frame = frame(ResponseKind::Accepted, [("id", Value::Num(id as f64))]);
 
     // Dedup / reservation, for request_id submits.
     if let Some(rid) = &rid {
         enum Hit {
             Rebound,
-            Replay(Value),
+            Replay(Option<Encoded>),
             Full,
             Fresh,
         }
@@ -961,7 +1049,9 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
             }
             Hit::Replay(reply) => {
                 let _ = conn.writer.send(&accepted_frame);
-                let _ = conn.writer.send(&reply);
+                if let Some(reply) = reply {
+                    let _ = conn.writer.send_encoded(reply);
+                }
                 return;
             }
             Hit::Full => {
@@ -978,7 +1068,7 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
     // connection the id is bound to now and retain it as the id's
     // outcome (a later duplicate replays it instead of re-running).
     let refuse_terminal = |conn: &Conn<'_>, reply: Value| match &rid {
-        Some(rid) => conn.inner.deliver(&conn.tenant, rid, reply),
+        Some(rid) => conn.inner.deliver(&conn.tenant, rid, &reply),
         None => {
             let _ = conn.writer.send(&reply);
         }
@@ -1008,7 +1098,7 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
         let hint = registry::retry_hint_ms(reason, conn.inner.config.retry_ms);
         frame(
             ResponseKind::RetryAfter,
-            &[
+            [
                 ("id", Value::Num(id as f64)),
                 ("reason", Value::Str(reason.as_str().into())),
                 ("retry_after_ms", Value::Num(hint as f64)),
@@ -1057,7 +1147,7 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
                         if let Some(rendered) = outcome.rendered {
                             members.push(("output", Value::Str(rendered)));
                         }
-                        frame(ResponseKind::Result, &members)
+                        frame(ResponseKind::Result, members)
                     }
                     Err(err) => {
                         let mut members = vec![
@@ -1067,13 +1157,13 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
                         if let Some(rid) = &rid {
                             members.push(("request_id", Value::Str(rid.clone())));
                         }
-                        frame(ResponseKind::JobError, &members)
+                        frame(ResponseKind::JobError, members)
                     }
                 };
                 match &rid {
                     // Ledgered job: route through the dedup ledger so a
                     // vanished client's terminal frame parks for pickup.
-                    Some(rid) => inner.deliver(&tenant, rid, reply),
+                    Some(rid) => inner.deliver(&tenant, rid, &reply),
                     // Legacy (no request_id): the client may be gone;
                     // nothing useful to do about it.
                     None => {
@@ -1163,5 +1253,35 @@ fn app_kind(app: &str) -> Option<AppKind> {
         "lr" => Some(AppKind::LinearRegression),
         "km" => Some(AppKind::Kmeans),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A frame larger than every socket buffer, written in place to a peer
+    /// that never reads, gives up once the write deadline has passed — not
+    /// one deadline per partial write — and kills the connection, so no
+    /// thread blocks on a stalled socket longer than the deadline.
+    #[test]
+    fn an_in_place_write_to_a_peer_that_never_reads_gives_up_at_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (stream, _) = listener.accept().expect("accept");
+        let writer = FrameWriter { out: Outbound::open(&stream, usize::MAX).expect("open") };
+        let (done, outcome) = mpsc::channel();
+        let sender = writer.clone();
+        let sending = thread::spawn(move || {
+            let _ = done.send(sender.send_encoded(Arc::new(vec![b' '; 16 << 20])));
+        });
+        let sent = outcome
+            .recv_timeout(WRITE_DEADLINE + Duration::from_secs(3))
+            .expect("the write gave up within the deadline");
+        sending.join().expect("the sending thread");
+        assert_eq!(sent.expect_err("nothing read the frame").kind(), io::ErrorKind::TimedOut);
+        let after = writer.send(&frame(ResponseKind::Pong, []));
+        assert!(after.is_err(), "a kicked connection takes no more frames");
     }
 }

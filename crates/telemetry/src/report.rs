@@ -82,8 +82,15 @@ impl MetricsReport {
         self.threads.iter().filter(|t| t.role == role).cloned().collect()
     }
 
-    /// Serializes the report to JSON text.
+    /// Serializes the report to JSON text: [`to_value`](Self::to_value)
+    /// written out.
     pub fn to_json(&self) -> String {
+        self.to_value().to_json()
+    }
+
+    /// The report as a JSON tree, for embedding in a larger document
+    /// without a text round trip.
+    pub fn to_value(&self) -> Value {
         let mut obj = BTreeMap::new();
         obj.insert("app".into(), Value::Str(self.app.clone()));
         obj.insert("runtime".into(), Value::Str(self.runtime.clone()));
@@ -115,7 +122,7 @@ impl MetricsReport {
         if let Some(r) = self.suggested_ratio() {
             obj.insert("suggested_ratio".into(), num(r as u64));
         }
-        Value::Obj(obj).to_json()
+        Value::Obj(obj)
     }
 
     /// Deserializes a report produced by [`to_json`](Self::to_json).
@@ -382,6 +389,13 @@ mod tests {
         let text = helping.to_json();
         assert!(text.contains("\"helped\":700"), "{text}");
         assert_eq!(MetricsReport::from_json(&text).expect("round trip"), helping);
+    }
+
+    #[test]
+    fn to_value_is_the_tree_to_json_writes() {
+        let report = MetricsReport { helped: 700, ..sample() };
+        assert_eq!(json::parse(&report.to_json()).expect("valid JSON"), report.to_value());
+        assert_eq!(report.to_value().to_json(), report.to_json());
     }
 
     #[test]

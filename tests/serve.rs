@@ -6,19 +6,26 @@
 //! as the same job run through an in-process [`JobScheduler`], on all
 //! three backends. Around it: typed wire backpressure, tenant auth,
 //! fault isolation for a poisoned tenant, graceful shutdown semantics,
-//! and the live `METRICS` endpoint.
+//! the live `METRICS` endpoint, and the write side's contracts: a client
+//! that stops reading is kicked within the write deadline while other
+//! tenants keep being served, and frames from the connection's reader
+//! thread, the job waiters and the writer thread never tear or reorder.
 
+use std::io::BufReader;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mr_apps::inputs::{wc_input, InputFlavor, InputSpec, Platform};
-use mr_apps::{AppKind, WordCount};
-use mr_core::RuntimeConfig;
+use mr_apps::inputs::{hg_input, km_input, lr_input, wc_input, InputFlavor, InputSpec, Platform};
+use mr_apps::{AppKind, Histogram, KmeansState, LinearRegression, WordCount};
+use mr_core::{MapReduceJob, RuntimeConfig};
 use ramr::{Backend, JobScheduler};
+use ramr_serve::proto::{self, RequestKind, ResponseKind, PROTOCOL_VERSION};
 use ramr_serve::{
-    outcome_of, JobRequest, ServeClient, ServeConfig, ServeError, Server, POISON_APP,
+    digest64, outcome_of, render_pairs, JobRequest, ServeClient, ServeConfig, ServeError, Server,
+    POISON_APP,
 };
-use ramr_telemetry::json::Value;
+use ramr_telemetry::json::{self, Value};
 
 /// Table I divisor used throughout: large enough that each job is around
 /// a millisecond, so the suite stays fast.
@@ -387,5 +394,291 @@ fn per_job_knob_overrides_reach_the_pool() {
     assert!(matches!(refused, Err(ServeError::JobFailed(_))), "unknown knob: {refused:?}");
     let still_fine = client.run_job(&wc_request()).expect("connection survives the refusal");
     assert!(still_fine.keys > 0);
+    drop(server);
+}
+
+/// `outcome_of` builds its frame parts without a text round trip: the
+/// digest streams the canonical lines through the hash, the rendering is
+/// built only for an echo, and the metrics tree is the report's own
+/// [`MetricsReport::to_value`]. All three must equal what the long way —
+/// render, digest the string, write the report's JSON and parse it back —
+/// produces, for every servable app, echo on and off, on both backends.
+#[test]
+fn outcome_of_matches_render_digest_and_parsed_metrics() {
+    fn check<J: MapReduceJob + Send + 'static>(app: &str, job: J, input: Vec<J::Input>) {
+        let kind = match app {
+            "wc" => AppKind::WordCount,
+            "hg" => AppKind::Histogram,
+            "lr" => AppKind::LinearRegression,
+            _ => AppKind::Kmeans,
+        };
+        let config =
+            base_config().into_builder().container(kind.default_container()).build().unwrap();
+        let (job, input) = (Arc::new(job), Arc::new(input));
+        for backend in Backend::ALL {
+            let sched = JobScheduler::<J>::new(backend, config.clone()).expect("scheduler opens");
+            let done = sched
+                .client("outcome")
+                .submit(Arc::clone(&job), Arc::clone(&input))
+                .expect("submit")
+                .wait()
+                .expect("job runs");
+            let rendered = render_pairs(&done.output.pairs);
+            let report = done.report.metrics(app, &config, &done.output.stats);
+            let metrics = json::parse(&report.to_json()).expect("report JSON parses");
+            for echo in [false, true] {
+                let outcome = outcome_of(app, backend, &config, &done, echo);
+                assert_eq!(outcome.keys, done.output.pairs.len() as u64, "{app} {backend}");
+                assert_eq!(outcome.digest, digest64(&rendered), "{app} {backend} echo={echo}");
+                assert_eq!(
+                    outcome.rendered.as_deref(),
+                    echo.then_some(rendered.as_str()),
+                    "{app} {backend} echo={echo}"
+                );
+                assert_eq!(outcome.metrics, metrics, "{app} {backend} echo={echo}");
+                assert_eq!(outcome.metrics.to_json(), report.to_json(), "{app} {backend}");
+            }
+        }
+    }
+    let spec = |kind| InputSpec::table1(kind, Platform::Haswell, InputFlavor::Small);
+    check("wc", WordCount, wc_input(&spec(AppKind::WordCount), SCALE));
+    check("hg", Histogram, hg_input(&spec(AppKind::Histogram), SCALE));
+    check("lr", LinearRegression, lr_input(&spec(AppKind::LinearRegression), SCALE));
+    let points = km_input(&spec(AppKind::Kmeans), SCALE);
+    check("km", KmeansState::seeded(&points, 16).job(), points);
+}
+
+/// Writes one raw frame from `(name, value)` members.
+fn raw_send(stream: &mut TcpStream, members: &[(&str, Value)]) -> std::io::Result<()> {
+    let frame = Value::Obj(members.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect());
+    proto::write_frame(stream, &frame, 1 << 20)
+}
+
+/// Reads raw frames until one of type `want` arrives (skipping others),
+/// or panics after `within`.
+fn raw_read(reader: &mut BufReader<TcpStream>, want: ResponseKind, within: Duration) -> Value {
+    let deadline = Instant::now() + within;
+    loop {
+        assert!(Instant::now() < deadline, "no {want:?} frame within {within:?}");
+        match proto::read_frame(reader, 16 << 20) {
+            Ok(Some(frame)) if proto::frame_type(&frame).ok() == Some(want.as_str()) => {
+                return frame
+            }
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("connection closed while waiting for {want:?}"),
+            Err(e) if timed_out(&e) => {}
+            Err(e) => panic!("read failed waiting for {want:?}: {e}"),
+        }
+    }
+}
+
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
+
+/// A raw connection that has said `HELLO` as `tenant` and read `WELCOME`.
+fn raw_connect(addr: &str, tenant: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let mut stream = TcpStream::connect(addr).expect("dial");
+    stream.set_read_timeout(Some(Duration::from_millis(50))).expect("read timeout");
+    raw_send(
+        &mut stream,
+        &[
+            ("type", Value::Str(RequestKind::Hello.as_str().into())),
+            ("tenant", Value::Str(tenant.into())),
+            ("version", Value::Num(PROTOCOL_VERSION as f64)),
+        ],
+    )
+    .expect("HELLO writes");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    raw_read(&mut reader, ResponseKind::Welcome, Duration::from_secs(10));
+    (stream, reader)
+}
+
+/// The `SUBMIT` frame of [`wc_request`], with an id, an optional
+/// `request_id` and the output echo on or off.
+fn raw_submit(id: u64, rid: Option<&str>, echo: bool) -> Vec<(&'static str, Value)> {
+    let mut members = vec![
+        ("type", Value::Str(RequestKind::Submit.as_str().into())),
+        ("id", Value::Num(id as f64)),
+        ("app", Value::Str("wc".into())),
+        ("scale", Value::Num(SCALE as f64)),
+        ("echo_output", Value::Bool(echo)),
+    ];
+    if let Some(rid) = rid {
+        members.push(("request_id", Value::Str(rid.into())));
+    }
+    members
+}
+
+/// The ledger counters of `tenant` in a `METRICS_REPORT`, if listed.
+fn ledger_of(metrics: &Value, tenant: &str) -> Option<Value> {
+    match metrics.get("tenants") {
+        Some(Value::Arr(tenants)) => tenants
+            .iter()
+            .find(|t| t.get("tenant").and_then(Value::as_str) == Some(tenant))
+            .cloned(),
+        other => panic!("METRICS_REPORT missing tenants array: {other:?}"),
+    }
+}
+
+/// A client that submits and then stops reading cannot hold any server
+/// thread on its socket past the write deadline: it is kicked within the
+/// deadline plus slack, another tenant's jobs on the same pool keep
+/// completing meanwhile, and the stalled tenant's terminal frames park in
+/// the dedup ledger and replay — without running again — when it reclaims
+/// them from a new connection.
+#[test]
+fn a_client_that_stops_reading_is_kicked_and_its_results_park() {
+    /// The server's per-frame write deadline.
+    const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+    /// Time for the stalled socket's buffers to fill, plus scheduling.
+    const SLACK: Duration = Duration::from_secs(7);
+
+    let (server, addr) = boot(|_| {});
+    let (mut stalled, stalled_reader) = raw_connect(&addr, "stalled");
+    // Echoed results fill the socket buffers quickly; nothing reads them.
+    drop(stalled_reader);
+    let started = Instant::now();
+    let submitter = std::thread::spawn(move || {
+        let mut sent = 0u64;
+        while started.elapsed() < WRITE_DEADLINE + SLACK + SLACK {
+            let rid = format!("stall-{sent}");
+            if raw_send(&mut stalled, &raw_submit(sent, Some(&rid), true)).is_err() {
+                break; // the server has let go of the connection
+            }
+            sent += 1;
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sent
+    });
+
+    // The steady tenant shares the stalled tenant's pool.
+    let mut steady = ServeClient::connect(&addr, "steady", None).expect("steady connects");
+    let mut completed = 0u64;
+    let mut slowest = Duration::ZERO;
+    let digest = loop {
+        let sent = Instant::now();
+        let result = steady.run_job(&wc_request()).expect("the steady tenant keeps being served");
+        slowest = slowest.max(sent.elapsed());
+        completed += 1;
+        let metrics = steady.metrics().expect("metrics snapshot");
+        let parked = ledger_of(&metrics, "stalled").map_or(0, |l| metric_u64(&l, "parked"));
+        if parked >= 1 {
+            break result.digest;
+        }
+        assert!(
+            started.elapsed() < WRITE_DEADLINE + SLACK,
+            "the stalled client was not kicked within {:?}",
+            WRITE_DEADLINE + SLACK
+        );
+    };
+    let kicked_after = started.elapsed();
+    assert!(completed >= 3, "only {completed} steady jobs completed in {kicked_after:?}");
+    assert!(slowest < WRITE_DEADLINE, "a steady job waited {slowest:?} behind the stalled socket");
+
+    // Once the kicked connection's jobs have all resolved, every one the
+    // scheduler ran has a terminal frame in the ledger.
+    let sent = submitter.join().expect("submitter");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let metrics = steady.metrics().expect("metrics snapshot");
+        let ledger = ledger_of(&metrics, "stalled").expect("the stalled tenant has a ledger");
+        if metric_u64(&ledger, "ledger_in_flight") == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the kicked connection's jobs never resolved");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let executed: Vec<String> =
+        server.execution_ledger().into_iter().filter(|t| t.starts_with("stalled:")).collect();
+    assert!(!executed.is_empty(), "none of {sent} stalled submits ran");
+
+    // Reclaim the last few: each replays its RESULT, echo and all, and
+    // nothing runs again.
+    let (mut again, mut again_reader) = raw_connect(&addr, "stalled");
+    for tag in executed.iter().rev().take(4) {
+        let rid = tag.trim_start_matches("stalled:");
+        raw_send(&mut again, &raw_submit(0, Some(rid), true)).expect("reclaim writes");
+        raw_read(&mut again_reader, ResponseKind::Accepted, Duration::from_secs(10));
+        let replayed = raw_read(&mut again_reader, ResponseKind::Result, Duration::from_secs(10));
+        assert_eq!(replayed.get("request_id").and_then(Value::as_str), Some(rid));
+        assert_eq!(replayed.get("digest").and_then(Value::as_str), Some(digest.as_str()));
+        assert!(replayed.get("output").and_then(Value::as_str).is_some_and(|o| !o.is_empty()));
+    }
+    let after: Vec<String> =
+        server.execution_ledger().into_iter().filter(|t| t.starts_with("stalled:")).collect();
+    assert_eq!(after, executed, "a reclaim must replay, not re-execute");
+    drop(server);
+}
+
+/// One connection, many writers: overlapping `SUBMIT`s sent without
+/// waiting, interleaved with `METRICS`, so the connection thread's
+/// in-place `ACCEPTED`/`METRICS_REPORT` writes, the job waiters' in-place
+/// `RESULT` writes and the writer thread's backlog drain all race for the
+/// socket. Every frame must arrive whole, the direct replies (one per
+/// request) in request order, each id's `ACCEPTED` before its `RESULT`,
+/// and every request must be answered exactly once.
+#[test]
+fn concurrent_senders_never_tear_or_reorder_a_connections_frames() {
+    const ROUNDS: u64 = 4;
+    const SUBMITS: u64 = 48;
+    let (server, addr) = boot(|_| {});
+    let (mut stream, mut reader) = raw_connect(&addr, "racer");
+    for round in 0..ROUNDS {
+        // The direct replies, in the order they must arrive: `S<id>` for
+        // a SUBMIT (ACCEPTED or RETRY_AFTER), `M` for a METRICS.
+        let mut requests = Vec::new();
+        for id in round * 100..round * 100 + SUBMITS {
+            // Half carry a request_id, so deliveries also go through the
+            // ledger; half echo their output, so frame sizes differ.
+            let rid = format!("race-{id}");
+            let submit = raw_submit(id, (id % 2 == 0).then_some(rid.as_str()), id % 3 != 0);
+            raw_send(&mut stream, &submit).expect("SUBMIT writes");
+            requests.push(format!("S{id}"));
+            if id % 4 == 0 {
+                let metrics = [("type", Value::Str(RequestKind::Metrics.as_str().into()))];
+                raw_send(&mut stream, &metrics).expect("METRICS writes");
+                requests.push("M".to_string());
+            }
+        }
+
+        let mut replies = Vec::new();
+        let mut accepted = std::collections::BTreeSet::new();
+        let mut terminal = std::collections::BTreeSet::new();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while replies.len() < requests.len() || terminal.len() < accepted.len() {
+            assert!(Instant::now() < deadline, "answers missing: {replies:?} {terminal:?}");
+            let frame = match proto::read_frame(&mut reader, 16 << 20) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => panic!("server closed the connection"),
+                Err(e) if timed_out(&e) => continue,
+                Err(e) => panic!("a frame did not arrive whole: {e}"),
+            };
+            let kind = proto::frame_type(&frame).expect("typed frame");
+            let id = frame.get("id").and_then(Value::as_u64);
+            match ResponseKind::from_wire(kind) {
+                Some(ResponseKind::Accepted) => {
+                    let id = id.expect("ACCEPTED carries its id");
+                    assert!(!terminal.contains(&id), "id {id}: RESULT before ACCEPTED");
+                    assert!(accepted.insert(id), "id {id} accepted twice");
+                    replies.push(format!("S{id}"));
+                }
+                Some(ResponseKind::RetryAfter) => {
+                    replies.push(format!("S{}", id.expect("RETRY_AFTER carries its id")));
+                }
+                Some(ResponseKind::MetricsReport) => replies.push("M".to_string()),
+                Some(ResponseKind::Result) => {
+                    let id = id.expect("RESULT carries its id");
+                    assert!(accepted.contains(&id), "id {id}: RESULT before ACCEPTED");
+                    assert!(terminal.insert(id), "id {id} answered twice");
+                    assert!(frame.get("digest").and_then(Value::as_str).is_some());
+                }
+                _ => panic!("unexpected frame {frame:?}"),
+            }
+        }
+        assert_eq!(replies, requests, "round {round}: direct replies out of request order");
+        assert_eq!(accepted, terminal, "round {round}: every accepted id gets one RESULT");
+    }
+    drop(stream);
     drop(server);
 }
