@@ -63,9 +63,9 @@ impl MapReduceJob for WordCount {
     }
 }
 
-/// [`WordCount`] with `String` keys — the pre-`CompactKey` formulation,
-/// kept as the baseline arm of the `key_path` ablation benchmark (one heap
-/// allocation per emitted word in `to_ascii_lowercase`).
+/// [`WordCount`] with `String` keys — the pre-`CompactKey` formulation
+/// (one heap allocation per emitted word in `to_ascii_lowercase`), kept as
+/// the control the differential suite checks the compact key path against.
 ///
 /// Produces the same counts as [`WordCount`] for the same lines; only the
 /// key representation differs.

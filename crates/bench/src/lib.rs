@@ -6,10 +6,9 @@
 //! jobs at Table I scale, runtime-vs-runtime speedup helpers, and small
 //! fixed-width table printing.
 //!
-//! The performance numbers come from the `mrsim` model (see that crate's
-//! documentation for why); the *functional* results come from the real
-//! `ramr`/`phoenix-mr` runtimes, which the same binaries exercise at scaled
-//! input sizes to demonstrate output equivalence.
+//! Every number here comes from the `mrsim` model (see that crate's
+//! documentation for why). Real-thread measurements of the runtimes live
+//! in the separate `benchmark/` package, the repository's one perf harness.
 
 #![warn(missing_docs)]
 

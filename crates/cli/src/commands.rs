@@ -29,8 +29,8 @@ USAGE:
                 [--flavor small|medium|large] [--platform hwl|phi]
                 [--scale N] [--runs N] [--metrics-json FILE]
                 [--workers N] [--combiners N] [--task N] [--queue N]
-                [--batch N] [--emit-buffer N] [--reducers N]
-                [--fixed-capacity N] [--container array|hash|fixed-hash]
+                [--batch N] [--reducers N] [--fixed-capacity N]
+                [--container array|hash|fixed-hash]
                 [--hasher fnv|fx]
                 [--pinning ramr|round-robin|os-default] [--pin 0|1]
                 [--push-spins N] [--push-sleep-us US] [--telemetry 0|1]
@@ -477,12 +477,11 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
     println!(
         "{} | {platform} {flavor} ({source}) | workers {} combiners {} \
-         batch {} emit-buffer {} queue {} container {}",
+         batch {} queue {} container {}",
         app.abbrev(),
         config.num_workers,
         config.num_combiners,
         config.batch_size,
-        config.effective_emit_buffer(),
         config.queue_capacity,
         config.container,
     );

@@ -872,10 +872,11 @@ mod tests {
     fn emit_buffer_sweep_preserves_results_and_conservation() {
         let input: Vec<u64> = (0..8000).collect();
         let expected = reference(&input);
-        // 1 = element-wise, 2, batch_size (8), queue_capacity (64).
+        // The emit block is the batch: 1 = element-wise, 2, the test
+        // default (8), and queue_capacity (64).
         for emit in [1usize, 2, 8, 64] {
             let mut cfg = config(4, 2);
-            cfg.emit_buffer_size = Some(emit);
+            cfg.batch_size = emit;
             let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
             assert_eq!(out.pairs, expected, "emit_buffer={emit}");
             let emitted = emitted(&report);
@@ -888,7 +889,7 @@ mod tests {
     fn element_wise_emit_buffer_matches_default() {
         let input: Vec<u64> = (0..12_000).map(|i| i * 13 % 5000).collect();
         let mut element_wise = config(4, 2);
-        element_wise.emit_buffer_size = Some(1);
+        element_wise.batch_size = 1;
         let a = run_once(element_wise, &Mod9, &input).unwrap().0;
         let b = run_once(config(4, 2), &Mod9, &input).unwrap().0;
         assert_eq!(a.pairs, b.pairs);

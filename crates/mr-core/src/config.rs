@@ -265,15 +265,11 @@ pub struct RuntimeConfig {
     pub task_size: usize,
     /// Capacity of each mapper→combiner SPSC queue, in elements.
     pub queue_capacity: usize,
-    /// Elements consumed per batched read (paper §III-A, §IV-C). A batch
-    /// size of 1 degenerates to element-wise consumption.
+    /// Elements consumed per batched read (paper §III-A, §IV-C), and
+    /// accumulated per emit block on the mapper side (see
+    /// [`RuntimeConfig::effective_emit_buffer`]). A batch size of 1
+    /// degenerates to element-wise consumption and publication.
     pub batch_size: usize,
-    /// Elements a mapper accumulates locally before publishing them to its
-    /// SPSC queue with a single tail update — the producer-side mirror of
-    /// `batch_size`. `None` (the default) follows `batch_size`; `Some(1)`
-    /// degenerates to element-wise pushes. Resolved by
-    /// [`RuntimeConfig::effective_emit_buffer`].
-    pub emit_buffer_size: Option<usize>,
     /// Intermediate container allocated per worker/combiner.
     pub container: ContainerKind,
     /// Key hash function used at the emission sink and in the hash
@@ -360,7 +356,6 @@ impl Default for RuntimeConfig {
             task_size: 4096,
             queue_capacity: 5000,
             batch_size: 1000,
-            emit_buffer_size: None,
             container: ContainerKind::Array,
             hasher: HasherKind::Fx,
             pinning: PinningPolicyKind::Ramr,
@@ -403,20 +398,19 @@ impl RuntimeConfig {
         self.num_workers.div_ceil(self.num_combiners.max(1))
     }
 
-    /// The emit-buffer size mappers actually use: the explicit
-    /// `emit_buffer_size` when set, otherwise `batch_size` (symmetric
+    /// The emit-buffer size mappers use: `batch_size` (symmetric
     /// producer/consumer block sizes), never exceeding `queue_capacity`
     /// (a larger block could never be published in one piece).
     pub fn effective_emit_buffer(&self) -> usize {
-        self.emit_buffer_size.unwrap_or(self.batch_size).min(self.queue_capacity)
+        self.batch_size.min(self.queue_capacity)
     }
 
     /// Reads overrides from `RAMR_*` environment variables, mirroring the
     /// paper's "finely tuned via a set of environmental variables".
     ///
     /// Recognized: `RAMR_WORKERS`, `RAMR_COMBINERS`, `RAMR_TASK_SIZE`,
-    /// `RAMR_QUEUE_CAPACITY`, `RAMR_BATCH_SIZE`, `RAMR_EMIT_BUFFER`,
-    /// `RAMR_REDUCERS`, `RAMR_FIXED_CAPACITY`, `RAMR_PUSH_SPINS`,
+    /// `RAMR_QUEUE_CAPACITY`, `RAMR_BATCH_SIZE`, `RAMR_REDUCERS`,
+    /// `RAMR_FIXED_CAPACITY`, `RAMR_PUSH_SPINS`,
     /// `RAMR_PUSH_SLEEP_US` (the two halves of the sleep-on-failed-push
     /// policy; setting either selects [`PushBackoff::SpinThenSleep`] with
     /// the paper's defaults for the other), `RAMR_CONTAINER`
@@ -524,16 +518,6 @@ impl RuntimeConfig {
                 self.pipeline_epsilon
             )));
         }
-        if let Some(n) = self.emit_buffer_size {
-            nonzero(n, "emit_buffer_size")?;
-            if n > self.queue_capacity {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "emit_buffer_size ({}) exceeds queue_capacity ({}); a block could never \
-                     be published whole",
-                    n, self.queue_capacity
-                )));
-            }
-        }
         Ok(())
     }
 }
@@ -572,12 +556,6 @@ impl RuntimeConfigBuilder {
     /// Sets the batched-consume block size.
     pub fn batch_size(mut self, n: usize) -> Self {
         self.config.batch_size = n;
-        self
-    }
-
-    /// Sets the mapper-side emit-buffer size (1 = element-wise pushes).
-    pub fn emit_buffer_size(mut self, n: usize) -> Self {
-        self.config.emit_buffer_size = Some(n);
         self
     }
 
@@ -790,15 +768,8 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_BATCH_SIZE",
         cli: "batch",
         value: "N",
-        help: "combiner batched-read size, in elements",
+        help: "combiner batched-read and mapper emit-block size, in elements",
         apply: |b, raw, src| Ok(b.batch_size(knob(raw, src)?)),
-    },
-    EnvKnob {
-        env: "RAMR_EMIT_BUFFER",
-        cli: "emit-buffer",
-        value: "N",
-        help: "mapper emit-buffer block size (default: follows batch)",
-        apply: |b, raw, src| Ok(b.emit_buffer_size(knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_CONTAINER",
@@ -1033,31 +1004,20 @@ mod tests {
     #[test]
     fn emit_buffer_defaults_to_batch_size() {
         let c = RuntimeConfig::builder().queue_capacity(5000).batch_size(250).build().unwrap();
-        assert_eq!(c.emit_buffer_size, None);
         assert_eq!(c.effective_emit_buffer(), 250);
-        let c = RuntimeConfig::builder().emit_buffer_size(32).build().unwrap();
+        // Never past the queue, even on a config that skipped validation.
+        let c = RuntimeConfig { queue_capacity: 32, batch_size: 64, ..RuntimeConfig::default() };
         assert_eq!(c.effective_emit_buffer(), 32);
     }
 
     #[test]
-    fn rejects_invalid_emit_buffer() {
-        assert!(RuntimeConfig::builder().emit_buffer_size(0).build().is_err());
-        let err = RuntimeConfig::builder()
-            .queue_capacity(10)
-            .batch_size(10)
-            .emit_buffer_size(11)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("emit_buffer_size"));
-    }
-
-    #[test]
     fn emit_buffer_from_env() {
+        // The emit block has no knob of its own: it follows RAMR_BATCH_SIZE.
         let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAMR_EMIT_BUFFER", "77");
+        std::env::set_var("RAMR_BATCH_SIZE", "77");
         let c = RuntimeConfig::from_env().unwrap();
-        std::env::remove_var("RAMR_EMIT_BUFFER");
-        assert_eq!(c.emit_buffer_size, Some(77));
+        std::env::remove_var("RAMR_BATCH_SIZE");
+        assert_eq!(c.batch_size, 77);
         assert_eq!(c.effective_emit_buffer(), 77);
     }
 

@@ -6,15 +6,16 @@
 //! the same Lamport-style ring buffer from scratch and layers on the paper's
 //! two additions:
 //!
-//! * **Sleep on failed push** — pushes must always succeed eventually
-//!   (dropping or overwriting elements would violate correctness), so a
-//!   producer facing a full queue spins briefly and then *parks* instead of
-//!   busy-waiting, freeing core resources for the co-located combiner
-//!   ([`Producer::push_with_backoff`]). The park is wake-on-progress, not a
-//!   timed nap: the consumer rings the producer's doorbell when it frees
-//!   space, and symmetrically the producer rings the consumer's when it
-//!   publishes or closes ([`Consumer::wait_any`]). The policy's `sleep` is
-//!   only the ceiling of one park.
+//! * **Sleep on failed push** — a blocking push must always succeed
+//!   eventually (dropping or overwriting elements would violate
+//!   correctness), so a producer publishing a block into a full queue spins
+//!   briefly and then *parks* instead of busy-waiting, freeing core
+//!   resources for the co-located combiner
+//!   ([`Producer::push_batch_with_backoff`]). The park is wake-on-progress,
+//!   not a timed nap: the consumer rings the producer's doorbell when it
+//!   frees space, and symmetrically the producer rings the consumer's when
+//!   it publishes or closes ([`Consumer::wait_any`]). The policy's `sleep`
+//!   is only the ceiling of one park.
 //! * **Batched reads** — the consumer drains runs of contiguous elements
 //!   with a single control-variable update, reducing producer/consumer
 //!   congestion on the shared indices and favouring spatial locality
@@ -36,9 +37,8 @@
 //!
 //! let (mut tx, mut rx) = SpscQueue::with_capacity(8).split();
 //! std::thread::spawn(move || {
-//!     for i in 0..100u32 {
-//!         tx.push_with_backoff(i, &Default::default());
-//!     }
+//!     let mut block: Vec<u32> = (0..100).collect();
+//!     tx.push_batch_with_backoff(&mut block, &Default::default());
 //! });
 //! let mut sum = 0u64;
 //! let mut received = 0;
@@ -330,48 +330,6 @@ impl<T: Send> Producer<T> {
         Ok(())
     }
 
-    /// Pushes, blocking until space is available, per the backoff policy.
-    ///
-    /// Returns the number of failed attempts before success — the
-    /// `queue_full_events` statistic reported by the RAMR runtime.
-    pub fn push_with_backoff(&mut self, value: T, policy: &BackoffPolicy) -> u64 {
-        let mut pending = Some(value);
-        self.publish_blocking(policy, |tx| {
-            pending = pending.take().and_then(|value| tx.try_push(value).err());
-            (false, usize::from(pending.is_some()))
-        })
-    }
-
-    /// Pushes as many elements from `batch` as fit, with a **single** tail
-    /// update for the whole run — the producer-side mirror of
-    /// [`Consumer::pop_batch`]: one control-variable write per batch instead
-    /// of per element.
-    ///
-    /// Returns the number of elements consumed from the iterator (the rest
-    /// remain in `batch`).
-    pub fn push_batch(&mut self, batch: &mut impl Iterator<Item = T>) -> usize {
-        let wanted = batch.size_hint().0.max(1);
-        let (tail, free) = self.free_run(wanted);
-        if free == 0 {
-            return 0;
-        }
-        let inner = &*self.inner;
-        let cap = inner.buf.len();
-        let mut written = 0;
-        while written < free {
-            let Some(value) = batch.next() else { break };
-            let slot = &inner.buf[(tail + written) % cap];
-            // SAFETY: slots tail..tail+free are outside `head..tail`; the
-            // consumer will not touch them until the release store below.
-            unsafe { (*slot.get()).write(value) };
-            written += 1;
-        }
-        if written > 0 {
-            inner.publish_tail(tail + written);
-        }
-        written
-    }
-
     /// Moves as many elements as fit out of the front of `buf` into the
     /// queue, publishing them with a **single** tail update. The written
     /// prefix is removed from `buf`; unwritten elements stay in place.
@@ -418,53 +376,39 @@ impl<T: Send> Producer<T> {
     }
 
     /// Pushes **every** element of `buf`, blocking per `policy` whenever the
-    /// queue is full, leaving `buf` empty. The batched analogue of
-    /// [`push_with_backoff`](Self::push_with_backoff): elements are
-    /// published in maximal blocks, one tail update each.
+    /// queue is full, leaving `buf` empty: elements are published in maximal
+    /// blocks, one tail update each ([`push_batch_drain`](Self::push_batch_drain)).
+    /// A zero-progress attempt counts as a failure and is followed by a
+    /// spin, a yield or a park on the space doorbell, per `policy`.
     ///
-    /// Returns the number of failed (zero-progress) attempts — the
-    /// `queue_full_events` statistic reported by the RAMR runtime. The spin
-    /// allowance resets after every block that makes progress, so only
-    /// sustained back-pressure degrades to parking.
+    /// Returns the number of failed attempts — the `queue_full_events`
+    /// statistic reported by the RAMR runtime. The spin allowance resets
+    /// after every block that makes progress, so only sustained
+    /// back-pressure degrades to parking.
     pub fn push_batch_with_backoff(&mut self, buf: &mut Vec<T>, policy: &BackoffPolicy) -> u64 {
-        self.publish_blocking(policy, |tx| (tx.push_batch_drain(buf) > 0, buf.len()))
-    }
-
-    /// The one backoff state machine behind every blocking push. `attempt`
-    /// publishes what fits and reports `(made progress, elements still
-    /// pending)`; a zero-progress attempt counts as a failure and is
-    /// followed by a spin, a yield or a park on the space doorbell, per
-    /// `policy`. The spin allowance starts over whenever a block goes
-    /// through.
-    fn publish_blocking(
-        &mut self,
-        policy: &BackoffPolicy,
-        mut attempt: impl FnMut(&mut Self) -> (bool, usize),
-    ) -> u64 {
         let fresh_spins = match policy {
             BackoffPolicy::BusyWait => u32::MAX,
             BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
         };
         let (mut failures, mut spins_left) = (0u64, fresh_spins);
-        loop {
-            match attempt(self) {
-                (_, 0) => return failures,
-                (true, _) => spins_left = fresh_spins,
-                (false, pending) => {
-                    failures += 1;
-                    match *policy {
-                        BackoffPolicy::BusyWait => busy_wait_step(failures),
-                        BackoffPolicy::SpinThenSleep { sleep, .. } if spins_left == 0 => {
-                            self.park_for_space(pending, sleep);
-                        }
-                        BackoffPolicy::SpinThenSleep { .. } => {
-                            spins_left -= 1;
-                            std::hint::spin_loop();
-                        }
-                    }
+        while !buf.is_empty() {
+            if self.push_batch_drain(buf) > 0 {
+                spins_left = fresh_spins;
+                continue;
+            }
+            failures += 1;
+            match *policy {
+                BackoffPolicy::BusyWait => busy_wait_step(failures),
+                BackoffPolicy::SpinThenSleep { sleep, .. } if spins_left == 0 => {
+                    self.park_for_space(buf.len(), sleep);
+                }
+                BackoffPolicy::SpinThenSleep { .. } => {
+                    spins_left -= 1;
+                    std::hint::spin_loop();
                 }
             }
         }
+        failures
     }
 
     /// Parks until `need` slots (at most the low-water mark, half the
@@ -859,28 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn push_with_backoff_reports_full_events() {
-        let (mut tx, mut rx) = SpscQueue::with_capacity(1).split();
-        assert_eq!(tx.push_with_backoff(1, &BackoffPolicy::default()), 0);
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            let mut got = Vec::new();
-            while got.len() < 2 {
-                if let Some(v) = rx.try_pop() {
-                    got.push(v);
-                }
-            }
-            got
-        });
-        let failures = tx.push_with_backoff(
-            2,
-            &BackoffPolicy::SpinThenSleep { spins: 4, sleep: Duration::from_micros(100) },
-        );
-        assert!(failures > 0, "push into a full queue must record failed attempts");
-        assert_eq!(handle.join().unwrap(), vec![1, 2]);
-    }
-
-    #[test]
     fn drops_queued_elements_exactly_once() {
         use std::sync::atomic::AtomicU32;
         static DROPS: AtomicU32 = AtomicU32::new(0);
@@ -915,7 +837,7 @@ mod tests {
             let policy =
                 BackoffPolicy::SpinThenSleep { spins: 32, sleep: Duration::from_micros(10) };
             for i in 0..N {
-                tx.push_with_backoff(i, &policy);
+                tx.push_batch_with_backoff(&mut vec![i], &policy);
             }
         });
         let mut expected = 0u64;
@@ -943,7 +865,7 @@ mod tests {
         let (mut tx, mut rx) = SpscQueue::with_capacity(61).split(); // prime-ish, forces wraps
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                tx.push_with_backoff(i, &BackoffPolicy::BusyWait);
+                tx.push_batch_with_backoff(&mut vec![i], &BackoffPolicy::BusyWait);
             }
         });
         let mut next = 0u32;
@@ -959,29 +881,13 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_fills_free_space_only() {
-        let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
-        tx.try_push(0).unwrap();
-        let mut items = 1..100;
-        assert_eq!(tx.push_batch(&mut items), 3, "only 3 slots were free");
-        assert_eq!(items.next(), Some(4), "iterator must retain unwritten items");
-        let mut seen = Vec::new();
-        rx.pop_batch(10, |v| seen.push(v));
-        assert_eq!(seen, [0, 1, 2, 3]);
-    }
-
-    #[test]
     fn push_batch_on_full_queue_is_zero() {
         let (mut tx, _rx) = SpscQueue::with_capacity(2).split();
-        assert_eq!(tx.push_batch(&mut (0..2)), 2);
-        assert_eq!(tx.push_batch(&mut (2..4)), 0);
-    }
-
-    #[test]
-    fn push_batch_with_short_iterator() {
-        let (mut tx, mut rx) = SpscQueue::with_capacity(16).split();
-        assert_eq!(tx.push_batch(&mut (0..3)), 3);
-        assert_eq!(rx.pop_batch(16, |_| {}), 3);
+        let mut buf = vec![0, 1];
+        assert_eq!(tx.push_batch_drain(&mut buf), 2);
+        let mut buf = vec![2, 3];
+        assert_eq!(tx.push_batch_drain(&mut buf), 0);
+        assert_eq!(buf, [2, 3], "a full queue takes nothing from the buffer");
     }
 
     #[test]
@@ -989,13 +895,13 @@ mod tests {
         const N: u64 = 100_000;
         let (mut tx, mut rx) = SpscQueue::with_capacity(128).split();
         let producer = std::thread::spawn(move || {
-            let mut items = 0..N;
-            let mut pending = items.next();
-            while pending.is_some() {
-                // Re-chain the pending element ahead of the iterator.
-                let mut chained = pending.into_iter().chain(&mut items);
-                tx.push_batch(&mut chained);
-                pending = chained.next();
+            // Blocks of 1..=97 elements, never aligned with the ring.
+            let (mut next, mut len) = (0u64, 1u64);
+            while next < N {
+                let end = (next + len).min(N);
+                tx.push_batch_with_backoff(&mut (next..end).collect(), &BackoffPolicy::BusyWait);
+                next = end;
+                len = len % 97 + 1;
             }
         });
         let mut expected = 0u64;
@@ -1006,29 +912,6 @@ mod tests {
             });
         }
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn push_batch_refreshes_stale_head_cursor() {
-        let (mut tx, mut rx) = SpscQueue::with_capacity(8).split();
-        // Fill partially, then drain: head advances but the producer's
-        // cached cursor goes stale (it only sees its own pushes).
-        for i in 0..6 {
-            tx.try_push(i).unwrap();
-        }
-        let mut sink = Vec::new();
-        assert_eq!(rx.pop_batch(6, |v| sink.push(v)), 6);
-        // The queue is empty (8 slots free) but the stale cursor makes only
-        // 2 look free. A batch of 8 must refresh and fill all 8 slots.
-        let mut items = 10..18;
-        assert_eq!(
-            tx.push_batch(&mut items),
-            8,
-            "batch push must refresh the head cursor instead of truncating"
-        );
-        sink.clear();
-        rx.pop_batch(16, |v| sink.push(v));
-        assert_eq!(sink, (10..18).collect::<Vec<_>>());
     }
 
     #[test]

@@ -86,24 +86,23 @@ fn task_size_matrix() {
 fn emit_buffer_matrix() {
     let lines = input();
     let expected = reference(&lines);
-    // (queue_capacity, batch_size, emit_buffer) including the degenerate
-    // block == capacity case, a block larger than batch, and element-wise.
-    for (capacity, batch, emit) in
-        [(128, 16, 1), (128, 16, 2), (128, 16, 16), (128, 16, 128), (4, 4, 4), (64, 5, 48)]
-    {
+    // (queue_capacity, batch_size): the emit block is the batch, so this
+    // covers element-wise, the degenerate block == capacity case, and a
+    // block that does not divide the capacity.
+    for (capacity, batch) in [(128, 1), (128, 2), (128, 16), (4, 4), (64, 48)] {
         let cfg = RuntimeConfig::builder()
             .num_workers(3)
             .num_combiners(2)
             .task_size(64)
             .queue_capacity(capacity)
             .batch_size(batch)
-            .emit_buffer_size(emit)
             .container(ContainerKind::Hash)
             .build()
             .unwrap();
+        assert_eq!(cfg.effective_emit_buffer(), batch);
         let out =
             Backend::RamrStatic.engine(cfg).unwrap().submit(&WordCount, &lines).unwrap().output;
-        assert_eq!(out.pairs, expected, "capacity={capacity} batch={batch} emit={emit}");
+        assert_eq!(out.pairs, expected, "capacity={capacity} batch={batch}");
     }
 }
 

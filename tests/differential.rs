@@ -16,7 +16,7 @@ use mr_apps::inputs::{
 };
 use mr_apps::{
     AppKind, Histogram, KmeansState, LinearRegression, MatrixMultiply, PcaCovJob, PcaMeanJob,
-    WordCount,
+    WordCount, WordCountString,
 };
 use mr_core::{task_ranges, Emitter, JobOutput, MapReduceJob, MrKey, RuntimeConfig};
 use ramr::{Backend, Engine};
@@ -196,25 +196,25 @@ fn pca_two_stage_agrees_within_tolerance() {
 
 #[test]
 fn emit_buffer_sweep_agrees_with_baseline_and_element_wise() {
-    // Producer-side emission batching must be invisible in the output:
-    // every block size — element-wise (1), tiny (2), the default
-    // (= batch_size), and a whole queue's worth — matches the sequential
-    // fold on both backends, and the element-wise RAMR run.
+    // Emission batching must be invisible in the output: the emit block is
+    // the batch, and every size — element-wise (1), tiny (2), the default,
+    // and a whole queue's worth — matches the sequential fold on both
+    // backends, and the element-wise RAMR run.
     let input = wc_input(&spec(AppKind::WordCount), SCALE);
     let base = config(AppKind::WordCount);
     let mut element_wise_cfg = base.clone();
-    element_wise_cfg.emit_buffer_size = Some(1);
+    element_wise_cfg.batch_size = 1;
     let element_wise = Backend::RamrStatic
         .engine(element_wise_cfg)
         .unwrap()
         .submit(&WordCount, &input)
         .unwrap()
         .output;
-    for emit in [1, 2, base.batch_size, base.queue_capacity] {
+    for batch in [1, 2, base.batch_size, base.queue_capacity] {
         let mut cfg = base.clone();
-        cfg.emit_buffer_size = Some(emit);
+        cfg.batch_size = batch;
         let ramr = agree_exactly(&WordCount, &input, cfg);
-        assert_eq!(ramr.pairs, element_wise.pairs, "emit_buffer_size={emit} vs element-wise");
+        assert_eq!(ramr.pairs, element_wise.pairs, "batch_size={batch} vs element-wise");
     }
 }
 
@@ -307,7 +307,9 @@ fn hashers_and_backends_all_produce_identical_output() {
     // The RAMR_HASHER knob must be invisible in the output: the final pairs
     // are key-sorted with one pair per key, so which hasher bucketed them
     // (and on which backend) cannot show. Pin byte-identical output across
-    // the full hasher x backend matrix against one reference run.
+    // the full hasher x backend matrix against one reference run. The seed
+    // `String` key path (`WordCountString`) must agree with the `CompactKey`
+    // path in every cell too: same words, same counts, same order.
     let input = wc_input(&spec(AppKind::WordCount), SCALE);
     let reference = Backend::RamrStatic
         .engine(config(AppKind::WordCount))
@@ -316,14 +318,22 @@ fn hashers_and_backends_all_produce_identical_output() {
         .unwrap()
         .output;
     assert!(!reference.is_empty());
+    let reference_strings: Vec<(String, u64)> =
+        reference.pairs.iter().map(|(k, v)| (k.as_str().to_owned(), *v)).collect();
     for hasher in mr_core::HasherKind::ALL {
         for backend in Backend::ALL {
             let mut cfg = config(AppKind::WordCount);
             cfg.hasher = hasher;
-            let out = backend.engine(cfg).unwrap().submit(&WordCount, &input).unwrap().output;
+            let engine = backend.engine(cfg).unwrap();
+            let out = engine.submit(&WordCount, &input).unwrap().output;
             assert_eq!(
                 out.pairs, reference.pairs,
                 "{backend} with {hasher} diverges from the reference output"
+            );
+            let seed = engine.submit(&WordCountString, &input).unwrap().output;
+            assert_eq!(
+                seed.pairs, reference_strings,
+                "{backend} with {hasher}: the String key path diverges from the CompactKey path"
             );
         }
     }

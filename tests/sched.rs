@@ -140,42 +140,49 @@ fn concurrent_clients_match_the_serial_baseline_across_backends() {
 }
 
 /// The same differential under the fair-share policy with skewed weights:
-/// fairness reorders dispatch, but must never change any job's output.
+/// fairness reorders dispatch, but must never change any job's output. A
+/// FIFO run of the same backlog is the control: one tenant's flood queued
+/// ahead of the others, every output still exact.
 #[test]
 fn fair_share_reorders_dispatch_but_never_output() {
-    with_deadline(120, || {
-        let mut cfg = config();
-        cfg.sched_policy = "fair:flood=1,light=8".parse::<SchedPolicy>().unwrap();
-        let sched = JobScheduler::<WordCount>::new(Backend::RamrStatic, cfg).unwrap();
-        let mut handles = Vec::new();
-        for (tenant, jobs) in [("flood", 12usize), ("light", 3), ("extra", 3), ("more", 3)] {
-            let client = sched.client(tenant);
-            handles.push(thread::spawn(move || {
-                let mut got = Vec::new();
-                for j in 0..jobs {
-                    let input = Arc::new(lines(120, j));
-                    let ticket = client.submit(Arc::new(WordCount), Arc::clone(&input)).unwrap();
-                    got.push((input, ticket));
-                }
-                // Redeem after submitting everything, so the queue really
-                // holds competing tenants at once.
-                got.into_iter()
-                    .map(|(input, t)| (input, t.wait().unwrap().output.pairs))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for handle in handles {
-            for (input, pairs) in handle.join().unwrap() {
-                assert_eq!(pairs, reference(&input));
+    for policy in ["fair:flood=1,light=8", "fifo"] {
+        with_deadline(120, move || {
+            let mut cfg = config();
+            cfg.sched_policy = policy.parse::<SchedPolicy>().unwrap();
+            let sched = JobScheduler::<WordCount>::new(Backend::RamrStatic, cfg).unwrap();
+            let mut handles = Vec::new();
+            for (tenant, jobs) in [("flood", 12usize), ("light", 3), ("extra", 3), ("more", 3)] {
+                let client = sched.client(tenant);
+                handles.push(thread::spawn(move || {
+                    let mut got = Vec::new();
+                    for j in 0..jobs {
+                        let input = Arc::new(lines(120, j));
+                        let ticket =
+                            client.submit(Arc::new(WordCount), Arc::clone(&input)).unwrap();
+                        got.push((input, ticket));
+                    }
+                    // Redeem after submitting everything, so the queue
+                    // really holds competing tenants at once.
+                    got.into_iter()
+                        .map(|(input, t)| (input, t.wait().unwrap().output.pairs))
+                        .collect::<Vec<_>>()
+                }));
             }
-        }
-        let stats = sched.tenant_stats();
-        let flood = stats.iter().find(|s| s.tenant == "flood").unwrap();
-        let light = stats.iter().find(|s| s.tenant == "light").unwrap();
-        assert_eq!((flood.weight, light.weight), (1, 8), "weights come from the policy");
-        assert_eq!(flood.completed, 12);
-        assert_eq!(light.completed, 3);
-    });
+            for handle in handles {
+                for (input, pairs) in handle.join().unwrap() {
+                    assert_eq!(pairs, reference(&input), "{policy}");
+                }
+            }
+            let stats = sched.tenant_stats();
+            let flood = stats.iter().find(|s| s.tenant == "flood").unwrap();
+            let light = stats.iter().find(|s| s.tenant == "light").unwrap();
+            if policy != "fifo" {
+                assert_eq!((flood.weight, light.weight), (1, 8), "weights come from the policy");
+            }
+            assert_eq!(flood.completed, 12, "{policy}");
+            assert_eq!(light.completed, 3, "{policy}");
+        });
+    }
 }
 
 /// A panicking job fails only its own tenant's ticket; concurrent submits

@@ -93,11 +93,11 @@ fn await_slot_claimed(client: &mut ServeClient) {
     }
 }
 
-/// In-process baseline: the same job the server runs for [`wc_request`]
-/// on `backend`, scheduled through a [`JobScheduler`] and rendered by the
-/// shared [`outcome_of`], so both sides of the differential go through
-/// identical rendering and report construction.
-fn in_process_outcome(backend: Backend) -> ramr_serve::JobOutcome {
+/// In-process baseline: the same job the server runs for a [`wc_request`]
+/// at `scale` on `backend`, scheduled through a [`JobScheduler`] and
+/// rendered by the shared [`outcome_of`], so both sides of the differential
+/// go through identical rendering and report construction.
+fn in_process_outcome(backend: Backend, scale: u64) -> ramr_serve::JobOutcome {
     // Mirror the server's pool config: base + the app's default container.
     let config = base_config()
         .into_builder()
@@ -105,7 +105,7 @@ fn in_process_outcome(backend: Backend) -> ramr_serve::JobOutcome {
         .build()
         .expect("baseline config");
     let spec = InputSpec::table1(AppKind::WordCount, Platform::Haswell, InputFlavor::Small);
-    let input = Arc::new(wc_input(&spec, SCALE));
+    let input = Arc::new(wc_input(&spec, scale));
     let sched = JobScheduler::<WordCount>::new(backend, config.clone()).expect("baseline sched");
     let done = sched
         .client("baseline")
@@ -126,7 +126,7 @@ fn socket_jobs_match_in_process_scheduler_on_every_backend() {
     let (server, addr) = boot(|_| {});
     let mut client = ServeClient::connect(&addr, "diff", None).expect("connect");
     for backend in Backend::ALL {
-        let expected = in_process_outcome(backend);
+        let expected = in_process_outcome(backend, SCALE);
         let mut request = wc_request();
         request.backend = Some(backend.as_str().to_string());
         request.echo_output = true;
@@ -180,6 +180,7 @@ fn overflow_is_shed_with_typed_reason_and_retry_hint() {
     let (server, addr) = boot(|_| {});
     let mut client = ServeClient::connect(&addr, "burst", None).expect("connect");
     let request = slow_one_slot_request();
+    let slow_digest = in_process_outcome(Backend::RamrStatic, request.scale).digest;
     let first = client.submit(&request).expect("first submit runs");
     await_slot_claimed(&mut client);
     let second = client.submit(&request).expect("second submit queues");
@@ -195,10 +196,49 @@ fn overflow_is_shed_with_typed_reason_and_retry_hint() {
     for expected in [first, second] {
         let result = client.next_result().expect("accepted job completes");
         assert_eq!(result.id, expected);
+        assert_eq!(result.digest, slow_digest, "an accepted job diverged from the baseline");
     }
     // After the backlog drains, the same request is accepted again.
     let retried = client.run_job(&request).expect("retry after drain succeeds");
-    assert!(retried.keys > 0);
+    assert_eq!(retried.digest, slow_digest, "the retried job diverged from the baseline");
+
+    // A flood of connections into the same one-slot pool: every job rides
+    // out its sheds and still matches the in-process digest, and the server
+    // counts at least every queue-full shed a client saw.
+    let mut flood = wc_request();
+    flood.knobs = request.knobs.clone();
+    let digest = in_process_outcome(Backend::RamrStatic, flood.scale).digest;
+    let floods: Vec<_> = (0..2)
+        .map(|c| {
+            let (addr, flood, digest) = (addr.clone(), flood.clone(), digest.clone());
+            std::thread::spawn(move || {
+                let tenant = format!("flood-{c}");
+                let mut client = ServeClient::connect(&addr, &tenant, None).expect("connect");
+                let mut sheds = 0;
+                for _ in 0..3 {
+                    let result = client.run_job(&flood).expect("flood job completes");
+                    assert_eq!(result.digest, digest, "{tenant}: a flood job diverged");
+                    sheds += result.sheds;
+                }
+                sheds
+            })
+        })
+        .collect();
+    let seen = 1 + retried.sheds + floods.into_iter().map(|h| h.join().unwrap()).sum::<u64>();
+    let metrics = client.metrics().expect("metrics snapshot");
+    let Some(Value::Arr(pools)) = metrics.get("pools") else {
+        panic!("METRICS_REPORT missing pools array: {metrics:?}");
+    };
+    let counted: u64 = pools
+        .iter()
+        .filter_map(|pool| match pool.get("tenants") {
+            Some(Value::Arr(tenants)) => Some(tenants),
+            _ => None,
+        })
+        .flatten()
+        .map(|tenant| metric_u64(tenant, "shed_queue_full"))
+        .sum();
+    assert!(counted >= seen, "the server counted {counted} queue-full sheds, clients saw {seen}");
     drop(server);
 }
 

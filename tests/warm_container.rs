@@ -112,7 +112,8 @@ fn a_session_grows_its_combine_table_once() {
     // asks for nothing and the entries for 1.4 MB, once. One reducer, so
     // that the rest is the same every time: the output vector (several
     // reducers range-partition into buckets whose sizes move from run to
-    // run). The mapper's emit buffer is allocated with the session. A
+    // run). The mapper's emit buffer, batch-sized and so as large as the
+    // queue, is allocated with the session. A
     // mapper folds a block itself only when its combiner is a full batch
     // behind or the queue has no room; here the queue and the batch both
     // hold every pair of the job, so neither can happen, the mapper never
@@ -130,7 +131,6 @@ fn a_session_grows_its_combine_table_once() {
         .num_reducers(1)
         .queue_capacity(2 * WORDS)
         .batch_size(2 * WORDS)
-        .emit_buffer_size(RuntimeConfig::default().effective_emit_buffer())
         .container(ContainerKind::Hash)
         .build()
         .unwrap();

@@ -109,5 +109,11 @@ fn map_combine_hot_loop_is_zero_alloc_for_inline_keys() {
         word_count,
         after - before
     );
-    assert_eq!(seed_table.len(), table.len());
+    // Both key representations fold the same words to the same counts.
+    let mut seed_pairs: Vec<(String, u64)> = seed_table.into_pairs();
+    let mut compact_pairs: Vec<(String, u64)> =
+        table.iter().map(|(k, &v)| (k.key().as_str().to_owned(), v)).collect();
+    seed_pairs.sort_unstable();
+    compact_pairs.sort_unstable();
+    assert_eq!(seed_pairs, compact_pairs, "the String and CompactKey paths disagree");
 }
