@@ -2,7 +2,8 @@
 //! worked example (2 NUMA nodes x 4 cores x 2-way hyper-threading).
 
 use ramr_topology::{
-    physical_position_of, thrid_to_cpu, CommDistance, MachineModel, PinningPolicy, PlacementPlan,
+    physical_position_of, thrid_to_cpu, CommDistance, MachineModel, PinningPolicyKind,
+    PlacementPlan,
 };
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
     }
 
     println!("\nRatio-1 placement (8 mappers, 8 combiners):");
-    let plan = PlacementPlan::compute(&m, 8, 8, PinningPolicy::Ramr).expect("valid pools");
+    let plan = PlacementPlan::compute(&m, 8, 8, PinningPolicyKind::Ramr).expect("valid pools");
     for mapper in 0..8 {
         let d = plan.mapper_combiner_distance(mapper);
         println!(

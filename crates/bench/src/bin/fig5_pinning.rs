@@ -6,7 +6,7 @@ use mr_apps::inputs::{InputFlavor, Platform};
 use mr_apps::AppKind;
 use mr_bench::{geomean, sim_config, sim_job};
 use mrsim::{auto_split, simulate, RuntimeKind};
-use ramr_topology::PinningPolicy;
+use ramr_topology::PinningPolicyKind;
 
 fn gains(platform: Platform) -> (Vec<f64>, Vec<f64>) {
     let mut vs_rr = Vec::new();
@@ -19,11 +19,11 @@ fn gains(platform: Platform) -> (Vec<f64>, Vec<f64>) {
         let (m, c) = auto_split(&job, &cfg);
         cfg.mappers = m;
         cfg.combiners = c;
-        cfg.pinning = PinningPolicy::Ramr;
+        cfg.pinning = PinningPolicyKind::Ramr;
         let ramr = simulate(&job, &cfg).total_ns();
-        cfg.pinning = PinningPolicy::RoundRobin;
+        cfg.pinning = PinningPolicyKind::RoundRobin;
         let rr = simulate(&job, &cfg).total_ns();
-        cfg.pinning = PinningPolicy::OsDefault;
+        cfg.pinning = PinningPolicyKind::OsDefault;
         let os = simulate(&job, &cfg).total_ns();
         vs_rr.push(rr / ramr);
         vs_os.push(os / ramr);

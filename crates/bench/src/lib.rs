@@ -130,28 +130,6 @@ pub fn print_row(label: &str, values: &[f64]) {
     println!("{row}");
 }
 
-/// Mean and sample standard deviation of wall-clock samples.
-pub fn mean_std(samples: &[f64]) -> (f64, f64) {
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    if samples.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
-}
-
-/// Parses `--runs N` style arguments (defaults to 1 run for CI speed;
-/// the paper averaged 20 runs with ~1% deviation).
-pub fn runs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,15 +159,6 @@ mod tests {
     fn geomean_of_constant_is_constant() {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
-    }
-
-    #[test]
-    fn mean_std_basics() {
-        let (m, s) = mean_std(&[1.0, 3.0]);
-        assert_eq!(m, 2.0);
-        assert!((s - std::f64::consts::SQRT_2).abs() < 1e-12);
-        let (m, s) = mean_std(&[5.0]);
-        assert_eq!((m, s), (5.0, 0.0));
     }
 
     #[test]

@@ -73,9 +73,9 @@ throughput, batch fullness) and, with --metrics-json FILE, dumps the full
 machine-readable report for offline tuning (see EXPERIMENTS.md). A mapper
 row indexed past --workers (mapper[W + c]) is combiner c's helper row: the
 map tasks it ran in place while it had no full batch to read. On the
-summary line, queue-full counts the flushes of a mapper that found its
-combiner a full batch behind (or the queue without room) and folded the
-block itself; spilled counts the pairs it folded that way. `ramr` and
+summary line, spilled counts the pairs mappers folded themselves because
+their combiner was a full batch behind (or the queue had no room); a
+mapper row's stall events count those flushes. `ramr` and
 `ramr-adaptive` both name `ramr-static`. See TUNING.md for the full knob
 cookbook.
 
@@ -225,12 +225,11 @@ fn execute<J: MapReduceJob + 'static>(
         };
         println!(
             "{:>13}: cold {cold:.2} ms | warm {warm} | {} keys | map-combine {:.0}% | \
-             emitted {} | queue-full {} | spilled {} | helped {}",
+             emitted {} | spilled {} | helped {}",
             backend.as_str(),
             output.len(),
             100.0 * output.stats.fraction(PhaseKind::MapCombine),
             output.stats.emitted,
-            output.stats.queue_full_events,
             report.spilled,
             report.helped,
         );

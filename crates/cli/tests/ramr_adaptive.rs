@@ -78,7 +78,7 @@ fn cli_run(runtime: &str) -> (String, MetricsReport) {
         .lines()
         .find(|line| line.trim_start().starts_with(&format!("{runtime}:")))
         .unwrap_or_else(|| panic!("no {runtime} summary line in: {stdout}"));
-    // "… | N keys | map-combine P% | emitted E | queue-full …": keep the
+    // "… | N keys | map-combine P% | emitted E | spilled …": keep the
     // counts that do not depend on timing or scheduling.
     let counts: Vec<&str> = summary
         .split(" | ")

@@ -161,7 +161,7 @@ pub struct EngineReport {
     /// published (`batches`) and their occupancy, and the thread's own
     /// wall-clock. Its `stall_events` counts the emit-buffer flushes that
     /// found the combiner behind and so folded pairs instead of queueing
-    /// them (their sum is `PhaseStats::queue_full_events`).
+    /// them.
     ///
     /// A combiner that ran map tasks in place appends one more mapper row,
     /// `index = num_workers + c`, shaped like a Phoenix worker's: `items`

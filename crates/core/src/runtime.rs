@@ -15,7 +15,7 @@ use mr_core::{
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer, KeptContainer, PairFeed};
-use ramr_spsc::{Consumer, Producer, BUSY_WAIT_YIELD_EVERY};
+use ramr_spsc::{Consumer, Producer};
 use ramr_telemetry::{FaultLog, LocalTelemetry, ProgressBoard, TelemetryCell};
 use ramr_topology::{
     current_thread_affinity, pin_current_thread, set_current_thread_affinity, CpuSlot,
@@ -32,16 +32,12 @@ pub(crate) type PairConsumer<J> = Consumer<HashedPair<J>>;
 /// One zero-progress combine round's wait, derived from the configured
 /// backoff: spin for `spins` rounds after the last progress (data may be
 /// one block away), then `park` — off the core a co-located mapper may
-/// need — until a producer rings, with `sleep` as the ceiling. `BusyWait`
-/// never parks; it yields periodically so a co-scheduled mapper can actually
-/// fill the queue, mirroring the producer-side `BUSY_WAIT_YIELD_EVERY`.
+/// need — until a producer rings, with `sleep` as the ceiling.
 fn idle_wait(backoff: PushBackoff, idle_rounds: u32, park: impl FnOnce(Duration)) {
-    match backoff {
-        PushBackoff::SpinThenSleep { spins, sleep } if idle_rounds > spins => park(sleep),
-        PushBackoff::BusyWait if u64::from(idle_rounds).is_multiple_of(BUSY_WAIT_YIELD_EVERY) => {
-            std::thread::yield_now();
-        }
-        _ => std::hint::spin_loop(),
+    if idle_rounds > backoff.spins {
+        park(backoff.sleep);
+    } else {
+        std::hint::spin_loop();
     }
 }
 
@@ -310,7 +306,7 @@ impl<J: MapReduceJob> Outlet<'_, '_, J> {
     /// did not fit, the mapper folds the pairs into its spill container
     /// itself. Nothing waits and nothing is lost: a pair reaches a container
     /// by the queue or by the spill, and reduce merges both. A flush that
-    /// spilled counts one queue-full event. The publish is timed as
+    /// spilled adds one to the row's `stall_events`. The publish is timed as
     /// `stalled`; the fold is combine work done on the map side, timed as
     /// `spill`, and part of the enclosing `busy`.
     #[inline(never)]
@@ -903,25 +899,12 @@ mod tests {
         cfg.batch_size = 2;
         let (out, report) = run_once(cfg, &Mod9, &input).unwrap();
         assert_eq!(out.pairs, reference(&input));
-        assert!(
-            out.stats.queue_full_events > 0,
-            "a 2-element queue must overflow with 5000 pushes"
-        );
+        let full_events: u64 = mapper_rows(&report).map(|t| t.stall_events).sum();
+        assert!(full_events > 0, "a 2-element queue must overflow with 5000 pushes");
         // Every flush that found its combiner behind folded at least one
         // pair itself.
-        assert!(report.spilled >= out.stats.queue_full_events, "{report:?}");
+        assert!(report.spilled >= full_events, "{report:?}");
         assert_eq!(folded(&report), 5000, "conservation with the overflow folded by the mappers");
-    }
-
-    #[test]
-    fn busy_wait_backoff_is_also_correct() {
-        let input: Vec<u64> = (0..3000).collect();
-        let mut cfg = config(2, 1);
-        cfg.queue_capacity = 4;
-        cfg.batch_size = 4;
-        cfg.push_backoff = PushBackoff::BusyWait;
-        let out = run_once(cfg, &Mod9, &input).unwrap().0;
-        assert_eq!(out.pairs, reference(&input));
     }
 
     #[test]

@@ -206,17 +206,14 @@ impl std::error::Error for SchedError {
 /// A finished job: its output and report plus the scheduler-side timings
 /// the fairness benches compare.
 pub struct CompletedJob<J: MapReduceJob> {
-    /// The (final stage's) key-sorted reduced output.
+    /// The key-sorted reduced output.
     pub output: JobOutput<J::Key, J::Value>,
-    /// The backend-independent run report (the final stage's, for chains).
+    /// The backend-independent run report.
     pub report: EngineReport,
     /// Time the job spent queued before the dispatcher picked it.
     pub queued: Duration,
-    /// Time the dispatcher spent running it — all stages, for chains.
+    /// Time the dispatcher spent running its epoch.
     pub ran: Duration,
-    /// Session epochs this ticket consumed: 1 for plain jobs, the round
-    /// count for [`JobClient::submit_chain`] submissions.
-    pub rounds: usize,
 }
 
 // Manual impl: deriving would demand `J: Debug`, which jobs never need.
@@ -226,7 +223,6 @@ impl<J: MapReduceJob> std::fmt::Debug for CompletedJob<J> {
             .field("keys", &self.output.pairs.len())
             .field("queued", &self.queued)
             .field("ran", &self.ran)
-            .field("rounds", &self.rounds)
             .finish_non_exhaustive()
     }
 }
@@ -288,33 +284,9 @@ impl TenantStats {
     }
 }
 
-/// A chain continuation: maps the 1-based round number and that round's
-/// output to the next round's job, or `None` when the chain is done.
-type ChainNext<J> = Box<
-    dyn FnMut(
-            usize,
-            &JobOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>,
-        ) -> Option<Arc<J>>
-        + Send,
->;
-
-/// What one queue entry executes: a single epoch, or an iterative chain
-/// of epochs dispatched back-to-back as one schedulable unit.
-enum Work<J: MapReduceJob> {
-    /// One job, one epoch.
-    Single(Arc<J>),
-    /// An iterative pipeline: after each round the continuation receives
-    /// the 1-based round number and that round's output and returns the
-    /// next round's job — or `None` when the chain is done. All rounds run
-    /// consecutively on the dispatcher's session (warm pools) and are
-    /// charged to the tenant as `rounds` stride steps, so fair-share stays
-    /// proportional to epochs consumed, not tickets submitted.
-    Chain { job: Arc<J>, next: ChainNext<J> },
-}
-
 /// One queued job with its completion ticket.
 struct Queued<J: MapReduceJob> {
-    work: Work<J>,
+    job: Arc<J>,
     input: Arc<Vec<J::Input>>,
     ticket: Arc<Ticket<J>>,
     seq: u64,
@@ -455,37 +427,7 @@ impl<J: MapReduceJob> JobClient<J> {
         job: Arc<J>,
         input: Arc<Vec<J::Input>>,
     ) -> Result<JobTicket<J>, SchedError> {
-        self.enqueue(Work::Single(job), input, true, None)
-    }
-
-    /// Enqueues an iterative pipeline as **one** schedulable unit: the
-    /// dispatcher runs `job`, hands each round's output to `next` (with
-    /// the 1-based round number), and keeps dispatching the jobs it
-    /// returns back-to-back on the warm session until `next` returns
-    /// `None`. The ticket resolves with the final round's output and
-    /// report, and the tenant is charged one fair-share stride step *per
-    /// round*, so a 10-round chain costs its tenant exactly what 10
-    /// separate submissions would.
-    ///
-    /// Delays (blocks) exactly like [`JobClient::submit`]. The round count
-    /// is capped by [`RuntimeConfig::pipeline_max_stages`]; a chain that
-    /// asks for more fails its ticket with
-    /// [`RuntimeError::InvalidConfig`].
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the scheduler is dropped while
-    /// waiting.
-    pub fn submit_chain<F>(
-        &self,
-        job: Arc<J>,
-        input: Arc<Vec<J::Input>>,
-        next: F,
-    ) -> Result<JobTicket<J>, SchedError>
-    where
-        F: FnMut(usize, &JobOutput<J::Key, J::Value>) -> Option<Arc<J>> + Send + 'static,
-    {
-        self.enqueue(Work::Chain { job, next: Box::new(next) }, input, true, None)
+        self.enqueue(job, input, true, None)
     }
 
     /// Enqueues a job without blocking, **shedding** when admission
@@ -503,7 +445,7 @@ impl<J: MapReduceJob> JobClient<J> {
         job: Arc<J>,
         input: Arc<Vec<J::Input>>,
     ) -> Result<JobTicket<J>, SchedError> {
-        self.enqueue(Work::Single(job), input, false, None)
+        self.enqueue(job, input, false, None)
     }
 
     /// [`JobClient::try_submit`], but stamps the job with an execution
@@ -522,7 +464,7 @@ impl<J: MapReduceJob> JobClient<J> {
         input: Arc<Vec<J::Input>>,
         tag: &str,
     ) -> Result<JobTicket<J>, SchedError> {
-        self.enqueue(Work::Single(job), input, false, Some(tag.to_string()))
+        self.enqueue(job, input, false, Some(tag.to_string()))
     }
 
     /// Counts a shed that happened in an admission layer stacked *above*
@@ -537,7 +479,7 @@ impl<J: MapReduceJob> JobClient<J> {
 
     fn enqueue(
         &self,
-        work: Work<J>,
+        job: Arc<J>,
         input: Arc<Vec<J::Input>>,
         block: bool,
         tag: Option<String>,
@@ -595,7 +537,7 @@ impl<J: MapReduceJob> JobClient<J> {
         }
         tenant.stats.submitted += 1;
         tenant.queue.push_back(Queued {
-            work,
+            job,
             input,
             ticket: Arc::clone(&ticket),
             seq,
@@ -833,17 +775,15 @@ fn dispatch_loop<J: MapReduceJob + Send + 'static>(
             }
         };
 
-        // Phase 2: run the epoch(s) outside the scheduler lock. A chain
-        // runs all its rounds back-to-back here, on the same warm session,
-        // so the whole pipeline is one schedulable unit.
-        let Queued { work, input, ticket, enqueued, .. } = queued;
+        // Phase 2: run the epoch outside the scheduler lock.
+        let Queued { job, input, ticket, enqueued, .. } = queued;
         let waited = enqueued.elapsed();
         let started = Instant::now();
-        let (outcome, rounds) = run_work(&shared.config, &mut session, work, &input);
+        let outcome = session.submit(&job, &input);
         let ran = started.elapsed();
 
         // Phase 3: account, update saturation, fulfil the ticket.
-        let stalled = outcome.as_ref().err().is_some_and(is_stalled);
+        let stalled = matches!(outcome, Err(RuntimeError::Stalled { .. }));
         {
             let mut state = relock(&shared.state);
             state.saturated = stalled;
@@ -856,16 +796,6 @@ fn dispatch_loop<J: MapReduceJob + Send + 'static>(
                 Ok(_) => tenant.stats.completed += 1,
                 Err(_) => tenant.stats.failed += 1,
             }
-            if kind == SchedPolicyKind::Fair && rounds > 1 {
-                // Chains consumed `rounds` epochs but phase 1 charged one
-                // stride step; charge the remainder so dispatch share stays
-                // proportional to epochs consumed, not tickets claimed.
-                let stride = STRIDE_ONE / u64::from(tenant.stats.weight.max(1));
-                let extra = stride.saturating_mul(rounds as u64 - 1);
-                tenant.pass = tenant.pass.saturating_add(extra);
-                let pass = tenant.pass;
-                state.virtual_pass = state.virtual_pass.max(pass);
-            }
             // Quota headroom freed: wake delayed submitters.
             shared.space.notify_all();
         }
@@ -876,62 +806,9 @@ fn dispatch_loop<J: MapReduceJob + Send + 'static>(
                     report: done.report,
                     queued: waited,
                     ran,
-                    rounds,
                 })
                 .map_err(SchedError::Job),
         );
-    }
-}
-
-/// Whether an epoch (possibly wrapped in a chain's stage attribution)
-/// stalled — the signal that flips the scheduler saturated.
-fn is_stalled(err: &RuntimeError) -> bool {
-    match err {
-        RuntimeError::Stalled { .. } => true,
-        RuntimeError::StageFailed { source, .. } => is_stalled(source),
-        _ => false,
-    }
-}
-
-/// Runs one queue entry on the dispatcher's session: one epoch for
-/// [`Work::Single`], every round of a [`Work::Chain`] consecutively.
-/// Returns the final outcome plus the number of epochs consumed (for
-/// fair-share charging, counted even on failure).
-fn run_work<J: MapReduceJob + 'static>(
-    config: &RuntimeConfig,
-    session: &mut EngineSession<J>,
-    work: Work<J>,
-    input: &[J::Input],
-) -> (Result<crate::engine::EngineOutcome<J>, RuntimeError>, usize) {
-    match work {
-        Work::Single(job) => (session.submit(&job, input), 1),
-        Work::Chain { mut job, mut next } => {
-            let cap = config.pipeline_max_stages;
-            let mut round = 0usize;
-            let result = loop {
-                round += 1;
-                match session.submit(&*job, input) {
-                    Ok(outcome) => match next(round, &outcome.output) {
-                        None => break Ok(outcome),
-                        Some(_) if round >= cap => {
-                            break Err(RuntimeError::InvalidConfig(format!(
-                                "pipeline exceeded pipeline_max_stages ({cap}); raise \
-                                 RAMR_PIPELINE_MAX_STAGES or shorten the chain"
-                            )));
-                        }
-                        Some(next_job) => job = next_job,
-                    },
-                    Err(source) => {
-                        break Err(RuntimeError::StageFailed {
-                            stage: round,
-                            job: job.name().to_string(),
-                            source: Box::new(source),
-                        });
-                    }
-                }
-            };
-            (result, round)
-        }
     }
 }
 

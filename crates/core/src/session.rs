@@ -374,7 +374,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             &machine,
             config.num_workers,
             config.num_combiners,
-            config.pinning.into(),
+            config.pinning,
         )?;
         let combiners = if decoupled { config.num_combiners } else { 0 };
         let labels = thread_labels(config.num_workers, combiners);
@@ -660,7 +660,6 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         );
         let (mappers, combiner_rows) = threads.split_at(mapper_rows);
         stats.emitted = mappers.iter().map(|t| t.items).sum();
-        stats.queue_full_events = mappers.iter().map(|t| t.stall_events).sum();
         timer.stop(&mut stats);
         let spilled_per_mapper: Vec<u64> =
             frame.spilled.iter().map(|n| n.load(Ordering::Relaxed)).collect();

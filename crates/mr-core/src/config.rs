@@ -101,7 +101,8 @@ impl std::fmt::Display for PinningPolicyKind {
     }
 }
 
-/// What an idle combiner does while its queues are short of a batch.
+/// What an idle combiner does while its queues are short of a batch: spin
+/// `spins` rounds, then park until a mapper publishes a batch and rings.
 ///
 /// The paper found that letting mappers sleep after a failed push improves
 /// runtime over the original busy-wait loop ("Sleep on failed push"). A
@@ -109,31 +110,19 @@ impl std::fmt::Display for PinningPolicyKind {
 /// the policy paces the other end: the idle combiner is parked off its core
 /// and woken by its mappers' progress, not by a timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushBackoff {
-    /// Spin forever; burns the CPU the paired combiner may need.
-    BusyWait,
-    /// Spin `spins` times, then park until a mapper publishes a batch and
-    /// rings.
-    SpinThenSleep {
-        /// Spin iterations before the first park.
-        spins: u32,
-        /// Ceiling of one park: how often a parked thread re-polls the
-        /// watchdog's cancel flag, and the safety net should a wake-up
-        /// ever go missing. It does not pace the hand-off.
-        sleep: Duration,
-    },
-}
-
-impl PushBackoff {
-    /// The paper's preferred setting.
-    pub const fn default_sleep() -> Self {
-        PushBackoff::SpinThenSleep { spins: 64, sleep: Duration::from_micros(50) }
-    }
+pub struct PushBackoff {
+    /// Idle rounds spun before the first park.
+    pub spins: u32,
+    /// Ceiling of one park: how often a parked thread re-polls the
+    /// watchdog's cancel flag, and the safety net should a wake-up ever go
+    /// missing. It does not pace the hand-off.
+    pub sleep: Duration,
 }
 
 impl Default for PushBackoff {
+    /// The paper's preferred setting: 64 spins, then parks of at most 50 µs.
     fn default() -> Self {
-        Self::default_sleep()
+        PushBackoff { spins: 64, sleep: Duration::from_micros(50) }
     }
 }
 
@@ -411,9 +400,8 @@ impl RuntimeConfig {
     /// Recognized: `RAMR_WORKERS`, `RAMR_COMBINERS`, `RAMR_TASK_SIZE`,
     /// `RAMR_QUEUE_CAPACITY`, `RAMR_BATCH_SIZE`, `RAMR_REDUCERS`,
     /// `RAMR_FIXED_CAPACITY`, `RAMR_PUSH_SPINS`,
-    /// `RAMR_PUSH_SLEEP_US` (the two halves of the sleep-on-failed-push
-    /// policy; setting either selects [`PushBackoff::SpinThenSleep`] with
-    /// the paper's defaults for the other), `RAMR_CONTAINER`
+    /// `RAMR_PUSH_SLEEP_US` (the two fields of [`PushBackoff`]; each sets
+    /// its own and leaves the other alone), `RAMR_CONTAINER`
     /// (`array|hash|fixed-hash`), `RAMR_HASHER` (`fnv|fx`), `RAMR_PINNING`
     /// (`ramr|round-robin|os-default`), `RAMR_PIN_THREADS` and
     /// `RAMR_TELEMETRY` (`0|1|true|false|yes|no`, case-insensitive),
@@ -716,21 +704,6 @@ fn knob_bool(raw: &str, source: &str) -> Result<bool, RuntimeError> {
     }
 }
 
-/// The current spin/sleep halves of a backoff policy, substituting the
-/// paper's defaults when the policy is `BusyWait` — so setting either half
-/// alone selects sleep-on-failed-push with the canonical other half, and
-/// setting both (in either order) composes.
-fn spin_sleep_halves(backoff: PushBackoff) -> (u32, Duration) {
-    let policy = match backoff {
-        PushBackoff::SpinThenSleep { .. } => backoff,
-        PushBackoff::BusyWait => PushBackoff::default_sleep(),
-    };
-    match policy {
-        PushBackoff::SpinThenSleep { spins, sleep } => (spins, sleep),
-        PushBackoff::BusyWait => unreachable!("default_sleep is SpinThenSleep"),
-    }
-}
-
 /// The runtime's complete tuning surface, one [`EnvKnob`] row per knob.
 ///
 /// This is the *only* place a knob's env-var and CLI names are written
@@ -844,8 +817,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         value: "N",
         help: "spins before an idle combiner parks",
         apply: |mut b, raw, src| {
-            let (_, sleep) = spin_sleep_halves(b.config.push_backoff);
-            b.config.push_backoff = PushBackoff::SpinThenSleep { spins: knob(raw, src)?, sleep };
+            b.config.push_backoff.spins = knob(raw, src)?;
             Ok(b)
         },
     },
@@ -855,9 +827,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         value: "US",
         help: "ceiling of one idle-combiner park (cancel-poll interval), in microseconds",
         apply: |mut b, raw, src| {
-            let (spins, _) = spin_sleep_halves(b.config.push_backoff);
-            b.config.push_backoff =
-                PushBackoff::SpinThenSleep { spins, sleep: Duration::from_micros(knob(raw, src)?) };
+            b.config.push_backoff.sleep = Duration::from_micros(knob(raw, src)?);
             Ok(b)
         },
     },
@@ -1078,23 +1048,21 @@ mod tests {
         std::env::remove_var("RAMR_PUSH_SLEEP_US");
         assert_eq!(c.num_reducers, 5);
         assert_eq!(c.fixed_capacity, Some(321));
-        assert_eq!(
-            c.push_backoff,
-            PushBackoff::SpinThenSleep { spins: 17, sleep: Duration::from_micros(250) }
-        );
+        assert_eq!(c.push_backoff, PushBackoff { spins: 17, sleep: Duration::from_micros(250) });
     }
 
     #[test]
     fn from_env_backoff_knobs_default_each_other() {
         let _guard = ENV_LOCK.lock().unwrap();
+        // Each knob sets its own field; the other keeps the paper's default.
         std::env::set_var("RAMR_PUSH_SPINS", "9");
         let c = RuntimeConfig::from_env().unwrap();
         std::env::remove_var("RAMR_PUSH_SPINS");
-        // The unset half keeps the paper's default (64 spins / 50us).
-        assert_eq!(
-            c.push_backoff,
-            PushBackoff::SpinThenSleep { spins: 9, sleep: Duration::from_micros(50) }
-        );
+        assert_eq!(c.push_backoff, PushBackoff { spins: 9, sleep: Duration::from_micros(50) });
+        std::env::set_var("RAMR_PUSH_SLEEP_US", "250");
+        let c = RuntimeConfig::from_env().unwrap();
+        std::env::remove_var("RAMR_PUSH_SLEEP_US");
+        assert_eq!(c.push_backoff, PushBackoff { spins: 64, sleep: Duration::from_micros(250) });
     }
 
     #[test]
@@ -1298,9 +1266,8 @@ mod tests {
 
     #[test]
     fn push_backoff_halves_compose_in_either_order() {
-        // The two halves of sleep-on-failed-push are separate knobs; applying
-        // either alone keeps the paper's default for the other, and applying
-        // both composes regardless of order.
+        // The two fields of `PushBackoff` are separate knobs; applying both
+        // composes regardless of order.
         for (first, second) in [("push-spins", "push-sleep-us"), ("push-sleep-us", "push-spins")] {
             let mut b = RuntimeConfig::builder();
             let raw = |cli: &str| if cli == "push-spins" { "17" } else { "250" };
@@ -1309,7 +1276,7 @@ mod tests {
             let c = b.build().unwrap();
             assert_eq!(
                 c.push_backoff,
-                PushBackoff::SpinThenSleep { spins: 17, sleep: Duration::from_micros(250) },
+                PushBackoff { spins: 17, sleep: Duration::from_micros(250) },
                 "order {first} then {second}"
             );
         }

@@ -53,9 +53,6 @@ pub struct PhaseStats {
     pub tasks: u64,
     /// Intermediate pairs emitted by map functions.
     pub emitted: u64,
-    /// Failed pushes observed on full SPSC queues (RAMR only; zero for the
-    /// baseline). High values signal an undersized combiner pool or queue.
-    pub queue_full_events: u64,
     /// Distinct keys in the final output.
     pub output_keys: u64,
 }

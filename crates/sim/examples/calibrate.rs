@@ -4,7 +4,7 @@
 use mr_apps::AppKind;
 use mrsim::{simulate, SimConfig, SimJob};
 use ramr_perfmodel::catalog;
-use ramr_topology::{MachineModel, PinningPolicy};
+use ramr_topology::{MachineModel, PinningPolicyKind};
 
 fn job(app: AppKind, stressed: bool) -> SimJob {
     let profile =
@@ -48,11 +48,11 @@ fn main() {
         for app in AppKind::ALL {
             let j = job(app, false);
             let mut cfg = SimConfig::ramr(machine.clone());
-            cfg.pinning = PinningPolicy::Ramr;
+            cfg.pinning = PinningPolicyKind::Ramr;
             let ramr = simulate(&j, &cfg).total_ns();
-            cfg.pinning = PinningPolicy::RoundRobin;
+            cfg.pinning = PinningPolicyKind::RoundRobin;
             let rr = simulate(&j, &cfg).total_ns();
-            cfg.pinning = PinningPolicy::OsDefault;
+            cfg.pinning = PinningPolicyKind::OsDefault;
             let os = simulate(&j, &cfg).total_ns();
             println!("  {:3} rr {:5.2} os {:5.2}", app.abbrev(), rr / ramr, os / ramr);
         }

@@ -2,7 +2,7 @@
 
 use mr_core::RuntimeError;
 use ramr_perfmodel::WorkloadProfile;
-use ramr_topology::{MachineModel, PinningPolicy};
+use ramr_topology::{MachineModel, PinningPolicyKind};
 
 /// Which runtime's execution structure to price.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +52,7 @@ pub struct SimConfig {
     /// RAMR combiner-pool size; `0` = derive. Ignored by Phoenix.
     pub combiners: usize,
     /// Thread placement policy.
-    pub pinning: PinningPolicy,
+    pub pinning: PinningPolicyKind,
     /// Batched-read size (elements per consume); `1` disables batching.
     pub batch_size: usize,
     /// SPSC queue capacity in elements.
@@ -74,7 +74,7 @@ impl SimConfig {
             total_threads: threads,
             mappers: 0,
             combiners: 0,
-            pinning: PinningPolicy::Ramr,
+            pinning: PinningPolicyKind::Ramr,
             batch_size: 1000,
             queue_capacity: 5000,
             task_size: 4096,

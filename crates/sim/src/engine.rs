@@ -528,7 +528,7 @@ mod tests {
     use super::*;
     use mr_apps::AppKind;
     use ramr_perfmodel::catalog;
-    use ramr_topology::PinningPolicy;
+    use ramr_topology::PinningPolicyKind;
 
     fn job(app: AppKind, stressed: bool) -> SimJob {
         let profile =
@@ -625,11 +625,11 @@ mod tests {
             let (m, c) = auto_split(&j, &cfg);
             cfg.mappers = m;
             cfg.combiners = c;
-            cfg.pinning = PinningPolicy::Ramr;
+            cfg.pinning = PinningPolicyKind::Ramr;
             let ramr = simulate(&j, &cfg).total_ns();
-            cfg.pinning = PinningPolicy::RoundRobin;
+            cfg.pinning = PinningPolicyKind::RoundRobin;
             let rr = simulate(&j, &cfg).total_ns();
-            cfg.pinning = PinningPolicy::OsDefault;
+            cfg.pinning = PinningPolicyKind::OsDefault;
             let os = simulate(&j, &cfg).total_ns();
             assert!(ramr <= rr * 1.001, "{app}: RAMR pinning must not lose to RR");
             assert!(ramr <= os * 1.001, "{app}: RAMR pinning must not lose to the OS scheduler");
@@ -644,9 +644,9 @@ mod tests {
             let (m, c) = auto_split(&j, &cfg);
             cfg.mappers = m;
             cfg.combiners = c;
-            cfg.pinning = PinningPolicy::RoundRobin;
+            cfg.pinning = PinningPolicyKind::RoundRobin;
             let rr = simulate(&j, &cfg).total_ns();
-            cfg.pinning = PinningPolicy::Ramr;
+            cfg.pinning = PinningPolicyKind::Ramr;
             let ramr = simulate(&j, &cfg).total_ns();
             rr / ramr
         };
@@ -664,9 +664,9 @@ mod tests {
             let (m, c) = auto_split(&j, &cfg);
             cfg.mappers = m;
             cfg.combiners = c;
-            cfg.pinning = PinningPolicy::RoundRobin;
+            cfg.pinning = PinningPolicyKind::RoundRobin;
             let rr = simulate(&j, &cfg).total_ns();
-            cfg.pinning = PinningPolicy::Ramr;
+            cfg.pinning = PinningPolicyKind::Ramr;
             let ramr = simulate(&j, &cfg).total_ns();
             let gain = rr / ramr;
             assert!(gain >= 0.99, "{app}: RAMR still ahead on PHI, got {gain:.3}");

@@ -72,49 +72,24 @@ impl<T> std::ops::Deref for CachePadded<T> {
     }
 }
 
-/// What a producer does between failed push attempts.
+/// What a producer does between failed push attempts: spin `spins` times,
+/// then park until the consumer frees space.
 ///
 /// Mirrors `mr_core::PushBackoff` without depending on that crate (this
 /// queue is a standalone substrate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffPolicy {
-    /// Spin until space frees up, never sleeping — the paper's original
-    /// (worse) strategy. Yields the OS thread every
-    /// [`BUSY_WAIT_YIELD_EVERY`] failed attempts: without that, a blocked
-    /// producer on a machine with fewer cores than threads burns its whole
-    /// timeslice while the only thread that could free space waits for a
-    /// core, turning back-pressure into minutes-long livelock.
-    BusyWait,
-    /// Spin `spins` times, then park until the consumer frees space.
-    SpinThenSleep {
-        /// Spin iterations before the first park.
-        spins: u32,
-        /// Ceiling of one park: the safety net should a wake-up ever go
-        /// missing. Progress wakes the producer, not this timer.
-        sleep: Duration,
-    },
+pub struct BackoffPolicy {
+    /// Spin iterations before the first park.
+    pub spins: u32,
+    /// Ceiling of one park: the safety net should a wake-up ever go
+    /// missing. Progress wakes the producer, not this timer.
+    pub sleep: Duration,
 }
 
 impl Default for BackoffPolicy {
-    /// The paper's preferred strategy: a short spin, then sleep.
+    /// The paper's preferred strategy: 64 spins, then parks of at most 50 µs.
     fn default() -> Self {
-        BackoffPolicy::SpinThenSleep { spins: 64, sleep: Duration::from_micros(50) }
-    }
-}
-
-/// Failed-attempt interval at which [`BackoffPolicy::BusyWait`] yields the
-/// OS thread instead of spinning in place.
-pub const BUSY_WAIT_YIELD_EVERY: u64 = 64;
-
-/// One busy-wait backoff step: a spin-loop hint, except every
-/// [`BUSY_WAIT_YIELD_EVERY`]th failure, where the thread yields so an
-/// oversubscribed peer can run. Never sleeps.
-#[inline]
-fn busy_wait_step(failures: u64) {
-    if failures.is_multiple_of(BUSY_WAIT_YIELD_EVERY) {
-        std::thread::yield_now();
-    } else {
-        std::hint::spin_loop();
+        BackoffPolicy { spins: 64, sleep: Duration::from_micros(50) }
     }
 }
 
@@ -379,33 +354,25 @@ impl<T: Send> Producer<T> {
     /// queue is full, leaving `buf` empty: elements are published in maximal
     /// blocks, one tail update each ([`push_batch_drain`](Self::push_batch_drain)).
     /// A zero-progress attempt counts as a failure and is followed by a
-    /// spin, a yield or a park on the space doorbell, per `policy`.
+    /// spin or, once `policy.spins` are used up, a park on the space
+    /// doorbell.
     ///
-    /// Returns the number of failed attempts — the `queue_full_events`
-    /// statistic reported by the RAMR runtime. The spin allowance resets
+    /// Returns the number of failed attempts. The spin allowance resets
     /// after every block that makes progress, so only sustained
     /// back-pressure degrades to parking.
     pub fn push_batch_with_backoff(&mut self, buf: &mut Vec<T>, policy: &BackoffPolicy) -> u64 {
-        let fresh_spins = match policy {
-            BackoffPolicy::BusyWait => u32::MAX,
-            BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
-        };
-        let (mut failures, mut spins_left) = (0u64, fresh_spins);
+        let (mut failures, mut spins_left) = (0u64, policy.spins);
         while !buf.is_empty() {
             if self.push_batch_drain(buf) > 0 {
-                spins_left = fresh_spins;
+                spins_left = policy.spins;
                 continue;
             }
             failures += 1;
-            match *policy {
-                BackoffPolicy::BusyWait => busy_wait_step(failures),
-                BackoffPolicy::SpinThenSleep { sleep, .. } if spins_left == 0 => {
-                    self.park_for_space(buf.len(), sleep);
-                }
-                BackoffPolicy::SpinThenSleep { .. } => {
-                    spins_left -= 1;
-                    std::hint::spin_loop();
-                }
+            if spins_left == 0 {
+                self.park_for_space(buf.len(), policy.sleep);
+            } else {
+                spins_left -= 1;
+                std::hint::spin_loop();
             }
         }
         failures
@@ -834,8 +801,7 @@ mod tests {
         const N: u64 = 200_000;
         let (mut tx, mut rx) = SpscQueue::with_capacity(128).split();
         let producer = std::thread::spawn(move || {
-            let policy =
-                BackoffPolicy::SpinThenSleep { spins: 32, sleep: Duration::from_micros(10) };
+            let policy = BackoffPolicy { spins: 32, sleep: Duration::from_micros(10) };
             for i in 0..N {
                 tx.push_batch_with_backoff(&mut vec![i], &policy);
             }
@@ -865,7 +831,7 @@ mod tests {
         let (mut tx, mut rx) = SpscQueue::with_capacity(61).split(); // prime-ish, forces wraps
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                tx.push_batch_with_backoff(&mut vec![i], &BackoffPolicy::BusyWait);
+                tx.push_batch_with_backoff(&mut vec![i], &BackoffPolicy::default());
             }
         });
         let mut next = 0u32;
@@ -899,7 +865,7 @@ mod tests {
             let (mut next, mut len) = (0u64, 1u64);
             while next < N {
                 let end = (next + len).min(N);
-                tx.push_batch_with_backoff(&mut (next..end).collect(), &BackoffPolicy::BusyWait);
+                tx.push_batch_with_backoff(&mut (next..end).collect(), &BackoffPolicy::default());
                 next = end;
                 len = len % 97 + 1;
             }
@@ -953,7 +919,7 @@ mod tests {
         let mut buf: Vec<u32> = (0..100).collect();
         let failures = tx.push_batch_with_backoff(
             &mut buf,
-            &BackoffPolicy::SpinThenSleep { spins: 4, sleep: Duration::from_micros(100) },
+            &BackoffPolicy { spins: 4, sleep: Duration::from_micros(100) },
         );
         assert!(buf.is_empty(), "backoff push must drain the whole buffer");
         assert!(failures > 0, "a 4-slot queue receiving 100 elements must hit full");
@@ -963,7 +929,7 @@ mod tests {
     #[test]
     fn backoff_push_parks_on_a_full_queue_until_space_frees() {
         let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
-        let policy = BackoffPolicy::SpinThenSleep { spins: 2, sleep: Duration::from_secs(5) };
+        let policy = BackoffPolicy { spins: 2, sleep: Duration::from_secs(5) };
         let done = Arc::new(AtomicBool::new(false));
         // Nobody drains rx yet: the pusher publishes what fits and parks.
         let pusher = std::thread::spawn({
@@ -1060,8 +1026,7 @@ mod tests {
         const BLOCK: usize = 37; // deliberately coprime with queue and pop sizes
         let (mut tx, mut rx) = SpscQueue::with_capacity(128).split();
         let producer = std::thread::spawn(move || {
-            let policy =
-                BackoffPolicy::SpinThenSleep { spins: 32, sleep: Duration::from_micros(10) };
+            let policy = BackoffPolicy { spins: 32, sleep: Duration::from_micros(10) };
             let mut buf = Vec::with_capacity(BLOCK);
             let mut failures = 0u64;
             for i in 0..N {

@@ -13,7 +13,7 @@ use ramr_spsc::{BackoffPolicy, Consumer, SpscQueue};
 
 const CEILING: Duration = Duration::from_secs(10);
 const DEADLINE: Duration = Duration::from_secs(5);
-const PARK_AT_ONCE: BackoffPolicy = BackoffPolicy::SpinThenSleep { spins: 0, sleep: CEILING };
+const PARK_AT_ONCE: BackoffPolicy = BackoffPolicy { spins: 0, sleep: CEILING };
 
 /// Runs `f` on its own thread and fails if it is not back within
 /// [`DEADLINE`]. A thread stuck in a 10 s park is simply left behind.

@@ -27,10 +27,10 @@
 //! # Example
 //!
 //! ```
-//! use ramr_topology::{MachineModel, PinningPolicy, PlacementPlan};
+//! use ramr_topology::{MachineModel, PinningPolicyKind, PlacementPlan};
 //!
 //! let machine = MachineModel::fig3_demo(); // 2 sockets x 4 cores x SMT2
-//! let plan = PlacementPlan::compute(&machine, 8, 8, PinningPolicy::Ramr)?;
+//! let plan = PlacementPlan::compute(&machine, 8, 8, PinningPolicyKind::Ramr)?;
 //! // Ratio 1: each mapper-combiner pair shares a physical core.
 //! for m in 0..8 {
 //!     let d = plan.mapper_combiner_distance(m);
@@ -54,5 +54,6 @@ pub use affinity::{pin_current_thread, pinning_supported};
 pub use comm::CommDistance;
 pub use detect::{parse_cpuinfo, DetectedGeometry};
 pub use machine::{CacheLatencies, Interconnect, MachineModel};
-pub use placement::{CpuSlot, PinningPolicy, PlacementPlan, ThreadRef};
+pub use mr_core::PinningPolicyKind;
+pub use placement::{CpuSlot, PlacementPlan, ThreadRef};
 pub use remap::{cpu_id_of, physical_position_of, thrid_to_cpu, PhysicalPos};

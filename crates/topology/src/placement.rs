@@ -8,29 +8,6 @@ use crate::comm::CommDistance;
 use crate::machine::MachineModel;
 use crate::remap::{physical_position_of, thrid_to_cpu};
 
-/// Thread placement policy (topology-level mirror of
-/// [`mr_core::PinningPolicyKind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PinningPolicy {
-    /// RAMR's contention-aware policy (§III-B): combiners adjacent to their
-    /// assigned mappers in remapped physical order.
-    Ramr,
-    /// Round-robin over OS logical CPU ids, role-oblivious (§IV-B baseline).
-    RoundRobin,
-    /// No pinning; threads migrate under the OS scheduler (§IV-B baseline).
-    OsDefault,
-}
-
-impl From<PinningPolicyKind> for PinningPolicy {
-    fn from(kind: PinningPolicyKind) -> Self {
-        match kind {
-            PinningPolicyKind::Ramr => PinningPolicy::Ramr,
-            PinningPolicyKind::RoundRobin => PinningPolicy::RoundRobin,
-            PinningPolicyKind::OsDefault => PinningPolicy::OsDefault,
-        }
-    }
-}
-
 /// Where one runtime thread is placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuSlot {
@@ -58,7 +35,7 @@ pub enum ThreadRef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPlan {
     machine: MachineModel,
-    policy: PinningPolicy,
+    policy: PinningPolicyKind,
     mapper_slots: Vec<CpuSlot>,
     combiner_slots: Vec<CpuSlot>,
     combiner_of_mapper: Vec<usize>,
@@ -80,7 +57,7 @@ impl PlacementPlan {
         machine: &MachineModel,
         n_mappers: usize,
         n_combiners: usize,
-        policy: PinningPolicy,
+        policy: PinningPolicyKind,
     ) -> Result<Self, RuntimeError> {
         if n_mappers == 0 || n_combiners == 0 {
             return Err(RuntimeError::Placement("thread pools must be nonempty".into()));
@@ -95,10 +72,10 @@ impl PlacementPlan {
 
         let ncpus = machine.logical_cpus();
         let (mapper_slots, combiner_slots) = match policy {
-            PinningPolicy::OsDefault => {
+            PinningPolicyKind::OsDefault => {
                 (vec![CpuSlot::Unpinned; n_mappers], vec![CpuSlot::Unpinned; n_combiners])
             }
-            PinningPolicy::RoundRobin | PinningPolicy::Ramr => {
+            PinningPolicyKind::RoundRobin | PinningPolicyKind::Ramr => {
                 // Both pinned policies walk the threads in creation order
                 // (per combiner group: first mapper, the combiner, then the
                 // group's remaining mappers) and hand out CPU ids
@@ -112,7 +89,7 @@ impl PlacementPlan {
                 //   the same socket — each combiner sits next to its
                 //   mappers.
                 let seq: Vec<usize> = match policy {
-                    PinningPolicy::Ramr => {
+                    PinningPolicyKind::Ramr => {
                         thrid_to_cpu(machine.sockets, machine.cores_per_socket, machine.smt)
                     }
                     _ => (0..ncpus).collect(),
@@ -158,7 +135,7 @@ impl PlacementPlan {
     }
 
     /// The policy that produced this plan.
-    pub fn policy(&self) -> PinningPolicy {
+    pub fn policy(&self) -> PinningPolicyKind {
         self.policy
     }
 
@@ -263,7 +240,7 @@ mod tests {
 
     #[test]
     fn queue_assignment_is_balanced_and_contiguous() {
-        let plan = PlacementPlan::compute(&fig3(), 8, 3, PinningPolicy::OsDefault).unwrap();
+        let plan = PlacementPlan::compute(&fig3(), 8, 3, PinningPolicyKind::OsDefault).unwrap();
         let groups: Vec<Vec<usize>> = (0..3).map(|c| plan.mappers_of_combiner(c)).collect();
         let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 8);
@@ -276,7 +253,7 @@ mod tests {
 
     #[test]
     fn ramr_ratio_one_pairs_share_cores() {
-        let plan = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicy::Ramr).unwrap();
+        let plan = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicyKind::Ramr).unwrap();
         for m in 0..8 {
             assert_eq!(plan.combiner_of_mapper(m), m);
             assert_eq!(plan.mapper_combiner_distance(m), CommDistance::SharedCore);
@@ -287,7 +264,7 @@ mod tests {
     fn ramr_keeps_groups_within_a_socket_when_possible() {
         // Ratio 3 on the Fig 3 machine: 6 mappers + 2 combiners = 8 threads
         // per 8 logical CPUs per socket — each group fits in one socket.
-        let plan = PlacementPlan::compute(&fig3(), 6, 2, PinningPolicy::Ramr).unwrap();
+        let plan = PlacementPlan::compute(&fig3(), 6, 2, PinningPolicyKind::Ramr).unwrap();
         for m in 0..6 {
             let d = plan.mapper_combiner_distance(m);
             assert!(
@@ -306,12 +283,12 @@ mod tests {
     fn round_robin_is_role_oblivious_and_far() {
         // Without the remap, a mapper and its combiner occupy consecutive
         // OS ids — *different* physical cores (Fig 3's lesson).
-        let plan = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicy::RoundRobin).unwrap();
+        let plan = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicyKind::RoundRobin).unwrap();
         let shared = (0..8)
             .filter(|&m| plan.mapper_combiner_distance(m) == CommDistance::SharedCore)
             .count();
         assert_eq!(shared, 0, "raw OS numbering must not pair SMT siblings");
-        let ramr = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicy::Ramr).unwrap();
+        let ramr = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicyKind::Ramr).unwrap();
         let ramr_shared = (0..8)
             .filter(|&m| ramr.mapper_combiner_distance(m) == CommDistance::SharedCore)
             .count();
@@ -323,9 +300,9 @@ mod tests {
     fn ramr_beats_round_robin_on_haswell_transfer_cost() {
         let m = MachineModel::haswell_server();
         // 28 mappers + 28 combiners = all 56 threads, ratio 1.
-        let ramr = PlacementPlan::compute(&m, 28, 28, PinningPolicy::Ramr).unwrap();
-        let rr = PlacementPlan::compute(&m, 28, 28, PinningPolicy::RoundRobin).unwrap();
-        let os = PlacementPlan::compute(&m, 28, 28, PinningPolicy::OsDefault).unwrap();
+        let ramr = PlacementPlan::compute(&m, 28, 28, PinningPolicyKind::Ramr).unwrap();
+        let rr = PlacementPlan::compute(&m, 28, 28, PinningPolicyKind::RoundRobin).unwrap();
+        let os = PlacementPlan::compute(&m, 28, 28, PinningPolicyKind::OsDefault).unwrap();
         assert!(ramr.avg_transfer_cost_ns() < rr.avg_transfer_cost_ns());
         assert!(ramr.avg_transfer_cost_ns() < os.avg_transfer_cost_ns());
     }
@@ -333,8 +310,8 @@ mod tests {
     #[test]
     fn pinning_gains_are_small_on_the_phi_ring() {
         let m = MachineModel::xeon_phi();
-        let ramr = PlacementPlan::compute(&m, 114, 114, PinningPolicy::Ramr).unwrap();
-        let rr = PlacementPlan::compute(&m, 114, 114, PinningPolicy::RoundRobin).unwrap();
+        let ramr = PlacementPlan::compute(&m, 114, 114, PinningPolicyKind::Ramr).unwrap();
+        let rr = PlacementPlan::compute(&m, 114, 114, PinningPolicyKind::RoundRobin).unwrap();
         let gain = rr.avg_transfer_cost_ns() / ramr.avg_transfer_cost_ns();
         assert!(gain > 1.0, "RAMR still wins on the Phi");
         assert!(
@@ -346,7 +323,7 @@ mod tests {
 
     #[test]
     fn os_default_distances_are_unpinned() {
-        let plan = PlacementPlan::compute(&fig3(), 4, 2, PinningPolicy::OsDefault).unwrap();
+        let plan = PlacementPlan::compute(&fig3(), 4, 2, PinningPolicyKind::OsDefault).unwrap();
         for m in 0..4 {
             assert_eq!(plan.mapper_combiner_distance(m), CommDistance::Unpinned);
         }
@@ -355,7 +332,7 @@ mod tests {
 
     #[test]
     fn oversubscription_wraps_around() {
-        let plan = PlacementPlan::compute(&fig3(), 32, 32, PinningPolicy::Ramr).unwrap();
+        let plan = PlacementPlan::compute(&fig3(), 32, 32, PinningPolicyKind::Ramr).unwrap();
         assert_eq!(plan.num_mappers(), 32);
         for m in 0..32 {
             assert!(matches!(plan.mapper_slot(m), CpuSlot::Pinned(c) if c < 16));
@@ -364,23 +341,16 @@ mod tests {
 
     #[test]
     fn rejects_empty_or_inverted_pools() {
-        assert!(PlacementPlan::compute(&fig3(), 0, 1, PinningPolicy::Ramr).is_err());
-        assert!(PlacementPlan::compute(&fig3(), 1, 0, PinningPolicy::Ramr).is_err());
-        assert!(PlacementPlan::compute(&fig3(), 2, 3, PinningPolicy::Ramr).is_err());
+        assert!(PlacementPlan::compute(&fig3(), 0, 1, PinningPolicyKind::Ramr).is_err());
+        assert!(PlacementPlan::compute(&fig3(), 1, 0, PinningPolicyKind::Ramr).is_err());
+        assert!(PlacementPlan::compute(&fig3(), 2, 3, PinningPolicyKind::Ramr).is_err());
     }
 
     #[test]
     fn threads_by_core_accounts_for_everyone_pinned() {
-        let plan = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicy::Ramr).unwrap();
+        let plan = PlacementPlan::compute(&fig3(), 8, 8, PinningPolicyKind::Ramr).unwrap();
         let total: usize = plan.threads_by_core().values().map(Vec::len).sum();
         assert_eq!(total, 16);
-    }
-
-    #[test]
-    fn policy_kind_conversion() {
-        assert_eq!(PinningPolicy::from(PinningPolicyKind::Ramr), PinningPolicy::Ramr);
-        assert_eq!(PinningPolicy::from(PinningPolicyKind::RoundRobin), PinningPolicy::RoundRobin);
-        assert_eq!(PinningPolicy::from(PinningPolicyKind::OsDefault), PinningPolicy::OsDefault);
     }
 }
 
@@ -424,7 +394,8 @@ mod display_tests {
     #[test]
     fn display_lists_cores_and_roles() {
         let plan =
-            PlacementPlan::compute(&MachineModel::fig3_demo(), 4, 4, PinningPolicy::Ramr).unwrap();
+            PlacementPlan::compute(&MachineModel::fig3_demo(), 4, 4, PinningPolicyKind::Ramr)
+                .unwrap();
         let rendered = plan.to_string();
         assert!(rendered.contains("4 mappers + 4 combiners"));
         assert!(rendered.contains("socket 0 core  0: M0 C0"), "{rendered}");
@@ -434,7 +405,7 @@ mod display_tests {
     #[test]
     fn display_reports_unpinned_threads() {
         let plan =
-            PlacementPlan::compute(&MachineModel::fig3_demo(), 3, 1, PinningPolicy::OsDefault)
+            PlacementPlan::compute(&MachineModel::fig3_demo(), 3, 1, PinningPolicyKind::OsDefault)
                 .unwrap();
         let rendered = plan.to_string();
         assert!(rendered.contains("unpinned threads: 4"), "{rendered}");

@@ -66,8 +66,8 @@ fn main() -> Result<(), mr_core::RuntimeError> {
         stats.merge,
     );
     println!(
-        "tasks {} | emitted {} | queue-full events {}",
-        stats.tasks, stats.emitted, stats.queue_full_events
+        "tasks {} | emitted {} | spilled {}",
+        stats.tasks, stats.emitted, outcome.report.spilled
     );
     println!("faults clean: {}", outcome.report.faults.is_clean());
     Ok(())

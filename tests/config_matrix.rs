@@ -154,9 +154,8 @@ fn backoff_policies_do_not_change_results() {
     let lines = input();
     let expected = reference(&lines);
     for backoff in [
-        PushBackoff::BusyWait,
-        PushBackoff::SpinThenSleep { spins: 0, sleep: std::time::Duration::from_micros(1) },
-        PushBackoff::default_sleep(),
+        PushBackoff { spins: 0, sleep: std::time::Duration::from_micros(1) },
+        PushBackoff::default(),
     ] {
         let cfg = RuntimeConfig::builder()
             .num_workers(4)

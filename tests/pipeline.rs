@@ -8,7 +8,7 @@ use std::sync::Arc;
 use mr_apps::inputs::{km_input, wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, InvertedIndex, KmeansState, TopKDf, WordCount};
 use mr_core::{ContainerKind, RuntimeConfig, RuntimeError};
-use ramr::{Backend, Engine, JobScheduler, Pipeline, StagePlan};
+use ramr::{Backend, Engine, Pipeline, StagePlan};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 
 fn config() -> RuntimeConfig {
@@ -194,51 +194,4 @@ fn a_poisoned_second_stage_fails_once_with_stage_attribution() {
             other => panic!("{backend}: expected StageFailed, got {other}"),
         }
     }
-}
-
-#[test]
-fn scheduler_chains_run_as_one_accounted_unit() {
-    // A 3-round chain through the scheduler: one ticket, one queue slot,
-    // rounds counted on the CompletedJob, output equal to the last round's
-    // serial result. The continuation reuses the same job, so the final
-    // output must equal a plain submit.
-    let lines: Vec<String> =
-        (0..400).map(|i| format!("t{i} alpha beta w{} v{}", i % 7, i % 13)).collect();
-    for backend in Backend::ALL {
-        let sched = JobScheduler::<WordCount>::new(backend, config()).unwrap();
-        let client = sched.client("chain");
-        let ticket = client
-            .submit_chain(Arc::new(WordCount), Arc::new(lines.clone()), |round, _out| {
-                (round < 3).then(|| Arc::new(WordCount))
-            })
-            .unwrap();
-        let done = ticket.wait().unwrap();
-        assert_eq!(done.rounds, 3, "{backend}: three epochs consumed");
-        let serial = backend.engine(config()).unwrap().submit(&WordCount, &lines).unwrap().output;
-        assert_eq!(done.output.pairs, serial.pairs, "{backend}");
-
-        let stats = sched.tenant_stats();
-        let chain_stats = stats.iter().find(|s| s.tenant == "chain").unwrap();
-        assert_eq!(chain_stats.completed, 1, "{backend}: a chain is ONE completed job");
-        assert_eq!(chain_stats.failed, 0, "{backend}");
-    }
-}
-
-#[test]
-fn scheduler_chains_respect_the_stage_budget() {
-    let lines: Vec<String> = (0..64).map(|i| format!("t{i} alpha beta")).collect();
-    let mut cfg = config();
-    cfg.pipeline_max_stages = 2;
-    let sched = JobScheduler::<WordCount>::new(Backend::RamrStatic, cfg).unwrap();
-    let client = sched.client("runaway");
-    let ticket = client
-        .submit_chain(Arc::new(WordCount), Arc::new(lines), |_round, _out| {
-            Some(Arc::new(WordCount))
-        })
-        .unwrap();
-    let err = ticket.wait().unwrap_err();
-    assert!(
-        err.to_string().contains("RAMR_PIPELINE_MAX_STAGES"),
-        "budget error names the knob: {err}"
-    );
 }

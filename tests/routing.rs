@@ -265,8 +265,7 @@ fn a_parked_combiner_with_no_task_left_is_published_to_not_bypassed() {
     within_deadline(|| {
         for kind in ContainerKind::ALL {
             let mut cfg = session(1024, B, 40 * B, kind);
-            cfg.push_backoff =
-                PushBackoff::SpinThenSleep { spins: 0, sleep: Duration::from_secs(10) };
+            cfg.push_backoff = PushBackoff { spins: 0, sleep: Duration::from_secs(10) };
             let report = helper_first(cfg, HelperFirst::new(false, 2_000));
             assert_eq!(report.spilled_per_mapper[0], 0, "{kind}: {report:?}");
             assert_eq!(

@@ -60,9 +60,9 @@ fn single_slot_queues_do_not_deadlock() {
         .batch_size(1)
         .build()
         .unwrap();
-    let out = Backend::RamrStatic.engine(cfg).unwrap().submit(&FanOut, &input).unwrap().output;
-    assert_eq!(out.pairs, reference(&input));
-    assert!(out.stats.queue_full_events > 0);
+    let outcome = Backend::RamrStatic.engine(cfg).unwrap().submit(&FanOut, &input).unwrap();
+    assert_eq!(outcome.output.pairs, reference(&input));
+    assert!(outcome.report.spilled > 0, "1-slot queues must leave mappers pairs to fold");
 }
 
 #[test]
@@ -308,14 +308,13 @@ fn combine_panic_does_not_hang_the_pipeline() {
 }
 
 /// Regression guard for the error path under load: a mapper panic AND a
-/// combine panic in the same run, while 2-slot busy-wait queues are
-/// saturated. The run must terminate — a combiner leaves its loop at its
+/// combine panic in the same run, while 2-slot queues are saturated. The run must terminate — a combiner leaves its loop at its
 /// first error, the mappers, which never wait on a queue, fold what the
 /// dead combiners do not read, and the session drains every queue before
 /// the epoch ends — and surface *a* worker panic. Which pool loses the race
 /// is scheduling-dependent, so either message is acceptable.
 #[test]
-fn dual_panic_with_full_busywait_queues_terminates() {
+fn dual_panic_with_full_two_slot_queues_terminates() {
     struct DualFailure;
     impl MapReduceJob for DualFailure {
         type Input = u64;
@@ -346,10 +345,9 @@ fn dual_panic_with_full_busywait_queues_terminates() {
         }
     }
     // Both panic triggers (77 and 999) fire early, so most of the input is
-    // pumped past combiners that have already failed. Termination on a
-    // 1-core host hinges on BusyWait's periodic yield; before that escape
-    // hatch this run took minutes (every 2-slot handoff cost a scheduler
-    // round trip).
+    // pumped past combiners that have already failed. With `spins: 0` every
+    // idle combiner round parks, so a wake-up lost around a failure hangs
+    // the run instead of being spun past.
     let input: Vec<u64> = (0..10_000).collect();
     let cfg = RuntimeConfig::builder()
         .num_workers(4)
@@ -357,7 +355,7 @@ fn dual_panic_with_full_busywait_queues_terminates() {
         .task_size(16)
         .queue_capacity(2)
         .batch_size(2)
-        .push_backoff(mr_core::PushBackoff::BusyWait)
+        .push_backoff(PushBackoff { spins: 0, ..PushBackoff::default() })
         .build()
         .unwrap();
     // Run under a hard timeout: a deadlock here would otherwise hang the
@@ -426,7 +424,7 @@ fn park_ceiling_does_not_set_the_job_time() {
             .task_size(256)
             .queue_capacity(64)
             .batch_size(16)
-            .push_backoff(PushBackoff::SpinThenSleep { spins: 0, sleep })
+            .push_backoff(PushBackoff { spins: 0, sleep })
             .build()
             .unwrap();
         let engine = Backend::RamrStatic.engine(cfg).unwrap();
