@@ -1,12 +1,13 @@
 //! A minimal FNV-1a hasher.
 //!
-//! The hash containers use FNV-1a instead of the standard library's SipHash:
-//! combine-phase inserts are the hottest loop in a MapReduce runtime, keys
-//! are short (words, small integers), and DoS resistance is irrelevant for
-//! intermediate data we generated ourselves. FNV also keeps hashing
-//! deterministic across runs, which the differential test suite relies on.
+//! Keys are hashed with FNV-1a (or [`FxHasher`](crate::FxHasher)) instead of
+//! the standard library's SipHash: combine-phase inserts are the hottest
+//! loop in a MapReduce runtime, keys are short (words, small integers), and
+//! DoS resistance is irrelevant for intermediate data we generated
+//! ourselves. FNV also keeps hashing deterministic across runs, which the
+//! differential test suite relies on.
 
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -35,18 +36,6 @@ impl Hasher for FnvHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.state
-    }
-}
-
-/// `BuildHasher` producing [`FnvHasher`]s.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FnvBuildHasher;
-
-impl BuildHasher for FnvBuildHasher {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
     }
 }
 

@@ -11,7 +11,7 @@
 //! so the differential suite can pin byte-identical output under either
 //! hasher; select between them with the `RAMR_HASHER` knob.
 
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// The multiply constant from the compiler's FxHash (derived from the
 /// golden ratio); the rotate spreads entropy into the low bits the
@@ -85,18 +85,6 @@ impl Hasher for FxHasher {
         // Rotating the well-mixed top bits into the low positions costs one
         // instruction and cuts linear-probe chain lengths ~3x on real text.
         self.state.rotate_left(26)
-    }
-}
-
-/// `BuildHasher` producing [`FxHasher`]s.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FxBuildHasher;
-
-impl BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
     }
 }
 

@@ -1,16 +1,17 @@
-//! Growable open-addressing hash container: a tagged index over
-//! insertion-ordered entries.
+//! The one hash table: open addressing over [`Hashed`] keys, a tagged
+//! index over insertion-ordered entries.
 //!
 //! `index` holds one `u64` per slot — `hash >> 32` as a tag in the high
 //! half, entry number + 1 in the low half, 0 for empty — and `entries` the
-//! `(K, V)` pairs in insertion order, without holes. A probe walks index
-//! words from `hash & mask` and compares a key only on a tag hit. Growth
-//! doubles the index and re-threads its words from the entries' hashes; the
-//! pairs themselves never move.
+//! `(key, value)` pairs in insertion order, without holes. The hash is the
+//! one each key carries from emission: a probe walks index words from
+//! `hash & mask` and compares a key only on a tag hit, and growth doubles
+//! the index and re-threads its words from the entries' carried hashes. The
+//! table never hashes a key, and the pairs themselves never move.
 
-use std::hash::{BuildHasher, Hash};
+use mr_core::RuntimeError;
 
-use crate::fnv::FnvBuildHasher;
+use crate::hashed::Hashed;
 
 const INITIAL_CAPACITY: usize = 16;
 /// Grow when the load factor reaches 7/8.
@@ -37,32 +38,33 @@ fn entry_word(len: usize) -> u64 {
     len as u64 + 1
 }
 
-/// A growable open-addressing (linear probing) hash table specialized for
-/// the combine-insert access pattern: insert-or-fold, no deletions, one
-/// final drain — after which the table is reused as it stands.
+/// An open-addressing (linear probing) hash table specialized for the
+/// combine-insert access pattern: insert-or-fold, no deletions, one final
+/// drain — after which the table is reused as it stands.
 ///
-/// This is the "regular hash table" of the paper's stressed configuration
-/// (Figs 8b/9b): relative to the array container it adds the hash
-/// calculation, dynamic memory allocation on growth, and a non-regular
-/// access pattern — exactly the extra memory intensity the paper injects.
-/// It is also Word Count's default container, "more suitable for storing an
-/// arbitrary set of keys".
+/// It is both hash containers of the paper. Built by [`new`](Self::new) or
+/// [`with_capacity`](Self::with_capacity) it is the growable "regular hash
+/// table" of the stressed configuration (Figs 8b/9b) and Word Count's
+/// default container, "more suitable for storing an arbitrary set of keys":
+/// relative to the array container it adds the hash calculation, dynamic
+/// memory allocation on growth, and a non-regular access pattern. Built for
+/// [`ContainerKind::FixedHash`](mr_core::ContainerKind::FixedHash) it is the
+/// fixed-size hash table: sized up front for a cap of distinct keys, it never
+/// grows or reallocates while folding, and refuses a new key past the cap.
 ///
-/// The hash function is pluggable through the `S: BuildHasher` parameter
-/// (default: deterministic FNV-1a). The hash-once pipeline instantiates
-/// `HashContainer<Hashed<K>, V, Passthrough>` so probing and growth both
-/// reuse the hash carried from emission (see
-/// [`Passthrough`](crate::Passthrough)).
+/// Keys arrive as [`Hashed`] pairs; probing and growth use the hash the key
+/// carries, so `K` itself needs only `Eq`.
 #[derive(Debug, Clone)]
-pub struct HashContainer<K, V, S = FnvBuildHasher> {
+pub struct HashContainer<K, V> {
     /// One word per slot, see the module docs; its length is a power of two.
     index: Vec<u64>,
-    entries: Vec<(K, V)>,
+    entries: Vec<(Hashed<K>, V)>,
     mask: usize,
-    hasher: S,
+    /// Distinct keys the table takes: `usize::MAX` unless it is capped.
+    max_keys: usize,
 }
 
-impl<K: Eq + Hash, V> HashContainer<K, V> {
+impl<K: Eq, V> HashContainer<K, V> {
     /// Creates an empty container with the default initial capacity.
     pub fn new() -> Self {
         Self::with_capacity(INITIAL_CAPACITY)
@@ -72,27 +74,29 @@ impl<K: Eq + Hash, V> HashContainer<K, V> {
     /// before the first growth or allocation: the index is over-allocated by
     /// the inverse load factor and the entries are reserved.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_hasher(capacity, FnvBuildHasher)
-    }
-}
-
-impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
-    /// Creates an empty container using `hasher`, with the default initial
-    /// capacity.
-    pub fn with_hasher(hasher: S) -> Self {
-        Self::with_capacity_and_hasher(INITIAL_CAPACITY, hasher)
-    }
-
-    /// Creates an empty container using `hasher`, able to hold at least
-    /// `capacity` keys before the first growth or allocation.
-    pub fn with_capacity_and_hasher(capacity: usize, hasher: S) -> Self {
         let slots = slots_for(capacity);
         Self {
             index: vec![0; slots],
             entries: Vec::with_capacity(capacity),
             mask: slots - 1,
-            hasher,
+            max_keys: usize::MAX,
         }
+    }
+
+    /// The fixed-size hash table: [`with_capacity`](Self::with_capacity)
+    /// for `max_keys` keys, refusing any key past them, so it never grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_keys` is zero.
+    pub(crate) fn capped(max_keys: usize) -> Self {
+        assert!(max_keys > 0, "fixed hash capacity must be nonzero");
+        Self { max_keys, ..Self::with_capacity(max_keys) }
+    }
+
+    /// The cap of a [`capped`](Self::capped) table; `usize::MAX` otherwise.
+    pub(crate) fn max_keys(&self) -> usize {
+        self.max_keys
     }
 
     /// Reserves room for `additional` more entries, as `with_capacity` does
@@ -102,34 +106,43 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     }
 
     /// Folds `value` into the entry for `key`, inserting it when absent.
-    pub fn combine_insert(&mut self, key: K, value: V, combine: impl FnOnce(&mut V, V)) {
-        let hash = self.hasher.hash_one(&key);
-        self.combine_insert_hashed(hash, key, value, combine);
-    }
-
-    /// [`combine_insert`](Self::combine_insert) with the key's hash computed
-    /// by the caller. `hash` must equal `self.hasher`'s hash of `key` —
-    /// growth rehashes through the container's hasher, so a foreign hash
-    /// would strand the entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::ContainerOverflow`] when `key` is new and the
+    /// table is a fixed-size one already holding its cap of keys. Folding
+    /// into a key the table holds never fails, and a table from
+    /// [`new`](Self::new) or [`with_capacity`](Self::with_capacity) takes
+    /// every key.
     #[inline]
-    pub fn combine_insert_hashed(
+    pub fn combine_insert(
         &mut self,
-        hash: u64,
-        key: K,
+        key: Hashed<K>,
         value: V,
         combine: impl FnOnce(&mut V, V),
-    ) {
-        debug_assert_eq!(hash, self.hasher.hash_one(&key), "hash does not match this hasher");
-        match self.find(hash, &key) {
+    ) -> Result<(), RuntimeError> {
+        match self.find(&key) {
             Ok(entry) => combine(&mut self.entries[entry].1, value),
-            Err(slot) => self.insert_new(slot, hash, key, value),
+            Err(_) if self.entries.len() == self.max_keys => return Err(self.overflow()),
+            Err(slot) => self.insert_new(slot, key, value),
+        }
+        Ok(())
+    }
+
+    /// The error a full capped table returns for a new key.
+    #[cold]
+    fn overflow(&self) -> RuntimeError {
+        RuntimeError::ContainerOverflow {
+            capacity: self.max_keys,
+            detail: "fixed-size hash container is full".into(),
         }
     }
 
     /// Probes for `key`: its entry number, or the empty slot that ended the
     /// probe. Only a tag hit reads an entry.
     #[inline]
-    fn find(&self, hash: u64, key: &K) -> Result<usize, usize> {
+    fn find(&self, key: &Hashed<K>) -> Result<usize, usize> {
+        let hash = key.hash();
         let mut slot = hash as usize & self.mask;
         loop {
             let word = self.index[slot];
@@ -147,8 +160,8 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     /// Appends a new entry threaded at `slot`, the empty slot its probe ended
     /// on, then doubles the index if that reached the load factor.
     #[inline(never)]
-    fn insert_new(&mut self, slot: usize, hash: u64, key: K, value: V) {
-        self.index[slot] = (hash & TAG_MASK) | entry_word(self.entries.len());
+    fn insert_new(&mut self, slot: usize, key: Hashed<K>, value: V) {
+        self.index[slot] = (key.hash() & TAG_MASK) | entry_word(self.entries.len());
         self.entries.push((key, value));
         if self.entries.len() * LOAD_DEN > self.index.len() * LOAD_NUM {
             self.rethread(self.index.len() * 2);
@@ -156,8 +169,8 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     }
 
     /// Returns a reference to the value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.find(self.hasher.hash_one(key), key).ok().map(|entry| &self.entries[entry].1)
+    pub fn get(&self, key: &Hashed<K>) -> Option<&V> {
+        self.find(key).ok().map(|entry| &self.entries[entry].1)
     }
 
     /// Number of distinct keys stored.
@@ -176,7 +189,7 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     }
 
     /// Iterates over the stored `(key, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Hashed<K>, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
@@ -184,7 +197,7 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     /// container. An empty `out` takes the entries by move, anything else is
     /// appended to. The index is zeroed and retained for reuse; room for
     /// entries is not (see [`reserve_entries`](Self::reserve_entries)).
-    pub fn drain_into(&mut self, out: &mut Vec<(K, V)>) {
+    pub fn drain_into(&mut self, out: &mut Vec<(Hashed<K>, V)>) {
         if out.is_empty() {
             std::mem::swap(out, &mut self.entries);
         } else {
@@ -196,18 +209,18 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     /// The stored pairs in insertion order, for a container that is done:
     /// [`drain_into`](Self::drain_into) without zeroing an index nobody
     /// will probe again.
-    pub fn into_pairs(self) -> Vec<(K, V)> {
+    pub fn into_pairs(self) -> Vec<(Hashed<K>, V)> {
         self.entries
     }
 
     /// Replaces the index by one of `slots` words threaded from the entries'
-    /// hashes. The entries stay where they are: growth costs one 8-byte
-    /// store per key, plus first touch of the new index.
+    /// carried hashes. The entries stay where they are: growth costs one
+    /// 8-byte store per key, plus first touch of the new index.
     fn rethread(&mut self, slots: usize) {
         self.index = vec![0; slots];
         self.mask = slots - 1;
         for (number, (key, _)) in self.entries.iter().enumerate() {
-            let hash = self.hasher.hash_one(key);
+            let hash = key.hash();
             let mut slot = hash as usize & self.mask;
             while self.index[slot] != 0 {
                 slot = (slot + 1) & self.mask;
@@ -217,7 +230,7 @@ impl<K: Eq + Hash, V, S: BuildHasher> HashContainer<K, V, S> {
     }
 }
 
-impl<K: Eq + Hash, V> Default for HashContainer<K, V> {
+impl<K: Eq, V> Default for HashContainer<K, V> {
     fn default() -> Self {
         Self::new()
     }
@@ -226,22 +239,39 @@ impl<K: Eq + Hash, V> Default for HashContainer<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashed::{Hashed, Passthrough};
+    use mr_core::HasherKind;
     use proptest::prelude::*;
+    use std::hash::Hash;
 
     fn add(acc: &mut u64, v: u64) {
         *acc += v;
     }
 
+    /// `key` with the hash it would carry from emission.
+    fn h<K: Hash>(key: K) -> Hashed<K> {
+        Hashed::wrap(HasherKind::Fnv, key)
+    }
+
+    /// Folds `value` into `key` with [`add`]; a table that refuses it fails
+    /// the test.
+    fn put<K: Eq + Hash>(c: &mut HashContainer<K, u64>, key: K, value: u64) {
+        c.combine_insert(h(key), value, add).unwrap();
+    }
+
+    /// The pairs without their carried hashes.
+    fn plain<K, V>(pairs: Vec<(Hashed<K>, V)>) -> Vec<(K, V)> {
+        pairs.into_iter().map(|(k, v)| (k.into_key(), v)).collect()
+    }
+
     #[test]
     fn insert_combine_lookup() {
         let mut c = HashContainer::new();
-        c.combine_insert("a", 1, add);
-        c.combine_insert("b", 2, add);
-        c.combine_insert("a", 3, add);
-        assert_eq!(c.get(&"a"), Some(&4));
-        assert_eq!(c.get(&"b"), Some(&2));
-        assert_eq!(c.get(&"c"), None);
+        put(&mut c, "a", 1);
+        put(&mut c, "b", 2);
+        put(&mut c, "a", 3);
+        assert_eq!(c.get(&h("a")), Some(&4));
+        assert_eq!(c.get(&h("b")), Some(&2));
+        assert_eq!(c.get(&h("c")), None);
         assert_eq!(c.len(), 2);
     }
 
@@ -250,12 +280,12 @@ mod tests {
         let mut c = HashContainer::with_capacity(4);
         let initial = c.capacity();
         for i in 0..1000u64 {
-            c.combine_insert(i, i, add);
+            put(&mut c, i, i);
         }
         assert_eq!(c.len(), 1000);
         assert!(c.capacity() > initial);
         for i in 0..1000u64 {
-            assert_eq!(c.get(&i), Some(&i), "key {i} lost during growth");
+            assert_eq!(c.get(&h(i)), Some(&i), "key {i} lost during growth");
         }
     }
 
@@ -271,7 +301,7 @@ mod tests {
             let index = (c.index.as_ptr(), c.index.len());
             let entries = (c.entries.as_ptr(), c.entries.capacity());
             for i in 0..req as u64 {
-                c.combine_insert(i, 1, add);
+                put(&mut c, i, 1);
             }
             assert_eq!(c.len(), req);
             assert_eq!((c.index.as_ptr(), c.index.len()), index, "with_capacity({req}): index");
@@ -300,8 +330,7 @@ mod tests {
 
     #[test]
     fn colliding_tags_and_home_slots_never_merge_distinct_keys() {
-        let mut c: HashContainer<Hashed<u32>, u64, Passthrough> =
-            HashContainer::with_capacity_and_hasher(64, Passthrough);
+        let mut c: HashContainer<u32, u64> = HashContainer::with_capacity(64);
         // Keys whose hashes the test chooses: probing and tags see the hash,
         // equality the key.
         let mut expected = Vec::new();
@@ -319,7 +348,7 @@ mod tests {
         }
         for round in 1..=3u64 {
             for k in &expected {
-                c.combine_insert_hashed(k.hash(), k.clone(), 1, add);
+                c.combine_insert(k.clone(), 1, add).unwrap();
             }
             assert_eq!(c.len(), expected.len(), "round {round}");
             for k in &expected {
@@ -329,7 +358,7 @@ mod tests {
         // Growth re-threads the same chains from the carried hashes.
         for key in 100..400 {
             let k = Hashed::new(0xABCD_0123_0000_0005, key);
-            c.combine_insert_hashed(k.hash(), k, 1, add);
+            c.combine_insert(k, 1, add).unwrap();
         }
         for k in &expected {
             assert_eq!(c.get(k), Some(&3), "key {} after growth", k.key());
@@ -341,29 +370,34 @@ mod tests {
         let keys = [9u64, 2, 7, 1, 8, 3];
         let mut c = HashContainer::with_capacity(2);
         for &k in keys.iter().chain(&keys) {
-            c.combine_insert(k, 1u64, add);
+            put(&mut c, k, 1u64);
         }
         let expected: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 2)).collect();
-        assert_eq!(c.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(), expected);
+        assert_eq!(c.iter().map(|(k, v)| (*k.key(), *v)).collect::<Vec<_>>(), expected);
         // Into an empty vector: the entries themselves.
         let mut out = Vec::new();
         c.drain_into(&mut out);
-        assert_eq!(out, expected);
+        assert_eq!(plain(out.clone()), expected);
         assert!(c.is_empty() && c.iter().next().is_none());
         // Into a non-empty one: appended, the earlier contents kept.
-        c.combine_insert(4, 4, add);
+        put(&mut c, 4, 4);
         c.drain_into(&mut out);
+        let out = plain(out);
         assert_eq!(out.len(), expected.len() + 1);
         assert_eq!(out[..expected.len()], expected[..]);
         assert_eq!(out.last(), Some(&(4, 4)));
-        assert_eq!(c.get(&4), None, "a drained key must not be found through a stale index word");
+        assert_eq!(
+            c.get(&h(4)),
+            None,
+            "a drained key must not be found through a stale index word"
+        );
     }
 
     #[test]
     fn into_pairs_yields_what_drain_into_does() {
         let mut drained = HashContainer::with_capacity(2);
         for i in (0..300u64).chain(0..100) {
-            drained.combine_insert(i * 7, 1u64, add);
+            put(&mut drained, i * 7, 1u64);
         }
         let consumed = drained.clone();
         let mut out = Vec::new();
@@ -375,16 +409,16 @@ mod tests {
     fn clone_is_deep() {
         let mut a = HashContainer::new();
         for i in 0..50u64 {
-            a.combine_insert(i, 1, add);
+            put(&mut a, i, 1);
         }
         let mut b = a.clone();
         for i in 0..100u64 {
-            b.combine_insert(i, 10, add);
+            put(&mut b, i, 10);
         }
         let mut drained = Vec::new();
         b.drain_into(&mut drained);
         assert_eq!(a.len(), 50);
-        assert!((0..50u64).all(|i| a.get(&i) == Some(&1)), "the clone wrote through");
+        assert!((0..50u64).all(|i| a.get(&h(i)) == Some(&1)), "the clone wrote through");
         assert_eq!(drained.len(), 100);
     }
 
@@ -392,8 +426,8 @@ mod tests {
     fn drain_returns_everything_once() {
         let mut c = HashContainer::new();
         for i in 0..100u64 {
-            c.combine_insert(i, 1, add);
-            c.combine_insert(i, 1, add);
+            put(&mut c, i, 1);
+            put(&mut c, i, 1);
         }
         let mut out = Vec::new();
         c.drain_into(&mut out);
@@ -401,8 +435,8 @@ mod tests {
         assert!(out.iter().all(|&(_, v)| v == 2));
         assert!(c.is_empty());
         // Reusable after drain.
-        c.combine_insert(5, 9, add);
-        assert_eq!(c.get(&5), Some(&9));
+        put(&mut c, 5, 9);
+        assert_eq!(c.get(&h(5)), Some(&9));
     }
 
     #[test]
@@ -418,9 +452,9 @@ mod tests {
     fn string_keys_work() {
         let mut c = HashContainer::new();
         for word in ["map", "reduce", "map", "combine", "map"] {
-            c.combine_insert(word.to_string(), 1u64, add);
+            put(&mut c, word.to_string(), 1u64);
         }
-        assert_eq!(c.get(&"map".to_string()), Some(&3));
+        assert_eq!(c.get(&h("map".to_string())), Some(&3));
         assert_eq!(c.len(), 3);
     }
 
@@ -428,9 +462,9 @@ mod tests {
     fn iter_visits_every_pair_once() {
         let mut c = HashContainer::new();
         for i in 0..200u64 {
-            c.combine_insert(i, i * 2, add);
+            put(&mut c, i, i * 2);
         }
-        let mut pairs: Vec<(u64, u64)> = c.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut pairs: Vec<(u64, u64)> = c.iter().map(|(k, v)| (*k.key(), *v)).collect();
         pairs.sort_unstable();
         assert_eq!(pairs.len(), 200);
         assert!(pairs.iter().all(|&(k, v)| v == k * 2));
@@ -438,17 +472,16 @@ mod tests {
 
     #[test]
     fn carried_hashes_survive_growth() {
-        // The hash-once instantiation: Hashed keys + Passthrough hasher.
-        // Growth must rehash through the carried hashes and lose nothing.
-        let mut c: HashContainer<Hashed<u64>, u64, Passthrough> =
-            HashContainer::with_capacity_and_hasher(2, Passthrough);
+        // Growth must re-thread from the carried hashes and lose nothing,
+        // whichever hasher made them.
+        let mut c: HashContainer<u64, u64> = HashContainer::with_capacity(2);
         for i in 0..500u64 {
-            let key = Hashed::wrap(mr_core::HasherKind::Fx, i);
-            c.combine_insert_hashed(key.hash(), key, 1, add);
+            let key = Hashed::wrap(HasherKind::Fx, i);
+            c.combine_insert(key, 1, add).unwrap();
         }
         assert_eq!(c.len(), 500);
         for i in 0..500u64 {
-            assert_eq!(c.get(&Hashed::wrap(mr_core::HasherKind::Fx, i)), Some(&1));
+            assert_eq!(c.get(&Hashed::wrap(HasherKind::Fx, i)), Some(&1));
         }
     }
 
@@ -473,16 +506,16 @@ mod tests {
                 for k in keys {
                     // `spread` varies the distinct-key count between cycles.
                     let k = k * spread;
-                    ours.combine_insert(k, 1u64, add);
+                    put(&mut ours, k, 1u64);
                     *reference.entry(k).or_insert(0u64) += 1;
-                    prop_assert_eq!(ours.get(&k), reference.get(&k));
+                    prop_assert_eq!(ours.get(&h(k)), reference.get(&k));
                 }
                 prop_assert_eq!(ours.len(), reference.len());
                 let mut out = Vec::new();
                 ours.drain_into(&mut out);
                 prop_assert!(ours.is_empty());
                 prop_assert_eq!(out.len(), reference.len());
-                let drained: std::collections::HashMap<u32, u64> = out.into_iter().collect();
+                let drained: std::collections::HashMap<u32, u64> = plain(out).into_iter().collect();
                 prop_assert_eq!(drained, reference);
             }
         }
@@ -504,7 +537,7 @@ mod tests {
         for (cycle, &n) in sizes.iter().enumerate() {
             for pass in 0..2 {
                 for i in 0..n {
-                    c.combine_insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 1, add);
+                    put(&mut c, i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 1);
                 }
                 assert_eq!(c.len(), n as usize, "cycle {cycle} pass {pass}");
             }
@@ -517,6 +550,71 @@ mod tests {
             assert_eq!(out.len(), n as usize);
             assert!(out.iter().all(|&(_, v)| v == 2), "cycle {cycle}");
             assert_eq!(c.capacity(), grown, "a drain keeps the index");
+        }
+    }
+
+    /// The fixed-size hash table: the same table, capped.
+    mod capped {
+        use super::*;
+
+        #[test]
+        fn insert_up_to_capacity_then_overflow() {
+            let mut c = HashContainer::capped(8);
+            for i in 0..8u64 {
+                put(&mut c, i, 1);
+            }
+            assert_eq!(c.len(), 8);
+            let err = c.combine_insert(h(99), 1, add).unwrap_err();
+            assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 8, .. }));
+            // Combining into existing keys still works at capacity.
+            put(&mut c, 3, 5);
+            assert_eq!(c.get(&h(3)), Some(&6));
+        }
+
+        #[test]
+        fn lookup_probes_past_collisions() {
+            let mut c = HashContainer::capped(64);
+            for i in 0..64u64 {
+                put(&mut c, i, i * 10);
+            }
+            for i in 0..64u64 {
+                assert_eq!(c.get(&h(i)), Some(&(i * 10)));
+            }
+            assert_eq!(c.get(&h(1000)), None);
+        }
+
+        #[test]
+        fn drain_and_reuse() {
+            let mut c = HashContainer::capped(4);
+            put(&mut c, "x", 1);
+            put(&mut c, "x", 1);
+            let mut out = Vec::new();
+            c.drain_into(&mut out);
+            assert_eq!(plain(out), [("x", 2)]);
+            assert!(c.is_empty());
+            put(&mut c, "y", 1);
+            assert_eq!(c.len(), 1);
+        }
+
+        #[test]
+        fn iter_matches_len() {
+            let mut c = HashContainer::capped(16);
+            for i in 0..10u64 {
+                put(&mut c, i, 1);
+            }
+            assert_eq!(c.iter().count(), c.len());
+        }
+
+        #[test]
+        #[should_panic(expected = "capacity must be nonzero")]
+        fn zero_capacity_panics() {
+            let _ = HashContainer::<u64, u64>::capped(0);
+        }
+
+        #[test]
+        fn capacity_reports_key_budget_not_slots() {
+            let c = HashContainer::<u64, u64>::capped(100);
+            assert_eq!(c.max_keys(), 100);
         }
     }
 }

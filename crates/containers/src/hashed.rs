@@ -1,20 +1,16 @@
 //! Hash-once key carriage: [`Hashed`] pairs a key with its 64-bit hash so
-//! the combiner container reuses it instead of rehashing.
+//! the combine table reuses it instead of rehashing.
 //!
 //! The runtimes hash each key exactly once — at the mapper's emission sink,
 //! where the key bytes are already hot in cache — wrap it in [`Hashed`], and
-//! carry the pair through the SPSC queues to the combiner container's
-//! `combine_insert_hashed`, the hash's one consumer. The reduce phase
-//! range-partitions, sorts and folds by key, so a `Hashed` key rides through
-//! it unread and is unwrapped on the way out.
-//!
-//! [`Passthrough`] closes the loop on the container side: a `Hashed` key
-//! hashes itself by writing its carried `u64`, and the passthrough hasher
-//! returns that word unchanged, so probing *and* growth-rehashing of a
-//! `HashContainer<Hashed<K>, V, Passthrough>` never touch the key bytes
-//! again.
+//! carry the pair through the SPSC queues to the combine table, the hash's
+//! one consumer: [`HashContainer`](crate::HashContainer) is keyed on
+//! `Hashed<K>` and probes and grows from `key.hash()`, never touching the
+//! key bytes again. The reduce phase range-partitions, sorts and folds by
+//! key, so a `Hashed` key rides through it unread and is unwrapped on the
+//! way out.
 
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::Hash;
 
 use mr_core::HasherKind;
 
@@ -34,9 +30,7 @@ pub fn hash_key<T: Hash + ?Sized>(kind: HasherKind, key: &T) -> u64 {
 /// A key bundled with its precomputed 64-bit hash.
 ///
 /// `Eq`/`Ord` delegate to the key (with a hash fast-reject on equality), so
-/// a `Hashed<K>` sorts and deduplicates exactly like its `K`. `Hash` writes
-/// the carried hash — one `write_u64` — which [`Passthrough`] turns back
-/// into the original word.
+/// a `Hashed<K>` sorts and deduplicates exactly like its `K`.
 ///
 /// The carried hash is an invariant, not advice: both halves of a
 /// comparison must have been hashed by the same hasher (one run uses one
@@ -106,72 +100,9 @@ impl<K: Ord> Ord for Hashed<K> {
     }
 }
 
-impl<K> Hash for Hashed<K> {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// A `BuildHasher` that returns the written word unchanged — the container
-/// side of hash-once carriage (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Passthrough;
-
-/// The hasher [`Passthrough`] builds: stores the last `u64` written
-/// (rotate-xor-folding any extras so multi-write keys stay well-defined)
-/// and returns it from `finish`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassthroughHasher {
-    state: u64,
-}
-
-impl PassthroughHasher {
-    #[inline]
-    fn fold(&mut self, word: u64) {
-        self.state = self.state.rotate_left(1) ^ word;
-    }
-}
-
-impl Hasher for PassthroughHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Non-u64 writes mean the key is not hash-carrying; fall back to a
-        // byte fold so behavior stays correct (if not hash-once).
-        for &b in bytes {
-            self.fold(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.fold(i);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl BuildHasher for Passthrough {
-    type Hasher = PassthroughHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> PassthroughHasher {
-        PassthroughHasher::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn passthrough_returns_the_carried_hash() {
-        let wrapped = Hashed::new(0xdead_beef_cafe_f00d, "key");
-        assert_eq!(Passthrough.hash_one(&wrapped), 0xdead_beef_cafe_f00d);
-    }
 
     #[test]
     fn wrap_uses_the_selected_hasher() {

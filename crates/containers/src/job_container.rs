@@ -1,4 +1,4 @@
-//! Enum dispatch over the three containers and the job-aware adapter every
+//! Enum dispatch over the container kinds and the job-aware adapter every
 //! thread that combines folds into: a combiner, a mapper that spills, and a
 //! Phoenix worker.
 //!
@@ -16,54 +16,51 @@
 
 use mr_core::{ContainerKind, MapReduceJob, RuntimeError};
 
-use crate::hashed::{Hashed, Passthrough};
-use crate::{ArrayContainer, FixedHashContainer, HashContainer, DEFAULT_FIXED_HASH_CAPACITY};
+use crate::hashed::Hashed;
+use crate::{ArrayContainer, HashContainer, DEFAULT_FIXED_HASH_CAPACITY};
 
 /// A container of any [`ContainerKind`] over hash-carrying keys, dispatching
 /// by enum rather than trait object so the combine closure stays statically
-/// dispatched in the hot loop. Hash-based variants probe
-/// through [`Passthrough`], so the hash computed at emission is reused for
-/// every insert and growth-rehash; the array variant indexes by
+/// dispatched in the hot loop. The two hash variants are the one
+/// [`HashContainer`], growable or capped; the array variant indexes by
 /// [`MapReduceJob::key_index`] and ignores the hash.
 #[derive(Debug, Clone)]
-pub enum HashedContainerImpl<K, V> {
+pub(crate) enum HashedContainerImpl<K, V> {
     /// Dense array over the job's declared key space.
     Array(ArrayContainer<Hashed<K>, V>),
-    /// Growable open-addressing hash table reusing carried hashes.
-    Hash(HashContainer<Hashed<K>, V, Passthrough>),
-    /// Fixed-capacity open-addressing hash table reusing carried hashes.
-    FixedHash(FixedHashContainer<Hashed<K>, V, Passthrough>),
+    /// Growable hash table.
+    Hash(HashContainer<K, V>),
+    /// Hash table capped at a number of distinct keys.
+    FixedHash(HashContainer<K, V>),
 }
 
 impl<K: mr_core::MrKey, V: mr_core::MrValue> HashedContainerImpl<K, V> {
     /// Number of distinct keys stored.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             HashedContainerImpl::Array(c) => c.len(),
-            HashedContainerImpl::Hash(c) => c.len(),
-            HashedContainerImpl::FixedHash(c) => c.len(),
+            HashedContainerImpl::Hash(c) | HashedContainerImpl::FixedHash(c) => c.len(),
         }
     }
 
     /// Whether no key has been inserted yet.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Moves all pairs into `out`, emptying the container.
-    pub fn drain_into(&mut self, out: &mut Vec<(Hashed<K>, V)>) {
+    fn drain_into(&mut self, out: &mut Vec<(Hashed<K>, V)>) {
         match self {
             HashedContainerImpl::Array(c) => c.drain_into(out),
-            HashedContainerImpl::Hash(c) => c.drain_into(out),
-            HashedContainerImpl::FixedHash(c) => c.drain_into(out),
+            HashedContainerImpl::Hash(c) | HashedContainerImpl::FixedHash(c) => c.drain_into(out),
         }
     }
 
     /// The stored pairs, consuming the container: a hash table hands its
     /// entries over without zeroing its index.
-    pub fn into_pairs(self) -> Vec<(Hashed<K>, V)> {
+    fn into_pairs(self) -> Vec<(Hashed<K>, V)> {
         match self {
-            HashedContainerImpl::Hash(c) => c.into_pairs(),
+            HashedContainerImpl::Hash(c) | HashedContainerImpl::FixedHash(c) => c.into_pairs(),
             mut other => {
                 let mut out = Vec::new();
                 other.drain_into(&mut out);
@@ -189,9 +186,10 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
     /// when it is what `for_job` would build for *this* job: the same kind
     /// and, for the array and fixed-hash containers, the same resolved
     /// capacity (two jobs of one type may declare different key spaces).
-    /// A kept hash table comes back with its index as grown and its entries
-    /// reserved for as many keys as it last held. Anything else is dropped
-    /// and built afresh.
+    /// A kept growable hash table comes back with its index as grown and its
+    /// entries reserved for as many keys as it last held, a capped one with
+    /// its entries reserved for its whole cap. Anything else is dropped and
+    /// built afresh.
     ///
     /// # Errors
     ///
@@ -223,19 +221,18 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
                     c.reserve_entries(drained);
                     HashedContainerImpl::Hash(c)
                 }
-                _ => HashedContainerImpl::Hash(HashContainer::with_hasher(Passthrough)),
+                _ => HashedContainerImpl::Hash(HashContainer::new()),
             },
             ContainerKind::FixedHash => {
                 let capacity = fixed_capacity
                     .or_else(|| job.key_space())
                     .unwrap_or(DEFAULT_FIXED_HASH_CAPACITY);
                 match kept {
-                    Some(HashedContainerImpl::FixedHash(c)) if c.capacity() == capacity => {
+                    Some(HashedContainerImpl::FixedHash(mut c)) if c.max_keys() == capacity => {
+                        c.reserve_entries(capacity);
                         HashedContainerImpl::FixedHash(c)
                     }
-                    _ => HashedContainerImpl::FixedHash(
-                        FixedHashContainer::with_capacity_and_hasher(capacity, Passthrough),
-                    ),
+                    _ => HashedContainerImpl::FixedHash(HashContainer::capped(capacity)),
                 }
             }
         };
@@ -249,8 +246,8 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
     ///
     /// # Errors
     ///
-    /// Propagates [`RuntimeError::ContainerOverflow`] from the fixed-size
-    /// containers.
+    /// Propagates [`RuntimeError::ContainerOverflow`] from the array
+    /// container and the capped hash table.
     #[inline]
     pub fn insert(&mut self, key: Hashed<J::Key>, value: J::Value) -> Result<(), RuntimeError> {
         let job = self.job;
@@ -259,12 +256,8 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
                 let index = job.key_index(key.key());
                 c.combine_insert_at(index, key, value, |acc, v| job.combine(acc, v))
             }
-            HashedContainerImpl::Hash(c) => {
-                c.combine_insert_hashed(key.hash(), key, value, |acc, v| job.combine(acc, v));
-                Ok(())
-            }
-            HashedContainerImpl::FixedHash(c) => {
-                c.combine_insert_hashed(key.hash(), key, value, |acc, v| job.combine(acc, v))
+            HashedContainerImpl::Hash(c) | HashedContainerImpl::FixedHash(c) => {
+                c.combine_insert(key, value, |acc, v| job.combine(acc, v))
             }
         }
     }
@@ -295,13 +288,16 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
                     }
                 }
             }),
+            // An uncapped table refuses no key, so no error check guards
+            // its hits; only the new-key path tests the cap.
             HashedContainerImpl::Hash(c) => feed.feed(|key, value| {
-                c.combine_insert_hashed(key.hash(), key, value, |acc, v| job.combine(acc, v));
+                if let Err(e) = c.combine_insert(key, value, |acc, v| job.combine(acc, v)) {
+                    first_error.get_or_insert(e);
+                }
             }),
             HashedContainerImpl::FixedHash(c) => feed.feed(|key, value| {
                 if first_error.is_none() {
-                    let combine = |acc: &mut J::Value, v| job.combine(acc, v);
-                    if let Err(e) = c.combine_insert_hashed(key.hash(), key, value, combine) {
+                    if let Err(e) = c.combine_insert(key, value, |acc, v| job.combine(acc, v)) {
                         first_error = Some(e);
                     }
                 }
@@ -325,8 +321,8 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
         self.inner.drain_into(out);
     }
 
-    /// The stored pairs, for a container that is done; see
-    /// [`HashedContainerImpl::into_pairs`].
+    /// The stored pairs, for a container that is done: a hash table hands
+    /// its entries over without zeroing its index.
     pub fn into_pairs(self) -> Vec<(Hashed<J::Key>, J::Value)> {
         self.inner.into_pairs()
     }
@@ -344,15 +340,10 @@ impl<'a, J: MapReduceJob> HashedJobContainer<'a, J> {
         self.inner.drain_into(out);
         if let HashedContainerImpl::Hash(c) = &mut self.inner {
             if c.capacity() > KEEP_FILL_DEN * drained.max(1) {
-                *c = HashContainer::with_capacity_and_hasher(drained, Passthrough);
+                *c = HashContainer::with_capacity(drained);
             }
         }
         KeptContainer { inner: self.inner, drained }
-    }
-
-    /// Consumes the adapter, returning the underlying container.
-    pub fn into_inner(self) -> HashedContainerImpl<J::Key, J::Value> {
-        self.inner
     }
 }
 
@@ -458,16 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn into_inner_exposes_the_container() {
-        let job = Mod5;
-        let mut c = HashedJobContainer::for_job(&job, ContainerKind::Hash, None).unwrap();
-        c.insert(key(3), 7).unwrap();
-        let inner = c.into_inner();
-        assert_eq!(inner.len(), 1);
-        assert!(matches!(inner, HashedContainerImpl::Hash(_)));
-    }
-
-    #[test]
     fn hashed_container_agrees_with_plain_for_every_kind() {
         let job = Mod5;
         let expected: Vec<(u64, u64)> = (0..5).map(|k| (k, 10)).collect();
@@ -553,12 +534,13 @@ mod tests {
         kept
     }
 
-    /// Slot count of whichever container `inner` is.
+    /// Slot count of whichever container `inner` is; the cap of a capped
+    /// hash table.
     fn slots<K: mr_core::MrKey, V: mr_core::MrValue>(inner: &HashedContainerImpl<K, V>) -> usize {
         match inner {
             HashedContainerImpl::Array(c) => c.capacity(),
             HashedContainerImpl::Hash(c) => c.capacity(),
-            HashedContainerImpl::FixedHash(c) => c.capacity(),
+            HashedContainerImpl::FixedHash(c) => c.max_keys(),
         }
     }
 
@@ -600,7 +582,7 @@ mod tests {
             assert_eq!(slots(&c.inner), 5, "{kind}: a kept capacity of 8 served a key space of 5");
             // Another kind altogether: rebuilt as that kind.
             let c = HashedJobContainer::reusing(&job, ContainerKind::Hash, None, Some(keep(8)));
-            assert!(matches!(c.unwrap().into_inner(), HashedContainerImpl::Hash(_)));
+            assert!(matches!(c.unwrap().inner, HashedContainerImpl::Hash(_)));
         }
     }
 
@@ -612,7 +594,6 @@ mod tests {
         c.insert(Hashed::wrap(mr_core::HasherKind::Fx, 1), 1).unwrap();
         let err = c.insert(Hashed::wrap(mr_core::HasherKind::Fx, 2), 1).unwrap_err();
         assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }));
-        let inner = c.into_inner();
-        assert!(matches!(inner, HashedContainerImpl::FixedHash(_)));
+        assert!(matches!(c.inner, HashedContainerImpl::FixedHash(_)));
     }
 }

@@ -9,37 +9,43 @@
 //! the memory intensity of the combine phase (Figs 8b/9b/10b): hashing adds
 //! computation, and the hash layout forces a non-regular access pattern.
 //!
-//! Three containers are provided, unified behind [`HashedContainerImpl`]
-//! (enum dispatch keeps the combine call generic without trait objects) and
-//! the job-aware [`HashedJobContainer`] adapter every thread that combines
-//! folds into:
+//! Two containers are provided, behind the job-aware [`HashedJobContainer`]
+//! adapter every thread that combines folds into (it dispatches by enum, so
+//! the combine call stays generic without trait objects):
 //!
 //! * [`ArrayContainer`] — dense slots over `0..key_space`;
-//! * [`HashContainer`] — growable open-addressing (linear probing) table;
-//! * [`FixedHashContainer`] — fixed-capacity open addressing, overflow is an
-//!   error.
+//! * [`HashContainer`] — open addressing (linear probing) over [`Hashed`]
+//!   keys: growable for [`ContainerKind::Hash`], and for
+//!   [`ContainerKind::FixedHash`] sized up front for a cap of distinct keys,
+//!   past which a new key is an error.
 //!
 //! The key hot path is co-designed with the containers: [`CompactKey`]
 //! stores short string keys inline (no per-word allocation), [`Hashed`]
 //! carries each key's hash from the emission sink so the combine, bucket
-//! and reduce stages never rehash (the [`Passthrough`] hasher and the
-//! [`HashedJobContainer`] adapter close that loop), and the hash function
-//! itself is selectable between byte-at-a-time FNV-1a and the
-//! word-at-a-time [`FxHasher`] via the `RAMR_HASHER` knob.
+//! and reduce stages never rehash (the hash table is keyed on it and probes
+//! and grows from the carried word), and the hash function itself is
+//! selectable between byte-at-a-time FNV-1a and the word-at-a-time
+//! [`FxHasher`] via the `RAMR_HASHER` knob.
+//!
+//! [`ContainerKind::Hash`]: mr_core::ContainerKind::Hash
+//! [`ContainerKind::FixedHash`]: mr_core::ContainerKind::FixedHash
 //!
 //! # Example
 //!
 //! ```
-//! use ramr_containers::HashContainer;
+//! use mr_core::HasherKind;
+//! use ramr_containers::{HashContainer, Hashed};
 //!
 //! let mut c: HashContainer<&str, u64> = HashContainer::new();
-//! c.combine_insert("the", 1, |acc, v| *acc += v);
-//! c.combine_insert("the", 1, |acc, v| *acc += v);
-//! c.combine_insert("cat", 1, |acc, v| *acc += v);
-//! let mut pairs = Vec::new();
-//! c.drain_into(&mut pairs);
+//! for word in ["the", "the", "cat"] {
+//!     c.combine_insert(Hashed::wrap(HasherKind::Fx, word), 1, |acc, v| *acc += v)?;
+//! }
+//! let mut drained = Vec::new();
+//! c.drain_into(&mut drained);
+//! let mut pairs: Vec<(&str, u64)> = drained.into_iter().map(|(k, v)| (k.into_key(), v)).collect();
 //! pairs.sort();
 //! assert_eq!(pairs, [("cat", 1), ("the", 2)]);
+//! # Ok::<(), mr_core::RuntimeError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -47,7 +53,6 @@
 
 mod array;
 mod compact_key;
-mod fixed_hash;
 mod fnv;
 mod fx;
 mod hash;
@@ -56,13 +61,12 @@ mod job_container;
 
 pub use array::ArrayContainer;
 pub use compact_key::CompactKey;
-pub use fixed_hash::FixedHashContainer;
-pub use fnv::{fnv1a_hash, FnvBuildHasher, FnvHasher};
-pub use fx::{fx_hash, FxBuildHasher, FxHasher};
+pub use fnv::{fnv1a_hash, FnvHasher};
+pub use fx::{fx_hash, FxHasher};
 pub use hash::HashContainer;
-pub use hashed::{hash_key, Hashed, Passthrough, PassthroughHasher};
-pub use job_container::{HashedContainerImpl, HashedJobContainer, KeptContainer, PairFeed};
+pub use hashed::{hash_key, Hashed};
+pub use job_container::{HashedJobContainer, KeptContainer, PairFeed};
 
-/// Default capacity for fixed-size hash containers when neither the job's
-/// key space nor an explicit `fixed_capacity` bounds it.
+/// Default cap on distinct keys for the fixed-size hash table when neither
+/// the job's key space nor an explicit `fixed_capacity` bounds it.
 pub const DEFAULT_FIXED_HASH_CAPACITY: usize = 1 << 16;

@@ -276,8 +276,10 @@ pub struct RuntimeConfig {
     pub pin_os_threads: bool,
     /// Number of reduce partitions; defaults to `num_workers`.
     pub num_reducers: usize,
-    /// Capacity used for fixed-size containers (array fallback for hash
-    /// kinds); `None` derives it from the job's `key_space`.
+    /// Cap on distinct keys of the fixed-size hash container, and slot
+    /// count of the array container; `None` derives it from the job's
+    /// `key_space`, and a fixed-size hash container with neither caps at
+    /// 65 536 keys.
     pub fixed_capacity: Option<usize>,
     /// Whether worker threads record wall-clock telemetry (busy/stall/idle
     /// accounting and batch-occupancy histograms). Cheap enough to leave on

@@ -1,5 +1,5 @@
 //! The client library behind `ramr client`, the socket tests, and the
-//! job-flood bench.
+//! benchmark's `serve-small` workload.
 //!
 //! [`ServeClient`] is a synchronous handle over (possibly several
 //! consecutive) connections: connect + `HELLO` in

@@ -7,18 +7,20 @@
 //! heap, and a pre-sized combine table neither grows nor boxes keys. This
 //! binary installs a counting `#[global_allocator]` and asserts exactly
 //! that — and, as a control, that the seed `String` path allocates at
-//! least once per word on the same input.
+//! least once per word on the same input. The fixed-size hash container
+//! gets the same proof: filled to its cap and folded into, it allocates
+//! nothing after it is built.
 //!
-//! The test lives alone in this binary: a shared test binary would run
-//! sibling tests concurrently and their allocations would race the
-//! counters.
+//! Both proofs run in the one test of this binary: a second test would
+//! run concurrently, and its allocations — or the harness's, reporting
+//! it — would race the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mr_apps::WordCount;
-use mr_core::{Emitter, HasherKind, MapReduceJob};
-use ramr_containers::{CompactKey, HashContainer, Hashed, Passthrough};
+use mr_core::{ContainerKind, Emitter, HasherKind, MapReduceJob, RuntimeError};
+use ramr_containers::{CompactKey, HashContainer, Hashed, HashedJobContainer};
 
 struct CountingAllocator;
 
@@ -72,13 +74,14 @@ fn map_combine_hot_loop_is_zero_alloc_for_inline_keys() {
     // the entries reserved for as many keys as it last drained.
     // `with_capacity(n)` guarantees n keys fit without growing the index or
     // reallocating the entries.
-    let mut table: HashContainer<Hashed<CompactKey>, u64, Passthrough> =
-        HashContainer::with_capacity_and_hasher(1024, Passthrough);
+    let mut table: HashContainer<CompactKey, u64> = HashContainer::with_capacity(1024);
 
     let before = allocations();
     let mut sink = |key: CompactKey, value: u64| {
         let key = Hashed::wrap(HasherKind::Fx, key);
-        table.combine_insert_hashed(key.hash(), key, value, |a, b| *a += b);
+        table
+            .combine_insert(key, value, |a, b| *a += b)
+            .expect("an uncapped table takes every key");
     };
     WordCount.map(&input, &mut Emitter::new(&mut sink));
     let after = allocations();
@@ -99,7 +102,8 @@ fn map_combine_hot_loop_is_zero_alloc_for_inline_keys() {
     let before = allocations();
     for line in &input {
         for word in line.split_ascii_whitespace() {
-            seed_table.combine_insert(word.to_ascii_lowercase(), 1, |a, b| *a += b);
+            let key = Hashed::wrap(HasherKind::Fx, word.to_ascii_lowercase());
+            seed_table.combine_insert(key, 1, |a, b| *a += b).unwrap();
         }
     }
     let after = allocations();
@@ -110,10 +114,55 @@ fn map_combine_hot_loop_is_zero_alloc_for_inline_keys() {
         after - before
     );
     // Both key representations fold the same words to the same counts.
-    let mut seed_pairs: Vec<(String, u64)> = seed_table.into_pairs();
+    let mut seed_pairs: Vec<(String, u64)> =
+        seed_table.into_pairs().into_iter().map(|(k, v)| (k.into_key(), v)).collect();
     let mut compact_pairs: Vec<(String, u64)> =
         table.iter().map(|(k, &v)| (k.key().as_str().to_owned(), v)).collect();
     seed_pairs.sort_unstable();
     compact_pairs.sort_unstable();
     assert_eq!(seed_pairs, compact_pairs, "the String and CompactKey paths disagree");
+
+    fixed_hash_folds_to_its_cap_without_allocating();
+}
+
+/// A fixed-hash container folds `CAP` distinct keys and more pairs into
+/// them without allocating, fresh and kept, then refuses one more key.
+fn fixed_hash_folds_to_its_cap_without_allocating() {
+    const CAP: usize = 300;
+    let key = |i: usize| Hashed::wrap(HasherKind::Fx, CompactKey::new(&format!("w{i}")));
+    let mut table =
+        HashedJobContainer::for_job(&WordCount, ContainerKind::FixedHash, Some(CAP)).unwrap();
+    // Two jobs: a fresh table, then the same table kept and taken over.
+    for job in 0..2 {
+        if job == 1 {
+            let kept = table.drain_to_keep(&mut Vec::new());
+            let kind = ContainerKind::FixedHash;
+            table = HashedJobContainer::reusing(&WordCount, kind, Some(CAP), Some(kept)).unwrap();
+        }
+        // Every pair is built before the count starts; only the folds are
+        // counted. Past the cap keys, more pairs fold into keys already held.
+        let distinct: Vec<(Hashed<CompactKey>, u64)> = (0..CAP).map(|i| (key(i), 1)).collect();
+        let mut repeats: Vec<(Hashed<CompactKey>, u64)> =
+            (0..4 * CAP).map(|i| (key(i * 7 % CAP), 1)).collect();
+
+        let before = allocations();
+        for (k, v) in distinct {
+            table.insert(k, v).unwrap();
+        }
+        table.insert_from(&mut repeats).unwrap();
+        let after = allocations();
+
+        assert_eq!(table.len(), CAP);
+        assert_eq!(
+            after - before,
+            0,
+            "job {job}: a fixed-hash container folded {CAP} keys and {} repeats \
+             with {} allocations",
+            4 * CAP,
+            after - before
+        );
+    }
+    let err = table.insert(key(CAP), 1).unwrap_err();
+    assert!(matches!(err, RuntimeError::ContainerOverflow { capacity: CAP, .. }), "{err}");
+    assert_eq!(table.len(), CAP);
 }
