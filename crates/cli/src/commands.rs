@@ -38,7 +38,6 @@ USAGE:
                 [--sched-jobs N] [--sched-tenants N] [--sched-queue N]
                 [--sched-policy fifo|fair:T=W,...] [--sched-quota N]
                 [--stages N (km: iterate-rounds cap, default 20)]
-                [--pipeline-max-stages N] [--pipeline-epsilon F]
   ramr simulate --app <...> [--machine hwl|phi] [--flavor ...]
                 [--stressed 0|1] [--batch N] [--queue N] [--task N]
   ramr tune     --app <...> [--scale N] [--workers N] [--container ...]
@@ -87,11 +86,9 @@ per-thread stall diagnosis instead of hanging forever.
 
 km runs as an iterate-until-converged *pipeline* by default: every Lloyd
 round is one stage on a shared warm worker pool, and a per-stage
-summary (round, residual, keys, time) is printed. --stages
-caps the rounds; --pipeline-epsilon sets the convergence threshold and
---pipeline-max-stages the hard stage budget (both are RAMR_* knobs, see
-TUNING.md). With --metrics-json or --sched-jobs, km falls back to a
-single-iteration run.
+summary (round, residual, keys, time) is printed. The loop stops once
+the residual is <= 1e-6, or after --stages rounds unconverged. With
+--metrics-json or --sched-jobs, km falls back to a single-iteration run.
 
 With --sched-jobs N (> 0) the run goes through the concurrent job
 scheduler instead of a single engine call: --sched-tenants T client

@@ -349,9 +349,7 @@ pub trait Engine {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::StageFailed`] wrapping the failing stage's error,
-    /// or [`RuntimeError::InvalidConfig`] when the plan exceeds
-    /// `pipeline_max_stages`.
+    /// [`RuntimeError::StageFailed`] wrapping the failing stage's error.
     fn pipeline<P: StagePlan>(
         &self,
         plan: P,

@@ -75,6 +75,13 @@ use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError};
 use crate::engine::{Backend, EngineReport};
 use crate::session::EngineSession;
 
+/// The residual at or below which an iterate loop has converged: 1e-6,
+/// effectively "run to a fixed point" for k-means-style loops.
+const CONVERGED_AT: f64 = 1e-6;
+
+/// An iterate loop's round cap unless [`Iterate::rounds`] sets another.
+const DEFAULT_ROUNDS: usize = 64;
+
 /// Builder entry points for stage plans. A pipeline is described by value
 /// — `Pipeline::stage(a).then_pairs(b)` — and executed by handing the plan
 /// to [`Engine::pipeline`](crate::Engine::pipeline).
@@ -92,17 +99,16 @@ impl Pipeline {
     /// After every round, `step` receives the job (mutably — this is where
     /// k-means folds the accumulated clusters back into its centroids) and
     /// the round's output, and returns a residual; the loop stops as soon
-    /// as the residual drops to `pipeline_epsilon` or below. All rounds
+    /// as the residual drops to 1e-6 or below, or after 64 rounds
+    /// unconverged (set another cap with [`Iterate::rounds`]). All rounds
     /// share one pooled session, so worker pools stay warm across the
-    /// whole loop, and each round counts as a stage against
-    /// `pipeline_max_stages`. Cap the rounds explicitly with
-    /// [`Iterate::rounds`].
+    /// whole loop.
     pub fn iterate<J, S>(job: J, step: S) -> Iterate<J, S>
     where
         J: MapReduceJob + 'static,
         S: FnMut(&mut J, &JobOutput<J::Key, J::Value>) -> f64,
     {
-        Iterate { job, step, rounds: None }
+        Iterate { job, step, rounds: DEFAULT_ROUNDS }
     }
 }
 
@@ -130,7 +136,7 @@ impl<P, J, F> std::fmt::Debug for Then<P, J, F> {
 pub struct Iterate<J, S> {
     job: J,
     step: S,
-    rounds: Option<usize>,
+    rounds: usize,
 }
 
 impl<J, S> std::fmt::Debug for Iterate<J, S> {
@@ -140,13 +146,13 @@ impl<J, S> std::fmt::Debug for Iterate<J, S> {
 }
 
 impl<J, S> Iterate<J, S> {
-    /// Caps the loop at `n` rounds. Convergence still stops it early;
-    /// hitting the cap unconverged is not an error — the pipeline returns
-    /// the last round's output with
+    /// Caps the loop at `n` rounds instead of 64. Convergence still stops
+    /// it early; hitting the cap unconverged is not an error — the pipeline
+    /// returns the last round's output with
     /// [`PipelineReport::converged`] set to `false`.
     #[must_use]
     pub fn rounds(mut self, n: usize) -> Self {
-        self.rounds = Some(n);
+        self.rounds = n;
         self
     }
 }
@@ -169,14 +175,12 @@ pub trait StagePlan {
     /// The final stage's value type.
     type Value;
 
-    /// Runs every stage of this plan, threading the executor's stage
-    /// budget and per-stage reports.
+    /// Runs every stage of this plan, threading the executor's per-stage
+    /// reports.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::StageFailed`] wrapping the failing stage's error,
-    /// or [`RuntimeError::InvalidConfig`] when the stage budget
-    /// (`pipeline_max_stages`) is exhausted.
+    /// [`RuntimeError::StageFailed`] wrapping the failing stage's error.
     fn run_stages(
         &mut self,
         exec: &mut PipelineExec,
@@ -262,32 +266,17 @@ where
     }
 }
 
-/// Pipeline execution state threaded through a plan's stages: the stage
-/// budget and the per-stage reports.
+/// Pipeline execution state threaded through a plan's stages: the
+/// per-stage reports.
 #[derive(Debug)]
 pub struct PipelineExec {
     backend: Backend,
     config: RuntimeConfig,
-    stages_run: usize,
     reports: Vec<StageReport>,
     converged: bool,
 }
 
 impl PipelineExec {
-    /// Claims the next stage number, failing when the chain has exhausted
-    /// `pipeline_max_stages`.
-    fn budget(&mut self) -> Result<usize, RuntimeError> {
-        if self.stages_run >= self.config.pipeline_max_stages {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "pipeline exceeded pipeline_max_stages ({}); raise RAMR_PIPELINE_MAX_STAGES or \
-                 shorten the chain",
-                self.config.pipeline_max_stages
-            )));
-        }
-        self.stages_run += 1;
-        Ok(self.stages_run)
-    }
-
     /// Runs one stage on an already-open session: submits and records the
     /// [`StageReport`].
     fn run_on<J: MapReduceJob + 'static>(
@@ -297,7 +286,7 @@ impl PipelineExec {
         input: &[J::Input],
         round: Option<usize>,
     ) -> Result<JobOutput<J::Key, J::Value>, RuntimeError> {
-        let stage = self.budget()?;
+        let stage = self.reports.len() + 1;
         let started = Instant::now();
         let outcome = session.submit(job, input).map_err(|source| RuntimeError::StageFailed {
             stage,
@@ -323,7 +312,7 @@ impl PipelineExec {
     /// # Errors
     ///
     /// [`RuntimeError::StageFailed`] when the stage's submit fails;
-    /// session construction and budget errors propagate unwrapped.
+    /// session construction errors propagate unwrapped.
     pub fn run_stage<J: MapReduceJob + 'static>(
         &mut self,
         job: &J,
@@ -333,19 +322,18 @@ impl PipelineExec {
         self.run_on(&mut session, job, input, None)
     }
 
-    /// Runs an iterate-until-converged loop: every round reuses one pooled
-    /// session (warm pools) and counts as a stage against the budget.
+    /// Runs an iterate-until-converged loop of at most `rounds` rounds:
+    /// every round reuses one pooled session (warm pools) and is its own
+    /// stage.
     ///
     /// # Errors
     ///
-    /// Same as [`run_stage`](PipelineExec::run_stage); additionally
-    /// [`RuntimeError::InvalidConfig`] when an uncapped loop exhausts
-    /// `pipeline_max_stages` before converging.
+    /// Same as [`run_stage`](PipelineExec::run_stage).
     pub fn run_iterate<J, S>(
         &mut self,
         job: &mut J,
         step: &mut S,
-        rounds: Option<usize>,
+        rounds: usize,
         input: &[J::Input],
     ) -> Result<JobOutput<J::Key, J::Value>, RuntimeError>
     where
@@ -361,10 +349,10 @@ impl PipelineExec {
             if let Some(last) = self.reports.last_mut() {
                 last.residual = Some(residual);
             }
-            if residual <= self.config.pipeline_epsilon {
+            if residual <= CONVERGED_AT {
                 return Ok(output);
             }
-            if rounds.is_some_and(|cap| round >= cap) {
+            if round >= rounds {
                 self.converged = false;
                 return Ok(output);
             }
@@ -403,7 +391,7 @@ pub struct PipelineReport {
     /// End-to-end wall-clock time, splitters included.
     pub elapsed: Duration,
     /// `false` iff an iterate loop hit its [`rounds`](Iterate::rounds) cap
-    /// before its residual dropped to `pipeline_epsilon`.
+    /// before its residual dropped to 1e-6.
     pub converged: bool,
 }
 
@@ -441,8 +429,7 @@ pub(crate) fn run<P: StagePlan>(
     input: &[P::Input],
 ) -> Result<PipelineOutcome<P::Key, P::Value>, RuntimeError> {
     let started = Instant::now();
-    let mut exec =
-        PipelineExec { backend, config, stages_run: 0, reports: Vec::new(), converged: true };
+    let mut exec = PipelineExec { backend, config, reports: Vec::new(), converged: true };
     let output = plan.run_stages(&mut exec, input)?;
     Ok(PipelineOutcome {
         output,

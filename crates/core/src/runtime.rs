@@ -43,8 +43,7 @@ fn idle_wait(backoff: PushBackoff, idle_rounds: u32, park: impl FnOnce(Duration)
 
 /// How much a queue must hold before it is worth waking a parked combiner
 /// for: a batch at least, and the high-water mark (half the ring)
-/// where that is more — the mirror of the producer's low-water mark. Each
-/// wake-up is a syscall on the *mapper's* critical path, so a combiner that
+/// where that is more. Each wake-up is a syscall on the *mapper's* critical path, so a combiner that
 /// is mostly idle is woken once per half queue, not once per block; a queue
 /// that closes wakes it regardless.
 fn wake_at(batch: usize, config: &RuntimeConfig) -> usize {

@@ -263,16 +263,6 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
-    /// The shed count attributed to one [`ShedReason`].
-    pub fn shed_by(&self, reason: ShedReason) -> u64 {
-        match reason {
-            ShedReason::QueueFull => self.shed_queue_full,
-            ShedReason::RateLimited => self.shed_rate_limited,
-            ShedReason::Quota => self.shed_quota,
-            ShedReason::Saturated => self.shed_saturated,
-        }
-    }
-
     fn record_shed(&mut self, reason: ShedReason) {
         self.shed += 1;
         match reason {

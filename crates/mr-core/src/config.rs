@@ -325,17 +325,6 @@ pub struct RuntimeConfig {
     /// running jobs a single tenant may hold at once. 0 (the default)
     /// means unlimited. Only read by `ramr::sched`.
     pub sched_quota: usize,
-    /// Ceiling on the number of stages (epochs) one pipeline may execute,
-    /// counting every round of an iterate-until-converged loop. Guards
-    /// against a convergence step that never settles; a pipeline that hits
-    /// the ceiling fails with [`RuntimeError::InvalidConfig`] naming the
-    /// knob. Must be nonzero (validated).
-    pub pipeline_max_stages: usize,
-    /// Convergence threshold for a pipeline's iterate combinator: the loop
-    /// stops once the step's residual (e.g. the largest centroid movement
-    /// in k-means) drops to this value or below. Must be finite and
-    /// non-negative (validated).
-    pub pipeline_epsilon: f64,
 }
 
 impl Default for RuntimeConfig {
@@ -361,8 +350,6 @@ impl Default for RuntimeConfig {
             sched_queue: 64,
             sched_policy: SchedPolicy::default(),
             sched_quota: 0,
-            pipeline_max_stages: 64,
-            pipeline_epsilon: 1e-6,
         }
     }
 }
@@ -414,10 +401,7 @@ impl RuntimeConfig {
     /// milliseconds; must be nonzero), the concurrent-scheduler knobs
     /// `RAMR_SCHED_QUEUE` (submission-queue capacity in jobs),
     /// `RAMR_SCHED_POLICY` (`fifo`, `fair`, or `fair:tenant=weight,...`)
-    /// and `RAMR_SCHED_QUOTA` (per-tenant in-flight cap; 0 = unlimited),
-    /// and the pipeline knobs `RAMR_PIPELINE_MAX_STAGES` (stage-count
-    /// ceiling per pipeline) and `RAMR_PIPELINE_EPSILON` (iterate
-    /// convergence threshold).
+    /// and `RAMR_SCHED_QUOTA` (per-tenant in-flight cap; 0 = unlimited).
     ///
     /// # Errors
     ///
@@ -500,13 +484,6 @@ impl RuntimeConfig {
                     "sched_policy: tenant {tenant:?} is weighted twice"
                 )));
             }
-        }
-        nonzero(self.pipeline_max_stages, "pipeline_max_stages")?;
-        if !self.pipeline_epsilon.is_finite() || self.pipeline_epsilon < 0.0 {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "pipeline_epsilon ({}) must be finite and non-negative",
-                self.pipeline_epsilon
-            )));
         }
         Ok(())
     }
@@ -631,18 +608,6 @@ impl RuntimeConfigBuilder {
     /// (0 = unlimited).
     pub fn sched_quota(mut self, n: usize) -> Self {
         self.config.sched_quota = n;
-        self
-    }
-
-    /// Sets the per-pipeline stage-count ceiling.
-    pub fn pipeline_max_stages(mut self, n: usize) -> Self {
-        self.config.pipeline_max_stages = n;
-        self
-    }
-
-    /// Sets the iterate-combinator convergence threshold.
-    pub fn pipeline_epsilon(mut self, eps: f64) -> Self {
-        self.config.pipeline_epsilon = eps;
         self
     }
 
@@ -893,20 +858,6 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         value: "N",
         help: "per-tenant in-flight job quota (0 = unlimited)",
         apply: |b, raw, src| Ok(b.sched_quota(knob(raw, src)?)),
-    },
-    EnvKnob {
-        env: "RAMR_PIPELINE_MAX_STAGES",
-        cli: "pipeline-max-stages",
-        value: "N",
-        help: "stage-count ceiling per pipeline, counting iterate rounds",
-        apply: |b, raw, src| Ok(b.pipeline_max_stages(knob(raw, src)?)),
-    },
-    EnvKnob {
-        env: "RAMR_PIPELINE_EPSILON",
-        cli: "pipeline-epsilon",
-        value: "F",
-        help: "iterate-combinator convergence threshold (residual <= F stops)",
-        apply: |b, raw, src| Ok(b.pipeline_epsilon(knob(raw, src)?)),
     },
 ];
 
@@ -1215,38 +1166,6 @@ mod tests {
         let err = RuntimeConfig::from_env().unwrap_err();
         std::env::remove_var("RAMR_SCHED_POLICY");
         assert!(err.to_string().contains("RAMR_SCHED_POLICY"), "{err}");
-    }
-
-    #[test]
-    fn pipeline_knobs_default_and_validate() {
-        let c = RuntimeConfig::default();
-        assert_eq!(c.pipeline_max_stages, 64);
-        assert!((c.pipeline_epsilon - 1e-6).abs() < f64::EPSILON);
-        let err = RuntimeConfig::builder().pipeline_max_stages(0).build().unwrap_err();
-        assert!(err.to_string().contains("pipeline_max_stages"), "{err}");
-        for bad in [-1.0, f64::NAN, f64::INFINITY] {
-            let err = RuntimeConfig::builder().pipeline_epsilon(bad).build().unwrap_err();
-            assert!(err.to_string().contains("pipeline_epsilon"), "{err}");
-        }
-        // Zero is a valid threshold: iterate until the residual is exactly 0.
-        RuntimeConfig::builder().pipeline_epsilon(0.0).build().unwrap();
-    }
-
-    #[test]
-    fn from_env_reads_pipeline_knobs() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAMR_PIPELINE_MAX_STAGES", "7");
-        std::env::set_var("RAMR_PIPELINE_EPSILON", "0.25");
-        let c = RuntimeConfig::from_env().unwrap();
-        std::env::remove_var("RAMR_PIPELINE_MAX_STAGES");
-        std::env::remove_var("RAMR_PIPELINE_EPSILON");
-        assert_eq!(c.pipeline_max_stages, 7);
-        assert!((c.pipeline_epsilon - 0.25).abs() < f64::EPSILON);
-
-        std::env::set_var("RAMR_PIPELINE_EPSILON", "tiny");
-        let err = RuntimeConfig::from_env().unwrap_err();
-        std::env::remove_var("RAMR_PIPELINE_EPSILON");
-        assert!(err.to_string().contains("RAMR_PIPELINE_EPSILON"), "{err}");
     }
 
     #[test]

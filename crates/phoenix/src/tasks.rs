@@ -45,16 +45,6 @@ impl TaskQueues {
         Self { groups: grouped, cursors }
     }
 
-    /// Number of locality groups.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Total tasks across all groups.
-    pub fn total_tasks(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-
     /// Claims the next task for a worker in `home_group`: its own queue
     /// first, then the others in round-robin order (work stealing).
     ///
@@ -109,8 +99,7 @@ mod tests {
     #[test]
     fn round_robin_distribution_is_balanced() {
         let q = queues(10, 3);
-        assert_eq!(q.num_groups(), 3);
-        assert_eq!(q.total_tasks(), 10);
+        assert_eq!((0..3).map(|g| q.remaining_in(g)).sum::<usize>(), 10);
         assert_eq!(q.remaining_in(0), 4);
         assert_eq!(q.remaining_in(1), 3);
         assert_eq!(q.remaining_in(2), 3);
@@ -188,7 +177,7 @@ mod tests {
             }
         });
         assert!(q.is_exhausted());
-        for g in 0..q.num_groups() {
+        for g in 0..q.groups.len() {
             let cursor = q.cursors[g].load(Ordering::Relaxed);
             let len = q.groups[g].len();
             assert!(cursor <= len + claimers, "group {g}: cursor {cursor} for {len} tasks");
@@ -199,7 +188,7 @@ mod tests {
     fn empty_task_list_yields_nothing() {
         let q = TaskQueues::new(Vec::new(), 2);
         assert!(q.claim(0).is_none());
-        assert_eq!(q.total_tasks(), 0);
+        assert!(q.is_exhausted());
     }
 
     #[test]

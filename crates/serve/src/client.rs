@@ -16,15 +16,16 @@
 //!
 //! Every `SUBMIT` is stamped with a durable `request_id` and recorded
 //! before the first byte leaves the socket. When the connection dies
-//! mid-job (and [`ClientOptions::reconnect`] is on, the default), the
-//! client re-dials with decorrelated-jitter backoff, re-`HELLO`s, and
-//! re-sends the recorded `SUBMIT` frames verbatim. The server's dedup
-//! ledger recognises the `request_id`s and re-attaches the jobs instead
-//! of re-executing them; terminal frames that raced the disconnect are
-//! replayed from the server's parking ledger. The client in turn keeps a
-//! bounded set of completed `request_id`s so a replayed terminal frame
-//! it already consumed is counted ([`ServeClient::duplicate_terminals`])
-//! and dropped, never surfaced twice.
+//! mid-job (and [`ClientOptions::max_reconnect_attempts`] is nonzero, as
+//! it is by default), the client re-dials with decorrelated-jitter
+//! backoff, re-`HELLO`s, and re-sends the recorded `SUBMIT` frames
+//! verbatim. The server's dedup ledger recognises the `request_id`s and
+//! re-attaches the jobs instead of re-executing them; terminal frames
+//! that raced the disconnect are replayed from the server's parking
+//! ledger. The client in turn keeps a bounded set of completed
+//! `request_id`s so a replayed terminal frame it already consumed is
+//! counted ([`ServeClient::duplicate_terminals`]) and dropped, never
+//! surfaced twice.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufReader};
@@ -161,12 +162,9 @@ pub struct JobResult {
 /// Tuning for a [`ServeClient`]: reconnect policy and heartbeat.
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// Re-dial and resume in-flight `request_id`s when the connection
-    /// dies mid-job. On by default; turn off to surface raw socket
-    /// errors (the pre-resilience behavior).
-    pub reconnect: bool,
-    /// How many consecutive re-dials to attempt before giving up and
-    /// surfacing the original error.
+    /// How many consecutive re-dials to attempt, resuming in-flight
+    /// `request_id`s, before giving up and surfacing the original error.
+    /// `0` surfaces raw socket errors (the pre-resilience behavior).
     pub max_reconnect_attempts: u32,
     /// First-retry floor for the decorrelated-jitter backoff, in ms.
     pub backoff_base_ms: u64,
@@ -181,7 +179,6 @@ pub struct ClientOptions {
 impl Default for ClientOptions {
     fn default() -> ClientOptions {
         ClientOptions {
-            reconnect: true,
             max_reconnect_attempts: 8,
             backoff_base_ms: 50,
             backoff_cap_ms: BACKOFF_CAP_MS,
@@ -524,11 +521,10 @@ impl ServeClient {
 
     /// Re-dials, re-`HELLO`s, and re-sends every in-flight `SUBMIT`
     /// frame, with decorrelated-jitter backoff between attempts.
-    /// Returns `Err(err)` (the original failure) when reconnecting is
-    /// off, nothing is in flight (nothing to resume), or the attempt
-    /// budget runs out.
+    /// Returns `Err(err)` (the original failure) when nothing is in flight
+    /// (nothing to resume) or the attempt budget, possibly zero, runs out.
     fn try_recover(&mut self, err: ServeError) -> Result<(), ServeError> {
-        if !self.opts.reconnect || self.inflight.is_empty() {
+        if self.inflight.is_empty() {
             return Err(err);
         }
         let mut prev_ms = self.opts.backoff_base_ms;
@@ -876,7 +872,6 @@ mod tests {
     #[test]
     fn client_options_default_to_resilient() {
         let opts = ClientOptions::default();
-        assert!(opts.reconnect);
         assert!(opts.max_reconnect_attempts >= 4);
         assert!(opts.backoff_base_ms >= 1);
         assert_eq!(opts.backoff_cap_ms, BACKOFF_CAP_MS);

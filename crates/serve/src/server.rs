@@ -684,11 +684,6 @@ impl Server {
         self.inner.shutdown();
     }
 
-    /// Whether shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.stopping()
-    }
-
     /// The scheduler-side execution ledger: every dispatched wire job's
     /// tenant-scoped `request_id` tag (`tenant:request_id`), across all
     /// pools, in per-pool claim order. Jobs submitted without a

@@ -9,13 +9,11 @@
 //! * **Sleep on failed push** — a blocking push must always succeed
 //!   eventually (dropping or overwriting elements would violate
 //!   correctness), so a producer publishing a block into a full queue spins
-//!   briefly and then *parks* instead of busy-waiting, freeing core
-//!   resources for the co-located combiner
-//!   ([`Producer::push_batch_with_backoff`]). The park is wake-on-progress,
-//!   not a timed nap: the consumer rings the producer's doorbell when it
-//!   frees space, and symmetrically the producer rings the consumer's when
-//!   it publishes or closes ([`Consumer::wait_any`]). The policy's `sleep`
-//!   is only the ceiling of one park.
+//!   briefly and then *sleeps* before each retry instead of busy-waiting,
+//!   freeing core resources for the co-located combiner
+//!   ([`Producer::push_batch_with_backoff`]). Nothing wakes it: the only
+//!   wake-up handshake is the consumer's, which the producer rings when it
+//!   publishes or closes ([`Consumer::wait_any`]).
 //! * **Batched reads** — the consumer drains runs of contiguous elements
 //!   with a single control-variable update, reducing producer/consumer
 //!   congestion on the shared indices and favouring spatial locality
@@ -73,32 +71,33 @@ impl<T> std::ops::Deref for CachePadded<T> {
 }
 
 /// What a producer does between failed push attempts: spin `spins` times,
-/// then park until the consumer frees space.
+/// then sleep `sleep` before each retry.
 ///
-/// Mirrors `mr_core::PushBackoff` without depending on that crate (this
-/// queue is a standalone substrate).
+/// Shaped like `mr_core::PushBackoff` without depending on that crate (this
+/// queue is a standalone substrate), but it sleeps where `PushBackoff`
+/// parks: nobody rings a producer when space frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffPolicy {
-    /// Spin iterations before the first park.
+    /// Failed attempts spent spinning before the first sleep.
     pub spins: u32,
-    /// Ceiling of one park: the safety net should a wake-up ever go
-    /// missing. Progress wakes the producer, not this timer.
+    /// The nap before each retry once the spins are used up.
     pub sleep: Duration,
 }
 
 impl Default for BackoffPolicy {
-    /// The paper's preferred strategy: 64 spins, then parks of at most 50 µs.
+    /// The paper's preferred strategy: 64 spins, then sleeps of 50 µs.
     fn default() -> Self {
         BackoffPolicy { spins: 64, sleep: Duration::from_micros(50) }
     }
 }
 
-/// One queue end's wake-on-progress doorbell. The waiter *arms* it, re-checks
-/// its condition and parks; the peer *rings* it after every index update.
+/// The consumer's wake-on-progress doorbell. The consumer *arms* it,
+/// re-checks its condition and parks; the producer *rings* it after every
+/// tail update and on close.
 ///
 /// ORDERING: this is a store→load (Dekker) hand-shake, not a publication.
-/// The waiter stores `waiting` and then loads the peer's index; the ringer
-/// stores its index and then loads `waiting`. Acquire/Release alone lets
+/// The waiter stores `waiting` and then loads `tail`; the ringer stores
+/// `tail` and then loads `waiting`. Acquire/Release alone lets
 /// both loads pass their own earlier store, so each side can miss the
 /// other: the waiter parks on a count that already satisfies it and nobody
 /// rings. A `SeqCst` fence between the store and the load on *both* sides
@@ -109,11 +108,11 @@ impl Default for BackoffPolicy {
 /// leaves a stale `unpark` token, which only makes one later park return
 /// early; every wait loop re-checks its condition.
 struct Doorbell {
-    /// On its own cache line: the ringer loads it once per block published
-    /// or batch popped, the waiter writes it on the slow path only.
+    /// On its own cache line: the ringer loads it once per block published,
+    /// the waiter writes it on the slow path only.
     waiting: CachePadded<AtomicBool>,
-    /// The count (free slots / buffered elements) below which a ring would
-    /// only buy a wake-up that parks again. Written before `waiting`
+    /// The buffered count below which a ring would only buy a wake-up that
+    /// parks again. Written before `waiting`
     /// (Release), read after it (Acquire).
     need: AtomicUsize,
     /// The parked thread; touched on the slow path only.
@@ -166,9 +165,8 @@ struct Inner<T> {
     /// Set when the producer is dropped; lets the consumer distinguish
     /// "empty for now" from "empty forever".
     closed: AtomicBool,
-    /// Rung by the consumer when it frees space; the producer parks on it.
-    space: Doorbell,
-    /// Rung by the producer when it publishes or closes; consumers park on it.
+    /// Rung by the producer when it publishes or closes; the consumer parks
+    /// on it. A producer never waits, so this is the ring's one handshake.
     data: Doorbell,
 }
 
@@ -178,13 +176,6 @@ impl<T> Inner<T> {
     fn publish_tail(&self, tail: usize) {
         self.tail.store(tail, Ordering::Release);
         self.data.ring(|| tail - self.head.load(Ordering::Relaxed));
-    }
-
-    /// Publishes `head` and rings a producer waiting for that much space.
-    #[inline]
-    fn publish_head(&self, head: usize) {
-        self.head.store(head, Ordering::Release);
-        self.space.ring(|| self.buf.len() - (self.tail.load(Ordering::Relaxed) - head));
     }
 
     /// End of stream: always worth a wake-up, whatever the consumer needs.
@@ -251,7 +242,6 @@ impl<T: Send> SpscQueue<T> {
                 head: CachePadded(AtomicUsize::new(0)),
                 tail: CachePadded(AtomicUsize::new(0)),
                 closed: AtomicBool::new(false),
-                space: Doorbell::new(),
                 data: Doorbell::new(),
             }),
         }
@@ -350,16 +340,15 @@ impl<T: Send> Producer<T> {
         take
     }
 
-    /// Pushes **every** element of `buf`, blocking per `policy` whenever the
+    /// Pushes **every** element of `buf`, waiting per `policy` whenever the
     /// queue is full, leaving `buf` empty: elements are published in maximal
     /// blocks, one tail update each ([`push_batch_drain`](Self::push_batch_drain)).
     /// A zero-progress attempt counts as a failure and is followed by a
-    /// spin or, once `policy.spins` are used up, a park on the space
-    /// doorbell.
+    /// spin or, once `policy.spins` are used up, a `policy.sleep` nap.
     ///
     /// Returns the number of failed attempts. The spin allowance resets
     /// after every block that makes progress, so only sustained
-    /// back-pressure degrades to parking.
+    /// back-pressure degrades to sleeping.
     pub fn push_batch_with_backoff(&mut self, buf: &mut Vec<T>, policy: &BackoffPolicy) -> u64 {
         let (mut failures, mut spins_left) = (0u64, policy.spins);
         while !buf.is_empty() {
@@ -369,38 +358,13 @@ impl<T: Send> Producer<T> {
             }
             failures += 1;
             if spins_left == 0 {
-                self.park_for_space(buf.len(), policy.sleep);
+                std::thread::sleep(policy.sleep);
             } else {
                 spins_left -= 1;
                 std::hint::spin_loop();
             }
         }
         failures
-    }
-
-    /// Parks until `need` slots (at most the low-water mark, half the
-    /// ring) are free, `ceiling` elapses, or a stale token cuts it short;
-    /// the caller re-tries its push either way. Only ever entered from a
-    /// full queue, and this thread publishes nothing while it waits, so
-    /// occupancy only falls — and a consumer popping whole batches always
-    /// crosses the low-water mark before it runs out of full batches.
-    fn park_for_space(&mut self, need: usize, ceiling: Duration) {
-        let inner = &*self.inner;
-        let cap = inner.buf.len();
-        let need = need.min(cap - cap / 2);
-        inner.space.arm(need);
-        fence(Ordering::SeqCst);
-        self.cached_head = inner.head.load(Ordering::Acquire);
-        if cap - (inner.tail.load(Ordering::Relaxed) - self.cached_head) < need {
-            std::thread::park_timeout(ceiling);
-        }
-        inner.space.disarm();
-    }
-
-    /// Monotonic count of elements ever published to the queue — the
-    /// producer-side progress counter a stall watchdog samples.
-    pub fn pushed(&self) -> u64 {
-        self.inner.tail.load(Ordering::Relaxed) as u64
     }
 
     /// Marks the queue closed **without** giving up the producer handle —
@@ -415,12 +379,6 @@ impl<T: Send> Producer<T> {
     /// been reopened.
     pub fn finish(&mut self) {
         self.inner.close();
-    }
-
-    /// Whether this producer has marked the queue closed (via
-    /// [`finish`](Self::finish) — a dropped producer cannot be asked).
-    pub fn is_finished(&self) -> bool {
-        self.inner.closed.load(Ordering::Acquire)
     }
 
     /// Whether the consumer is parked on this queue's data doorbell
@@ -500,7 +458,7 @@ impl<T: Send> Consumer<T> {
         // SAFETY: slot `head` is inside `head..tail`, initialized by the
         // producer and published by its release store to `tail`.
         let value = unsafe { (*slot.get()).assume_init_read() };
-        inner.publish_head(head + 1);
+        inner.head.store(head + 1, Ordering::Release);
         Some(value)
     }
 
@@ -630,12 +588,6 @@ impl<T: Send> Consumer<T> {
         }
     }
 
-    /// Monotonic count of elements ever consumed from the queue — the
-    /// consumer-side progress counter a stall watchdog samples.
-    pub fn popped(&self) -> u64 {
-        self.inner.head.load(Ordering::Relaxed) as u64
-    }
-
     /// Number of elements currently buffered (approximate under concurrency).
     pub fn len(&self) -> usize {
         let tail = self.inner.tail.load(Ordering::Relaxed);
@@ -656,7 +608,7 @@ impl<T: Send> Consumer<T> {
 
 /// Publishes a batch's consumed prefix on both the normal and the unwind
 /// path: `read` is bumped *before* each callback, and the single release
-/// store — with the space doorbell's ring — happens in `Drop`.
+/// store of `head` happens in `Drop`.
 struct PopGuard<'a, T> {
     inner: &'a Inner<T>,
     base: usize,
@@ -665,7 +617,7 @@ struct PopGuard<'a, T> {
 
 impl<T> Drop for PopGuard<'_, T> {
     fn drop(&mut self) {
-        self.inner.publish_head(self.base + self.read);
+        self.inner.head.store(self.base + self.read, Ordering::Release);
     }
 }
 
@@ -929,9 +881,9 @@ mod tests {
     #[test]
     fn backoff_push_parks_on_a_full_queue_until_space_frees() {
         let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
-        let policy = BackoffPolicy { spins: 2, sleep: Duration::from_secs(5) };
+        let policy = BackoffPolicy { spins: 2, sleep: Duration::from_millis(1) };
         let done = Arc::new(AtomicBool::new(false));
-        // Nobody drains rx yet: the pusher publishes what fits and parks.
+        // Nobody drains rx yet: the pusher publishes what fits and sleeps.
         let pusher = std::thread::spawn({
             let done = Arc::clone(&done);
             move || {
@@ -946,7 +898,7 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(20));
         assert!(!done.load(Ordering::Acquire), "a full queue must hold the pusher back");
-        // Draining rings the space doorbell well inside the 5 s ceiling.
+        // Draining frees the space the pusher's next retry takes.
         let mut got = Vec::new();
         while got.len() < 10 {
             rx.pop_batch(4, |v| got.push(v));
@@ -967,24 +919,6 @@ mod tests {
         let mut got = Vec::new();
         rx.pop_batch(16, |v| got.push(v));
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn progress_counters_are_monotonic_pushed_and_popped_totals() {
-        let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
-        assert_eq!(tx.pushed(), 0);
-        assert_eq!(rx.popped(), 0);
-        for round in 1..=3u64 {
-            // Wrap the ring several times: the counters must keep growing
-            // past the capacity instead of wrapping with the slot index.
-            for i in 0..4u32 {
-                tx.try_push(i).unwrap();
-            }
-            assert_eq!(tx.pushed(), round * 4);
-            let consumed = rx.pop_batch(4, |_| {});
-            assert_eq!(consumed, 4);
-            assert_eq!(rx.popped(), round * 4);
-        }
     }
 
     #[test]
@@ -1057,10 +991,9 @@ mod tests {
     fn finish_closes_without_consuming_the_producer() {
         let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
         tx.try_push(1).unwrap();
-        assert!(!tx.is_finished());
+        assert!(!rx.is_closed());
         tx.finish();
         tx.finish(); // idempotent
-        assert!(tx.is_finished());
         assert!(rx.is_closed(), "finish must look like a producer drop to the consumer");
         assert_eq!(rx.try_pop(), Some(1), "buffered elements survive finish");
         assert_eq!(rx.try_pop(), None);
@@ -1083,22 +1016,22 @@ mod tests {
             assert_eq!(seen, (job * 3..job * 3 + 3).collect::<Vec<_>>());
             rx.reopen();
             assert!(!rx.is_closed());
-            assert!(!tx.is_finished());
+            assert_eq!(rx.len(), 0);
         }
     }
 
     #[test]
     fn reopen_preserves_monotonic_progress_counters() {
         let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
-        for round in 1..=3u64 {
+        for _ in 0..3 {
             for i in 0..4u32 {
                 tx.try_push(i).unwrap();
             }
             tx.finish();
             assert_eq!(rx.pop_batch(8, |_| {}), 4);
             rx.reopen();
-            assert_eq!(tx.pushed(), round * 4, "indices must not reset across reopen");
-            assert_eq!(rx.popped(), round * 4);
+            assert!(!rx.is_closed());
+            assert_eq!(rx.len(), 0, "indices must not reset across reopen");
         }
     }
 

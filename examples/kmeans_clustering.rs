@@ -28,7 +28,7 @@ fn main() -> Result<(), mr_core::RuntimeError> {
     let engine = Backend::RamrStatic.engine(config)?;
 
     // The iterate combinator reruns the job until the step closure's
-    // residual drops to `pipeline_epsilon` (default 1e-6): each round folds
+    // residual drops to 1e-6 (or 64 rounds pass): each round folds
     // the accumulated clusters back into the centroids and refreshes the
     // job for the next stage. The state lives in an `Rc` so the final
     // centroids remain readable after the pipeline consumes the closure.

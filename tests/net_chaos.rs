@@ -61,7 +61,6 @@ fn wc_request(backend: Backend) -> JobRequest {
 /// budget (the proxy may kill several consecutive dials).
 fn chaos_options() -> ClientOptions {
     ClientOptions {
-        reconnect: true,
         max_reconnect_attempts: 16,
         backoff_base_ms: 5,
         backoff_cap_ms: 200,

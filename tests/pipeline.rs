@@ -126,21 +126,14 @@ fn uncapped_iterate_stops_at_the_rounds_cap_unconverged() {
 }
 
 #[test]
-fn stage_budget_is_enforced() {
-    let mut cfg = config();
-    cfg.pipeline_max_stages = 1;
+fn a_never_converging_iterate_stops_unconverged_after_64_rounds() {
     let input = docs(200);
-    let err = Backend::RamrStatic
-        .engine(cfg)
-        .unwrap()
-        .pipeline(Pipeline::stage(InvertedIndex).then_pairs(TopKDf { k: 4 }), &input)
-        .unwrap_err();
-    match err {
-        RuntimeError::InvalidConfig(msg) => {
-            assert!(msg.contains("RAMR_PIPELINE_MAX_STAGES"), "budget error names the knob: {msg}")
-        }
-        other => panic!("expected InvalidConfig, got {other}"),
-    }
+    let plan =
+        Pipeline::iterate(InvertedIndex, |_job, _out| f64::INFINITY /* never converges */);
+    let outcome = Backend::RamrStatic.engine(config()).unwrap().pipeline(plan, &input).unwrap();
+    assert_eq!(outcome.report.stages.len(), 64);
+    assert_eq!(outcome.report.stages.last().and_then(|s| s.round), Some(64));
+    assert!(!outcome.report.converged, "the default cap is reported like an explicit one");
 }
 
 /// Task ordinal of a word-count line (leading `t<index>` token / 16).

@@ -6,10 +6,13 @@
 //! submitting thread and whose one combiner is the pooled thread, and forces
 //! the combiner's state from inside the job: a `combine` held until the
 //! mapper has folded a pair itself, or a mapper that waits, per block, for
-//! the combiner's fold count. None waits on a timer.
+//! the combiner's fold count, or once for the combiner's thread to sleep.
+//! None waits on a timer.
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::OnceLock;
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
@@ -39,6 +42,20 @@ fn wait_for(what: &str, done: impl Fn() -> bool) {
         assert!(Instant::now() < deadline, "{what}");
         thread::yield_now();
     }
+}
+
+/// The calling thread's `/proc` stat file, or `None` without `/proc`.
+fn own_stat() -> Option<PathBuf> {
+    let task = std::fs::read_link("/proc/thread-self").ok()?;
+    Some(Path::new("/proc").join(task).join("stat"))
+}
+
+/// Whether the thread behind `stat` is asleep (state `S`); `true` where it
+/// cannot be told, so a box without `/proc` runs the test unforced.
+fn asleep(stat: Option<&Path>) -> bool {
+    let Some(stat) = stat else { return true };
+    let Ok(line) = std::fs::read_to_string(stat) else { return true };
+    line.rsplit_once(") ").is_none_or(|(_, fields)| fields.starts_with('S'))
 }
 
 /// Opaque map cost the optimiser cannot elide.
@@ -156,14 +173,21 @@ fn a_combiner_held_inside_combine_makes_the_mapper_spill_though_the_queue_has_ro
 /// than the submitter's — the combiner helping, the only other thread — runs
 /// before the submitter's map emits anything, so that key is in the
 /// combiner's container and every pair it then reads from the queue is one
-/// `combine` call on its thread. With `paced`, the submitter's map waits
-/// before each block until the combiner has folded every pair queued so far.
+/// `combine` call on its thread. The helper's map returns only once the
+/// submitter is inside its own, so the submitter holds the other task and
+/// each thread maps one. With `paced`, the submitter's map waits before
+/// each block until the combiner has folded every pair queued so far;
+/// without, it emits nothing until the combiner, out of tasks, is asleep
+/// on its queue's doorbell.
 struct HelperFirst {
     submitter: ThreadId,
     paced: bool,
     /// Map cost per element on the submitter.
     rounds: u32,
+    submitter_entered: AtomicBool,
     helper_returned: AtomicBool,
+    /// The helper's `/proc` stat file, recorded by its map call.
+    helper_stat: OnceLock<Option<PathBuf>>,
     combiner_folds: AtomicU64,
 }
 
@@ -173,7 +197,9 @@ impl HelperFirst {
             submitter: thread::current().id(),
             paced,
             rounds,
+            submitter_entered: AtomicBool::new(false),
             helper_returned: AtomicBool::new(false),
+            helper_stat: OnceLock::new(),
             combiner_folds: AtomicU64::new(0),
         }
     }
@@ -189,12 +215,21 @@ impl MapReduceJob for HelperFirst {
             for _ in task {
                 emit.emit(0, 1);
             }
+            self.helper_stat.get_or_init(own_stat);
+            wait_for("the submitter never ran a map task", || {
+                self.submitter_entered.load(Ordering::SeqCst)
+            });
             self.helper_returned.store(true, Ordering::SeqCst);
             return;
         }
+        self.submitter_entered.store(true, Ordering::SeqCst);
         wait_for("the combiner never ran a map task", || {
             self.helper_returned.load(Ordering::SeqCst)
         });
+        if !self.paced {
+            let stat = self.helper_stat.get().and_then(Option::as_deref);
+            wait_for("the combiner never parked", || asleep(stat));
+        }
         let base = self.combiner_folds.load(Ordering::SeqCst);
         for (i, &x) in task.iter().enumerate() {
             if self.paced && i > 0 && i % B == 0 {
