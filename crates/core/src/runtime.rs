@@ -1309,7 +1309,8 @@ mod tests {
     #[test]
     fn skip_poison_tasks_completes_with_the_skip_recorded_on_both_paths() {
         let input: Vec<u64> = (0..1000).collect();
-        // Element 40 sits at index 40 → task [34, 51) at task_size 17.
+        // Element 40 sits at index 40 → task [34, 51) at task_size 17: the
+        // split is task-aligned while 6 · 17 = 102 or more elements remain.
         let surviving: Vec<u64> = input.iter().copied().filter(|x| !(34..51).contains(x)).collect();
         let mut cfg = config(4, 2);
         cfg.max_task_retries = 1;
@@ -1511,7 +1512,9 @@ mod tests {
         let input: Vec<u64> = (0..100).collect();
         let out =
             run_phoenix(phoenix_config(2, ContainerKind::Array), &Mod7, &input).unwrap().output;
-        assert_eq!(out.stats.tasks, 100u64.div_ceil(13));
+        // Six tasks of 13 while 2 · 13 or more elements remain, then the
+        // last 22 cut as 6, 4, 3, 3, 2, 1, 1, 1, 1.
+        assert_eq!(out.stats.tasks, 15);
         assert_eq!(out.stats.emitted, 100);
         assert_eq!(out.stats.output_keys, 7);
         assert!(out.stats.total() > Duration::ZERO);
@@ -1558,7 +1561,9 @@ mod tests {
         let items: u64 = report.threads.iter().map(|t| t.items).sum();
         let tasks: u64 = report.threads.iter().map(|t| t.batches).sum();
         assert_eq!(items, 10_000);
-        assert_eq!(tasks, 10_000u64.div_ceil(13));
+        // 766 tasks of 13 while 4 · 13 or more elements remain, then the
+        // last 42 cut into 18.
+        assert_eq!(tasks, 784);
         for t in &report.threads {
             assert_eq!(t.role, ThreadRole::Worker);
             // Inline map+combine never stalls; busy stays within wall.
@@ -1664,7 +1669,8 @@ mod tests {
         let (out, report) =
             run_phoenix(cfg, &FlakyMod7::new(20, u32::MAX), &input).unwrap().into_parts();
         // Element 20 sits at index 19, i.e. in task [13, 26) at task_size
-        // 13 — exactly that slice's contribution is missing.
+        // 13 (the split is task-aligned while 2 · 13 or more elements
+        // remain) — exactly that slice's contribution is missing.
         let surviving: Vec<u64> = input
             .iter()
             .enumerate()

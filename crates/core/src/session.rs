@@ -72,8 +72,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use mr_core::{
-    task_ranges, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer, PinningPolicyKind,
-    RuntimeConfig, RuntimeError,
+    task_ranges_for, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer, PinningPolicyKind,
+    RuntimeConfig, RuntimeError, TaskRange,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::KeptContainer;
@@ -557,6 +557,14 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         self.jobs_run
     }
 
+    /// The map tasks an input of `input_len` elements is cut into: at most
+    /// `task_size` elements each, the tail cut finer for the threads that
+    /// map here — every mapper and helping combiner, or every worker.
+    fn split(&self, input_len: usize) -> Vec<TaskRange> {
+        let config = &self.shared.config;
+        task_ranges_for(input_len, config.task_size, config.num_workers + self.shared.combiners)
+    }
+
     /// Executes `job` over `input` on the parked pools, returning the
     /// key-sorted reduced output with the job's [`EngineReport`] attached.
     ///
@@ -591,7 +599,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
 
         // --- Input partition phase --------------------------------------
         let timer = PhaseTimer::start(PhaseKind::Partition);
-        let tasks = task_ranges(input.len(), self.shared.config.task_size);
+        let tasks = self.split(input.len());
         timer.stop(&mut stats);
         stats.tasks = tasks.len() as u64;
 
@@ -705,12 +713,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
 
     /// Builds the next epoch's frame: fresh per-job state (telemetry cells,
     /// fault log, error slot) around the session's long-lived queues.
-    fn frame_for(
-        &self,
-        job: &J,
-        input: &[J::Input],
-        tasks: Vec<mr_core::TaskRange>,
-    ) -> JobFrame<J> {
+    fn frame_for(&self, job: &J, input: &[J::Input], tasks: Vec<TaskRange>) -> JobFrame<J> {
         let (config, combiners) = (&self.shared.config, self.shared.combiners);
         let fresh_cells = |n: usize| (0..n).map(|_| TelemetryCell::default()).collect();
         JobFrame {
@@ -1042,7 +1045,7 @@ mod tests {
         // The supervisor panics only once a worker is provably inside the
         // job, so the guard has live workers to wait out.
         job.hold.store(true, Ordering::SeqCst);
-        let tasks = task_ranges(input.len(), session.config().task_size);
+        let tasks = session.split(input.len());
         let frame = session.frame_for(&job, &input, tasks);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let caller = CallerRole { mapper: &mut session.caller, job: &job, input: &input };
@@ -1087,7 +1090,7 @@ mod tests {
                     .unwrap();
                 let mut session = Backend::RamrStatic.session::<Gated>(cfg).unwrap();
                 let job = Gated::default();
-                let tasks = task_ranges(input.len(), session.config().task_size);
+                let tasks = session.split(input.len());
                 let frame = session.frame_for(&job, &input, tasks);
                 let caller = CallerRole { mapper: &mut session.caller, job: &job, input: &input };
                 let unwound = catch_unwind(AssertUnwindSafe(|| {

@@ -249,8 +249,11 @@ pub struct RuntimeConfig {
     /// Size of the combiner pool; must be ≤ `num_workers`. The
     /// mapper/combiner ratio is `num_workers / num_combiners`.
     pub num_combiners: usize,
-    /// Input elements per map task. Large tasks load-balance poorly; small
-    /// tasks pay library overhead (paper §III).
+    /// Input elements in the largest map task; the tail is cut finer, down
+    /// to `task_size / 8`, so that the threads that map run out of work
+    /// together (see [`task_ranges_for`](crate::task_ranges_for)). Large
+    /// tasks load-balance poorly; small tasks pay library overhead (paper
+    /// §III).
     pub task_size: usize,
     /// Capacity of each mapper→combiner SPSC queue, in elements.
     pub queue_capacity: usize,
@@ -508,7 +511,7 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets input elements per map task.
+    /// Sets the input elements in the largest map task.
     pub fn task_size(mut self, n: usize) -> Self {
         self.config.task_size = n;
         self
@@ -694,7 +697,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_TASK_SIZE",
         cli: "task",
         value: "N",
-        help: "input elements per map task",
+        help: "largest map task, in input elements; the tail is cut finer",
         apply: |b, raw, src| Ok(b.task_size(knob(raw, src)?)),
     },
     EnvKnob {

@@ -63,5 +63,5 @@ pub use config::{
 pub use error::RuntimeError;
 pub use job::{Emitter, MapReduceJob, MrKey, MrValue};
 pub use output::JobOutput;
-pub use split::{task_ranges, TaskId, TaskRange};
+pub use split::{task_ranges, task_ranges_for, TaskId, TaskRange};
 pub use stats::{PhaseKind, PhaseStats, PhaseTimer};

@@ -49,7 +49,7 @@ pub struct PhaseStats {
     pub reduce: Duration,
     /// Time spent merging.
     pub merge: Duration,
-    /// Number of map tasks executed.
+    /// Map tasks the input was split into, skipped poison tasks included.
     pub tasks: u64,
     /// Intermediate pairs emitted by map functions.
     pub emitted: u64,

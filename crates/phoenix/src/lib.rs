@@ -21,7 +21,7 @@
 //! and the shared tail buckets, reduces and merges the partials:
 //!
 //! ```
-//! use mr_core::{task_ranges, Emitter, MapReduceJob};
+//! use mr_core::{task_ranges_for, Emitter, MapReduceJob};
 //! use phoenix_mr::{phases, TaskQueues};
 //!
 //! struct CharCount;
@@ -40,7 +40,7 @@
 //! }
 //!
 //! let input: Vec<char> = "abracadabra".chars().collect();
-//! let queues = TaskQueues::new(task_ranges(input.len(), 4), 2);
+//! let queues = TaskQueues::new(task_ranges_for(input.len(), 4, 2), 2);
 //! let mut partials = vec![Vec::new(), Vec::new()];
 //! for (worker, partial) in partials.iter_mut().enumerate() {
 //!     while let Some(task) = queues.claim(worker) {

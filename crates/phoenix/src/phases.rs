@@ -568,7 +568,7 @@ mod tests {
 
     #[test]
     fn staged_retry_publishes_exactly_once_after_transient_panics() {
-        let task = mr_core::task_ranges(3, 10).pop().unwrap();
+        let task = mr_core::task_ranges_for(3, 10, 1).pop().unwrap();
         let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
         let (staged, emitted) =
             map_task_staged(&Flaky::failing(2), &task, &[7, 8, 9], 2, false, &cancel, &faults)
@@ -582,7 +582,7 @@ mod tests {
 
     #[test]
     fn staged_retry_skips_poison_tasks_and_records_them() {
-        let task = mr_core::task_ranges(3, 10).pop().unwrap();
+        let task = mr_core::task_ranges_for(3, 10, 1).pop().unwrap();
         let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
         let out = map_task_staged(
             &Flaky::failing(u32::MAX),
@@ -605,7 +605,7 @@ mod tests {
 
     #[test]
     fn staged_retry_without_skip_resumes_the_original_panic() {
-        let task = mr_core::task_ranges(1, 10).pop().unwrap();
+        let task = mr_core::task_ranges_for(1, 10, 1).pop().unwrap();
         let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             map_task_staged(&Flaky::failing(u32::MAX), &task, &[5], 0, false, &cancel, &faults)

@@ -90,10 +90,10 @@ impl TaskQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mr_core::task_ranges;
+    use mr_core::task_ranges_for;
 
     fn queues(n_tasks: usize, groups: usize) -> TaskQueues {
-        TaskQueues::new(task_ranges(n_tasks * 10, 10), groups)
+        TaskQueues::new(task_ranges_for(n_tasks * 10, 10, 1), groups)
     }
 
     #[test]

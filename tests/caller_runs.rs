@@ -19,7 +19,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
-use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
+use mr_core::{task_ranges_for, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::Backend;
 use ramr_topology::CpuSlot;
 
@@ -178,7 +178,9 @@ fn cpus_allowed() -> Option<String> {
 fn a_static_session_maps_on_the_submitter_and_pools_one_thread_fewer() {
     let _serial = serial();
     let input = input();
-    assert!(input.len().div_ceil(TASK) >= 8);
+    // The 1 + 1 session maps on two threads: the submitter and the combiner.
+    let tasks = task_ranges_for(input.len(), TASK, 2).len();
+    assert!(tasks >= 8);
     let mut session = Backend::RamrStatic.session::<Probe>(config()).unwrap();
     // Mapper 0 is the submitter's: only the combiner is pooled.
     if let Some(seen) = pool_threads_settling_to(1) {
@@ -190,7 +192,7 @@ fn a_static_session_maps_on_the_submitter_and_pools_one_thread_fewer() {
         assert_eq!(out.pairs, oracle(&input));
         let on_submitter = job.on_submitter.load(Ordering::SeqCst);
         let calls = on_submitter + job.elsewhere.load(Ordering::SeqCst);
-        assert_eq!(calls, input.len().div_ceil(TASK), "one call a task");
+        assert_eq!(calls, tasks, "one call a task");
         assert!(on_submitter > 0, "the submitter ran map calls");
     }
     drop(session);

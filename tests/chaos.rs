@@ -10,13 +10,14 @@
 //! assertion, not a wedged CI job.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use mr_apps::{WordCount, WordCountString};
-use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
+use mr_core::{task_ranges_for, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{Backend, Engine, JobScheduler, SchedError};
 use ramr_containers::CompactKey;
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
@@ -30,21 +31,32 @@ fn lines() -> Vec<String> {
     (0..LINES).map(|i| format!("t{i} alpha beta w{} v{}", i % 7, i % 13)).collect()
 }
 
-/// Task ordinal of a line: the leading `t<index>` token over [`TASK`].
+/// Task ordinal of a line: the id of the task that holds its leading
+/// `t<index>` token when the [`LINES`] lines are split for `T` mapping
+/// threads, as a session of `T` threads splits them.
 /// `&String` (not `&str`): must match `FaultyJob`'s `fn(&J::Input) -> u64`.
 #[allow(clippy::ptr_arg)]
-fn ordinal_of(line: &String) -> u64 {
+fn ordinal_of<const T: usize>(line: &String) -> u64 {
     let token = line.split_ascii_whitespace().next().expect("nonempty line");
-    let index: u64 = token[1..].parse().expect("t<index> token");
-    index / TASK as u64
+    let index: usize = token[1..].parse().expect("t<index> token");
+    task_ranges_for(LINES, TASK, T).partition_point(|t| t.end <= index) as u64
 }
 
-/// Word counts of `input` with the tasks in `dropped` (by ordinal) removed
-/// — the exact output of a skip-poison run.
-fn reference(input: &[String], dropped: &[u64]) -> Vec<(String, u64)> {
+/// The task ordinals of a [`config`] job on `backend`: a RAMR session maps
+/// on its 4 mappers and 2 combiners, a Phoenix session on its 4 workers.
+fn ordinal_for(backend: Backend) -> fn(&String) -> u64 {
+    match backend {
+        Backend::Phoenix => ordinal_of::<4>,
+        _ => ordinal_of::<6>,
+    }
+}
+
+/// Word counts of `input` with the lines in `dropped` removed — the exact
+/// output of a skip-poison run that dropped those tasks.
+fn reference(input: &[String], dropped: &[Range<usize>]) -> Vec<(String, u64)> {
     let mut counts = BTreeMap::new();
     for (i, line) in input.iter().enumerate() {
-        if dropped.contains(&((i / TASK) as u64)) {
+        if dropped.iter().any(|task| task.contains(&i)) {
             continue;
         }
         for word in line.split_ascii_whitespace() {
@@ -76,8 +88,8 @@ fn config(retries: u32, skip: bool, watchdog_ms: Option<u64>) -> RuntimeConfig {
     builder.build().unwrap()
 }
 
-fn faulty(plan: FaultPlan) -> FaultyJob<WordCount> {
-    FaultyJob::new(WordCount, plan, ordinal_of)
+fn faulty(backend: Backend, plan: FaultPlan) -> FaultyJob<WordCount> {
+    FaultyJob::new(WordCount, plan, ordinal_for(backend))
 }
 
 /// Runs `f` on a helper thread and panics if it outruns `secs` — chaos
@@ -113,7 +125,7 @@ fn transient_faults_recover_with_exact_output_across_engines() {
             let input = lines();
             let plan =
                 FaultPlan::with_faults(vec![FaultKind::PanicOnTask { key: 3, fail_attempts: 2 }]);
-            let job = faulty(plan);
+            let job = faulty(backend, plan);
             let cfg = config(2, false, None);
             let (pairs, faults) = run_engine(backend, &cfg, &job, &input).unwrap();
             (pairs, faults, job.attempts_for(3))
@@ -135,7 +147,7 @@ fn exhausted_retries_abort_with_the_injected_panic_across_engines() {
                 fail_attempts: u32::MAX,
             }]);
             let cfg = config(1, false, None);
-            run_engine(backend, &cfg, &faulty(plan), &input).unwrap_err()
+            run_engine(backend, &cfg, &faulty(backend, plan), &input).unwrap_err()
         });
         assert!(
             matches!(err, RuntimeError::WorkerPanic(ref m) if m.contains("injected fault")),
@@ -154,9 +166,12 @@ fn skip_poison_completes_with_the_poison_task_recorded_across_engines() {
                 fail_attempts: u32::MAX,
             }]);
             let cfg = config(1, true, None);
-            run_engine(backend, &cfg, &faulty(plan), &input).unwrap()
+            run_engine(backend, &cfg, &faulty(backend, plan), &input).unwrap()
         });
-        assert_eq!(pairs, reference(&lines(), &[3]), "{backend}: exactly one task dropped");
+        // Task 3 is full-size on both backends: the tail starts at task 7
+        // on RAMR's 6 mapping threads and at task 9 on Phoenix's 4.
+        let poison = 3 * TASK..4 * TASK;
+        assert_eq!(pairs, reference(&lines(), &[poison]), "{backend}: exactly one task dropped");
         assert_eq!(faults.skipped.len(), 1, "{backend}");
         let skip = &faults.skipped[0];
         assert_eq!((skip.start, skip.end), (3 * TASK, 4 * TASK), "{backend}");
@@ -173,7 +188,7 @@ fn watchdog_cancels_a_hung_task_across_engines() {
             let input = lines();
             let plan = FaultPlan::with_faults(vec![FaultKind::HangOnTask { key: 5 }]);
             let cfg = config(0, false, Some(200));
-            backend.engine(cfg).unwrap().submit(&faulty(plan), &input).unwrap_err()
+            backend.engine(cfg).unwrap().submit(&faulty(backend, plan), &input).unwrap_err()
         });
         // The diagnostics name the threads as the backend calls them.
         let thread = if backend == Backend::Phoenix { "worker[" } else { "mapper[" };
@@ -238,7 +253,10 @@ fn a_static_mapper_maps_on_past_a_queue_nobody_drains() {
             .watchdog(Duration::from_millis(200))
             .build()
             .unwrap();
-        let job = DrainedLast { tasks: input.len().div_ceil(cfg.task_size), claimed: 0.into() };
+        // Every task a 2 + 1 session hands out: 37 of 512, then 12 finer.
+        let tasks = task_ranges_for(input.len(), cfg.task_size, 3).len();
+        assert_eq!(tasks, 49);
+        let job = DrainedLast { tasks, claimed: 0.into() };
         let outcome = Backend::RamrStatic.engine(cfg).unwrap().submit(&job, &input).unwrap();
         (outcome.output.pairs, outcome.report.spilled)
     });
@@ -255,8 +273,8 @@ fn slow_but_progressing_tasks_do_not_trip_the_watchdog() {
             FaultKind::DelayTask { key: 7, micros: 20_000 },
         ]);
         let cfg = config(0, false, Some(500));
-        let outcome =
-            Backend::RamrStatic.engine(cfg).unwrap().submit(&faulty(plan), &input).unwrap();
+        let backend = Backend::RamrStatic;
+        let outcome = backend.engine(cfg).unwrap().submit(&faulty(backend, plan), &input).unwrap();
         to_string_pairs(outcome.output.pairs)
     });
     assert_eq!(pairs, reference(&lines(), &[]));
@@ -267,16 +285,16 @@ fn seeded_chaos_plans_replay_to_the_exact_output_across_engines() {
     // Seeded transient panics (1–3 failing attempts each); retries = 3
     // covers the worst draw, so every engine must converge to the full
     // reference output — and do so identically for the same seed.
-    let tasks = LINES.div_ceil(TASK) as u64;
     for seed in [11u64, 97, 2026] {
-        let plan = FaultPlan::seeded_panics(seed, tasks, 4);
-        assert_eq!(plan.faults(), FaultPlan::seeded_panics(seed, tasks, 4).faults());
         for backend in Backend::ALL {
-            let plan = plan.clone();
+            // The last line's task ordinal is the last task's.
+            let tasks = ordinal_for(backend)(&lines()[LINES - 1]) + 1;
+            let plan = FaultPlan::seeded_panics(seed, tasks, 4);
+            assert_eq!(plan.faults(), FaultPlan::seeded_panics(seed, tasks, 4).faults());
             let (pairs, faults) = with_deadline(120, move || {
                 let input = lines();
                 let cfg = config(3, false, Some(5_000));
-                run_engine(backend, &cfg, &faulty(plan), &input).unwrap()
+                run_engine(backend, &cfg, &faulty(backend, plan), &input).unwrap()
             });
             assert_eq!(pairs, reference(&lines(), &[]), "{backend} seed={seed}");
             assert!(faults.retries >= 1, "{backend} seed={seed}: plans always hold faults");
@@ -307,7 +325,7 @@ fn a_poison_tenant_through_the_scheduler_fails_alone_across_engines() {
                 bystanders.push(thread::spawn(move || {
                     let client = sched.client(&format!("bystander-{b}"));
                     for round in 0..4 {
-                        let job = Arc::new(faulty(FaultPlan::default()));
+                        let job = Arc::new(faulty(backend, FaultPlan::default()));
                         let done = client.submit(job, Arc::clone(&input)).unwrap().wait().unwrap();
                         assert_eq!(
                             to_string_pairs(done.output.pairs),
@@ -324,7 +342,10 @@ fn a_poison_tenant_through_the_scheduler_fails_alone_across_engines() {
                     key: 3,
                     fail_attempts: u32::MAX,
                 }]);
-                let err = victim.submit(Arc::new(faulty(plan)), Arc::clone(&input)).unwrap().wait();
+                let err = victim
+                    .submit(Arc::new(faulty(backend, plan)), Arc::clone(&input))
+                    .unwrap()
+                    .wait();
                 match err {
                     Err(SchedError::Job(RuntimeError::WorkerPanic(ref m))) => {
                         assert!(m.contains("injected fault"), "{backend} round {round}: {m}")
@@ -375,7 +396,7 @@ fn non_retry_safe_jobs_fail_fast_regardless_of_budget() {
             let input = lines();
             let plan =
                 FaultPlan::with_faults(vec![FaultKind::PanicOnTask { key: 3, fail_attempts: 1 }]);
-            let job = FaultyJob::new(Undeclared, plan, ordinal_of);
+            let job = FaultyJob::new(Undeclared, plan, ordinal_for(backend));
             let cfg = config(5, true, None);
             backend.engine(cfg).unwrap().submit(&job, &input).unwrap_err()
         });
@@ -457,7 +478,7 @@ impl MapReduceJob for FaultOnRole {
     type Value = u64;
 
     fn map(&self, task: &[String], emit: &mut Emitter<'_, CompactKey, u64>) {
-        let ordinal = ordinal_of(&task[0]);
+        let ordinal = ordinal_of::<2>(&task[0]);
         if self.victim.is_current() {
             let claimed = self.faulty_task.compare_exchange(
                 u64::MAX,
@@ -539,8 +560,11 @@ fn a_poison_task_on_a_helping_combiner_is_accounted_like_one_on_a_mapper() {
 
         assert_eq!(tried, attempts, "{case}");
         assert_eq!(tried_on_mapper, attempts, "{case}");
-        let dropped: Vec<u64> = if fail_attempts > retries { vec![ordinal] } else { Vec::new() };
-        assert_eq!(pairs, reference(&lines(), &dropped), "{case}");
+        // A 1 + 1 session maps on two threads.
+        let task = &task_ranges_for(LINES, TASK, 2)[ordinal as usize];
+        let poison = task.start..task.end;
+        let dropped = if fail_attempts > retries { std::slice::from_ref(&poison) } else { &[] };
+        assert_eq!(pairs, reference(&lines(), dropped), "{case}");
         // Every attempt emitted before panicking; staging kept all but the
         // successful one out of the combiner's container.
         if dropped.is_empty() {
@@ -552,8 +576,7 @@ fn a_poison_task_on_a_helping_combiner_is_accounted_like_one_on_a_mapper() {
         assert_eq!(on_combiner.skipped.len(), dropped.len(), "{case}");
         assert_eq!(on_mapper.skipped.len(), dropped.len(), "{case}");
         for (c, m) in on_combiner.skipped.iter().zip(&on_mapper.skipped) {
-            let start = ordinal as usize * TASK;
-            assert_eq!((c.task_id, c.start, c.end), (ordinal as usize, start, start + TASK));
+            assert_eq!((c.task_id, c.start, c.end), (ordinal as usize, task.start, task.end));
             assert_eq!(c.attempts, m.attempts, "{case}");
             assert_eq!(c.attempts, attempts, "{case}");
             assert!(c.message.contains("injected fault"), "{case}: {}", c.message);

@@ -18,7 +18,7 @@ use mr_apps::{
     AppKind, Histogram, KmeansState, LinearRegression, MatrixMultiply, PcaCovJob, PcaMeanJob,
     WordCount, WordCountString,
 };
-use mr_core::{task_ranges, Emitter, JobOutput, MapReduceJob, MrKey, RuntimeConfig};
+use mr_core::{task_ranges_for, Emitter, JobOutput, MapReduceJob, MrKey, RuntimeConfig};
 use ramr::{Backend, Engine};
 
 const SCALE: u64 = 20_000;
@@ -61,7 +61,7 @@ type Pairs<J> = Vec<(<J as MapReduceJob>::Key, <J as MapReduceJob>::Value)>;
 /// folded with `combine`, then `reduce` applied once per key.
 fn sequential_fold<J: MapReduceJob>(job: &J, input: &[J::Input], task_size: usize) -> Pairs<J> {
     let mut folded = BTreeMap::new();
-    for task in task_ranges(input.len(), task_size) {
+    for task in task_ranges_for(input.len(), task_size, 1) {
         let mut sink = |key, value| match folded.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(value);

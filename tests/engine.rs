@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use mr_apps::inputs::{hg_input, wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, Histogram, WordCount};
-use mr_core::{task_ranges, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
+use mr_core::{task_ranges_for, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{Backend, Engine};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 use ramr_telemetry::ThreadRole;
@@ -42,7 +42,7 @@ fn config() -> RuntimeConfig {
 /// folded with `combine`, then `reduce` applied once per key.
 fn sequential_fold<J: MapReduceJob>(job: &J, input: &[J::Input]) -> Vec<(J::Key, J::Value)> {
     let mut folded = BTreeMap::new();
-    for task in task_ranges(input.len(), config().task_size) {
+    for task in task_ranges_for(input.len(), config().task_size, 1) {
         let mut sink = |key, value| match folded.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(value);

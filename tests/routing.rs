@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
-use mr_core::{ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig};
+use mr_core::{task_ranges_for, ContainerKind, Emitter, MapReduceJob, PushBackoff, RuntimeConfig};
 use ramr::{Backend, EngineReport};
 use ramr_telemetry::ThreadRole;
 
@@ -258,10 +258,12 @@ impl MapReduceJob for HelperFirst {
     }
 }
 
-/// Two tasks of `task` elements: one for the helping combiner, one for the
-/// submitter; returns the report after checking the output.
+/// Two tasks of `task_size / 8` elements: one for the helping combiner, one
+/// for the submitter — the tail floor twice, which a 1 + 1 session does not
+/// cut finer; returns the report after checking the output.
 fn helper_first(cfg: RuntimeConfig, job: HelperFirst) -> EngineReport {
-    let input: Vec<u64> = (0..2 * cfg.task_size as u64).collect();
+    let input: Vec<u64> = (0..2 * (cfg.task_size / 8) as u64).collect();
+    assert_eq!(task_ranges_for(input.len(), cfg.task_size, 2).len(), 2);
     let mut session = Backend::RamrStatic.session(cfg).unwrap();
     let (out, report) = session.submit(&job, &input).unwrap().into_parts();
     assert_eq!(out.pairs, [(0, input.len() as u64)]);
@@ -277,7 +279,8 @@ fn a_combiner_that_keeps_up_is_handed_every_block() {
     // combiner never has a batch unread when the mapper flushes.
     within_deadline(|| {
         for kind in ContainerKind::ALL {
-            let report = helper_first(session(2 * B, B, 40 * B, kind), HelperFirst::new(true, 400));
+            let cfg = session(2 * B, B, 8 * 40 * B, kind);
+            let report = helper_first(cfg, HelperFirst::new(true, 400));
             assert_eq!(report.spilled_per_mapper[0], 0, "{kind}: {report:?}");
             assert_eq!(mapper_0(&report).1, 0, "{kind}: {report:?}");
             assert_eq!(
@@ -299,7 +302,7 @@ fn a_parked_combiner_with_no_task_left_is_published_to_not_bypassed() {
     // after its first block itself.
     within_deadline(|| {
         for kind in ContainerKind::ALL {
-            let mut cfg = session(1024, B, 40 * B, kind);
+            let mut cfg = session(1024, B, 8 * 40 * B, kind);
             cfg.push_backoff = PushBackoff { spins: 0, sleep: Duration::from_secs(10) };
             let report = helper_first(cfg, HelperFirst::new(false, 2_000));
             assert_eq!(report.spilled_per_mapper[0], 0, "{kind}: {report:?}");
