@@ -149,9 +149,18 @@ mod tests {
 
     #[test]
     fn an_input_under_the_floor_stays_one_task() {
-        // A short service job: 333 lines sit below the 512-element floor.
+        // 333 elements sit below the floor of 4096 / 8 = 512.
         let tasks = task_ranges_for(333, 4096, 2);
         assert_eq!(tasks, [TaskRange { id: TaskId(0), start: 0, end: 333 }]);
+    }
+
+    #[test]
+    fn a_short_job_over_the_floor_is_cut() {
+        // The same 333 elements at the service's task size of 1024: the
+        // floor is 128, so any T > 1 cuts three tasks at the floor.
+        for threads in 2..=4 {
+            assert_eq!(lens(&task_ranges_for(333, 1024, threads)), [128, 128, 77]);
+        }
     }
 
     #[test]

@@ -16,13 +16,16 @@ use std::thread;
 use std::time::Duration;
 
 use mr_apps::WordCount;
-use mr_core::{ContainerKind, RuntimeConfig, SchedPolicy};
+use mr_core::{task_ranges_for, ContainerKind, RuntimeConfig, SchedPolicy};
 use ramr::sched::SchedError;
 use ramr::{Backend, Engine, JobScheduler};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 
-/// Lines per task; the fault fingerprint divides by this.
+/// The largest task a [`config`] session cuts.
 const TASK: usize = 32;
+
+/// Threads that map in a [`config`] session: 4 mappers and 2 combiners.
+const THREADS: usize = 6;
 
 fn lines(n: usize, salt: usize) -> Vec<String> {
     (0..n).map(|i| format!("t{i} alpha beta w{} v{}", (i + salt) % 7, (i + salt) % 13)).collect()
@@ -39,12 +42,28 @@ fn reference(input: &[String]) -> Vec<(ramr_containers::CompactKey, u64)> {
     counts.into_iter().collect()
 }
 
-/// Task ordinal of a line: the leading `t<index>` token over [`TASK`].
+/// Task ordinal of a line: the id of the task that holds its leading
+/// `t<index>` token when `N` lines are split for `T` mapping threads, as a
+/// session of `T` threads splits them.
 #[allow(clippy::ptr_arg)]
-fn ordinal_of(line: &String) -> u64 {
+fn ordinal_of<const N: usize, const T: usize>(line: &String) -> u64 {
     let token = line.split_ascii_whitespace().next().expect("nonempty line");
-    let index: u64 = token[1..].parse().expect("t<index> token");
-    index / TASK as u64
+    let index: usize = token[1..].parse().expect("t<index> token");
+    task_ranges_for(N, TASK, T).partition_point(|t| t.end <= index) as u64
+}
+
+/// The task ordinals of an `N`-line [`config`] job on `backend`: a RAMR
+/// session maps on its [`THREADS`], a Phoenix session on its 4 workers.
+fn ordinal_for<const N: usize>(backend: Backend) -> fn(&String) -> u64 {
+    match backend {
+        Backend::Phoenix => ordinal_of::<N, 4>,
+        _ => ordinal_of::<N, THREADS>,
+    }
+}
+
+/// Every task of a 150-line [`config`] job on the static backend.
+fn all_tasks() -> std::ops::Range<u64> {
+    0..task_ranges_for(150, TASK, THREADS).len() as u64
 }
 
 fn config() -> RuntimeConfig {
@@ -60,14 +79,16 @@ fn config() -> RuntimeConfig {
         .unwrap()
 }
 
+/// A job with no faults: no fingerprint matches, so every task maps as is.
 fn healthy() -> FaultyJob<WordCount> {
-    FaultyJob::new(WordCount, FaultPlan::default(), ordinal_of)
+    FaultyJob::new(WordCount, FaultPlan::default(), |_| 0)
 }
 
-fn poisoned(key: u64) -> FaultyJob<WordCount> {
+/// A job whose task `key` always panics, fingerprinted by `ordinal`.
+fn poisoned(key: u64, ordinal: fn(&String) -> u64) -> FaultyJob<WordCount> {
     let plan =
         FaultPlan::with_faults(vec![FaultKind::PanicOnTask { key, fail_attempts: u32::MAX }]);
-    FaultyJob::new(WordCount, plan, ordinal_of)
+    FaultyJob::new(WordCount, plan, ordinal)
 }
 
 /// Runs `f` on a helper thread and panics if it outruns `secs` — a
@@ -211,7 +232,8 @@ fn a_failed_tenant_never_wedges_the_queue_across_backends() {
             // The victim interleaves poisoned jobs with the bystanders.
             for round in 0..3 {
                 let input = Arc::new(lines(150, round));
-                let err = victim.submit(Arc::new(poisoned(1)), input).unwrap().wait().unwrap_err();
+                let job = Arc::new(poisoned(1, ordinal_for::<150>(backend)));
+                let err = victim.submit(job, input).unwrap().wait().unwrap_err();
                 assert!(
                     matches!(&err, SchedError::Job(e) if e.to_string().contains("panic")),
                     "{backend} round {round}: expected the injected panic, got {err}"
@@ -246,9 +268,9 @@ fn quota_sheds_try_submit_but_other_tenants_proceed() {
         // Park the dispatcher on a slow job (every task dawdles 20 ms) so
         // admission decisions happen while work is provably in flight.
         let slow_plan = FaultPlan::with_faults(
-            (0..5).map(|k| FaultKind::DelayTask { key: k, micros: 20_000 }).collect(),
+            all_tasks().map(|k| FaultKind::DelayTask { key: k, micros: 20_000 }).collect(),
         );
-        let slow = FaultyJob::new(WordCount, slow_plan, ordinal_of);
+        let slow = FaultyJob::new(WordCount, slow_plan, ordinal_of::<150, THREADS>);
         let input = Arc::new(lines(150, 0));
         let a = sched.client("a");
         let first = a.submit(Arc::new(slow), Arc::clone(&input)).unwrap();
@@ -285,7 +307,7 @@ fn watchdog_saturation_sheds_until_an_epoch_completes_cleanly() {
         let input = Arc::new(lines(150, 0));
 
         let hung_plan = FaultPlan::with_faults(vec![FaultKind::HangOnTask { key: 1 }]);
-        let hung = FaultyJob::new(WordCount, hung_plan, ordinal_of);
+        let hung = FaultyJob::new(WordCount, hung_plan, ordinal_of::<150, THREADS>);
         let err = client.submit(Arc::new(hung), Arc::clone(&input)).unwrap().wait().unwrap_err();
         assert!(
             matches!(&err, SchedError::Job(mr_core::RuntimeError::Stalled { .. })),
@@ -317,9 +339,9 @@ fn shutdown_fulfils_queued_tickets() {
         // Every task of the running job dawdles, holding the dispatcher in
         // the epoch while the second job is still queued behind it.
         let slow_plan = FaultPlan::with_faults(
-            (0..5).map(|k| FaultKind::DelayTask { key: k, micros: 30_000 }).collect(),
+            all_tasks().map(|k| FaultKind::DelayTask { key: k, micros: 30_000 }).collect(),
         );
-        let slow = FaultyJob::new(WordCount, slow_plan, ordinal_of);
+        let slow = FaultyJob::new(WordCount, slow_plan, ordinal_of::<150, THREADS>);
         let running = client.submit(Arc::new(slow), Arc::clone(&input)).unwrap();
         let queued = client.submit(Arc::new(healthy()), Arc::clone(&input)).unwrap();
         drop(sched);
@@ -367,7 +389,11 @@ fn concurrent_submit_stress_resolves_every_ticket() {
                         let input = Arc::new(lines(120, c + j));
                         // Every third job of half the tenants is poisoned.
                         let poison = c % 2 == 0 && j % 3 == 2;
-                        let job = if poison { Arc::new(poisoned(0)) } else { Arc::new(healthy()) };
+                        let job = if poison {
+                            Arc::new(poisoned(0, ordinal_of::<120, THREADS>))
+                        } else {
+                            Arc::new(healthy())
+                        };
                         let ticket = client.submit(job, Arc::clone(&input)).unwrap();
                         match ticket.wait() {
                             Ok(done) => {

@@ -12,39 +12,52 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mr_apps::WordCount;
-use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
+use mr_core::{task_ranges_for, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{Backend, JobScheduler};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 use ramr_telemetry::{FaultMetrics, ThreadRole};
 
-/// Lines per task; the fault fingerprint divides by this.
+/// The largest task a [`config`] session cuts.
 const TASK: usize = 32;
+
+/// Threads that map in a [`config`] session: 4 mappers and 2 combiners.
+const THREADS: usize = 6;
+
+/// Lines of the inputs the fault plans below fingerprint.
+const LINES: usize = 400;
 
 fn lines(n: usize, salt: usize) -> Vec<String> {
     (0..n).map(|i| format!("t{i} alpha beta w{} v{}", (i + salt) % 7, (i + salt) % 13)).collect()
 }
 
-/// Word counts of `input` with the tasks in `dropped` (by ordinal)
-/// removed — the exact expected output of a (skip-poison) run.
+/// Word counts of `input` with the tasks in `dropped` (by id, as a
+/// [`config`] session splits `input`) removed — the exact expected output
+/// of a (skip-poison) run.
 fn reference(input: &[String], dropped: &[u64]) -> Vec<(ramr_containers::CompactKey, u64)> {
     let mut counts = BTreeMap::new();
-    for (i, line) in input.iter().enumerate() {
-        if dropped.contains(&((i / TASK) as u64)) {
+    for task in task_ranges_for(input.len(), TASK, THREADS) {
+        if dropped.contains(&(task.id.0 as u64)) {
             continue;
         }
-        for word in line.split_ascii_whitespace() {
-            *counts.entry(ramr_containers::CompactKey::ascii_lowercase(word)).or_insert(0u64) += 1;
+        for line in &input[task.start..task.end] {
+            for word in line.split_ascii_whitespace() {
+                *counts
+                    .entry(ramr_containers::CompactKey::ascii_lowercase(word))
+                    .or_insert(0u64) += 1;
+            }
         }
     }
     counts.into_iter().collect()
 }
 
-/// Task ordinal of a line: the leading `t<index>` token over [`TASK`].
+/// Task ordinal of a line: the id of the task that holds its leading
+/// `t<index>` token when [`LINES`] lines are split as a [`config`] session
+/// splits them.
 #[allow(clippy::ptr_arg)]
 fn ordinal_of(line: &String) -> u64 {
     let token = line.split_ascii_whitespace().next().expect("nonempty line");
-    let index: u64 = token[1..].parse().expect("t<index> token");
-    index / TASK as u64
+    let index: usize = token[1..].parse().expect("t<index> token");
+    task_ranges_for(LINES, TASK, THREADS).partition_point(|t| t.end <= index) as u64
 }
 
 fn config() -> RuntimeConfig {
@@ -85,7 +98,7 @@ fn fault_records_do_not_bleed_into_the_next_job() {
     cfg.skip_poison_tasks = true;
     let mut session = Backend::RamrStatic.session::<FaultyJob<WordCount>>(cfg).unwrap();
 
-    let input = lines(400, 0);
+    let input = lines(LINES, 0);
     let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
     let (out, report) = session.submit(&faulty, &input).unwrap().into_parts();
     assert_eq!(out.pairs, reference(&input, &[3]));
@@ -110,7 +123,7 @@ fn a_failed_job_leaves_the_session_usable() {
     cfg.max_task_retries = 1;
     cfg.skip_poison_tasks = false;
     let mut session = Backend::RamrStatic.session::<FaultyJob<WordCount>>(cfg).unwrap();
-    let input = lines(400, 1);
+    let input = lines(LINES, 1);
     for round in 0..2 {
         let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
         let err = session.submit(&faulty, &input).unwrap_err();
@@ -133,7 +146,7 @@ fn a_skipped_poison_job_leaves_the_session_usable() {
     cfg.max_task_retries = 1;
     cfg.skip_poison_tasks = true;
     let mut session = Backend::RamrStatic.session::<FaultyJob<WordCount>>(cfg).unwrap();
-    let input = lines(400, 2);
+    let input = lines(LINES, 2);
     for round in 0..3 {
         let faulty = FaultyJob::new(WordCount, poison(round as u64 % 4), ordinal_of);
         let output = session.submit(&faulty, &input).unwrap().output;
@@ -185,7 +198,7 @@ fn scheduled_tenants_share_the_pool_without_fault_bleed() {
     let sched = JobScheduler::<FaultyJob<WordCount>>::new(Backend::RamrStatic, cfg).unwrap();
     let victim = sched.client("victim");
     let bystander = sched.client("bystander");
-    let input = Arc::new(lines(400, 4));
+    let input = Arc::new(lines(LINES, 4));
     for round in 0..3 {
         let faulty = FaultyJob::new(WordCount, poison(3), ordinal_of);
         let done = victim.submit(Arc::new(faulty), Arc::clone(&input)).unwrap();

@@ -2,12 +2,15 @@
 //! session stops handing out full tasks — `T · task_size` elements left, for
 //! `T` mapping threads — run on every backend and container, and each must
 //! give the serial output, map every task of `task_ranges_for` exactly once
-//! and fold every pair it emits.
+//! and fold every pair it emits. A short service job is cut too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mr_apps::inputs::{wc_input, InputFlavor, InputSpec, Platform};
+use mr_apps::{AppKind, WordCount};
 use mr_core::{task_ranges_for, ContainerKind, Emitter, MapReduceJob, RuntimeConfig};
 use ramr::Backend;
+use ramr_serve::ServeConfig;
 
 const TASK: usize = 64;
 const KEYS: u64 = 13;
@@ -92,5 +95,34 @@ fn inputs_around_the_tail_threshold_split_and_fold_exactly() {
                 }
             }
         }
+    }
+}
+
+/// A `serve-small` job — word count over the small Haswell input at scale
+/// 20 000 — on the server's default base config and two mapping threads
+/// (one mapper and one combiner; a Phoenix pool of two workers). At the
+/// server's task size of 1024 the floor is 128 lines, under the job's 333,
+/// so the tail split cuts the job into three tasks.
+#[test]
+fn a_short_service_job_is_cut_at_the_floor() {
+    let spec = InputSpec::table1(AppKind::WordCount, Platform::Haswell, InputFlavor::Small);
+    let input = wc_input(&spec, 20_000);
+    assert_eq!(input.len(), 333);
+    let base = ServeConfig::default().base;
+    assert_eq!(base.task_size, 1024);
+    for backend in Backend::ALL {
+        let workers = if backend == Backend::Phoenix { 2 } else { 1 };
+        let config = base
+            .clone()
+            .into_builder()
+            .num_workers(workers)
+            .num_combiners(1)
+            .container(AppKind::WordCount.default_container())
+            .build()
+            .unwrap();
+        let mut session = backend.session::<WordCount>(config).unwrap();
+        let out = session.submit(&WordCount, &input).unwrap().output;
+        assert_eq!(out.stats.tasks, task_ranges_for(333, 1024, 2).len() as u64, "{backend}");
+        assert_eq!(out.stats.tasks, 3, "{backend}");
     }
 }
