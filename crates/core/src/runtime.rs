@@ -1,9 +1,9 @@
 //! The decoupled map/combine runtime (paper §III, Fig 2): what each pool
-//! thread does for one job — the mapper loop, the one fold loop that both a
-//! combiner and a Phoenix worker run, the watchdog. The threads themselves
-//! live in `session.rs`, which hosts these loops on its pools and assembles
-//! the [`EngineReport`](crate::EngineReport) a job leaves behind from their
-//! telemetry cells.
+//! thread does for one job — the one role loop that a mapper, a combiner
+//! and a Phoenix worker all run, told apart only by their queue ends — and
+//! the watchdog. The threads themselves live in `session.rs`, which hosts
+//! this loop on its pools and assembles the [`EngineReport`](crate::EngineReport)
+//! a job leaves behind from their telemetry cells.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -172,17 +172,6 @@ impl Drop for LiveGuard<'_> {
     }
 }
 
-/// Display labels for the watchdog's per-thread diagnostics, matching the
-/// progress-board slot layout (mappers first, then combiners). Without
-/// combiners the mappers are Phoenix workers, labelled `worker[i]`.
-pub(crate) fn thread_labels(num_workers: usize, num_combiners: usize) -> Vec<String> {
-    let mapper = if num_combiners == 0 { "worker" } else { "mapper" };
-    (0..num_workers)
-        .map(|m| format!("{mapper}[{m}]"))
-        .chain((0..num_combiners).map(|c| format!("combiner[{c}]")))
-        .collect()
-}
-
 /// The pipeline watchdog: samples the progress board until the run signals
 /// `done`; if the board's total stops advancing for `period` while worker
 /// threads are still live, it trips the cooperative cancel flag and returns
@@ -277,216 +266,121 @@ fn run_task<J: MapReduceJob>(
     }
 }
 
-/// Where a mapper's emit blocks go: its queue when its combiner has
-/// caught up, and otherwise — or for whatever the queue has no room for —
-/// the mapper's own combine container, folded on the spot instead of queued
-/// behind a combiner that is still busy (DESIGN §6p, §6q). The container is
-/// built at the epoch's first spill, taking over the one `kept` holds from
-/// an earlier epoch.
-struct Outlet<'a, 'j, J: MapReduceJob> {
-    job: &'j J,
-    config: &'a RuntimeConfig,
-    tx: &'a mut PairProducer<J>,
-    kept: &'a mut Option<KeptContainer<J::Key, J::Value>>,
-    spill: Option<HashedJobContainer<'j, J>>,
-    /// The spill's first insert error. Once set, every block is dropped and
+/// A decoupled mapper's end of its pipeline queue: the queue's write half
+/// and the emit buffer, both kept by the session across its epochs so that
+/// an epoch allocates neither, and what one epoch folded instead of queueing.
+/// Whatever a cancelled or panicked epoch left in the buffer is discarded
+/// when the next one starts.
+pub(crate) struct WriteEnd<J: MapReduceJob> {
+    pub(crate) tx: PairProducer<J>,
+    buffer: Vec<HashedPair<J>>,
+    /// Pairs this epoch's flushes folded into the mapper's own container.
+    pub(crate) spilled: u64,
+    /// This epoch's first fold error. Once set, every block is dropped and
     /// the mapper claims no further task.
     error: Option<RuntimeError>,
-    /// Pairs handed to the spill container.
-    spilled: u64,
-    local: LocalTelemetry,
 }
 
-impl<J: MapReduceJob> Outlet<'_, '_, J> {
-    /// Hands `block` on, leaving it empty. **Lag-routed:** the block is
-    /// published — what fits, with one tail update — only when the combiner
-    /// has caught up: fewer than a batch of pairs unread, or the combiner
-    /// parked on the queue with nothing to do. Otherwise, and for whatever
-    /// did not fit, the mapper folds the pairs into its spill container
-    /// itself. Nothing waits and nothing is lost: a pair reaches a container
-    /// by the queue or by the spill, and reduce merges both. A flush that
-    /// spilled adds one to the row's `stall_events`. The publish is timed as
-    /// `stalled`; the fold is combine work done on the map side, timed as
-    /// `spill`, and part of the enclosing `busy`.
+impl<J: MapReduceJob> WriteEnd<J> {
+    pub(crate) fn new(tx: PairProducer<J>, emit_block: usize) -> Self {
+        Self { tx, buffer: Vec::with_capacity(emit_block), spilled: 0, error: None }
+    }
+
+    /// Hands the emit buffer on, leaving it empty. **Lag-routed:** the block
+    /// is published — what fits, with one tail update — only when the
+    /// combiner has caught up: fewer than a batch of pairs unread, or the
+    /// combiner parked on the queue with nothing to do. Otherwise, and for
+    /// whatever did not fit, the mapper folds the pairs into its own
+    /// container itself (DESIGN §6p, §6q). Nothing waits and nothing is
+    /// lost: a pair reaches a container by the queue or by the spill, and
+    /// reduce merges both. A flush that spilled adds one to the row's
+    /// `stall_events`. The publish is timed as `stalled`; the fold is combine
+    /// work done on the map side, timed as `spill`, and part of the
+    /// enclosing `busy`.
     #[inline(never)]
-    fn flush(&mut self, block: &mut Vec<HashedPair<J>>) {
-        let occupied = block.len();
+    fn flush(
+        &mut self,
+        fold: &mut Fold<'_, '_, J>,
+        local: &mut LocalTelemetry,
+        config: &RuntimeConfig,
+    ) {
+        let occupied = self.buffer.len();
         if occupied == 0 || self.error.is_some() {
-            block.clear();
+            self.buffer.clear();
             return;
         }
-        let config = self.config;
         if self.tx.len() < config.batch_size || self.tx.consumer_parked() {
             let publish_start = config.telemetry.then(Instant::now);
-            self.tx.push_batch_drain(block);
+            self.tx.push_batch_drain(&mut self.buffer);
             if let Some(t) = publish_start {
-                self.local.stalled += t.elapsed();
-                self.local.batches += 1;
-                self.local.occupancy.record(occupied, config.effective_emit_buffer());
+                local.stalled += t.elapsed();
+                local.batches += 1;
+                local.occupancy.record(occupied, config.effective_emit_buffer());
             }
-            if block.is_empty() {
+            if self.buffer.is_empty() {
                 return;
             }
         }
-        self.local.stall_events += 1;
-        self.spilled += block.len() as u64;
+        local.stall_events += 1;
+        self.spilled += self.buffer.len() as u64;
         let fold_start = config.telemetry.then(Instant::now);
-        self.fold(block);
-        if let Some(t) = fold_start {
-            self.local.spill += t.elapsed();
-        }
-    }
-
-    /// Folds `block` into the spill container, building it first if this is
-    /// the epoch's first spill; an error is kept and `block` left empty.
-    fn fold(&mut self, block: &mut Vec<HashedPair<J>>) {
-        let config = self.config;
-        let spill = match &mut self.spill {
-            Some(spill) => spill,
-            empty @ None => {
-                let kept = self.kept.take();
-                match HashedJobContainer::reusing(
-                    self.job,
-                    config.container,
-                    config.fixed_capacity,
-                    kept,
-                ) {
-                    Ok(c) => empty.insert(c),
-                    Err(e) => {
-                        self.error = Some(e);
-                        block.clear();
-                        return;
-                    }
-                }
-            }
-        };
         // A combine panic unwinds from here out through the map call.
-        if let Err(e) = spill.insert_from(&mut *block) {
+        if let Err(e) = fold.insert_from(&mut self.buffer) {
             self.error = Some(e);
+            self.buffer.clear();
+        }
+        if let Some(t) = fold_start {
+            local.spill += t.elapsed();
         }
     }
 }
 
-/// One mapper's loop: pull tasks from the locality-grouped queues, map,
-/// accumulate emissions in a thread-local block and publish each full block
-/// to this mapper's SPSC queue with a single tail update. Publishes its
-/// counters and (when telemetry is on) wall-clock telemetry into `cell`, and
-/// the pairs it folded itself into `spilled`, once, at exit; returns the
-/// drained spill container as the mapper's partial.
-///
-/// The emit buffer is the producer-side mirror of the paper's batched read:
-/// instead of one release store (and one cross-core cache-line transfer) per
-/// pair, the consumer observes one tail update per `effective_emit_buffer()`
-/// pairs; 1 degenerates to element-wise publication. The block is `buffer`,
-/// which the mapper keeps next to its write-end across a session's epochs;
-/// whatever a cancelled or panicked epoch left in it is discarded here,
-/// before the first claim.
-///
-/// **Work-conserving and lag-routed:** a block goes to the queue only while
-/// the combiner keeps up, and is never waited out. A block that would queue
-/// behind a full batch the combiner has not read yet, or that the queue has
-/// no room for, is folded into the mapper's own container ([`Outlet`]) — the
-/// mirror of a combiner that maps while it has nothing to read — so the
-/// mapper never stalls on a combiner that cannot keep up, and the combiner,
-/// finding less than a batch, maps in place. Like a combiner's, the
-/// container is kept across the session's epochs in `kept` and put back
-/// only by an epoch that ends without error, panic or cancellation. An
-/// insert error (a fixed-size container overflowing) stops the spilling and
-/// the claiming, and fails the job once the queue is closed.
-///
-/// Instrumentation cost: timers fire once per map *task* and once per
-/// block *flush* — never per pair. `busy` is map time net of the publish
-/// time accrued inside the map call, folds included; `stalled` is the
-/// publish time itself, `spill` the folds'.
-#[allow(clippy::too_many_arguments)] // internal: mirrors the paper's knob list
-pub(crate) fn mapper_loop<J: MapReduceJob>(
-    job: &J,
-    input: &[J::Input],
-    config: &RuntimeConfig,
-    queues: &TaskQueues,
-    home_group: usize,
-    tx: &mut PairProducer<J>,
-    buffer: &mut Vec<HashedPair<J>>,
-    kept: &mut Option<KeptContainer<J::Key, J::Value>>,
-    cell: &TelemetryCell,
-    spilled: &AtomicU64,
-    ctx: &FaultCtx<'_>,
-    slot: usize,
-) -> Result<phases::HashedPairs<J>, RuntimeError> {
-    let _live = LiveGuard::enter(ctx.board);
-    let (telemetry, hasher) = (config.telemetry, config.hasher);
-    let emit_block = config.effective_emit_buffer();
-    let wall_start = telemetry.then(Instant::now);
-    let mut out = Outlet {
-        job,
-        config,
-        tx,
-        kept,
-        spill: None,
-        error: None,
-        spilled: 0,
-        local: LocalTelemetry::default(),
-    };
-    let mut emitted = 0u64;
-    buffer.clear();
-    buffer.reserve(emit_block);
-    while out.error.is_none() {
-        let Some(task) = queues.claim(home_group) else { break };
-        if ctx.cancelled() {
-            break;
-        }
-        let stalled_before = out.local.stalled;
-        let map_start = telemetry.then(Instant::now);
-        {
-            let out = &mut out;
-            let buffer = &mut *buffer;
-            let sink = |key: J::Key, value: J::Value| {
-                // Hash once, here at emission: the carried hash rides the
-                // queue and is reused by combine, bucketing and reduce.
-                buffer.push((Hashed::wrap(hasher, key), value));
-                if buffer.len() >= emit_block {
-                    out.flush(buffer);
-                    ctx.progress(slot);
-                }
-            };
-            emitted += run_task(job, task, input, ctx, sink);
-        }
-        ctx.progress(slot);
-        if let Some(t) = map_start {
-            // Useful map time: the whole call minus the publish time its
-            // emissions accrued.
-            out.local.busy += t.elapsed().saturating_sub(out.local.stalled - stalled_before);
+/// A role's combine container for one epoch. `kept` is the container this
+/// thread's previous job in the session drained; it is taken over when it is
+/// what this job would build anyway (see [`HashedJobContainer::reusing`]) —
+/// a hash table then starts at the size the last job grew it to — and put
+/// back only by [`drain`](Self::drain), so a job that ends in an error, a
+/// panic or a cancellation drops the container with its pairs.
+struct Fold<'a, 'j, J: MapReduceJob> {
+    job: &'j J,
+    config: &'a RuntimeConfig,
+    kept: &'a mut Option<KeptContainer<J::Key, J::Value>>,
+    container: Option<HashedJobContainer<'j, J>>,
+}
+
+impl<'j, J: MapReduceJob> Fold<'_, 'j, J> {
+    /// The container, built on first use.
+    fn container(&mut self) -> Result<&mut HashedJobContainer<'j, J>, RuntimeError> {
+        match &mut self.container {
+            Some(container) => Ok(container),
+            empty @ None => {
+                let (job, config) = (self.job, self.config);
+                let kept = self.kept.take();
+                let built = HashedJobContainer::reusing(
+                    job,
+                    config.container,
+                    config.fixed_capacity,
+                    kept,
+                )?;
+                Ok(empty.insert(built))
+            }
         }
     }
-    // Final drain-flush, timed like a task: the partial block goes out
-    // *before* the queue closes — the combiner treats closed+empty as
-    // end-of-stream. `finish` (rather than relying on drop) keeps the
-    // producer handle alive: the session re-arms the same queue for the next
-    // job.
-    let stalled_before = out.local.stalled;
-    let flush_start = telemetry.then(Instant::now);
-    out.flush(buffer);
-    if let Some(t) = flush_start {
-        out.local.busy += t.elapsed().saturating_sub(out.local.stalled - stalled_before);
+
+    fn insert_from(&mut self, feed: impl PairFeed<J::Key, J::Value>) -> Result<(), RuntimeError> {
+        self.container()?.insert_from(feed)
     }
-    out.tx.finish();
-    let Outlet { kept, spill, error, spilled: folded, mut local, .. } = out;
-    spilled.store(folded, Ordering::Relaxed);
-    local.items = emitted;
-    if let Some(t) = wall_start {
-        local.wall = t.elapsed();
+
+    /// The job's pairs, with the emptied container back in `kept`. A
+    /// cancelled run abandoned its queues and tasks: what the container
+    /// holds is partial, nobody will read it, and it is dropped.
+    fn drain(self, cancelled: bool) -> phases::HashedPairs<J> {
+        let mut pairs = Vec::new();
+        if let Some(container) = self.container.filter(|_| !cancelled) {
+            *self.kept = Some(container.drain_to_keep(&mut pairs));
+        }
+        pairs
     }
-    cell.publish(&local);
-    if let Some(e) = error {
-        return Err(e);
-    }
-    let mut pairs = Vec::new();
-    // A cancelled run's spill is partial and nobody will read it: it is
-    // dropped with its container, as a combiner's is.
-    if let Some(spill) = spill.filter(|_| !ctx.cancelled()) {
-        *kept = Some(spill.drain_to_keep(&mut pairs));
-    }
-    Ok(pairs)
 }
 
 /// One claimed map task as a [`PairFeed`]: every emission is hashed once and
@@ -551,18 +445,28 @@ impl<K: Send, V: Send> PairFeed<K, V> for BatchedRead<'_, (Hashed<K>, V)> {
     }
 }
 
-/// The one fold loop (DESIGN §6l, §6r): a combiner runs it over its
-/// read-ends, a Phoenix worker over none. Each round takes one batched read
-/// from every live queue ([`pop_round`]). A round that took nothing claims a
-/// map task from `home_group` and folds it *in place* with one
+/// The one role loop (DESIGN §6l, §6r): a combiner runs it over its
+/// read-ends, a Phoenix worker over none, and a decoupled mapper over none
+/// with a [`WriteEnd`]. Each round takes one batched read from every live
+/// queue ([`pop_round`]). A round that took nothing claims a map task from
+/// `home_group`. Without a write-end the task is folded *in place* with one
 /// [`insert_from`](HashedJobContainer::insert_from) — every emission hashed
 /// once ([`TaskFeed`]) and handed straight to the container, no emit buffer
-/// and no queue crossing, as a Phoenix++ worker folds. With neither a batch
-/// nor a task the loop parks on its live queues, and with no live queue
-/// either it ends. So a worker claims tasks until there are none, and a
+/// and no queue crossing, as a Phoenix++ worker folds. With one, every
+/// emission is hashed into the emit buffer, and each full buffer goes out
+/// through [`WriteEnd::flush`]: to the queue while the combiner keeps up,
+/// else into the mapper's own container. With neither a batch nor a task
+/// the loop parks on its live queues, and with no live queue either it
+/// ends. So a worker or a mapper claims tasks until there are none, and a
 /// combiner maps exactly while it has nothing to read; its mapper, finding
 /// it a batch behind meanwhile, folds its blocks itself (DESIGN §6q). The
 /// trigger is the thread's own idleness, so there is nothing to tune.
+///
+/// A mapper's last partial block goes out *before* its queue closes — the
+/// combiner treats closed+empty as end-of-stream — and the queue is closed
+/// with `finish` (rather than by a drop, which would lose the write half the
+/// session re-arms for the next job) on every exit but an unwind, which the
+/// session's settle covers.
 ///
 /// A combine or map panic, or an insert error, leaves the loop — by
 /// unwinding or by `?` — and fails the job: the session files the error and
@@ -573,19 +477,20 @@ impl<K: Send, V: Send> PairFeed<K, V> for BatchedRead<'_, (Hashed<K>, V)> {
 /// `reads_cell` (a combiner's row) gets the queue reads: `items` consumed,
 /// `busy` the rounds that read, `stalled` the idle rounds with their waits
 /// and `stall_events` their count, `batches` and occupancy the batched
-/// reads. `tasks_cell` (a worker's row, or a combiner's helper row) gets
-/// the map tasks: `items` emitted, `busy` the whole task time, `batches` the
-/// tasks and occupancy their fill relative to `task_size`; it never stalls.
-/// Timers fire twice per round, never per pair.
+/// reads. `tasks_cell` (a mapper's or worker's row, or a combiner's helper
+/// row) gets the map tasks: `items` emitted and `busy` the task time; without
+/// a write-end `batches` are the tasks and occupancy their fill relative to
+/// `task_size`, and the row never stalls. A mapper's row instead counts its
+/// publishes in `batches` (occupancy relative to the emit buffer) and their
+/// time in `stalled`, net of `busy`; its flushes that spilled in
+/// `stall_events`, their folds' time in `spill`. Timers fire twice per round
+/// and once per flush, never per pair.
 ///
 /// Queues seen closed and drained are swapped behind `live`, so both the
 /// rounds and the idle wait cover only queues that still owe data.
 ///
-/// **Warm container:** `kept` is the container this thread's previous job in
-/// the session drained. It is taken over when it is what this job would
-/// build anyway (see [`HashedJobContainer::reusing`]) — a hash table then
-/// starts at the size the last job grew it to — and put back only by a job
-/// that ends without error, panic or cancellation.
+/// **Warm container:** see [`Fold`]. A role without a write-end builds its
+/// container before the first round; a mapper builds it at its first spill.
 #[allow(clippy::too_many_arguments)] // internal: mirrors the paper's knob list
 pub(crate) fn fold_loop<J: MapReduceJob>(
     job: &J,
@@ -594,6 +499,7 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
     queues: &TaskQueues,
     home_group: usize,
     consumers: &mut [PairConsumer<J>],
+    mut write: Option<&mut WriteEnd<J>>,
     kept: &mut Option<KeptContainer<J::Key, J::Value>>,
     reads_cell: Option<&TelemetryCell>,
     tasks_cell: &TelemetryCell,
@@ -603,15 +509,23 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
     let _live = LiveGuard::enter(ctx.board);
     let telemetry = config.telemetry;
     let batch = config.batch_size;
+    let emit_block = config.effective_emit_buffer();
     let wall_start = telemetry.then(Instant::now);
     let mut reads = LocalTelemetry::default();
     let mut tasks = LocalTelemetry::default();
+    if let Some(w) = write.as_deref_mut() {
+        w.buffer.clear();
+        w.buffer.reserve(emit_block);
+        w.spilled = 0;
+        w.error = None;
+    }
     let result = (|| {
-        // `kept` is empty from here until this job has drained well: every
-        // error return, and an unwind, drops the container with the job's
-        // pairs.
-        let mut container =
-            HashedJobContainer::reusing(job, config.container, config.fixed_capacity, kept.take())?;
+        let mut fold = Fold { job, config, kept, container: None };
+        if write.is_none() {
+            // Up front, not at the first insert: a job its container cannot
+            // serve fails here even on empty input, on every backend.
+            fold.container()?;
+        }
         let hasher = (config.container != ContainerKind::Array).then_some(config.hasher);
         let mut idle_rounds = 0u32;
         let mut live = consumers.len();
@@ -628,7 +542,7 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
                 // (the producer's pushes all happen before its close).
                 let closed = rx.is_closed();
                 let mut taken = 0;
-                container.insert_from(BatchedRead { rx, closed, batch, taken: &mut taken })?;
+                fold.insert_from(BatchedRead { rx, closed, batch, taken: &mut taken })?;
                 if taken > 0 {
                     progressed = true;
                     reads.items += taken as u64;
@@ -656,15 +570,38 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
             // after hand-out ends writes nothing the claimers share.
             let task = if queues.is_exhausted() { None } else { queues.claim(home_group) };
             if let Some(task) = task {
-                let emitted = &mut tasks.items;
-                container.insert_from(TaskFeed { job, task, input, ctx, hasher, emitted })?;
+                if let Some(w) = write.as_deref_mut() {
+                    let stalled_before = tasks.stalled;
+                    let emitted = run_task(job, task, input, ctx, |key, value| {
+                        // Hash once, here at emission: the carried hash rides
+                        // the queue and is reused by combine, bucketing and
+                        // reduce.
+                        w.buffer.push((Hashed::wrap(config.hasher, key), value));
+                        if w.buffer.len() >= emit_block {
+                            w.flush(&mut fold, &mut tasks, config);
+                            ctx.progress(slot);
+                        }
+                    });
+                    tasks.items += emitted;
+                    if let Some(t) = round_start {
+                        // Useful map time: the round minus the publish time
+                        // its emissions accrued.
+                        tasks.busy += t.elapsed().saturating_sub(tasks.stalled - stalled_before);
+                    }
+                    if let Some(e) = w.error.take() {
+                        return Err(e);
+                    }
+                } else {
+                    let emitted = &mut tasks.items;
+                    fold.insert_from(TaskFeed { job, task, input, ctx, hasher, emitted })?;
+                    if let Some(t) = round_start {
+                        tasks.busy += t.elapsed();
+                        tasks.batches += 1;
+                        tasks.occupancy.record(task.end - task.start, config.task_size);
+                    }
+                }
                 ctx.progress(slot);
                 idle_rounds = 0;
-                if let Some(t) = round_start {
-                    tasks.busy += t.elapsed();
-                    tasks.batches += 1;
-                    tasks.occupancy.record(task.end - task.start, config.task_size);
-                }
                 continue;
             }
             if live == 0 {
@@ -682,15 +619,23 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
                 reads.stalled += t.elapsed();
             }
         }
-        let mut pairs = Vec::new();
-        // A cancelled run abandoned its queues and tasks above: what the
-        // container holds is partial, nobody will read it, and it is dropped
-        // with the container.
-        if !ctx.cancelled() {
-            *kept = Some(container.drain_to_keep(&mut pairs));
+        if let Some(w) = write.as_deref_mut() {
+            // The final flush, timed like a task.
+            let stalled_before = tasks.stalled;
+            let flush_start = telemetry.then(Instant::now);
+            w.flush(&mut fold, &mut tasks, config);
+            if let Some(t) = flush_start {
+                tasks.busy += t.elapsed().saturating_sub(tasks.stalled - stalled_before);
+            }
+            if let Some(e) = w.error.take() {
+                return Err(e);
+            }
         }
-        Ok(pairs)
+        Ok(fold.drain(ctx.cancelled()))
     })();
+    if let Some(w) = write {
+        w.tx.finish();
+    }
     if let Some(t) = wall_start {
         reads.wall = t.elapsed();
         tasks.wall = reads.wall;

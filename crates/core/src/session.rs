@@ -13,10 +13,10 @@
 //! # Caller-runs
 //!
 //! A session spawns `num_workers + num_combiners − 1` threads: the thread
-//! that calls `submit` is mapper 0. It keeps that mapper's write-end,
-//! emit buffer, spill container and home task group in the session and runs
-//! [`mapper_loop`] for it on its own stack, under the same `catch_unwind`
-//! and error filing as a pooled role. An epoch therefore wakes `T − 1`
+//! that calls `submit` is mapper 0. The session keeps that mapper's [`Role`]
+//! — write-end, emit buffer, kept container, home task group — and `submit`
+//! runs its [`fold_loop`] on the caller's own stack, under the same
+//! `catch_unwind` and error filing as a pooled role. An epoch therefore wakes `T − 1`
 //! parked threads while the caller keeps its own CPU busy, so the kernel
 //! places each woken thread on a CPU that is still idle instead of stacking
 //! two on the one the waker is about to leave. With `pin_os_threads` set the
@@ -26,10 +26,10 @@
 //! # Phoenix sessions
 //!
 //! The Phoenix++ baseline is this session with no combiners
-//! ([`Backend::Phoenix`], DESIGN §6r): `num_workers` mappers without a
-//! queue, each running the combiners' [`fold_loop`] over no read-ends, so
-//! it folds what it maps into its own kept container; `num_workers − 1` of
-//! them are pooled as `ramr-worker-N`. Epochs, caller-runs, fault handling,
+//! ([`Backend::Phoenix`], DESIGN §6r): `num_workers` roles with neither a
+//! read-end nor a write-end, each running [`fold_loop`] so that it folds
+//! what it maps into its own kept container; `num_workers − 1` of them are
+//! pooled as `ramr-worker-N`. Epochs, caller-runs, fault handling,
 //! error precedence, reports, reduce and merge are the ones described here.
 //!
 //! # Reports
@@ -48,15 +48,16 @@
 //!    error slot — arms the done-counter with the number of pooled threads,
 //!    and publishes the frame pointer together with the bumped epoch under
 //!    the state mutex.
-//! 2. Workers wake, run exactly one job's worth of their role loop
-//!    ([`mapper_loop`] or [`fold_loop`], each hosted by the one
-//!    [`epoch_worker`] skeleton), close their queues with `finish` (not
+//! 2. Workers wake, run exactly one job's worth of the one role loop
+//!    ([`fold_loop`] over their [`Role`]'s queue ends, hosted by the one
+//!    [`epoch_worker`] skeleton), close their write-ends with `finish` (not
 //!    drop), and decrement the done-counter. The coordinator meanwhile runs
 //!    mapper 0 through the same [`run_role`] body.
 //! 3. `submit` returns — or unwinds, see [`with_epoch`] — only after the
 //!    counter hits zero, so the frame — and the `&J`/`&[J::Input]` borrows
 //!    smuggled through it — never outlives the epoch. Combiners re-arm
-//!    (drain + reopen) their read-ends before signalling done.
+//!    (drain + reopen) their read-ends in [`Role::settle`] before
+//!    signalling done.
 //!
 //! Because every epoch gets fresh telemetry cells, a fresh fault log and a
 //! fresh error slot inside its frame, per-job state cannot bleed between
@@ -85,8 +86,7 @@ use ramr_topology::{thrid_to_cpu, CpuSlot, MachineModel, PlacementPlan};
 
 use crate::engine::{Backend, EngineOutcome, EngineReport};
 use crate::runtime::{
-    fold_loop, mapper_loop, maybe_pin, thread_labels, watchdog_loop, CallerPin, ErrorSlot,
-    FaultCtx, HashedPair, PairConsumer, PairProducer,
+    fold_loop, maybe_pin, watchdog_loop, CallerPin, ErrorSlot, FaultCtx, PairConsumer, WriteEnd,
 };
 
 /// Everything one job (epoch) shares with the parked worker pools. Lives on
@@ -331,7 +331,7 @@ pub struct EngineSession<J: MapReduceJob + 'static> {
     labels: Vec<String>,
     /// Mapper 0, which the thread calling `submit` runs for each epoch
     /// while the pool runs the other roles.
-    caller: MapperState<J>,
+    caller: Role<J>,
     jobs_run: u64,
 }
 
@@ -377,7 +377,6 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             config.pinning,
         )?;
         let combiners = if decoupled { config.num_combiners } else { 0 };
-        let labels = thread_labels(config.num_workers, combiners);
         let slot_of_mapper = |m: usize| {
             if decoupled {
                 plan.mapper_slot(m)
@@ -410,109 +409,47 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             done: Condvar::new(),
         });
 
-        // One SPSC queue per mapper of a decoupled session, allocated once
-        // for the session's lifetime. The read-ends are grouped per combiner
-        // via the placement plan; each combiner worker then owns its group
-        // for the session's life. A Phoenix worker has neither a queue nor
-        // an emit buffer.
-        let emit_block = if decoupled { config.effective_emit_buffer() } else { 0 };
-        let mut mappers = Vec::with_capacity(config.num_workers);
-        let mut consumers_of: Vec<Vec<PairConsumer<J>>> =
-            (0..combiners).map(|_| Vec::new()).collect();
-        for m in 0..config.num_workers {
-            let tx = decoupled.then(|| {
-                let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
-                consumers_of[plan.combiner_of_mapper(m)].push(rx);
-                tx
-            });
-            mappers.push(MapperState {
-                m,
-                slot: slot_of_mapper(m),
-                home_group: group_of_mapper(m),
-                tx,
-                buffer: Vec::with_capacity(emit_block),
-                kept: None,
-            });
+        // Every role in progress-board order: mappers (or workers), then
+        // combiners. A combiner with nothing to read helps map from the
+        // task queue of the mappers it serves.
+        let mapper = if decoupled { RoleKind::Mapper } else { RoleKind::Worker };
+        let mut roles: Vec<Role<J>> = (0..config.num_workers)
+            .map(|m| Role::new(mapper, m, slot_of_mapper(m), group_of_mapper(m)))
+            .collect();
+        for c in 0..combiners {
+            let home_group = (0..config.num_workers)
+                .find(|&m| plan.combiner_of_mapper(m) == c)
+                .map_or(0, group_of_mapper);
+            roles.push(Role::new(RoleKind::Combiner, c, plan.combiner_slot(c), home_group));
         }
+        // One SPSC queue per mapper of a decoupled session, allocated once
+        // for the session's lifetime: its write-end stays with the mapper,
+        // its read-end goes to the combiner the placement plan assigns.
+        if decoupled {
+            for m in 0..config.num_workers {
+                let (tx, rx) = SpscQueue::with_capacity(config.queue_capacity).split();
+                roles[config.num_workers + plan.combiner_of_mapper(m)].reads.push(rx);
+                roles[m].write = Some(WriteEnd::new(tx, config.effective_emit_buffer()));
+            }
+        }
+        let labels =
+            roles.iter().map(|role| format!("{}[{}]", role.kind.name(), role.index)).collect();
         // Mapper 0 is the submitting thread's: `submit` runs it in place
         // while the pool works.
-        let mut mappers = mappers.into_iter();
-        let caller = mappers.next().expect("validated: num_workers >= 1");
+        let mut roles = roles.into_iter();
+        let caller = roles.next().expect("validated: num_workers >= 1");
 
         let mut handles = Vec::with_capacity(config.num_workers + combiners - 1);
-        let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
-            std::thread::Builder::new()
+        let spawned = roles.try_for_each(|role| {
+            let shared = Arc::clone(&shared);
+            let name = format!("ramr-{}-{}", role.kind.name(), role.index);
+            let handle = std::thread::Builder::new()
                 .name(name.clone())
-                .spawn(body)
-                .map_err(|e| RuntimeError::Spawn(format!("{name}: {e}")))
-        };
-
-        // Each pooled thread is the one `epoch_worker` skeleton around one
-        // of the two role loops, with the loop's arguments bound here.
-        let spawned = (|| -> Result<(), RuntimeError> {
-            let role = if decoupled { "mapper" } else { "worker" };
-            for mapper in mappers {
-                let shared = Arc::clone(&shared);
-                let slot = mapper.slot;
-                let name = format!("ramr-{role}-{}", mapper.m);
-                let body = move || {
-                    let config = &shared.config;
-                    epoch_worker(
-                        &shared,
-                        slot,
-                        mapper,
-                        |mapper, ep| mapper.run(config, ep),
-                        |mapper, _, unwound| mapper.settle(unwound),
-                    )
-                };
-                handles.push(spawn(name, Box::new(body))?);
-            }
-            for (c, group) in consumers_of.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let slot = plan.combiner_slot(c);
-                // A combiner with nothing to read helps map from the task
-                // queue of the mappers it serves.
-                let home_group = (0..config.num_workers)
-                    .find(|&m| plan.combiner_of_mapper(m) == c)
-                    .map_or(0, group_of_mapper);
-                let body = move || {
-                    let config = &shared.config;
-                    epoch_worker(
-                        &shared,
-                        slot,
-                        // Next to its read-ends a combiner keeps the
-                        // container its last job drained: a hash table
-                        // grows once per session, not once per job.
-                        (group, None),
-                        |(group, kept), ep| {
-                            fold_loop(
-                                ep.job,
-                                ep.input,
-                                config,
-                                &ep.frame.queues,
-                                home_group,
-                                group,
-                                kept,
-                                Some(&ep.frame.combiner_cells[c]),
-                                &ep.frame.helper_cells[c],
-                                &ep.ctx,
-                                config.num_workers + c,
-                            )
-                            .map(Some)
-                        },
-                        // Re-arm this combiner's read-ends before
-                        // signalling done. Safe with respect to *this*
-                        // group's producers (they have all finished: either
-                        // the loop saw every queue closed, or the drain
-                        // waits for the close); independent of the other
-                        // combiners, whose queues are disjoint.
-                        |(group, _), _, _| group.iter_mut().for_each(drain_for_reuse),
-                    )
-                };
-                handles.push(spawn(format!("ramr-combiner-{c}"), Box::new(body))?);
-            }
+                .spawn(move || epoch_worker(&shared, role))
+                .map_err(|e| RuntimeError::Spawn(format!("{name}: {e}")))?;
+            handles.push(handle);
             Ok(())
-        })();
+        });
 
         if let Err(e) = spawned {
             // A partial pool is useless and must not leak: the workers that
@@ -617,7 +554,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         // scope joins the watchdog.
         let pin = CallerPin::enter(config.pin_os_threads, self.caller.slot);
         let stalled = std::thread::scope(|scope| {
-            let caller = CallerRole { mapper: &mut self.caller, job, input };
+            let caller = CallerRole { role: &mut self.caller, job, input };
             let watchdog = with_epoch(&self.shared, &frame, caller, || {
                 config.watchdog.map(|period| {
                     let board = frame.board.as_ref().expect("board exists when watchdog armed");
@@ -760,8 +697,8 @@ impl<J: MapReduceJob + 'static> Drop for EngineSession<J> {
 /// the epoch.
 ///
 /// Mapper 0's queue is closed exactly once per epoch, on one of three paths:
-/// by `mapper_loop` on its success path, by its `settle` when it panicked,
-/// or by the guard when `supervise` unwound before the role ran. Its
+/// by `fold_loop` when it returns, by [`Role::settle`] when it unwound, or by
+/// the guard when `supervise` unwound before the role ran. Its
 /// combiner drains until that close, so a missing one hangs the epoch; a
 /// second one, landing after the combiner has re-armed the queue, would end
 /// the next epoch's drain early on a stale flag. The guard therefore closes
@@ -788,8 +725,10 @@ fn with_epoch<J: MapReduceJob, R>(
                 // timeout), and end the stream of the mapper that will now
                 // never run.
                 self.frame.cancel.store(true, Ordering::Release);
-                if let Some(tx) = self.caller.take().and_then(|role| role.mapper.tx.as_mut()) {
-                    tx.finish();
+                if let Some(write) =
+                    self.caller.take().and_then(|caller| caller.role.write.as_mut())
+                {
+                    write.tx.finish();
                 }
             }
             self.shared.wait_all_done();
@@ -811,17 +750,8 @@ fn with_epoch<J: MapReduceJob, R>(
     shared.start.notify_all();
     let mut guard = EpochGuard { shared, frame, caller: Some(caller), supervised: false };
     let out = supervise();
-    if let Some(CallerRole { mapper, job, input }) = guard.caller.take() {
-        let config = &shared.config;
-        run_role(
-            config,
-            frame,
-            job,
-            input,
-            mapper,
-            |m, ep| m.run(config, ep),
-            |m, _, unwound| m.settle(unwound),
-        );
+    if let Some(CallerRole { role, job, input }) = guard.caller.take() {
+        run_role(&shared.config, frame, job, input, role);
     }
     guard.supervised = true;
     out
@@ -831,70 +761,105 @@ fn with_epoch<J: MapReduceJob, R>(
 /// and input `submit` was handed — the borrows the frame carries as raw
 /// pointers for the pooled threads.
 struct CallerRole<'a, J: MapReduceJob> {
-    mapper: &'a mut MapperState<J>,
+    role: &'a mut Role<J>,
     job: &'a J,
     input: &'a [J::Input],
 }
 
-/// A mapper's session-long state: its queue's write-end, the emit
-/// buffer and the spill container kept next to it so that an epoch allocates
-/// none of them, where it runs and the task group it claims from first.
-/// Owned by a pooled `ramr-mapper-N` thread, or, for mapper 0, by the
-/// session, whose `submit` runs it on the caller. A Phoenix worker is a
-/// mapper with no queue.
-struct MapperState<J: MapReduceJob> {
-    m: usize,
+/// What a role is, for its thread name (`ramr-mapper-N`) and its watchdog
+/// label (`mapper[N]`).
+#[derive(Clone, Copy)]
+enum RoleKind {
+    /// A decoupled mapper: maps through its write-end.
+    Mapper,
+    /// A Phoenix worker: folds what it maps.
+    Worker,
+    /// Folds its mappers' queues, and maps in place while they are empty.
+    Combiner,
+}
+
+impl RoleKind {
+    fn name(self) -> &'static str {
+        match self {
+            Self::Mapper => "mapper",
+            Self::Worker => "worker",
+            Self::Combiner => "combiner",
+        }
+    }
+}
+
+/// One thread's part in the session, kept for the session's life so that an
+/// epoch allocates none of it: its queue ends — a combiner's read-ends, a
+/// mapper's write-end, a worker neither — where it runs, the task group it
+/// claims from first, and the container its last job drained (a hash table
+/// grows once per session, not once per job). Owned by a pooled thread, or,
+/// for mapper 0, by the session, whose `submit` runs it on the caller.
+struct Role<J: MapReduceJob> {
+    kind: RoleKind,
+    /// Mapper, worker or combiner `index`.
+    index: usize,
     slot: CpuSlot,
     home_group: usize,
-    /// `None` for a Phoenix worker, which folds what it maps.
-    tx: Option<PairProducer<J>>,
-    buffer: Vec<HashedPair<J>>,
-    /// The container the last epoch that spilled (or folded) drained — a
-    /// hash table grows once per session here too, as a combiner's does.
+    reads: Vec<PairConsumer<J>>,
+    write: Option<WriteEnd<J>>,
     kept: Option<KeptContainer<J::Key, J::Value>>,
 }
 
-impl<J: MapReduceJob> MapperState<J> {
-    /// One epoch of [`mapper_loop`], or without a queue of [`fold_loop`]
-    /// over no read-ends; what it spilled or folded is its partial.
+impl<J: MapReduceJob> Role<J> {
+    fn new(kind: RoleKind, index: usize, slot: CpuSlot, home_group: usize) -> Self {
+        Self { kind, index, slot, home_group, reads: Vec::new(), write: None, kept: None }
+    }
+
+    /// One epoch of [`fold_loop`]; what the role folded is its partial.
     fn run(&mut self, config: &RuntimeConfig, ep: &Epoch<'_, J>) -> RoleOutcome<J> {
-        let (queues, cell, ctx, m) =
-            (&ep.frame.queues, &ep.frame.map_cells[self.m], &ep.ctx, self.m);
-        let (job, input, group, kept) = (ep.job, ep.input, self.home_group, &mut self.kept);
-        let pairs = match &mut self.tx {
-            Some(tx) => mapper_loop(
-                job,
-                input,
-                config,
-                queues,
-                group,
-                tx,
-                &mut self.buffer,
-                kept,
-                cell,
-                &ep.frame.spilled[m],
-                ctx,
-                m,
-            )?,
-            None => {
-                fold_loop(job, input, config, queues, group, &mut [], kept, None, cell, ctx, m)?
+        let (frame, i) = (ep.frame, self.index);
+        // Progress-board slots list the mappers first, then the combiners.
+        let (reads_cell, tasks_cell, board_slot) = match self.kind {
+            RoleKind::Combiner => {
+                (Some(&frame.combiner_cells[i]), &frame.helper_cells[i], config.num_workers + i)
             }
+            RoleKind::Mapper | RoleKind::Worker => (None, &frame.map_cells[i], i),
         };
+        let pairs = fold_loop(
+            ep.job,
+            ep.input,
+            config,
+            &frame.queues,
+            self.home_group,
+            &mut self.reads,
+            self.write.as_mut(),
+            &mut self.kept,
+            reads_cell,
+            tasks_cell,
+            &ep.ctx,
+            board_slot,
+        );
+        if let Some(write) = &self.write {
+            frame.spilled[i].store(write.spilled, Ordering::Relaxed);
+        }
+        let pairs = pairs?;
         Ok((!pairs.is_empty()).then_some(pairs))
     }
 
-    /// `mapper_loop` closes the queue itself on its success path, so finish
-    /// here only when the job unwound before reaching that close
-    /// (closed+empty is the combiner's end-of-map signal, and a mapper that
-    /// never closes would wedge it). A redundant second finish would race
-    /// this mapper's combiner, which drains and *reopens* the queue before
-    /// signalling done — re-closing the re-armed queue makes the next
-    /// epoch's combiner exit early on the stale flag and silently discard
-    /// pairs.
+    /// Readies the role's queue ends for the next epoch, on every exit.
+    ///
+    /// `fold_loop` closes a write-end itself unless it unwound, so finish it
+    /// here only then (closed+empty is the combiner's end-of-map signal, and
+    /// a mapper that never closes would wedge it). A redundant second finish
+    /// would race this mapper's combiner, which drains and *reopens* the
+    /// queue before signalling done — re-closing the re-armed queue makes
+    /// the next epoch's combiner exit early on the stale flag and silently
+    /// discard pairs.
+    ///
+    /// Read-ends are drained and re-armed. That is safe with respect to
+    /// their producers, which have all finished (either the loop saw every
+    /// queue closed, or the drain waits for the close), and independent of
+    /// the other combiners, whose queues are disjoint.
     fn settle(&mut self, unwound: bool) {
-        if let (true, Some(tx)) = (unwound, &mut self.tx) {
-            tx.finish();
+        if let (true, Some(write)) = (unwound, &mut self.write) {
+            write.tx.finish();
         }
+        self.reads.iter_mut().for_each(drain_for_reuse);
     }
 }
 
@@ -907,23 +872,14 @@ struct Epoch<'a, J: MapReduceJob> {
 }
 
 /// What one role yields for one epoch: its combined partial when it
-/// combines, or the error that fails the job.
+/// folded any pair, or the error that fails the job.
 type RoleOutcome<J> = Result<Option<phases::HashedPairs<J>>, RuntimeError>;
 
 /// The one epoch loop every pooled thread runs, whatever its role: pin once,
 /// then for each published epoch run `role` for exactly one job (see
 /// [`run_role`]) and signal done.
-///
-/// `ends` are the queue ends the thread owns for the session's life. `role`
-/// is one of the two role loops of `runtime.rs` with its arguments bound.
-fn epoch_worker<J: MapReduceJob, E>(
-    shared: &SessionShared<J>,
-    slot: CpuSlot,
-    mut ends: E,
-    role: impl Fn(&mut E, &Epoch<'_, J>) -> RoleOutcome<J>,
-    settle: impl Fn(&mut E, &Epoch<'_, J>, bool),
-) {
-    maybe_pin(shared.config.pin_os_threads, slot);
+fn epoch_worker<J: MapReduceJob>(shared: &SessionShared<J>, mut role: Role<J>) {
+    maybe_pin(shared.config.pin_os_threads, role.slot);
     let mut last = 0u64;
     while let Some(ptr) = shared.next_epoch(&mut last) {
         // SAFETY: `ptr` came from the epoch published for this iteration.
@@ -935,7 +891,7 @@ fn epoch_worker<J: MapReduceJob, E>(
         // of `frame`, `job` and `input`.
         let frame = unsafe { &*ptr.0 };
         let (job, input) = unsafe { (frame.job(), frame.input()) };
-        run_role(&shared.config, frame, job, input, &mut ends, &role, &settle);
+        run_role(&shared.config, frame, job, input, &mut role);
         shared.worker_done();
     }
 }
@@ -944,20 +900,16 @@ fn epoch_worker<J: MapReduceJob, E>(
 /// `input`) on the calling thread — a pooled worker, or the caller running
 /// mapper 0 — and files the outcome in the frame.
 ///
-/// `role` yields the thread's combined partial (when its role combines) or
-/// the error that fails the job, and runs under `catch_unwind` so a
-/// panicking job cannot kill a pooled thread, nor unwind out of `submit`.
-/// `settle` runs after it either way and is told whether it unwound: a role
-/// loop closes its write-end only on its success path, and end-of-stream
-/// must be signalled regardless.
-fn run_role<J: MapReduceJob, E>(
+/// [`Role::run`] yields the thread's combined partial or the error that
+/// fails the job, and runs under `catch_unwind` so a panicking job cannot
+/// kill a pooled thread, nor unwind out of `submit`. [`Role::settle`] runs
+/// after it either way and is told whether it unwound.
+fn run_role<J: MapReduceJob>(
     config: &RuntimeConfig,
     frame: &JobFrame<J>,
     job: &J,
     input: &[J::Input],
-    ends: &mut E,
-    role: impl Fn(&mut E, &Epoch<'_, J>) -> RoleOutcome<J>,
-    settle: impl Fn(&mut E, &Epoch<'_, J>, bool),
+    role: &mut Role<J>,
 ) {
     let ctx = FaultCtx::new(
         config,
@@ -967,8 +919,8 @@ fn run_role<J: MapReduceJob, E>(
         frame.board.as_ref(),
     );
     let epoch = Epoch { frame, job, input, ctx };
-    let result = catch_unwind(AssertUnwindSafe(|| role(ends, &epoch)));
-    settle(ends, &epoch, result.is_err());
+    let result = catch_unwind(AssertUnwindSafe(|| role.run(config, &epoch)));
+    role.settle(result.is_err());
     match result {
         Ok(Ok(Some(pairs))) => relock(frame.partials.lock()).push(pairs),
         Ok(Ok(None)) => {}
@@ -1048,7 +1000,7 @@ mod tests {
         let tasks = session.split(input.len());
         let frame = session.frame_for(&job, &input, tasks);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let caller = CallerRole { mapper: &mut session.caller, job: &job, input: &input };
+            let caller = CallerRole { role: &mut session.caller, job: &job, input: &input };
             with_epoch(&session.shared, &frame, caller, || {
                 while job.entered.load(Ordering::SeqCst) == 0 {
                     std::thread::yield_now();
@@ -1092,7 +1044,7 @@ mod tests {
                 let job = Gated::default();
                 let tasks = session.split(input.len());
                 let frame = session.frame_for(&job, &input, tasks);
-                let caller = CallerRole { mapper: &mut session.caller, job: &job, input: &input };
+                let caller = CallerRole { role: &mut session.caller, job: &job, input: &input };
                 let unwound = catch_unwind(AssertUnwindSafe(|| {
                     with_epoch(&session.shared, &frame, caller, || {
                         panic!("supervisor exploded at once")

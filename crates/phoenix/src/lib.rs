@@ -17,12 +17,14 @@
 //!
 //! # Example
 //!
-//! Two workers claim tasks, each folding what it maps into its own partial,
-//! and the shared tail buckets, reduces and merges the partials:
+//! Two workers claim tasks, each collecting what it maps — every key carrying
+//! its hash — into its own partial, and the shared tail buckets, reduces and
+//! merges the partials:
 //!
 //! ```
-//! use mr_core::{task_ranges_for, Emitter, MapReduceJob};
+//! use mr_core::{task_ranges_for, Emitter, HasherKind, MapReduceJob};
 //! use phoenix_mr::{phases, TaskQueues};
+//! use ramr_containers::Hashed;
 //!
 //! struct CharCount;
 //! impl MapReduceJob for CharCount {
@@ -44,12 +46,12 @@
 //! let mut partials = vec![Vec::new(), Vec::new()];
 //! for (worker, partial) in partials.iter_mut().enumerate() {
 //!     while let Some(task) = queues.claim(worker) {
-//!         let mut sink = |key, value| partial.push((key, value));
+//!         let mut sink = |key, value| partial.push((Hashed::wrap(HasherKind::Fx, key), value));
 //!         CharCount.map(&input[task.start..task.end], &mut Emitter::new(&mut sink));
 //!     }
 //! }
-//! let buckets = phases::bucket_by_key::<CharCount>(partials, 2);
-//! let runs = phases::reduce_parallel(&CharCount, buckets, phases::reduce_bucket)?;
+//! let buckets = phases::bucket_by_key_hashed::<CharCount>(partials, 2);
+//! let runs = phases::reduce_parallel(&CharCount, buckets, phases::reduce_bucket_hashed)?;
 //! let output = phases::merge_sorted_runs(runs);
 //! assert_eq!(output.first(), Some(&('a', 5)));
 //! # Ok::<(), mr_core::RuntimeError>(())

@@ -6,7 +6,7 @@
 //! per-thread containers.
 //!
 //! Reduce and merge *sort once and never merge*: the output must be
-//! key-sorted anyway, so [`bucket_by_key`] splits the key range (not the
+//! key-sorted anyway, so [`bucket_by_key_hashed`] splits the key range (not the
 //! hash space) over the reducers, each reducer sorts its bucket and folds
 //! adjacent equal keys, and [`merge_sorted_runs`] concatenates. Nothing here
 //! hashes a key or builds a table; the hash a [`Hashed`] key carries is for
@@ -44,14 +44,7 @@ const SAMPLES_PER_BUCKET: usize = 128;
 ///
 /// Returns exactly `num_reducers` buckets — or a single one under 16 Ki
 /// pairs in total, which keeps a small job's reduce on the calling thread.
-pub fn bucket_by_key<J: MapReduceJob>(
-    partials: Vec<Pairs<J>>,
-    num_reducers: usize,
-) -> Vec<Pairs<J>> {
-    bucket_by_range(partials, num_reducers, |pair| &pair.0)
-}
-
-/// [`bucket_by_key`] for pre-hashed pairs; the hashes ride along unread.
+/// The hashes the keys carry ride along unread.
 pub fn bucket_by_key_hashed<J: MapReduceJob>(
     partials: Vec<HashedPairs<J>>,
     num_reducers: usize,
@@ -176,7 +169,7 @@ pub fn reduce_bucket_hashed<J: MapReduceJob>(job: &J, bucket: HashedPairs<J>) ->
 /// ([`reduce_bucket`] or [`reduce_bucket_hashed`]), returning per-bucket
 /// key-sorted outputs. The calling thread reduces the first bucket itself
 /// and spawns a thread for each of the others, so the single bucket of a
-/// small job (see [`bucket_by_key`]) spawns nothing.
+/// small job (see [`bucket_by_key_hashed`]) spawns nothing.
 ///
 /// # Errors
 ///
@@ -205,7 +198,7 @@ pub fn reduce_parallel<J: MapReduceJob, B: Send>(
 }
 
 /// Concatenates range-ordered, key-sorted runs into one key-sorted vector
-/// (the merge phase). The contract is what [`bucket_by_key`] +
+/// (the merge phase). The contract is what [`bucket_by_key_hashed`] +
 /// [`reduce_parallel`] produce: every key of run `i` is strictly below every
 /// key of run `i + 1`, so there is nothing to interleave. Only the boundaries
 /// between non-empty runs are checked (O(runs) compares); order inside a run
@@ -407,7 +400,8 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig { cases: 40, ..Default::default() })]
 
         /// bucket → reduce → merge equals a `BTreeMap` fold for arbitrary
-        /// partials, through the plain and the hashed entry points.
+        /// partials, through both reduce entry points: the hashed one, and
+        /// the plain one over the same buckets with their hashes shed.
         #[test]
         fn pipeline_equals_a_btreemap_fold(
             seed in proptest::prelude::any::<u64>(),
@@ -431,13 +425,15 @@ mod tests {
             }
             let oracle: Vec<(u64, u64)> = oracle.into_iter().map(|(k, v)| (k, v * 10)).collect();
 
-            let buckets = bucket_by_key::<Sum>(partials.clone(), num_reducers);
-            assert_range_ordered(&spans(&buckets, |p| p.0), total, num_reducers);
-            let merged = merge_sorted_runs(reduce_parallel(&Sum, buckets, reduce_bucket).unwrap());
-            proptest::prop_assert_eq!(&merged, &oracle);
-
             let buckets = bucket_by_key_hashed::<Sum>(hashed(&partials), num_reducers);
             assert_range_ordered(&spans(&buckets, |p| *p.0.key()), total, num_reducers);
+            let plain: Vec<Pairs<Sum>> = buckets
+                .iter()
+                .map(|bucket| bucket.iter().map(|(k, v)| (*k.key(), *v)).collect())
+                .collect();
+            let merged = merge_sorted_runs(reduce_parallel(&Sum, plain, reduce_bucket).unwrap());
+            proptest::prop_assert_eq!(&merged, &oracle);
+
             let merged = merge_sorted_runs(reduce_parallel(&Sum, buckets, reduce_bucket_hashed).unwrap());
             proptest::prop_assert_eq!(&merged, &oracle);
         }
@@ -445,10 +441,10 @@ mod tests {
 
     #[test]
     fn sampled_splitters_balance_the_buckets() {
-        let partials = partials_from(7, 2, 20_000, u64::MAX);
+        let partials = hashed(&partials_from(7, 2, 20_000, u64::MAX));
         for num_reducers in [2, 4, 7] {
             let even = 40_000 / num_reducers;
-            for bucket in bucket_by_key::<Sum>(partials.clone(), num_reducers) {
+            for bucket in bucket_by_key_hashed::<Sum>(partials.clone(), num_reducers) {
                 assert!(
                     (even * 3 / 4..even * 5 / 4).contains(&bucket.len()),
                     "{num_reducers} reducers: a bucket of {} against an even share of {even}",

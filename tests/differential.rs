@@ -18,7 +18,10 @@ use mr_apps::{
     AppKind, Histogram, KmeansState, LinearRegression, MatrixMultiply, PcaCovJob, PcaMeanJob,
     WordCount, WordCountString,
 };
-use mr_core::{task_ranges_for, Emitter, JobOutput, MapReduceJob, MrKey, RuntimeConfig};
+use mr_core::{
+    task_ranges_for, ContainerKind, Emitter, JobOutput, MapReduceJob, MrKey, RuntimeConfig,
+    RuntimeError,
+};
 use ramr::{Backend, Engine};
 
 const SCALE: u64 = 20_000;
@@ -347,4 +350,27 @@ fn stressed_containers_agree_too() {
     cfg.container = AppKind::Histogram.stressed_container();
     cfg.fixed_capacity = Some(768);
     agree_exactly(&Histogram, &input, cfg);
+}
+
+#[test]
+fn an_unusable_container_fails_every_backend_even_on_empty_input() {
+    // The array container needs a key space and word count declares none.
+    // Every backend must refuse the job before it maps a line, so that an
+    // empty input fails exactly as a non-empty one does, and never returns
+    // an empty output.
+    let mut cfg = config(AppKind::WordCount);
+    cfg.container = ContainerKind::Array;
+    cfg.fixed_capacity = None;
+    for backend in Backend::ALL {
+        let mut session = backend.session::<WordCount>(cfg.clone()).unwrap();
+        for input in [Vec::new(), vec!["one line of words".to_string()]] {
+            let result = session.submit(&WordCount, &input);
+            assert!(
+                matches!(result, Err(RuntimeError::UnsupportedContainer(_))),
+                "{backend} on {} line(s): {:?}",
+                input.len(),
+                result.map(|outcome| outcome.output.pairs.len())
+            );
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! The Phoenix++ baseline is a session with no combiners (DESIGN §6r): its
 //! workers fold what they map on the mapping thread, into containers the
 //! session keeps, and it shares caller-runs, fault handling, reduce and
-//! merge with RAMR's session. What a single job reports is checked next to
-//! `fold_loop`, in the `ramr` crate's unit tests.
+//! merge with RAMR's session: a worker is a `Role` with no queue ends, running
+//! the one `fold_loop` that mappers and combiners also run. What a single job
+//! reports is checked next to that loop, in the `ramr` crate's unit tests.
 //!
 //! This binary scans its own process for pool threads by name, so every test
 //! holds [`serial`] for its whole body: no other test's pool can show up in

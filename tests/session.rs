@@ -160,7 +160,7 @@ fn a_skipped_poison_job_leaves_the_session_usable() {
 #[test]
 fn rapid_static_epochs_never_lose_pairs_to_stale_queue_state() {
     // Regression: the static mapper worker used to call `finish` a second
-    // time after `mapper_loop`'s own close. When its combiner had already
+    // time after the role loop's own close of its write-end. When its combiner had already
     // observed closed+empty, drained and *reopened* the queue for the next
     // epoch, the redundant close left a stale closed flag behind — and the
     // next epoch's combiner could exit early and silently drop pairs.
