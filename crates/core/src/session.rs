@@ -4,8 +4,8 @@
 //! Spawning and pinning the pool threads and allocating every SPSC queue is
 //! a fixed bill; for many short jobs back to back it dominates.
 //! [`EngineSession`] pays it once: workers are spawned (and pinned, via the
-//! `ramr-topology` placement plan) at construction, park on a condvar
-//! between jobs, and the SPSC queues are *reset* (re-armed via
+//! `ramr-topology` placement plan) at construction, park between jobs,
+//! and the SPSC queues are *reset* (re-armed via
 //! [`Producer::finish`]/[`Consumer::reopen`]) rather than reallocated. A
 //! fresh run ([`Engine::submit`](crate::Engine::submit)) is the degenerate
 //! stream: a session opened, used for one epoch and dropped.
@@ -46,13 +46,14 @@
 //! 1. The coordinator (the thread calling `submit`) builds a [`JobFrame`] on
 //!    its own stack — task queues, per-job telemetry cells, fault log,
 //!    error slot — arms the done-counter with the number of pooled threads,
-//!    and publishes the frame pointer together with the bumped epoch under
-//!    the state mutex.
+//!    stores the frame pointer, bumps the epoch (`Release`) and unparks
+//!    every pooled thread.
 //! 2. Workers wake, run exactly one job's worth of the one role loop
 //!    ([`fold_loop`] over their [`Role`]'s queue ends, hosted by the one
 //!    [`epoch_worker`] skeleton), close their write-ends with `finish` (not
-//!    drop), and decrement the done-counter. The coordinator meanwhile runs
-//!    mapper 0 through the same [`run_role`] body.
+//!    drop), and decrement the done-counter; the one whose decrement reaches
+//!    zero unparks the submitter. The coordinator meanwhile runs mapper 0
+//!    through the same [`run_role`] body.
 //! 3. `submit` returns — or unwinds, see [`with_epoch`] — only after the
 //!    counter hits zero, so the frame — and the `&J`/`&[J::Input]` borrows
 //!    smuggled through it — never outlives the epoch. Combiners re-arm
@@ -64,13 +65,20 @@
 //! jobs; the epoch counter is the generation stamp that keeps a stale
 //! worker from ever touching a newer job's frame.
 //!
+//! Both waits — a worker's for the next epoch, the submitter's for the
+//! counter — are `thread::park` on an atomic of our own, with no timeout.
+//! An unpark that lands before its park leaves a token, so none is lost.
+//! A pooled combiner also parks on its rings' doorbells, and the two waits
+//! share each thread's one token: a stale unpark from either can end the
+//! other wait early, so every wait loop re-checks its condition.
+//!
 //! [`Producer::finish`]: ramr_spsc::Producer::finish
 //! [`Consumer::reopen`]: ramr_spsc::Consumer::reopen
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{JoinHandle, Thread};
 
 use mr_core::{
     task_ranges_for, JobOutput, MapReduceJob, PhaseKind, PhaseStats, PhaseTimer, PinningPolicyKind,
@@ -91,7 +99,11 @@ use crate::runtime::{
 
 /// Everything one job (epoch) shares with the parked worker pools. Lives on
 /// the coordinator's stack for exactly the duration of one `submit`; workers
-/// reach it through the raw pointer published in [`SessionState`].
+/// reach it through the raw pointer published in [`SessionShared::frame`].
+///
+/// Sharing `&JobFrame` across threads is sound although the raw pointers
+/// keep it from being `Sync` by itself: `J: MapReduceJob` implies `J: Sync`
+/// and `J::Input: Sync`, and every other field is `Sync`.
 struct JobFrame<J: MapReduceJob> {
     /// The job under execution, smuggled as a raw pointer: `submit` neither
     /// returns nor unwinds until every worker is done with the epoch (see
@@ -122,6 +134,8 @@ struct JobFrame<J: MapReduceJob> {
     /// Combined partial results (hashes still attached), pushed by
     /// whichever worker produced them.
     partials: Mutex<Vec<phases::HashedPairs<J>>>,
+    /// The thread that called `submit`, which the last worker done unparks.
+    submitter: Thread,
 }
 
 impl<J: MapReduceJob> JobFrame<J> {
@@ -138,88 +152,60 @@ impl<J: MapReduceJob> JobFrame<J> {
     }
 }
 
-/// A copyable handle to the current epoch's frame.
-///
-/// Send is sound because every field of [`JobFrame`] reachable through the
-/// pointer is `Sync` (`J: MapReduceJob` implies `J: Sync` and
-/// `J::Input: Sync`; the rest are atomics, mutexes and telemetry cells),
-/// and the epoch protocol guarantees the pointee outlives every
-/// dereference.
-struct FramePtr<J: MapReduceJob>(*const JobFrame<J>);
-
-impl<J: MapReduceJob> Clone for FramePtr<J> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<J: MapReduceJob> Copy for FramePtr<J> {}
-// SAFETY: see the type's documentation — workers only ever share `&JobFrame`.
-unsafe impl<J: MapReduceJob> Send for FramePtr<J> {}
-
-/// Coordinator-written, worker-read epoch state.
-struct SessionState<J: MapReduceJob> {
-    /// Generation counter: bumped once per submit. A worker only acts on an
-    /// epoch strictly newer than the last one it completed.
-    epoch: u64,
-    shutdown: bool,
-    frame: Option<FramePtr<J>>,
-}
-
 /// State shared between the coordinator and the persistent workers.
 struct SessionShared<J: MapReduceJob> {
     config: RuntimeConfig,
     /// The combiner pool's size: `config.num_combiners`, or 0 for a Phoenix
     /// session, whose mappers fold what they map.
     combiners: usize,
-    state: Mutex<SessionState<J>>,
-    /// Signalled when a new epoch is published or shutdown is requested.
-    start: Condvar,
-    /// Workers still busy with the current epoch.
-    busy: Mutex<usize>,
-    /// Signalled when `busy` reaches zero.
-    done: Condvar,
-}
-
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // Session mutexes guard plain counters and pointers — no user code runs
-    // under them — so a poisoned guard still holds valid state.
-    r.unwrap_or_else(PoisonError::into_inner)
+    /// The current epoch's frame, null between epochs. Stored before the
+    /// epoch is bumped and read after it, so `epoch` publishes it.
+    frame: AtomicPtr<JobFrame<J>>,
+    /// Generation counter: bumped (`Release`) once per submit. A worker
+    /// only acts on an epoch strictly newer than the last one it completed.
+    epoch: AtomicU64,
+    shutdown: AtomicBool,
+    /// Pooled threads still busy with the current epoch.
+    busy: AtomicUsize,
 }
 
 impl<J: MapReduceJob> SessionShared<J> {
     /// Parks until an epoch newer than `last` is published (returning its
     /// frame) or the session shuts down (returning `None`).
-    fn next_epoch(&self, last: &mut u64) -> Option<FramePtr<J>> {
-        let mut st = relock(self.state.lock());
+    fn next_epoch(&self, last: &mut u64) -> Option<*const JobFrame<J>> {
         loop {
-            if st.shutdown {
+            if self.shutdown.load(Ordering::Acquire) {
                 return None;
             }
-            if st.epoch > *last {
-                *last = st.epoch;
-                return Some(st.frame.expect("a published epoch always carries a frame"));
+            let epoch = self.epoch.load(Ordering::Acquire);
+            if epoch > *last {
+                *last = epoch;
+                return Some(self.frame.load(Ordering::Relaxed));
             }
-            st = relock(self.start.wait(st));
-        }
-    }
-
-    /// Marks this worker done with the current epoch.
-    fn worker_done(&self) {
-        let mut busy = relock(self.busy.lock());
-        *busy -= 1;
-        if *busy == 0 {
-            self.done.notify_all();
+            std::thread::park();
         }
     }
 
     fn wait_all_done(&self) {
-        let mut busy = relock(self.busy.lock());
-        while *busy > 0 {
-            busy = relock(self.done.wait(busy));
+        while self.busy.load(Ordering::Acquire) > 0 {
+            std::thread::park();
         }
     }
+
+    /// Retires the pool: every pooled thread sees the flag at its next
+    /// wait (no epoch may be in flight) and is joined.
+    fn shut_down(&self, handles: &mut Vec<JoinHandle<()>>) {
+        self.shutdown.store(true, Ordering::Release);
+        wake(handles);
+        for handle in handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Unparks every pooled thread, after the store it should see.
+fn wake(handles: &[JoinHandle<()>]) {
+    handles.iter().for_each(|handle| handle.thread().unpark());
 }
 
 /// Where Phoenix worker `w` runs under `pinning`: Phoenix's own policy
@@ -403,10 +389,10 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         let shared = Arc::new(SessionShared {
             config: config.clone(),
             combiners,
-            state: Mutex::new(SessionState { epoch: 0, shutdown: false, frame: None }),
-            start: Condvar::new(),
-            busy: Mutex::new(0),
-            done: Condvar::new(),
+            frame: AtomicPtr::new(std::ptr::null_mut()),
+            epoch: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            busy: AtomicUsize::new(0),
         });
 
         // Every role in progress-board order: mappers (or workers), then
@@ -453,13 +439,9 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
 
         if let Err(e) = spawned {
             // A partial pool is useless and must not leak: the workers that
-            // did spawn are parked on the start condvar (no epoch was ever
-            // published), so the shutdown flag wakes and retires them.
-            relock(shared.state.lock()).shutdown = true;
-            shared.start.notify_all();
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
+            // did spawn wait for a first epoch that never comes, so the
+            // shutdown flag and an unpark retire them.
+            shared.shut_down(&mut handles);
             return Err(e);
         }
         Ok(Self { backend, shared, handles, plan, machine, labels, caller, jobs_run: 0 })
@@ -555,7 +537,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         let pin = CallerPin::enter(config.pin_os_threads, self.caller.slot);
         let stalled = std::thread::scope(|scope| {
             let caller = CallerRole { role: &mut self.caller, job, input };
-            let watchdog = with_epoch(&self.shared, &frame, caller, || {
+            let watchdog = with_epoch(&self.shared, &self.handles, &frame, caller, || {
                 config.watchdog.map(|period| {
                     let board = frame.board.as_ref().expect("board exists when watchdog armed");
                     let labels = &self.labels;
@@ -671,17 +653,14 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             helper_cells: fresh_cells(combiners),
             spilled: (0..config.num_workers).map(|_| AtomicU64::new(0)).collect(),
             partials: Mutex::new(Vec::new()),
+            submitter: std::thread::current(),
         }
     }
 }
 
 impl<J: MapReduceJob + 'static> Drop for EngineSession<J> {
     fn drop(&mut self) {
-        relock(self.shared.state.lock()).shutdown = true;
-        self.shared.start.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.shared.shut_down(&mut self.handles);
     }
 }
 
@@ -705,6 +684,7 @@ impl<J: MapReduceJob + 'static> Drop for EngineSession<J> {
 /// only a role it still holds, and gives the role up before running it.
 fn with_epoch<J: MapReduceJob, R>(
     shared: &SessionShared<J>,
+    handles: &[JoinHandle<()>],
     frame: &JobFrame<J>,
     caller: CallerRole<'_, J>,
     supervise: impl FnOnce() -> R,
@@ -733,21 +713,18 @@ fn with_epoch<J: MapReduceJob, R>(
             }
             self.shared.wait_all_done();
             self.frame.watchdog_done.store(true, Ordering::Release);
-            relock(self.shared.state.lock()).frame = None;
+            self.shared.frame.store(std::ptr::null_mut(), Ordering::Relaxed);
         }
     }
 
     // Arm the done-counter BEFORE publishing the epoch: a worker that
     // finishes instantly must find the counter already counting it. It
     // counts the pooled threads only; the caller's role ends before the
-    // guard waits.
-    *relock(shared.busy.lock()) = shared.config.num_workers + shared.combiners - 1;
-    {
-        let mut st = relock(shared.state.lock());
-        st.epoch += 1;
-        st.frame = Some(FramePtr(frame));
-    }
-    shared.start.notify_all();
+    // guard waits. The epoch's Release publishes both Relaxed stores.
+    shared.busy.store(shared.config.num_workers + shared.combiners - 1, Ordering::Relaxed);
+    shared.frame.store(std::ptr::from_ref(frame).cast_mut(), Ordering::Relaxed);
+    shared.epoch.fetch_add(1, Ordering::Release);
+    wake(handles);
     let mut guard = EpochGuard { shared, frame, caller: Some(caller), supervised: false };
     let out = supervise();
     if let Some(CallerRole { role, job, input }) = guard.caller.take() {
@@ -889,10 +866,14 @@ fn epoch_worker<J: MapReduceJob>(shared: &SessionShared<J>, mut role: Role<J>) {
         // is zero again — `with_epoch`'s guard. This thread decrements
         // `busy` only at the bottom of this iteration, after its last use
         // of `frame`, `job` and `input`.
-        let frame = unsafe { &*ptr.0 };
+        let frame = unsafe { &*ptr };
         let (job, input) = unsafe { (frame.job(), frame.input()) };
         run_role(&shared.config, frame, job, input, &mut role);
-        shared.worker_done();
+        // Cloned first: once `busy` is zero the frame may be gone.
+        let submitter = frame.submitter.clone();
+        if shared.busy.fetch_sub(1, Ordering::AcqRel) == 1 {
+            submitter.unpark();
+        }
     }
 }
 
@@ -922,7 +903,9 @@ fn run_role<J: MapReduceJob>(
     let result = catch_unwind(AssertUnwindSafe(|| role.run(config, &epoch)));
     role.settle(result.is_err());
     match result {
-        Ok(Ok(Some(pairs))) => relock(frame.partials.lock()).push(pairs),
+        Ok(Ok(Some(pairs))) => {
+            frame.partials.lock().unwrap_or_else(PoisonError::into_inner).push(pairs)
+        }
         Ok(Ok(None)) => {}
         Ok(Err(e)) => frame.errors.record(e),
         Err(panic) => {
@@ -1001,7 +984,7 @@ mod tests {
         let frame = session.frame_for(&job, &input, tasks);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let caller = CallerRole { role: &mut session.caller, job: &job, input: &input };
-            with_epoch(&session.shared, &frame, caller, || {
+            with_epoch(&session.shared, &session.handles, &frame, caller, || {
                 while job.entered.load(Ordering::SeqCst) == 0 {
                     std::thread::yield_now();
                 }
@@ -1010,8 +993,8 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(job.inside.load(Ordering::SeqCst), 0);
-        assert_eq!(*relock(session.shared.busy.lock()), 0);
-        assert!(relock(session.shared.state.lock()).frame.is_none());
+        assert_eq!(session.shared.busy.load(Ordering::SeqCst), 0);
+        assert!(session.shared.frame.load(Ordering::SeqCst).is_null());
         drop(frame);
 
         // The same pools serve the next job, exactly.
@@ -1046,12 +1029,12 @@ mod tests {
                 let frame = session.frame_for(&job, &input, tasks);
                 let caller = CallerRole { role: &mut session.caller, job: &job, input: &input };
                 let unwound = catch_unwind(AssertUnwindSafe(|| {
-                    with_epoch(&session.shared, &frame, caller, || {
+                    with_epoch(&session.shared, &session.handles, &frame, caller, || {
                         panic!("supervisor exploded at once")
                     })
                 }));
                 assert!(unwound.is_err(), "{case}");
-                assert_eq!(*relock(session.shared.busy.lock()), 0, "{case}");
+                assert_eq!(session.shared.busy.load(Ordering::SeqCst), 0, "{case}");
                 drop(frame);
 
                 let out = session.submit(&job, &input).unwrap().output;

@@ -52,7 +52,7 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -105,18 +105,22 @@ impl Default for BackoffPolicy {
 /// store — the waiter skips the park or the ringer unparks it. (SNIPPETS.md
 /// snippet 2, an atomic next to an `UnsafeCell` with the orderings commented
 /// out, is this bug class.) A ring that lands after the waiter already woke
-/// leaves a stale `unpark` token, which only makes one later park return
-/// early; every wait loop re-checks its condition.
+/// leaves a stale `unpark` token, which only makes the thread's next park
+/// return early, this wait's or another's (a session's epoch wait): every
+/// wait loop re-checks its condition.
+///
+/// The waiter is one thread, bound by the consumer's first `arm`. `ring`
+/// reads that slot only after its `Acquire` load of `waiting` has seen
+/// `arm`'s `Release` store, so our own atomic publishes it.
 struct Doorbell {
     /// On its own cache line: the ringer loads it once per block published,
     /// the waiter writes it on the slow path only.
     waiting: CachePadded<AtomicBool>,
     /// The buffered count below which a ring would only buy a wake-up that
-    /// parks again. Written before `waiting`
-    /// (Release), read after it (Acquire).
+    /// parks again. Written before `waiting` (Release), read after it (Acquire).
     need: AtomicUsize,
-    /// The parked thread; touched on the slow path only.
-    thread: Mutex<Option<Thread>>,
+    /// The consumer's thread, bound by its first wait.
+    thread: OnceLock<Thread>,
 }
 
 impl Doorbell {
@@ -124,14 +128,18 @@ impl Doorbell {
         Self {
             waiting: CachePadded(AtomicBool::new(false)),
             need: AtomicUsize::new(0),
-            thread: Mutex::new(None),
+            thread: OnceLock::new(),
         }
     }
 
     /// Waiter, step one of `arm` → `fence(SeqCst)` → re-check → park →
     /// `disarm`.
     fn arm(&self, need: usize) {
-        *self.thread.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
+        let bound = self.thread.get_or_init(std::thread::current);
+        assert!(
+            bound.id() == std::thread::current().id(),
+            "a ring's consumer must wait on the thread that first waited on it"
+        );
         self.need.store(need, Ordering::Relaxed);
         self.waiting.store(true, Ordering::Release);
     }
@@ -149,7 +157,7 @@ impl Doorbell {
             && count() >= self.need.load(Ordering::Relaxed)
             && self.waiting.swap(false, Ordering::Relaxed)
         {
-            if let Some(thread) = &*self.thread.lock().unwrap_or_else(PoisonError::into_inner) {
+            if let Some(thread) = self.thread.get() {
                 thread.unpark();
             }
         }
@@ -166,7 +174,8 @@ struct Inner<T> {
     /// "empty for now" from "empty forever".
     closed: AtomicBool,
     /// Rung by the producer when it publishes or closes; the consumer parks
-    /// on it. A producer never waits, so this is the ring's one handshake.
+    /// on it, always on one thread. A producer never waits, so this is the
+    /// ring's one handshake.
     data: Doorbell,
 }
 
@@ -575,6 +584,12 @@ impl<T: Send> Consumer<T> {
     ///
     /// Pass only queues that still owe data: one that was already seen
     /// closed and drained would make every call return at once.
+    ///
+    /// # Panics
+    ///
+    /// If a consumer in `consumers` has waited before on another thread:
+    /// its producer rings that thread, so a consumer waits on one thread for
+    /// its whole life.
     pub fn wait_any(consumers: &[Self], batch: usize, ceiling: Duration) {
         for rx in consumers {
             rx.inner.data.arm(batch);
@@ -1054,6 +1069,32 @@ mod tests {
         tx.finish();
         consumer.join().unwrap();
         assert!(!tx.consumer_parked(), "the close rang and the consumer disarmed");
+    }
+
+    #[test]
+    fn a_consumer_waits_on_the_thread_that_first_waited() {
+        let (mut tx, rx) = SpscQueue::<u32>::with_capacity(8).split();
+        let consumer = std::thread::spawn(move || {
+            let rx = [rx];
+            while rx[0].is_empty() {
+                Consumer::wait_any(&rx, 1, Duration::from_secs(10));
+            }
+            rx
+        });
+        while !tx.consumer_parked() {
+            std::hint::spin_loop();
+        }
+        tx.try_push(1).unwrap();
+        let rx = consumer.join().unwrap();
+        assert!(!tx.consumer_parked(), "the push rang and the consumer disarmed");
+
+        // Moved to this thread, the consumer would park where its producer
+        // never rings.
+        let wait_here = || Consumer::wait_any(&rx, 1, Duration::ZERO);
+        let moved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(wait_here));
+        let message = *moved.expect_err("a wait on another thread").downcast::<&str>().unwrap();
+        assert_eq!(message, "a ring's consumer must wait on the thread that first waited on it");
+        assert!(!tx.consumer_parked(), "the refused wait armed nothing");
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn uncapped_iterate_stops_at_the_rounds_cap_unconverged() {
 
 #[test]
 fn a_never_converging_iterate_stops_unconverged_after_64_rounds() {
-    let input = docs(200);
+    let input = docs(4_000);
     let plan =
         Pipeline::iterate(InvertedIndex, |_job, _out| f64::INFINITY /* never converges */);
     let outcome = Backend::RamrStatic.engine(config()).unwrap().pipeline(plan, &input).unwrap();

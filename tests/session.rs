@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use mr_apps::WordCount;
 use mr_core::{task_ranges_for, ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
-use ramr::{Backend, JobScheduler};
+use ramr::{Backend, EngineSession, JobScheduler};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 use ramr_telemetry::{FaultMetrics, ThreadRole};
 
@@ -513,5 +513,83 @@ fn big_tiny_big_word_counts_are_exact_on_one_session() {
         }
         let out = session.submit(&WordCount, input).unwrap().output;
         assert_eq!(out.pairs, expected, "round {round}");
+    }
+}
+
+/// Opens a `Tally` session of `workers` mappers (or Phoenix workers) and
+/// `combiners` combiners, cutting every element into a task of its own.
+fn tally_session(backend: Backend, (workers, combiners): (usize, usize)) -> EngineSession<Tally> {
+    let cfg = RuntimeConfig::builder()
+        .num_workers(workers)
+        .num_combiners(combiners)
+        .task_size(1)
+        .container(ContainerKind::Hash)
+        .build()
+        .unwrap();
+    backend.session(cfg).unwrap()
+}
+
+/// Submit number `submit` of a stream of 0-, 1- and 3-element jobs, checked
+/// exactly.
+fn tiny_submit(session: &mut EngineSession<Tally>, submit: usize) {
+    let (input, expected): (&[u64], &[(u64, u64)]) = match submit % 3 {
+        0 => (&[], &[]),
+        1 => (&[7], &[(7, 1)]),
+        _ => (&[2, 1, 2], &[(1, 1), (2, 2)]),
+    };
+    let out = session.submit(&Tally { reduce_panics: false }, input).unwrap().output;
+    assert_eq!(out.pairs, expected, "{:?}, submit {submit}", session.backend());
+}
+
+#[test]
+fn back_to_back_epochs_never_lose_a_wake_up() {
+    // An epoch's waits park with no timeout: a pooled thread waits for the
+    // next epoch, the submitter for the last one done. A lost wake-up is a
+    // hang, so the cases run on a thread of their own behind a deadline.
+    // Tiny inputs make each epoch a bare wake, run and hand-back.
+    let (done, finished) = std::sync::mpsc::channel();
+    let cases = std::thread::spawn(move || {
+        for (backend, threads) in [
+            (Backend::RamrStatic, (1, 1)),
+            (Backend::RamrStatic, (3, 2)),
+            (Backend::Phoenix, (2, 1)),
+            (Backend::Phoenix, (4, 1)),
+        ] {
+            let mut session = tally_session(backend, threads);
+            for submit in 0..2_000 {
+                tiny_submit(&mut session, submit);
+            }
+            // Shutdown before any epoch, and right after a single one.
+            drop(tally_session(backend, threads));
+            let mut session = tally_session(backend, threads);
+            tiny_submit(&mut session, 2);
+            drop(session);
+
+            // Submits that alternate between two threads: each epoch must
+            // wake the thread that submitted it, not the session's first.
+            std::thread::scope(|s| {
+                let (to_a, at_a) = std::sync::mpsc::channel();
+                let (to_b, at_b) = std::sync::mpsc::channel();
+                for (inbox, outbox, first) in [(at_a, to_b, 0), (at_b, to_a.clone(), 1)] {
+                    s.spawn(move || {
+                        for submit in (first..200).step_by(2) {
+                            let mut session = inbox.recv().unwrap();
+                            tiny_submit(&mut session, submit);
+                            // The last hand-off finds the other side gone.
+                            let _ = outbox.send(session);
+                        }
+                    });
+                }
+                to_a.send(tally_session(backend, threads)).unwrap();
+            });
+        }
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        // A failed assertion drops the sender: re-raise it from here.
+        Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => cases.join().unwrap(),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("back-to-back epochs did not all end within 60 s: a wake-up was lost")
+        }
     }
 }
