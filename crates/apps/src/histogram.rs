@@ -28,7 +28,7 @@ pub struct Pixel {
 pub struct Histogram;
 
 /// Number of histogram bins (keys).
-pub const HISTOGRAM_BINS: usize = 768;
+const HISTOGRAM_BINS: usize = 768;
 
 impl MapReduceJob for Histogram {
     type Input = Pixel;

@@ -172,7 +172,7 @@ pub const DEFAULT_SCALE: u64 = 2000;
 pub const KMEANS_CLUSTERS: usize = 64;
 
 /// Vocabulary size for the Word Count generator.
-pub const WC_VOCABULARY: usize = 5_000;
+const WC_VOCABULARY: usize = 5_000;
 
 fn seed_for(app: AppKind, platform: Platform, flavor: InputFlavor) -> u64 {
     // Stable, spec-dependent seed.

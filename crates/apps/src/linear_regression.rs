@@ -81,25 +81,6 @@ impl MapReduceJob for LinearRegression {
     }
 }
 
-/// Derives the least-squares slope and intercept from reduced sums.
-///
-/// `n` is the number of points; `sums` maps each [`LrStat`] to its total.
-/// Returns `(slope, intercept)`, or `None` when the x-variance is zero.
-pub fn fit_line(n: u64, sums: &dyn Fn(LrStat) -> i64) -> Option<(f64, f64)> {
-    let n = n as f64;
-    let sx = sums(LrStat::Sx) as f64;
-    let sy = sums(LrStat::Sy) as f64;
-    let sxx = sums(LrStat::Sxx) as f64;
-    let sxy = sums(LrStat::Sxy) as f64;
-    let denom = n * sxx - sx * sx;
-    if denom == 0.0 {
-        return None;
-    }
-    let slope = (n * sxy - sx * sy) / denom;
-    let intercept = (sy - slope * sx) / n;
-    Some((slope, intercept))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,24 +110,6 @@ mod tests {
         let indices: std::collections::BTreeSet<usize> =
             LrStat::ALL.iter().map(|s| LinearRegression.key_index(s)).collect();
         assert_eq!(indices, (0..5).collect());
-    }
-
-    #[test]
-    fn fit_recovers_exact_line() {
-        // y = 3x + 1 over x in 0..10.
-        let points: Vec<LrPoint> = (0..10).map(|x| LrPoint { x, y: 3 * x + 1 }).collect();
-        let sums = sums_for(&points);
-        let (slope, intercept) =
-            fit_line(points.len() as u64, &|s| sums[&s]).expect("nonzero variance");
-        assert!((slope - 3.0).abs() < 1e-9);
-        assert!((intercept - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fit_rejects_degenerate_input() {
-        let points = vec![LrPoint { x: 5, y: 1 }, LrPoint { x: 5, y: 2 }];
-        let sums = sums_for(&points);
-        assert!(fit_line(2, &|s| sums[&s]).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use ramr_perfmodel::catalog;
 use ramr_topology::MachineModel;
 
 /// The machine model for a Table I platform column.
-pub fn machine_for(platform: Platform) -> MachineModel {
+fn machine_for(platform: Platform) -> MachineModel {
     match platform {
         Platform::Haswell => MachineModel::haswell_server(),
         Platform::XeonPhi => MachineModel::xeon_phi(),
@@ -51,7 +51,7 @@ pub fn unique_keys(app: AppKind, spec: &InputSpec) -> u64 {
 /// paper count directly; matrix rows convert to the number of map tasks the
 /// workload profile is calibrated for (MM: row × 32-wide k-block tasks;
 /// PCA: one task per emitted covariance pair).
-pub fn sim_elements(app: AppKind, spec: &InputSpec) -> u64 {
+fn sim_elements(app: AppKind, spec: &InputSpec) -> u64 {
     match spec.paper {
         PaperQuantity::Bytes(_) | PaperQuantity::Elements(_) => spec.scaled_elements(1),
         PaperQuantity::MatrixDim(d) => {
@@ -66,7 +66,7 @@ pub fn sim_elements(app: AppKind, spec: &InputSpec) -> u64 {
 
 /// Map task size per application (elements per task): matrix apps have
 /// coarse per-element work, streaming apps fine-grained elements.
-pub fn sim_task_size(app: AppKind) -> usize {
+fn sim_task_size(app: AppKind) -> usize {
     match app {
         AppKind::MatrixMultiply => 32,
         AppKind::Pca => 64,

@@ -20,7 +20,7 @@ use crate::fx::fx_hash;
 /// Hashes `key` with the hasher selected by `kind` (the `RAMR_HASHER`
 /// knob): byte-at-a-time FNV-1a or word-at-a-time Fx.
 #[inline]
-pub fn hash_key<T: Hash + ?Sized>(kind: HasherKind, key: &T) -> u64 {
+fn hash_key<T: Hash + ?Sized>(kind: HasherKind, key: &T) -> u64 {
     match kind {
         HasherKind::Fnv => fnv1a_hash(key),
         HasherKind::Fx => fx_hash(key),

@@ -64,7 +64,7 @@ pub use compact_key::CompactKey;
 pub use fnv::{fnv1a_hash, FnvHasher};
 pub use fx::{fx_hash, FxHasher};
 pub use hash::HashContainer;
-pub use hashed::{hash_key, Hashed};
+pub use hashed::Hashed;
 pub use job_container::{HashedJobContainer, KeptContainer, PairFeed};
 
 /// Default cap on distinct keys for the fixed-size hash table when neither

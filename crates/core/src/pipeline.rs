@@ -313,7 +313,7 @@ impl PipelineExec {
     ///
     /// [`RuntimeError::StageFailed`] when the stage's submit fails;
     /// session construction errors propagate unwrapped.
-    pub fn run_stage<J: MapReduceJob + 'static>(
+    fn run_stage<J: MapReduceJob + 'static>(
         &mut self,
         job: &J,
         input: &[J::Input],
@@ -329,7 +329,7 @@ impl PipelineExec {
     /// # Errors
     ///
     /// Same as [`run_stage`](PipelineExec::run_stage).
-    pub fn run_iterate<J, S>(
+    fn run_iterate<J, S>(
         &mut self,
         job: &mut J,
         step: &mut S,

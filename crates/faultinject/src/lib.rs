@@ -138,28 +138,13 @@ impl FaultPlan {
     }
 
     /// The fault bound to `key`, if any (last match wins).
-    pub fn fault_for(&self, key: u64) -> Option<&FaultKind> {
+    fn fault_for(&self, key: u64) -> Option<&FaultKind> {
         self.faults.iter().rev().find(|f| f.key() == key)
     }
 
     /// All faults in the plan, in insertion order.
     pub fn faults(&self) -> &[FaultKind] {
         &self.faults
-    }
-
-    /// Fingerprints of tasks that can never succeed under `max_retries`
-    /// retries — the tasks a skip-poison run is expected to drop.
-    pub fn poisoned_keys(&self, max_retries: u32) -> Vec<u64> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                FaultKind::PanicOnTask { key, fail_attempts } if *fail_attempts > max_retries => {
-                    Some(*key)
-                }
-                FaultKind::HangOnTask { key } => Some(*key),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -376,18 +361,6 @@ mod tests {
         job.map(&[10, 11], &mut emit);
         assert!(out.is_empty(), "a hung task must not emit");
         assert!(cancel.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn poisoned_keys_accounts_for_retry_budget() {
-        let plan = FaultPlan::with_faults(vec![
-            FaultKind::PanicOnTask { key: 1, fail_attempts: 2 },
-            FaultKind::PanicOnTask { key: 2, fail_attempts: u32::MAX },
-            FaultKind::HangOnTask { key: 3 },
-            FaultKind::DelayTask { key: 4, micros: 10 },
-        ]);
-        assert_eq!(plan.poisoned_keys(2), vec![2, 3]);
-        assert_eq!(plan.poisoned_keys(0), vec![1, 2, 3]);
     }
 
     #[test]

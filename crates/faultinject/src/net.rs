@@ -5,7 +5,7 @@
 //! from a seed: added per-chunk delays, tiny-chunk splits (stressing the
 //! protocol's mid-frame patience), truncated streams, dropped
 //! connections, and hard kills mid-frame. The same `(seed, connection
-//! index)` pair always yields the same [`ConnPlan`], so a chaos run that
+//! index)` pair always yields the same plan, so a chaos run that
 //! catches a bug replays bit-identically.
 //!
 //! Kills are budgeted: once `max_kills` cuts have been planned, later
@@ -29,7 +29,7 @@ const PUMP_TICK: Duration = Duration::from_millis(25);
 
 /// How a planned cut severs the connection once its byte budget is hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CutKind {
+enum CutKind {
     /// Sever immediately, before any payload flows (a refused dial).
     Drop,
     /// Stop forwarding client bytes but close the write half cleanly;
@@ -43,29 +43,29 @@ pub enum CutKind {
 /// A planned cut: sever the connection after forwarding `after_bytes`
 /// client-to-server bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cut {
+struct Cut {
     /// Client-to-server bytes forwarded before the cut fires.
-    pub after_bytes: u64,
+    after_bytes: u64,
     /// How the cut severs the stream.
-    pub kind: CutKind,
+    kind: CutKind,
 }
 
 /// The deterministic mutation plan for one proxied connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnPlan {
+struct ConnPlan {
     /// Forwarding chunk size in bytes; small values trickle frames
     /// through byte-at-a-time-ish and exercise mid-frame patience.
-    pub chunk: usize,
+    chunk: usize,
     /// Sleep before each forwarded chunk, in microseconds.
-    pub delay_micros: u64,
+    delay_micros: u64,
     /// The planned cut, if the kill budget allowed one.
-    pub cut: Option<Cut>,
+    cut: Option<Cut>,
 }
 
 /// Draws the plan for connection `index` of a proxy seeded with `seed`.
 /// Pure and deterministic: the same arguments always return the same
 /// plan. `allow_cut` is false once the proxy's kill budget is spent.
-pub fn plan_for(seed: u64, index: u64, allow_cut: bool) -> ConnPlan {
+fn plan_for(seed: u64, index: u64, allow_cut: bool) -> ConnPlan {
     let mut rng = XorShift64::new(
         seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ index.wrapping_add(1).wrapping_mul(0xD134_2543),
     );
@@ -105,7 +105,7 @@ struct ProxyStats {
 
 /// A seeded TCP chaos proxy: listens on an ephemeral local port and
 /// forwards every accepted connection to `upstream` through the
-/// mutations of its per-connection [`ConnPlan`]s.
+/// mutations of its per-connection plans.
 #[derive(Debug)]
 pub struct ChaosProxy {
     addr: SocketAddr,

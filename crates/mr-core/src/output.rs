@@ -17,24 +17,8 @@ pub struct JobOutput<K, V> {
 }
 
 impl<K: MrKey, V: MrValue> JobOutput<K, V> {
-    /// Creates an output from unsorted pairs, sorting them by key.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that keys are unique: one pair per key is an invariant
-    /// the reduce phase must establish.
-    pub fn from_unsorted(mut pairs: Vec<(K, V)>, stats: PhaseStats) -> Self {
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 != w[1].0),
-            "reduce phase must produce one pair per key"
-        );
-        Self { pairs, stats }
-    }
-
     /// Creates an output from pairs that are *already* key-sorted — the
-    /// merge phase's contract — skipping the O(n log n) re-sort
-    /// [`from_unsorted`](Self::from_unsorted) pays.
+    /// merge phase's contract — so nothing is re-sorted.
     ///
     /// # Panics
     ///
@@ -98,14 +82,7 @@ mod tests {
     use super::*;
 
     fn sample() -> JobOutput<u32, u64> {
-        JobOutput::from_unsorted(vec![(3, 30), (1, 10), (2, 20)], PhaseStats::default())
-    }
-
-    #[test]
-    fn sorts_by_key() {
-        let out = sample();
-        let keys: Vec<u32> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, [1, 2, 3]);
+        JobOutput::from_sorted(vec![(1, 10), (2, 20), (3, 30)], PhaseStats::default())
     }
 
     #[test]
@@ -119,8 +96,7 @@ mod tests {
     fn len_and_emptiness() {
         assert_eq!(sample().len(), 3);
         assert!(!sample().is_empty());
-        let empty: JobOutput<u32, u64> =
-            JobOutput::from_unsorted(Vec::new(), PhaseStats::default());
+        let empty: JobOutput<u32, u64> = JobOutput::from_sorted(Vec::new(), PhaseStats::default());
         assert!(empty.is_empty());
     }
 
@@ -136,7 +112,7 @@ mod tests {
     #[should_panic(expected = "one pair per key")]
     #[cfg(debug_assertions)]
     fn duplicate_keys_are_rejected_in_debug() {
-        let _ = JobOutput::from_unsorted(vec![(1u32, 1u64), (1, 2)], PhaseStats::default());
+        let _ = JobOutput::from_sorted(vec![(1u32, 1u64), (1, 2)], PhaseStats::default());
     }
 
     #[test]

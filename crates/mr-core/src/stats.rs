@@ -88,7 +88,7 @@ impl PhaseStats {
     /// reads as a bug in every breakdown line. Floors are assigned first,
     /// then the leftover percentage points go to the phases with the
     /// largest fractional remainders (ties broken by phase order).
-    pub fn percent_shares(&self) -> [u64; 4] {
+    fn percent_shares(&self) -> [u64; 4] {
         let total = self.total().as_nanos();
         let mut shares = [0u64; 4];
         if total == 0 {
@@ -204,8 +204,8 @@ mod tests {
 impl std::fmt::Display for PhaseStats {
     /// One-line breakdown: total plus per-phase share, e.g.
     /// `12.3ms (partition 1%, map-combine 86%, reduce 9%, merge 4%)`.
-    /// Shares come from [`PhaseStats::percent_shares`], so they always sum
-    /// to 100.
+    /// Shares are apportioned by largest remainder, so they always sum to
+    /// 100.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let [partition, map_combine, reduce, merge] = self.percent_shares();
         write!(

@@ -36,5 +36,5 @@ pub mod catalog;
 mod metrics;
 mod profile;
 
-pub use metrics::{characterize, phase_cost, phase_time_ns, PhaseCost, SuitabilityMetrics};
+pub use metrics::{characterize, phase_cost, PhaseCost, SuitabilityMetrics};
 pub use profile::{AccessPattern, PhaseProfile, WorkloadProfile};

@@ -78,12 +78,6 @@ pub(crate) fn phase_stalls(phase: &PhaseProfile, machine: &MachineModel) -> Stal
     Stalls { mem, dependency, lsq }
 }
 
-/// Wall-clock nanoseconds one element of `phase` takes on `machine`:
-/// compute time plus both stall categories.
-pub fn phase_time_ns(phase: &PhaseProfile, machine: &MachineModel) -> f64 {
-    phase_cost(phase, machine).total_ns()
-}
-
 /// Decomposed per-element cost of one phase on one machine.
 ///
 /// The `mrsim` runtime model needs the split, not just the sum: a thread's
@@ -121,16 +115,6 @@ impl PhaseCost {
             0.0
         } else {
             self.compute_ns / total
-        }
-    }
-
-    /// Fraction of the element time stalled (memory or resources).
-    pub fn stall_fraction(&self) -> f64 {
-        let total = self.total_ns();
-        if total == 0.0 {
-            0.0
-        } else {
-            (self.mem_stall_ns + self.resource_stall_ns()) / total
         }
     }
 
@@ -243,7 +227,7 @@ mod tests {
         let m = MachineModel::haswell_server();
         let stalled = phase(AccessPattern::Irregular { working_set_bytes: 1 << 30 }, 0.5);
         let clean = phase(AccessPattern::CacheResident, 0.95);
-        assert!(phase_time_ns(&stalled, &m) > phase_time_ns(&clean, &m) * 2.0);
+        assert!(phase_cost(&stalled, &m).total_ns() > phase_cost(&clean, &m).total_ns() * 2.0);
     }
 
     #[test]
@@ -268,9 +252,10 @@ mod tests {
         let m = MachineModel::haswell_server();
         let p = phase(AccessPattern::Irregular { working_set_bytes: 1 << 22 }, 0.6);
         let cost = phase_cost(&p, &m);
-        assert!((cost.total_ns() - phase_time_ns(&p, &m)).abs() < 1e-9);
+        let parts =
+            cost.compute_ns + cost.mem_stall_ns + cost.dependency_stall_ns + cost.lsq_stall_ns;
+        assert!((cost.total_ns() - parts).abs() < 1e-9);
         assert!(cost.cpu_utilization() > 0.0 && cost.cpu_utilization() < 1.0);
-        assert!((cost.cpu_utilization() + cost.stall_fraction() - 1.0).abs() < 1e-9);
         let doubled = cost.scaled(2.0);
         assert!((doubled.total_ns() - 2.0 * cost.total_ns()).abs() < 1e-9);
     }

@@ -134,7 +134,7 @@ fn cut_ranges<K: Ord, P>(
 /// key, and returns the pairs sorted by key (its contribution to the merge).
 /// Equal keys meet in whatever order the unstable sort leaves them — the
 /// combiner is commutative and associative, as everywhere in the system.
-pub fn reduce_bucket<J: MapReduceJob>(job: &J, mut bucket: Pairs<J>) -> Pairs<J> {
+fn reduce_bucket<J: MapReduceJob>(job: &J, mut bucket: Pairs<J>) -> Pairs<J> {
     bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut pairs = bucket.into_iter();
     let Some(mut open) = pairs.next() else { return Vec::new() };
@@ -159,14 +159,16 @@ pub fn reduce_bucket<J: MapReduceJob>(job: &J, mut bucket: Pairs<J>) -> Pairs<J>
     reduced
 }
 
-/// [`reduce_bucket`] for pre-hashed pairs: sheds the hashes (in place) and
-/// reduces the plain pairs.
+/// Reduces one bucket of pre-hashed pairs: sheds the hashes (in place),
+/// then sorts by key, folds each run of equal keys with the job's combine
+/// function and applies [`MapReduceJob::reduce`] once per key. Returns the
+/// pairs sorted by key.
 pub fn reduce_bucket_hashed<J: MapReduceJob>(job: &J, bucket: HashedPairs<J>) -> Pairs<J> {
     reduce_bucket(job, bucket.into_iter().map(|(key, value)| (key.into_key(), value)).collect())
 }
 
 /// Runs the reduce phase over all buckets in parallel with `reduce`
-/// ([`reduce_bucket`] or [`reduce_bucket_hashed`]), returning per-bucket
+/// (such as [`reduce_bucket_hashed`]), returning per-bucket
 /// key-sorted outputs. The calling thread reduces the first bucket itself
 /// and spawns a thread for each of the others, so the single bucket of a
 /// small job (see [`bucket_by_key_hashed`]) spawns nothing.

@@ -72,7 +72,7 @@ impl TaskQueues {
     }
 
     /// Tasks remaining in one group (approximate under concurrency).
-    pub fn remaining_in(&self, group: usize) -> usize {
+    fn remaining_in(&self, group: usize) -> usize {
         let claimed = self.cursors[group].load(Ordering::Relaxed);
         self.groups[group].len().saturating_sub(claimed)
     }

@@ -38,7 +38,7 @@ use crate::proto::{self, RequestKind, ResponseKind, PROTOCOL_VERSION};
 
 /// Ceiling for the decorrelated-jitter backoff between shed retries in
 /// [`ServeClient::run_job`] and between reconnect attempts.
-pub const BACKOFF_CAP_MS: u64 = 2_000;
+const BACKOFF_CAP_MS: u64 = 2_000;
 
 /// How many completed `request_id`s the client remembers for duplicate
 /// suppression before forgetting the oldest.

@@ -1,4 +1,6 @@
-//! An event-driven simulator of the decoupled map-combine pipeline.
+//! An event-driven simulator of the decoupled map-combine pipeline, built
+//! only for tests: it is the reference the closed-form [`simulate`] is
+//! checked against.
 //!
 //! Where [`simulate`] prices the phase with closed-form steady-state rates,
 //! this module *executes* it: every mapper, combiner and SPSC queue is a
@@ -16,23 +18,6 @@
 //! approximates.
 //!
 //! [`simulate`]: crate::simulate
-//!
-//! # Example
-//!
-//! ```
-//! use mrsim::{des, SimConfig, SimJob};
-//! use mr_apps::AppKind;
-//! use ramr_perfmodel::catalog;
-//! use ramr_topology::MachineModel;
-//!
-//! let job = SimJob {
-//!     profile: catalog::default_profile(AppKind::Histogram),
-//!     input_elements: 100_000,
-//!     unique_keys: 768,
-//! };
-//! let report = des::simulate_event_driven(&job, &SimConfig::ramr(MachineModel::haswell_server()));
-//! assert_eq!(report.pairs_produced, report.pairs_consumed);
-//! ```
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -77,29 +62,29 @@ enum Event {
 
 /// The outcome of an event-driven run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DesReport {
+struct DesReport {
     /// Virtual time at which the last pair was consumed (the map-combine
     /// phase length), ns.
-    pub map_combine_ns: f64,
+    map_combine_ns: f64,
     /// Pairs pushed by all mappers.
-    pub pairs_produced: u64,
+    pairs_produced: u64,
     /// Pairs popped by all combiners.
-    pub pairs_consumed: u64,
+    pairs_consumed: u64,
     /// Number of times a mapper found its queue full and had to wait.
-    pub full_queue_events: u64,
+    full_queue_events: u64,
     /// Per-combiner busy time, ns (the rest is idle/waiting).
-    pub combiner_busy_ns: Vec<f64>,
+    combiner_busy_ns: Vec<f64>,
     /// Per-mapper busy time, ns (production only; waiting excluded).
-    pub mapper_busy_ns: Vec<f64>,
+    mapper_busy_ns: Vec<f64>,
     /// Mapper/combiner pool sizes used.
-    pub mappers: usize,
+    mappers: usize,
     /// Combiner pool size used.
-    pub combiners: usize,
+    combiners: usize,
 }
 
 impl DesReport {
     /// Average combiner utilization over the phase, in `[0, 1]`.
-    pub fn combiner_utilization(&self) -> f64 {
+    fn combiner_utilization(&self) -> f64 {
         if self.map_combine_ns == 0.0 || self.combiner_busy_ns.is_empty() {
             return 0.0;
         }
@@ -135,7 +120,7 @@ struct Mapper {
 ///
 /// Panics if `cfg` fails validation or names the Phoenix runtime (the
 /// baseline has no queue pipeline to simulate).
-pub fn simulate_event_driven(job: &SimJob, cfg: &SimConfig) -> DesReport {
+fn simulate_event_driven(job: &SimJob, cfg: &SimConfig) -> DesReport {
     cfg.validate().expect("invalid simulation configuration");
     assert_eq!(
         cfg.runtime,

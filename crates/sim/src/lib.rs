@@ -58,7 +58,8 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
-pub mod des;
+#[cfg(test)]
+mod des;
 mod engine;
 
 pub use config::{RuntimeKind, SimConfig, SimJob, SimReport};

@@ -48,7 +48,7 @@ pub(crate) fn wide_dataset() -> &'static Arc<Vec<u64>> {
 /// returning a value that depends on every iteration (so the optimizer
 /// cannot elide the work).
 #[inline]
-pub fn cpu_kernel(seed: u64, iters: u32) -> u64 {
+fn cpu_kernel(seed: u64, iters: u32) -> u64 {
     let mut x = (seed as f64).mul_add(1e-9, 1.1);
     for _ in 0..iters {
         // A chain of transcendental operations with a carried dependency.
@@ -63,7 +63,7 @@ pub fn cpu_kernel(seed: u64, iters: u32) -> u64 {
 /// Runs `iters` dependent, non-regular accesses into the wide dataset,
 /// returning the xor of everything read.
 #[inline]
-pub fn memory_kernel(seed: u64, iters: u32) -> u64 {
+fn memory_kernel(seed: u64, iters: u32) -> u64 {
     let data = wide_dataset();
     let mask = (WIDE_DATASET_WORDS - 1) as u64;
     let mut idx = seed & mask;

@@ -40,7 +40,7 @@ mod job;
 mod kernel;
 
 pub use job::SynthJob;
-pub use kernel::{cpu_kernel, memory_kernel, KernelKind, WIDE_DATASET_WORDS};
+pub use kernel::{KernelKind, WIDE_DATASET_WORDS};
 
 use ramr_perfmodel::{AccessPattern, PhaseProfile, WorkloadProfile};
 

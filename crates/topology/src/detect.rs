@@ -26,7 +26,7 @@ pub struct DetectedGeometry {
 /// Returns `None` when the text lacks the `physical id` / `core id` fields
 /// (virtualized environments often omit them) or is internally inconsistent
 /// (logical CPU count not divisible by the core count).
-pub fn parse_cpuinfo(text: &str) -> Option<DetectedGeometry> {
+fn parse_cpuinfo(text: &str) -> Option<DetectedGeometry> {
     let mut logical = 0usize;
     let mut sockets: BTreeSet<u32> = BTreeSet::new();
     let mut cores: BTreeSet<(u32, u32)> = BTreeSet::new();

@@ -52,8 +52,8 @@ mod remap;
 pub use affinity::{current_thread_affinity, set_current_thread_affinity};
 pub use affinity::{pin_current_thread, pinning_supported};
 pub use comm::CommDistance;
-pub use detect::{parse_cpuinfo, DetectedGeometry};
+pub use detect::DetectedGeometry;
 pub use machine::{CacheLatencies, Interconnect, MachineModel};
 pub use mr_core::PinningPolicyKind;
 pub use placement::{CpuSlot, PlacementPlan, ThreadRef};
-pub use remap::{cpu_id_of, physical_position_of, thrid_to_cpu, PhysicalPos};
+pub use remap::{physical_position_of, thrid_to_cpu, PhysicalPos};

@@ -168,17 +168,6 @@ impl MachineModel {
         self.sockets * self.cores_per_socket
     }
 
-    /// Cache capacity effectively private to one hardware thread, in bytes:
-    /// the per-core L1+L2 divided by the SMT ways sharing it.
-    ///
-    /// This is the quantity behind the paper's observation that Xeon Phi
-    /// prefers much smaller batch sizes: 228 threads share 57 L2 slices, so
-    /// each thread sees a far smaller cache share than a Haswell thread.
-    pub fn cache_share_per_thread_bytes(&self) -> u64 {
-        let per_core = (u64::from(self.l1d_kb) + u64::from(self.l2_kb)) * 1024;
-        per_core / self.smt as u64
-    }
-
     /// Nanoseconds to move one cache line between threads at `distance`.
     pub fn transfer_cost_ns(&self, distance: CommDistance) -> f64 {
         match distance {
@@ -243,17 +232,6 @@ mod tests {
     #[test]
     fn fig3_demo_is_sixteen_cpus() {
         assert_eq!(MachineModel::fig3_demo().logical_cpus(), 16);
-    }
-
-    #[test]
-    fn phi_threads_see_smaller_cache_share_than_haswell() {
-        let hwl = MachineModel::haswell_server();
-        let phi = MachineModel::xeon_phi();
-        assert!(
-            phi.cache_share_per_thread_bytes() < hwl.cache_share_per_thread_bytes(),
-            "the paper attributes Phi's smaller optimal batch size to its \
-             smaller per-thread cache share"
-        );
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl PlacementPlan {
     }
 
     /// Communication distance between two slots on this machine.
-    pub fn distance_between(&self, a: CpuSlot, b: CpuSlot) -> CommDistance {
+    fn distance_between(&self, a: CpuSlot, b: CpuSlot) -> CommDistance {
         let (CpuSlot::Pinned(ca), CpuSlot::Pinned(cb)) = (a, b) else {
             return CommDistance::Unpinned;
         };
@@ -202,7 +202,8 @@ impl PlacementPlan {
 
     /// Average per-cache-line transfer cost over all mapper→combiner pairs,
     /// in nanoseconds — the quantity the RAMR policy minimizes.
-    pub fn avg_transfer_cost_ns(&self) -> f64 {
+    #[cfg(test)]
+    fn avg_transfer_cost_ns(&self) -> f64 {
         let total: f64 = (0..self.num_mappers())
             .map(|m| self.machine.transfer_cost_ns(self.mapper_combiner_distance(m)))
             .sum();

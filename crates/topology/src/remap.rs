@@ -38,7 +38,7 @@ pub fn physical_position_of(
 }
 
 /// Encodes a physical position into the OS logical CPU id.
-pub fn cpu_id_of(pos: PhysicalPos, sockets: usize, cores_per_socket: usize) -> usize {
+fn cpu_id_of(pos: PhysicalPos, sockets: usize, cores_per_socket: usize) -> usize {
     pos.thread * (sockets * cores_per_socket) + pos.socket * cores_per_socket + pos.core
 }
 

@@ -11,8 +11,9 @@
 //! idle-deadline enforcement, and server-side parking/replay of
 //! terminal frames for disconnected tenants.
 //!
-//! Chaos runs are seeded; a failing seed replays bit-identically
-//! through the proxy's plans (`ramr_faultinject::net::plan_for`).
+//! Chaos runs are seeded; a failing seed replays bit-identically: the
+//! proxy draws each connection's plan from the seed and the connection's
+//! index alone (`ramr_faultinject::net`).
 
 use std::io::BufReader;
 use std::net::TcpStream;
