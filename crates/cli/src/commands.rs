@@ -40,6 +40,7 @@ USAGE:
                 [--stages N (km: iterate-rounds cap, default 20)]
   ramr simulate --app <...> [--machine hwl|phi] [--flavor ...]
                 [--stressed 0|1] [--batch N] [--queue N] [--task N]
+  ramr figures  [NAME...]   (table1_inputs, fig1_breakdown, ..., ablations)
   ramr tune     --app <...> [--scale N] [--workers N] [--container ...]
   ramr generate --app <...> --out FILE [--out-b FILE (mm)]
                 [--flavor ...] [--platform ...] [--scale N]
@@ -60,8 +61,10 @@ USAGE:
 
 `run` executes on real threads with generated Table I inputs (scaled by
 --scale, default 2000); `simulate` prices the full-size workload on the
-paper's machine models; `tune` measures map/combine throughput and suggests
-pool sizes and batch size.
+paper's machine models, as one cell of Figs 8/9; `figures` prints the
+named figures of the paper from the same model (all 11 when none is
+named); `tune` measures map/combine throughput and suggests pool sizes
+and batch size.
 
 Every knob flag above mirrors a RAMR_* environment variable one-to-one
 (see TUNING.md); both surfaces parse through the same shared table, so a
@@ -609,42 +612,30 @@ pub fn generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `ramr simulate`: price the full-size workload on a machine model.
+/// `ramr simulate`: price one full-size Table I cell on a machine model,
+/// as Figs 8/9 do, with the `--batch/--queue/--task` overrides applied.
 pub fn simulate(args: &Args) -> Result<(), String> {
-    use mrsim::{simulate, RuntimeKind, SimConfig, SimJob};
+    use mrsim::{simulate, RuntimeKind, SimConfig};
     let app = parse_app(args)?;
     let flavor = parse_flavor(args)?;
     let platform = parse_platform(args, "machine", "hwl")?;
     let stressed = args.get_or("stressed", 0u8)? != 0;
-    let machine = match platform {
-        Platform::Haswell => MachineModel::haswell_server(),
-        Platform::XeonPhi => MachineModel::xeon_phi(),
-    };
-    let spec = InputSpec::table1(app, platform, flavor);
-    let profile = if stressed {
-        ramr_perfmodel::catalog::stressed_profile(app)
-    } else {
-        ramr_perfmodel::catalog::default_profile(app)
-    };
-    let job = SimJob { profile, input_elements: spec.scaled_elements(1), unique_keys: 10_000 };
-    let apply = |cfg: &mut SimConfig| -> Result<(), String> {
+    let job = crate::figures::sim_job(app, platform, flavor, stressed);
+    let config = |runtime| -> Result<SimConfig, String> {
+        let mut cfg = crate::figures::sim_config(app, platform, runtime);
         cfg.batch_size = args.get_or("batch", cfg.batch_size)?;
         cfg.queue_capacity = args.get_or("queue", cfg.queue_capacity)?;
         cfg.task_size = args.get_or("task", cfg.task_size)?;
-        Ok(())
+        Ok(cfg)
     };
-    let mut phoenix_cfg = SimConfig::phoenix(machine.clone());
-    apply(&mut phoenix_cfg)?;
-    let mut ramr_cfg = SimConfig::ramr(machine.clone());
-    apply(&mut ramr_cfg)?;
-    let phoenix = simulate(&job, &phoenix_cfg);
+    let ramr_cfg = config(RuntimeKind::Ramr)?;
+    let phoenix = simulate(&job, &config(RuntimeKind::Phoenix)?);
     let ramr = simulate(&job, &ramr_cfg);
-    let _ = RuntimeKind::Ramr;
     println!(
         "{} on {} ({flavor}, {} containers): phoenix++ {:.2} ms | ramr {:.2} ms \
          ({} mappers + {} combiners) | speedup {:.2}x",
         app.abbrev(),
-        machine.name,
+        ramr_cfg.machine.name,
         if stressed { "stressed" } else { "default" },
         phoenix.total_ns() / 1e6,
         ramr.total_ns() / 1e6,

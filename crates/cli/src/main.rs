@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! ramr run      --app wc --runtime ramr --flavor small --scale 2000 [knobs]
-//! ramr simulate --app km --machine hwl [--stressed true]
+//! ramr simulate --app km --machine hwl [--stressed 1]
+//! ramr figures  [NAME...]
 //! ramr tune     --app wc --scale 20000
 //! ramr topology
 //! ramr help
@@ -10,11 +11,13 @@
 //!
 //! `run` executes a paper application on real threads with generated
 //! Table I inputs; `simulate` prices it on the paper's machines;
+//! `figures` prints the paper's Table I and Figs 1–10 from the same model;
 //! `tune` calibrates map/combine throughput and suggests a configuration;
 //! `topology` shows the detected host and the `thrid_to_cpu` remap.
 
 mod args;
 mod commands;
+mod figures;
 
 use args::Args;
 
@@ -110,6 +113,7 @@ fn main() {
         "client" => Args::parse(rest, &client_flags())
             .and_then(no_positionals)
             .and_then(|a| commands::client(&a)),
+        "figures" => Args::parse(rest, &[]).and_then(|a| figures::run(a.positionals())),
         "topology" => commands::topology(),
         "help" | "--help" | "-h" => {
             print!("{}", commands::HELP);

@@ -80,6 +80,11 @@ use crate::session::EngineSession;
 /// and therefore dispatches three times as often — as a weight-1 tenant.
 const STRIDE_ONE: u64 = 1 << 20;
 
+/// How many claimed tags the execution ledger keeps: the most recent
+/// ones, so a long-lived scheduler fed tagged jobs holds a bounded
+/// record rather than one `String` per job it ever ran.
+const LEDGER_CAP: usize = 4096;
+
 /// Why `try_submit` shed a job — the typed admission-control verdict.
 ///
 /// Carried by the shedding [`SchedError`] variants (via
@@ -315,10 +320,11 @@ struct SchedState<J: MapReduceJob> {
     /// Set when an epoch returns [`RuntimeError::Stalled`], cleared by the
     /// next epoch that completes without stalling.
     saturated: bool,
-    /// Tags of every dispatched job, in claim order — the ground truth the
-    /// wire-resilience tests audit for exactly-once execution. Only tagged
-    /// submissions (see [`JobClient::try_submit_tagged`]) are recorded.
-    executions: Vec<String>,
+    /// Tags of the last [`LEDGER_CAP`] dispatched jobs, in claim order —
+    /// the ground truth the wire-resilience tests audit for exactly-once
+    /// execution. Only tagged submissions (see
+    /// [`JobClient::try_submit_tagged`]) are recorded.
+    executions: VecDeque<String>,
     shutdown: bool,
 }
 
@@ -598,7 +604,7 @@ impl<J: MapReduceJob + Send + 'static> JobScheduler<J> {
                 next_seq: 0,
                 virtual_pass: 0,
                 saturated: false,
-                executions: Vec::new(),
+                executions: VecDeque::new(),
                 shutdown: false,
             }),
             space: Condvar::new(),
@@ -670,14 +676,15 @@ impl<J: MapReduceJob + Send + 'static> JobScheduler<J> {
         self.shared.config.sched_queue
     }
 
-    /// The execution ledger: the tag of every tagged job the dispatcher
-    /// has claimed for execution, in claim order. Jobs submitted without
-    /// a tag (plain [`JobClient::submit`] / [`JobClient::try_submit`])
-    /// are not recorded. The wire-resilience suite cross-checks this
-    /// against the set of submitted `request_id`s to prove exactly-once
-    /// execution under connection churn.
+    /// The execution ledger: the tags of the most recent tagged jobs the
+    /// dispatcher has claimed for execution (at most 4 096, the oldest
+    /// dropped first), in claim order. Jobs submitted without a tag
+    /// (plain [`JobClient::submit`] / [`JobClient::try_submit`]) are not
+    /// recorded. The wire-resilience suite cross-checks this against the
+    /// set of submitted `request_id`s to prove exactly-once execution
+    /// under connection churn.
     pub fn execution_ledger(&self) -> Vec<String> {
-        relock(&self.shared.state).executions.clone()
+        relock(&self.shared.state).executions.iter().cloned().collect()
     }
 
     /// Whether the scheduler is currently saturated: the watchdog
@@ -754,8 +761,11 @@ fn dispatch_loop<J: MapReduceJob + Send + 'static>(
                         // Claimed for execution: the ledger entry is made
                         // here, under the state lock, so a tag can never
                         // be recorded twice or dropped between claim and
-                        // run.
-                        state.executions.push(tag.clone());
+                        // run. Only the last `LEDGER_CAP` are kept.
+                        if state.executions.len() == LEDGER_CAP {
+                            state.executions.pop_front();
+                        }
+                        state.executions.push_back(tag.clone());
                     }
                     // A queue slot freed: wake delayed submitters.
                     shared.space.notify_all();

@@ -684,12 +684,13 @@ impl Server {
         self.inner.shutdown();
     }
 
-    /// The scheduler-side execution ledger: every dispatched wire job's
-    /// tenant-scoped `request_id` tag (`tenant:request_id`), across all
-    /// pools, in per-pool claim order. Jobs submitted without a
-    /// `request_id` are not recorded. The wire-resilience tests
-    /// cross-check this against the set of submitted ids to prove
-    /// exactly-once execution under connection churn.
+    /// The scheduler-side execution ledger: the tenant-scoped
+    /// `request_id` tag (`tenant:request_id`) of each dispatched wire job,
+    /// across all pools, in per-pool claim order. Each pool keeps only its
+    /// most recent 4 096 tags ([`ramr::JobScheduler::execution_ledger`]).
+    /// Jobs submitted without a `request_id` are not recorded. The
+    /// wire-resilience tests cross-check this against the set of submitted
+    /// ids to prove exactly-once execution under connection churn.
     pub fn execution_ledger(&self) -> Vec<String> {
         self.inner.execution_ledger()
     }

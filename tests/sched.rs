@@ -425,3 +425,26 @@ fn concurrent_submit_stress_resolves_every_ticket() {
         });
     }
 }
+
+/// The execution ledger keeps only the most recent claims: after
+/// `cap + 8` tagged no-op jobs it holds exactly the last `cap` tags, in
+/// claim order, so a long-lived pool's record stays bounded.
+#[test]
+fn the_execution_ledger_keeps_only_the_most_recent_claims() {
+    // The scheduler's private ledger bound.
+    const CAP: usize = 4096;
+    with_deadline(120, || {
+        let sched =
+            JobScheduler::<FaultyJob<WordCount>>::new(Backend::RamrStatic, config()).unwrap();
+        let client = sched.client("a");
+        let empty = Arc::new(Vec::new());
+        for i in 0..CAP + 8 {
+            let ticket = client
+                .try_submit_tagged(Arc::new(healthy()), Arc::clone(&empty), &format!("job:{i}"))
+                .unwrap();
+            assert!(ticket.wait().unwrap().output.pairs.is_empty());
+        }
+        let expected: Vec<String> = (8..CAP + 8).map(|i| format!("job:{i}")).collect();
+        assert_eq!(sched.execution_ledger(), expected);
+    });
+}
