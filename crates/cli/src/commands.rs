@@ -11,7 +11,7 @@ use mr_apps::{
     AppKind, Histogram, KmeansState, LinearRegression, MatrixMultiply, PcaCovJob, PcaMeanJob,
     WordCount,
 };
-use mr_core::{ContainerKind, MapReduceJob, PhaseKind, RuntimeConfig};
+use mr_core::{ContainerKind, MapReduceJob, PhaseKind, RuntimeConfig, RuntimeError};
 use ramr::{Backend, Engine, EngineReport, JobScheduler, Pipeline};
 use ramr_telemetry::report::breakdown_table;
 use ramr_topology::{thrid_to_cpu, MachineModel};
@@ -100,7 +100,7 @@ and a per-tenant summary (completed/failed/shed with its queue-full /
 quota / saturated breakdown, queue wait, run time) is printed per
 backend. --sched-queue bounds the submission queue, --sched-policy picks
 fifo or weighted fair-share dispatch, and --sched-quota caps any one
-tenant's in-flight jobs (see DESIGN.md §6g).
+tenant's in-flight jobs (see DESIGN.md §6.10).
 
 `serve` runs the long-running job server over that scheduler: clients
 connect over TCP, authenticate as named tenants, submit jobs with
@@ -170,7 +170,8 @@ fn build_config(args: &Args, app: AppKind) -> Result<RuntimeConfig, String> {
     for knob in mr_core::ENV_KNOBS {
         if let Some(raw) = args.get(knob.cli) {
             let source = format!("--{}", knob.cli);
-            builder = (knob.apply)(builder, raw, &source).map_err(|e| e.to_string())?;
+            builder = (knob.apply)(builder, raw, &source)
+                .map_err(|e| RuntimeError::InvalidConfig(e).to_string())?;
         }
     }
     builder.build().map_err(|e| e.to_string())
@@ -736,7 +737,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
     for knob in mr_core::ENV_KNOBS {
         if let Some(raw) = args.get(knob.cli) {
             let source = format!("--{}", knob.cli);
-            builder = (knob.apply)(builder, raw, &source).map_err(|e| e.to_string())?;
+            builder = (knob.apply)(builder, raw, &source)
+                .map_err(|e| RuntimeError::InvalidConfig(e).to_string())?;
         }
     }
     config.base = builder.build().map_err(|e| e.to_string())?;

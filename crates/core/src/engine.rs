@@ -59,7 +59,7 @@ use crate::session::EngineSession;
 pub enum Backend {
     /// RAMR: the paper's §III decoupled mapper and combiner pools, each
     /// pool balancing load with the other one block or task at a time
-    /// (DESIGN §6l, §6q).
+    /// (DESIGN §6.4).
     RamrStatic,
     /// A second name for [`RamrStatic`](Backend::RamrStatic), kept only
     /// because the benchmark ledger still submits under it: it opens the
@@ -67,7 +67,7 @@ pub enum Backend {
     RamrAdaptive,
     /// The Phoenix++-style baseline: every worker maps and combines
     /// inline, no pipeline decoupling — a session with no combiners
-    /// (DESIGN §6r).
+    /// (DESIGN §6.2).
     Phoenix,
 }
 

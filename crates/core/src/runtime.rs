@@ -291,7 +291,7 @@ impl<J: MapReduceJob> WriteEnd<J> {
     /// combiner has caught up: fewer than a batch of pairs unread, or the
     /// combiner parked on the queue with nothing to do. Otherwise, and for
     /// whatever did not fit, the mapper folds the pairs into its own
-    /// container itself (DESIGN §6p, §6q). Nothing waits and nothing is
+    /// container itself (DESIGN §6.4). Nothing waits and nothing is
     /// lost: a pair reaches a container by the queue or by the spill, and
     /// reduce merges both. A flush that spilled adds one to the row's
     /// `stall_events`. The publish is timed as `stalled`; the fold is combine
@@ -445,7 +445,7 @@ impl<K: Send, V: Send> PairFeed<K, V> for BatchedRead<'_, (Hashed<K>, V)> {
     }
 }
 
-/// The one role loop (DESIGN §6l, §6r): a combiner runs it over its
+/// The one role loop (DESIGN §6.2): a combiner runs it over its
 /// read-ends, a Phoenix worker over none, and a decoupled mapper over none
 /// with a [`WriteEnd`]. Each round takes one batched read from every live
 /// queue ([`pop_round`]). A round that took nothing claims a map task from
@@ -459,7 +459,7 @@ impl<K: Send, V: Send> PairFeed<K, V> for BatchedRead<'_, (Hashed<K>, V)> {
 /// the loop parks on its live queues, and with no live queue either it
 /// ends. So a worker or a mapper claims tasks until there are none, and a
 /// combiner maps exactly while it has nothing to read; its mapper, finding
-/// it a batch behind meanwhile, folds its blocks itself (DESIGN §6q). The
+/// it a batch behind meanwhile, folds its blocks itself (DESIGN §6.4). The
 /// trigger is the thread's own idleness, so there is nothing to tune.
 ///
 /// A mapper's last partial block goes out *before* its queue closes — the
@@ -1037,7 +1037,7 @@ mod tests {
         // back toward 1:1. Compare the two directions on the same shape.
         // The heavy combine leaves the combiner behind, so the mappers fold
         // part of the job themselves; the direction must hold with those
-        // folds counted as combine work (DESIGN §6q).
+        // folds counted as combine work (DESIGN §6.8).
         let input: Vec<u64> = (0..40_000).collect();
         let mut cfg = config(2, 1);
         cfg.task_size = 500;

@@ -26,7 +26,7 @@
 //! # Phoenix sessions
 //!
 //! The Phoenix++ baseline is this session with no combiners
-//! ([`Backend::Phoenix`], DESIGN §6r): `num_workers` roles with neither a
+//! ([`Backend::Phoenix`], DESIGN §6.2): `num_workers` roles with neither a
 //! read-end nor a write-end, each running [`fold_loop`] so that it folds
 //! what it maps into its own kept container; `num_workers − 1` of them are
 //! pooled as `ramr-worker-N`. Epochs, caller-runs, fault handling,
@@ -338,7 +338,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
     /// against `machine`: decoupled mappers and combiners, or, for
     /// [`Backend::Phoenix`], `num_workers` workers that each fold what they
     /// map into their own container and no combiner pool, so no queue
-    /// either (`num_combiners` is validated and ignored; DESIGN §6r). Real
+    /// either (`num_combiners` is validated and ignored; DESIGN §6.2). Real
     /// pinning (when `config.pin_os_threads` is set) only succeeds for CPU
     /// ids that exist on the actual host; others are skipped with the thread
     /// left unpinned.

@@ -414,7 +414,7 @@ impl RuntimeConfig {
         let mut b = Self::builder();
         for k in ENV_KNOBS {
             if let Ok(raw) = std::env::var(k.env) {
-                b = (k.apply)(b, &raw, k.env)?;
+                b = (k.apply)(b, &raw, k.env).map_err(RuntimeError::InvalidConfig)?;
             }
         }
         b.build()
@@ -625,16 +625,16 @@ impl RuntimeConfigBuilder {
     }
 }
 
-/// One row of the runtime's tuning surface: a knob's environment variable,
-/// its CLI flag, and the shared parse/apply behaviour.
+/// One row of a tuning surface: a knob's environment variable, its CLI
+/// flag, and the shared parse/apply behaviour for the config `C` it sets.
 ///
-/// Every consumer of the knob surface — [`RuntimeConfig::from_env`], the
-/// CLI's flag table and help text, and the docs-drift tests — derives its
-/// view from [`ENV_KNOBS`], so a knob can no longer exist in one surface
-/// and be silently missing from another (the drift class PR 2 had to fix
-/// retroactively).
-#[derive(Clone, Copy)]
-pub struct EnvKnob {
+/// Every consumer of a knob surface — [`RuntimeConfig::from_env`], the
+/// CLI's flag table and help text, the service layer's wire overrides and
+/// the docs-drift tests — derives its view from one table of these rows:
+/// [`ENV_KNOBS`] for the runtime (`C` = [`RuntimeConfigBuilder`]), and the
+/// service layer's `SERVE_KNOBS` for its own config. A knob therefore cannot
+/// exist on one surface and be silently missing from another.
+pub struct EnvKnob<C> {
     /// The environment variable name (`RAMR_*`).
     pub env: &'static str,
     /// The CLI flag name, without the leading `--`.
@@ -644,12 +644,14 @@ pub struct EnvKnob {
     pub value: &'static str,
     /// One-line description for help text and docs.
     pub help: &'static str,
-    /// Parses `raw` and applies it to the builder. `source` names where the
-    /// value came from (the env var or the CLI flag) for error messages.
-    pub apply: fn(RuntimeConfigBuilder, &str, &str) -> Result<RuntimeConfigBuilder, RuntimeError>,
+    /// Parses `raw` and applies it to the config. `source` names where the
+    /// value came from (the env var, the CLI flag or the wire knob) for the
+    /// error message; a caller that reports a [`RuntimeError`] wraps it in
+    /// [`RuntimeError::InvalidConfig`].
+    pub apply: fn(C, &str, &str) -> Result<C, String>,
 }
 
-impl std::fmt::Debug for EnvKnob {
+impl<C> std::fmt::Debug for EnvKnob<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EnvKnob")
             .field("env", &self.env)
@@ -659,18 +661,25 @@ impl std::fmt::Debug for EnvKnob {
     }
 }
 
-fn knob<T: std::str::FromStr>(raw: &str, source: &str) -> Result<T, RuntimeError> {
-    raw.parse::<T>()
-        .map_err(|_| RuntimeError::InvalidConfig(format!("cannot parse {source}={raw}")))
+/// Parses a knob's raw value; the error names `source=raw`.
+///
+/// # Errors
+///
+/// `cannot parse {source}={raw}` when `raw` is not a `T`.
+pub fn parse_knob<T: std::str::FromStr>(raw: &str, source: &str) -> Result<T, String> {
+    raw.parse::<T>().map_err(|_| format!("cannot parse {source}={raw}"))
 }
 
-fn knob_bool(raw: &str, source: &str) -> Result<bool, RuntimeError> {
+/// Parses a boolean knob: `1|true|yes|on` or `0|false|no|off`, any case.
+///
+/// # Errors
+///
+/// Names `source=raw` and the accepted spellings.
+pub fn parse_knob_bool(raw: &str, source: &str) -> Result<bool, String> {
     match raw.to_ascii_lowercase().as_str() {
         "1" | "true" | "yes" | "on" => Ok(true),
         "0" | "false" | "no" | "off" => Ok(false),
-        _ => Err(RuntimeError::InvalidConfig(format!(
-            "cannot parse {source}={raw} (expected 0|1|true|false|yes|no)"
-        ))),
+        _ => Err(format!("cannot parse {source}={raw} (expected 0|1|true|false|yes|no)")),
     }
 }
 
@@ -678,41 +687,41 @@ fn knob_bool(raw: &str, source: &str) -> Result<bool, RuntimeError> {
 ///
 /// This is the *only* place a knob's env-var and CLI names are written
 /// down; see [`EnvKnob`] for the consumers that derive from it.
-pub const ENV_KNOBS: &[EnvKnob] = &[
+pub const ENV_KNOBS: &[EnvKnob<RuntimeConfigBuilder>] = &[
     EnvKnob {
         env: "RAMR_WORKERS",
         cli: "workers",
         value: "N",
         help: "general-purpose (mapper) pool size",
-        apply: |b, raw, src| Ok(b.num_workers(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.num_workers(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_COMBINERS",
         cli: "combiners",
         value: "N",
         help: "combiner pool size (must be <= workers)",
-        apply: |b, raw, src| Ok(b.num_combiners(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.num_combiners(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_TASK_SIZE",
         cli: "task",
         value: "N",
         help: "largest map task, in input elements; the tail is cut finer",
-        apply: |b, raw, src| Ok(b.task_size(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.task_size(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_QUEUE_CAPACITY",
         cli: "queue",
         value: "N",
         help: "per-mapper SPSC queue capacity, in elements",
-        apply: |b, raw, src| Ok(b.queue_capacity(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.queue_capacity(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_BATCH_SIZE",
         cli: "batch",
         value: "N",
         help: "combiner batched-read and mapper emit-block size, in elements",
-        apply: |b, raw, src| Ok(b.batch_size(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.batch_size(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_CONTAINER",
@@ -724,11 +733,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
                 "array" => ContainerKind::Array,
                 "hash" => ContainerKind::Hash,
                 "fixed-hash" => ContainerKind::FixedHash,
-                other => {
-                    return Err(RuntimeError::InvalidConfig(format!(
-                        "unknown container kind {other:?}"
-                    )))
-                }
+                other => return Err(format!("unknown container kind {other:?}")),
             }))
         },
     },
@@ -741,11 +746,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
             Ok(b.hasher(match raw {
                 "fnv" => HasherKind::Fnv,
                 "fx" => HasherKind::Fx,
-                other => {
-                    return Err(RuntimeError::InvalidConfig(format!(
-                        "unknown hasher kind {other:?}"
-                    )))
-                }
+                other => return Err(format!("unknown hasher kind {other:?}")),
             }))
         },
     },
@@ -759,11 +760,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
                 "ramr" => PinningPolicyKind::Ramr,
                 "round-robin" => PinningPolicyKind::RoundRobin,
                 "os-default" => PinningPolicyKind::OsDefault,
-                other => {
-                    return Err(RuntimeError::InvalidConfig(format!(
-                        "unknown pinning policy {other:?}"
-                    )))
-                }
+                other => return Err(format!("unknown pinning policy {other:?}")),
             }))
         },
     },
@@ -772,14 +769,14 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         cli: "reducers",
         value: "N",
         help: "reduce partitions (default: workers)",
-        apply: |b, raw, src| Ok(b.num_reducers(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.num_reducers(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_FIXED_CAPACITY",
         cli: "fixed-capacity",
         value: "N",
         help: "capacity for fixed-size containers (default: job key space)",
-        apply: |b, raw, src| Ok(b.fixed_capacity(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.fixed_capacity(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_PUSH_SPINS",
@@ -787,7 +784,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         value: "N",
         help: "spins before an idle combiner parks",
         apply: |mut b, raw, src| {
-            b.config.push_backoff.spins = knob(raw, src)?;
+            b.config.push_backoff.spins = parse_knob(raw, src)?;
             Ok(b)
         },
     },
@@ -797,7 +794,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         value: "US",
         help: "ceiling of one idle-combiner park (cancel-poll interval), in microseconds",
         apply: |mut b, raw, src| {
-            b.config.push_backoff.sleep = Duration::from_micros(knob(raw, src)?);
+            b.config.push_backoff.sleep = Duration::from_micros(parse_knob(raw, src)?);
             Ok(b)
         },
     },
@@ -806,42 +803,42 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         cli: "pin",
         value: "0|1",
         help: "actually invoke sched_setaffinity (plan is computed either way)",
-        apply: |b, raw, src| Ok(b.pin_os_threads(knob_bool(raw, src)?)),
+        apply: |b, raw, src| Ok(b.pin_os_threads(parse_knob_bool(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_TELEMETRY",
         cli: "telemetry",
         value: "0|1",
         help: "per-thread wall-clock telemetry (on by default)",
-        apply: |b, raw, src| Ok(b.telemetry(knob_bool(raw, src)?)),
+        apply: |b, raw, src| Ok(b.telemetry(parse_knob_bool(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_TASK_RETRIES",
         cli: "task-retries",
         value: "N",
         help: "re-executions of a panicked map task (0 = fail-fast)",
-        apply: |b, raw, src| Ok(b.max_task_retries(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.max_task_retries(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_SKIP_POISON_TASKS",
         cli: "skip-poison",
         value: "0|1",
         help: "skip tasks whose retries are exhausted instead of aborting",
-        apply: |b, raw, src| Ok(b.skip_poison_tasks(knob_bool(raw, src)?)),
+        apply: |b, raw, src| Ok(b.skip_poison_tasks(parse_knob_bool(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_WATCHDOG_MS",
         cli: "watchdog-ms",
         value: "MS",
         help: "stall watchdog period, in milliseconds (unset = off)",
-        apply: |b, raw, src| Ok(b.watchdog(Duration::from_millis(knob(raw, src)?))),
+        apply: |b, raw, src| Ok(b.watchdog(Duration::from_millis(parse_knob(raw, src)?))),
     },
     EnvKnob {
         env: "RAMR_SCHED_QUEUE",
         cli: "sched-queue",
         value: "N",
         help: "scheduler submission-queue capacity, in jobs (all tenants)",
-        apply: |b, raw, src| Ok(b.sched_queue(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.sched_queue(parse_knob(raw, src)?)),
     },
     EnvKnob {
         env: "RAMR_SCHED_POLICY",
@@ -849,9 +846,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         value: "fifo|fair[:T=W,...]",
         help: "scheduler dispatch policy: arrival order or weighted fair-share",
         apply: |b, raw, src| {
-            let policy = raw
-                .parse::<SchedPolicy>()
-                .map_err(|e| RuntimeError::InvalidConfig(format!("{src}={raw}: {e}")))?;
+            let policy = raw.parse::<SchedPolicy>().map_err(|e| format!("{src}={raw}: {e}"))?;
             Ok(b.sched_policy(policy))
         },
     },
@@ -860,7 +855,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         cli: "sched-quota",
         value: "N",
         help: "per-tenant in-flight job quota (0 = unlimited)",
-        apply: |b, raw, src| Ok(b.sched_quota(knob(raw, src)?)),
+        apply: |b, raw, src| Ok(b.sched_quota(parse_knob(raw, src)?)),
     },
 ];
 
@@ -1172,6 +1167,26 @@ mod tests {
     }
 
     #[test]
+    fn from_env_reports_a_bad_value_as_invalid_config() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        for (env, raw, message) in [
+            ("RAMR_WORKERS", "many", "cannot parse RAMR_WORKERS=many"),
+            ("RAMR_CONTAINER", "tree", "unknown container kind \"tree\""),
+            (
+                "RAMR_TELEMETRY",
+                "maybe",
+                "cannot parse RAMR_TELEMETRY=maybe (expected 0|1|true|false|yes|no)",
+            ),
+        ] {
+            std::env::set_var(env, raw);
+            let err = RuntimeConfig::from_env().unwrap_err();
+            std::env::remove_var(env);
+            assert_eq!(err, RuntimeError::InvalidConfig(message.into()));
+            assert_eq!(err.to_string(), format!("invalid configuration: {message}"));
+        }
+    }
+
+    #[test]
     fn knob_table_names_are_unique_and_well_formed() {
         let mut envs = std::collections::HashSet::new();
         let mut clis = std::collections::HashSet::new();
@@ -1184,7 +1199,7 @@ mod tests {
         }
     }
 
-    fn by_cli(cli: &str) -> &'static EnvKnob {
+    fn by_cli(cli: &str) -> &'static EnvKnob<RuntimeConfigBuilder> {
         ENV_KNOBS.iter().find(|k| k.cli == cli).expect("knob exists")
     }
 

@@ -57,8 +57,8 @@ mod split;
 mod stats;
 
 pub use config::{
-    ContainerKind, EnvKnob, HasherKind, PinningPolicyKind, PushBackoff, RuntimeConfig,
-    RuntimeConfigBuilder, SchedPolicy, SchedPolicyKind, ENV_KNOBS,
+    parse_knob, parse_knob_bool, ContainerKind, EnvKnob, HasherKind, PinningPolicyKind,
+    PushBackoff, RuntimeConfig, RuntimeConfigBuilder, SchedPolicy, SchedPolicyKind, ENV_KNOBS,
 };
 pub use error::RuntimeError;
 pub use job::{Emitter, MapReduceJob, MrKey, MrValue};

@@ -9,7 +9,7 @@
 //! worker's thread-local container. The paper's baseline and RAMR differ in
 //! that one structural way, so both run on the one executor of the `ramr`
 //! crate: a Phoenix session is a session with no combiners, whose workers
-//! fold what they map (DESIGN §6r).
+//! fold what they map (DESIGN §6.2).
 //!
 //! The reduce and merge phases ([`phases`]) are the same for both, because
 //! the paper leaves them unchanged: "the rest MR execution remains

@@ -53,7 +53,7 @@ pub use registry::{
 };
 pub use server::Server;
 
-use mr_core::RuntimeConfig;
+use mr_core::{parse_knob, parse_knob_bool, EnvKnob, RuntimeConfig};
 use ramr::Backend;
 
 /// Server configuration: the listen/auth/limit surface plus the base
@@ -147,51 +147,12 @@ impl ServeConfig {
     }
 }
 
-/// One service-layer knob: its environment variable, CLI flag, and shared
-/// parse/apply behaviour — the same single-table pattern as
-/// [`mr_core::ENV_KNOBS`], consumed by [`ServeConfig::from_env`], the
-/// CLI's `serve` flags, and the docs-drift tests over `SERVICE.md`.
-#[derive(Clone, Copy)]
-pub struct ServeKnob {
-    /// The environment variable name (`RAMR_SERVE_*`).
-    pub env: &'static str,
-    /// The CLI flag name, without the leading `--`.
-    pub cli: &'static str,
-    /// Placeholder for the knob's value in help text.
-    pub value: &'static str,
-    /// One-line description for help text and docs.
-    pub help: &'static str,
-    /// Parses `raw` and applies it; `source` names the env var or flag
-    /// for error messages.
-    pub apply: fn(ServeConfig, &str, &str) -> Result<ServeConfig, String>,
-}
-
-impl std::fmt::Debug for ServeKnob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeKnob")
-            .field("env", &self.env)
-            .field("cli", &self.cli)
-            .field("value", &self.value)
-            .finish_non_exhaustive()
-    }
-}
-
-fn parse_knob<T: std::str::FromStr>(raw: &str, source: &str) -> Result<T, String> {
-    raw.parse::<T>().map_err(|_| format!("cannot parse {source}={raw}"))
-}
-
-fn parse_knob_bool(raw: &str, source: &str) -> Result<bool, String> {
-    match raw.to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Ok(true),
-        "0" | "false" | "no" | "off" => Ok(false),
-        _ => Err(format!("cannot parse {source}={raw} (expected 0|1|true|false|yes|no)")),
-    }
-}
-
 /// The service layer's knob table — every `RAMR_SERVE_*` variable, its
-/// CLI flag, and its apply function, in one place (see [`ServeKnob`]).
-pub const SERVE_KNOBS: &[ServeKnob] = &[
-    ServeKnob {
+/// CLI flag, and its apply function, in one place: the same row type as
+/// [`mr_core::ENV_KNOBS`], consumed by [`ServeConfig::from_env`], the CLI's
+/// `serve` flags, and the docs-drift tests over `SERVICE.md`.
+pub const SERVE_KNOBS: &[EnvKnob<ServeConfig>] = &[
+    EnvKnob {
         env: "RAMR_SERVE_ADDR",
         cli: "serve-addr",
         value: "HOST:PORT",
@@ -201,7 +162,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_TOKEN",
         cli: "serve-token",
         value: "TOKEN",
@@ -211,7 +172,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_MAX_POOLS",
         cli: "serve-max-pools",
         value: "N",
@@ -224,7 +185,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_RETRY_MS",
         cli: "serve-retry-ms",
         value: "MS",
@@ -234,7 +195,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_CHAOS",
         cli: "serve-chaos",
         value: "0|1",
@@ -244,7 +205,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_RATE",
         cli: "serve-rate",
         value: "PER_SEC",
@@ -257,7 +218,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_HEARTBEAT_MS",
         cli: "serve-heartbeat-ms",
         value: "MS",
@@ -267,7 +228,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_PARK_TTL_MS",
         cli: "serve-park-ttl-ms",
         value: "MS",
@@ -280,7 +241,7 @@ pub const SERVE_KNOBS: &[ServeKnob] = &[
             Ok(c)
         },
     },
-    ServeKnob {
+    EnvKnob {
         env: "RAMR_SERVE_MAX_FRAME",
         cli: "serve-max-frame",
         value: "BYTES",

@@ -1235,7 +1235,8 @@ fn parse_submit(inner: &Inner, request: &Value) -> Result<ParsedSubmit, String> 
             .find(|k| k.cli == name)
             .ok_or_else(|| format!("unknown knob {name:?} (use ENV_KNOBS cli names)"))?;
         let source = format!("knob {name}");
-        builder = (knob.apply)(builder, raw, &source).map_err(|e| e.to_string())?;
+        builder = (knob.apply)(builder, raw, &source)
+            .map_err(|e| mr_core::RuntimeError::InvalidConfig(e).to_string())?;
     }
     let config = builder.build().map_err(|e| e.to_string())?;
     let key = (app.clone(), backend.as_str().to_string(), knobs);

@@ -113,10 +113,7 @@ fn crate_dirs(root: &Path) -> Vec<PathBuf> {
 
 /// Items exempt from the caller rule: `(item, reason)`, the item spelled
 /// `path: kind name` as the failure message prints it.
-const ALLOWED: &[(&str, &str)] = &[(
-    "crates/serve/src/lib.rs: struct ServeKnob",
-    "the element type of SERVE_KNOBS, whose fields ramr-cli and tests/docs_drift.rs read",
-)];
+const ALLOWED: &[(&str, &str)] = &[];
 
 fn idents(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).filter(|w| !w.is_empty())

@@ -209,7 +209,7 @@ fn watchdog_cancels_a_hung_task_across_engines() {
 /// task has been claimed, so its queues fill and are not read while any
 /// task is left. A mapper that parked on its full queue would never claim
 /// the rest — only the watchdog would end the job. A mapper folds what the
-/// queue has no room for itself (DESIGN §6p) and maps on.
+/// queue has no room for itself (DESIGN §6.4) and maps on.
 struct DrainedLast {
     tasks: usize,
     claimed: AtomicU64,

@@ -1,6 +1,6 @@
 //! Work-conserving combiners: a static combiner with no full batch to read
 //! claims a map task and folds it in place, as a Phoenix worker folds its
-//! tasks (DESIGN §6l).
+//! tasks (DESIGN §6.2).
 //!
 //! Every test forces the interleaving it checks from inside the job — a
 //! rendezvous, a map cost that keeps the combiner idle, a mapper that waits
@@ -141,7 +141,7 @@ fn a_mapper_spills_instead_of_starving_while_its_combiner_helps() {
     // A 64-slot queue holds a fraction of one 2 000-pair task, and the
     // helper reads its queue only between tasks. The mapper is not blocked
     // behind it meanwhile: finding the combiner a batch behind, it folds its
-    // blocks itself (DESIGN §6q), so it keeps mapping its share of the job
+    // blocks itself (DESIGN §6.4), so it keeps mapping its share of the job
     // instead of leaving nearly everything to the helper.
     let input: Vec<u64> = (0..80_000).collect();
     let mut session = Backend::RamrStatic.session(config(64, 16, 2000)).unwrap();

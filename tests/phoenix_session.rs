@@ -1,4 +1,4 @@
-//! The Phoenix++ baseline is a session with no combiners (DESIGN §6r): its
+//! The Phoenix++ baseline is a session with no combiners (DESIGN §6.2): its
 //! workers fold what they map on the mapping thread, into containers the
 //! session keeps, and it shares caller-runs, fault handling, reduce and
 //! merge with RAMR's session: a worker is a `Role` with no queue ends, running

@@ -1,6 +1,6 @@
 //! Lag-routed hand-off: a static mapper publishes a block only to a combiner
 //! that has caught up — fewer than a batch of pairs unread, or parked on the
-//! queue with nothing to do — and folds it itself otherwise (DESIGN §6q).
+//! queue with nothing to do — and folds it itself otherwise (DESIGN §6.4).
 //!
 //! Every test but the last runs a 1 + 1 session, whose one mapper is the
 //! submitting thread and whose one combiner is the pooled thread, and forces

@@ -432,6 +432,15 @@ fn per_job_knob_overrides_reach_the_pool() {
     bad.knobs.push(("no-such-knob".into(), "1".into()));
     let refused = client.run_job(&bad);
     assert!(matches!(refused, Err(ServeError::JobFailed(_))), "unknown knob: {refused:?}");
+    // A bad value reads as the CLI and `from_env` word it.
+    let mut bad = wc_request();
+    bad.knobs.push(("workers".into(), "many".into()));
+    match client.run_job(&bad) {
+        Err(ServeError::JobFailed(m)) => {
+            assert!(m.contains("invalid configuration: cannot parse knob workers=many"), "{m}")
+        }
+        other => panic!("bad knob value: {other:?}"),
+    }
     let still_fine = client.run_job(&wc_request()).expect("connection survives the refusal");
     assert!(still_fine.keys > 0);
     drop(server);

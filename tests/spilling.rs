@@ -1,6 +1,6 @@
 //! Work-conserving mappers: a static mapper whose combiner is behind folds
 //! its blocks into its own container instead of queueing them or waiting
-//! (DESIGN §6p, §6q).
+//! (DESIGN §6.4).
 //!
 //! Every test runs a 1 + 1 session — the submitting thread is the one
 //! mapper, the pooled thread the one combiner — with a queue of 8, a batch
