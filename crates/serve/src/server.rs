@@ -5,7 +5,9 @@
 //!
 //! ```text
 //! accept loop ──spawns──▶ connection driver ──spawns──▶ job waiter
-//!   (1 per server)          (1 per client)              (1 per accepted job)
+//!   (1 per server)          (1 per client)              (1 per accepted job;
+//!                                 │                      the driver runs it
+//!                                 │                      when none spawns)
 //!                                 │ spawns
 //!                                 ▼
 //!                           backlog writer
@@ -43,7 +45,7 @@
 //! every queued ticket with a shutdown error, so accepted jobs always
 //! resolve to a `RESULT` or a `JOB_ERROR` — never silence.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -87,23 +89,46 @@ const DEDUP_CAP: usize = 1024;
 /// A pool's identity: same app + backend + knob overrides ⇒ same pool.
 type PoolKey = (String, String, Vec<(String, String)>);
 
-/// One `request_id`'s place in the dedup ledger.
-enum JobState {
+/// One `request_id`'s place in the dedup ledger. `W` is the connection
+/// handle a terminal frame goes to (a plain value in the ledger's tests).
+enum JobState<W = FrameWriter> {
     /// Accepted and running; `writer` is the connection the terminal
     /// frame should go to — rebound every time the tenant re-sends this
     /// `request_id` from a new connection.
-    InFlight { writer: FrameWriter },
+    InFlight { writer: W },
     /// Terminal frame produced, kept as its wire bytes (claimed or not)
     /// until the park TTL expires so a reconnecting client can always
     /// re-claim its result. `None` when the frame exceeded the frame
-    /// bound: it could never be sent, so a replay sends nothing.
-    Done { frame: Option<Encoded>, at: Instant, claimed: bool },
+    /// bound: it could never be sent, so a replay sends nothing. Its
+    /// completion time is its place in [`TenantLedger::done`].
+    Done { frame: Option<Encoded>, claimed: bool },
+}
+
+/// How the dedup ledger answers a `SUBMIT` that carries a `request_id`.
+#[cfg_attr(test, derive(Debug, PartialEq))]
+enum Admit {
+    /// In flight: delivery is rebound to the submitting connection.
+    Rebound,
+    /// Completed: the retained terminal frame is replayed.
+    Replay(Option<Encoded>),
+    /// Never seen (or forgotten): reserved as in flight, to be admitted.
+    Fresh,
 }
 
 /// Per-tenant wire-resilience state: the dedup ledger, the rate bucket,
 /// and the resilience counters the `METRICS` endpoint reports.
-struct TenantLedger {
-    jobs: BTreeMap<String, JobState>,
+///
+/// Every ledger operation is amortised O(1). `done` holds the `Done` ids
+/// in completion order; a completion time is taken under the `ledgers`
+/// lock, so it never decreases along the queue. The sweep pops expired ids
+/// off its front, the [`DEDUP_CAP`] eviction pops the oldest completed id,
+/// and the in-flight count is `jobs.len() - done.len()`. An entry never
+/// moves in the queue: a replay only claims it, and an `InFlight` entry is
+/// never in it.
+struct TenantLedger<W = FrameWriter> {
+    jobs: HashMap<String, JobState<W>>,
+    /// `(completed at, request_id)` of every `Done` entry, oldest first.
+    done: VecDeque<(Instant, String)>,
     /// Token-bucket level; refilled on every admission check.
     tokens: f64,
     last_refill: Instant,
@@ -117,10 +142,11 @@ struct TenantLedger {
     rate_limited: u64,
 }
 
-impl TenantLedger {
-    fn new(burst: f64) -> TenantLedger {
+impl<W> TenantLedger<W> {
+    fn new(burst: f64) -> TenantLedger<W> {
         TenantLedger {
-            jobs: BTreeMap::new(),
+            jobs: HashMap::new(),
+            done: VecDeque::new(),
             tokens: burst,
             last_refill: Instant::now(),
             seen_hello: false,
@@ -132,21 +158,98 @@ impl TenantLedger {
         }
     }
 
-    /// Drops `Done` entries older than `ttl`; an entry evicted without
-    /// ever having been claimed counts as expired (its result was lost).
-    fn sweep(&mut self, ttl: Duration) {
-        let mut expired = 0;
-        self.jobs.retain(|_, state| match state {
-            JobState::InFlight { .. } => true,
-            JobState::Done { at, claimed, .. } => {
-                let keep = at.elapsed() < ttl;
-                if !keep && !*claimed {
-                    expired += 1;
-                }
-                keep
+    /// Drops `Done` entries completed `ttl` or longer before `now`; an
+    /// entry dropped without ever having been claimed counts as expired
+    /// (its result was lost).
+    fn sweep(&mut self, now: Instant, ttl: Duration) {
+        while let Some(&(at, _)) = self.done.front() {
+            if now.saturating_duration_since(at) < ttl {
+                break;
             }
-        });
-        self.expired += expired;
+            let (_, rid) = self.done.pop_front().expect("the front was just read");
+            if let Some(JobState::Done { claimed: false, .. }) = self.jobs.remove(&rid) {
+                self.expired += 1;
+            }
+        }
+    }
+
+    /// Entries whose job has not completed yet.
+    fn in_flight(&self) -> usize {
+        self.jobs.len() - self.done.len()
+    }
+
+    /// Looks up a submitted `request_id` sent from connection `writer`.
+    /// A fresh id is reserved as in flight before admission, so a
+    /// duplicate arriving from a reconnect re-binds instead of re-running;
+    /// at [`DEDUP_CAP`] entries it evicts the oldest completed one, and
+    /// with every entry in flight the submit is refused with the returned
+    /// message.
+    fn admit(&mut self, rid: &str, writer: W) -> Result<Admit, String> {
+        match self.jobs.get_mut(rid) {
+            Some(JobState::InFlight { writer: bound }) => {
+                *bound = writer;
+                self.dedup_hits += 1;
+                Ok(Admit::Rebound)
+            }
+            Some(JobState::Done { frame, claimed }) => {
+                self.dedup_hits += 1;
+                *claimed = true;
+                Ok(Admit::Replay(frame.clone()))
+            }
+            None => {
+                if self.jobs.len() >= DEDUP_CAP {
+                    let Some((_, oldest)) = self.done.pop_front() else {
+                        return Err(format!(
+                            "dedup ledger full ({DEDUP_CAP} in-flight request_ids)"
+                        ));
+                    };
+                    self.jobs.remove(&oldest);
+                }
+                self.jobs.insert(rid.to_string(), JobState::InFlight { writer });
+                Ok(Admit::Fresh)
+            }
+        }
+    }
+
+    /// Completes an in-flight `rid` at `now` with its terminal frame,
+    /// counted as claimed, and returns the connection it is bound to;
+    /// `None` (and no change) when `rid` is not in flight.
+    fn complete(&mut self, rid: &str, frame: Option<Encoded>, now: Instant) -> Option<W> {
+        let state = self.jobs.get_mut(rid)?;
+        let JobState::InFlight { .. } = state else { return None };
+        let JobState::InFlight { writer } =
+            std::mem::replace(state, JobState::Done { frame, claimed: true })
+        else {
+            unreachable!("matched InFlight above")
+        };
+        debug_assert!(self.done.back().is_none_or(|&(at, _)| at <= now));
+        self.done.push_back((now, rid.to_string()));
+        Some(writer)
+    }
+
+    /// A completed `rid` whose terminal frame could not be sent: parked
+    /// unclaimed until a replay claims it or the TTL expires it.
+    fn park(&mut self, rid: &str) {
+        if let Some(JobState::Done { claimed, .. }) = self.jobs.get_mut(rid) {
+            *claimed = false;
+        }
+        self.parked += 1;
+    }
+
+    /// Drops an in-flight reservation, returning the connection it is
+    /// bound to. A completed entry stays put.
+    fn unreserve(&mut self, rid: &str) -> Option<W> {
+        match self.jobs.remove_entry(rid) {
+            Some((_, JobState::InFlight { writer })) => Some(writer),
+            Some((key, done)) => {
+                // A racing duplicate cannot have completed the job — only
+                // the submit path that reserved it owns it — but keep the
+                // entry rather than lose a terminal frame.
+                self.jobs.insert(key, done);
+                None
+            }
+            None => None,
+        }
     }
 }
 
@@ -159,6 +262,9 @@ struct Inner {
     /// Never held across a `pools` lock (or vice versa): every path takes
     /// the two sequentially, so no lock order can deadlock.
     ledgers: Mutex<BTreeMap<String, TenantLedger>>,
+    /// Starts an accepted job's waiter thread ([`spawn_waiter_thread`];
+    /// the tests inject a failing one).
+    spawn_waiter: SpawnWaiter,
 }
 
 impl Inner {
@@ -179,9 +285,11 @@ impl Inner {
     /// sweeping expired entries first.
     fn with_ledger<T>(&self, tenant: &str, body: impl FnOnce(&mut TenantLedger) -> T) -> T {
         let mut guard = self.ledgers.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ledger =
-            guard.entry(tenant.to_string()).or_insert_with(|| TenantLedger::new(self.burst()));
-        ledger.sweep(self.park_ttl());
+        if !guard.contains_key(tenant) {
+            guard.insert(tenant.to_string(), TenantLedger::new(self.burst()));
+        }
+        let ledger = guard.get_mut(tenant).expect("inserted above");
+        ledger.sweep(Instant::now(), self.park_ttl());
         body(ledger)
     }
 
@@ -235,27 +343,15 @@ impl Inner {
         // The entry flips to Done *before* the send: the client may react
         // to the terminal frame instantly (query METRICS, re-submit), and
         // must never observe its own completed job as still in flight.
-        let writer = self.with_ledger(tenant, |ledger| match ledger.jobs.get_mut(rid) {
-            Some(state @ JobState::InFlight { .. }) => {
-                let done =
-                    JobState::Done { frame: frame.clone(), at: Instant::now(), claimed: true };
-                match std::mem::replace(state, done) {
-                    JobState::InFlight { writer } => Some(writer),
-                    JobState::Done { .. } => None,
-                }
-            }
-            _ => None,
-        });
+        // Its completion time is read under the ledger lock, so completion
+        // times never decrease along the ledger's `done` queue.
+        let writer =
+            self.with_ledger(tenant, |ledger| ledger.complete(rid, frame.clone(), Instant::now()));
         // The send happens outside the ledger lock: a stalled client must
         // not block other tenants' submits for the write deadline.
         let sent = writer.zip(frame).is_some_and(|(w, frame)| w.send_encoded(frame).is_ok());
         if !sent {
-            self.with_ledger(tenant, |ledger| {
-                if let Some(JobState::Done { claimed, .. }) = ledger.jobs.get_mut(rid) {
-                    *claimed = false;
-                }
-                ledger.parked += 1;
-            });
+            self.with_ledger(tenant, |ledger| ledger.park(rid));
         }
     }
 
@@ -263,17 +359,7 @@ impl Inner {
     /// returning the connection currently bound to it (rebound by any
     /// duplicate that raced in) so the refusal reaches the live client.
     fn unreserve(&self, tenant: &str, rid: &str) -> Option<FrameWriter> {
-        self.with_ledger(tenant, |ledger| match ledger.jobs.remove(rid) {
-            Some(JobState::InFlight { writer }) => Some(writer),
-            Some(done @ JobState::Done { .. }) => {
-                // A racing duplicate cannot have completed the job — only
-                // this call's submit path owns it — but keep the entry
-                // rather than lose a terminal frame.
-                ledger.jobs.insert(rid.to_string(), done);
-                None
-            }
-            None => None,
-        })
+        self.with_ledger(tenant, |ledger| ledger.unreserve(rid))
     }
 
     /// Finds or builds the pool for one submit. Building happens under
@@ -345,10 +431,9 @@ impl Inner {
         let mut tenants = Vec::new();
         {
             let mut guard = self.ledgers.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let now = Instant::now();
             for (name, ledger) in guard.iter_mut() {
-                ledger.sweep(self.park_ttl());
-                let inflight =
-                    ledger.jobs.values().filter(|s| matches!(s, JobState::InFlight { .. })).count();
+                ledger.sweep(now, self.park_ttl());
                 let num = |n: u64| Value::Num(n as f64);
                 tenants.push(Value::Obj(
                     [
@@ -358,7 +443,7 @@ impl Inner {
                         ("parked".to_string(), num(ledger.parked)),
                         ("expired".to_string(), num(ledger.expired)),
                         ("rate_limited".to_string(), num(ledger.rate_limited)),
-                        ("ledger_in_flight".to_string(), num(inflight as u64)),
+                        ("ledger_in_flight".to_string(), num(ledger.in_flight() as u64)),
                         ("ledger_entries".to_string(), num(ledger.jobs.len() as u64)),
                     ]
                     .into_iter()
@@ -654,6 +739,11 @@ impl Server {
     ///
     /// The bind/configuration error when the address is unusable.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
+        Server::start(config, spawn_waiter_thread)
+    }
+
+    /// [`Server::bind`] with the given way of starting job waiters.
+    fn start(config: ServeConfig, spawn_waiter: SpawnWaiter) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -662,6 +752,7 @@ impl Server {
             stop: AtomicBool::new(false),
             pools: Mutex::new(Some(BTreeMap::new())),
             ledgers: Mutex::new(BTreeMap::new()),
+            spawn_waiter,
         });
         let accept_inner = Arc::clone(&inner);
         let accept = thread::Builder::new()
@@ -965,9 +1056,11 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
     }
 }
 
-/// One SUBMIT: admission-check, then either spawn a waiter (ACCEPTED) or
-/// answer RETRY_AFTER / JOB_ERROR. Job-scoped failures keep the
-/// connection alive — only protocol-level breakage closes it.
+/// One SUBMIT: admission-check, then either start a waiter (ACCEPTED) or
+/// answer RETRY_AFTER / JOB_ERROR. The waiter gets its own thread; when
+/// none can be spawned it runs here, holding this connection's reads until
+/// the job ends. Job-scoped failures keep the connection alive — only
+/// protocol-level breakage closes it.
 ///
 /// A SUBMIT carrying a `request_id` goes through the dedup ledger:
 /// * a known in-flight id re-binds delivery to this connection and is
@@ -993,70 +1086,24 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
 
     // Dedup / reservation, for request_id submits.
     if let Some(rid) = &rid {
-        enum Hit {
-            Rebound,
-            Replay(Option<Encoded>),
-            Full,
-            Fresh,
-        }
-        let hit = conn.inner.with_ledger(&conn.tenant, |ledger| {
-            match ledger.jobs.get_mut(rid) {
-                Some(JobState::InFlight { writer }) => {
-                    *writer = conn.writer.clone();
-                    ledger.dedup_hits += 1;
-                    Hit::Rebound
-                }
-                Some(JobState::Done { frame, claimed, .. }) => {
-                    ledger.dedup_hits += 1;
-                    *claimed = true;
-                    Hit::Replay(frame.clone())
-                }
-                None => {
-                    if ledger.jobs.len() >= DEDUP_CAP {
-                        // Evict the oldest completed entry to make room.
-                        let oldest = ledger
-                            .jobs
-                            .iter()
-                            .filter_map(|(key, state)| match state {
-                                JobState::Done { at, .. } => Some((*at, key.clone())),
-                                JobState::InFlight { .. } => None,
-                            })
-                            .min();
-                        match oldest {
-                            Some((_, key)) => {
-                                ledger.jobs.remove(&key);
-                            }
-                            None => return Hit::Full,
-                        }
-                    }
-                    // Reserve before admission: a duplicate arriving from
-                    // a reconnect now re-binds instead of re-submitting.
-                    ledger
-                        .jobs
-                        .insert(rid.clone(), JobState::InFlight { writer: conn.writer.clone() });
-                    Hit::Fresh
-                }
-            }
-        });
-        match hit {
-            Hit::Rebound => {
+        match conn.inner.with_ledger(&conn.tenant, |ledger| ledger.admit(rid, conn.writer.clone()))
+        {
+            Ok(Admit::Rebound) => {
                 let _ = conn.writer.send(&accepted_frame);
                 return;
             }
-            Hit::Replay(reply) => {
+            Ok(Admit::Replay(reply)) => {
                 let _ = conn.writer.send(&accepted_frame);
                 if let Some(reply) = reply {
                     let _ = conn.writer.send_encoded(reply);
                 }
                 return;
             }
-            Hit::Full => {
-                let _ = conn.writer.send(&job_error_frame(format!(
-                    "dedup ledger full ({DEDUP_CAP} in-flight request_ids)"
-                )));
+            Err(message) => {
+                let _ = conn.writer.send(&job_error_frame(message));
                 return;
             }
-            Hit::Fresh => {}
+            Ok(Admit::Fresh) => {}
         }
     }
 
@@ -1167,16 +1214,50 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
                     }
                 }
             };
-            if let Ok(handle) = thread::Builder::new().name("ramr-serve-job".into()).spawn(run) {
+            if let Some(handle) = spawn_or_run(conn.inner.spawn_waiter, run) {
                 conn.waiters.push(handle);
             }
-            // On spawn failure (thread exhaustion) the closure is consumed
-            // by the failed spawn; the ticket resolves at shutdown.
         }
         Err(err) => match err.shed_reason() {
             Some(reason) => refuse_retryable(conn, retry_after(reason)),
             None => refuse_terminal(conn, job_error_frame(err.to_string())),
         },
+    }
+}
+
+/// Starts one accepted job's waiter on its own thread.
+type SpawnWaiter = fn(Box<dyn FnOnce() + Send>) -> io::Result<thread::JoinHandle<()>>;
+
+/// The server's [`SpawnWaiter`]: a `ramr-serve-job` thread.
+fn spawn_waiter_thread(waiter: Box<dyn FnOnce() + Send>) -> io::Result<thread::JoinHandle<()>> {
+    thread::Builder::new().name("ramr-serve-job".into()).spawn(waiter)
+}
+
+/// Runs `waiter` on a thread from `spawn`, or — when no thread can be
+/// had — on the calling thread before returning, so an accepted job's
+/// terminal frame is sent and its `request_id` leaves `InFlight` either
+/// way. Returns the thread to join, if one was spawned.
+fn spawn_or_run(
+    spawn: SpawnWaiter,
+    waiter: impl FnOnce() + Send + 'static,
+) -> Option<thread::JoinHandle<()>> {
+    // A failed spawn drops the closure it was handed, so the waiter rides
+    // in a slot that both sides can take it from.
+    let slot = Arc::new(Mutex::new(Some(waiter)));
+    let theirs = Arc::clone(&slot);
+    match spawn(Box::new(move || take_and_run(&theirs))) {
+        Ok(handle) => Some(handle),
+        Err(_) => {
+            take_and_run(&slot);
+            None
+        }
+    }
+}
+
+fn take_and_run<F: FnOnce()>(slot: &Mutex<Option<F>>) {
+    let waiter = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+    if let Some(waiter) = waiter {
+        waiter();
     }
 }
 
@@ -1256,7 +1337,343 @@ fn app_kind(app: &str) -> Option<AppKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{JobRequest, ServeClient};
     use std::sync::mpsc;
+
+    /// The dedup ledger as first written: every sweep and every cap
+    /// eviction scans all entries, and the victim is the `Done` entry with
+    /// the smallest `(completed at, request_id)`. Kept as the oracle the
+    /// queue-ordered [`TenantLedger`] is checked against.
+    #[derive(Default)]
+    struct ScanLedger {
+        jobs: BTreeMap<String, Scanned>,
+        expired: u64,
+        dedup_hits: u64,
+        parked: u64,
+        /// The entry the last `admit` evicted.
+        victim: Option<String>,
+    }
+
+    enum Scanned {
+        InFlight(u32),
+        Done { frame: Option<Encoded>, at: Instant, claimed: bool },
+    }
+
+    impl ScanLedger {
+        fn sweep(&mut self, now: Instant, ttl: Duration) {
+            let mut expired = 0;
+            self.jobs.retain(|_, state| match state {
+                Scanned::InFlight(_) => true,
+                Scanned::Done { at, claimed, .. } => {
+                    let keep = now.saturating_duration_since(*at) < ttl;
+                    if !keep && !*claimed {
+                        expired += 1;
+                    }
+                    keep
+                }
+            });
+            self.expired += expired;
+        }
+
+        fn in_flight(&self) -> usize {
+            self.jobs.values().filter(|s| matches!(s, Scanned::InFlight(_))).count()
+        }
+
+        fn admit(&mut self, rid: &str, writer: u32) -> Result<Admit, String> {
+            self.victim = None;
+            match self.jobs.get_mut(rid) {
+                Some(Scanned::InFlight(bound)) => {
+                    *bound = writer;
+                    self.dedup_hits += 1;
+                    Ok(Admit::Rebound)
+                }
+                Some(Scanned::Done { frame, claimed, .. }) => {
+                    self.dedup_hits += 1;
+                    *claimed = true;
+                    Ok(Admit::Replay(frame.clone()))
+                }
+                None => {
+                    if self.jobs.len() >= DEDUP_CAP {
+                        let oldest = self
+                            .jobs
+                            .iter()
+                            .filter_map(|(key, state)| match state {
+                                Scanned::Done { at, .. } => Some((*at, key.clone())),
+                                Scanned::InFlight(_) => None,
+                            })
+                            .min();
+                        let Some((_, key)) = oldest else {
+                            return Err(format!(
+                                "dedup ledger full ({DEDUP_CAP} in-flight request_ids)"
+                            ));
+                        };
+                        self.jobs.remove(&key);
+                        self.victim = Some(key);
+                    }
+                    self.jobs.insert(rid.to_string(), Scanned::InFlight(writer));
+                    Ok(Admit::Fresh)
+                }
+            }
+        }
+
+        fn complete(&mut self, rid: &str, frame: Option<Encoded>, now: Instant) -> Option<u32> {
+            match self.jobs.get_mut(rid) {
+                Some(state @ Scanned::InFlight(_)) => {
+                    let done = Scanned::Done { frame, at: now, claimed: true };
+                    match std::mem::replace(state, done) {
+                        Scanned::InFlight(writer) => Some(writer),
+                        Scanned::Done { .. } => None,
+                    }
+                }
+                _ => None,
+            }
+        }
+
+        fn park(&mut self, rid: &str) {
+            if let Some(Scanned::Done { claimed, .. }) = self.jobs.get_mut(rid) {
+                *claimed = false;
+            }
+            self.parked += 1;
+        }
+
+        fn unreserve(&mut self, rid: &str) -> Option<u32> {
+            match self.jobs.remove(rid) {
+                Some(Scanned::InFlight(writer)) => Some(writer),
+                Some(done) => {
+                    self.jobs.insert(rid.to_string(), done);
+                    None
+                }
+                None => None,
+            }
+        }
+    }
+
+    /// SplitMix64: the model check's seeded operation stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Asserts that the two ledgers hold the same entries in the same
+    /// states.
+    fn assert_same_entries(ledger: &TenantLedger<u32>, oracle: &ScanLedger, at: &str) {
+        assert_eq!(ledger.jobs.len(), oracle.jobs.len(), "{at}: entry count");
+        for (rid, expected) in &oracle.jobs {
+            match (ledger.jobs.get(rid), expected) {
+                (Some(JobState::InFlight { writer }), Scanned::InFlight(w)) => {
+                    assert_eq!(writer, w, "{at}: {rid}'s connection");
+                }
+                (
+                    Some(JobState::Done { frame, claimed }),
+                    Scanned::Done { frame: f, claimed: c, .. },
+                ) => {
+                    assert_eq!((frame, claimed), (f, c), "{at}: {rid}'s terminal frame");
+                }
+                _ => panic!("{at}: {rid} is in a different state"),
+            }
+        }
+    }
+
+    /// Seeded reserve / deliver / replay / unreserve / sweep sequences,
+    /// applied to the ledger and to the scanning oracle on one injected
+    /// clock: every answer, every cap victim, every `expired` count and
+    /// every `ledger_in_flight` reading agree. The clock advances on every
+    /// step, as `Instant::now()` read under the ledgers lock does, so no
+    /// two entries complete at the same instant (on such a tie the queue
+    /// evicts the first completed, the scan the smaller id).
+    #[test]
+    fn the_queue_ordered_ledger_answers_like_the_scan_it_replaced() {
+        // (park TTL, then percent of steps that submit, deliver, unreserve;
+        // the rest only sweep), from expiry-heavy to cap-bound.
+        let shapes = [
+            (Duration::from_millis(5), 50, 40, 5),
+            (Duration::from_millis(30), 55, 35, 5),
+            (Duration::from_secs(3600), 60, 35, 3),
+            (Duration::from_secs(3600), 85, 8, 4),
+        ];
+        let (mut victims, mut refusals, mut replays, mut rebinds) = (0, 0, 0, 0);
+        let mut expired = 0;
+        for (shape, &(ttl, submit, deliver, unreserve)) in shapes.iter().enumerate() {
+            for seed in 0..2u64 {
+                let mut rng = Rng(0x5eed_0000 + 16 * shape as u64 + seed);
+                let mut ledger = TenantLedger::<u32>::new(1.0);
+                let mut oracle = ScanLedger::default();
+                let mut now = Instant::now();
+                let mut running: Vec<String> = Vec::new();
+                for step in 0..6000u32 {
+                    let at = format!("shape {shape} seed {seed} step {step}");
+                    now += if rng.below(50) == 0 {
+                        ttl / 2
+                    } else {
+                        Duration::from_micros(1 + rng.below(100))
+                    };
+                    ledger.sweep(now, ttl);
+                    oracle.sweep(now, ttl);
+                    let roll = rng.below(100);
+                    if roll < submit {
+                        let rid = format!("r{}", rng.below(1300));
+                        let writer = rng.below(4) as u32;
+                        let answer = ledger.admit(&rid, writer);
+                        assert_eq!(answer, oracle.admit(&rid, writer), "{at}: admit {rid}");
+                        match &answer {
+                            Ok(Admit::Fresh) => running.push(rid),
+                            Ok(Admit::Rebound) => rebinds += 1,
+                            Ok(Admit::Replay(_)) => replays += 1,
+                            Err(_) => refusals += 1,
+                        }
+                        if let Some(victim) = &oracle.victim {
+                            assert!(!ledger.jobs.contains_key(victim), "{at}: victim {victim}");
+                            victims += 1;
+                        }
+                    } else if roll < submit + deliver && !running.is_empty() {
+                        let pick = rng.below(running.len() as u64) as usize;
+                        let rid = running.swap_remove(pick);
+                        let frame = (rng.below(8) > 0).then(|| Arc::new(rid.clone().into_bytes()));
+                        let writer = ledger.complete(&rid, frame.clone(), now);
+                        assert_eq!(writer, oracle.complete(&rid, frame, now), "{at}: deliver");
+                        if writer.is_none() || rng.below(3) == 0 {
+                            ledger.park(&rid);
+                            oracle.park(&rid);
+                        }
+                    } else if roll < submit + deliver + unreserve {
+                        let rid = format!("r{}", rng.below(1300));
+                        assert_eq!(
+                            ledger.unreserve(&rid),
+                            oracle.unreserve(&rid),
+                            "{at}: unreserve"
+                        );
+                    }
+                    assert_eq!(ledger.in_flight(), oracle.in_flight(), "{at}: ledger_in_flight");
+                    assert_eq!(ledger.jobs.len(), oracle.jobs.len(), "{at}: ledger_entries");
+                    assert_eq!(
+                        (ledger.expired, ledger.dedup_hits, ledger.parked),
+                        (oracle.expired, oracle.dedup_hits, oracle.parked),
+                        "{at}: expired, dedup_hits, parked"
+                    );
+                    if step % 97 == 0 {
+                        assert_same_entries(&ledger, &oracle, &at);
+                    }
+                }
+                assert_same_entries(&ledger, &oracle, "the end");
+                expired += oracle.expired;
+            }
+        }
+        // Every path was taken, so agreement means something.
+        for (path, count) in [
+            ("cap evictions", victims),
+            ("full refusals", refusals),
+            ("replays", replays),
+            ("rebinds", rebinds),
+            ("expiries", expired),
+        ] {
+            assert!(count > 0, "the model check never took the {path} path");
+        }
+    }
+
+    /// A tenant whose ledger holds [`DEDUP_CAP`] in-flight ids has a fresh
+    /// id refused; in-flight entries are never evicted.
+    #[test]
+    fn a_ledger_full_of_in_flight_ids_refuses_a_fresh_one() {
+        let mut ledger = TenantLedger::<u32>::new(1.0);
+        for i in 0..DEDUP_CAP {
+            assert_eq!(ledger.admit(&format!("r{i}"), 0), Ok(Admit::Fresh));
+        }
+        assert_eq!(
+            ledger.admit("fresh", 1),
+            Err("dedup ledger full (1024 in-flight request_ids)".to_string())
+        );
+        assert_eq!((ledger.in_flight(), ledger.jobs.len()), (DEDUP_CAP, DEDUP_CAP));
+        // A known id is still answered.
+        assert_eq!(ledger.admit("r7", 2), Ok(Admit::Rebound));
+        assert_eq!(ledger.unreserve("r7"), Some(2));
+        assert_eq!(ledger.admit("fresh", 1), Ok(Admit::Fresh));
+    }
+
+    /// At the cap a fresh id evicts the entry that completed first — not
+    /// the smallest id, not one a replay or an `unreserve` touched later.
+    #[test]
+    fn the_cap_evicts_the_oldest_completed_entry() {
+        let mut ledger = TenantLedger::<u32>::new(1.0);
+        for i in 0..DEDUP_CAP {
+            assert_eq!(ledger.admit(&format!("r{i}"), 0), Ok(Admit::Fresh));
+        }
+        let t0 = Instant::now();
+        for (k, rid) in ["r900", "r5", "r700"].into_iter().enumerate() {
+            assert_eq!(ledger.complete(rid, None, t0 + Duration::from_millis(k as u64)), Some(0));
+        }
+        assert_eq!(ledger.admit("r900", 1), Ok(Admit::Replay(None)));
+        assert_eq!(ledger.unreserve("r900"), None);
+        assert_eq!(ledger.in_flight(), DEDUP_CAP - 3);
+        for (fresh, victim) in [("x", "r900"), ("y", "r5"), ("z", "r700")] {
+            assert_eq!(ledger.admit(fresh, 1), Ok(Admit::Fresh));
+            assert!(!ledger.jobs.contains_key(victim), "{fresh} evicts {victim}");
+            assert_eq!(ledger.jobs.len(), DEDUP_CAP);
+        }
+        assert!(ledger.admit("w", 1).is_err(), "nothing completed is left to evict");
+        assert_eq!(ledger.in_flight(), DEDUP_CAP);
+    }
+
+    /// The sweep reads the clock it is given: an entry expires exactly
+    /// `ttl` after it completed, counted as `expired` only if unclaimed.
+    #[test]
+    fn the_sweep_expires_entries_a_ttl_after_they_completed() {
+        let ttl = Duration::from_millis(100);
+        let mut ledger = TenantLedger::<u32>::new(1.0);
+        let t0 = Instant::now();
+        for rid in ["parked", "claimed", "running"] {
+            assert_eq!(ledger.admit(rid, 0), Ok(Admit::Fresh));
+        }
+        ledger.complete("parked", None, t0);
+        ledger.park("parked");
+        ledger.complete("claimed", None, t0 + Duration::from_millis(10));
+        ledger.sweep(t0 + ttl - Duration::from_nanos(1), ttl);
+        assert_eq!((ledger.jobs.len(), ledger.expired), (3, 0));
+        ledger.sweep(t0 + ttl, ttl);
+        assert_eq!((ledger.jobs.len(), ledger.expired), (2, 1));
+        ledger.sweep(t0 + Duration::from_secs(3600), ttl);
+        assert_eq!((ledger.jobs.len(), ledger.expired, ledger.in_flight()), (1, 1, 1));
+    }
+
+    /// When no waiter thread can be spawned, the connection driver runs
+    /// the waiter itself: every `ACCEPTED` id still gets its `RESULT`, and
+    /// none stays in flight in the dedup ledger.
+    #[test]
+    fn a_job_whose_waiter_thread_cannot_be_spawned_still_gets_its_result() {
+        let mut config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
+        config.base =
+            config.base.into_builder().num_workers(2).num_combiners(1).build().expect("config");
+        let server = Server::start(config, |_| Err(io::Error::other("injected spawn failure")))
+            .expect("server binds loopback");
+        let addr = server.local_addr().to_string();
+        let (done, outcome) = mpsc::channel();
+        let client = thread::spawn(move || {
+            let mut client = ServeClient::connect(&addr, "unspawned", None).expect("connect");
+            let mut request = JobRequest::new("wc");
+            request.scale = 20_000;
+            let keys: Vec<u64> =
+                (0..3).map(|_| client.run_job(&request).expect("a RESULT").keys).collect();
+            let _ = done.send((keys, client.metrics().expect("metrics")));
+        });
+        let (keys, metrics) =
+            outcome.recv_timeout(Duration::from_secs(60)).expect("every accepted job answered");
+        client.join().expect("the client thread");
+        assert!(keys.iter().all(|&k| k > 0 && k == keys[0]), "{keys:?}");
+        let tenants = metrics.get("tenants").and_then(Value::as_arr).expect("tenants");
+        let gauge = |name| tenants[0].get(name).and_then(Value::as_u64);
+        assert_eq!(gauge("ledger_in_flight"), Some(0));
+        assert_eq!(gauge("ledger_entries"), Some(3));
+    }
 
     /// A frame larger than every socket buffer, written in place to a peer
     /// that never reads, gives up once the write deadline has passed — not
