@@ -681,6 +681,7 @@ impl ErrorSlot {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicU32;
+    use std::sync::{PoisonError, RwLock};
 
     use super::*;
     use crate::{Backend, EngineOutput, EngineReport, EngineSession};
@@ -688,12 +689,18 @@ mod tests {
     use ramr_telemetry::{combine_throughput, pool_throughput, ThreadRole, ThreadTelemetry};
     use ramr_topology::MachineModel;
 
+    /// Held shared by every session [`run_once`] and [`run_phoenix`] open,
+    /// and exclusively by `telemetry_overhead_is_bounded_on_mod9` while it
+    /// times, so no other session of this module competes for the CPUs then.
+    static CPUS: RwLock<()> = RwLock::new(());
+
     /// A fresh run: opens a session, submits once and drops it.
     fn run_once<J: MapReduceJob + 'static>(
         cfg: RuntimeConfig,
         job: &J,
         input: &[J::Input],
     ) -> Result<EngineOutput<J>, RuntimeError> {
+        let _shared = CPUS.read().unwrap_or_else(PoisonError::into_inner);
         Ok(Backend::RamrStatic.session(cfg)?.submit(job, input)?.into_parts())
     }
 
@@ -1087,16 +1094,21 @@ mod tests {
         // elements. Interleave the measurements and keep the minimum of
         // each so scheduler noise cancels; the structural overhead is a
         // handful of Instant reads per task/flush/round, far below 5%.
+        // The session has one thread per CPU, and no other session of
+        // this module runs while it is timed.
         let input: Vec<u64> = (0..1_000_000).collect();
-        let mut cfg = config(4, 2);
+        let cpus = std::thread::available_parallelism().map_or(2, |n| n.get()).max(2);
+        let mut cfg = config(cpus - 1, 1);
         cfg.task_size = 4096;
         cfg.queue_capacity = 5000;
         cfg.batch_size = 1000;
         let mut stubbed = cfg.clone();
         stubbed.telemetry = false;
+        let _alone = CPUS.write().unwrap_or_else(PoisonError::into_inner);
         let time_one = |cfg: &RuntimeConfig| {
             let start = Instant::now();
-            let out = run_once(cfg.clone(), &Mod9, &input).unwrap().0;
+            let out = Backend::RamrStatic.session(cfg.clone()).unwrap().submit(&Mod9, &input);
+            let out = out.unwrap().into_parts().0;
             let elapsed = start.elapsed();
             assert_eq!(out.stats.emitted, 1_000_000);
             elapsed
@@ -1425,6 +1437,7 @@ mod tests {
         job: &J,
         input: &[J::Input],
     ) -> Result<crate::EngineOutcome<J>, RuntimeError> {
+        let _shared = CPUS.read().unwrap_or_else(PoisonError::into_inner);
         Backend::Phoenix.session::<J>(cfg)?.submit(job, input)
     }
 

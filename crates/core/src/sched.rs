@@ -342,15 +342,36 @@ fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// What a ticket resolves to.
+type Outcome<J> = Result<CompletedJob<J>, SchedError>;
+
 struct Ticket<J: MapReduceJob> {
-    slot: Mutex<Option<Result<CompletedJob<J>, SchedError>>>,
+    slot: Mutex<Slot<J>>,
     done: Condvar,
 }
 
+/// A ticket's state: the outcome not yet taken, or the hook waiting for
+/// it. At most one of the two is ever set.
+struct Slot<J: MapReduceJob> {
+    outcome: Option<Outcome<J>>,
+    hook: Option<Box<dyn FnOnce(Outcome<J>) + Send>>,
+}
+
 impl<J: MapReduceJob> Ticket<J> {
-    fn fulfil(&self, outcome: Result<CompletedJob<J>, SchedError>) {
-        *relock(&self.slot) = Some(outcome);
-        self.done.notify_all();
+    /// Hands `outcome` to the ticket's hook, on this thread and outside
+    /// the slot lock, or else keeps it for [`JobTicket::wait`].
+    fn fulfil(&self, outcome: Outcome<J>) {
+        let mut slot = relock(&self.slot);
+        match slot.hook.take() {
+            Some(hook) => {
+                drop(slot);
+                hook(outcome);
+            }
+            None => {
+                slot.outcome = Some(outcome);
+                self.done.notify_all();
+            }
+        }
     }
 }
 
@@ -361,7 +382,7 @@ pub struct JobTicket<J: MapReduceJob> {
 
 impl<J: MapReduceJob> std::fmt::Debug for JobTicket<J> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let done = relock(&self.inner.slot).is_some();
+        let done = relock(&self.inner.slot).outcome.is_some();
         f.debug_struct("JobTicket").field("done", &done).finish()
     }
 }
@@ -376,10 +397,30 @@ impl<J: MapReduceJob> JobTicket<J> {
     pub fn wait(self) -> Result<CompletedJob<J>, SchedError> {
         let mut slot = relock(&self.inner.slot);
         loop {
-            if let Some(outcome) = slot.take() {
+            if let Some(outcome) = slot.outcome.take() {
                 return outcome;
             }
             slot = self.inner.done.wait(slot).unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    /// Calls `hook` with the job's outcome instead of waiting for it: on
+    /// this thread, now, when the job has already completed; otherwise on
+    /// the thread that fulfils the ticket — the dispatcher, or the thread
+    /// dropping the scheduler for a job that never ran. The dispatcher is
+    /// also mapper 0 of the next epoch, so the hook should only hand the
+    /// outcome on; it must not block or panic.
+    pub fn on_complete(
+        self,
+        hook: impl FnOnce(Result<CompletedJob<J>, SchedError>) + Send + 'static,
+    ) {
+        let mut slot = relock(&self.inner.slot);
+        match slot.outcome.take() {
+            Some(outcome) => {
+                drop(slot);
+                hook(outcome);
+            }
+            None => slot.hook = Some(Box::new(hook)),
         }
     }
 }
@@ -520,7 +561,8 @@ impl<J: MapReduceJob> JobClient<J> {
                 }
             }
         }
-        let ticket = Arc::new(Ticket { slot: Mutex::new(None), done: Condvar::new() });
+        let slot = Mutex::new(Slot { outcome: None, hook: None });
+        let ticket = Arc::new(Ticket { slot, done: Condvar::new() });
         let seq = state.next_seq;
         state.next_seq += 1;
         state.queued += 1;

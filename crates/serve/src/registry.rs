@@ -14,6 +14,7 @@
 //! names its input instead of shipping it — the differential tests compare
 //! a socket run against an in-process run of the *same* generated input.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
@@ -64,9 +65,12 @@ pub struct JobOutcome {
     pub metrics: Value,
 }
 
-/// Waits for one accepted job and produces its wire outcome. Runs on a
-/// per-job waiter thread so the connection loop never blocks on an epoch.
-pub(crate) type Waiter = Box<dyn FnOnce() -> Result<JobOutcome, SchedError> + Send>;
+/// A completed job's wire outcome, rendered by the thread that calls it.
+pub(crate) type Render = Box<dyn FnOnce() -> Result<JobOutcome, SchedError> + Send>;
+
+/// An accepted job: called with a hook, it passes the job's [`Render`] to
+/// the hook when the ticket completes ([`ramr::JobTicket::on_complete`]).
+pub(crate) type Accepted = Box<dyn FnOnce(Box<dyn FnOnce(Render) + Send>) + Send>;
 
 /// A point-in-time pool gauge for the `METRICS` endpoint.
 #[derive(Debug, Clone)]
@@ -81,8 +85,8 @@ pub struct PoolStatus {
 
 /// One served app: a typed scheduler behind a type-erased surface.
 pub(crate) trait AppPool: Send + Sync {
-    /// Non-blocking admission: hand back a waiter for the accepted job,
-    /// or the typed shed reason. `tag`, when present, is recorded in the
+    /// Non-blocking admission: hand back the accepted job, or the typed
+    /// shed reason. `tag`, when present, is recorded in the
     /// scheduler's execution ledger at dispatch (the server passes the
     /// tenant-scoped `request_id`).
     fn try_submit(
@@ -91,7 +95,7 @@ pub(crate) trait AppPool: Send + Sync {
         spec: &WireSpec,
         echo: bool,
         tag: Option<&str>,
-    ) -> Result<Waiter, SchedError>;
+    ) -> Result<Accepted, SchedError>;
 
     /// Live queue gauges.
     fn status(&self) -> PoolStatus;
@@ -141,6 +145,26 @@ fn digest_pairs<K: fmt::Debug, V: fmt::Debug>(pairs: &[(K, V)]) -> String {
     hash.hex()
 }
 
+/// [`digest_pairs`] of a word-count output, hashing the same bytes
+/// without `fmt`. A key of printable ASCII other than `"` and `\` is its
+/// own `Debug` rendering between quotes; any other key is formatted. A
+/// count's `Debug` rendering is its decimal digits.
+fn digest_words(pairs: &[(<WordCount as MapReduceJob>::Key, u64)]) -> String {
+    let mut hash = Fnv1a::default();
+    for (word, count) in pairs {
+        if word.bytes().all(|b| matches!(b, b' '..=b'~') && b != b'"' && b != b'\\') {
+            for part in ["\"", word, "\"\t"] {
+                let _ = hash.write_str(part);
+            }
+        } else {
+            let _ = write!(hash, "{word:?}\t");
+        }
+        hash.decimal(*count);
+        let _ = hash.write_char('\n');
+    }
+    hash.hex()
+}
+
 /// FNV-1a 64 as a text sink: every byte written is folded into the hash.
 struct Fnv1a(u64);
 
@@ -153,6 +177,14 @@ impl Default for Fnv1a {
 impl Fnv1a {
     fn hex(&self) -> String {
         format!("{:016x}", self.0)
+    }
+
+    /// Hashes the decimal digits of `n`, most significant first.
+    fn decimal(&mut self, n: u64) {
+        if n >= 10 {
+            self.decimal(n / 10);
+        }
+        let _ = self.write_char(char::from(b'0' + (n % 10) as u8));
     }
 }
 
@@ -167,12 +199,12 @@ impl fmt::Write for Fnv1a {
 }
 
 /// Renders a completed job into its wire outcome; shared by the server's
-/// waiter threads and the differential tests' in-process baseline. The
+/// writer threads and the differential tests' in-process baseline. The
 /// metrics are [`EngineReport::metrics`](ramr::EngineReport::metrics), the
 /// same report `ramr run --metrics-json` writes; `backend` is the one `done`
 /// ran on, which its report already names. The rendering is built only when
-/// `echo` asks for it; otherwise the digest streams the same lines through
-/// the hash.
+/// `echo` asks for it; the digest streams the same lines through the hash,
+/// and hashes a word-count output's key bytes and count digits directly.
 pub fn outcome_of<J: MapReduceJob>(
     app: &str,
     backend: Backend,
@@ -182,15 +214,11 @@ pub fn outcome_of<J: MapReduceJob>(
 ) -> JobOutcome {
     debug_assert_eq!(backend, done.report.backend, "a report names the backend it ran on");
     let pairs = &done.output.pairs;
-    let rendered = echo.then(|| render_pairs(pairs));
-    let digest = match &rendered {
-        Some(text) => digest64(text),
-        None => digest_pairs(pairs),
-    };
+    let words = (pairs as &dyn Any).downcast_ref::<Vec<(<WordCount as MapReduceJob>::Key, u64)>>();
     JobOutcome {
         keys: pairs.len() as u64,
-        digest,
-        rendered,
+        digest: words.map_or_else(|| digest_pairs(pairs), |words| digest_words(words)),
+        rendered: echo.then(|| render_pairs(pairs)),
         queued_ms: done.queued.as_secs_f64() * 1e3,
         ran_ms: done.ran.as_secs_f64() * 1e3,
         metrics: done.report.metrics(app, config, &done.output.stats).to_value(),
@@ -211,7 +239,7 @@ struct TypedPool<J: MapReduceJob + Send + 'static> {
     app: &'static str,
     backend: Backend,
     sched: JobScheduler<J>,
-    /// The scheduler's config, shared with every job's waiter.
+    /// The scheduler's config, shared with every job's outcome.
     config: Arc<RuntimeConfig>,
     make: MakeJob<J>,
     cache: Mutex<HashMap<WireSpec, CachedInput<J>>>,
@@ -232,7 +260,7 @@ impl<J: MapReduceJob + Send + 'static> AppPool for TypedPool<J> {
         spec: &WireSpec,
         echo: bool,
         tag: Option<&str>,
-    ) -> Result<Waiter, SchedError> {
+    ) -> Result<Accepted, SchedError> {
         let (job, input) = self.job_and_input(spec);
         let client = self.sched.client(tenant);
         let ticket = match tag {
@@ -242,8 +270,10 @@ impl<J: MapReduceJob + Send + 'static> AppPool for TypedPool<J> {
         let app = self.app;
         let backend = self.backend;
         let config = Arc::clone(&self.config);
-        Ok(Box::new(move || {
-            ticket.wait().map(|done| outcome_of(app, backend, &config, &done, echo))
+        Ok(Box::new(move |hook| {
+            ticket.on_complete(move |done| {
+                hook(Box::new(move || done.map(|d| outcome_of(app, backend, &config, &d, echo))));
+            });
         }))
     }
 
@@ -404,6 +434,67 @@ mod tests {
     fn rendering_is_line_per_pair() {
         let pairs = vec![("a".to_string(), 1u64), ("b".to_string(), 2)];
         assert_eq!(render_pairs(&pairs), "\"a\"\t1\n\"b\"\t2\n");
+    }
+
+    /// The word-count digest path hashes exactly the bytes of the
+    /// canonical rendering, so a RESULT's digest stays bit-identical to
+    /// `digest64(render_pairs(..))`: over seeded random outputs whose keys
+    /// mix plain ASCII with `"`, `\\`, control bytes, non-ASCII (a
+    /// combining mark included), the empty key and keys past the 22-byte
+    /// inline capacity, and counts from 0 to `u64::MAX`.
+    #[test]
+    fn the_word_count_digest_is_bit_identical_to_the_rendering() {
+        const CHARS: [char; 16] = [
+            'a', 'z', 'Q', '0', ' ', '~', '\'', '"', '\\', '\n', '\t', '\0', '\x7f', 'é', '日',
+            '\u{301}',
+        ];
+        let config = RuntimeConfig::builder()
+            .num_workers(2)
+            .num_combiners(1)
+            .container(AppKind::WordCount.default_container())
+            .build()
+            .unwrap();
+        let sched = JobScheduler::<WordCount>::new(Backend::RamrStatic, config.clone()).unwrap();
+        let input = Arc::new(vec!["a real job".to_string()]);
+        let mut done =
+            sched.client("t").submit(Arc::new(WordCount), input).unwrap().wait().unwrap();
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut fast, mut spilled, mut empty) = (0, 0, 0);
+        for case in 0..300 {
+            let pairs: Vec<_> = (0..next() % 40)
+                .map(|_| {
+                    // Half the keys are plain lowercase, the rest drawn from CHARS.
+                    let plain = next() % 2 == 0;
+                    let word: String = (0..next() % 30)
+                        .map(|_| match plain {
+                            true => char::from(b'a' + (next() % 26) as u8),
+                            false => CHARS[(next() % 16) as usize],
+                        })
+                        .collect();
+                    let count = match next() % 4 {
+                        0 => u64::MAX - next() % 3,
+                        1 => next(),
+                        _ => next() % 1000,
+                    };
+                    let key: <WordCount as MapReduceJob>::Key = word.as_str().into();
+                    fast += usize::from(plain);
+                    spilled += usize::from(!key.is_inline());
+                    empty += usize::from(key.is_empty());
+                    (key, count)
+                })
+                .collect();
+            let expected = digest64(&render_pairs(&pairs));
+            done.output.pairs = pairs;
+            let outcome = outcome_of("wc", Backend::RamrStatic, &config, &done, false);
+            assert_eq!(outcome.digest, expected, "case {case}: {:?}", done.output.pairs);
+        }
+        assert!(fast > 0 && spilled > 0 && empty > 0, "{fast} {spilled} {empty}");
     }
 
     #[test]

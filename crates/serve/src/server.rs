@@ -1,36 +1,28 @@
 //! The server: accept loop, per-connection protocol drivers, pool cache,
 //! and the graceful-shutdown choreography.
 //!
-//! Thread structure (one box per thread kind):
+//! Thread structure (one box per thread kind; no thread per job):
 //!
 //! ```text
-//! accept loop ──spawns──▶ connection driver ──spawns──▶ job waiter
-//!   (1 per server)          (1 per client)              (1 per accepted job;
-//!                                 │                      the driver runs it
-//!                                 │                      when none spawns)
-//!                                 │ spawns
-//!                                 ▼
-//!                           backlog writer
-//!                           (1 per client)
+//! accept loop ──spawns──▶ connection driver ──spawns──▶ writer
+//!   (1 per server)          (1 per client)              (1 per client)
 //!
+//! a job:    dispatcher ──hook: queue push + unpark──▶ writer of the
+//!           connection the job is bound to ──▶ outcome_of, encode, send
 //! a reply:  Value ──encode once──▶ LEN SP JSON NL bytes
 //!             ├─ nothing queued, no write in flight ─▶ written by the sender
-//!             └─ otherwise ─▶ bounded backlog ─▶ written by the backlog writer
+//!             └─ otherwise ─▶ bounded backlog ─▶ written by the writer
 //! ```
 //!
-//! The connection driver owns the read side of its socket. Replies are
-//! encoded once, by the thread that produced them, and in the common case
-//! written to the socket by that same thread: the driver writes its own
-//! `ACCEPTED` / `METRICS_REPORT` / `PONG`, a job waiter writes its
-//! `RESULT`. Only a frame sent while another write is in flight joins a
-//! **bounded backlog**, which the per-connection writer thread drains in
-//! order, so frames never tear or overtake each other. Every frame write
-//! and every wait for backlog space is bounded by the write deadline; a
-//! slow client that exceeds it is kicked rather than allowed to wedge a
-//! waiter or the driver. Every blocking read carries a short timeout, which
-//! doubles as the shutdown poll: when the stop flag rises, drivers finish
-//! their waiters, say `BYE`, and exit; the accept loop joins them all
-//! before [`Server::wait`] returns.
+//! The connection driver owns the read side of its socket and writes its
+//! own replies in place when it can; frames never tear or overtake each
+//! other. The writer renders each completed job its hook queued and sends
+//! the terminal frame. Every frame write and every wait for backlog space
+//! is bounded by the write deadline; a slow client that exceeds it is
+//! kicked. Every blocking read carries a short timeout, which doubles as
+//! the shutdown poll: when the stop flag rises, a driver closes its
+//! connection, whose writer says `BYE` once its jobs have resolved; the
+//! accept loop joins them all before [`Server::wait`] returns.
 //!
 //! Wire-level resilience is a per-tenant **dedup ledger**: a `SUBMIT`
 //! carrying a `request_id` is recorded before admission, so the same id
@@ -91,7 +83,7 @@ type PoolKey = (String, String, Vec<(String, String)>);
 
 /// One `request_id`'s place in the dedup ledger. `W` is the connection
 /// handle a terminal frame goes to (a plain value in the ledger's tests).
-enum JobState<W = FrameWriter> {
+enum JobState<W = Binding> {
     /// Accepted and running; `writer` is the connection the terminal
     /// frame should go to — rebound every time the tenant re-sends this
     /// `request_id` from a new connection.
@@ -125,7 +117,7 @@ enum Admit {
 /// and the in-flight count is `jobs.len() - done.len()`. An entry never
 /// moves in the queue: a replay only claims it, and an `InFlight` entry is
 /// never in it.
-struct TenantLedger<W = FrameWriter> {
+struct TenantLedger<W = Binding> {
     jobs: HashMap<String, JobState<W>>,
     /// `(completed at, request_id)` of every `Done` entry, oldest first.
     done: VecDeque<(Instant, String)>,
@@ -139,6 +131,8 @@ struct TenantLedger<W = FrameWriter> {
     dedup_hits: u64,
     parked: u64,
     expired: u64,
+    /// Unclaimed entries the [`DEDUP_CAP`] eviction dropped: results lost.
+    evicted_unclaimed: u64,
     rate_limited: u64,
 }
 
@@ -154,6 +148,7 @@ impl<W> TenantLedger<W> {
             dedup_hits: 0,
             parked: 0,
             expired: 0,
+            evicted_unclaimed: 0,
             rate_limited: 0,
         }
     }
@@ -178,11 +173,20 @@ impl<W> TenantLedger<W> {
         self.jobs.len() - self.done.len()
     }
 
+    /// The connection an in-flight `rid` is bound to.
+    fn bound(&self, rid: &str) -> Option<&W> {
+        match self.jobs.get(rid) {
+            Some(JobState::InFlight { writer }) => Some(writer),
+            _ => None,
+        }
+    }
+
     /// Looks up a submitted `request_id` sent from connection `writer`.
     /// A fresh id is reserved as in flight before admission, so a
     /// duplicate arriving from a reconnect re-binds instead of re-running;
-    /// at [`DEDUP_CAP`] entries it evicts the oldest completed one, and
-    /// with every entry in flight the submit is refused with the returned
+    /// at [`DEDUP_CAP`] entries it evicts the oldest completed one
+    /// (counting it in `evicted_unclaimed` if never claimed), and with
+    /// every entry in flight the submit is refused with the returned
     /// message.
     fn admit(&mut self, rid: &str, writer: W) -> Result<Admit, String> {
         match self.jobs.get_mut(rid) {
@@ -203,7 +207,9 @@ impl<W> TenantLedger<W> {
                             "dedup ledger full ({DEDUP_CAP} in-flight request_ids)"
                         ));
                     };
-                    self.jobs.remove(&oldest);
+                    if let Some(JobState::Done { claimed: false, .. }) = self.jobs.remove(&oldest) {
+                        self.evicted_unclaimed += 1;
+                    }
                 }
                 self.jobs.insert(rid.to_string(), JobState::InFlight { writer });
                 Ok(Admit::Fresh)
@@ -260,11 +266,9 @@ struct Inner {
     pools: Mutex<Option<BTreeMap<PoolKey, Arc<dyn AppPool>>>>,
     /// Per-tenant dedup ledgers, rate buckets, and resilience counters.
     /// Never held across a `pools` lock (or vice versa): every path takes
-    /// the two sequentially, so no lock order can deadlock.
+    /// the two sequentially, so no lock order can deadlock. A connection's
+    /// outbound lock may be taken under it, never the other way round.
     ledgers: Mutex<BTreeMap<String, TenantLedger>>,
-    /// Starts an accepted job's waiter thread ([`spawn_waiter_thread`];
-    /// the tests inject a failing one).
-    spawn_waiter: SpawnWaiter,
 }
 
 impl Inner {
@@ -334,32 +338,27 @@ impl Inner {
         })
     }
 
-    /// Routes a `request_id` job's terminal frame: sent to the
-    /// connection currently bound to the id when possible, and retained
-    /// in the ledger either way (claimed on success, parked on failure)
-    /// so a reconnecting tenant can re-claim it until the TTL expires.
-    fn deliver(&self, tenant: &str, rid: &str, reply: &Value) {
+    /// Sends an accepted job's terminal frame: a `request_id` job's to the
+    /// connection the ledger binds the id to, retained there either way
+    /// (claimed on success, parked on failure) so a reconnecting tenant can
+    /// re-claim it until the TTL expires; any other job's to `to`.
+    fn deliver(&self, tenant: &str, rid: Option<&str>, to: Option<Binding>, reply: &Value) {
         let frame = proto::encode_frame(reply, self.config.max_frame).ok().map(Arc::new);
         // The entry flips to Done *before* the send: the client may react
         // to the terminal frame instantly (query METRICS, re-submit), and
         // must never observe its own completed job as still in flight.
         // Its completion time is read under the ledger lock, so completion
         // times never decrease along the ledger's `done` queue.
-        let writer =
-            self.with_ledger(tenant, |ledger| ledger.complete(rid, frame.clone(), Instant::now()));
-        // The send happens outside the ledger lock: a stalled client must
-        // not block other tenants' submits for the write deadline.
-        let sent = writer.zip(frame).is_some_and(|(w, frame)| w.send_encoded(frame).is_ok());
-        if !sent {
+        let bound = rid.and_then(|rid| {
+            self.with_ledger(tenant, |ledger| ledger.complete(rid, frame.clone(), Instant::now()))
+        });
+        // The send happens outside the ledger lock; both bindings are held
+        // until the frame is queued or parked.
+        let to = bound.as_ref().or(to.as_ref());
+        let sent = to.zip(frame).is_some_and(|(to, frame)| to.0.send_terminal(frame).is_ok());
+        if let (Some(rid), false) = (rid, sent) {
             self.with_ledger(tenant, |ledger| ledger.park(rid));
         }
-    }
-
-    /// Removes a `request_id` reservation after an admission refusal,
-    /// returning the connection currently bound to it (rebound by any
-    /// duplicate that raced in) so the refusal reaches the live client.
-    fn unreserve(&self, tenant: &str, rid: &str) -> Option<FrameWriter> {
-        self.with_ledger(tenant, |ledger| ledger.unreserve(rid))
     }
 
     /// Finds or builds the pool for one submit. Building happens under
@@ -390,7 +389,7 @@ impl Inner {
 
     /// Raises the stop flag and drops every pool. Dropping a scheduler
     /// drains its in-flight epoch and fulfils queued tickets with a
-    /// shutdown error, so waiter threads resolve promptly.
+    /// shutdown error, so every accepted job resolves promptly.
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         let taken = self.pools.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
@@ -405,23 +404,16 @@ impl Inner {
         if let Some(map) = guard.as_ref() {
             for ((app, backend, knobs), pool) in map {
                 let status = pool.status();
-                let mut entry = BTreeMap::new();
-                entry.insert("app".into(), Value::Str(app.clone()));
-                entry.insert("backend".into(), Value::Str(backend.clone()));
-                entry.insert(
-                    "knobs".into(),
-                    Value::Obj(
-                        knobs.iter().map(|(k, v)| (k.clone(), Value::Str(v.clone()))).collect(),
-                    ),
-                );
-                entry.insert("queue_depth".into(), Value::Num(status.queue_depth as f64));
-                entry.insert("queue_capacity".into(), Value::Num(status.queue_capacity as f64));
-                entry.insert("saturated".into(), Value::Bool(status.saturated));
-                entry.insert(
-                    "tenants".into(),
-                    Value::Arr(pool.tenant_stats().iter().map(tenant_json).collect()),
-                );
-                pools.push(Value::Obj(entry));
+                let knobs = knobs.iter().map(|(k, v)| (k.clone(), Value::Str(v.clone())));
+                pools.push(obj([
+                    ("app", Value::Str(app.clone())),
+                    ("backend", Value::Str(backend.clone())),
+                    ("knobs", Value::Obj(knobs.collect())),
+                    ("queue_depth", Value::Num(status.queue_depth as f64)),
+                    ("queue_capacity", Value::Num(status.queue_capacity as f64)),
+                    ("saturated", Value::Bool(status.saturated)),
+                    ("tenants", Value::Arr(pool.tenant_stats().iter().map(tenant_json).collect())),
+                ]));
             }
         }
         let shutting_down = guard.is_none();
@@ -435,20 +427,17 @@ impl Inner {
             for (name, ledger) in guard.iter_mut() {
                 ledger.sweep(now, self.park_ttl());
                 let num = |n: u64| Value::Num(n as f64);
-                tenants.push(Value::Obj(
-                    [
-                        ("tenant".to_string(), Value::Str(name.clone())),
-                        ("reconnects".to_string(), num(ledger.reconnects)),
-                        ("dedup_hits".to_string(), num(ledger.dedup_hits)),
-                        ("parked".to_string(), num(ledger.parked)),
-                        ("expired".to_string(), num(ledger.expired)),
-                        ("rate_limited".to_string(), num(ledger.rate_limited)),
-                        ("ledger_in_flight".to_string(), num(ledger.in_flight() as u64)),
-                        ("ledger_entries".to_string(), num(ledger.jobs.len() as u64)),
-                    ]
-                    .into_iter()
-                    .collect(),
-                ));
+                tenants.push(obj([
+                    ("tenant", Value::Str(name.clone())),
+                    ("reconnects", num(ledger.reconnects)),
+                    ("dedup_hits", num(ledger.dedup_hits)),
+                    ("parked", num(ledger.parked)),
+                    ("expired", num(ledger.expired)),
+                    ("evicted_unclaimed", num(ledger.evicted_unclaimed)),
+                    ("rate_limited", num(ledger.rate_limited)),
+                    ("ledger_in_flight", num(ledger.in_flight() as u64)),
+                    ("ledger_entries", num(ledger.jobs.len() as u64)),
+                ]));
             }
         }
         frame(
@@ -479,33 +468,31 @@ impl Inner {
 fn tenant_json(s: &TenantStats) -> Value {
     let ms = |d: std::time::Duration| Value::Num(d.as_secs_f64() * 1e3);
     let num = |n: u64| Value::Num(n as f64);
-    Value::Obj(
-        [
-            ("tenant".to_string(), Value::Str(s.tenant.clone())),
-            ("weight".to_string(), num(u64::from(s.weight))),
-            ("submitted".to_string(), num(s.submitted)),
-            ("completed".to_string(), num(s.completed)),
-            ("failed".to_string(), num(s.failed)),
-            ("shed".to_string(), num(s.shed)),
-            ("shed_queue_full".to_string(), num(s.shed_queue_full)),
-            ("shed_rate_limited".to_string(), num(s.shed_rate_limited)),
-            ("shed_quota".to_string(), num(s.shed_quota)),
-            ("shed_saturated".to_string(), num(s.shed_saturated)),
-            ("queue_wait_ms".to_string(), ms(s.queue_wait)),
-            ("max_queue_wait_ms".to_string(), ms(s.max_queue_wait)),
-            ("run_time_ms".to_string(), ms(s.run_time)),
-        ]
-        .into_iter()
-        .collect(),
-    )
+    obj([
+        ("tenant", Value::Str(s.tenant.clone())),
+        ("weight", num(u64::from(s.weight))),
+        ("submitted", num(s.submitted)),
+        ("completed", num(s.completed)),
+        ("failed", num(s.failed)),
+        ("shed", num(s.shed)),
+        ("shed_queue_full", num(s.shed_queue_full)),
+        ("shed_rate_limited", num(s.shed_rate_limited)),
+        ("shed_quota", num(s.shed_quota)),
+        ("shed_saturated", num(s.shed_saturated)),
+        ("queue_wait_ms", ms(s.queue_wait)),
+        ("max_queue_wait_ms", ms(s.max_queue_wait)),
+        ("run_time_ms", ms(s.run_time)),
+    ])
 }
 
 /// Builds a response frame: the kind's wire name plus the given members.
 fn frame<'a>(kind: ResponseKind, members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
-    let mut obj: BTreeMap<String, Value> =
-        members.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-    obj.insert("type".into(), Value::Str(kind.as_str().into()));
-    Value::Obj(obj)
+    obj(members.into_iter().chain([("type", Value::Str(kind.as_str().into()))]))
+}
+
+/// A JSON object of the given members.
+fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// One frame's wire bytes (`LEN SP JSON NL`), encoded once and shared by
@@ -517,11 +504,19 @@ struct OutboundState {
     /// Frames waiting their turn, oldest first. Empty unless a write was
     /// in flight when they were sent.
     frames: VecDeque<Encoded>,
+    /// Completed jobs for the writer thread to render and send.
+    jobs: VecDeque<Box<dyn FnOnce() + Send>>,
+    /// Live [`Binding`]s: accepted jobs whose terminal frame this
+    /// connection still owes.
+    bound: usize,
     /// Some thread — a sender writing in place or the writer thread — is
     /// writing a frame to the socket right now.
     writing: bool,
-    /// Graceful close: no new sends, the writer drains what is queued.
+    /// Graceful close: the driver sends nothing more; the writer drains
+    /// what is queued and exits once no job is bound here.
     closing: bool,
+    /// Say `BYE` on that exit.
+    bye: bool,
     /// Broken socket or kicked slow client: sends fail, frames drop.
     dead: bool,
 }
@@ -538,7 +533,7 @@ struct Outbound {
     state: Mutex<OutboundState>,
     /// Senders park here for backlog space.
     space: Condvar,
-    /// The writer thread parks here for a backlog to drain.
+    /// The writer thread parks here for frames, jobs and `bound` to reach 0.
     work: Condvar,
     /// The socket every frame is written to (carrying the write
     /// timeout), also shut down on kick/death.
@@ -555,8 +550,11 @@ impl Outbound {
         Ok(Arc::new(Outbound {
             state: Mutex::new(OutboundState {
                 frames: VecDeque::new(),
+                jobs: VecDeque::new(),
+                bound: 0,
                 writing: false,
                 closing: false,
+                bye: false,
                 dead: false,
             }),
             space: Condvar::new(),
@@ -570,6 +568,8 @@ impl Outbound {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// Kills the connection. Queued jobs stay: the writer still renders
+    /// them, and their terminal frames park.
     fn kick(&self, state: &mut OutboundState) {
         state.dead = true;
         state.frames.clear();
@@ -599,6 +599,82 @@ impl Outbound {
             }
         }
     }
+
+    /// Encodes and sends one frame; delivery failures are returned (the
+    /// driver closes on them) — a vanished or too-slow client cannot be
+    /// told anything.
+    fn send(&self, value: &Value) -> io::Result<()> {
+        self.send_encoded(Arc::new(proto::encode_frame(value, self.max_frame)?))
+    }
+
+    /// Sends one encoded frame: written in place when nothing is ahead of
+    /// it, else queued for the writer thread.
+    fn send_encoded(&self, frame: Encoded) -> io::Result<()> {
+        let deadline = Instant::now() + WRITE_DEADLINE;
+        let mut state = self.lock();
+        while !state.dead && !state.closing && state.frames.len() >= OUTBOUND_QUEUE {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                // Slow client: the backlog sat full for the whole deadline.
+                self.kick(&mut state);
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "client too slow"));
+            }
+            let (guard, _) = self
+                .space
+                .wait_timeout(state, left)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state = guard;
+        }
+        if state.dead || state.closing {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection closed"));
+        }
+        if state.writing || !state.frames.is_empty() {
+            state.frames.push_back(frame);
+            self.work.notify_one();
+            return Ok(());
+        }
+        state.writing = true;
+        drop(state);
+        self.write(&frame)
+    }
+
+    /// Queues a job's terminal frame for the writer thread. It never waits
+    /// for backlog space: the connection owes at most one per job bound to
+    /// it, and the sender is usually this connection's writer thread, the
+    /// one that drains the backlog.
+    fn send_terminal(&self, frame: Encoded) -> io::Result<()> {
+        let mut state = self.lock();
+        if state.dead {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection closed"));
+        }
+        state.frames.push_back(frame);
+        self.work.notify_one();
+        Ok(())
+    }
+
+    /// Hands a completed job to the writer thread: a queue push and an
+    /// unpark, so the scheduler's dispatcher can call it. A dead
+    /// connection takes it too; its writer renders the job and parks it.
+    fn push(&self, job: Box<dyn FnOnce() + Send>) {
+        self.lock().jobs.push_back(job);
+        self.work.notify_one();
+    }
+
+    /// Binds an accepted job's terminal frame to this connection.
+    fn bind(self: &Arc<Self>) -> Binding {
+        self.lock().bound += 1;
+        Binding(Arc::clone(self))
+    }
+
+    /// Graceful close: the writer thread drains what is queued, waits out
+    /// every job bound here, says `BYE` if asked, and exits.
+    fn finish(&self, bye: bool) {
+        let mut state = self.lock();
+        state.closing = true;
+        state.bye = bye;
+        self.work.notify_all();
+        self.space.notify_all();
+    }
 }
 
 /// Writes all of `bytes`, giving up once [`WRITE_DEADLINE`] has passed
@@ -621,94 +697,58 @@ fn write_by_deadline(mut sock: &TcpStream, mut bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// A cloneable handle on a connection's write side; waiter threads and
-/// the connection driver interleave whole frames through it.
-#[derive(Clone)]
-struct FrameWriter {
-    out: Arc<Outbound>,
-}
+/// A connection's claim on one accepted job's terminal frame. While any
+/// is alive, the connection's writer thread neither says `BYE` nor exits,
+/// so the job always has a live writer to render and send (or park) its
+/// frame. The ledger moves a `request_id`'s binding to the connection that
+/// re-sends it.
+struct Binding(Arc<Outbound>);
 
-impl FrameWriter {
-    /// Encodes and sends one frame; delivery failures are returned (the
-    /// driver closes on them, the ledger parks terminal frames on them) —
-    /// a vanished or too-slow client cannot be told anything.
-    fn send(&self, value: &Value) -> io::Result<()> {
-        self.send_encoded(Arc::new(proto::encode_frame(value, self.out.max_frame)?))
-    }
-
-    /// Sends one encoded frame: written in place when nothing is ahead of
-    /// it, else queued for the writer thread.
-    fn send_encoded(&self, frame: Encoded) -> io::Result<()> {
-        let out = &*self.out;
-        let deadline = Instant::now() + WRITE_DEADLINE;
-        let mut state = out.lock();
-        while !state.dead && !state.closing && state.frames.len() >= OUTBOUND_QUEUE {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                // Slow client: the backlog sat full for the whole deadline.
-                out.kick(&mut state);
-                return Err(io::Error::new(io::ErrorKind::TimedOut, "client too slow"));
-            }
-            let (guard, _) = out
-                .space
-                .wait_timeout(state, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state = guard;
+impl Drop for Binding {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.bound -= 1;
+        if state.bound == 0 {
+            self.0.work.notify_one();
         }
-        if state.dead || state.closing {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection closed"));
-        }
-        if state.writing || !state.frames.is_empty() {
-            state.frames.push_back(frame);
-            out.work.notify_one();
-            return Ok(());
-        }
-        state.writing = true;
-        drop(state);
-        out.write(&frame)
-    }
-
-    /// Hard close for a vanished peer: marks the connection dead right
-    /// away so waiter threads see their sends fail — and park terminal
-    /// frames in the ledger — instead of writing into a closed socket's
-    /// kernel buffer, where the frame would be silently discarded.
-    fn abandon(&self) {
-        let mut state = self.out.lock();
-        self.out.kick(&mut state);
-    }
-
-    /// Graceful close: lets the writer thread drain the backlog and exit.
-    fn finish(&self) {
-        let mut state = self.out.lock();
-        state.closing = true;
-        self.out.work.notify_all();
-        self.out.space.notify_all();
     }
 }
 
 /// The writer thread: drains the backlog that builds up while another
-/// thread's write is in flight, in order, then exits once the connection
-/// is closing with nothing queued or in flight (or at once when dead).
+/// thread's write is in flight, in order, and renders and sends the jobs
+/// the completion hooks queue. It exits once the connection is closing
+/// with nothing queued, in flight or bound here.
 fn writer_loop(out: &Outbound) {
     let mut state = out.lock();
     loop {
-        if state.dead {
-            return;
-        }
         if !state.writing {
             if let Some(frame) = state.frames.pop_front() {
                 state.writing = true;
                 out.space.notify_all();
                 drop(state);
-                if out.write(&frame).is_err() {
-                    return;
-                }
+                // A failed write kicks the connection; queued jobs still
+                // get rendered, and their frames park.
+                let _ = out.write(&frame);
                 state = out.lock();
                 continue;
             }
-            if state.closing {
-                return;
+        }
+        if let Some(job) = state.jobs.pop_front() {
+            drop(state);
+            job();
+            state = out.lock();
+            continue;
+        }
+        if state.closing && state.bound == 0 && !state.writing {
+            // Every job bound here has resolved, so a client that reads
+            // until BYE has seen all of its RESULT / JOB_ERROR frames.
+            if state.bye && !state.dead {
+                drop(state);
+                if let Ok(bye) = proto::encode_frame(&frame(ResponseKind::Bye, []), out.max_frame) {
+                    let _ = write_by_deadline(&out.sock, &bye);
+                }
             }
+            return;
         }
         state = out.work.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
     }
@@ -739,11 +779,6 @@ impl Server {
     ///
     /// The bind/configuration error when the address is unusable.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
-        Server::start(config, spawn_waiter_thread)
-    }
-
-    /// [`Server::bind`] with the given way of starting job waiters.
-    fn start(config: ServeConfig, spawn_waiter: SpawnWaiter) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -752,7 +787,6 @@ impl Server {
             stop: AtomicBool::new(false),
             pools: Mutex::new(Some(BTreeMap::new())),
             ledgers: Mutex::new(BTreeMap::new()),
-            spawn_waiter,
         });
         let accept_inner = Arc::clone(&inner);
         let accept = thread::Builder::new()
@@ -832,21 +866,17 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
 /// Everything one connection needs, bundled for the handlers.
 struct Conn<'a> {
     inner: &'a Arc<Inner>,
-    writer: FrameWriter,
+    writer: Arc<Outbound>,
     tenant: String,
-    /// Waiter threads for this connection's accepted jobs.
-    waiters: Vec<thread::JoinHandle<()>>,
 }
 
 fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_TIMEOUT));
     let Ok(out) = Outbound::open(&stream, inner.config.max_frame) else { return };
-    let writer = FrameWriter { out: Arc::clone(&out) };
-    let writer_thread = {
-        let out = Arc::clone(&out);
-        thread::Builder::new().name("ramr-serve-write".into()).spawn(move || writer_loop(&out))
-    };
+    let writer = Arc::clone(&out);
+    let writer_thread =
+        thread::Builder::new().name("ramr-serve-write".into()).spawn(move || writer_loop(&out));
     let Ok(writer_thread) = writer_thread else { return };
     let mut reader = BufReader::new(stream);
     let max_frame = inner.config.max_frame;
@@ -903,12 +933,12 @@ fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
         }
     };
     let Some(tenant) = hello_outcome else {
-        writer.finish();
+        writer.finish(false);
         let _ = writer_thread.join();
         return;
     };
 
-    let mut conn = Conn { inner, writer, tenant, waiters: Vec::new() };
+    let conn = Conn { inner, writer, tenant };
     // A heartbeat-negotiated connection that stays silent for
     // HEARTBEAT_GRACE intervals is declared dead; its terminal frames
     // park in the ledger for the reconnecting client to claim.
@@ -920,7 +950,7 @@ fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
         match proto::read_frame(&mut reader, max_frame) {
             Ok(Some(request)) => {
                 last_heard = Instant::now();
-                if !handle_request(&mut conn, &request) {
+                if !handle_request(&conn, &request) {
                     break;
                 }
             }
@@ -952,21 +982,13 @@ fn drive_connection(inner: &Arc<Inner>, stream: TcpStream) {
     }
 
     if peer_gone {
-        // The socket is gone; kill the outbound *before* resolving the
-        // waiters, so their terminal frames fail to send and park in the
-        // ledger for the reconnecting client instead of vanishing into a
-        // half-closed socket's kernel buffer.
-        conn.writer.abandon();
+        // The socket is gone; kill the outbound *before* the jobs bound
+        // here resolve, so their terminal frames fail to send and park in
+        // the ledger for the reconnecting client instead of vanishing into
+        // a half-closed socket's kernel buffer.
+        conn.writer.kick(&mut conn.writer.lock());
     }
-    // Resolve every in-flight job before saying goodbye, so a client that
-    // reads until BYE has seen all of its RESULT / JOB_ERROR frames.
-    for waiter in conn.waiters.drain(..) {
-        let _ = waiter.join();
-    }
-    if !peer_gone {
-        let _ = conn.writer.send(&frame(ResponseKind::Bye, []));
-    }
-    conn.writer.finish();
+    conn.writer.finish(!peer_gone);
     let _ = writer_thread.join();
 }
 
@@ -1001,7 +1023,7 @@ fn check_token(inner: &Inner, request: &Value, what: &str) -> Result<(), String>
 
 /// Dispatches one steady-state request. Returns `false` when the
 /// connection should close.
-fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
+fn handle_request(conn: &Conn<'_>, request: &Value) -> bool {
     let kind = match proto::frame_type(request) {
         Ok(kind) => kind,
         Err(message) => {
@@ -1027,7 +1049,7 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
             match check_token(conn.inner, request, "SHUTDOWN") {
                 Ok(()) => {
                     // Dropping the pools resolves every in-flight ticket;
-                    // the driver joins its waiters and BYEs on return.
+                    // the writer BYEs once this connection's have.
                     conn.inner.shutdown();
                     false
                 }
@@ -1056,10 +1078,10 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
     }
 }
 
-/// One SUBMIT: admission-check, then either start a waiter (ACCEPTED) or
-/// answer RETRY_AFTER / JOB_ERROR. The waiter gets its own thread; when
-/// none can be spawned it runs here, holding this connection's reads until
-/// the job ends. Job-scoped failures keep the connection alive — only
+/// One SUBMIT: admission-check, then either answer ACCEPTED and hook the
+/// job's completion, or answer RETRY_AFTER / JOB_ERROR. The hook queues
+/// the completed job for the writer of the connection the job is bound to
+/// then. Job-scoped failures keep the connection alive — only
 /// protocol-level breakage closes it.
 ///
 /// A SUBMIT carrying a `request_id` goes through the dedup ledger:
@@ -1069,11 +1091,7 @@ fn handle_request(conn: &mut Conn<'_>, request: &Value) -> bool {
 ///   replayed;
 /// * a fresh id is *reserved* before admission, so a duplicate racing in
 ///   from a reconnect can never double-execute the job.
-fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
-    // Opportunistically reap finished waiters so long-lived connections
-    // do not accumulate dead handles.
-    conn.waiters.retain(|h| !h.is_finished());
-
+fn handle_submit(conn: &Conn<'_>, request: &Value) {
     let id = request.get("id").and_then(Value::as_u64).unwrap_or(0);
     let rid = request.get("request_id").and_then(Value::as_str).map(str::to_string);
     let job_error_frame = |message: String| {
@@ -1086,8 +1104,7 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
 
     // Dedup / reservation, for request_id submits.
     if let Some(rid) = &rid {
-        match conn.inner.with_ledger(&conn.tenant, |ledger| ledger.admit(rid, conn.writer.clone()))
-        {
+        match conn.inner.with_ledger(&conn.tenant, |ledger| ledger.admit(rid, conn.writer.bind())) {
             Ok(Admit::Rebound) => {
                 let _ = conn.writer.send(&accepted_frame);
                 return;
@@ -1107,23 +1124,20 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
         }
     }
 
-    // A terminal refusal for a reserved id: deliver to whichever
-    // connection the id is bound to now and retain it as the id's
-    // outcome (a later duplicate replays it instead of re-running).
-    let refuse_terminal = |conn: &Conn<'_>, reply: Value| match &rid {
-        Some(rid) => conn.inner.deliver(&conn.tenant, rid, &reply),
-        None => {
-            let _ = conn.writer.send(&reply);
-        }
+    // A terminal refusal: for a reserved id, delivered to whichever
+    // connection the id is bound to now and retained as the id's outcome
+    // (a later duplicate replays it instead of re-running).
+    let refuse_terminal = |conn: &Conn<'_>, reply: Value| {
+        let own = rid.is_none().then(|| conn.writer.bind());
+        conn.inner.deliver(&conn.tenant, rid.as_deref(), own, &reply);
     };
     // A retryable refusal: drop the reservation (the client is expected
     // to re-submit the same id afresh) and answer the live connection.
     let refuse_retryable = |conn: &Conn<'_>, reply: Value| {
-        let writer = rid
+        let bound = rid
             .as_ref()
-            .and_then(|rid| conn.inner.unreserve(&conn.tenant, rid))
-            .unwrap_or_else(|| conn.writer.clone());
-        let _ = writer.send(&reply);
+            .and_then(|rid| conn.inner.with_ledger(&conn.tenant, |ledger| ledger.unreserve(rid)));
+        let _ = bound.as_ref().map_or(&conn.writer, |bound| &bound.0).send(&reply);
     };
 
     let parsed = parse_submit(conn.inner, request);
@@ -1163,101 +1177,56 @@ fn handle_submit(conn: &mut Conn<'_>, request: &Value) {
 
     let tag = rid.as_ref().map(|rid| format!("{}:{rid}", conn.tenant));
     match pool.try_submit(&conn.tenant, &spec, echo, tag.as_deref()) {
-        Ok(waiter) => {
+        Ok(accepted) => {
             let _ = conn.writer.send(&accepted_frame);
-            let writer = conn.writer.clone();
-            let tenant = conn.tenant.clone();
-            let backend_name = backend.as_str().to_string();
             let inner = Arc::clone(conn.inner);
-            let rid = rid.clone();
-            let run = move || {
-                let reply = match waiter() {
-                    Ok(outcome) => {
-                        let mut members = vec![
-                            ("id", Value::Num(id as f64)),
-                            ("tenant", Value::Str(tenant.clone())),
-                            ("app", Value::Str(app)),
-                            ("backend", Value::Str(backend_name)),
-                            ("keys", Value::Num(outcome.keys as f64)),
-                            ("digest", Value::Str(outcome.digest)),
-                            ("queued_ms", Value::Num(outcome.queued_ms)),
-                            ("ran_ms", Value::Num(outcome.ran_ms)),
-                            ("metrics", outcome.metrics),
-                        ];
-                        if let Some(rid) = &rid {
-                            members.push(("request_id", Value::Str(rid.clone())));
-                        }
-                        if let Some(rendered) = outcome.rendered {
-                            members.push(("output", Value::Str(rendered)));
-                        }
-                        frame(ResponseKind::Result, members)
+            let tenant = conn.tenant.clone();
+            // A job without a request_id is bound to this connection for
+            // life; one with an id, to whichever connection the ledger
+            // holds for it when the job completes.
+            let own = rid.is_none().then(|| conn.writer.bind());
+            accepted(Box::new(move |render| {
+                let to = match &rid {
+                    Some(rid) => {
+                        inner.with_ledger(&tenant, |ledger| ledger.bound(rid).map(|w| w.0.bind()))
                     }
-                    Err(err) => {
-                        let mut members = vec![
-                            ("id", Value::Num(id as f64)),
-                            ("error", Value::Str(err.to_string())),
-                        ];
-                        if let Some(rid) = &rid {
-                            members.push(("request_id", Value::Str(rid.clone())));
-                        }
-                        frame(ResponseKind::JobError, members)
-                    }
+                    None => own,
                 };
-                match &rid {
-                    // Ledgered job: route through the dedup ledger so a
-                    // vanished client's terminal frame parks for pickup.
-                    Some(rid) => inner.deliver(&tenant, rid, &reply),
-                    // Legacy (no request_id): the client may be gone;
-                    // nothing useful to do about it.
-                    None => {
-                        let _ = writer.send(&reply);
-                    }
-                }
-            };
-            if let Some(handle) = spawn_or_run(conn.inner.spawn_waiter, run) {
-                conn.waiters.push(handle);
-            }
+                // Only this job's own delivery completes its ledger entry,
+                // so `to` is always set.
+                let Some(to) = to else { return };
+                Arc::clone(&to.0).push(Box::new(move || {
+                    let mut members = vec![("id", Value::Num(id as f64))];
+                    members.extend(rid.as_ref().map(|rid| ("request_id", Value::Str(rid.clone()))));
+                    let kind = match render() {
+                        Ok(outcome) => {
+                            members.extend([
+                                ("tenant", Value::Str(tenant.clone())),
+                                ("app", Value::Str(app)),
+                                ("backend", Value::Str(backend.as_str().to_string())),
+                                ("keys", Value::Num(outcome.keys as f64)),
+                                ("digest", Value::Str(outcome.digest)),
+                                ("queued_ms", Value::Num(outcome.queued_ms)),
+                                ("ran_ms", Value::Num(outcome.ran_ms)),
+                                ("metrics", outcome.metrics),
+                            ]);
+                            members
+                                .extend(outcome.rendered.map(|text| ("output", Value::Str(text))));
+                            ResponseKind::Result
+                        }
+                        Err(err) => {
+                            members.push(("error", Value::Str(err.to_string())));
+                            ResponseKind::JobError
+                        }
+                    };
+                    inner.deliver(&tenant, rid.as_deref(), Some(to), &frame(kind, members));
+                }));
+            }));
         }
         Err(err) => match err.shed_reason() {
             Some(reason) => refuse_retryable(conn, retry_after(reason)),
             None => refuse_terminal(conn, job_error_frame(err.to_string())),
         },
-    }
-}
-
-/// Starts one accepted job's waiter on its own thread.
-type SpawnWaiter = fn(Box<dyn FnOnce() + Send>) -> io::Result<thread::JoinHandle<()>>;
-
-/// The server's [`SpawnWaiter`]: a `ramr-serve-job` thread.
-fn spawn_waiter_thread(waiter: Box<dyn FnOnce() + Send>) -> io::Result<thread::JoinHandle<()>> {
-    thread::Builder::new().name("ramr-serve-job".into()).spawn(waiter)
-}
-
-/// Runs `waiter` on a thread from `spawn`, or — when no thread can be
-/// had — on the calling thread before returning, so an accepted job's
-/// terminal frame is sent and its `request_id` leaves `InFlight` either
-/// way. Returns the thread to join, if one was spawned.
-fn spawn_or_run(
-    spawn: SpawnWaiter,
-    waiter: impl FnOnce() + Send + 'static,
-) -> Option<thread::JoinHandle<()>> {
-    // A failed spawn drops the closure it was handed, so the waiter rides
-    // in a slot that both sides can take it from.
-    let slot = Arc::new(Mutex::new(Some(waiter)));
-    let theirs = Arc::clone(&slot);
-    match spawn(Box::new(move || take_and_run(&theirs))) {
-        Ok(handle) => Some(handle),
-        Err(_) => {
-            take_and_run(&slot);
-            None
-        }
-    }
-}
-
-fn take_and_run<F: FnOnce()>(slot: &Mutex<Option<F>>) {
-    let waiter = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-    if let Some(waiter) = waiter {
-        waiter();
     }
 }
 
@@ -1337,7 +1306,6 @@ fn app_kind(app: &str) -> Option<AppKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{JobRequest, ServeClient};
     use std::sync::mpsc;
 
     /// The dedup ledger as first written: every sweep and every cap
@@ -1348,6 +1316,7 @@ mod tests {
     struct ScanLedger {
         jobs: BTreeMap<String, Scanned>,
         expired: u64,
+        evicted_unclaimed: u64,
         dedup_hits: u64,
         parked: u64,
         /// The entry the last `admit` evicted.
@@ -1407,7 +1376,9 @@ mod tests {
                                 "dedup ledger full ({DEDUP_CAP} in-flight request_ids)"
                             ));
                         };
-                        self.jobs.remove(&key);
+                        if let Some(Scanned::Done { claimed: false, .. }) = self.jobs.remove(&key) {
+                            self.evicted_unclaimed += 1;
+                        }
                         self.victim = Some(key);
                     }
                     self.jobs.insert(rid.to_string(), Scanned::InFlight(writer));
@@ -1503,7 +1474,7 @@ mod tests {
             (Duration::from_secs(3600), 85, 8, 4),
         ];
         let (mut victims, mut refusals, mut replays, mut rebinds) = (0, 0, 0, 0);
-        let mut expired = 0;
+        let (mut expired, mut lost) = (0, 0);
         for (shape, &(ttl, submit, deliver, unreserve)) in shapes.iter().enumerate() {
             for seed in 0..2u64 {
                 let mut rng = Rng(0x5eed_0000 + 16 * shape as u64 + seed);
@@ -1557,9 +1528,19 @@ mod tests {
                     assert_eq!(ledger.in_flight(), oracle.in_flight(), "{at}: ledger_in_flight");
                     assert_eq!(ledger.jobs.len(), oracle.jobs.len(), "{at}: ledger_entries");
                     assert_eq!(
-                        (ledger.expired, ledger.dedup_hits, ledger.parked),
-                        (oracle.expired, oracle.dedup_hits, oracle.parked),
-                        "{at}: expired, dedup_hits, parked"
+                        (
+                            ledger.expired,
+                            ledger.evicted_unclaimed,
+                            ledger.dedup_hits,
+                            ledger.parked
+                        ),
+                        (
+                            oracle.expired,
+                            oracle.evicted_unclaimed,
+                            oracle.dedup_hits,
+                            oracle.parked
+                        ),
+                        "{at}: expired, evicted_unclaimed, dedup_hits, parked"
                     );
                     if step % 97 == 0 {
                         assert_same_entries(&ledger, &oracle, &at);
@@ -1567,6 +1548,7 @@ mod tests {
                 }
                 assert_same_entries(&ledger, &oracle, "the end");
                 expired += oracle.expired;
+                lost += oracle.evicted_unclaimed;
             }
         }
         // Every path was taken, so agreement means something.
@@ -1576,6 +1558,7 @@ mod tests {
             ("replays", replays),
             ("rebinds", rebinds),
             ("expiries", expired),
+            ("unclaimed evictions", lost),
         ] {
             assert!(count > 0, "the model check never took the {path} path");
         }
@@ -1624,6 +1607,26 @@ mod tests {
         assert_eq!(ledger.in_flight(), DEDUP_CAP);
     }
 
+    /// A cap eviction of a parked entry, whose result no client ever got,
+    /// counts in `evicted_unclaimed`; one of a claimed entry does not.
+    #[test]
+    fn an_unclaimed_entry_evicted_at_the_cap_counts_as_lost() {
+        let mut ledger = TenantLedger::<u32>::new(1.0);
+        for i in 0..DEDUP_CAP {
+            assert_eq!(ledger.admit(&format!("r{i}"), 0), Ok(Admit::Fresh));
+        }
+        let t0 = Instant::now();
+        ledger.complete("r1", None, t0);
+        ledger.park("r1");
+        ledger.complete("r2", None, t0 + Duration::from_millis(1));
+        assert_eq!(ledger.admit("x", 1), Ok(Admit::Fresh));
+        assert!(!ledger.jobs.contains_key("r1"), "the parked entry completed first");
+        assert_eq!(ledger.evicted_unclaimed, 1);
+        assert_eq!(ledger.admit("y", 1), Ok(Admit::Fresh));
+        assert!(!ledger.jobs.contains_key("r2"));
+        assert_eq!((ledger.evicted_unclaimed, ledger.expired), (1, 0));
+    }
+
     /// The sweep reads the clock it is given: an entry expires exactly
     /// `ttl` after it completed, counted as `expired` only if unclaimed.
     #[test]
@@ -1645,34 +1648,70 @@ mod tests {
         assert_eq!((ledger.jobs.len(), ledger.expired, ledger.in_flight()), (1, 1, 1));
     }
 
-    /// When no waiter thread can be spawned, the connection driver runs
-    /// the waiter itself: every `ACCEPTED` id still gets its `RESULT`, and
-    /// none stays in flight in the dedup ledger.
+    /// A job that completes after its connection dropped still has its
+    /// terminal frame rendered, by the dead connection's writer, and parked;
+    /// the tenant's next connection re-sends the id and gets the frame
+    /// replayed without the job running again.
     #[test]
-    fn a_job_whose_waiter_thread_cannot_be_spawned_still_gets_its_result() {
+    fn a_job_that_completes_after_its_connection_dropped_is_parked_and_replayed() {
         let mut config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
         config.base =
             config.base.into_builder().num_workers(2).num_combiners(1).build().expect("config");
-        let server = Server::start(config, |_| Err(io::Error::other("injected spawn failure")))
-            .expect("server binds loopback");
+        let server = Server::bind(config).expect("server binds loopback");
         let addr = server.local_addr().to_string();
-        let (done, outcome) = mpsc::channel();
-        let client = thread::spawn(move || {
-            let mut client = ServeClient::connect(&addr, "unspawned", None).expect("connect");
-            let mut request = JobRequest::new("wc");
-            request.scale = 20_000;
-            let keys: Vec<u64> =
-                (0..3).map(|_| client.run_job(&request).expect("a RESULT").keys).collect();
-            let _ = done.send((keys, client.metrics().expect("metrics")));
-        });
-        let (keys, metrics) =
-            outcome.recv_timeout(Duration::from_secs(60)).expect("every accepted job answered");
-        client.join().expect("the client thread");
-        assert!(keys.iter().all(|&k| k > 0 && k == keys[0]), "{keys:?}");
-        let tenants = metrics.get("tenants").and_then(Value::as_arr).expect("tenants");
-        let gauge = |name| tenants[0].get(name).and_then(Value::as_u64);
-        assert_eq!(gauge("ledger_in_flight"), Some(0));
-        assert_eq!(gauge("ledger_entries"), Some(3));
+        let request = |kind: RequestKind, members: Vec<(&'static str, Value)>| {
+            obj(members.into_iter().chain([("type", Value::Str(kind.as_str().into()))]))
+        };
+        let hello = request(RequestKind::Hello, vec![("tenant", Value::Str("gone".into()))]);
+        let submit = request(
+            RequestKind::Submit,
+            vec![
+                ("id", Value::Num(1.0)),
+                ("request_id", Value::Str("late".into())),
+                ("app", Value::Str("wc".into())),
+                // 400 times the input of a 1 ms job: it is still running
+                // when the connection drops right after ACCEPTED.
+                ("scale", Value::Num(50.0)),
+            ],
+        );
+        // One connection: HELLO and SUBMIT, then every reply up to the
+        // first of kind `until`; the connection closes on return.
+        let exchange = |until: ResponseKind| {
+            let mut stream = TcpStream::connect(&addr).expect("dial");
+            for request in [&hello, &submit] {
+                proto::write_frame(&mut stream, request, 1 << 20).expect("a request writes");
+            }
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut kinds = Vec::new();
+            loop {
+                let reply = proto::read_frame(&mut reader, 16 << 20).expect("a reply reads");
+                let reply = reply.expect("the server keeps the connection open");
+                kinds.push(proto::frame_type(&reply).expect("typed").to_string());
+                if kinds.last().is_some_and(|kind| kind == until.as_str()) {
+                    return (kinds, reply);
+                }
+            }
+        };
+        let (kinds, _) = exchange(ResponseKind::Accepted);
+        assert_eq!(kinds, ["WELCOME", "ACCEPTED"]);
+        // The connection is closed here; the job completes after it.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let gauge = |name| {
+            let metrics = server.inner.metrics_frame();
+            let tenants = metrics.get("tenants").and_then(Value::as_arr).expect("tenants");
+            tenants[0].get(name).and_then(Value::as_u64).expect("a ledger gauge")
+        };
+        while gauge("ledger_in_flight") > 0 {
+            assert!(Instant::now() < deadline, "the job never resolved");
+            thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(gauge("parked"), 1, "the frame found no connection to go to");
+        let (kinds, result) = exchange(ResponseKind::Result);
+        assert_eq!(kinds, ["WELCOME", "ACCEPTED", "RESULT"]);
+        assert_eq!(result.get("request_id").and_then(Value::as_str), Some("late"));
+        assert!(result.get("keys").and_then(Value::as_u64).is_some_and(|keys| keys > 0));
+        assert_eq!((gauge("parked"), gauge("dedup_hits")), (1, 1));
+        assert_eq!(server.execution_ledger(), ["gone:late"], "replayed, not run again");
     }
 
     /// A frame larger than every socket buffer, written in place to a peer
@@ -1684,9 +1723,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
         let (stream, _) = listener.accept().expect("accept");
-        let writer = FrameWriter { out: Outbound::open(&stream, usize::MAX).expect("open") };
+        let writer = Outbound::open(&stream, usize::MAX).expect("open");
         let (done, outcome) = mpsc::channel();
-        let sender = writer.clone();
+        let sender = Arc::clone(&writer);
         let sending = thread::spawn(move || {
             let _ = done.send(sender.send_encoded(Arc::new(vec![b' '; 16 << 20])));
         });

@@ -448,3 +448,70 @@ fn the_execution_ledger_keeps_only_the_most_recent_claims() {
         assert_eq!(sched.execution_ledger(), expected);
     });
 }
+
+/// A completion hook receives each outcome exactly once, on the thread
+/// that has it: the dispatcher for a job still running when the hook is
+/// set, the caller for a job that has already completed, and the thread
+/// dropping the scheduler for a job that never ran.
+#[test]
+fn a_completion_hook_runs_once_on_the_thread_that_fulfils_the_ticket() {
+    with_deadline(60, || {
+        let sched =
+            JobScheduler::<FaultyJob<WordCount>>::new(Backend::RamrStatic, config()).unwrap();
+        let client = sched.client("a");
+        let input = Arc::new(lines(150, 0));
+        let (tx, rx) = mpsc::channel();
+        let hook = |label: &'static str| {
+            let tx = tx.clone();
+            move |outcome: Result<ramr::CompletedJob<FaultyJob<WordCount>>, SchedError>| {
+                let on = thread::current().name().map(str::to_string);
+                let pairs = outcome.map(|done| done.output.pairs).map_err(|e| e.to_string());
+                tx.send((label, on, pairs)).unwrap();
+            }
+        };
+
+        // Completed before the hook is set: the hook runs right here.
+        let done = client.submit(Arc::new(healthy()), Arc::clone(&input)).unwrap();
+        let blocker = client.submit(Arc::new(healthy()), Arc::clone(&input)).unwrap();
+        blocker.wait().unwrap();
+        done.on_complete(hook("done"));
+        let (label, on, pairs) = rx.try_recv().expect("the hook ran on the caller");
+        assert_eq!((label, on), ("done", thread::current().name().map(str::to_string)));
+        assert_eq!(pairs.unwrap(), reference(&input));
+
+        // Still running when the hook is set: the dispatcher runs it. The
+        // slow job holds the dispatcher while a second job queues behind.
+        let slow_plan = FaultPlan::with_faults(
+            all_tasks().map(|k| FaultKind::DelayTask { key: k, micros: 30_000 }).collect(),
+        );
+        let slow = FaultyJob::new(WordCount, slow_plan, ordinal_of::<150, THREADS>);
+        client.submit(Arc::new(slow), Arc::clone(&input)).unwrap().on_complete(hook("slow"));
+        let queued = client.submit(Arc::new(healthy()), Arc::clone(&input)).unwrap();
+        queued.on_complete(hook("queued"));
+        while sched.queue_depth() > 1 {
+            thread::yield_now(); // until the dispatcher has claimed the slow job
+        }
+        drop(sched);
+        let mut rest: Vec<_> = rx.iter().take(2).collect();
+        rest.sort_by_key(|(label, ..)| *label);
+        assert_eq!(rest.iter().map(|(label, ..)| *label).collect::<Vec<_>>(), ["queued", "slow"]);
+        // A job the dispatcher ran is fulfilled there; one the drop shed,
+        // on the dropping thread.
+        let ran: Vec<bool> = rest
+            .iter()
+            .map(|(label, on, outcome)| match outcome {
+                Ok(pairs) => {
+                    assert_eq!((on.as_deref(), pairs), (Some("ramr-sched"), &reference(&input)));
+                    true
+                }
+                Err(e) => {
+                    assert_eq!(e, "scheduler shut down before the job ran", "{label}");
+                    assert_eq!(on, &thread::current().name().map(str::to_string), "{label}");
+                    false
+                }
+            })
+            .collect();
+        assert!(ran[1], "the dispatcher had claimed the slow job, so it ran");
+        assert!(rx.try_recv().is_err(), "a hook ran twice");
+    });
+}

@@ -9,7 +9,7 @@
 //! the live `METRICS` endpoint, and the write side's contracts: a client
 //! that stops reading is kicked within the write deadline while other
 //! tenants keep being served, and frames from the connection's reader
-//! thread, the job waiters and the writer thread never tear or reorder.
+//! thread and the writer thread never tear or reorder.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -321,8 +321,8 @@ fn graceful_shutdown_drains_in_flight_and_sheds_queued_with_shutdown_error() {
     // The shutdown contract: every ACCEPTED id resolves to exactly one
     // terminal frame — a real RESULT for a job the dispatcher ran (the
     // in-flight epoch drains), a shutdown JOB_ERROR for a still-queued
-    // ticket. The two waiter threads race onto the socket, so the order
-    // (and, under load, which jobs the dispatcher got to) is not fixed.
+    // ticket. Which jobs the dispatcher got to under load is not fixed,
+    // so neither is the order of the two frames.
     let mut completed = Vec::new();
     let mut shutdown_errors = 0;
     for _ in 0..2 {
@@ -662,9 +662,8 @@ fn a_client_that_stops_reading_is_kicked_and_its_results_park() {
 
 /// One connection, many writers: overlapping `SUBMIT`s sent without
 /// waiting, interleaved with `METRICS`, so the connection thread's
-/// in-place `ACCEPTED`/`METRICS_REPORT` writes, the job waiters' in-place
-/// `RESULT` writes and the writer thread's backlog drain all race for the
-/// socket. Every frame must arrive whole, the direct replies (one per
+/// in-place `ACCEPTED`/`METRICS_REPORT` writes and the writer thread's
+/// `RESULT`s and backlog drain all race for the socket. Every frame must arrive whole, the direct replies (one per
 /// request) in request order, each id's `ACCEPTED` before its `RESULT`,
 /// and every request must be answered exactly once.
 #[test]
@@ -729,5 +728,92 @@ fn concurrent_senders_never_tear_or_reorder_a_connections_frames() {
         assert_eq!(accepted, terminal, "round {round}: every accepted id gets one RESULT");
     }
     drop(stream);
+    drop(server);
+}
+
+/// The names of this process's threads, read from `/proc/self/task`.
+fn thread_names() -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs lists this process's threads");
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
+}
+
+/// The server starts no thread per job: after two connections have run
+/// N = 20 and then N = 200 jobs each, the process holds the same number
+/// of threads, and no `ramr-serve-job` thread ever appears while the jobs
+/// run. `/proc/self/task` counts every thread of the process, and the
+/// other tests of this binary run in parallel, so the count is taken in a
+/// process of its own: this binary, re-run on the ignored test below.
+#[test]
+fn the_server_thread_count_does_not_grow_with_jobs() {
+    let binary = std::env::current_exe().expect("the test binary's path");
+    let body = "server_threads_after_n_jobs";
+    let run = std::process::Command::new(binary)
+        .args([body, "--exact", "--ignored", "--test-threads=1"])
+        .output()
+        .expect("the test binary re-runs");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let report = format!("{stdout}{}", String::from_utf8_lossy(&run.stderr));
+    assert!(run.status.success(), "{body} failed:\n{report}");
+    assert!(stdout.contains("1 passed"), "{body} did not run:\n{report}");
+}
+
+/// The body of [`the_server_thread_count_does_not_grow_with_jobs`].
+#[test]
+#[ignore = "needs a process of its own; run by the_server_thread_count_does_not_grow_with_jobs"]
+fn server_threads_after_n_jobs() {
+    // Two reads 20 ms apart that agree: a joined thread's task can
+    // outlive its join by a moment.
+    let settled_count = || {
+        let mut last = thread_names().len();
+        for _ in 0..100 {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = thread_names().len();
+            if now == last {
+                break;
+            }
+            last = now;
+        }
+        last
+    };
+    let (server, addr) = boot(|_| {});
+    let mut clients: Vec<ServeClient> = (0..2)
+        .map(|i| ServeClient::connect(&addr, &format!("tenant-{i}"), None).expect("connect"))
+        .collect();
+    let mut counts = Vec::new();
+    for jobs in [20, 200] {
+        let running = std::sync::atomic::AtomicBool::new(true);
+        let seen = std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut seen = std::collections::BTreeSet::new();
+                while running.load(std::sync::atomic::Ordering::SeqCst) {
+                    seen.extend(thread_names());
+                    std::thread::yield_now();
+                }
+                seen
+            });
+            let loads: Vec<_> = clients
+                .iter_mut()
+                .map(|client| {
+                    scope.spawn(move || {
+                        for _ in 0..jobs {
+                            client.run_job(&wc_request()).expect("every job completes");
+                        }
+                    })
+                })
+                .collect();
+            for load in loads {
+                load.join().expect("a load thread");
+            }
+            running.store(false, std::sync::atomic::Ordering::SeqCst);
+            sampler.join().expect("the sampler")
+        });
+        assert!(!seen.contains("ramr-serve-job"), "a per-job thread ran: {seen:?}");
+        counts.push((jobs, settled_count()));
+    }
+    assert_eq!(counts[0].1, counts[1].1, "threads after (N, count): {counts:?}");
+    drop(clients);
     drop(server);
 }
