@@ -152,7 +152,7 @@ mod tests {
         let mut pairs = Vec::new();
         let mut sink = |k: CompactKey, v: Vec<u32>| pairs.push((k, v));
         let mut emitter = Emitter::new(&mut sink);
-        InvertedIndex.map(&input, &mut emitter);
+        InvertedIndex.map_to(&input, &mut emitter);
         assert_eq!(pairs, vec![("the".into(), vec![7]), ("cat".into(), vec![7])]);
     }
 

@@ -77,6 +77,16 @@ impl MapReduceJob for KmeansJob {
     type Value = ClusterAccum;
 
     fn map(&self, task: &[Point], emit: &mut Emitter<'_, u32, ClusterAccum>) {
+        emit.reborrow(|emit| self.map_to(task, emit));
+    }
+
+    /// One array-keyed pair a point: the runtimes' sink is inlined here
+    /// rather than called through `map`'s `dyn` emitter.
+    fn map_to<S: FnMut(u32, ClusterAccum)>(
+        &self,
+        task: &[Point],
+        emit: &mut Emitter<'_, u32, ClusterAccum, S>,
+    ) {
         for p in task {
             let cluster = self.nearest(p) as u32;
             emit.emit(cluster, ClusterAccum { sum: *p, count: 1 });
@@ -196,7 +206,7 @@ mod tests {
         let mut emitted = Vec::new();
         let mut sink = |k: u32, v: ClusterAccum| emitted.push((k, v));
         let mut emitter = Emitter::new(&mut sink);
-        job.map(&[[0.5, 0.0, 0.0], [9.5, 10.0, 10.0]], &mut emitter);
+        job.map_to(&[[0.5, 0.0, 0.0], [9.5, 10.0, 10.0]], &mut emitter);
         assert_eq!(emitted.len(), 2);
         assert_eq!(emitted[0].0, 0);
         assert_eq!(emitted[1].0, 1);
@@ -225,7 +235,7 @@ mod tests {
                 job.combine(acc, v);
             };
             let mut emitter = Emitter::new(&mut sink);
-            job.map(&points, &mut emitter);
+            job.map_to(&points, &mut emitter);
             let reduced: Vec<(u32, ClusterAccum)> = accums.into_iter().collect();
             if state.step(&reduced) < 1e-9 {
                 break;

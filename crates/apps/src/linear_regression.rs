@@ -91,7 +91,7 @@ mod tests {
             *table.entry(k).or_insert(0) += v;
         };
         let mut emitter = Emitter::new(&mut sink);
-        LinearRegression.map(points, &mut emitter);
+        LinearRegression.map_to(points, &mut emitter);
         table
     }
 

@@ -178,7 +178,7 @@ mod tests {
         let tasks = job.tasks();
         let mut sink = |k: u64, v: i64| cells[k as usize] += v;
         let mut emitter = Emitter::new(&mut sink);
-        job.map(&tasks, &mut emitter);
+        job.map_to(&tasks, &mut emitter);
         Matrix::from_rows(n, cells)
     }
 

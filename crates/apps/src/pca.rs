@@ -162,7 +162,7 @@ mod tests {
         let mut reduced = Vec::new();
         let mut sink = |k: u32, v: i64| reduced.push((k, v));
         let mut emitter = Emitter::new(&mut sink);
-        job.map(&tasks, &mut emitter);
+        job.map_to(&tasks, &mut emitter);
         job.means(&reduced)
     }
 
@@ -182,7 +182,7 @@ mod tests {
             cov.insert(k, v);
         };
         let mut emitter = Emitter::new(&mut sink);
-        job.map(&job.tasks(), &mut emitter);
+        job.map_to(&job.tasks(), &mut emitter);
         // Row 0 = [1,2,3] (mean 2): var = ((-1)^2 + 0 + 1^2)/2 = 1.
         assert!((cov[&0] - 1.0).abs() < 1e-12);
         // Row 2 = [9,7,5] (mean 7): var = (4 + 0 + 4)/2 = 4.

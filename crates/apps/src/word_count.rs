@@ -27,8 +27,7 @@ use ramr_containers::CompactKey;
 ///
 /// let mut pairs = Vec::new();
 /// let mut sink = |k: CompactKey, v: u64| pairs.push((k, v));
-/// let mut emitter = Emitter::new(&mut sink);
-/// WordCount.map(&["The cat the hat".to_string()], &mut emitter);
+/// WordCount.map(&["The cat the hat".to_string()], &mut Emitter::new(&mut sink));
 /// assert_eq!(pairs.iter().filter(|(w, _)| w.as_str() == "the").count(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,7 +108,7 @@ mod tests {
             *table.entry(k).or_insert(0) += v;
         };
         let mut emitter = Emitter::new(&mut sink);
-        WordCount.map(&input, &mut emitter);
+        WordCount.map_to(&input, &mut emitter);
         table.into_iter().collect()
     }
 

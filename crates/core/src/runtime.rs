@@ -236,7 +236,8 @@ pub(crate) fn watchdog_loop(
 /// `sink` only after the map call succeeds, so a panicked (and retried)
 /// attempt publishes nothing; a task skipped as poison emits zero pairs.
 /// Otherwise the map call feeds `sink` directly and a panic unwinds into the
-/// caller. Either way the task's emitter carries the run's cancel flag.
+/// caller. Either way the task runs through [`MapReduceJob::map_to`], with
+/// `sink`'s own type, and its emitter carries the run's cancel flag.
 fn run_task<J: MapReduceJob>(
     job: &J,
     task: &TaskRange,
@@ -261,7 +262,7 @@ fn run_task<J: MapReduceJob>(
         count
     } else {
         let mut emitter = Emitter::with_cancel(&mut sink, ctx.cancel);
-        job.map(&input[task.start..task.end], &mut emitter);
+        job.map_to(&input[task.start..task.end], &mut emitter);
         emitter.emitted()
     }
 }
@@ -385,8 +386,10 @@ impl<'j, J: MapReduceJob> Fold<'_, 'j, J> {
 
 /// One claimed map task as a [`PairFeed`]: every emission is hashed once and
 /// handed straight to the container arm [`HashedJobContainer::insert_from`]
-/// picked for the task, one indirect call per pair through the task's
-/// emitter. Counts the task's emissions into `emitted`.
+/// picked for the task. The task runs through [`MapReduceJob::map_to`], so a
+/// job that overrides it gets a map loop with the hash and the arm inlined;
+/// one that implements only `map` pays one indirect call per pair. Counts
+/// the task's emissions into `emitted`.
 struct TaskFeed<'a, 'c, J: MapReduceJob> {
     job: &'a J,
     task: &'a TaskRange,

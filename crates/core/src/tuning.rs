@@ -126,7 +126,8 @@ impl Calibration {
 
 /// Measures map and combine throughput on a sample of the input.
 ///
-/// The map side runs over `sample` with a null emitter; the combine side
+/// The map side runs `sample` through [`MapReduceJob::map_to`], the call the
+/// runtimes make, into a buffer of hashed pairs; the combine side
 /// replays the sampled emissions into a real container of the configured
 /// kind (so hash-versus-array costs are captured). Run this on an idle
 /// machine with a sample large enough to amortize timer resolution — a few
@@ -152,7 +153,7 @@ pub fn calibrate<J: MapReduceJob>(
     {
         let mut sink = |k: J::Key, v: J::Value| pairs.push((Hashed::wrap(config.hasher, k), v));
         let mut emitter = Emitter::new(&mut sink);
-        job.map(sample, &mut emitter);
+        job.map_to(sample, &mut emitter);
     }
     let map_ns = started.elapsed().as_nanos() as f64;
     if pairs.is_empty() {

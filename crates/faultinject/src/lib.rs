@@ -287,7 +287,7 @@ mod tests {
         let mut out = Vec::new();
         let mut sink = |k, v| out.push((k, v));
         let mut emit = Emitter::new(&mut sink);
-        job.map(&[10, 11, 12], &mut emit);
+        job.map_to(&[10, 11, 12], &mut emit);
         out
     }
 
@@ -358,7 +358,7 @@ mod tests {
         let mut out: Vec<(u64, u64)> = Vec::new();
         let mut sink = |k, v| out.push((k, v));
         let mut emit = Emitter::with_cancel(&mut sink, &cancel);
-        job.map(&[10, 11], &mut emit);
+        job.map_to(&[10, 11], &mut emit);
         assert!(out.is_empty(), "a hung task must not emit");
         assert!(cancel.load(Ordering::Relaxed));
     }

@@ -234,6 +234,8 @@ pub fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
 /// returned) or the original panic is resumed, for the caller to file as a
 /// [`RuntimeError::WorkerPanic`].
 ///
+/// The task runs through [`MapReduceJob::map_to`] with the staging closure as
+/// its sink, so a job that overrides it stages without a call per pair.
 /// `cancel` is threaded into the task's [`Emitter`] so cooperative jobs can
 /// observe a watchdog cancellation mid-task.
 pub fn map_task_staged<J: MapReduceJob>(
@@ -253,7 +255,7 @@ pub fn map_task_staged<J: MapReduceJob>(
             let count = {
                 let mut sink = |key: J::Key, value: J::Value| staged.push((key, value));
                 let mut emitter = Emitter::with_cancel(&mut sink, cancel);
-                job.map(&input[task.start..task.end], &mut emitter);
+                job.map_to(&input[task.start..task.end], &mut emitter);
                 emitter.emitted()
             };
             (staged, count)

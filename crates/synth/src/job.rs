@@ -91,7 +91,7 @@ mod tests {
             }
         };
         let mut emitter = Emitter::new(&mut sink);
-        job.map(input, &mut emitter);
+        job.map_to(input, &mut emitter);
         counts.into_iter().collect()
     }
 

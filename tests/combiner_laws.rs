@@ -11,6 +11,12 @@
 //! the same value in either order, and sampled triples the same under
 //! either grouping. Values are compared through their `Debug` output, with
 //! a small relative tolerance for floating-point numbers.
+//!
+//! Every job is also checked for `map_to` ≡ `map` on the same input: the
+//! runtimes call `map_to` with a closure of their own, and `Histogram` and
+//! `KmeansJob` override it with their map body, so the pairs, their order
+//! and the emitter's count must not depend on which one ran. Run it with
+//! `--release` too: the override is inlined only by the optimiser.
 
 use std::sync::Arc;
 
@@ -53,6 +59,35 @@ fn emitted<J: MapReduceJob>(job: &J, input: &[J::Input]) -> Vec<(J::Key, J::Valu
     let mut sink = |key, value| pairs.push((key, value));
     job.map(input, &mut Emitter::new(&mut sink));
     pairs
+}
+
+/// Checks that `map_to` through a generic closure — the call every runtime
+/// makes — emits what `map` through a `dyn` sink does: the same pairs in
+/// the same order, and the same `emitted()` count.
+fn assert_map_to_is_map<J: MapReduceJob>(job: &J, input: &[J::Input]) {
+    let name = job.name();
+    let (mut via_map, mut via_map_to) = (Vec::new(), Vec::new());
+    let map_count = {
+        let mut sink = |key, value| via_map.push((key, value));
+        let mut emit: Emitter<'_, J::Key, J::Value> = Emitter::new(&mut sink);
+        job.map(input, &mut emit);
+        emit.emitted()
+    };
+    let map_to_count = {
+        let mut sink = |key, value| via_map_to.push((key, value));
+        let mut emit = Emitter::new(&mut sink);
+        job.map_to(input, &mut emit);
+        emit.emitted()
+    };
+    assert_eq!(map_count, via_map.len() as u64, "{name}: map's count is not its pairs");
+    assert_eq!(map_to_count, map_count, "{name}: map_to counted differently from map");
+    assert_eq!(via_map_to.len(), via_map.len(), "{name}: map_to emitted a different number");
+    for (i, ((k1, v1), (k2, v2))) in via_map.iter().zip(&via_map_to).enumerate() {
+        assert!(
+            k1 == k2 && format!("{v1:?}") == format!("{v2:?}"),
+            "{name}: pair {i} differs: map {k1:?} {v1:?}, map_to {k2:?} {v2:?}"
+        );
+    }
 }
 
 /// `acc` with each of `rest` folded into it, in order.
@@ -109,8 +144,10 @@ fn same(a: &str, b: &str) -> bool {
         })
 }
 
-/// Checks both laws on values drawn from `job`'s own map over `input`.
+/// Checks both laws on values drawn from `job`'s own map over `input`, after
+/// checking that its `map_to` agrees with its `map` there.
 fn assert_laws<J: MapReduceJob>(job: &J, input: &[J::Input]) {
+    assert_map_to_is_map(job, input);
     let name = job.name().to_string();
     let mut pool: Vec<J::Value> = emitted(job, input).into_iter().map(|(_, v)| v).collect();
     assert!(pool.len() >= 2, "{name}: the seeded input emitted {} values", pool.len());

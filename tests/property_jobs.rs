@@ -67,7 +67,7 @@ fn reference(job: &RandomJob, input: &[u64]) -> Vec<(u32, u64)> {
         }
     };
     let mut emitter = Emitter::new(&mut sink);
-    job.map(input, &mut emitter);
+    job.map_to(input, &mut emitter);
     acc.into_iter().collect()
 }
 
