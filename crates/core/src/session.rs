@@ -58,9 +58,12 @@
 //!    counter hits zero, so the frame — and the `&J`/`&[J::Input]` borrows
 //!    smuggled through it — never outlives the epoch. Combiners re-arm
 //!    (drain + reopen) their read-ends in [`Role::settle`] before
-//!    signalling done.
+//!    signalling done. Each role has left its partial in its own [`Slot`].
+//! 4. The coordinator cuts the partials into range buckets. More than one
+//!    is a second epoch of the frame: every thread, the coordinator too,
+//!    claims buckets ([`reduce_buckets`]). One is reduced in place.
 //!
-//! Because every epoch gets fresh telemetry cells, a fresh fault log and a
+//! Because every job gets fresh telemetry cells, a fresh fault log and a
 //! fresh error slot inside its frame, per-job state cannot bleed between
 //! jobs; the epoch counter is the generation stamp that keeps a stale
 //! worker from ever touching a newer job's frame.
@@ -75,9 +78,10 @@
 //! [`Producer::finish`]: ramr_spsc::Producer::finish
 //! [`Consumer::reopen`]: ramr_spsc::Consumer::reopen
 
+use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
 
 use mr_core::{
@@ -97,9 +101,9 @@ use crate::runtime::{
     fold_loop, maybe_pin, watchdog_loop, CallerPin, ErrorSlot, FaultCtx, PairConsumer, WriteEnd,
 };
 
-/// Everything one job (epoch) shares with the parked worker pools. Lives on
-/// the coordinator's stack for exactly the duration of one `submit`; workers
-/// reach it through the raw pointer published in [`SessionShared::frame`].
+/// Everything one job (both its epochs) shares with the parked worker pools.
+/// Lives on the coordinator's stack for exactly the duration of one `submit`;
+/// workers reach it through the raw pointer published in [`SessionShared::frame`].
 ///
 /// Sharing `&JobFrame` across threads is sound although the raw pointers
 /// keep it from being `Sync` by itself: `J: MapReduceJob` implies `J: Sync`
@@ -131,11 +135,36 @@ struct JobFrame<J: MapReduceJob> {
     helper_cells: Vec<TelemetryCell>,
     /// Pairs each mapper folded itself because its combiner was behind.
     spilled: Vec<AtomicU64>,
-    /// Combined partial results (hashes still attached), pushed by
-    /// whichever worker produced them.
-    partials: Mutex<Vec<phases::HashedPairs<J>>>,
+    /// Each role's combined partial, if any, by progress-board position.
+    partials: Vec<Slot<phases::HashedPairs<J>>>,
+    /// The reduce epoch's buckets. Empty in the map epoch, which is how a
+    /// pooled thread tells the two apart.
+    buckets: Vec<Bucket<J>>,
+    /// The next bucket to claim (`Relaxed`: the cursor publishes nothing).
+    claimed: AtomicUsize,
     /// The thread that called `submit`, which the last worker done unparks.
     submitter: Thread,
+}
+
+/// A reduce epoch's bucket, and the run (or panic) its claimer leaves beside it.
+type Bucket<J> = (Slot<phases::HashedPairs<J>>, Slot<std::thread::Result<phases::Pairs<J>>>);
+
+/// A value with one owner at a time and no lock: a role owns its partial in
+/// the map epoch, bucket `b`'s claimer its slots in the reduce epoch, and the
+/// coordinator all of them between epochs; the epoch's `Release` bump and
+/// `busy`'s `AcqRel` countdown hand them over, as they hand over the frame.
+struct Slot<T>(UnsafeCell<Option<T>>);
+
+// SAFETY: one owner at a time, handed over by the edges above.
+unsafe impl<T: Send> Sync for Slot<T> {}
+
+impl<T> Slot<T> {
+    /// # Safety
+    ///
+    /// The calling thread must own the slot.
+    unsafe fn replace(&self, value: Option<T>) -> Option<T> {
+        std::mem::replace(&mut *self.0.get(), value)
+    }
 }
 
 impl<J: MapReduceJob> JobFrame<J> {
@@ -186,10 +215,22 @@ impl<J: MapReduceJob> SessionShared<J> {
         }
     }
 
+    /// Publishes `frame` to the pooled threads. `busy` is armed first, so a
+    /// worker that finishes at once finds itself counted; the caller's share
+    /// ends before it waits. The epoch's Release publishes both stores.
+    fn publish(&self, handles: &[JoinHandle<()>], frame: &JobFrame<J>) {
+        self.busy.store(handles.len(), Ordering::Relaxed);
+        self.frame.store(std::ptr::from_ref(frame).cast_mut(), Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Release);
+        wake(handles);
+    }
+
+    /// Parks until the pooled threads are done, then unpublishes the frame.
     fn wait_all_done(&self) {
         while self.busy.load(Ordering::Acquire) > 0 {
             std::thread::park();
         }
+        self.frame.store(std::ptr::null_mut(), Ordering::Relaxed);
     }
 
     /// Retires the pool: every pooled thread sees the flag at its next
@@ -524,7 +565,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
 
         // --- Map-combine phase on the parked pools -----------------------
         let timer = PhaseTimer::start(PhaseKind::MapCombine);
-        let frame = self.frame_for(job, input, tasks);
+        let mut frame = self.frame_for(job, input, tasks);
         self.jobs_run += 1;
         let config = &self.shared.config;
 
@@ -601,12 +642,26 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             .zip(combine_throughput(&threads, spilled))
             .map(|(map, combine)| ramr_telemetry::suggested_ratio(map, combine));
 
-        let partials = frame.partials.into_inner().unwrap_or_else(PoisonError::into_inner);
-
         // --- Reduce phase (the carried hashes ride along unread) -----------
         let timer = PhaseTimer::start(PhaseKind::Reduce);
+        let partials =
+            frame.partials.iter_mut().filter_map(|slot| slot.0.get_mut().take()).collect();
         let buckets = phases::bucket_by_key_hashed::<J>(partials, config.num_reducers);
-        let runs = phases::reduce_parallel(job, buckets, phases::reduce_bucket_hashed)?;
+        frame.buckets =
+            buckets.into_iter().map(|b| (Slot(Some(b).into()), Slot(None.into()))).collect();
+        // Nothing unwinds before the wait: every bucket reduces under
+        // `catch_unwind`. With one bucket, `busy` is still zero.
+        if frame.buckets.len() > 1 {
+            self.shared.publish(&self.handles, &frame);
+        }
+        reduce_buckets(&frame, job);
+        self.shared.wait_all_done();
+        let runs: Vec<_> =
+            frame.buckets.iter_mut().filter_map(|(_, run)| run.0.get_mut().take()).collect();
+        let failed = runs.iter().filter(|run| run.is_err()).count() as u64;
+        let runs = runs.into_iter().collect::<Result<Vec<_>, _>>().map_err(|panic| {
+            RuntimeError::WorkerPanic(phases::panic_message(&*panic)).noting_suppressed(failed - 1)
+        })?;
         timer.stop(&mut stats);
 
         // --- Merge phase ---------------------------------------------------
@@ -652,7 +707,9 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             combiner_cells: fresh_cells(combiners),
             helper_cells: fresh_cells(combiners),
             spilled: (0..config.num_workers).map(|_| AtomicU64::new(0)).collect(),
-            partials: Mutex::new(Vec::new()),
+            partials: (0..config.num_workers + combiners).map(|_| Slot(None.into())).collect(),
+            buckets: Vec::new(),
+            claimed: AtomicUsize::new(0),
             submitter: std::thread::current(),
         }
     }
@@ -713,18 +770,10 @@ fn with_epoch<J: MapReduceJob, R>(
             }
             self.shared.wait_all_done();
             self.frame.watchdog_done.store(true, Ordering::Release);
-            self.shared.frame.store(std::ptr::null_mut(), Ordering::Relaxed);
         }
     }
 
-    // Arm the done-counter BEFORE publishing the epoch: a worker that
-    // finishes instantly must find the counter already counting it. It
-    // counts the pooled threads only; the caller's role ends before the
-    // guard waits. The epoch's Release publishes both Relaxed stores.
-    shared.busy.store(shared.config.num_workers + shared.combiners - 1, Ordering::Relaxed);
-    shared.frame.store(std::ptr::from_ref(frame).cast_mut(), Ordering::Relaxed);
-    shared.epoch.fetch_add(1, Ordering::Release);
-    wake(handles);
+    shared.publish(handles, frame);
     let mut guard = EpochGuard { shared, frame, caller: Some(caller), supervised: false };
     let out = supervise();
     if let Some(CallerRole { role, job, input }) = guard.caller.take() {
@@ -787,37 +836,6 @@ impl<J: MapReduceJob> Role<J> {
         Self { kind, index, slot, home_group, reads: Vec::new(), write: None, kept: None }
     }
 
-    /// One epoch of [`fold_loop`]; what the role folded is its partial.
-    fn run(&mut self, config: &RuntimeConfig, ep: &Epoch<'_, J>) -> RoleOutcome<J> {
-        let (frame, i) = (ep.frame, self.index);
-        // Progress-board slots list the mappers first, then the combiners.
-        let (reads_cell, tasks_cell, board_slot) = match self.kind {
-            RoleKind::Combiner => {
-                (Some(&frame.combiner_cells[i]), &frame.helper_cells[i], config.num_workers + i)
-            }
-            RoleKind::Mapper | RoleKind::Worker => (None, &frame.map_cells[i], i),
-        };
-        let pairs = fold_loop(
-            ep.job,
-            ep.input,
-            config,
-            &frame.queues,
-            self.home_group,
-            &mut self.reads,
-            self.write.as_mut(),
-            &mut self.kept,
-            reads_cell,
-            tasks_cell,
-            &ep.ctx,
-            board_slot,
-        );
-        if let Some(write) = &self.write {
-            frame.spilled[i].store(write.spilled, Ordering::Relaxed);
-        }
-        let pairs = pairs?;
-        Ok((!pairs.is_empty()).then_some(pairs))
-    }
-
     /// Readies the role's queue ends for the next epoch, on every exit.
     ///
     /// `fold_loop` closes a write-end itself unless it unwound, so finish it
@@ -840,21 +858,9 @@ impl<J: MapReduceJob> Role<J> {
     }
 }
 
-/// One published epoch as a role sees it.
-struct Epoch<'a, J: MapReduceJob> {
-    frame: &'a JobFrame<J>,
-    job: &'a J,
-    input: &'a [J::Input],
-    ctx: FaultCtx<'a>,
-}
-
-/// What one role yields for one epoch: its combined partial when it
-/// folded any pair, or the error that fails the job.
-type RoleOutcome<J> = Result<Option<phases::HashedPairs<J>>, RuntimeError>;
-
 /// The one epoch loop every pooled thread runs, whatever its role: pin once,
 /// then for each published epoch run `role` for exactly one job (see
-/// [`run_role`]) and signal done.
+/// [`run_role`]), or claim buckets in a reduce epoch, and signal done.
 fn epoch_worker<J: MapReduceJob>(shared: &SessionShared<J>, mut role: Role<J>) {
     maybe_pin(shared.config.pin_os_threads, role.slot);
     let mut last = 0u64;
@@ -863,12 +869,16 @@ fn epoch_worker<J: MapReduceJob>(shared: &SessionShared<J>, mut role: Role<J>) {
         // The coordinator armed `busy` to count this thread before it
         // published, and neither returns nor unwinds past the frame (nor
         // frees the job/input borrows smuggled through it) until `busy`
-        // is zero again — `with_epoch`'s guard. This thread decrements
-        // `busy` only at the bottom of this iteration, after its last use
-        // of `frame`, `job` and `input`.
+        // is zero again — `with_epoch`'s guard, or a reduce epoch that
+        // cannot unwind. This thread decrements `busy` only at the bottom
+        // of this iteration, after its last use of `frame`, `job` and `input`.
         let frame = unsafe { &*ptr };
         let (job, input) = unsafe { (frame.job(), frame.input()) };
-        run_role(&shared.config, frame, job, input, &mut role);
+        if frame.buckets.is_empty() {
+            run_role(&shared.config, frame, job, input, &mut role);
+        } else {
+            reduce_buckets(frame, job);
+        }
         // Cloned first: once `busy` is zero the frame may be gone.
         let submitter = frame.submitter.clone();
         if shared.busy.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -879,12 +889,12 @@ fn epoch_worker<J: MapReduceJob>(shared: &SessionShared<J>, mut role: Role<J>) {
 
 /// Runs `role` for one epoch of `frame` (whose job and input are `job` and
 /// `input`) on the calling thread — a pooled worker, or the caller running
-/// mapper 0 — and files the outcome in the frame.
+/// mapper 0 — and files the outcome in the frame: what the role folded is
+/// its partial, and an error fails the job.
 ///
-/// [`Role::run`] yields the thread's combined partial or the error that
-/// fails the job, and runs under `catch_unwind` so a panicking job cannot
-/// kill a pooled thread, nor unwind out of `submit`. [`Role::settle`] runs
-/// after it either way and is told whether it unwound.
+/// [`fold_loop`] runs under `catch_unwind` so a panicking job cannot kill a
+/// pooled thread, nor unwind out of `submit`. [`Role::settle`] runs after it
+/// either way and is told whether it unwound.
 fn run_role<J: MapReduceJob>(
     config: &RuntimeConfig,
     frame: &JobFrame<J>,
@@ -899,25 +909,59 @@ fn run_role<J: MapReduceJob>(
         &frame.cancel,
         frame.board.as_ref(),
     );
-    let epoch = Epoch { frame, job, input, ctx };
-    let result = catch_unwind(AssertUnwindSafe(|| role.run(config, &epoch)));
+    let i = role.index;
+    // Progress-board slots list the mappers first, then the combiners.
+    let (reads_cell, tasks_cell, board_slot) = match role.kind {
+        RoleKind::Combiner => {
+            (Some(&frame.combiner_cells[i]), &frame.helper_cells[i], config.num_workers + i)
+        }
+        RoleKind::Mapper | RoleKind::Worker => (None, &frame.map_cells[i], i),
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let pairs = fold_loop(
+            job,
+            input,
+            config,
+            &frame.queues,
+            role.home_group,
+            &mut role.reads,
+            role.write.as_mut(),
+            &mut role.kept,
+            reads_cell,
+            tasks_cell,
+            &ctx,
+            board_slot,
+        );
+        if let Some(write) = &role.write {
+            frame.spilled[i].store(write.spilled, Ordering::Relaxed);
+        }
+        // SAFETY: a role owns its board position's slot for the epoch.
+        unsafe { frame.partials[board_slot].replace(Some(pairs?).filter(|p| !p.is_empty())) };
+        Ok(())
+    }));
     role.settle(result.is_err());
-    match result {
-        Ok(Ok(Some(pairs))) => {
-            frame.partials.lock().unwrap_or_else(PoisonError::into_inner).push(pairs)
-        }
-        Ok(Ok(None)) => {}
-        Ok(Err(e)) => frame.errors.record(e),
-        Err(panic) => {
-            frame.errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)))
-        }
+    let panicked = |panic: Box<_>| Err(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
+    if let Err(e) = result.unwrap_or_else(panicked) {
+        frame.errors.record(e);
+    }
+}
+
+/// Claims buckets of `frame` until none is left, leaving each one's reduced
+/// run, or the panic that ended it, beside it.
+fn reduce_buckets<J: MapReduceJob>(frame: &JobFrame<J>, job: &J) {
+    loop {
+        let b = frame.claimed.fetch_add(1, Ordering::Relaxed);
+        let Some((bucket, run)) = frame.buckets.get(b) else { return };
+        // SAFETY: the claim gave bucket `b`'s slots to this thread alone.
+        let bucket = unsafe { bucket.replace(None) }.unwrap_or_default();
+        let reduced = catch_unwind(AssertUnwindSafe(|| phases::reduce_bucket_hashed(job, bucket)));
+        // SAFETY: as above.
+        unsafe { run.replace(Some(reduced)) };
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicUsize;
-
     use super::*;
     use mr_core::Emitter;
 
@@ -963,18 +1007,64 @@ mod tests {
         }
     }
 
+    /// A static session of `workers` mappers and `combiners` combiners.
+    fn gated_session(workers: usize, combiners: usize) -> EngineSession<Gated> {
+        let cfg = RuntimeConfig::builder().num_workers(workers).num_combiners(combiners);
+        let cfg = cfg.task_size(16).queue_capacity(64).batch_size(8).build().unwrap();
+        Backend::RamrStatic.session(cfg).unwrap()
+    }
+
+    /// Each element its own key; `reduce` counts its calls on the submitter, a
+    /// pooled `ramr-…` thread and elsewhere, in atomics: TSan sees no lock.
+    struct Placed {
+        submitter: std::thread::ThreadId,
+        on: [AtomicUsize; 3],
+    }
+
+    impl MapReduceJob for Placed {
+        type Input = u64;
+        type Key = u64;
+        type Value = u64;
+
+        fn map(&self, task: &[u64], emit: &mut Emitter<'_, u64, u64>) {
+            task.iter().for_each(|&x| emit.emit(x, 1));
+        }
+
+        fn combine(&self, _: &mut u64, _: u64) {}
+
+        fn reduce(&self, _: &u64, combined: u64) -> u64 {
+            let here = std::thread::current();
+            let pooled = here.name().is_some_and(|name| name.starts_with("ramr-"));
+            let on = if here.id() == self.submitter { 0 } else { 2 - usize::from(pooled) };
+            self.on[on].fetch_add(1, Ordering::Relaxed);
+            combined
+        }
+    }
+
+    #[test]
+    fn a_multi_bucket_reduce_runs_on_the_session_threads() {
+        // 20 000 pairs are past the 16 Ki-pair floor, so there are
+        // `num_reducers` buckets; 5 are more than the session's threads.
+        let input: Vec<u64> = (0..20_000).collect();
+        for backend in [Backend::RamrStatic, Backend::Phoenix] {
+            for num_reducers in [2, 5] {
+                let cfg = RuntimeConfig::builder().num_workers(2).num_combiners(1);
+                let cfg = cfg.num_reducers(num_reducers).container(mr_core::ContainerKind::Hash);
+                let mut session = backend.session::<Placed>(cfg.build().unwrap()).unwrap();
+                let job = Placed { submitter: std::thread::current().id(), on: Default::default() };
+                assert_eq!(session.submit(&job, &input).unwrap().output.pairs.len(), input.len());
+                let on = job.on.each_ref().map(|n| n.load(Ordering::Relaxed));
+                let case = format!("{backend}, {num_reducers} buckets: [caller, ramr-…, other]");
+                assert_eq!(on[2], 0, "{case} reduced {on:?}");
+                assert_eq!(on.iter().sum::<usize>(), input.len());
+            }
+        }
+    }
+
     #[test]
     fn an_unwinding_supervisor_ends_the_epoch_before_the_frame_dies() {
         let input: Vec<u64> = (0..4000).collect();
-        let cfg = RuntimeConfig::builder()
-            .num_workers(3)
-            .num_combiners(2)
-            .task_size(16)
-            .queue_capacity(64)
-            .batch_size(8)
-            .build()
-            .unwrap();
-        let mut session = Backend::RamrStatic.session::<Gated>(cfg).unwrap();
+        let mut session = gated_session(3, 2);
         let job = Gated::default();
 
         // The supervisor panics only once a worker is provably inside the
@@ -1015,15 +1105,7 @@ mod tests {
             let input: Vec<u64> = (0..4000).collect();
             for (workers, combiners) in [(1, 1), (3, 2)] {
                 let case = format!("{workers} + {combiners}");
-                let cfg = RuntimeConfig::builder()
-                    .num_workers(workers)
-                    .num_combiners(combiners)
-                    .task_size(16)
-                    .queue_capacity(64)
-                    .batch_size(8)
-                    .build()
-                    .unwrap();
-                let mut session = Backend::RamrStatic.session::<Gated>(cfg).unwrap();
+                let mut session = gated_session(workers, combiners);
                 let job = Gated::default();
                 let tasks = session.split(input.len());
                 let frame = session.frame_for(&job, &input, tasks);

@@ -19,7 +19,7 @@
 //!
 //! Two workers claim tasks, each collecting what it maps — every key carrying
 //! its hash — into its own partial, and the shared tail buckets, reduces and
-//! merges the partials:
+//! merges the partials (a session reduces its buckets on its own threads):
 //!
 //! ```
 //! use mr_core::{task_ranges_for, Emitter, HasherKind, MapReduceJob};
@@ -51,10 +51,9 @@
 //!     }
 //! }
 //! let buckets = phases::bucket_by_key_hashed::<CharCount>(partials, 2);
-//! let runs = phases::reduce_parallel(&CharCount, buckets, phases::reduce_bucket_hashed)?;
+//! let runs = buckets.into_iter().map(|b| phases::reduce_bucket_hashed(&CharCount, b)).collect();
 //! let output = phases::merge_sorted_runs(runs);
 //! assert_eq!(output.first(), Some(&('a', 5)));
-//! # Ok::<(), mr_core::RuntimeError>(())
 //! ```
 
 #![warn(missing_docs)]

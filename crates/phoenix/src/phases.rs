@@ -15,7 +15,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 
-use mr_core::{Emitter, MapReduceJob, RuntimeError, TaskRange};
+use mr_core::{Emitter, MapReduceJob, TaskRange};
 use ramr_containers::Hashed;
 use ramr_telemetry::{FaultLog, SkippedTask};
 
@@ -28,7 +28,8 @@ pub type Pairs<J> = Vec<(<J as MapReduceJob>::Key, <J as MapReduceJob>::Value)>;
 pub type HashedPairs<J> = Vec<(Hashed<<J as MapReduceJob>::Key>, <J as MapReduceJob>::Value)>;
 
 /// Below this many pairs in total the reduce phase is one bucket on the
-/// calling thread: spawning a reducer costs more than sorting its share.
+/// calling thread: waking other threads to reduce costs more than sorting
+/// their share.
 const PARALLEL_THRESHOLD: usize = 16 * 1024;
 
 /// Keys sampled per bucket to place the range splitters: enough to keep a
@@ -167,44 +168,12 @@ pub fn reduce_bucket_hashed<J: MapReduceJob>(job: &J, bucket: HashedPairs<J>) ->
     reduce_bucket(job, bucket.into_iter().map(|(key, value)| (key.into_key(), value)).collect())
 }
 
-/// Runs the reduce phase over all buckets in parallel with `reduce`
-/// (such as [`reduce_bucket_hashed`]), returning per-bucket
-/// key-sorted outputs. The calling thread reduces the first bucket itself
-/// and spawns a thread for each of the others, so the single bucket of a
-/// small job (see [`bucket_by_key_hashed`]) spawns nothing.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::WorkerPanic`] if `reduce` or `combine` panics in
-/// any bucket: the first such bucket's message, with the further ones
-/// counted onto it. The panic never unwinds into the caller.
-pub fn reduce_parallel<J: MapReduceJob, B: Send>(
-    job: &J,
-    buckets: Vec<B>,
-    reduce: fn(&J, B) -> Pairs<J>,
-) -> Result<Vec<Pairs<J>>, RuntimeError> {
-    let mut buckets = buckets.into_iter();
-    let Some(first) = buckets.next() else { return Ok(Vec::new()) };
-    // Every reducer is joined before the first error is returned: a handle
-    // dropped unjoined makes `thread::scope` re-panic past the `Result`.
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
-        let spawned: Vec<_> =
-            buckets.map(|bucket| scope.spawn(move || reduce(job, bucket))).collect();
-        let inline = catch_unwind(AssertUnwindSafe(|| reduce(job, first)));
-        std::iter::once(inline).chain(spawned.into_iter().map(|h| h.join())).collect()
-    });
-    let panicked = outcomes.iter().filter(|outcome| outcome.is_err()).count() as u64;
-    outcomes.into_iter().collect::<Result<_, _>>().map_err(|panic| {
-        RuntimeError::WorkerPanic(panic_message(&*panic)).noting_suppressed(panicked - 1)
-    })
-}
-
 /// Concatenates range-ordered, key-sorted runs into one key-sorted vector
-/// (the merge phase). The contract is what [`bucket_by_key_hashed`] +
-/// [`reduce_parallel`] produce: every key of run `i` is strictly below every
-/// key of run `i + 1`, so there is nothing to interleave. Only the boundaries
-/// between non-empty runs are checked (O(runs) compares); order inside a run
-/// is the reducer's to keep.
+/// (the merge phase). The contract is what [`bucket_by_key_hashed`] and
+/// [`reduce_bucket_hashed`] per bucket produce: every key of run `i` is below
+/// every key of run `i + 1`, so there is nothing to interleave. Only the
+/// boundaries between non-empty runs are checked (O(runs) compares); order
+/// inside a run is the reducer's to keep.
 ///
 /// # Panics
 ///
@@ -232,7 +201,7 @@ pub fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
 /// `faults`); once retries are exhausted the task is either skipped (when
 /// `skip_poison` is set: the skip lands in the fault log and `None` is
 /// returned) or the original panic is resumed, for the caller to file as a
-/// [`RuntimeError::WorkerPanic`].
+/// [`RuntimeError::WorkerPanic`](mr_core::RuntimeError::WorkerPanic).
 ///
 /// The task runs through [`MapReduceJob::map_to`] with the staging closure as
 /// its sink, so a job that overrides it stages without a call per pair.
@@ -337,25 +306,6 @@ mod tests {
         }
     }
 
-    /// `reduce` panics on every key.
-    struct PanickingReduce;
-
-    impl MapReduceJob for PanickingReduce {
-        type Input = u64;
-        type Key = u64;
-        type Value = u64;
-
-        fn map(&self, _task: &[u64], _emit: &mut Emitter<'_, u64, u64>) {}
-
-        fn combine(&self, acc: &mut u64, v: u64) {
-            *acc += v;
-        }
-
-        fn reduce(&self, key: &u64, _combined: u64) -> u64 {
-            panic!("reduce refuses key {key}");
-        }
-    }
-
     /// `parts` partials of `per_part` pairs each (every third partial empty)
     /// with keys drawn — with replacement — from `0..key_space`.
     fn partials_from(seed: u64, parts: usize, per_part: usize, key_space: u64) -> Vec<Pairs<Sum>> {
@@ -431,15 +381,12 @@ mod tests {
 
             let buckets = bucket_by_key_hashed::<Sum>(hashed(&partials), num_reducers);
             assert_range_ordered(&spans(&buckets, |p| *p.0.key()), total, num_reducers);
-            let plain: Vec<Pairs<Sum>> = buckets
-                .iter()
-                .map(|bucket| bucket.iter().map(|(k, v)| (*k.key(), *v)).collect())
-                .collect();
-            let merged = merge_sorted_runs(reduce_parallel(&Sum, plain, reduce_bucket).unwrap());
-            proptest::prop_assert_eq!(&merged, &oracle);
+            let shed = |b: &HashedPairs<Sum>| b.iter().map(|(k, v)| (*k.key(), *v)).collect();
+            let runs = buckets.iter().map(|b| reduce_bucket(&Sum, shed(b))).collect();
+            proptest::prop_assert_eq!(&merge_sorted_runs(runs), &oracle);
 
-            let merged = merge_sorted_runs(reduce_parallel(&Sum, buckets, reduce_bucket_hashed).unwrap());
-            proptest::prop_assert_eq!(&merged, &oracle);
+            let runs = buckets.into_iter().map(|b| reduce_bucket_hashed(&Sum, b)).collect();
+            proptest::prop_assert_eq!(&merge_sorted_runs(runs), &oracle);
         }
     }
 
@@ -463,36 +410,6 @@ mod tests {
         let out = reduce_bucket(&Sum, vec![(5, 1), (5, 1), (2, 1)]);
         assert_eq!(out, [(2, 10), (5, 20)]); // sorted, reduced (x10)
         assert!(reduce_bucket(&Sum, Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn reduce_parallel_matches_sequential() {
-        let buckets = vec![vec![(1u64, 1u64), (1, 1)], vec![(2, 1)], Vec::new()];
-        let runs = reduce_parallel(&Sum, buckets.clone(), reduce_bucket).unwrap();
-        let expected: Vec<Vec<(u64, u64)>> =
-            buckets.into_iter().map(|b| reduce_bucket(&Sum, b)).collect();
-        assert_eq!(runs, expected);
-        assert!(reduce_parallel(&Sum, Vec::new(), reduce_bucket).unwrap().is_empty());
-    }
-
-    /// A `reduce` that panics in every bucket — the inline one and each
-    /// spawned one — comes back as one `WorkerPanic` naming the first bucket
-    /// and counting the others; nothing unwinds into the caller.
-    #[test]
-    fn reduce_panics_in_every_bucket_return_one_error() {
-        for (buckets, note) in [(1u64, ""), (4, "; 3 further worker error(s) suppressed")] {
-            let input: Vec<Pairs<PanickingReduce>> = (0..buckets).map(|b| vec![(b, 1)]).collect();
-            let hashed_input = hashed(&input);
-            let expected = RuntimeError::WorkerPanic(format!("reduce refuses key 0{note}"));
-            assert_eq!(
-                reduce_parallel(&PanickingReduce, input, reduce_bucket),
-                Err(expected.clone())
-            );
-            assert_eq!(
-                reduce_parallel(&PanickingReduce, hashed_input, reduce_bucket_hashed),
-                Err(expected)
-            );
-        }
     }
 
     #[test]
@@ -639,8 +556,8 @@ mod tests {
         let text = panic_message(&*p);
         assert!(text.starts_with("non-string panic payload of type"), "{text}");
 
-        // End to end: a real panic_any(42) crossing a thread boundary.
-        let err = std::thread::spawn(|| std::panic::panic_any(42i32)).join().unwrap_err();
+        // End to end: a real panic_any(42), caught as every runtime catches it.
+        let err = catch_unwind(|| std::panic::panic_any(42i32)).unwrap_err();
         assert_eq!(panic_message(&*err), "non-string panic payload: 42 (i32)");
     }
 }
