@@ -3,10 +3,9 @@
 //! and a Phoenix worker all run, told apart only by their queue ends — and
 //! the watchdog. The threads themselves live in `session.rs`, which hosts
 //! this loop on its pools and assembles the [`EngineReport`](crate::EngineReport)
-//! a job leaves behind from their telemetry cells.
+//! a job leaves behind from what each loop returns ([`Folded`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use mr_core::{
@@ -16,7 +15,7 @@ use mr_core::{
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer, KeptContainer, PairFeed};
 use ramr_spsc::{Consumer, Producer};
-use ramr_telemetry::{FaultLog, LocalTelemetry, ProgressBoard, TelemetryCell};
+use ramr_telemetry::{BatchHistogram, FaultMetrics, ProgressBoard, ThreadRole, ThreadTelemetry};
 use ramr_topology::{
     current_thread_affinity, pin_current_thread, set_current_thread_affinity, CpuSlot,
 };
@@ -98,8 +97,9 @@ impl Drop for CallerPin {
 const WATCHDOG_SLICE: Duration = Duration::from_millis(5);
 
 /// Per-run fault-tolerance context shared by every worker thread: the
-/// retry/skip policy, the shared fault log, the cooperative cancel flag the
-/// watchdog trips, and (when a watchdog is armed) the progress board. All
+/// retry/skip policy, the cooperative cancel flag the watchdog trips, and
+/// (when a watchdog is armed) the progress board. Each thread records its
+/// own retries and skips ([`Folded::faults`]). All
 /// fields are inert at the default configuration, so the hot paths run
 /// unchanged — no staging, no extra atomics.
 pub(crate) struct FaultCtx<'a> {
@@ -112,7 +112,6 @@ pub(crate) struct FaultCtx<'a> {
     /// job opted in via [`MapReduceJob::is_retry_safe`] *and* retries or
     /// skipping are configured.
     staged: bool,
-    faults: &'a FaultLog,
     cancel: &'a AtomicBool,
     /// `Some` only when [`RuntimeConfig::watchdog`] armed one.
     board: Option<&'a ProgressBoard>,
@@ -122,7 +121,6 @@ impl<'a> FaultCtx<'a> {
     pub(crate) fn new(
         config: &RuntimeConfig,
         retry_safe: bool,
-        faults: &'a FaultLog,
         cancel: &'a AtomicBool,
         board: Option<&'a ProgressBoard>,
     ) -> Self {
@@ -130,7 +128,6 @@ impl<'a> FaultCtx<'a> {
             retries: config.max_task_retries,
             skip_poison: config.skip_poison_tasks,
             staged: retry_safe && (config.max_task_retries > 0 || config.skip_poison_tasks),
-            faults,
             cancel,
             board,
         }
@@ -234,7 +231,8 @@ pub(crate) fn watchdog_loop(
 ///
 /// Under [`FaultCtx::staged`] the emissions are staged per task and reach
 /// `sink` only after the map call succeeds, so a panicked (and retried)
-/// attempt publishes nothing; a task skipped as poison emits zero pairs.
+/// attempt publishes nothing; a task skipped as poison emits zero pairs. Its
+/// retries and skip are recorded in `faults`.
 /// Otherwise the map call feeds `sink` directly and a panic unwinds into the
 /// caller. Either way the task runs through [`MapReduceJob::map_to`], with
 /// `sink`'s own type, and its emitter carries the run's cancel flag.
@@ -243,6 +241,7 @@ fn run_task<J: MapReduceJob>(
     task: &TaskRange,
     input: &[J::Input],
     ctx: &FaultCtx<'_>,
+    faults: &mut FaultMetrics,
     mut sink: impl FnMut(J::Key, J::Value),
 ) -> u64 {
     if ctx.staged {
@@ -253,7 +252,7 @@ fn run_task<J: MapReduceJob>(
             ctx.retries,
             ctx.skip_poison,
             ctx.cancel,
-            ctx.faults,
+            faults,
         );
         let Some((pairs, count)) = staged else { return 0 };
         for (key, value) in pairs {
@@ -302,7 +301,7 @@ impl<J: MapReduceJob> WriteEnd<J> {
     fn flush(
         &mut self,
         fold: &mut Fold<'_, '_, J>,
-        local: &mut LocalTelemetry,
+        row: &mut ThreadTelemetry,
         config: &RuntimeConfig,
     ) {
         let occupied = self.buffer.len();
@@ -314,15 +313,15 @@ impl<J: MapReduceJob> WriteEnd<J> {
             let publish_start = config.telemetry.then(Instant::now);
             self.tx.push_batch_drain(&mut self.buffer);
             if let Some(t) = publish_start {
-                local.stalled += t.elapsed();
-                local.batches += 1;
-                local.occupancy.record(occupied, config.effective_emit_buffer());
+                row.stalled += t.elapsed();
+                row.batches += 1;
+                row.occupancy.record(occupied, config.effective_emit_buffer());
             }
             if self.buffer.is_empty() {
                 return;
             }
         }
-        local.stall_events += 1;
+        row.stall_events += 1;
         self.spilled += self.buffer.len() as u64;
         let fold_start = config.telemetry.then(Instant::now);
         // A combine panic unwinds from here out through the map call.
@@ -331,7 +330,7 @@ impl<J: MapReduceJob> WriteEnd<J> {
             self.buffer.clear();
         }
         if let Some(t) = fold_start {
-            local.spill += t.elapsed();
+            row.spill += t.elapsed();
         }
     }
 }
@@ -389,12 +388,13 @@ impl<'j, J: MapReduceJob> Fold<'_, 'j, J> {
 /// picked for the task. The task runs through [`MapReduceJob::map_to`], so a
 /// job that overrides it gets a map loop with the hash and the arm inlined;
 /// one that implements only `map` pays one indirect call per pair. Counts
-/// the task's emissions into `emitted`.
+/// the task's emissions into `emitted`, its retries and skip into `faults`.
 struct TaskFeed<'a, 'c, J: MapReduceJob> {
     job: &'a J,
     task: &'a TaskRange,
     input: &'a [J::Input],
     ctx: &'a FaultCtx<'c>,
+    faults: &'a mut FaultMetrics,
     /// `None` when the container is an array, which indexes by
     /// [`MapReduceJob::key_index`] and never reads a hash: the task's keys
     /// then carry 0 instead, also next to a combiner's queued pairs, which
@@ -407,12 +407,15 @@ struct TaskFeed<'a, 'c, J: MapReduceJob> {
 
 impl<J: MapReduceJob> PairFeed<J::Key, J::Value> for TaskFeed<'_, '_, J> {
     fn feed(self, mut sink: impl FnMut(Hashed<J::Key>, J::Value)) {
-        let (job, task, input, ctx) = (self.job, self.task, self.input, self.ctx);
+        let (job, task, input, ctx, faults) =
+            (self.job, self.task, self.input, self.ctx, self.faults);
         *self.emitted += match self.hasher {
-            Some(hasher) => {
-                run_task(job, task, input, ctx, |key, value| sink(Hashed::wrap(hasher, key), value))
-            }
-            None => run_task(job, task, input, ctx, |key, value| sink(Hashed::new(0, key), value)),
+            Some(hasher) => run_task(job, task, input, ctx, faults, |key, value| {
+                sink(Hashed::wrap(hasher, key), value)
+            }),
+            None => run_task(job, task, input, ctx, faults, |key, value| {
+                sink(Hashed::new(0, key), value)
+            }),
         };
     }
 }
@@ -476,18 +479,19 @@ impl<K: Send, V: Send> PairFeed<K, V> for BatchedRead<'_, (Hashed<K>, V)> {
 /// drains the queues left unread. No mapper waits on this loop, so leaving
 /// it early cannot wedge the epoch.
 ///
-/// Publishes two telemetry rows once, at exit, also on the error path.
-/// `reads_cell` (a combiner's row) gets the queue reads: `items` consumed,
-/// `busy` the rounds that read, `stalled` the idle rounds with their waits
-/// and `stall_events` their count, `batches` and occupancy the batched
-/// reads. `tasks_cell` (a mapper's or worker's row, or a combiner's helper
-/// row) gets the map tasks: `items` emitted and `busy` the task time; without
-/// a write-end `batches` are the tasks and occupancy their fill relative to
-/// `task_size`, and the row never stalls. A mapper's row instead counts its
-/// publishes in `batches` (occupancy relative to the emit buffer) and their
-/// time in `stalled`, net of `busy`; its flushes that spilled in
-/// `stall_events`, their folds' time in `spill`. Timers fire twice per round
-/// and once per flush, never per pair.
+/// Fills its telemetry rows and returns them, in [`Folded`], with the pairs,
+/// the spill count and the fault records; an error drops them. `reads` (a
+/// combiner's row, `None` for a role without read-ends) gets the queue
+/// reads: `items` consumed, `busy` the rounds that read, `stalled` the idle
+/// rounds with their waits and `stall_events` their count, `batches` and
+/// occupancy the batched reads. `tasks` (a mapper's or worker's row, or a
+/// combiner's helper row) gets the map tasks: `items` emitted and `busy` the
+/// task time; without a write-end `batches` are the tasks and occupancy their
+/// fill relative to `task_size`, and the row never stalls. A mapper's row
+/// instead counts its publishes in `batches` (occupancy relative to the emit
+/// buffer) and their time in `stalled`, net of `busy`; its flushes that
+/// spilled in `stall_events`, their folds' time in `spill`. Timers fire twice
+/// per round and once per flush, never per pair.
 ///
 /// Queues seen closed and drained are swapped behind `live`, so both the
 /// rounds and the idle wait cover only queues that still owe data.
@@ -504,18 +508,17 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
     consumers: &mut [PairConsumer<J>],
     mut write: Option<&mut WriteEnd<J>>,
     kept: &mut Option<KeptContainer<J::Key, J::Value>>,
-    reads_cell: Option<&TelemetryCell>,
-    tasks_cell: &TelemetryCell,
+    mut tasks: ThreadTelemetry,
+    mut reads: Option<ThreadTelemetry>,
     ctx: &FaultCtx<'_>,
     slot: usize,
-) -> Result<phases::HashedPairs<J>, RuntimeError> {
+) -> Result<Folded<J>, RuntimeError> {
     let _live = LiveGuard::enter(ctx.board);
     let telemetry = config.telemetry;
     let batch = config.batch_size;
     let emit_block = config.effective_emit_buffer();
     let wall_start = telemetry.then(Instant::now);
-    let mut reads = LocalTelemetry::default();
-    let mut tasks = LocalTelemetry::default();
+    let mut faults = FaultMetrics::default();
     if let Some(w) = write.as_deref_mut() {
         w.buffer.clear();
         w.buffer.reserve(emit_block);
@@ -548,11 +551,14 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
                 fold.insert_from(BatchedRead { rx, closed, batch, taken: &mut taken })?;
                 if taken > 0 {
                     progressed = true;
-                    reads.items += taken as u64;
                     ctx.progress(slot);
-                    if telemetry {
-                        reads.batches += 1;
-                        reads.occupancy.record(taken, batch);
+                    // Only a role with read-ends gets here, and it has a row.
+                    if let Some(reads) = &mut reads {
+                        reads.items += taken as u64;
+                        if telemetry {
+                            reads.batches += 1;
+                            reads.occupancy.record(taken, batch);
+                        }
                     }
                 }
                 if closed && rx.is_empty() {
@@ -564,7 +570,7 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
             }
             if progressed {
                 idle_rounds = 0;
-                if let Some(t) = round_start {
+                if let (Some(t), Some(reads)) = (round_start, &mut reads) {
                     reads.busy += t.elapsed();
                 }
                 continue;
@@ -575,7 +581,7 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
             if let Some(task) = task {
                 if let Some(w) = write.as_deref_mut() {
                     let stalled_before = tasks.stalled;
-                    let emitted = run_task(job, task, input, ctx, |key, value| {
+                    let emitted = run_task(job, task, input, ctx, &mut faults, |key, value| {
                         // Hash once, here at emission: the carried hash rides
                         // the queue and is reused by combine, bucketing and
                         // reduce.
@@ -595,8 +601,8 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
                         return Err(e);
                     }
                 } else {
-                    let emitted = &mut tasks.items;
-                    fold.insert_from(TaskFeed { job, task, input, ctx, hasher, emitted })?;
+                    let (emitted, faults) = (&mut tasks.items, &mut faults);
+                    fold.insert_from(TaskFeed { job, task, input, ctx, faults, hasher, emitted })?;
                     if let Some(t) = round_start {
                         tasks.busy += t.elapsed();
                         tasks.batches += 1;
@@ -610,16 +616,18 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
             if live == 0 {
                 break;
             }
-            reads.stall_events += 1;
             idle_rounds = idle_rounds.saturating_add(1);
             idle_wait(config.push_backoff, idle_rounds, |ceiling| {
                 PairConsumer::<J>::wait_any(&consumers[..live], wake_at(batch, config), ceiling)
             });
-            if let Some(t) = round_start {
-                // The wait is inside the measured round, so idle time lands
-                // in `stalled`, and the thread's rows' busy + stalled track
-                // its wall-clock.
-                reads.stalled += t.elapsed();
+            if let Some(reads) = &mut reads {
+                reads.stall_events += 1;
+                if let Some(t) = round_start {
+                    // The wait is inside the measured round, so idle time
+                    // lands in `stalled`, and the thread's rows' busy +
+                    // stalled track its wall-clock.
+                    reads.stalled += t.elapsed();
+                }
             }
         }
         if let Some(w) = write.as_deref_mut() {
@@ -636,48 +644,47 @@ pub(crate) fn fold_loop<J: MapReduceJob>(
         }
         Ok(fold.drain(ctx.cancelled()))
     })();
-    if let Some(w) = write {
+    let spilled = write.map_or(0, |w| {
         w.tx.finish();
-    }
+        w.spilled
+    });
     if let Some(t) = wall_start {
-        reads.wall = t.elapsed();
-        tasks.wall = reads.wall;
-    }
-    if let Some(cell) = reads_cell {
-        cell.publish(&reads);
-    }
-    tasks_cell.publish(&tasks);
-    result
-}
-
-/// A job's first error, shared by every thread of the epoch: the error that
-/// fails the job, with the ones recorded behind it counted.
-#[derive(Default)]
-pub(crate) struct ErrorSlot {
-    slot: Mutex<Option<RuntimeError>>,
-    /// Worker errors recorded after the slot was occupied. Kept as a count
-    /// so first-error containment no longer *silently* discards them — the
-    /// surfaced error's message carries the tally.
-    suppressed: AtomicU64,
-}
-
-impl ErrorSlot {
-    pub(crate) fn record(&self, err: RuntimeError) {
-        let mut slot = self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if slot.is_some() {
-            self.suppressed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            *slot = Some(err);
+        tasks.wall = t.elapsed();
+        if let Some(reads) = &mut reads {
+            reads.wall = tasks.wall;
         }
     }
+    Ok(Folded { pairs: result?, tasks, reads, spilled, faults })
+}
 
-    pub(crate) fn take(&self) -> Option<RuntimeError> {
-        self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
-    }
+/// What one role's [`fold_loop`] hands over for one epoch.
+pub(crate) struct Folded<J: MapReduceJob> {
+    /// The pairs its container holds.
+    pub(crate) pairs: phases::HashedPairs<J>,
+    /// Its map tasks' row: a mapper's, a worker's or a combiner's helper row.
+    pub(crate) tasks: ThreadTelemetry,
+    /// Its queue reads' row: a combiner's; a mapper or worker has none.
+    pub(crate) reads: Option<ThreadTelemetry>,
+    /// Pairs a mapper's flushes folded into its own container.
+    pub(crate) spilled: u64,
+    /// The retries and skips of its staged tasks.
+    pub(crate) faults: FaultMetrics,
+}
 
-    /// Errors recorded behind the first one.
-    pub(crate) fn suppressed(&self) -> u64 {
-        self.suppressed.load(Ordering::Relaxed)
+/// A row of zeros for thread `index` of the `role` pool, for [`fold_loop`]
+/// to fill.
+pub(crate) fn empty_row(role: ThreadRole, index: usize) -> ThreadTelemetry {
+    ThreadTelemetry {
+        role,
+        index,
+        busy: Duration::ZERO,
+        stalled: Duration::ZERO,
+        spill: Duration::ZERO,
+        wall: Duration::ZERO,
+        items: 0,
+        stall_events: 0,
+        batches: 0,
+        occupancy: BatchHistogram::default(),
     }
 }
 

@@ -34,9 +34,10 @@
 //!
 //! # Reports
 //!
-//! `submit` assembles the job's [`EngineReport`] from the epoch's telemetry
-//! cells — the per-thread rows, the pairs each route folded — and returns
-//! it with the output: a job leaves nothing else behind.
+//! `submit` assembles the job's [`EngineReport`] from what each role handed
+//! over in its slot — its per-thread rows, the pairs it spilled, its fault
+//! records — and returns it with the output: a job leaves nothing else
+//! behind.
 //!
 //! # Epoch protocol
 //!
@@ -44,8 +45,8 @@
 //! monotonically increasing generation counter:
 //!
 //! 1. The coordinator (the thread calling `submit`) builds a [`JobFrame`] on
-//!    its own stack — task queues, per-job telemetry cells, fault log,
-//!    error slot — arms the done-counter with the number of pooled threads,
+//!    its own stack — task queues, control flags, one empty outcome slot per
+//!    role — arms the done-counter with the number of pooled threads,
 //!    stores the frame pointer, bumps the epoch (`Release`) and unparks
 //!    every pooled thread.
 //! 2. Workers wake, run exactly one job's worth of the one role loop
@@ -58,15 +59,17 @@
 //!    counter hits zero, so the frame — and the `&J`/`&[J::Input]` borrows
 //!    smuggled through it — never outlives the epoch. Combiners re-arm
 //!    (drain + reopen) their read-ends in [`Role::settle`] before
-//!    signalling done. Each role has left its partial in its own [`Slot`].
-//! 4. The coordinator cuts the partials into range buckets. More than one
-//!    is a second epoch of the frame: every thread, the coordinator too,
-//!    claims buckets ([`reduce_buckets`]). One is reduced in place.
+//!    signalling done. Each role has left its whole outcome in its own
+//!    [`Slot`]: its error, or its partial, rows, spill count and fault
+//!    records ([`Folded`]).
+//! 4. The coordinator reads the slots once ([`first_error`]), then cuts the
+//!    partials into range buckets. More than one is a second epoch of the
+//!    frame: every thread, the coordinator too, claims buckets
+//!    ([`reduce_buckets`]). One is reduced in place.
 //!
-//! Because every job gets fresh telemetry cells, a fresh fault log and a
-//! fresh error slot inside its frame, per-job state cannot bleed between
-//! jobs; the epoch counter is the generation stamp that keeps a stale
-//! worker from ever touching a newer job's frame.
+//! Because every job gets fresh outcome slots inside its frame, per-job
+//! state cannot bleed between jobs; the epoch counter is the generation
+//! stamp that keeps a stale worker from ever touching a newer job's frame.
 //!
 //! Both waits — a worker's for the next epoch, the submitter's for the
 //! counter — are `thread::park` on an atomic of our own, with no timeout.
@@ -92,13 +95,14 @@ use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::KeptContainer;
 use ramr_spsc::{Consumer, SpscQueue};
 use ramr_telemetry::{
-    combine_throughput, pool_throughput, FaultLog, ProgressBoard, TelemetryCell, ThreadRole,
+    combine_throughput, pool_throughput, FaultMetrics, ProgressBoard, ThreadRole,
 };
 use ramr_topology::{thrid_to_cpu, CpuSlot, MachineModel, PlacementPlan};
 
 use crate::engine::{Backend, EngineOutcome, EngineReport};
 use crate::runtime::{
-    fold_loop, maybe_pin, watchdog_loop, CallerPin, ErrorSlot, FaultCtx, PairConsumer, WriteEnd,
+    empty_row, fold_loop, maybe_pin, watchdog_loop, CallerPin, FaultCtx, Folded, PairConsumer,
+    WriteEnd,
 };
 
 /// Everything one job (both its epochs) shares with the parked worker pools.
@@ -119,24 +123,14 @@ struct JobFrame<J: MapReduceJob> {
     input_len: usize,
     retry_safe: bool,
     queues: TaskQueues,
-    fault_log: FaultLog,
     cancel: AtomicBool,
     /// The watchdog's run-is-over signal (distinct from the done-counter,
     /// which the watchdog cannot observe without racing the coordinator).
     watchdog_done: AtomicBool,
     board: Option<ProgressBoard>,
-    errors: ErrorSlot,
-    /// Fresh per epoch: mapper telemetry — per-job isolation falls out of
-    /// the cells' lifetime.
-    map_cells: Vec<TelemetryCell>,
-    combiner_cells: Vec<TelemetryCell>,
-    /// The combiners' map-help halves — tasks a combiner with nothing to
-    /// read ran in place.
-    helper_cells: Vec<TelemetryCell>,
-    /// Pairs each mapper folded itself because its combiner was behind.
-    spilled: Vec<AtomicU64>,
-    /// Each role's combined partial, if any, by progress-board position.
-    partials: Vec<Slot<phases::HashedPairs<J>>>,
+    /// Each role's outcome for the map epoch, by progress-board position.
+    /// Fresh per job: per-job isolation falls out of the slots' lifetime.
+    outcomes: Vec<Slot<Result<Folded<J>, RuntimeError>>>,
     /// The reduce epoch's buckets. Empty in the map epoch, which is how a
     /// pooled thread tells the two apart.
     buckets: Vec<Bucket<J>>,
@@ -147,9 +141,9 @@ struct JobFrame<J: MapReduceJob> {
 }
 
 /// A reduce epoch's bucket, and the run (or panic) its claimer leaves beside it.
-type Bucket<J> = (Slot<phases::HashedPairs<J>>, Slot<std::thread::Result<phases::Pairs<J>>>);
+type Bucket<J> = (Slot<phases::HashedPairs<J>>, Slot<Result<phases::Pairs<J>, RuntimeError>>);
 
-/// A value with one owner at a time and no lock: a role owns its partial in
+/// A value with one owner at a time and no lock: a role owns its outcome in
 /// the map epoch, bucket `b`'s claimer its slots in the reduce epoch, and the
 /// coordinator all of them between epochs; the epoch's `Release` bump and
 /// `busy`'s `AcqRel` countdown hand them over, as they hand over the frame.
@@ -439,7 +433,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         // Every role in progress-board order: mappers (or workers), then
         // combiners. A combiner with nothing to read helps map from the
         // task queue of the mappers it serves.
-        let mapper = if decoupled { RoleKind::Mapper } else { RoleKind::Worker };
+        let mapper = if decoupled { ThreadRole::Mapper } else { ThreadRole::Worker };
         let mut roles: Vec<Role<J>> = (0..config.num_workers)
             .map(|m| Role::new(mapper, m, slot_of_mapper(m), group_of_mapper(m)))
             .collect();
@@ -447,7 +441,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             let home_group = (0..config.num_workers)
                 .find(|&m| plan.combiner_of_mapper(m) == c)
                 .map_or(0, group_of_mapper);
-            roles.push(Role::new(RoleKind::Combiner, c, plan.combiner_slot(c), home_group));
+            roles.push(Role::new(ThreadRole::Combiner, c, plan.combiner_slot(c), home_group));
         }
         // One SPSC queue per mapper of a decoupled session, allocated once
         // for the session's lifetime: its write-end stays with the mapper,
@@ -459,8 +453,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
                 roles[m].write = Some(WriteEnd::new(tx, config.effective_emit_buffer()));
             }
         }
-        let labels =
-            roles.iter().map(|role| format!("{}[{}]", role.kind.name(), role.index)).collect();
+        let labels = roles.iter().map(|role| format!("{}[{}]", role.kind, role.index)).collect();
         // Mapper 0 is the submitting thread's: `submit` runs it in place
         // while the pool works.
         let mut roles = roles.into_iter();
@@ -469,7 +462,7 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         let mut handles = Vec::with_capacity(config.num_workers + combiners - 1);
         let spawned = roles.try_for_each(|role| {
             let shared = Arc::clone(&shared);
-            let name = format!("ramr-{}-{}", role.kind.name(), role.index);
+            let name = format!("ramr-{}-{}", role.kind, role.index);
             let handle = std::thread::Builder::new()
                 .name(name.clone())
                 .spawn(move || epoch_worker(&shared, role))
@@ -592,45 +585,39 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         drop(pin);
 
         // Worker errors take priority: a stall diagnosis is only the
-        // primary failure when nothing more specific was recorded. First-
-        // error containment with the loss made visible: one error surfaces,
-        // the rest are counted onto its message.
-        if let Some(e) = frame.errors.take() {
-            return Err(e.noting_suppressed(frame.errors.suppressed()));
-        }
+        // primary failure when nothing more specific was recorded.
+        let outcomes = frame.outcomes.iter_mut().filter_map(|slot| slot.0.get_mut().take());
+        let mut folded = first_error(outcomes)?;
         if let Some(e) = stalled {
             return Err(e);
         }
 
         // --- Report assembly ----------------------------------------------
+        // Board order is mappers (or workers), then combiners: their map-task
+        // rows come out in report order, and the combiners' read rows follow.
         let (workers, combiners) = (config.num_workers, self.shared.combiners);
-        let role = if combiners == 0 { ThreadRole::Worker } else { ThreadRole::Mapper };
+        let spilled_per_mapper: Vec<u64> = folded.iter().take(workers).map(|f| f.spilled).collect();
+        let faults: FaultMetrics = folded.iter_mut().map(|f| std::mem::take(&mut f.faults)).sum();
         let mut threads = Vec::with_capacity(workers + 2 * combiners);
-        threads.extend(frame.map_cells.iter().enumerate().map(|(m, cell)| cell.snapshot(role, m)));
-        // A combiner that ran map tasks in place is also a mapper row,
-        // indexed after the mapper pool; one that never helped is omitted:
-        // an all-zero phantom row would skew the per-thread tables.
-        let mut helped = 0;
-        for (c, cell) in frame.helper_cells.iter().enumerate() {
-            let row = cell.snapshot(ThreadRole::Mapper, workers + c);
-            helped += row.items;
-            if row.items > 0 || !row.busy.is_zero() {
-                threads.push(row);
+        let mut combiner_rows = Vec::with_capacity(combiners);
+        let mut partials = Vec::with_capacity(folded.len());
+        for Folded { pairs, tasks, reads, .. } in folded {
+            // A combiner that ran map tasks in place is also a mapper row,
+            // indexed after the mapper pool; one that never helped is
+            // omitted: an all-zero phantom row would skew the per-thread
+            // tables.
+            if tasks.index < workers || tasks.items > 0 || !tasks.busy.is_zero() {
+                threads.push(tasks);
             }
+            combiner_rows.extend(reads);
+            partials.extend(Some(pairs).filter(|p| !p.is_empty()));
         }
         let mapper_rows = threads.len();
-        threads.extend(
-            frame
-                .combiner_cells
-                .iter()
-                .enumerate()
-                .map(|(c, cell)| cell.snapshot(ThreadRole::Combiner, c)),
-        );
+        threads.extend(combiner_rows);
         let (mappers, combiner_rows) = threads.split_at(mapper_rows);
         stats.emitted = mappers.iter().map(|t| t.items).sum();
+        let helped = mappers.iter().filter(|t| t.index >= workers).map(|t| t.items).sum();
         timer.stop(&mut stats);
-        let spilled_per_mapper: Vec<u64> =
-            frame.spilled.iter().map(|n| n.load(Ordering::Relaxed)).collect();
         let spilled = spilled_per_mapper.iter().sum();
         // A Phoenix worker folds every pair it emits, on the spot.
         let consumed = if combiners == 0 {
@@ -644,8 +631,6 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
 
         // --- Reduce phase (the carried hashes ride along unread) -----------
         let timer = PhaseTimer::start(PhaseKind::Reduce);
-        let partials =
-            frame.partials.iter_mut().filter_map(|slot| slot.0.get_mut().take()).collect();
         let buckets = phases::bucket_by_key_hashed::<J>(partials, config.num_reducers);
         frame.buckets =
             buckets.into_iter().map(|b| (Slot(Some(b).into()), Slot(None.into()))).collect();
@@ -656,12 +641,8 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
         }
         reduce_buckets(&frame, job);
         self.shared.wait_all_done();
-        let runs: Vec<_> =
-            frame.buckets.iter_mut().filter_map(|(_, run)| run.0.get_mut().take()).collect();
-        let failed = runs.iter().filter(|run| run.is_err()).count() as u64;
-        let runs = runs.into_iter().collect::<Result<Vec<_>, _>>().map_err(|panic| {
-            RuntimeError::WorkerPanic(phases::panic_message(&*panic)).noting_suppressed(failed - 1)
-        })?;
+        let runs = frame.buckets.iter_mut().filter_map(|(_, run)| run.0.get_mut().take());
+        let runs = first_error(runs)?;
         timer.stop(&mut stats);
 
         // --- Merge phase ---------------------------------------------------
@@ -679,17 +660,16 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             spilled_per_mapper,
             suggested_ratio,
             adaptation: Vec::new(),
-            faults: frame.fault_log.snapshot(0, false),
+            faults,
             plan: (combiners > 0).then(|| self.plan.clone()),
         };
         Ok(EngineOutcome { output: JobOutput::from_sorted(merged, stats), report })
     }
 
-    /// Builds the next epoch's frame: fresh per-job state (telemetry cells,
-    /// fault log, error slot) around the session's long-lived queues.
+    /// Builds the next epoch's frame: fresh per-job state (control flags,
+    /// empty outcome slots) around the session's long-lived queues.
     fn frame_for(&self, job: &J, input: &[J::Input], tasks: Vec<TaskRange>) -> JobFrame<J> {
         let (config, combiners) = (&self.shared.config, self.shared.combiners);
-        let fresh_cells = |n: usize| (0..n).map(|_| TelemetryCell::default()).collect();
         JobFrame {
             job: job as *const J,
             input: input.as_ptr(),
@@ -698,16 +678,10 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
             queues: TaskQueues::new(tasks, self.machine.sockets.max(1)),
             // Fault-tolerance surfaces — all inert by default: no retries,
             // no skipping, no watchdog, no extra atomics on the hot paths.
-            fault_log: FaultLog::new(),
             cancel: AtomicBool::new(false),
             watchdog_done: AtomicBool::new(false),
             board: config.watchdog.map(|_| ProgressBoard::new(config.num_workers + combiners)),
-            errors: ErrorSlot::default(),
-            map_cells: fresh_cells(config.num_workers),
-            combiner_cells: fresh_cells(combiners),
-            helper_cells: fresh_cells(combiners),
-            spilled: (0..config.num_workers).map(|_| AtomicU64::new(0)).collect(),
-            partials: (0..config.num_workers + combiners).map(|_| Slot(None.into())).collect(),
+            outcomes: (0..config.num_workers + combiners).map(|_| Slot(None.into())).collect(),
             buckets: Vec::new(),
             claimed: AtomicUsize::new(0),
             submitter: std::thread::current(),
@@ -792,28 +766,6 @@ struct CallerRole<'a, J: MapReduceJob> {
     input: &'a [J::Input],
 }
 
-/// What a role is, for its thread name (`ramr-mapper-N`) and its watchdog
-/// label (`mapper[N]`).
-#[derive(Clone, Copy)]
-enum RoleKind {
-    /// A decoupled mapper: maps through its write-end.
-    Mapper,
-    /// A Phoenix worker: folds what it maps.
-    Worker,
-    /// Folds its mappers' queues, and maps in place while they are empty.
-    Combiner,
-}
-
-impl RoleKind {
-    fn name(self) -> &'static str {
-        match self {
-            Self::Mapper => "mapper",
-            Self::Worker => "worker",
-            Self::Combiner => "combiner",
-        }
-    }
-}
-
 /// One thread's part in the session, kept for the session's life so that an
 /// epoch allocates none of it: its queue ends — a combiner's read-ends, a
 /// mapper's write-end, a worker neither — where it runs, the task group it
@@ -821,7 +773,11 @@ impl RoleKind {
 /// grows once per session, not once per job). Owned by a pooled thread, or,
 /// for mapper 0, by the session, whose `submit` runs it on the caller.
 struct Role<J: MapReduceJob> {
-    kind: RoleKind,
+    /// Mapper (maps through its write-end), worker (folds what it maps) or
+    /// combiner (folds its mappers' queues, and maps in place while they are
+    /// empty); also its thread name (`ramr-mapper-N`) and its watchdog label
+    /// (`mapper[N]`).
+    kind: ThreadRole,
     /// Mapper, worker or combiner `index`.
     index: usize,
     slot: CpuSlot,
@@ -832,7 +788,7 @@ struct Role<J: MapReduceJob> {
 }
 
 impl<J: MapReduceJob> Role<J> {
-    fn new(kind: RoleKind, index: usize, slot: CpuSlot, home_group: usize) -> Self {
+    fn new(kind: ThreadRole, index: usize, slot: CpuSlot, home_group: usize) -> Self {
         Self { kind, index, slot, home_group, reads: Vec::new(), write: None, kept: None }
     }
 
@@ -889,8 +845,8 @@ fn epoch_worker<J: MapReduceJob>(shared: &SessionShared<J>, mut role: Role<J>) {
 
 /// Runs `role` for one epoch of `frame` (whose job and input are `job` and
 /// `input`) on the calling thread — a pooled worker, or the caller running
-/// mapper 0 — and files the outcome in the frame: what the role folded is
-/// its partial, and an error fails the job.
+/// mapper 0 — and leaves its outcome in its slot: what [`fold_loop`]
+/// returned, or the error that fails the job.
 ///
 /// [`fold_loop`] runs under `catch_unwind` so a panicking job cannot kill a
 /// pooled thread, nor unwind out of `submit`. [`Role::settle`] runs after it
@@ -902,23 +858,20 @@ fn run_role<J: MapReduceJob>(
     input: &[J::Input],
     role: &mut Role<J>,
 ) {
-    let ctx = FaultCtx::new(
-        config,
-        frame.retry_safe,
-        &frame.fault_log,
-        &frame.cancel,
-        frame.board.as_ref(),
-    );
+    let ctx = FaultCtx::new(config, frame.retry_safe, &frame.cancel, frame.board.as_ref());
     let i = role.index;
-    // Progress-board slots list the mappers first, then the combiners.
-    let (reads_cell, tasks_cell, board_slot) = match role.kind {
-        RoleKind::Combiner => {
-            (Some(&frame.combiner_cells[i]), &frame.helper_cells[i], config.num_workers + i)
+    // Board positions list the mappers first, then the combiners. A
+    // combiner's map tasks are a mapper row, indexed after the mapper pool.
+    let (position, tasks, reads) = match role.kind {
+        ThreadRole::Combiner => {
+            let position = config.num_workers + i;
+            let reads = Some(empty_row(ThreadRole::Combiner, i));
+            (position, empty_row(ThreadRole::Mapper, position), reads)
         }
-        RoleKind::Mapper | RoleKind::Worker => (None, &frame.map_cells[i], i),
+        kind => (i, empty_row(kind, i), None),
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let pairs = fold_loop(
+        fold_loop(
             job,
             input,
             config,
@@ -927,23 +880,16 @@ fn run_role<J: MapReduceJob>(
             &mut role.reads,
             role.write.as_mut(),
             &mut role.kept,
-            reads_cell,
-            tasks_cell,
+            tasks,
+            reads,
             &ctx,
-            board_slot,
-        );
-        if let Some(write) = &role.write {
-            frame.spilled[i].store(write.spilled, Ordering::Relaxed);
-        }
-        // SAFETY: a role owns its board position's slot for the epoch.
-        unsafe { frame.partials[board_slot].replace(Some(pairs?).filter(|p| !p.is_empty())) };
-        Ok(())
+            position,
+        )
     }));
     role.settle(result.is_err());
-    let panicked = |panic: Box<_>| Err(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
-    if let Err(e) = result.unwrap_or_else(panicked) {
-        frame.errors.record(e);
-    }
+    let outcome = result.unwrap_or_else(|panic| Err(worker_panic(panic)));
+    // SAFETY: a role owns its board position's slot for the epoch.
+    unsafe { frame.outcomes[position].replace(Some(outcome)) };
 }
 
 /// Claims buckets of `frame` until none is left, leaving each one's reduced
@@ -956,8 +902,31 @@ fn reduce_buckets<J: MapReduceJob>(frame: &JobFrame<J>, job: &J) {
         let bucket = unsafe { bucket.replace(None) }.unwrap_or_default();
         let reduced = catch_unwind(AssertUnwindSafe(|| phases::reduce_bucket_hashed(job, bucket)));
         // SAFETY: as above.
-        unsafe { run.replace(Some(reduced)) };
+        unsafe { run.replace(Some(reduced.map_err(worker_panic))) };
     }
+}
+
+/// A panic caught on a session thread, as the error that fails its job.
+fn worker_panic(panic: Box<dyn std::any::Any + Send>) -> RuntimeError {
+    RuntimeError::WorkerPanic(phases::panic_message(&*panic))
+}
+
+/// One epoch's outcomes in order — its roles' by board position, or its
+/// buckets' — as their values, or as the error of the first that failed,
+/// with the failures behind it counted onto its message. Which error a job
+/// reports therefore does not depend on which thread failed first in time.
+fn first_error<T>(
+    outcomes: impl Iterator<Item = Result<T, RuntimeError>>,
+) -> Result<Vec<T>, RuntimeError> {
+    let (mut values, mut first, mut suppressed) = (Vec::new(), None, 0);
+    for outcome in outcomes {
+        match outcome {
+            Ok(value) => values.push(value),
+            Err(e) if first.is_none() => first = Some(e),
+            Err(_) => suppressed += 1,
+        }
+    }
+    first.map_or(Ok(values), |e: RuntimeError| Err(e.noting_suppressed(suppressed)))
 }
 
 #[cfg(test)]

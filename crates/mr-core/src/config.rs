@@ -277,7 +277,8 @@ pub struct RuntimeConfig {
     /// so tests behave identically on constrained CI machines; the placement
     /// plan is still computed and reported.
     pub pin_os_threads: bool,
-    /// Number of reduce partitions; defaults to `num_workers`.
+    /// Number of reduce partitions; defaults to the host's available
+    /// parallelism, whatever `num_workers` is set to.
     pub num_reducers: usize,
     /// Cap on distinct keys of the fixed-size hash container, and slot
     /// count of the array container; `None` derives it from the job's
@@ -768,7 +769,7 @@ pub const ENV_KNOBS: &[EnvKnob<RuntimeConfigBuilder>] = &[
         env: "RAMR_REDUCERS",
         cli: "reducers",
         value: "N",
-        help: "reduce partitions (default: workers)",
+        help: "reduce partitions (default: host CPUs)",
         apply: |b, raw, src| Ok(b.num_reducers(parse_knob(raw, src)?)),
     },
     EnvKnob {

@@ -17,7 +17,7 @@ use std::sync::atomic::AtomicBool;
 
 use mr_core::{Emitter, MapReduceJob, TaskRange};
 use ramr_containers::Hashed;
-use ramr_telemetry::{FaultLog, SkippedTask};
+use ramr_telemetry::{FaultMetrics, SkippedTask};
 
 /// The intermediate pairs one worker/combiner/bucket contributes.
 pub type Pairs<J> = Vec<(<J as MapReduceJob>::Key, <J as MapReduceJob>::Value)>;
@@ -197,10 +197,10 @@ pub fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
 /// `catch_unwind` and returned only after the map call completes, so a
 /// panicking attempt publishes *nothing* and a successful retry publishes
 /// exactly once — re-execution can never double-count pairs. A panicked
-/// attempt is re-executed up to `max_retries` times (each retry recorded in
-/// `faults`); once retries are exhausted the task is either skipped (when
-/// `skip_poison` is set: the skip lands in the fault log and `None` is
-/// returned) or the original panic is resumed, for the caller to file as a
+/// attempt is re-executed up to `max_retries` times (each retry counted in
+/// `faults`, the calling thread's own record); once retries are exhausted the
+/// task is either skipped (when `skip_poison` is set: the skip lands in
+/// `faults` and `None` is returned) or the original panic is resumed, for the caller to file as a
 /// [`RuntimeError::WorkerPanic`](mr_core::RuntimeError::WorkerPanic).
 ///
 /// The task runs through [`MapReduceJob::map_to`] with the staging closure as
@@ -214,7 +214,7 @@ pub fn map_task_staged<J: MapReduceJob>(
     max_retries: u32,
     skip_poison: bool,
     cancel: &AtomicBool,
-    faults: &FaultLog,
+    faults: &mut FaultMetrics,
 ) -> Option<(Pairs<J>, u64)> {
     let mut attempt: u32 = 0;
     loop {
@@ -233,11 +233,11 @@ pub fn map_task_staged<J: MapReduceJob>(
             Ok(result) => return Some(result),
             Err(panic) => {
                 if attempt <= max_retries {
-                    faults.record_retry();
+                    faults.retries += 1;
                     continue;
                 }
                 if skip_poison {
-                    faults.record_skip(SkippedTask {
+                    faults.skipped.push(SkippedTask {
                         task_id: task.id.0,
                         start: task.start,
                         end: task.end,
@@ -486,21 +486,21 @@ mod tests {
     #[test]
     fn staged_retry_publishes_exactly_once_after_transient_panics() {
         let task = mr_core::task_ranges_for(3, 10, 1).pop().unwrap();
-        let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
+        let (mut faults, cancel) = (FaultMetrics::default(), AtomicBool::new(false));
         let (staged, emitted) =
-            map_task_staged(&Flaky::failing(2), &task, &[7, 8, 9], 2, false, &cancel, &faults)
+            map_task_staged(&Flaky::failing(2), &task, &[7, 8, 9], 2, false, &cancel, &mut faults)
                 .expect("two retries cover two failures");
         // Three map calls ran, but only the successful attempt's emissions
         // survive: staging is what makes retries exactly-once.
         assert_eq!(staged, [(7, 1), (8, 1), (9, 1)]);
         assert_eq!(emitted, 3);
-        assert_eq!(faults.retries(), 2);
+        assert_eq!(faults.retries, 2);
     }
 
     #[test]
     fn staged_retry_skips_poison_tasks_and_records_them() {
         let task = mr_core::task_ranges_for(3, 10, 1).pop().unwrap();
-        let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
+        let (mut metrics, cancel) = (FaultMetrics::default(), AtomicBool::new(false));
         let out = map_task_staged(
             &Flaky::failing(u32::MAX),
             &task,
@@ -508,10 +508,9 @@ mod tests {
             1,
             true,
             &cancel,
-            &faults,
+            &mut metrics,
         );
         assert!(out.is_none(), "a poison task must be skipped, not retried forever");
-        let metrics = faults.snapshot(0, false);
         assert_eq!(metrics.retries, 1);
         assert_eq!(metrics.skipped.len(), 1);
         let skip = &metrics.skipped[0];
@@ -523,13 +522,13 @@ mod tests {
     #[test]
     fn staged_retry_without_skip_resumes_the_original_panic() {
         let task = mr_core::task_ranges_for(1, 10, 1).pop().unwrap();
-        let (faults, cancel) = (FaultLog::new(), AtomicBool::new(false));
+        let (mut faults, cancel) = (FaultMetrics::default(), AtomicBool::new(false));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map_task_staged(&Flaky::failing(u32::MAX), &task, &[5], 0, false, &cancel, &faults)
+            map_task_staged(&Flaky::failing(u32::MAX), &task, &[5], 0, false, &cancel, &mut faults)
         }));
         let panic = outcome.expect_err("exhausted retries without skip must resume the panic");
         assert_eq!(panic_message(&*panic), "transient fault");
-        assert_eq!(faults.retries(), 0, "max_retries = 0 records no retry");
+        assert_eq!(faults.retries, 0, "max_retries = 0 records no retry");
     }
 
     #[test]

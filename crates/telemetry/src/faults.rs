@@ -1,16 +1,16 @@
 //! Fault accounting shared by both runtimes: what failed, what was
 //! retried, what was skipped, and whether the watchdog had to step in.
 //!
-//! The hot path never touches these types. Worker threads append to a
-//! [`FaultLog`] only on the (rare) failure path; at teardown the runtime
-//! folds the log into a [`FaultMetrics`] snapshot carried by the run
+//! The hot path never touches these types. Each worker thread records its
+//! own retries and skips into a [`FaultMetrics`] of its own, only on the
+//! (rare) failure path, and hands it over with the rest of its epoch; the
+//! runtime sums them ([`Sum`](std::iter::Sum)) into the one carried by the run
 //! report and the `--metrics-json` dump. The [`ProgressBoard`] is the one
 //! piece the hot path does touch — a relaxed per-thread counter bump per
 //! task / flush / batch — and exists so a watchdog can distinguish "slow"
 //! from "wedged" without locks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// One map task the runtime gave up on after exhausting its retries
 /// (recorded only when poison-task skipping is enabled).
@@ -35,9 +35,8 @@ pub struct FaultMetrics {
     /// Total task re-executions across all workers (a task that succeeded
     /// on its 3rd attempt contributes 2).
     pub retries: u64,
-    /// Worker errors that were recorded *after* a first error had already
-    /// claimed the error slot and were therefore not surfaced
-    /// individually.
+    /// Worker errors counted behind the one a failed run surfaced, and
+    /// therefore not surfaced individually.
     pub suppressed_errors: u64,
     /// Whether the stall watchdog fired and cancelled the run.
     pub watchdog_fired: bool,
@@ -76,53 +75,29 @@ impl FaultMetrics {
     }
 }
 
+/// Merges the records of several threads: retries and suppressed errors
+/// add up, the watchdog fired if it fired for any, and the skipped tasks are
+/// sorted by task id, so a report is the same whichever thread hit which
+/// task.
+impl std::iter::Sum for FaultMetrics {
+    fn sum<I: Iterator<Item = Self>>(parts: I) -> Self {
+        let mut all = Self::default();
+        for part in parts {
+            all.retries += part.retries;
+            all.suppressed_errors += part.suppressed_errors;
+            all.watchdog_fired |= part.watchdog_fired;
+            all.skipped.extend(part.skipped);
+        }
+        all.skipped.sort_by_key(|s| s.task_id);
+        all
+    }
+}
+
 fn plural_y(n: u64) -> &'static str {
     if n == 1 {
         "y"
     } else {
         "ies"
-    }
-}
-
-/// Shared collection point worker threads report fault events into.
-///
-/// Appends happen only on the failure path, so a mutex is fine; the
-/// retry counter is atomic because successful-after-retry tasks bump it
-/// without any other reason to lock.
-#[derive(Debug, Default)]
-pub struct FaultLog {
-    retries: AtomicU64,
-    skipped: Mutex<Vec<SkippedTask>>,
-}
-
-impl FaultLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one task re-execution.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a task abandoned after exhausting its retries.
-    pub fn record_skip(&self, skip: SkippedTask) {
-        self.skipped.lock().expect("fault log poisoned").push(skip);
-    }
-
-    /// Total retries recorded so far.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Folds the log into a [`FaultMetrics`] snapshot. Skipped tasks are
-    /// sorted by task id so reports are deterministic regardless of which
-    /// worker hit which task.
-    pub fn snapshot(&self, suppressed_errors: u64, watchdog_fired: bool) -> FaultMetrics {
-        let mut skipped = self.skipped.lock().expect("fault log poisoned").clone();
-        skipped.sort_by_key(|s| s.task_id);
-        FaultMetrics { retries: self.retries(), suppressed_errors, watchdog_fired, skipped }
     }
 }
 
@@ -231,10 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_log_snapshot_sorts_by_task_id() {
-        let log = FaultLog::new();
-        log.record_retry();
-        log.record_retry();
+    fn merged_records_sort_skips_by_task_id_and_sum_retries() {
         let skip = |task_id| SkippedTask {
             task_id,
             start: task_id * 10,
@@ -242,13 +214,24 @@ mod tests {
             attempts: 2,
             message: format!("task {task_id} died"),
         };
-        log.record_skip(skip(5));
-        log.record_skip(skip(1));
-        let m = log.snapshot(1, false);
-        assert_eq!(m.retries, 2);
+        // Two threads' records, each in the order its thread hit its tasks.
+        let first =
+            FaultMetrics { retries: 2, skipped: vec![skip(5), skip(2)], ..Default::default() };
+        let second = FaultMetrics {
+            retries: 1,
+            suppressed_errors: 1,
+            skipped: vec![skip(1)],
+            ..Default::default()
+        };
+        let m: FaultMetrics = [first, second].into_iter().sum();
+        assert_eq!(m.retries, 3);
         assert_eq!(m.suppressed_errors, 1);
         assert!(!m.watchdog_fired);
-        assert_eq!(m.skipped.iter().map(|s| s.task_id).collect::<Vec<_>>(), vec![1, 5]);
+        assert_eq!(m.skipped.iter().map(|s| s.task_id).collect::<Vec<_>>(), vec![1, 2, 5]);
+        assert_eq!(
+            std::iter::empty::<FaultMetrics>().sum::<FaultMetrics>(),
+            FaultMetrics::default()
+        );
     }
 
     #[test]

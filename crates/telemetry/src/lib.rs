@@ -7,15 +7,10 @@
 //! or idle spinning while waiting for data. This crate provides the pieces
 //! both runtimes share:
 //!
-//! * [`LocalTelemetry`] — a plain, thread-local accumulator. All hot-path
-//!   instrumentation is `Instant` arithmetic on this struct; nothing is
-//!   shared while a worker runs.
-//! * [`TelemetryCell`] — a bank of atomic counters a thread publishes its
-//!   accumulator into (the same pattern the runtime already uses for its
-//!   emitted/consumed counters). No locks, no hot-path atomics: a thread
-//!   publishes **once, at exit**.
-//! * [`ThreadTelemetry`] — the snapshot the runtime hands back per thread,
-//!   with derived fractions and per-thread throughput.
+//! * [`ThreadTelemetry`] — one thread's row: plain fields its thread
+//!   accumulates privately while it runs (all hot-path instrumentation is
+//!   `Instant` arithmetic on it; nothing is shared) and hands back once, at
+//!   exit, with derived fractions and per-thread throughput.
 //! * [`suggested_ratio`] — the paper's throughput criterion: how many
 //!   mappers one combiner can keep up with, from the mapper rows'
 //!   [`pool_throughput`] and the run's [`combine_throughput`].
@@ -34,10 +29,9 @@ pub mod faults;
 pub mod json;
 pub mod report;
 
-pub use faults::{FaultLog, FaultMetrics, ProgressBoard, SkippedTask};
+pub use faults::{FaultMetrics, ProgressBoard, SkippedTask};
 pub use report::MetricsReport;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Which pool a measured thread belonged to.
@@ -139,12 +133,16 @@ impl BatchHistogram {
     }
 }
 
-/// Thread-local accumulator a worker updates while it runs.
+/// One thread's telemetry, as returned inside a run report.
 ///
-/// Plain fields, no atomics: the owning thread mutates it privately and
-/// publishes the totals once at exit via [`TelemetryCell::publish`].
-#[derive(Debug, Clone, Default)]
-pub struct LocalTelemetry {
+/// Plain fields, no atomics: the thread fills its row privately while it
+/// runs and hands it over once, after its last unit of work.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreadTelemetry {
+    /// The pool this thread belonged to.
+    pub role: ThreadRole,
+    /// Index within its pool.
+    pub index: usize,
     /// Time spent doing useful work (map calls for mappers — with the pairs
     /// a mapper folds itself instead of queueing them, see
     /// [`spill`](Self::spill) — consuming batches for combiners,
@@ -170,31 +168,6 @@ pub struct LocalTelemetry {
     /// / batched reads).
     pub batches: u64,
     /// Occupancy of those transfers.
-    pub occupancy: BatchHistogram,
-}
-
-/// One thread's published telemetry, as returned inside a run report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadTelemetry {
-    /// The pool this thread belonged to.
-    pub role: ThreadRole,
-    /// Index within its pool.
-    pub index: usize,
-    /// See [`LocalTelemetry::busy`].
-    pub busy: Duration,
-    /// See [`LocalTelemetry::stalled`].
-    pub stalled: Duration,
-    /// See [`LocalTelemetry::spill`].
-    pub spill: Duration,
-    /// See [`LocalTelemetry::wall`].
-    pub wall: Duration,
-    /// See [`LocalTelemetry::items`].
-    pub items: u64,
-    /// See [`LocalTelemetry::stall_events`].
-    pub stall_events: u64,
-    /// See [`LocalTelemetry::batches`].
-    pub batches: u64,
-    /// See [`LocalTelemetry::occupancy`].
     pub occupancy: BatchHistogram,
 }
 
@@ -269,66 +242,6 @@ pub fn suggested_ratio(map_throughput: f64, combine_throughput: f64) -> usize {
     ((combine_throughput / map_throughput).round() as usize).max(1)
 }
 
-/// A bank of atomic counters one thread publishes into.
-///
-/// The cell is shared (`&TelemetryCell`) between the spawning scope and the
-/// worker. The worker calls [`publish`](Self::publish) exactly once, after
-/// its last unit of work, and the scope reads it back with
-/// [`snapshot`](Self::snapshot) once the worker is done. Relaxed ordering
-/// suffices: the join (or the session's done-counter) is the
-/// synchronization point.
-#[derive(Debug, Default)]
-pub struct TelemetryCell {
-    busy_ns: AtomicU64,
-    stalled_ns: AtomicU64,
-    spill_ns: AtomicU64,
-    wall_ns: AtomicU64,
-    items: AtomicU64,
-    stall_events: AtomicU64,
-    batches: AtomicU64,
-    occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
-}
-
-impl TelemetryCell {
-    /// Publishes a thread's accumulated totals, once, at thread exit.
-    pub fn publish(&self, local: &LocalTelemetry) {
-        self.busy_ns.store(saturating_ns(local.busy), Ordering::Relaxed);
-        self.stalled_ns.store(saturating_ns(local.stalled), Ordering::Relaxed);
-        self.spill_ns.store(saturating_ns(local.spill), Ordering::Relaxed);
-        self.wall_ns.store(saturating_ns(local.wall), Ordering::Relaxed);
-        self.items.store(local.items, Ordering::Relaxed);
-        self.stall_events.store(local.stall_events, Ordering::Relaxed);
-        self.batches.store(local.batches, Ordering::Relaxed);
-        for (slot, &count) in self.occupancy.iter().zip(local.occupancy.buckets.iter()) {
-            slot.store(count, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads the published totals back (call after joining the thread).
-    pub fn snapshot(&self, role: ThreadRole, index: usize) -> ThreadTelemetry {
-        let mut occupancy = BatchHistogram::default();
-        for (bucket, slot) in occupancy.buckets.iter_mut().zip(self.occupancy.iter()) {
-            *bucket = slot.load(Ordering::Relaxed);
-        }
-        ThreadTelemetry {
-            role,
-            index,
-            busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
-            stalled: Duration::from_nanos(self.stalled_ns.load(Ordering::Relaxed)),
-            spill: Duration::from_nanos(self.spill_ns.load(Ordering::Relaxed)),
-            wall: Duration::from_nanos(self.wall_ns.load(Ordering::Relaxed)),
-            items: self.items.load(Ordering::Relaxed),
-            stall_events: self.stall_events.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            occupancy,
-        }
-    }
-}
-
-fn saturating_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,8 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn cell_round_trips_local_totals() {
-        let mut local = LocalTelemetry {
+    fn row_fractions_are_shares_of_its_wall_clock() {
+        let row = ThreadTelemetry {
+            role: ThreadRole::Mapper,
+            index: 3,
             busy: Duration::from_millis(70),
             stalled: Duration::from_millis(30),
             spill: Duration::from_millis(20),
@@ -364,35 +279,17 @@ mod tests {
             items: 12345,
             stall_events: 7,
             batches: 13,
-            ..Default::default()
+            occupancy: BatchHistogram::default(),
         };
-        local.occupancy.record(8, 8);
-        local.occupancy.record(2, 8);
-        let cell = TelemetryCell::default();
-        cell.publish(&local);
-        let snap = cell.snapshot(ThreadRole::Mapper, 3);
-        assert_eq!(snap.role, ThreadRole::Mapper);
-        assert_eq!(snap.index, 3);
-        assert_eq!(snap.busy, local.busy);
-        assert_eq!(snap.stalled, local.stalled);
-        assert_eq!(snap.spill, local.spill);
-        assert_eq!(snap.wall, local.wall);
-        assert_eq!(snap.items, 12345);
-        assert_eq!(snap.stall_events, 7);
-        assert_eq!(snap.batches, 13);
-        assert_eq!(snap.occupancy, local.occupancy);
-        assert!((snap.busy_fraction() - 0.7).abs() < 1e-9);
-        assert!((snap.stalled_fraction() - 0.3).abs() < 1e-9);
-        assert!((snap.throughput().unwrap() - 12345.0 / 0.05).abs() < 1e-3);
-    }
-
-    #[test]
-    fn empty_cell_snapshot_is_all_zero() {
-        let snap = TelemetryCell::default().snapshot(ThreadRole::Combiner, 0);
-        assert_eq!(snap.busy, Duration::ZERO);
-        assert_eq!(snap.items, 0);
-        assert_eq!(snap.busy_fraction(), 0.0);
-        assert_eq!(snap.throughput(), None);
+        assert!((row.busy_fraction() - 0.7).abs() < 1e-9);
+        assert!((row.stalled_fraction() - 0.3).abs() < 1e-9);
+        assert!((row.throughput().unwrap() - 12345.0 / 0.05).abs() < 1e-3);
+        // A row with nothing recorded derives nothing.
+        let zero = Duration::ZERO;
+        let empty =
+            ThreadTelemetry { busy: zero, stalled: zero, spill: zero, wall: zero, items: 0, ..row };
+        assert_eq!(empty.busy_fraction(), 0.0);
+        assert_eq!(empty.throughput(), None);
     }
 
     #[test]

@@ -211,3 +211,50 @@ fn three_epochs_per_container_kind_are_exact_including_one_after_a_failure() {
         }
     }
 }
+
+/// Panics in every map call: at once on a pooled worker, and on the
+/// submitting thread (worker 0, the first board position) only 50 ms after
+/// the pooled worker entered its own, so the two roles hold a task each and
+/// the pooled worker fails first in time.
+struct FailsLateOnTheCaller {
+    caller: std::thread::ThreadId,
+    pooled_entered: AtomicBool,
+}
+
+impl MapReduceJob for FailsLateOnTheCaller {
+    type Input = u64;
+    type Key = u64;
+    type Value = u64;
+
+    fn map(&self, _: &[u64], _: &mut Emitter<'_, u64, u64>) {
+        if std::thread::current().id() != self.caller {
+            self.pooled_entered.store(true, Ordering::SeqCst);
+            panic!("the pooled worker's map failed");
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !self.pooled_entered.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        panic!("the caller's map failed");
+    }
+
+    fn combine(&self, acc: &mut u64, v: u64) {
+        *acc += v;
+    }
+}
+
+#[test]
+fn several_failing_roles_report_the_first_in_board_order_not_in_time() {
+    let _serial = serial();
+    let job = FailsLateOnTheCaller {
+        caller: std::thread::current().id(),
+        pooled_entered: AtomicBool::new(false),
+    };
+    let input: Vec<u64> = (0..100).collect();
+    let mut session = Backend::Phoenix.session(config(2, ContainerKind::Hash)).unwrap();
+    let err = session.submit(&job, &input).unwrap_err();
+    assert!(job.pooled_entered.load(Ordering::SeqCst), "the pooled worker never mapped");
+    let expected = "the caller's map failed; 1 further worker error(s) suppressed";
+    assert_eq!(err, RuntimeError::WorkerPanic(expected.into()));
+}
